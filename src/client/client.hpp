@@ -1,7 +1,8 @@
 // ghba::Client — the client-side front tier over the loopback prototype.
 //
-// PrototypeCluster is the query *coordinator* (it drives the four-level
-// cascade over the wire); Client is what an application links against. It
+// PrototypeCluster's Router is the query *coordinator* (it drives the
+// four-level cascade over the wire); Client is what an application links
+// against. It
 // adds the pieces a real file-system client needs in front of that
 // cascade:
 //

@@ -14,6 +14,8 @@
 // with a report instead of deadlocking: in an A/B-B/A race, whichever
 // thread attempts the rank-increasing half is refused while the other is
 // still merely blocked.
+//
+// SharedMutex (below the validator) is compiled in every build.
 
 #include "common/sync.hpp"
 
@@ -196,3 +198,62 @@ std::size_t HeldCount() { return HeldStack().size(); }
 }  // namespace ghba
 
 #endif  // GHBA_LOCKDEP
+
+namespace ghba {
+
+void SharedMutex::Lock() {
+#if defined(GHBA_LOCKDEP) && GHBA_LOCKDEP
+  lockdep::BeforeAcquire(this, rank_);
+#endif
+  {
+    std::unique_lock<std::mutex> state(mu_);
+    ++writers_waiting_;
+    cv_.wait(state, [this] { return !writer_ && readers_ == 0; });
+    --writers_waiting_;
+    writer_ = true;
+  }
+#if defined(GHBA_LOCKDEP) && GHBA_LOCKDEP
+  lockdep::AfterAcquire(this, rank_);
+#endif
+}
+
+void SharedMutex::Unlock() {
+#if defined(GHBA_LOCKDEP) && GHBA_LOCKDEP
+  lockdep::OnRelease(this);
+#endif
+  {
+    std::lock_guard<std::mutex> state(mu_);
+    writer_ = false;
+  }
+  cv_.notify_all();
+}
+
+void SharedMutex::LockShared() {
+#if defined(GHBA_LOCKDEP) && GHBA_LOCKDEP
+  lockdep::BeforeAcquire(this, rank_);
+#endif
+  {
+    std::unique_lock<std::mutex> state(mu_);
+    // A waiting writer bars new readers: writer preference.
+    cv_.wait(state, [this] { return !writer_ && writers_waiting_ == 0; });
+    ++readers_;
+  }
+#if defined(GHBA_LOCKDEP) && GHBA_LOCKDEP
+  lockdep::AfterAcquire(this, rank_);
+#endif
+}
+
+void SharedMutex::UnlockShared() {
+#if defined(GHBA_LOCKDEP) && GHBA_LOCKDEP
+  lockdep::OnRelease(this);
+#endif
+  bool last = false;
+  {
+    std::lock_guard<std::mutex> state(mu_);
+    --readers_;
+    last = readers_ == 0;
+  }
+  if (last) cv_.notify_all();
+}
+
+}  // namespace ghba

@@ -14,7 +14,7 @@
 //     a thread may only acquire a Mutex whose rank is strictly LOWER
 //     than the rank of every Mutex it already holds.
 //
-// Ranks therefore read top-down: the highest rank (kCluster) is always
+// Ranks therefore read top-down: the highest rank (kClient) is always
 // outermost, the lowest (kLogging) is a leaf that may be taken while
 // holding anything but can nest nothing inside itself. Because the order
 // is total and acquisition is strictly decreasing, no cycle can ever form
@@ -38,6 +38,7 @@
 // attribute semantics. The macro set follows the naming in that document.
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
@@ -79,6 +80,14 @@
 #define GHBA_TRY_ACQUIRE(...) \
   GHBA_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 
+/// Function acquires the capability in shared (reader) mode.
+#define GHBA_ACQUIRE_SHARED(...) \
+  GHBA_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
+
+/// Function releases a capability held in shared (reader) mode.
+#define GHBA_RELEASE_SHARED(...) \
+  GHBA_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
+
 /// Caller must NOT hold the capability (deadlock prevention).
 #define GHBA_EXCLUDES(...) GHBA_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 
@@ -98,7 +107,10 @@ namespace ghba {
 ///   rank              instance(s)                        holder
 ///   ----------------  ---------------------------------  ------------------
 ///   kClient           Client::mu_                        front-tier facade
-///   kCluster          PrototypeCluster::mu_              orchestrator/client
+///   kCluster          PrototypeCluster::mu_              orchestrator
+///   kDrainGate        Router::gate_ (SharedMutex)        lookups vs. drains
+///   kRouterPool       Router::pool_mu_                   idle connections
+///   kRouterSnapshot   Router::topo_mu_                   snapshot pointer
 ///   kServerTxn        MdsServer txn manager              2PC intent locks
 ///   kServerWal        MdsServer::wal_mu_                 durable engine
 ///   kServerFilter     MdsServer::filter_mu_              local filter
@@ -116,7 +128,11 @@ namespace ghba {
 ///
 /// Real chains this order admits (all observed in the code):
 ///   client -> cluster                 (facade ops call into the cluster)
-///   cluster -> {any server lock, health, injector, metrics, logging}
+///   client -> gate -> {snapshot, pool} (a lookup on the Router)
+///   cluster -> gate                   (a drain excludes lookups; Unlink and
+///                                      the txn preludes look up under mu_)
+///   cluster -> {snapshot, pool, any server lock, health, injector,
+///              metrics, logging}
 ///   txn -> wal                        (prepare journals under intent lock)
 ///   wal -> filter / wal -> seg        (mutation journaling + checkpoint)
 ///   shard -> injector                 (stall probe inside the worker wait)
@@ -137,12 +153,15 @@ enum class LockRank : std::uint8_t {
   kServerFilter = 11,
   kServerWal = 12,
   kServerTxn = 13,
-  kCluster = 14,
-  kClient = 15,
+  kRouterSnapshot = 14,
+  kRouterPool = 15,
+  kDrainGate = 16,
+  kCluster = 17,
+  kClient = 18,
 };
 
 /// Number of distinct ranks (size of the lockdep acquisition graph).
-inline constexpr std::size_t kLockRankCount = 16;
+inline constexpr std::size_t kLockRankCount = 19;
 
 /// Human-readable name for a LockRank (diagnostics).
 constexpr const char* LockRankName(LockRank rank) {
@@ -161,6 +180,9 @@ constexpr const char* LockRankName(LockRank rank) {
     case LockRank::kServerFilter: return "server-filter";
     case LockRank::kServerWal: return "server-wal";
     case LockRank::kServerTxn: return "server-txn";
+    case LockRank::kRouterSnapshot: return "router-snapshot";
+    case LockRank::kRouterPool: return "router-pool";
+    case LockRank::kDrainGate: return "drain-gate";
     case LockRank::kCluster: return "cluster";
     case LockRank::kClient: return "client";
   }
@@ -284,6 +306,74 @@ class GHBA_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* const mu_;
+};
+
+/// Reader/writer lock with a mandatory static LockRank. Writer-preferring:
+/// once a writer waits, new readers queue behind it, so a stream of
+/// back-to-back readers cannot starve the writer (glibc's default rwlock
+/// prefers readers and would). Shared holders count as holding the rank for
+/// the acquire-down rule exactly like Mutex holders; lockdep validates both
+/// modes. The internal std::mutex guards only the state word and is never
+/// held across a caller's critical section, so it sits outside the order.
+class GHBA_CAPABILITY("mutex") SharedMutex {
+ public:
+  explicit SharedMutex(LockRank rank)
+#if defined(GHBA_LOCKDEP) && GHBA_LOCKDEP
+      : rank_(rank) {
+  }
+#else
+  {
+    (void)rank;
+  }
+#endif
+  SharedMutex(const SharedMutex&) = delete;
+  SharedMutex& operator=(const SharedMutex&) = delete;
+
+  void Lock() GHBA_ACQUIRE();
+  void Unlock() GHBA_RELEASE();
+  void LockShared() GHBA_ACQUIRE_SHARED();
+  void UnlockShared() GHBA_RELEASE_SHARED();
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::uint32_t readers_ = 0;
+  std::uint32_t writers_waiting_ = 0;
+  bool writer_ = false;
+#if defined(GHBA_LOCKDEP) && GHBA_LOCKDEP
+  LockRank rank_;
+#endif
+};
+
+/// RAII shared (reader) hold of a SharedMutex.
+class GHBA_SCOPED_CAPABILITY ReaderMutexLock {
+ public:
+  explicit ReaderMutexLock(SharedMutex* mu) GHBA_ACQUIRE_SHARED(mu)
+      : mu_(mu) {
+    mu_->LockShared();
+  }
+  ~ReaderMutexLock() GHBA_RELEASE() { mu_->UnlockShared(); }
+
+  ReaderMutexLock(const ReaderMutexLock&) = delete;
+  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
+
+ private:
+  SharedMutex* const mu_;
+};
+
+/// RAII exclusive (writer) hold of a SharedMutex.
+class GHBA_SCOPED_CAPABILITY WriterMutexLock {
+ public:
+  explicit WriterMutexLock(SharedMutex* mu) GHBA_ACQUIRE(mu) : mu_(mu) {
+    mu_->Lock();
+  }
+  ~WriterMutexLock() GHBA_RELEASE() { mu_->Unlock(); }
+
+  WriterMutexLock(const WriterMutexLock&) = delete;
+  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
+
+ private:
+  SharedMutex* const mu_;
 };
 
 /// A "thread role" capability (Clang's role idiom): state owned by exactly

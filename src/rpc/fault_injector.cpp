@@ -46,6 +46,44 @@ FaultInjector::FramePlan FaultInjector::PlanFrame() {
   return plan;
 }
 
+FaultInjector::FramePlan FaultInjector::PlanFrame(std::uint16_t port,
+                                                  std::uint16_t type) {
+  {
+    MutexLock lock(&mu_);
+    const auto it = std::find_if(
+        frame_faults_.begin(), frame_faults_.end(),
+        [&](const ArmedFrameFault& f) {
+          return f.port == port && f.type == type;
+        });
+    if (it != frame_faults_.end()) {
+      FramePlan plan;
+      plan.action = it->action;
+      plan.mutation_seed = counters_.frames;
+      frame_faults_.erase(it);
+      ++counters_.frames;
+      switch (plan.action) {
+        case FrameAction::kDrop: ++counters_.drops; break;
+        case FrameAction::kTruncate: ++counters_.truncations; break;
+        case FrameAction::kCorrupt: ++counters_.corruptions; break;
+        case FrameAction::kDeliver: break;
+      }
+      return plan;
+    }
+  }
+  return PlanFrame();
+}
+
+void FaultInjector::ArmFrameFault(std::uint16_t port, std::uint16_t type,
+                                  FrameAction action) {
+  MutexLock lock(&mu_);
+  frame_faults_.push_back(ArmedFrameFault{port, type, action});
+}
+
+bool FaultInjector::HasArmedFrameFaults() const {
+  MutexLock lock(&mu_);
+  return !frame_faults_.empty();
+}
+
 bool FaultInjector::RefuseConnect() {
   MutexLock lock(&mu_);
   if (options_.refuse_connect_prob <= 0) return false;

@@ -56,6 +56,21 @@ class FaultInjector {
   /// Decide the fate of one outgoing frame. Thread-safe.
   FramePlan PlanFrame();
 
+  /// Decide the fate of one frame a client connection sends to `port`
+  /// whose message type (first two payload bytes, little-endian) is
+  /// `type`: a matching armed frame fault fires first, otherwise the
+  /// seeded stream decides as in PlanFrame(). Thread-safe.
+  FramePlan PlanFrame(std::uint16_t port, std::uint16_t type);
+
+  /// Arm a one-shot fault for the next frame of message type `type` that a
+  /// client connection sends to `port`. Armed faults draw nothing from the
+  /// seeded stream, so a test can aim one drop or corruption at one probe
+  /// without shifting the schedule of any other frame.
+  void ArmFrameFault(std::uint16_t port, std::uint16_t type,
+                     FrameAction action);
+  /// Any armed frame fault still waiting for its frame?
+  bool HasArmedFrameFaults() const;
+
   /// Decide whether a connect() attempt is refused. Thread-safe.
   bool RefuseConnect();
 
@@ -143,6 +158,12 @@ class FaultInjector {
   /// Armed one-shot crash-point tags (migration phases map onto the
   /// migrate.* tags; 2PC phase boundaries use txn.* / txnhalt.*).
   std::set<std::string> crash_points_ GHBA_GUARDED_BY(mu_);
+  struct ArmedFrameFault {
+    std::uint16_t port;
+    std::uint16_t type;
+    FrameAction action;
+  };
+  std::vector<ArmedFrameFault> frame_faults_ GHBA_GUARDED_BY(mu_);
 };
 
 /// Apply a kTruncate/kCorrupt plan to a payload copy: truncation drops a

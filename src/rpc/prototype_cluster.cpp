@@ -1,8 +1,6 @@
 #include "rpc/prototype_cluster.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 #include "bloom/compressed.hpp"
 #include "common/logging.hpp"
@@ -11,33 +9,6 @@
 namespace ghba {
 
 namespace {
-double NowMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Transport-level failures worth a retry / health demerit; remote
-/// application statuses (NotFound, AlreadyExists, ...) are not.
-/// kCorruption only reaches this check from the framing layer (magic/CRC
-/// mismatch on a response frame) — the payload decoders run later, at the
-/// call sites — so it too means "the wire mangled it, try again fresh".
-bool IsTransient(const Status& s) {
-  return s.code() == StatusCode::kUnavailable ||
-         s.code() == StatusCode::kTimedOut ||
-         s.code() == StatusCode::kCorruption;
-}
-
-/// True when a response frame is the server rejecting the *request* as
-/// corrupt. Our encoders never emit malformed requests, so this means the
-/// frame was mangled in flight — retrying on a fresh connection is safe.
-bool IsRemoteCorruptionReject(const std::vector<std::uint8_t>& resp) {
-  ByteReader in(resp);
-  const auto env = OpenEnvelope(in);
-  return env.ok() && !env->has_payload &&
-         env->status.code() == StatusCode::kCorruption;
-}
-
 /// Sets a flag for the current scope, restoring the previous value on exit.
 /// Used to suppress the automatic fail-over chase while a topology
 /// operation holds references into groups_/group_of_: a failed Call inside
@@ -64,29 +35,15 @@ PrototypeCluster::PrototypeCluster(ClusterConfig config, ProtoScheme scheme)
       rpc_suspected_(
           metrics_.registry().counter(metrics_names::kRpcSuspected)),
       rpc_failovers_(
-          metrics_.registry().counter(metrics_names::kRpcFailovers)) {}
-
-void PrototypeCluster::QueryCtx::CloseLevel(int level) {
-  const double now = NowMs();
-  trace.level_elapsed_ns[static_cast<std::size_t>(level - 1)] +=
-      static_cast<std::uint64_t>((now - mark_ms) * 1e6);
-  mark_ms = now;
-}
-
-void PrototypeCluster::QueryCtx::Contact(MdsId id) {
-  if (id == entry) return;
-  if (std::find(contacted.begin(), contacted.end(), id) != contacted.end()) {
-    return;
-  }
-  contacted.push_back(id);
-}
+          metrics_.registry().counter(metrics_names::kRpcFailovers)),
+      router_(config_.rpc, config_.seed ^ 0x7007, &health_, &metrics_) {}
 
 PrototypeCluster::~PrototypeCluster() { Stop(); }
 
 void PrototypeCluster::set_fault_injector(FaultInjector* injector) {
   MutexLock lock(&mu_);
   injector_ = injector;
-  for (auto& [id, conn] : conns_) conn.set_injector(injector);
+  router_.set_fault_injector(injector);
 }
 
 std::size_t PrototypeCluster::NumServers() const {
@@ -100,8 +57,10 @@ std::size_t PrototypeCluster::NumGroups() const {
 }
 
 Result<bool> PrototypeCluster::VerifyOn(MdsId id, const std::string& path) {
-  MutexLock lock(&mu_);
-  return VerifyAt(id, path);
+  Suspects suspects;
+  auto result = router_.Verify(id, path, &suspects);
+  FailOverSuspects(suspects);
+  return result;
 }
 
 Status PrototypeCluster::StartServer(MdsId id) {
@@ -174,101 +133,51 @@ void PrototypeCluster::Stop() {
 }
 
 void PrototypeCluster::StopLocked() {
-  conns_.clear();
+  // Lookups see an empty cluster before the servers go.
+  auto empty = std::make_shared<Topology>();
+  empty->epoch = routing_epoch_;
+  router_.Publish(std::move(empty));
   for (auto& server : servers_) {
     if (server) server->Stop();
   }
   started_ = false;
 }
 
-Result<std::vector<std::uint8_t>> PrototypeCluster::CallOnce(
-    MdsId id, const std::vector<std::uint8_t>& req, Deadline deadline) {
-  auto it = conns_.find(id);
-  if (it == conns_.end()) {
-    const auto connect_budget = std::min<int>(
-        static_cast<int>(config_.rpc.connect_timeout_ms),
-        std::max(deadline.PollTimeoutMs(), 1));
-    auto conn = TcpConnection::Connect(
-        servers_.at(id)->port(),
-        Deadline::After(std::chrono::milliseconds(connect_budget)),
-        injector_);
-    if (!conn.ok()) return conn.status();
-    it = conns_.emplace(id, std::move(*conn)).first;
-  } else {
-    // A connection cached before set_fault_injector picks it up here.
-    it->second.set_injector(injector_);
-  }
-  if (Status s = it->second.SendFrame(req, deadline); !s.ok()) return s;
-  return it->second.RecvFrame(deadline);
-}
-
 Result<std::vector<std::uint8_t>> PrototypeCluster::Call(
     MdsId id, const std::vector<std::uint8_t>& req) {
-  if (id >= servers_.size() || !servers_[id]) {
-    return Status::Unavailable("server is down");
-  }
-  const RpcOptions& rpc = config_.rpc;
-  const Deadline budget =
-      Deadline::After(std::chrono::milliseconds(rpc.call_budget_ms));
-  Status last = Status::Unavailable("call never attempted");
-  for (std::uint32_t attempt = 0; attempt < rpc.max_attempts; ++attempt) {
-    if (attempt > 0) {
-      // Jittered exponential backoff, clipped to the remaining budget.
-      const std::uint64_t base = static_cast<std::uint64_t>(
-                                     rpc.retry_backoff_ms)
-                                 << (attempt - 1);
-      const std::uint64_t wait = base / 2 + rng_.NextBounded(base + 1);
-      const int remaining = budget.PollTimeoutMs();
-      if (remaining <= 0) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          std::min<std::uint64_t>(wait, static_cast<std::uint64_t>(remaining))));
-    }
-    const int remaining = budget.PollTimeoutMs();
-    if (remaining <= 0) break;
-    if (attempt > 0) health_.RecordRetry(id);
-    // One attempt never outlives the call budget.
-    const auto attempt_deadline = Deadline::After(std::chrono::milliseconds(
-        std::min<int>(static_cast<int>(rpc.attempt_timeout_ms), remaining)));
-    auto resp = CallOnce(id, req, attempt_deadline);
-    if (resp.ok()) {
-      if (IsRemoteCorruptionReject(*resp)) {
-        last = Status::Corruption("request mangled in flight");
-        conns_.erase(id);
-        continue;
-      }
-      health_.RecordSuccess(id);
-      return resp;
-    }
-    last = resp.status();
-    if (last.code() == StatusCode::kTimedOut) health_.RecordTimeout(id);
-    conns_.erase(id);  // never reuse a connection that failed mid-exchange
-    if (!IsTransient(last)) break;
-  }
-  NoteCallFailure(id);
-  return last;
+  Suspects suspects;
+  auto resp = router_.Call(id, PortLocked(id), req, &suspects);
+  NoteSuspectsLocked(suspects);
+  return resp;
 }
 
-Status PrototypeCluster::OneWay(MdsId id, const std::vector<std::uint8_t>& frame) {
-  if (id >= servers_.size() || !servers_[id]) {
-    return Status::Unavailable("server is down");
+std::uint16_t PrototypeCluster::PortLocked(MdsId id) const {
+  return id < servers_.size() && servers_[id] ? servers_[id]->port() : 0;
+}
+
+void PrototypeCluster::PublishTopologyLocked() {
+  auto topo = std::make_shared<Topology>();
+  topo->epoch = routing_epoch_;
+  topo->grouped = scheme_ == ProtoScheme::kGhba;
+  topo->port.assign(servers_.size(), 0);
+  topo->version.assign(servers_.size(), 0);
+  topo->group.resize(servers_.size());
+  for (MdsId id = 0; id < servers_.size(); ++id) {
+    if (!servers_[id]) continue;
+    topo->port[id] = servers_[id]->port();
+    topo->alive.push_back(id);
+    if (const auto it = peer_version_.find(id); it != peer_version_.end()) {
+      topo->version[id] = it->second;
+    }
   }
-  const RpcOptions& rpc = config_.rpc;
-  auto it = conns_.find(id);
-  if (it == conns_.end()) {
-    auto conn = TcpConnection::Connect(
-        servers_.at(id)->port(),
-        Deadline::After(std::chrono::milliseconds(rpc.connect_timeout_ms)),
-        injector_);
-    if (!conn.ok()) return conn.status();
-    it = conns_.emplace(id, std::move(*conn)).first;
-  } else {
-    it->second.set_injector(injector_);
+  for (const GroupInfo& g : groups_) {
+    std::vector<MdsId> live;
+    for (const MdsId m : g.members) {
+      if (PortLocked(m) != 0) live.push_back(m);
+    }
+    for (const MdsId m : live) topo->group[m] = live;
   }
-  Status s = it->second.SendFrame(
-      frame,
-      Deadline::After(std::chrono::milliseconds(rpc.attempt_timeout_ms)));
-  if (!s.ok()) conns_.erase(id);
-  return s;
+  router_.Publish(std::move(topo));
 }
 
 std::uint32_t PrototypeCluster::PeerVersion(MdsId id) {
@@ -342,13 +251,44 @@ Result<std::vector<std::vector<std::uint8_t>>> PrototypeCluster::CallBatch(
   return out;
 }
 
-void PrototypeCluster::NoteCallFailure(MdsId id) {
-  if (health_.RecordFailure(id) != PeerState::kSuspected) return;
-  if (in_failover_) return;  // repair traffic only accounts, never chases
-  if (!ConfirmDead(id)) {
-    health_.RecordSuccess(id);  // the heart-beat answered: false alarm
-    return;
+void PrototypeCluster::NoteSuspectsLocked(const Suspects& suspects) {
+  for (const Suspect& suspect : suspects) {
+    if (in_failover_) return;  // repair traffic only accounts, never chases
+    // An earlier suspect's fail-over may already have taken this one.
+    if (PortLocked(suspect.id) != suspect.port) continue;
+    if (!router_.ConfirmDead(suspect.port)) {
+      health_.RecordSuccess(suspect.id);  // the heart-beat answered
+      continue;
+    }
+    FailOverConfirmedLocked(suspect.id);
   }
+}
+
+void PrototypeCluster::FailOverSuspects(const Suspects& suspects) {
+  for (std::size_t i = 0; i < suspects.size(); ++i) {
+    const Suspect& suspect = suspects[i];
+    if (std::any_of(suspects.begin(),
+                    suspects.begin() + static_cast<std::ptrdiff_t>(i),
+                    [&suspect](const Suspect& seen) {
+                      return seen.id == suspect.id && seen.port == suspect.port;
+                    })) {
+      continue;
+    }
+    // Heart-beat with nothing held: a ping round can take
+    // ping_attempts x ping_timeout_ms.
+    const bool dead = router_.ConfirmDead(suspect.port);
+    MutexLock lock(&mu_);
+    // Already failed over, or the id now names a newer incarnation.
+    if (PortLocked(suspect.id) != suspect.port) continue;
+    if (!dead) {
+      health_.RecordSuccess(suspect.id);  // false alarm
+      continue;
+    }
+    FailOverConfirmedLocked(suspect.id);
+  }
+}
+
+void PrototypeCluster::FailOverConfirmedLocked(MdsId id) {
   health_.MarkDead(id);
   GHBA_LOG(kWarn) << "peer " << id
                  << " confirmed dead by heart-beat; running fail-over";
@@ -358,29 +298,6 @@ void PrototypeCluster::NoteCallFailure(MdsId id) {
     GHBA_LOG(kWarn) << "fail-over of peer " << id
                    << " incomplete: " << s.ToString();
   }
-}
-
-bool PrototypeCluster::ConfirmDead(MdsId id) {
-  if (id >= servers_.size() || !servers_[id]) return true;
-  const RpcOptions& rpc = config_.rpc;
-  const auto ping = EncodeHeader(MsgType::kPing);
-  for (std::uint32_t i = 0; i < rpc.ping_attempts; ++i) {
-    // Fresh connection per probe: the cached one may be the thing that is
-    // broken. Probes go through the fault injector like any other frame —
-    // a real heart-beat shares the network with the traffic it monitors.
-    const auto deadline =
-        Deadline::After(std::chrono::milliseconds(rpc.ping_timeout_ms));
-    auto conn =
-        TcpConnection::Connect(servers_[id]->port(), deadline, injector_);
-    if (!conn.ok()) continue;
-    if (!conn->SendFrame(ping, deadline).ok()) continue;
-    const auto resp = conn->RecvFrame(deadline);
-    if (resp.ok()) return false;  // alive after all
-    // A checksum-mangled response still proves the peer's loop answered:
-    // corruption is the wire's doing, not the peer's silence.
-    if (resp.status().code() == StatusCode::kCorruption) return false;
-  }
-  return true;
 }
 
 Result<BloomFilter> PrototypeCluster::FetchFilter(MdsId owner) {
@@ -477,6 +394,7 @@ void PrototypeCluster::PushMembershipLocked(ReconfigReason reason) {
     // A server that misses this push re-syncs on its next epoch check.
     (void)Call(id, EncodeMembershipUpdate(update));
   }
+  PublishTopologyLocked();
 }
 
 Result<MembershipResp> PrototypeCluster::FetchMembership(MdsId id) {
@@ -495,11 +413,6 @@ Result<MembershipResp> PrototypeCluster::MembershipOf(MdsId id) {
     return Status::Unavailable("server is down");
   }
   return FetchMembership(id);
-}
-
-std::uint64_t PrototypeCluster::RoutingEpoch() const {
-  MutexLock lock(&mu_);
-  return routing_epoch_;
 }
 
 Result<MdsId> PrototypeCluster::HolderOf(MdsId group_member,
@@ -566,196 +479,18 @@ Status PrototypeCluster::InsertBatch(
   return Status::Ok();
 }
 
-Result<bool> PrototypeCluster::VerifyAt(MdsId candidate,
-                                        const std::string& path) {
-  auto resp = Call(candidate, EncodePathRequest(MsgType::kVerify, path));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  if (!env->has_payload) return env->status;
-  return DecodeBoolResp(in);
-}
-
 Result<LookupOutcome> PrototypeCluster::Lookup(const std::string& path) {
-  MutexLock lock(&mu_);
-  return LookupLocked(path);
+  Suspects suspects;
+  auto result = router_.Lookup(path, &suspects);
+  FailOverSuspects(suspects);
+  return result;
 }
 
 Result<LookupOutcome> PrototypeCluster::LookupLocked(
     const std::string& path) {
-  QueryCtx q;
-  q.start_ms = NowMs();
-  q.mark_ms = q.start_ms;
-  q.retries_before = health_.TotalCounts().retries;
-  const auto alive = AliveServersLocked();
-  if (alive.empty()) return Status::Unavailable("no servers");
-  q.entry = alive[rng_.NextBounded(alive.size())];
-  const MdsId entry = q.entry;
-
-  // L1 + L2 on the entry server. A slow or dead entry degrades the query
-  // to the lower levels (empty local result) instead of failing it: the
-  // hierarchy below is a superset of what the entry could have answered.
-  LocalLookupResp local;
-  if (auto resp = Call(entry, EncodePathRequest(MsgType::kLookupLocal, path));
-      resp.ok()) {
-    ByteReader in(*resp);
-    auto env = OpenEnvelope(in);
-    if (env.ok() && env->has_payload) {
-      if (auto decoded = DecodeLocalLookupResp(in); decoded.ok()) {
-        local = std::move(*decoded);
-      }
-    }
-  }
-
-  if (local.lru_unique && TryVerifyOnce(q, local.lru_home, path)) {
-    return FinishLookup(path, q, 1, true, local.lru_home);
-  }
-  q.CloseLevel(1);
-  if (local.hits.size() == 1 && TryVerifyOnce(q, local.hits.front(), path)) {
-    return FinishLookup(path, q, 2, true, local.hits.front());
-  }
-  q.CloseLevel(2);
-
-  // L3: probe the rest of the entry's group. A timed-out peer counts as a
-  // miss and the query continues; its candidates resurface at L4. Work on
-  // a copy of the membership: any Call below may trigger automatic
-  // fail-over, which rewrites groups_ (and may have already evicted the
-  // entry itself during the L1/L2 call above).
-  if (scheme_ == ProtoScheme::kGhba) {
-    std::vector<MdsId> candidates(local.hits);
-    std::vector<MdsId> members;
-    if (const auto git = group_of_.find(entry); git != group_of_.end()) {
-      members = groups_[git->second].members;
-    }
-    for (const MdsId m : members) {
-      if (m == entry) continue;
-      q.Contact(m);
-      auto probe = Call(m, EncodePathRequest(MsgType::kGroupProbe, path));
-      if (!probe.ok()) continue;  // a slow/dead peer must not fail the query
-      ByteReader pin(*probe);
-      auto penv = OpenEnvelope(pin);
-      if (!penv.ok() || !penv->has_payload) continue;
-      auto presp = DecodeLocalLookupResp(pin);
-      if (!presp.ok()) continue;
-      candidates.insert(candidates.end(), presp->hits.begin(),
-                        presp->hits.end());
-    }
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
-    for (const MdsId c : candidates) {
-      if (TryVerifyOnce(q, c, path)) {
-        return FinishLookup(path, q, 3, true, c);
-      }
-    }
-    q.CloseLevel(3);
-  }
-
-  // L4: global probe. L4 is the exact level, so a peer we could not reach
-  // leaves the verdict uncertain: report Unavailable rather than a
-  // confident (and possibly wrong) "not found".
-  bool all_peers_answered = true;
-  for (MdsId m = 0; m < servers_.size(); ++m) {
-    if (!servers_[m]) continue;
-    q.Contact(m);
-    auto probe = Call(m, EncodePathRequest(MsgType::kGlobalProbe, path));
-    if (!probe.ok()) {
-      all_peers_answered = false;
-      continue;
-    }
-    ByteReader pin(*probe);
-    auto penv = OpenEnvelope(pin);
-    if (!penv.ok() || !penv->has_payload) {
-      all_peers_answered = false;
-      continue;
-    }
-    auto found = DecodeBoolResp(pin);
-    if (!found.ok()) {
-      all_peers_answered = false;
-      continue;
-    }
-    if (*found) return FinishLookup(path, q, 4, true, m);
-  }
-  if (!all_peers_answered) {
-    return Status::Unavailable(
-        "lookup degraded: some peers unreachable at L4");
-  }
-  return FinishLookup(path, q, 4, false, kInvalidMds);
-}
-
-bool PrototypeCluster::TryVerifyOnce(QueryCtx& q, MdsId candidate,
-                                     const std::string& path) {
-  if (std::find(q.verified.begin(), q.verified.end(), candidate) !=
-      q.verified.end()) {
-    return false;
-  }
-  q.verified.push_back(candidate);
-  q.Contact(candidate);
-  // Stale cache/replica named a dead/slow server, or the answer came
-  // back mangled: degraded service means the query continues down the
-  // hierarchy, not that it fails (Sec. 4.5). The exact L4 pass backstops
-  // any candidate skipped here.
-  auto v = VerifyAt(candidate, path);
-  if (v.ok() && !*v) q.trace.false_route = true;  // confident wrong route
-  return v.ok() && *v;
-}
-
-LookupOutcome PrototypeCluster::FinishLookup(const std::string& path,
-                                             QueryCtx& q, int level,
-                                             bool found, MdsId home) {
-  q.CloseLevel(level);
-  LookupOutcome result;
-  result.found = found;
-  result.home = home;
-  result.served_level = level;
-  result.latency_ms = NowMs() - q.start_ms;
-  q.trace.level = static_cast<std::uint8_t>(level);
-  q.trace.peers_contacted = static_cast<std::uint32_t>(q.contacted.size());
-  q.trace.retries = static_cast<std::uint32_t>(
-      health_.TotalCounts().retries - q.retries_before);
-  result.trace = q.trace;
-
-  // Client-side accounting (the entry server gets the same numbers via
-  // kReportOutcome below, so server snapshots can reconstruct Fig. 13).
-  const bool miss = level == 4 && !found;
-  switch (level) {
-    case 1:
-      ++metrics_.levels.l1;
-      metrics_.l1_latency_ms.Add(result.latency_ms);
-      break;
-    case 2:
-      ++metrics_.levels.l2;
-      metrics_.l2_latency_ms.Add(result.latency_ms);
-      break;
-    case 3:
-      ++metrics_.levels.l3;
-      metrics_.group_latency_ms.Add(result.latency_ms);
-      break;
-    default:
-      if (miss) {
-        ++metrics_.levels.miss;
-      } else {
-        ++metrics_.levels.l4;
-      }
-      metrics_.global_latency_ms.Add(result.latency_ms);
-      break;
-  }
-  metrics_.lookup_latency_ms.Add(result.latency_ms);
-  if (q.trace.false_route) ++metrics_.false_routes;
-
-  OutcomeReport report;
-  report.level = q.trace.level;
-  report.found = found;
-  report.false_route = q.trace.false_route;
-  report.elapsed_ns = q.trace.TotalElapsedNs();
-  report.peers_contacted = q.trace.peers_contacted;
-  report.retries = q.trace.retries;
-  // Telemetry one-ways: losing one only skews per-level hit counters.
-  (void)OneWay(q.entry, EncodeOutcomeReport(report));
-  if (found) {
-    (void)OneWay(q.entry, EncodeTouch(path, home));  // L1 hint, advisory
-  }
+  Suspects suspects;
+  auto result = router_.Lookup(path, &suspects);
+  NoteSuspectsLocked(suspects);
   return result;
 }
 
@@ -963,10 +698,10 @@ bool PrototypeCluster::TxnStepLocked(TxnPhase phase, MdsId target) {
 
 void PrototypeCluster::CrashTxnLocked(MdsId victim) {
   // Same power-loss semantics as CrashMigrationLocked: the event loop
-  // stops, the cached connection drops, every piece of orchestrator
+  // stops, its pooled connections drop, every piece of orchestrator
   // bookkeeping stays. Detection then happens through failed calls, as
   // after a real machine failure.
-  conns_.erase(victim);
+  router_.DropPeer(PortLocked(victim));
   if (victim < servers_.size() && servers_[victim]) servers_[victim]->Stop();
 }
 
@@ -1049,35 +784,17 @@ Result<std::uint64_t> PrototypeCluster::ResolveInDoubt(MdsId id) {
 
 Result<LeaseGrantResp> PrototypeCluster::RequestLease(
     MdsId home, const std::string& path) {
-  MutexLock lock(&mu_);
-  if (home >= servers_.size() || !servers_[home]) {
-    return Status::Unavailable("server is down");
-  }
-  if (PeerVersion(home) < 4) {
-    return Status::InvalidArgument("peer predates the lease protocol (v4)");
-  }
-  auto resp = Call(home, EncodePathRequest(MsgType::kLeaseGrant, path));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  if (!env->has_payload) return env->status;
-  return DecodeLeaseGrantResp(in);
+  Suspects suspects;
+  auto result = router_.RequestLease(home, path, &suspects);
+  FailOverSuspects(suspects);
+  return result;
 }
 
 Status PrototypeCluster::InvalidatePath(const std::string& path) {
-  MutexLock lock(&mu_);
-  const auto req = EncodePathRequest(MsgType::kInvalidate, path);
-  for (const MdsId id : AliveServersLocked()) {
-    if (PeerVersion(id) < 4) continue;  // pre-v4 peer grants no leases
-    auto resp = Call(id, req);
-    if (!resp.ok()) continue;  // unreachable: its leases die by TTL
-    ByteReader in(*resp);
-    auto env = OpenEnvelope(in);
-    if (!env.ok()) return env.status();
-    if (!env->status.ok()) return env->status;
-  }
-  return Status::Ok();
+  Suspects suspects;
+  Status result = router_.InvalidatePath(path, &suspects);
+  FailOverSuspects(suspects);
+  return result;
 }
 
 Result<std::uint32_t> PrototypeCluster::ReplicateHotEntry(MdsId owner) {
@@ -1455,51 +1172,62 @@ Result<PrototypeCluster::ReconfigOutcome> PrototypeCluster::RemoveServer(
     }
   }
 
-  // Drain the files to the survivors.
-  auto resp = Call(id, EncodeHeader(MsgType::kExportFiles));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  if (!env->has_payload) return env->status;
-  auto files = DecodeFileListResp(in);
-  if (!files.ok()) return files.status();
-  const auto survivors = AliveServersLocked();
-  std::vector<MdsId> targets;
-  for (const MdsId s : survivors) {
-    if (s != id) targets.push_back(s);
-  }
-  // Round-robin the files across the survivors, then ship each survivor's
-  // share as batched writes: one kBatch frame per kMaxBatchFrames inserts,
-  // one CRC and one round-trip each, instead of a Call per file.
-  std::map<MdsId, std::vector<std::vector<std::uint8_t>>> drain;
-  std::map<MdsId, std::vector<const std::string*>> drain_paths;
-  std::size_t rr = 0;
-  for (const auto& [path, md] : files->files) {
-    const MdsId target = targets[rr++ % targets.size()];
-    drain[target].push_back(EncodeInsert(path, md));
-    drain_paths[target].push_back(&path);
-  }
-  for (auto& [target, reqs] : drain) {
-    auto resps = CallBatch(target, reqs);
-    if (!resps.ok()) return resps.status();
-    for (std::size_t i = 0; i < resps->size(); ++i) {
-      ByteReader rin((*resps)[i]);
-      auto renv = OpenEnvelope(rin);
-      if (!renv.ok()) return renv.status();
-      if (!renv->status.ok()) {
-        return Status::Internal("drain re-insert of " + *drain_paths[target][i] +
-                                " failed: " + renv->status.ToString());
+  // Drain the files to the survivors. kExportFiles extracts and clears the
+  // leaver's store, so until the survivors' re-inserts land the files live
+  // only in this process: the drain gate keeps every lookup out of that
+  // window. The snapshot without the leaver is published before the gate
+  // opens, and so before the leaver stops: no lookup routes to a stopped
+  // leaver.
+  std::unique_ptr<MdsServer> leaver;
+  {
+    WriterMutexLock drain_gate(&router_.drain_gate());
+    auto resp = Call(id, EncodeHeader(MsgType::kExportFiles));
+    if (!resp.ok()) return resp.status();
+    ByteReader in(*resp);
+    auto env = OpenEnvelope(in);
+    if (!env.ok()) return env.status();
+    if (!env->has_payload) return env->status;
+    auto files = DecodeFileListResp(in);
+    if (!files.ok()) return files.status();
+    std::vector<MdsId> targets;
+    for (const MdsId s : AliveServersLocked()) {
+      if (s != id) targets.push_back(s);
+    }
+    // Round-robin the files across the survivors, then ship each
+    // survivor's share as batched writes: one kBatch frame per
+    // kMaxBatchFrames inserts, one CRC and one round-trip each, instead of
+    // a Call per file.
+    std::map<MdsId, std::vector<std::vector<std::uint8_t>>> drain;
+    std::map<MdsId, std::vector<const std::string*>> drain_paths;
+    std::size_t rr = 0;
+    for (const auto& [path, md] : files->files) {
+      const MdsId target = targets[rr++ % targets.size()];
+      drain[target].push_back(EncodeInsert(path, md));
+      drain_paths[target].push_back(&path);
+    }
+    for (auto& [target, reqs] : drain) {
+      auto resps = CallBatch(target, reqs);
+      if (!resps.ok()) return resps.status();
+      for (std::size_t i = 0; i < resps->size(); ++i) {
+        ByteReader rin((*resps)[i]);
+        auto renv = OpenEnvelope(rin);
+        if (!renv.ok()) return renv.status();
+        if (!renv->status.ok()) {
+          return Status::Internal("drain re-insert of " +
+                                  *drain_paths[target][i] +
+                                  " failed: " + renv->status.ToString());
+        }
       }
     }
+    leaver = std::move(servers_[id]);
+    PublishTopologyLocked();
   }
 
   // The survivors' filters changed: refresh their replicas. The leaver's
   // frame counter disappears with it, so fold it into the delta first.
-  const std::uint64_t victim_frames = servers_[id]->frames_in();
-  conns_.erase(id);
-  servers_[id]->Stop();
-  servers_[id].reset();
+  const std::uint64_t victim_frames = leaver->frames_in();
+  leaver->Stop();
+  leaver.reset();
   // The departed id may be recycled by a later AddServer: its health
   // history and protocol-version verdict must die with this incarnation,
   // or the re-added server would start life marked dead.
@@ -1531,9 +1259,10 @@ Status PrototypeCluster::CrashServer(MdsId id) {
     return Status::NotFound("no such server");
   }
   // Stop the event loop but leave every piece of orchestrator bookkeeping
-  // (groups, replica maps, cached connections!) untouched: from the
-  // client's point of view the machine just went dark. The health tracker
-  // notices through failing calls and runs FailOver without manual help.
+  // (groups, replica maps, pooled connections, the published snapshot!)
+  // untouched: from the client's point of view the machine just went dark.
+  // The health tracker notices through failing calls and runs FailOver
+  // without manual help.
   servers_[id]->Stop();
   return Status::Ok();
 }
@@ -1542,14 +1271,16 @@ Status PrototypeCluster::FailOver(MdsId id) {
   // The crash (or its detection): no drain, no goodbye.
   FlagGuard guard(in_failover_);
   const std::uint64_t frames_before = TotalFramesInLocked();
-  const std::uint64_t victim_frames =
-      (id < servers_.size() && servers_[id]) ? servers_[id]->frames_in() : 0;
-  conns_.erase(id);
+  std::unique_ptr<MdsServer> dead =
+      id < servers_.size() ? std::move(servers_[id]) : nullptr;
+  const std::uint64_t victim_frames = dead ? dead->frames_in() : 0;
   health_.MarkDead(id);
   health_.RecordFailover(id);
-  if (servers_[id]) {
-    servers_[id]->Stop();  // idempotent; a stalled loop still honours it
-    servers_[id].reset();
+  // Lookups stop routing to it before it stops.
+  PublishTopologyLocked();
+  if (dead) {
+    dead->Stop();  // idempotent; a stalled loop still honours it
+    dead.reset();
   }
 
   // Fail-over (Section 4.5): "the corresponding Bloom filters are removed
@@ -1601,7 +1332,7 @@ Status PrototypeCluster::CrashMigrationLocked(MdsId victim,
   // Power loss at a phase boundary: the event loop stops, every piece of
   // orchestrator bookkeeping stays (as CrashServer), and the caller's test
   // restarts the victim to see where its journaled state lands.
-  conns_.erase(victim);
+  router_.DropPeer(PortLocked(victim));
   if (victim < servers_.size() && servers_[victim]) servers_[victim]->Stop();
   return Status::Unavailable(std::string("migration crashed at phase ") +
                              phase);
@@ -1743,19 +1474,7 @@ MetricsSnapshot PrototypeCluster::ClientSnapshot() {
   return metrics_.Snapshot();
 }
 
-Status PrototypeCluster::Quiesce() {
-  MutexLock lock(&mu_);
-  const auto ping = EncodeHeader(MsgType::kPing);
-  for (MdsId id = 0; id < servers_.size(); ++id) {
-    if (!servers_[id]) continue;
-    // Only cached connections can still hold queued one-way frames; a
-    // fresh connection has nothing to flush.
-    if (conns_.find(id) == conns_.end()) continue;
-    auto resp = Call(id, ping);
-    if (!resp.ok()) return resp.status();
-  }
-  return Status::Ok();
-}
+Status PrototypeCluster::Quiesce() { return router_.Quiesce(); }
 
 std::vector<std::uint16_t> PrototypeCluster::ServerPorts() const {
   MutexLock lock(&mu_);

@@ -1,18 +1,25 @@
-// Orchestrator + client for the loopback prototype (paper Section 5).
+// Orchestrator of the loopback prototype (paper Section 5).
 //
 // Spawns one MdsServer per MDS, forms groups, installs Bloom-filter
-// replicas over the wire, and drives the four-level query protocol from the
-// client side: the client library plays the coordinating role of the entry
-// MDS (L1/L2 run remotely on the entry server; group and global fan-outs go
-// to the members / all servers). Message counts come straight from the
-// servers' frame counters, which is what Fig. 15 plots.
+// replicas over the wire, and runs every mutation: inserts, unlinks,
+// renames, joins, leaves, crashes, restarts, migrations and splits. Message
+// counts come straight from the servers' frame counters, which is what
+// Fig. 15 plots.
 //
-// Thread safety: all client/orchestrator state (cached connections, group
-// topology, the reconfiguration guard) is GHBA_GUARDED_BY(mu_); public
-// entry points take the lock and everything below them carries
-// GHBA_REQUIRES(mu_), so Clang's -Wthread-safety proves no path touches
-// the topology unlocked — including the automatic fail-over path that
-// rewrites groups_ underneath a lookup.
+// The read path is not here: lookups, leases, verifies and invalidations
+// run on the concurrent Router (rpc/router.hpp), which drives the L1-L4
+// cascade from an immutable Topology snapshot and a per-peer connection
+// pool without taking the orchestrator's lock. The orchestrator republishes
+// the snapshot after every topology change, and fails over the peers the
+// Router reports as suspected.
+//
+// Thread safety: orchestrator state (server instances, group topology, the
+// reconfiguration guard) is GHBA_GUARDED_BY(mu_); mutating entry points
+// take the lock and everything below them carries GHBA_REQUIRES(mu_), so
+// Clang's -Wthread-safety proves no path touches the topology unlocked —
+// including the automatic fail-over path that rewrites groups_. Read-path
+// entry points take no orchestrator lock unless a suspected peer has to be
+// failed over, which happens after the Router released everything.
 #pragma once
 
 #include <array>
@@ -33,6 +40,7 @@
 #include "rpc/fault_injector.hpp"
 #include "rpc/health.hpp"
 #include "rpc/protocol.hpp"
+#include "rpc/router.hpp"
 #include "rpc/server.hpp"
 #include "rpc/socket.hpp"
 #include "txn/txn_driver.hpp"
@@ -75,9 +83,9 @@ class PrototypeCluster {
   MetricsSnapshot ClientSnapshot();
 
   /// Flush in-flight one-way frames (kReportOutcome / kTouchLru): a kPing
-  /// round-trip on every cached connection. Each connection is FIFO on the
-  /// server side, so once the ping answers, every frame queued before it
-  /// has been handled. Call before polling server stats that must include
+  /// round-trip on every idle pooled connection. Each connection is FIFO on
+  /// the server side, so once the ping answers, every frame queued before
+  /// it has been handled. Call before polling server stats that must include
   /// already-issued lookups.
   Status Quiesce();
 
@@ -135,7 +143,8 @@ class PrototypeCluster {
   /// runs this automatically when recovery reports in-doubt prepares.
   Result<std::uint64_t> ResolveInDoubt(MdsId id);
 
-  /// Four-level lookup driven from the client.
+  /// Four-level lookup driven from the client, on the Router: L3 and L4
+  /// are one multicast each, and no orchestrator lock is taken.
   Result<LookupOutcome> Lookup(const std::string& path);
 
   /// Fetch every server's current filter and refresh its replicas.
@@ -206,8 +215,9 @@ class PrototypeCluster {
   /// the diagnostic and the next tick retries.
   Result<AdaptiveDecision> AdaptivityTick(AdaptivityController& controller);
 
-  /// Current routing epoch (bumped before every membership push).
-  std::uint64_t RoutingEpoch() const;
+  /// Routing epoch of the published topology snapshot (bumped by every
+  /// membership push). One atomic load.
+  std::uint64_t RoutingEpoch() const { return router_.Epoch(); }
 
   /// One server's own cluster view, over the wire (kGetMembership).
   Result<MembershipResp> MembershipOf(MdsId id);
@@ -235,7 +245,7 @@ class PrototypeCluster {
   /// and carries no verdict about existence.
   Result<LeaseGrantResp> RequestLease(MdsId home, const std::string& path);
 
-  /// Broadcast kInvalidate for `path` to every live server: each drops any
+  /// Multicast kInvalidate for `path` to every live server: each drops any
   /// lease and L1 entry it holds for the path. Best-effort per peer — an
   /// unreachable server's leases die by TTL instead — but a peer that
   /// answers with an error fails the call, so callers can assert coherence.
@@ -259,46 +269,22 @@ class PrototypeCluster {
     std::unordered_map<MdsId, MdsId> holder;  // owner -> member holding it
   };
 
-  /// Per-lookup bookkeeping threaded through the level cascade: wall-clock
-  /// attribution per level, distinct peers contacted, the verify memo and
-  /// the trace under construction. Plain data — no locking of its own.
-  struct QueryCtx {
-    MdsId entry = kInvalidMds;
-    double start_ms = 0;
-    double mark_ms = 0;               ///< start of the level in progress
-    std::uint64_t retries_before = 0; ///< health retry total at query start
-    LookupTrace trace;
-    std::vector<MdsId> contacted;  ///< distinct peers (entry excluded)
-    std::vector<MdsId> verified;   ///< kVerify memo (at most once each)
-
-    /// Attribute the wall-clock since `mark_ms` to `level` and restart the
-    /// mark. Levels the query fell through keep their partial elapsed time.
-    void CloseLevel(int level);
-    /// Record one contact with `id` (dedup; the entry server is implied).
-    void Contact(MdsId id);
-  };
-
   Status StartServer(MdsId id) GHBA_REQUIRES(mu_);
   /// Wire a freshly started server `nid` into the replica topology: group
   /// membership, replica exchange/migration, coverage. Shared by AddServer
   /// (brand-new id) and RestartServer (rejoining id). Callers hold the
   /// in_failover_ flag (this walks groups_ across Calls).
   Status JoinTopologyLocked(MdsId nid) GHBA_REQUIRES(mu_);
-  /// Request/response with a per-call budget: each attempt is bounded by
-  /// rpc.attempt_timeout_ms, transport failures evict the cached
-  /// connection and retry (reconnecting lazily) with jittered backoff,
-  /// and the whole call never outlives rpc.call_budget_ms. Failures feed
-  /// the health tracker and can trigger automatic fail-over.
+  /// Router::Call to a server this orchestrator knows, then fail-over for
+  /// any peer the failure made suspected (unless a reconfiguration is
+  /// already underway, see in_failover_).
   Result<std::vector<std::uint8_t>> Call(MdsId id,
                                          const std::vector<std::uint8_t>& req)
       GHBA_REQUIRES(mu_);
-  /// One bounded send+recv exchange over the cached (or freshly opened)
-  /// connection; no retries, no health accounting.
-  Result<std::vector<std::uint8_t>> CallOnce(
-      MdsId id, const std::vector<std::uint8_t>& req, Deadline deadline)
-      GHBA_REQUIRES(mu_);
-  Status OneWay(MdsId id, const std::vector<std::uint8_t>& frame)
-      GHBA_REQUIRES(mu_);
+  /// Loopback port of live server `id`, 0 when down.
+  std::uint16_t PortLocked(MdsId id) const GHBA_REQUIRES(mu_);
+  /// Publish the current topology to the Router.
+  void PublishTopologyLocked() GHBA_REQUIRES(mu_);
 
   /// Locked body of ProtocolVersionOf. Transport failures are not cached
   /// (the next call re-probes); a kCorruption reject is a durable v1
@@ -313,11 +299,14 @@ class PrototypeCluster {
       MdsId id, const std::vector<std::vector<std::uint8_t>>& reqs)
       GHBA_REQUIRES(mu_);
 
-  /// Health pipeline: account a failed call; once the peer is suspected,
-  /// confirm with kPing heart-beats and fail it over if confirmed dead.
-  void NoteCallFailure(MdsId id) GHBA_REQUIRES(mu_);
-  /// True when `id` answers none of rpc.ping_attempts kPing probes.
-  bool ConfirmDead(MdsId id) GHBA_REQUIRES(mu_);
+  /// Health pipeline for suspected peers: confirm with kPing heart-beats
+  /// and fail over the confirmed dead. The Locked form serves orchestrator
+  /// calls; the unlocked form serves the Router path, pinging with nothing
+  /// held and skipping a suspect whose incarnation is already gone.
+  void NoteSuspectsLocked(const Suspects& suspects) GHBA_REQUIRES(mu_);
+  void FailOverSuspects(const Suspects& suspects) GHBA_EXCLUDES(mu_);
+  /// MarkDead + FailOver for a peer the heart-beat found dead.
+  void FailOverConfirmedLocked(MdsId id) GHBA_REQUIRES(mu_);
   /// Section 4.5 fail-over: stop what is left of the server, survivors
   /// drop its filters, groups rebuild coverage. Shared by KillServer and
   /// the automatic detection path.
@@ -396,28 +385,11 @@ class PrototypeCluster {
   /// between messages, as every txn drive runs.
   Result<RecoveryInfoResp> RestartServerLocked(MdsId id) GHBA_REQUIRES(mu_);
 
-  Result<bool> VerifyAt(MdsId candidate, const std::string& path)
-      GHBA_REQUIRES(mu_);
-  /// Verifies `candidate` at most once per lookup (`q.verified` is the
-  /// per-lookup memo). A verify that answers "not here" marks the trace as
-  /// a false route. Named helpers instead of lambdas so the thread-safety
-  /// analysis sees the REQUIRES(mu_) contract: Clang analyzes a lambda
-  /// body as a separate unannotated function, losing the caller's
-  /// held-lock set.
-  bool TryVerifyOnce(QueryCtx& q, MdsId candidate, const std::string& path)
-      GHBA_REQUIRES(mu_);
-  /// Completes a LookupOutcome: closes the serving level, seals the trace,
-  /// accounts the query into the client metrics, fire-and-forgets a
-  /// kReportOutcome to the entry server (Fig. 13 accounting lives
-  /// server-side) and, on a hit, a kTouchLru so the entry's L1 cache
-  /// learns the answer.
-  LookupOutcome FinishLookup(const std::string& path, QueryCtx& q, int level,
-                             bool found, MdsId home) GHBA_REQUIRES(mu_);
-
-  // Locked bodies of the public entry points that other operations reuse
-  // (Unlink locates via a lookup; RemoveServer republishes filters).
+  /// Router lookup issued while holding mu_ (Unlink and the txn preludes
+  /// locate their paths under the lock that serializes mutations).
   Result<LookupOutcome> LookupLocked(const std::string& path)
       GHBA_REQUIRES(mu_);
+  // Locked bodies of the public entry points that other operations reuse.
   Status PublishAllLocked() GHBA_REQUIRES(mu_);
   std::vector<MdsId> AliveServersLocked() const GHBA_REQUIRES(mu_);
   std::uint64_t TotalFramesInLocked() const GHBA_REQUIRES(mu_);
@@ -426,22 +398,21 @@ class PrototypeCluster {
   const ClusterConfig config_;
   const ProtoScheme scheme_;
 
-  /// Serializes every client/orchestrator operation. One lock is enough:
-  /// the prototype client is a coordinator, not a throughput path, and a
-  /// single capability keeps the fail-over reasoning tractable. Highest
-  /// rank: Start/Stop/RestartServer reach directly into server internals
-  /// (and everything else) while holding it.
+  /// Serializes every mutation and topology change. Lookups never take it:
+  /// they run on router_ against the published snapshot. Rank kCluster:
+  /// Start/Stop/RestartServer reach directly into server internals, and
+  /// drains take the Router's drain gate, while holding it.
   mutable Mutex mu_{LockRank::kCluster};
   Rng rng_ GHBA_GUARDED_BY(mu_);
   bool started_ GHBA_GUARDED_BY(mu_) = false;
 
   // index = MdsId
   std::vector<std::unique_ptr<MdsServer>> servers_ GHBA_GUARDED_BY(mu_);
-  std::unordered_map<MdsId, TcpConnection> conns_ GHBA_GUARDED_BY(mu_);
   std::vector<GroupInfo> groups_ GHBA_GUARDED_BY(mu_);  // G-HBA only
   std::unordered_map<MdsId, std::size_t> group_of_ GHBA_GUARDED_BY(mu_);
   /// kVersion probe results, one per live incarnation (StartServer clears
-  /// its entry so a restarted peer is re-probed).
+  /// its entry so a restarted peer is re-probed). Published in the
+  /// Topology snapshot.
   std::unordered_map<MdsId, std::uint32_t> peer_version_ GHBA_GUARDED_BY(mu_);
   /// Routing epoch of the last membership push. Strictly increasing;
   /// Start/RestartServer fold in the epochs durable servers recovered, so
@@ -457,7 +428,7 @@ class PrototypeCluster {
 
   PeerHealthTracker health_;  // internally synchronized
   /// Client-side accounting. Internally synchronized (atomic counters,
-  /// striped histograms); all writes happen under mu_ anyway.
+  /// striped histograms): the Router's lookups write it concurrently.
   ClusterMetrics metrics_;
   // rpc.* mirrors of health_.TotalCounts(), refreshed by ClientSnapshot().
   MetricsRegistry::Counter rpc_retries_;
@@ -465,10 +436,15 @@ class PrototypeCluster {
   MetricsRegistry::Counter rpc_failures_;
   MetricsRegistry::Counter rpc_suspected_;
   MetricsRegistry::Counter rpc_failovers_;
+  /// Handed to servers at start; the Router keeps its own copy for
+  /// client-side connections.
   FaultInjector* injector_ GHBA_GUARDED_BY(mu_) = nullptr;
   /// Reconfiguration guard against recursive fail-over: the repair traffic
   /// itself may hit slow peers, which must only be accounted, not chased.
   bool in_failover_ GHBA_GUARDED_BY(mu_) = false;
+
+  /// The concurrent read path and the transport under every call.
+  Router router_;
 };
 
 }  // namespace ghba

@@ -127,6 +127,7 @@ Result<TcpConnection> TcpConnection::Connect(std::uint16_t port,
   ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   TcpConnection conn(std::move(fd));
   conn.set_injector(injector);
+  conn.peer_port_ = port;
   return conn;
 }
 
@@ -181,7 +182,11 @@ Status TcpConnection::SendFrame(const std::vector<std::uint8_t>& payload,
   std::size_t body_len = payload.size();
   std::vector<std::uint8_t> mutated;
   if (injector_ != nullptr) {
-    const auto plan = injector_->PlanFrame();
+    const std::uint16_t type =
+        payload.size() >= 2
+            ? static_cast<std::uint16_t>(payload[0] | (payload[1] << 8))
+            : 0;
+    const auto plan = injector_->PlanFrame(peer_port_, type);
     if (plan.delay.count() > 0) std::this_thread::sleep_for(plan.delay);
     switch (plan.action) {
       case FaultInjector::FrameAction::kDrop:

@@ -119,6 +119,9 @@ class TcpConnection {
 
   FdHandle fd_;
   FaultInjector* injector_ = nullptr;
+  /// Port this connection dialled (0 for accepted connections): lets the
+  /// injector aim a fault at the frames bound for one peer.
+  std::uint16_t peer_port_ = 0;
 };
 
 /// Listening socket on 127.0.0.1; port 0 asks the OS to pick one.

@@ -2,13 +2,18 @@
 // lookup cache must never serve a stale positive — not after its TTL, not
 // after an unlink through the facade, and not across a replica migration
 // (crashed at any phase or clean). Time is injected so lease expiry is
-// tested by advancing a counter, not by sleeping.
+// tested by advancing a counter, not by sleeping. Concurrent clients must
+// never get a wrong answer while the topology churns underneath them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <map>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "client/client.hpp"
@@ -352,6 +357,120 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return "Unknown";
     });
+
+TEST(ClientRaceTest, ConcurrentClientsGetNoWrongAnswerUnderTopologyChurn) {
+  ClusterConfig config = ClientTestConfig();
+  // Sanitizer-slow servers must not turn into spurious timeouts.
+  config.rpc.connect_timeout_ms = 1000;
+  config.rpc.attempt_timeout_ms = 1000;
+  config.rpc.call_budget_ms = 4000;
+  PrototypeCluster cluster(config, ProtoScheme::kGhba);
+  ASSERT_TRUE(cluster.Start().ok());
+  constexpr int kPresent = 48;
+  constexpr int kAbsent = 16;
+  for (int i = 0; i < kPresent; ++i) {
+    FileMetadata md;
+    md.inode = static_cast<std::uint64_t>(i);
+    ASSERT_TRUE(cluster.Insert("/race/f" + std::to_string(i), md).ok());
+  }
+  ASSERT_TRUE(cluster.PublishAll().ok());
+
+  // Odd while a killed peer is down. A lookup may report Unavailable only
+  // if it overlapped such a window.
+  std::atomic<std::uint64_t> down_seq{0};
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> lookups{0};
+  std::atomic<std::uint64_t> wrong{0};
+  std::atomic<std::uint64_t> errors{0};
+  std::mutex report_mu;
+  std::vector<std::string> reports;
+  const auto report = [&](std::string line) {
+    std::lock_guard<std::mutex> lock(report_mu);
+    if (reports.size() < 8) reports.push_back(std::move(line));
+  };
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      auto client = Client::Attach(&cluster);
+      for (std::uint64_t n = 0; !stop.load(); ++n) {
+        const bool present = n % 4 != 3;
+        const std::string path =
+            present ? "/race/f" + std::to_string((n * 7 + t) % kPresent)
+                    : "/race/absent" + std::to_string((n + t) % kAbsent);
+        const std::uint64_t before = down_seq.load();
+        const auto r = client->Lookup(path);
+        const std::uint64_t after = down_seq.load();
+        ++lookups;
+        if (!r.ok()) {
+          const bool overlapped_down = (before & 1) != 0 || before != after;
+          if (r.status().code() == StatusCode::kUnavailable &&
+              overlapped_down) {
+            continue;
+          }
+          ++errors;
+          report(path + ": " + r.status().ToString());
+        } else if (r->found != present) {
+          ++wrong;
+          report(path + (present ? " reported absent" : " reported found"));
+        }
+      }
+    });
+  }
+
+  const auto churn_until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(1500);
+  int rounds = 0;
+  for (; rounds < 3 || (rounds < 40 && std::chrono::steady_clock::now() <
+                                           churn_until);
+       ++rounds) {
+    const auto added = cluster.AddServer();
+    ASSERT_TRUE(added.ok()) << added.status().ToString();
+    const MdsId fresh = added->id;
+    // The fresh server holds no file yet, so its death loses none.
+    ++down_seq;
+    ASSERT_TRUE(cluster.KillServer(fresh).ok());
+    const auto restarted = cluster.RestartServer(fresh);
+    ++down_seq;
+    ASSERT_TRUE(restarted.ok()) << restarted.status().ToString();
+
+    bool migrated = false;
+    const auto alive = cluster.AliveServers();
+    for (const MdsId to : alive) {
+      for (const MdsId owner : alive) {
+        const auto holder = cluster.HolderOf(to, owner);
+        if (migrated || !holder.ok() || *holder == to) continue;
+        ASSERT_TRUE(cluster.MigrateReplica(owner, to).ok());
+        migrated = true;
+      }
+    }
+    EXPECT_TRUE(migrated);
+    if (const Status s = cluster.SplitLargestGroup();
+        !s.ok() && s.code() != StatusCode::kInvalidArgument) {
+      FAIL() << s.ToString();
+    }
+    // A server that holds files: its drain moves them under live lookups.
+    MdsId leaver = kInvalidMds;
+    for (const MdsId id : cluster.AliveServers()) {
+      if (id != fresh) {
+        leaver = id;
+        break;
+      }
+    }
+    ASSERT_TRUE(cluster.RemoveServer(leaver).ok());
+  }
+  stop.store(true);
+  for (auto& reader : readers) reader.join();
+
+  for (const auto& line : reports) ADD_FAILURE() << line;
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(errors.load(), 0u);
+  EXPECT_GT(lookups.load(), 100u);
+  for (int i = 0; i < kPresent; ++i) {
+    const auto r = cluster.Lookup("/race/f" + std::to_string(i));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(r->found) << i;
+  }
+}
 
 }  // namespace
 }  // namespace ghba

@@ -8,6 +8,7 @@
 #include "common/sync.hpp"
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <thread>
 
@@ -77,9 +78,46 @@ TEST(SyncTest, ConditionVariableAnyWaitRelocks) {
   waker.join();
 }
 
+TEST(SyncTest, SharedMutexReadersShareAndAWriterExcludesThem) {
+  SharedMutex gate{LockRank::kDrainGate};
+  std::atomic<int> readers_in{0};
+  std::atomic<bool> release{false};
+  std::atomic<bool> writer_in{false};
+  const auto reader = [&] {
+    ReaderMutexLock hold(&gate);
+    ++readers_in;
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  std::thread r1(reader);
+  std::thread r2(reader);
+  // Both readers get in at once.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (readers_in.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(readers_in.load(), 2);
+  std::thread writer([&] {
+    WriterMutexLock hold(&gate);
+    writer_in.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(writer_in.load());  // the readers still hold it
+  release.store(true);
+  r1.join();
+  r2.join();
+  writer.join();
+  EXPECT_TRUE(writer_in.load());
+}
+
 TEST(SyncTest, LockRankNamesCoverTheTable) {
   EXPECT_STREQ(LockRankName(LockRank::kLogging), "logging");
   EXPECT_STREQ(LockRankName(LockRank::kCluster), "cluster");
+  EXPECT_STREQ(LockRankName(LockRank::kDrainGate), "drain-gate");
+  EXPECT_STREQ(LockRankName(LockRank::kRouterPool), "router-pool");
+  EXPECT_STREQ(LockRankName(LockRank::kRouterSnapshot), "router-snapshot");
   EXPECT_STREQ(LockRankName(LockRank::kClient), "client");
   EXPECT_STREQ(LockRankName(LockRank::kServerWal), "server-wal");
   EXPECT_EQ(static_cast<std::size_t>(LockRank::kClient) + 1, kLockRankCount);
@@ -109,9 +147,23 @@ TEST(SyncLockdepDeathTest, RankInversionAborts) {
         Mutex low{LockRank::kLogging};
         Mutex high{LockRank::kCluster};
         MutexLock l1(&low);
-        MutexLock l2(&high);  // rank 13 while holding rank 0: refused
+        MutexLock l2(&high);  // rank 17 while holding rank 0: refused
       },
       "lock rank inversion");
+}
+
+TEST(SyncLockdepDeathTest, SharedAcquisitionIsRankedToo) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        // A lookup holding a pooled-connection lock may not take the drain
+        // gate, even shared: the writer side nests the other way.
+        Mutex pool{LockRank::kRouterPool};
+        SharedMutex gate{LockRank::kDrainGate};
+        MutexLock l1(&pool);
+        ReaderMutexLock l2(&gate);
+      },
+      "drain-gate");
 }
 
 TEST(SyncLockdepDeathTest, SameRankReacquisitionAborts) {

@@ -52,6 +52,29 @@ TEST(FaultInjectorTest, SetOptionsResetsTheDecisionStream) {
   }
 }
 
+TEST(FaultInjectorTest, ArmedFrameFaultHitsOnlyItsPortAndTypeOnce) {
+  FaultInjector::Options opts;
+  opts.drop_prob = 0.5;
+  opts.seed = 3;
+  FaultInjector reference(opts);
+  FaultInjector injector(opts);
+  injector.ArmFrameFault(7000, 9, FaultInjector::FrameAction::kCorrupt);
+  EXPECT_TRUE(injector.HasArmedFrameFaults());
+  // Other ports and types draw from the seeded stream as if nothing were
+  // armed; the armed frame itself draws nothing from it.
+  EXPECT_EQ(injector.PlanFrame(7001, 9).action, reference.PlanFrame().action);
+  EXPECT_EQ(injector.PlanFrame(7000, 8).action, reference.PlanFrame().action);
+  EXPECT_EQ(injector.PlanFrame(7000, 9).action,
+            FaultInjector::FrameAction::kCorrupt);
+  EXPECT_FALSE(injector.HasArmedFrameFaults());
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(injector.PlanFrame(7000, 9).action,
+              reference.PlanFrame().action)
+        << i;
+  }
+  EXPECT_EQ(injector.counters().corruptions, 1u);
+}
+
 TEST(FaultInjectorTest, RatesRoughlyHonoured) {
   FaultInjector::Options opts;
   opts.drop_prob = 0.2;

@@ -1,0 +1,238 @@
+// The concurrent read path (rpc/router.hpp): scatter-gather L3/L4 with a
+// per-peer fallback, backoff that blocks no other caller, and the exact L4
+// verdict under faults.
+#include "rpc/router.hpp"
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <chrono>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "rpc/prototype_cluster.hpp"
+
+namespace ghba {
+namespace {
+
+ClusterConfig RouterConfig() {
+  ClusterConfig c;
+  c.num_mds = 6;
+  c.max_group_size = 3;
+  c.expected_files_per_mds = 500;
+  c.lru_capacity = 64;
+  c.memory_budget_bytes = 64ULL << 20;
+  c.seed = 31;
+  c.rpc.server_shards = 2;
+  c.rpc.connect_timeout_ms = 150;
+  c.rpc.attempt_timeout_ms = 150;
+  c.rpc.call_budget_ms = 900;
+  c.rpc.max_attempts = 3;
+  c.rpc.retry_backoff_ms = 2;
+  c.rpc.server_io_timeout_ms = 150;
+  c.rpc.suspect_after = 3;
+  c.rpc.ping_attempts = 2;
+  c.rpc.ping_timeout_ms = 100;
+  return c;
+}
+
+FileMetadata Md(std::uint64_t inode = 1) {
+  FileMetadata md;
+  md.inode = inode;
+  return md;
+}
+
+std::uint16_t TypeOf(MsgType type) { return static_cast<std::uint16_t>(type); }
+
+/// `count` paths that ShardOfPath places on `shard` of `num_shards`.
+std::vector<std::string> PathsOnShard(std::uint32_t shard,
+                                      std::uint32_t num_shards, int count) {
+  std::vector<std::string> paths;
+  for (int i = 0; static_cast<int>(paths.size()) < count; ++i) {
+    std::string path = "/route/s" + std::to_string(shard) + "/f" +
+                       std::to_string(i);
+    if (ShardOfPath(path, num_shards) == shard) paths.push_back(path);
+  }
+  return paths;
+}
+
+TEST(RouterTest, BackoffSleepBlocksNoOtherLookup) {
+  ClusterConfig config = RouterConfig();
+  // A call into the stalled shard: three 100 ms attempts around backoff
+  // sleeps of 200-600 ms and 400-1200 ms, so at least 900 ms in all.
+  config.rpc.attempt_timeout_ms = 100;
+  config.rpc.retry_backoff_ms = 400;
+  config.rpc.call_budget_ms = 5000;
+  // The slow peer stays trusted: no heart-beat, no fail-over.
+  config.rpc.suspect_after = 1000;
+  FaultInjector injector;
+  PrototypeCluster cluster(config, ProtoScheme::kGhba);
+  cluster.set_fault_injector(&injector);
+  ASSERT_TRUE(cluster.Start().ok());
+  const auto files = PathsOnShard(0, config.rpc.server_shards, 24);
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    ASSERT_TRUE(cluster.Insert(files[i], Md(i)).ok());
+  }
+  ASSERT_TRUE(cluster.PublishAll().ok());
+
+  // Server 1's shard 1 stops answering. Every lookup below is for a path
+  // on shard 0, so no cascade ever waits on the stalled shard; only the
+  // flaky thread's verifies do, sleeping through their retry backoff.
+  const MdsId slow = 1;
+  const std::string stuck = PathsOnShard(1, config.rpc.server_shards, 1)[0];
+  injector.StallShard(slow, 1);
+  std::atomic<bool> stop{false};
+  std::atomic<int> slow_calls{0};
+  std::thread flaky([&] {
+    while (!stop.load()) {
+      EXPECT_FALSE(cluster.VerifyOn(slow, stuck).ok());
+      ++slow_calls;
+    }
+  });
+  // Start measuring once the flaky call is past its first attempt.
+  const auto wait_until = std::chrono::steady_clock::now() +
+                          std::chrono::seconds(10);
+  while (cluster.health().TotalCounts().retries == 0 &&
+         std::chrono::steady_clock::now() < wait_until) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(cluster.health().TotalCounts().retries, 0u);
+
+  // The bound is the shortest backoff sleep: a lookup that waited through
+  // one fails it, while an unblocked lookup takes a few milliseconds even
+  // under a sanitizer.
+  const auto kBound = std::chrono::milliseconds(200);
+  auto slowest = std::chrono::steady_clock::duration::zero();
+  int lookups = 0;
+  const auto end =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(1500);
+  while (std::chrono::steady_clock::now() < end) {
+    const auto start = std::chrono::steady_clock::now();
+    const auto r = cluster.Lookup(files[lookups % files.size()]);
+    slowest = std::max(slowest, std::chrono::steady_clock::now() - start);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(r->found);
+    ++lookups;
+  }
+  stop.store(true);
+  flaky.join();
+  injector.UnstallShard(slow, 1);
+
+  EXPECT_LT(slowest, kBound)
+      << std::chrono::duration_cast<std::chrono::milliseconds>(slowest)
+             .count()
+      << " ms";
+  EXPECT_GT(lookups, 10);
+  EXPECT_GE(slow_calls.load(), 1);
+  // The flaky verifies really retried: two retries per call.
+  EXPECT_GE(cluster.health().TotalCounts().retries, 2u);
+}
+
+class RouterFanOutFaultTest
+    : public ::testing::TestWithParam<FaultInjector::FrameAction> {};
+
+TEST_P(RouterFanOutFaultTest, FaultedGroupProbeIsRetriedNotMissed) {
+  FaultInjector injector;
+  PrototypeCluster cluster(RouterConfig(), ProtoScheme::kGhba);
+  cluster.set_fault_injector(&injector);
+  ASSERT_TRUE(cluster.Start().ok());
+  constexpr int kFiles = 60;
+  for (int i = 0; i < kFiles; ++i) {
+    ASSERT_TRUE(cluster.Insert("/fan/f" + std::to_string(i), Md(i)).ok());
+  }
+  ASSERT_TRUE(cluster.PublishAll().ok());
+
+  // Aim the fault at server 1's next kGroupProbe. The lookup that sends it
+  // must still resolve by L3 (every group covers every outsider, so a
+  // present file never needs L4) and must count the retry that recovered
+  // the probe.
+  const std::uint16_t member_port = cluster.ServerPorts()[1];
+  int fired = 0;
+  for (int i = 0; i < kFiles; ++i) {
+    if (fired < 4 && !injector.HasArmedFrameFaults()) {
+      injector.ArmFrameFault(member_port, TypeOf(MsgType::kGroupProbe),
+                             GetParam());
+    }
+    const std::string path = "/fan/f" + std::to_string(i);
+    const auto r = cluster.Lookup(path);
+    ASSERT_TRUE(r.ok()) << path << ": " << r.status().ToString();
+    ASSERT_TRUE(r->found) << path;
+    const auto at_home = cluster.VerifyOn(r->home, path);
+    ASSERT_TRUE(at_home.ok());
+    EXPECT_TRUE(*at_home) << path;
+    if (fired == 4 || injector.HasArmedFrameFaults()) continue;
+    ++fired;
+    EXPECT_EQ(r->served_level, 3) << path;
+    EXPECT_GE(r->trace.retries, 1u) << path;
+  }
+  EXPECT_GT(fired, 0);
+  EXPECT_GE(cluster.health().TotalCounts().retries,
+            static_cast<std::uint64_t>(fired));
+  // A transient fault never costs a peer its membership.
+  EXPECT_EQ(cluster.AliveServers().size(), 6u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Faults, RouterFanOutFaultTest,
+    ::testing::Values(FaultInjector::FrameAction::kDrop,
+                      FaultInjector::FrameAction::kCorrupt,
+                      FaultInjector::FrameAction::kTruncate));
+
+TEST(RouterTest, CrashedPeerAtL4IsUnavailableNeverNotFound) {
+  ClusterConfig config = RouterConfig();
+  config.rpc.suspect_after = 1000;  // keep the crash undetected
+  PrototypeCluster cluster(config, ProtoScheme::kGhba);
+  ASSERT_TRUE(cluster.Start().ok());
+  ASSERT_TRUE(cluster.Insert("/l4/present", Md()).ok());
+  ASSERT_TRUE(cluster.PublishAll().ok());
+
+  ASSERT_TRUE(cluster.CrashServer(4).ok());
+  for (int i = 0; i < 4; ++i) {
+    const auto r = cluster.Lookup("/l4/absent" + std::to_string(i));
+    ASSERT_FALSE(r.ok()) << "a peer L4 could not probe may hold the path";
+    EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
+  }
+  // Unreachable peers are skipped by an invalidation: their leases die by
+  // TTL.
+  EXPECT_TRUE(cluster.InvalidatePath("/l4/absent0").ok());
+
+  // Once the crash is failed over, the survivors' verdict is exact again.
+  ASSERT_TRUE(cluster.KillServer(4).ok());
+  const auto r = cluster.Lookup("/l4/absent0");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_FALSE(r->found);
+}
+
+TEST(RouterTest, L4AnswersWithTheLowestHoldingId) {
+  // Full mesh without PublishAll: every replica is stale, so a lookup
+  // entering anywhere but a holder falls through to the L4 multicast.
+  PrototypeCluster cluster(RouterConfig(), ProtoScheme::kHba);
+  ASSERT_TRUE(cluster.Start().ok());
+  const auto ports = cluster.ServerPorts();
+  constexpr int kPaths = 12;
+  for (int i = 0; i < kPaths; ++i) {
+    for (const MdsId holder : {MdsId{4}, MdsId{2}}) {
+      auto conn = TcpConnection::Connect(ports[holder]);
+      ASSERT_TRUE(conn.ok());
+      ASSERT_TRUE(
+          conn->SendFrame(EncodeInsert("/dup/f" + std::to_string(i), Md(i)))
+              .ok());
+      ASSERT_TRUE(conn->RecvFrame().ok());
+    }
+  }
+  int l4 = 0;
+  for (int i = 0; i < kPaths; ++i) {
+    const auto r = cluster.Lookup("/dup/f" + std::to_string(i));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_TRUE(r->found);
+    if (r->served_level != 4) continue;  // entered on a holder
+    ++l4;
+    // Same answer as a walk over the ids in order.
+    EXPECT_EQ(r->home, 2u);
+  }
+  EXPECT_GT(l4, 0);
+}
+
+}  // namespace
+}  // namespace ghba

@@ -4,7 +4,8 @@
 //
 //   $ ghba_workload [--servers N] [--group M] [--files F] [--shards S]
 //                   [--batch] [--cache] [--ports-file PATH] [--hold]
-//                   [--data-dir DIR] [--churn SECS] [--coherence SECS]
+//                   [--data-dir DIR] [--churn SECS] [--threads N]
+//                   [--coherence SECS]
 //
 // Starts an N-MDS G-HBA cluster over loopback TCP, inserts F files,
 // publishes replicas, looks every file up twice (the repeat exercises the
@@ -19,8 +20,9 @@
 // --cache turns the leased lookup cache on.
 //
 // With --churn SECS the workload runs SECS seconds of membership churn
-// under live load: a background thread keeps looking files up while the
-// main thread gracefully removes and re-adds servers. Every lookup answer
+// under live load: --threads N background threads (default 1), each with
+// its own Client facade, keep looking files up while the main thread
+// gracefully removes and re-adds servers. Every lookup answer
 // is audited — a not-found or a non-transient error is a wrong lookup —
 // and the run fails unless wrong == 0 and at least one reconfiguration
 // actually happened. Results go to stdout as churn_* key=value lines.
@@ -92,6 +94,7 @@ int main(int argc, char** argv) {
   std::string data_dir;
   bool hold = false;
   double churn_secs = 0;
+  int churn_threads = 1;
   double coherence_secs = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--servers") == 0 && i + 1 < argc) {
@@ -114,6 +117,8 @@ int main(int argc, char** argv) {
       hold = true;
     } else if (std::strcmp(argv[i], "--churn") == 0 && i + 1 < argc) {
       churn_secs = std::atof(argv[++i]);
+    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
+      churn_threads = std::max(1, std::atoi(argv[++i]));
     } else if (std::strcmp(argv[i], "--coherence") == 0 && i + 1 < argc) {
       coherence_secs = std::atof(argv[++i]);
     } else {
@@ -121,7 +126,7 @@ int main(int argc, char** argv) {
                    "usage: %s [--servers N] [--group M] [--files F] "
                    "[--shards S] [--batch] [--cache] "
                    "[--ports-file PATH] [--hold] [--data-dir DIR] "
-                   "[--churn SECS] [--coherence SECS]\n",
+                   "[--churn SECS] [--threads N] [--coherence SECS]\n",
                    argv[0]);
       return 2;
     }
@@ -199,8 +204,8 @@ int main(int argc, char** argv) {
   }
 
   if (churn_secs > 0) {
-    // Membership churn under live load: lookups keep flowing from a
-    // background thread while servers gracefully leave and fresh ones
+    // Membership churn under live load: lookups keep flowing from the
+    // background threads while servers gracefully leave and fresh ones
     // join. RemoveServer drains the leaver's files to the survivors, so
     // every file must stay resolvable throughout; an unreachable-peer
     // error is transient (the orchestrator's next call retries), a
@@ -208,17 +213,24 @@ int main(int argc, char** argv) {
     std::atomic<bool> stop{false};
     std::atomic<std::uint64_t> churn_lookups{0};
     std::atomic<std::uint64_t> churn_wrong{0};
-    std::thread load([&] {
-      int i = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        const auto r = client.Lookup("/wk/f" + std::to_string(i % num_files));
-        ++i;
-        churn_lookups.fetch_add(1, std::memory_order_relaxed);
-        const bool wrong = r.ok() ? !r->found
-                                  : r.status().code() != StatusCode::kUnavailable;
-        if (wrong) churn_wrong.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
+    std::vector<std::thread> load;
+    load.reserve(static_cast<std::size_t>(churn_threads));
+    for (int t = 0; t < churn_threads; ++t) {
+      load.emplace_back([&, t] {
+        auto reader = Client::Attach(&cluster, options);
+        int i = t;
+        while (!stop.load(std::memory_order_relaxed)) {
+          const auto r =
+              reader->Lookup("/wk/f" + std::to_string(i % num_files));
+          ++i;
+          churn_lookups.fetch_add(1, std::memory_order_relaxed);
+          const bool wrong =
+              r.ok() ? !r->found
+                     : r.status().code() != StatusCode::kUnavailable;
+          if (wrong) churn_wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    }
     std::uint64_t rounds = 0;
     const auto stop_at = std::chrono::steady_clock::now() +
                          std::chrono::duration<double>(churn_secs);
@@ -237,7 +249,7 @@ int main(int argc, char** argv) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
     stop.store(true, std::memory_order_relaxed);
-    load.join();
+    for (auto& thread : load) thread.join();
     const std::uint64_t reconfig_msgs =
         cluster.metrics().reconfig_messages.value();
     std::printf("churn_rounds=%llu\n", static_cast<unsigned long long>(rounds));
