@@ -67,13 +67,18 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       if (resp.ok()) {
         // The hardened count check admits at most remaining/4 hits.
         Require(resp->hits.size() <= size / 4);
+        // v6 self-answer block: the verdict is range-checked at decode,
+        // and only a held path can carry a lease.
+        Require(resp->verdict <= ghba::SelfVerdict::kShed);
+        Require(resp->lease_ttl_ms == 0 ||
+                resp->verdict == ghba::SelfVerdict::kHeld);
         const auto bytes = ghba::EncodeLocalLookupResp(*resp);
         ghba::ByteReader again(bytes);
         Require(ghba::OpenEnvelope(again).ok());
         auto redecoded = ghba::DecodeLocalLookupResp(again);
-        Require(redecoded.ok() && redecoded->hits == resp->hits &&
-                redecoded->lru_unique == resp->lru_unique &&
-                redecoded->lru_home == resp->lru_home);
+        Require(redecoded.ok() && *redecoded == *resp);
+        // The decoder consumed exactly the encoded body.
+        Require(again.remaining() == 0);
       }
       break;
     }
@@ -196,6 +201,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     case 12: {
       const auto lease = ghba::DecodeLeaseGrantResp(in);
       if (lease.ok()) {
+        // v6: a held path names its server; a lease needs a held path.
+        Require(!lease->held || lease->home != ghba::kInvalidMds);
+        Require(lease->held || lease->ttl_ms == 0);
         const auto bytes = ghba::EncodeLeaseGrantResp(*lease);
         ghba::ByteReader again(bytes);
         auto reopened = ghba::OpenEnvelope(again);

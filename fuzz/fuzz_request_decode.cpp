@@ -22,7 +22,22 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
   switch (*type) {
     case ghba::MsgType::kLookupLocal:
-    case ghba::MsgType::kGroupProbe:
+    case ghba::MsgType::kGroupProbe: {
+      // v6 probes: path + strict lease flag, and the parse round-trips.
+      const auto req = ghba::DecodeProbeRequest(in);
+      if (req.ok()) {
+        const auto bytes =
+            ghba::EncodeProbeRequest(*type, req->path, req->lease);
+        ghba::ByteReader again(bytes);
+        if (!ghba::DecodeType(again).ok()) __builtin_trap();
+        const auto redecoded = ghba::DecodeProbeRequest(again);
+        if (!redecoded.ok() || redecoded->path != req->path ||
+            redecoded->lease != req->lease) {
+          __builtin_trap();
+        }
+      }
+      break;
+    }
     case ghba::MsgType::kGlobalProbe:
     case ghba::MsgType::kVerify:
     case ghba::MsgType::kUnlink:

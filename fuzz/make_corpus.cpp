@@ -109,6 +109,15 @@ int main(int argc, char** argv) {
   lookup.lru_home = 3;
   WriteSeed(root, "fuzz_protocol_decode", "lookup",
             Sel(3, StripEnvelope(ghba::EncodeLocalLookupResp(lookup))));
+  // v6 self-answer block: a held verdict carrying a lease, and a shed one.
+  lookup.verdict = ghba::SelfVerdict::kHeld;
+  lookup.lease_ttl_ms = 2000;
+  WriteSeed(root, "fuzz_protocol_decode", "lookup_v6_held",
+            Sel(3, StripEnvelope(ghba::EncodeLocalLookupResp(lookup))));
+  lookup.verdict = ghba::SelfVerdict::kShed;
+  lookup.lease_ttl_ms = 0;
+  WriteSeed(root, "fuzz_protocol_decode", "lookup_v6_shed",
+            Sel(3, StripEnvelope(ghba::EncodeLocalLookupResp(lookup))));
   ghba::StatsResp stats{100, 99, 1234, 5};
   WriteSeed(root, "fuzz_protocol_decode", "stats",
             Sel(4, StripEnvelope(ghba::EncodeStatsResp(stats))));
@@ -179,10 +188,14 @@ int main(int argc, char** argv) {
   }
   {
     ghba::LeaseGrantResp lease;
-    lease.granted = true;
+    lease.held = true;
     lease.ttl_ms = 2000;
     lease.home = 4;
     WriteSeed(root, "fuzz_protocol_decode", "lease_grant",
+              Sel(12, StripEnvelope(ghba::EncodeLeaseGrantResp(lease))));
+    // v6: stored here, no lease recorded — the reply stands in for a verify.
+    lease.ttl_ms = 0;
+    WriteSeed(root, "fuzz_protocol_decode", "lease_held_no_ttl",
               Sel(12, StripEnvelope(ghba::EncodeLeaseGrantResp(lease))));
     WriteSeed(root, "fuzz_protocol_decode", "lease_refusal",
               Sel(12, StripEnvelope(
@@ -215,7 +228,15 @@ int main(int argc, char** argv) {
 
   // --- fuzz_request_decode: whole request frames ---
   WriteSeed(root, "fuzz_request_decode", "lookup",
-            ghba::EncodePathRequest(ghba::MsgType::kLookupLocal, "/usr/lib"));
+            ghba::EncodeProbeRequest(ghba::MsgType::kLookupLocal, "/usr/lib",
+                                     /*lease=*/false));
+  // v6 probes carry the lease flag.
+  WriteSeed(root, "fuzz_request_decode", "lookup_lease",
+            ghba::EncodeProbeRequest(ghba::MsgType::kLookupLocal, "/usr/lib",
+                                     /*lease=*/true));
+  WriteSeed(root, "fuzz_request_decode", "group_probe_lease",
+            ghba::EncodeProbeRequest(ghba::MsgType::kGroupProbe, "/usr/share",
+                                     /*lease=*/true));
   WriteSeed(root, "fuzz_request_decode", "verify",
             ghba::EncodePathRequest(ghba::MsgType::kVerify, "/etc/passwd"));
   WriteSeed(root, "fuzz_request_decode", "touch",
@@ -254,7 +275,8 @@ int main(int argc, char** argv) {
   {
     // A pipelined batch of three request sub-frames.
     std::vector<Bytes> subs = {
-        ghba::EncodePathRequest(ghba::MsgType::kLookupLocal, "/usr/bin"),
+        ghba::EncodeProbeRequest(ghba::MsgType::kLookupLocal, "/usr/bin",
+                                 /*lease=*/false),
         ghba::EncodeInsert("/batched/file", SampleMetadata()),
         ghba::EncodeHeader(ghba::MsgType::kPing),
     };

@@ -153,24 +153,23 @@ Result<LookupOutcome> Client::Lookup(const std::string& path) {
     ++cache_misses_;
   }
 
-  auto result = cluster_->Lookup(path);
+  // With the cache on, the home leases its answer inside the cascade.
+  const bool lease = options_.cache_enabled;
+  auto result = cluster_->Lookup(path, lease);
   if (!result.ok() && result.status().code() == StatusCode::kRetryAfter) {
     // The home shed us off a hot, overloaded shard; one polite retry.
     std::this_thread::sleep_for(
         std::chrono::milliseconds(options_.retry_after_backoff_ms));
-    result = cluster_->Lookup(path);
+    result = cluster_->Lookup(path, lease);
   }
   if (!result.ok()) return result.status();
 
   NoteAccess(path, result->found ? result->home : kInvalidMds, epoch);
 
-  if (result->found && options_.cache_enabled) {
-    // Lease the answer. A refusal (or an old peer, or a transport error)
-    // simply means "do not cache"; the lookup answer stands either way.
-    if (const auto lease = cluster_->RequestLease(result->home, path);
-        lease.ok() && lease->granted) {
-      CacheInsert(path, lease->home, epoch, now + lease->ttl_ms);
-    }
+  // No lease (TTL 0: leasing off, or the home answered through a path that
+  // recorded none) simply means "do not cache"; the answer stands.
+  if (result->found && lease && result->lease_ttl_ms > 0) {
+    CacheInsert(path, result->home, epoch, now + result->lease_ttl_ms);
   }
   return result;
 }

@@ -7,14 +7,15 @@
 // cascade:
 //
 //   * a lease/epoch-invalidated lookup cache: every positive lookup may be
-//     cached, but only under a server-granted lease (kLeaseGrant, protocol
-//     v4) and stamped with the routing epoch it was learned under. An
-//     entry answers only while BOTH hold — the lease TTL has not expired
-//     against the (injectable) clock AND the cluster's routing epoch is
-//     unchanged. Any migration, join, leave or fail-over bumps the epoch
-//     and thereby invalidates every older entry at once; an unlink through
-//     this facade additionally broadcasts kInvalidate so server-side
-//     leases and L1 entries die immediately rather than by TTL.
+//     cached, but only under a lease its home recorded inside the cascade
+//     (protocol v6) and stamped with the routing epoch it was learned
+//     under. An entry answers only while BOTH hold — the lease TTL has not
+//     expired against the (injectable) clock AND the cluster's routing
+//     epoch is unchanged. Any migration, join, leave or fail-over bumps
+//     the epoch and thereby invalidates every older entry at once; an
+//     unlink through this facade additionally broadcasts kInvalidate so
+//     server-side leases and L1 entries die immediately rather than by
+//     TTL.
 //   * a count-min-sketch hot-key detector over the lookup stream: when a
 //     path's estimated frequency crosses ClientOptions::hot_threshold the
 //     client asks the cluster to replicate the home server's filter to all
@@ -93,9 +94,9 @@ class Client {
 
   /// Four-level lookup behind the cache. A cache hit returns immediately
   /// with `from_cache = true` and `served_level = 0` (the cascade never
-  /// ran); a miss runs the cluster cascade, then tries to lease the
-  /// answer. A lookup the server shed (kRetryAfter) is retried once after
-  /// `retry_after_backoff_ms`.
+  /// ran); a miss runs the cluster cascade, asking the home to lease its
+  /// answer in the same reply. A lookup the server shed (kRetryAfter) is
+  /// retried once after `retry_after_backoff_ms`.
   Result<LookupOutcome> Lookup(const std::string& path);
 
   /// Create a file on a uniformly random server.

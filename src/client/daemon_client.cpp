@@ -42,49 +42,20 @@ Status DaemonClient::Unlink(const std::string& path) {
 
 Result<DaemonClient::VerifyResult> DaemonClient::Verify(
     const std::string& path) {
+  auto resp =
+      Call(EncodeProbeRequest(MsgType::kLookupLocal, path, /*lease=*/false));
+  if (!resp.ok()) return resp.status();
+  ByteReader in(*resp);
+  auto env = OpenEnvelope(in);
+  if (!env.ok()) return env.status();
+  if (!env->has_payload) return env->status;
+  auto local = DecodeLocalLookupResp(in);
+  if (!local.ok()) return local.status();
   VerifyResult out;
-  {
-    auto resp = Call(EncodePathRequest(MsgType::kVerify, path));
-    if (!resp.ok()) return resp.status();
-    ByteReader in(*resp);
-    auto env = OpenEnvelope(in);
-    if (!env.ok()) return env.status();
-    if (!env->has_payload) return env->status;
-    auto present = DecodeBoolResp(in);
-    if (!present.ok()) return present.status();
-    out.present = *present;
-  }
-  {
-    // The routing picture: which replicas (and the L1 cache) would have
-    // sent a cascade here.
-    auto resp = Call(EncodePathRequest(MsgType::kLookupLocal, path));
-    if (!resp.ok()) return resp.status();
-    ByteReader in(*resp);
-    auto env = OpenEnvelope(in);
-    if (!env.ok()) return env.status();
-    if (!env->has_payload) return env->status;
-    auto local = DecodeLocalLookupResp(in);
-    if (!local.ok()) return local.status();
-    out.replica_hits = std::move(local->hits);
-    out.lru_unique = local->lru_unique;
-    out.lru_home = local->lru_home;
-  }
-  if (out.present) {
-    // A v4 daemon identifies itself through the lease grant; an older one
-    // (kCorruption reject on the unknown type) leaves resolved unset.
-    auto resp = Call(EncodePathRequest(MsgType::kLeaseGrant, path));
-    if (resp.ok()) {
-      ByteReader in(*resp);
-      auto env = OpenEnvelope(in);
-      if (env.ok() && env->has_payload) {
-        if (auto lease = DecodeLeaseGrantResp(in); lease.ok()) {
-          out.resolved = lease->home;
-          out.lease_granted = lease->granted;
-          out.lease_ttl_ms = lease->ttl_ms;
-        }
-      }
-    }
-  }
+  out.verdict = local->verdict;
+  out.replica_hits = std::move(local->hits);
+  out.lru_unique = local->lru_unique;
+  out.lru_home = local->lru_home;
   return out;
 }
 

@@ -29,17 +29,15 @@ class DaemonClient {
   DaemonClient(DaemonClient&&) = default;
   DaemonClient& operator=(DaemonClient&&) = default;
 
-  /// What `Verify` resolved, beyond the bare present/absent bit: which
-  /// server answered for the path and which replicas route to it.
+  /// What `Verify` learned from the daemon's probe reply: its own verdict
+  /// on its store and the routing picture around the path.
   struct VerifyResult {
-    bool present = false;
-    /// Id of the server whose exact store holds the path (the lease
-    /// grantor), or kInvalidMds against a pre-v4 daemon or when absent.
-    MdsId resolved = kInvalidMds;
-    bool lease_granted = false;
-    std::uint32_t lease_ttl_ms = 0;
+    /// The daemon's answer for its own store (kShed: hot path on an
+    /// overloaded shard, no answer).
+    SelfVerdict verdict = SelfVerdict::kAbsent;
     /// Replica owners whose filters (L2 segment array) match the path on
-    /// this daemon — where a cascade would route before verifying.
+    /// this daemon, its own id included when its local filter does —
+    /// where a cascade would route before verifying.
     std::vector<MdsId> replica_hits;
     /// The daemon's L1 verdict, when its LRU array answers uniquely.
     MdsId lru_home = kInvalidMds;
@@ -50,10 +48,9 @@ class DaemonClient {
   Status Insert(const std::string& path, const FileMetadata& metadata);
   Status Unlink(const std::string& path);
 
-  /// Exact membership probe plus routing resolution: kVerify for the
-  /// verdict, kLookupLocal for the L1/L2 routing picture, and (against a
-  /// v4 daemon, for a present path) kLeaseGrant to learn the resolved
-  /// server id from the grant.
+  /// Exact membership plus the routing picture in one v6 kLookupLocal
+  /// probe (no lease): the daemon answers for its own store alongside its
+  /// L1/L2 hits.
   Result<VerifyResult> Verify(const std::string& path);
 
   /// Lease/invalidate pair, exposed for scripting coherence experiments.

@@ -43,6 +43,9 @@ struct LookupOutcome {
   int served_level = 0;        ///< 1..4 = L1..L4 (4 also covers true misses)
   std::uint64_t messages = 0;  ///< network messages this lookup caused
   bool from_cache = false;  ///< served by the client's leased lookup cache
+  /// Lease the home recorded for this answer when the lookup asked for one
+  /// (prototype only); 0 = no lease, do not cache.
+  std::uint32_t lease_ttl_ms = 0;
   LookupTrace trace;
 };
 

@@ -54,6 +54,7 @@ inline constexpr char kRpcFailovers[] = "rpc.failovers";
 inline constexpr char kServeLocalLookups[] = "serve.local_lookups";
 inline constexpr char kServeGroupProbes[] = "serve.group_probes";
 inline constexpr char kServeGlobalProbes[] = "serve.global_probes";
+// kVerify and kLeaseGrant frames: both verify a path on its server.
 inline constexpr char kServeVerifies[] = "serve.verifies";
 // Durable storage engine (per-MdsServer registries, --data-dir mode only).
 inline constexpr char kStorageWalAppends[] = "storage.wal_appends";
@@ -71,9 +72,12 @@ inline constexpr char kStorageRecoveryFilterRebuilt[] =
 inline constexpr char kStorageRecoveryFilterMismatch[] =
     "storage.recovery_filter_mismatch";
 // Front tier: server-side lease bookkeeping and hot-spot handling.
+inline constexpr char kServeLeaseRequests[] = "serve.lease_requests";
 inline constexpr char kServeLeaseGrants[] = "serve.lease_grants";
 inline constexpr char kServeLeaseRefusals[] = "serve.lease_refusals";
 inline constexpr char kServeInvalidations[] = "serve.invalidations";
+inline constexpr char kServeLeaseSweeps[] = "serve.lease_sweeps";
+inline constexpr char kServeLeasesExpired[] = "serve.leases_expired";
 inline constexpr char kServeHotKeys[] = "serve.hot_keys";
 inline constexpr char kServeShedRequests[] = "serve.shed_requests";
 // Distributed transactions (2PC): server-side message counts.

@@ -23,6 +23,27 @@ std::vector<std::uint8_t> EncodePathRequest(MsgType type,
   return w.Take();
 }
 
+std::vector<std::uint8_t> EncodeProbeRequest(MsgType type,
+                                             const std::string& path,
+                                             bool lease) {
+  auto w = WriterFor(type);
+  w.PutString(path);
+  w.PutU8(lease ? 1 : 0);
+  return w.Take();
+}
+
+Result<ProbeRequest> DecodeProbeRequest(ByteReader& in) {
+  ProbeRequest req;
+  auto path = in.GetString();
+  if (!path.ok()) return path.status();
+  req.path = std::move(*path);
+  auto lease = in.GetU8();
+  if (!lease.ok()) return lease.status();
+  if (*lease > 1) return Status::Corruption("bad bool byte");
+  req.lease = (*lease != 0);
+  return req;
+}
+
 std::vector<std::uint8_t> EncodeTouch(const std::string& path, MdsId home) {
   auto w = WriterFor(MsgType::kTouchLru);
   w.PutString(path);
@@ -167,7 +188,7 @@ Result<MembershipResp> DecodeMembershipResp(ByteReader& in) {
 std::vector<std::uint8_t> EncodeLeaseGrantResp(const LeaseGrantResp& resp) {
   ByteWriter w;
   w.PutU8(1);  // envelope
-  w.PutU8(resp.granted ? 1 : 0);
+  w.PutU8(resp.held ? 1 : 0);
   w.PutU32(resp.ttl_ms);
   w.PutU32(resp.home);
   return w.Take();
@@ -175,19 +196,22 @@ std::vector<std::uint8_t> EncodeLeaseGrantResp(const LeaseGrantResp& resp) {
 
 Result<LeaseGrantResp> DecodeLeaseGrantResp(ByteReader& in) {
   LeaseGrantResp resp;
-  auto granted = in.GetU8();
-  if (!granted.ok()) return granted.status();
-  if (*granted > 1) return Status::Corruption("bad bool byte");
-  resp.granted = (*granted != 0);
+  auto held = in.GetU8();
+  if (!held.ok()) return held.status();
+  if (*held > 1) return Status::Corruption("bad bool byte");
+  resp.held = (*held != 0);
   auto ttl = in.GetU32();
   if (!ttl.ok()) return ttl.status();
   resp.ttl_ms = *ttl;
   auto home = in.GetU32();
   if (!home.ok()) return home.status();
   resp.home = *home;
-  // A grant must name the granting server; a refusal carries no home.
-  if (resp.granted && resp.home == kInvalidMds) {
-    return Status::Corruption("granted lease without a home");
+  // A held path names its server; a lease exists only for a held path.
+  if (resp.held && resp.home == kInvalidMds) {
+    return Status::Corruption("held path without a home");
+  }
+  if (!resp.held && resp.ttl_ms != 0) {
+    return Status::Corruption("lease on a path not held");
   }
   return resp;
 }
@@ -214,6 +238,8 @@ std::vector<std::uint8_t> EncodeLocalLookupResp(const LocalLookupResp& resp) {
   w.PutU32(resp.lru_home);
   w.PutVarint(resp.hits.size());
   for (const MdsId h : resp.hits) w.PutU32(h);
+  w.PutU8(static_cast<std::uint8_t>(resp.verdict));
+  w.PutU32(resp.lease_ttl_ms);
   return w.Take();
 }
 
@@ -784,6 +810,7 @@ Result<LocalLookupResp> DecodeLocalLookupResp(ByteReader& in) {
   LocalLookupResp resp;
   auto unique = in.GetU8();
   if (!unique.ok()) return unique.status();
+  if (*unique > 1) return Status::Corruption("bad bool byte");
   resp.lru_unique = (*unique != 0);
   auto home = in.GetU32();
   if (!home.ok()) return home.status();
@@ -800,6 +827,19 @@ Result<LocalLookupResp> DecodeLocalLookupResp(ByteReader& in) {
     if (!h.ok()) return h.status();
     resp.hits.push_back(*h);
   }
+  auto verdict = in.GetU8();
+  if (!verdict.ok()) return verdict.status();
+  if (*verdict > static_cast<std::uint8_t>(SelfVerdict::kShed)) {
+    return Status::Corruption("bad self verdict");
+  }
+  resp.verdict = static_cast<SelfVerdict>(*verdict);
+  auto ttl = in.GetU32();
+  if (!ttl.ok()) return ttl.status();
+  // A lease is recorded only for a path the responder holds.
+  if (*ttl != 0 && resp.verdict != SelfVerdict::kHeld) {
+    return Status::Corruption("lease on a path not held");
+  }
+  resp.lease_ttl_ms = *ttl;
   return resp;
 }
 

@@ -25,8 +25,8 @@ namespace ghba {
 
 enum class MsgType : std::uint16_t {
   // client/coordinator -> MDS
-  kLookupLocal = 1,   ///< run L1+L2 on this MDS -> LocalLookupResp
-  kGroupProbe = 2,    ///< run segment+own-filter probe only -> LocalLookupResp
+  kLookupLocal = 1,   ///< L1+L2 + self-answer on this MDS -> LocalLookupResp
+  kGroupProbe = 2,    ///< segment probe + self-answer -> LocalLookupResp
   kGlobalProbe = 3,   ///< authoritative local check (filter + store) -> Bool
   kVerify = 4,        ///< exact store membership -> Bool
   kTouchLru = 5,      ///< teach the MDS's L1 a (path -> home); no response
@@ -47,7 +47,7 @@ enum class MsgType : std::uint16_t {
   kBatch = 20,          ///< many request/response sub-frames, one CRC
   kMembershipUpdate = 21,  ///< push a new cluster view (epoch + members)
   kGetMembership = 22,     ///< read the server's view -> MembershipResp
-  kLeaseGrant = 23,   ///< ask the home MDS for a lookup lease -> LeaseGrantResp
+  kLeaseGrant = 23,   ///< verify + lease on this MDS -> LeaseGrantResp
   kInvalidate = 24,   ///< revoke any lease/L1 entry for a path -> StatusResp
   // Distributed-transaction messages (v5, two-phase commit).
   kTxnBegin = 25,    ///< coordinator: open a decision record -> StatusResp
@@ -64,10 +64,14 @@ enum class MsgType : std::uint16_t {
 /// and the epoch field on RecoveryInfoResp; v4 adds the client-cache
 /// coherence pair (kLeaseGrant, kInvalidate) and the kRetryAfter shed
 /// status; v5 adds the distributed-transaction family (kTxnBegin ..
-/// kTxnList) behind Client::Rename / CreateExclusive. A v1 peer rejects
-/// unknown types with kCorruption ("unknown message type"), which is what
-/// the client's version probe keys its fallback on.
-inline constexpr std::uint32_t kProtocolVersion = 5;
+/// kTxnList) behind Client::Rename / CreateExclusive; v6 makes every server
+/// asked about a path answer for its own store in the same reply: probes
+/// carry a lease flag, LocalLookupResp carries the responder's verdict and
+/// lease TTL, and kLeaseGrant's reply tells "stored, no lease" apart from
+/// "not stored", so it doubles as a verify. A v1 peer rejects unknown
+/// types with kCorruption ("unknown message type"), which is what the
+/// client's version probe keys its fallback on.
+inline constexpr std::uint32_t kProtocolVersion = 6;
 
 /// Upper bound on sub-frames per kBatch frame: enough for any realistic
 /// pipeline depth, small enough that a mangled count cannot make the server
@@ -81,6 +85,14 @@ inline constexpr std::uint64_t kMaxBatchFrames = 4096;
 /// whole-server drain that cannot run on a single shard.
 bool BatchableType(MsgType type);
 
+/// What a server says about a path in its own store (v6 self-answer).
+enum class SelfVerdict : std::uint8_t {
+  kAbsent = 0,  ///< not stored here (exact: the local filter has no false
+                ///< negatives, and a filter hit is checked in the store)
+  kHeld = 1,    ///< stored here
+  kShed = 2,    ///< hot path on an overloaded shard: no answer, ask again
+};
+
 /// Local lookup outcome shipped back from kLookupLocal / kGroupProbe.
 struct LocalLookupResp {
   // Every filter (replica or own) that answered positive.
@@ -88,6 +100,13 @@ struct LocalLookupResp {
   // For kLookupLocal only: L1 produced a unique hit on this home.
   bool lru_unique = false;
   MdsId lru_home = kInvalidMds;
+  // The responder's own verdict (v6) and, when the request asked for a
+  // lease and the path is held, the lease it recorded (0 = none).
+  SelfVerdict verdict = SelfVerdict::kAbsent;
+  std::uint32_t lease_ttl_ms = 0;
+
+  friend bool operator==(const LocalLookupResp&,
+                         const LocalLookupResp&) = default;
 };
 
 struct StatsResp {
@@ -173,16 +192,17 @@ struct MembershipUpdate {
                          const MembershipUpdate&) = default;
 };
 
-/// Home MDS's answer to a lease request (kLeaseGrant, v4). The server
-/// grants only for paths it actually stores — a grant is a positive
-/// membership proof, so the client may serve `home` from cache until the
-/// lease expires or the routing epoch moves. `ttl_ms` is server-chosen
-/// (config `lease_ttl_ms`); 0 together with granted=false means "not
-/// here", which the client must treat as a cache miss, never a negative.
+/// A server's answer to kLeaseGrant (v4; v6 semantics). `held` is the
+/// exact store membership, so the reply stands in for a kVerify. A lease
+/// is recorded only for a held path: `ttl_ms` > 0 means the client may
+/// serve `home` from cache until the lease expires or the routing epoch
+/// moves; held with ttl_ms 0 means "stored, no lease" (config
+/// `lease_ttl_ms` = 0). Not held means "not here", which the client must
+/// treat as a cache miss, never a negative for the cluster.
 struct LeaseGrantResp {
-  bool granted = false;
+  bool held = false;
   std::uint32_t ttl_ms = 0;
-  MdsId home = kInvalidMds;  ///< the granting server's id
+  MdsId home = kInvalidMds;  ///< the answering server's id when held
 
   friend bool operator==(const LeaseGrantResp&,
                          const LeaseGrantResp&) = default;
@@ -290,6 +310,11 @@ struct TxnListResp {
 std::vector<std::uint8_t> EncodeHeader(MsgType type);
 std::vector<std::uint8_t> EncodePathRequest(MsgType type,
                                             const std::string& path);
+/// kLookupLocal / kGroupProbe request (v6): the path plus a lease flag
+/// asking the responder to record a lease if it holds the path.
+std::vector<std::uint8_t> EncodeProbeRequest(MsgType type,
+                                             const std::string& path,
+                                             bool lease);
 std::vector<std::uint8_t> EncodeTouch(const std::string& path, MdsId home);
 std::vector<std::uint8_t> EncodeInsert(const std::string& path,
                                        const FileMetadata& metadata);
@@ -300,6 +325,13 @@ std::vector<std::uint8_t> EncodeReplicaFetch(MdsId owner);
 std::vector<std::uint8_t> EncodeOutcomeReport(const OutcomeReport& report);
 std::vector<std::uint8_t> EncodeMembershipUpdate(
     const MembershipUpdate& update);
+
+/// Server-side decode of a probe request body (after the type).
+struct ProbeRequest {
+  std::string path;
+  bool lease = false;
+};
+Result<ProbeRequest> DecodeProbeRequest(ByteReader& in);
 
 /// Server-side decode of a kMembershipUpdate request body.
 Result<MembershipUpdate> DecodeMembershipUpdate(ByteReader& in);

@@ -160,15 +160,11 @@ void PrototypeCluster::PublishTopologyLocked() {
   topo->epoch = routing_epoch_;
   topo->grouped = scheme_ == ProtoScheme::kGhba;
   topo->port.assign(servers_.size(), 0);
-  topo->version.assign(servers_.size(), 0);
   topo->group.resize(servers_.size());
   for (MdsId id = 0; id < servers_.size(); ++id) {
     if (!servers_[id]) continue;
     topo->port[id] = servers_[id]->port();
     topo->alive.push_back(id);
-    if (const auto it = peer_version_.find(id); it != peer_version_.end()) {
-      topo->version[id] = it->second;
-    }
   }
   for (const GroupInfo& g : groups_) {
     std::vector<MdsId> live;
@@ -479,9 +475,10 @@ Status PrototypeCluster::InsertBatch(
   return Status::Ok();
 }
 
-Result<LookupOutcome> PrototypeCluster::Lookup(const std::string& path) {
+Result<LookupOutcome> PrototypeCluster::Lookup(const std::string& path,
+                                               bool lease) {
   Suspects suspects;
-  auto result = router_.Lookup(path, &suspects);
+  auto result = router_.Lookup(path, lease, &suspects);
   FailOverSuspects(suspects);
   return result;
 }
@@ -489,7 +486,7 @@ Result<LookupOutcome> PrototypeCluster::Lookup(const std::string& path) {
 Result<LookupOutcome> PrototypeCluster::LookupLocked(
     const std::string& path) {
   Suspects suspects;
-  auto result = router_.Lookup(path, &suspects);
+  auto result = router_.Lookup(path, /*lease=*/false, &suspects);
   NoteSuspectsLocked(suspects);
   return result;
 }

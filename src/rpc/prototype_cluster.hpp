@@ -144,8 +144,10 @@ class PrototypeCluster {
   Result<std::uint64_t> ResolveInDoubt(MdsId id);
 
   /// Four-level lookup driven from the client, on the Router: L3 and L4
-  /// are one multicast each, and no orchestrator lock is taken.
-  Result<LookupOutcome> Lookup(const std::string& path);
+  /// are one multicast each, and no orchestrator lock is taken. With
+  /// `lease`, the home leases its answer in the same reply and the outcome
+  /// carries the TTL (0 = not leased).
+  Result<LookupOutcome> Lookup(const std::string& path, bool lease = false);
 
   /// Fetch every server's current filter and refresh its replicas.
   Status PublishAll();
@@ -240,9 +242,9 @@ class PrototypeCluster {
   /// Diagnostic: exact store membership of `path` on one server.
   Result<bool> VerifyOn(MdsId id, const std::string& path);
 
-  /// Ask `home` for a lookup lease on `path` (kLeaseGrant, v4). A grant is
-  /// a positive membership proof with a TTL; a refusal means "do not cache"
-  /// and carries no verdict about existence.
+  /// Ask `home` for a lookup lease on `path` (kLeaseGrant). `held` is the
+  /// exact membership verdict; a TTL > 0 is a lease, and "not held" means
+  /// "do not cache", never a negative for the cluster.
   Result<LeaseGrantResp> RequestLease(MdsId home, const std::string& path);
 
   /// Multicast kInvalidate for `path` to every live server: each drops any

@@ -42,15 +42,21 @@ bool IsRemoteCorruptionReject(const std::vector<std::uint8_t>& resp) {
          env->status.code() == StatusCode::kCorruption;
 }
 
-/// Response to a request answered with a bool payload (kVerify,
-/// kGlobalProbe).
-Result<bool> BoolReply(const Result<std::vector<std::uint8_t>>& resp) {
+/// The typed payload of a reply. A transport failure, a mangled envelope
+/// or a remote status (kRetryAfter from a shed request, say) is the error.
+template <typename T>
+Result<T> PayloadOf(const Result<std::vector<std::uint8_t>>& resp,
+                    Result<T> (*decode)(ByteReader&)) {
   if (!resp.ok()) return resp.status();
   ByteReader in(*resp);
   auto env = OpenEnvelope(in);
   if (!env.ok()) return env.status();
   if (!env->has_payload) return env->status;
-  return DecodeBoolResp(in);
+  return decode(in);
+}
+
+bool Has(const std::vector<MdsId>& ids, MdsId id) {
+  return std::find(ids.begin(), ids.end(), id) != ids.end();
 }
 
 /// Idle connections kept per peer. More concurrent callers than this open
@@ -62,12 +68,28 @@ struct Router::QueryCtx {
   std::shared_ptr<const Topology> topo;
   Suspects* suspects = nullptr;
   MdsId entry = kInvalidMds;
+  bool lease = false;         ///< ask the home to lease its answer
   double start_ms = 0;
   double mark_ms = 0;         ///< start of the level in progress
   std::uint32_t retries = 0;  ///< attempts beyond the first, this lookup
+  std::uint32_t lease_ttl_ms = 0;  ///< lease the home recorded, if any
   LookupTrace trace;
   std::vector<MdsId> contacted;  ///< distinct peers (entry excluded)
-  std::vector<MdsId> verified;   ///< kVerify memo (at most once each)
+  /// Servers that answered "not here" for their own store: never asked
+  /// again, and left out of the L4 multicast.
+  std::vector<MdsId> absent;
+  /// Servers already asked for a verdict that gave none usable (shed,
+  /// unreachable): not verified again, but still probed at L4.
+  std::vector<MdsId> asked;
+
+  /// Fold in a probe reply's self-answer from `id`.
+  void NoteVerdict(MdsId id, SelfVerdict verdict) {
+    if (verdict == SelfVerdict::kAbsent) {
+      absent.push_back(id);
+    } else if (verdict == SelfVerdict::kShed) {
+      asked.push_back(id);
+    }
+  }
 
   /// Attribute the wall-clock since `mark_ms` to `level` and restart the
   /// mark. Levels the query fell through keep their partial elapsed time.
@@ -361,7 +383,7 @@ Status Router::Quiesce() {
   return result;
 }
 
-Result<LookupOutcome> Router::Lookup(const std::string& path,
+Result<LookupOutcome> Router::Lookup(const std::string& path, bool lease,
                                      Suspects* suspects) {
   // Held for the whole cascade: a drain cannot move files between the
   // levels of one lookup. Released before the caller fails suspects over.
@@ -369,6 +391,7 @@ Result<LookupOutcome> Router::Lookup(const std::string& path,
   QueryCtx q;
   q.topo = Snapshot();
   q.suspects = suspects;
+  q.lease = lease;
   q.start_ms = NowMs();
   q.mark_ms = q.start_ms;
   const Topology& topo = *q.topo;
@@ -376,21 +399,28 @@ Result<LookupOutcome> Router::Lookup(const std::string& path,
   q.entry = topo.alive[Draw(topo.alive.size())];
   const MdsId entry = q.entry;
 
-  // L1 + L2 on the entry server. A slow or dead entry degrades the query
-  // to the lower levels (empty local result) instead of failing it: the
-  // hierarchy below is a superset of what the entry could have answered.
+  // L1 + L2 on the entry server, which also answers for its own store. A
+  // slow or dead entry degrades the query to the lower levels (empty local
+  // result) instead of failing it: the hierarchy below is a superset of
+  // what the entry could have answered.
   LocalLookupResp local;
-  if (auto resp = Call(entry, topo.PortOf(entry),
-                       EncodePathRequest(MsgType::kLookupLocal, path),
-                       suspects, &q.retries);
-      resp.ok()) {
-    ByteReader in(*resp);
-    auto env = OpenEnvelope(in);
-    if (env.ok() && env->has_payload) {
-      if (auto decoded = DecodeLocalLookupResp(in); decoded.ok()) {
-        local = std::move(*decoded);
+  const auto probe =
+      Call(entry, topo.PortOf(entry),
+           EncodeProbeRequest(MsgType::kLookupLocal, path, lease), suspects,
+           &q.retries);
+  if (auto reply = PayloadOf(probe, DecodeLocalLookupResp); reply.ok()) {
+    local = std::move(*reply);
+    if (local.verdict == SelfVerdict::kHeld) {
+      q.lease_ttl_ms = local.lease_ttl_ms;
+      if (local.lru_unique && local.lru_home == entry) {
+        return FinishLookup(path, q, 1, true, entry);
       }
+      q.CloseLevel(1);
+      return FinishLookup(path, q, 2, true, entry);
     }
+    q.NoteVerdict(entry, local.verdict);
+  } else {
+    q.asked.push_back(entry);
   }
 
   if (local.lru_unique && TryVerifyOnce(q, local.lru_home, path)) {
@@ -402,9 +432,10 @@ Result<LookupOutcome> Router::Lookup(const std::string& path,
   }
   q.CloseLevel(2);
 
-  // L3: one multicast to the rest of the entry's group. A peer that cannot
-  // answer counts as a miss and the query continues; its candidates
-  // resurface at L4.
+  // L3: one multicast to the rest of the entry's group. Each peer answers
+  // for its own store and names the candidates its replicas hit. A peer
+  // that cannot answer counts as a miss and the query continues; its
+  // candidates resurface at L4.
   if (topo.grouped) {
     std::vector<MdsId> candidates(local.hits);
     std::vector<MdsId> peers;
@@ -415,18 +446,23 @@ Result<LookupOutcome> Router::Lookup(const std::string& path,
         peers.push_back(m);
       }
     }
+    MdsId holder = kInvalidMds;
     for (const Reply& r :
-         FanOut(topo, peers, EncodePathRequest(MsgType::kGroupProbe, path),
+         FanOut(topo, peers,
+                EncodeProbeRequest(MsgType::kGroupProbe, path, lease),
                 suspects, &q.retries)) {
-      if (!r.resp.ok()) continue;  // a slow/dead peer must not fail the query
-      ByteReader pin(*r.resp);
-      auto penv = OpenEnvelope(pin);
-      if (!penv.ok() || !penv->has_payload) continue;
-      auto presp = DecodeLocalLookupResp(pin);
+      // A slow/dead peer must not fail the query.
+      const auto presp = PayloadOf(r.resp, DecodeLocalLookupResp);
       if (!presp.ok()) continue;
+      if (presp->verdict == SelfVerdict::kHeld && holder == kInvalidMds) {
+        holder = r.id;
+        q.lease_ttl_ms = presp->lease_ttl_ms;
+      }
+      q.NoteVerdict(r.id, presp->verdict);
       candidates.insert(candidates.end(), presp->hits.begin(),
                         presp->hits.end());
     }
+    if (holder != kInvalidMds) return FinishLookup(path, q, 3, true, holder);
     std::sort(candidates.begin(), candidates.end());
     candidates.erase(std::unique(candidates.begin(), candidates.end()),
                      candidates.end());
@@ -438,21 +474,37 @@ Result<LookupOutcome> Router::Lookup(const std::string& path,
     q.CloseLevel(3);
   }
 
-  // L4: one multicast to every live server; the lowest id that holds the
-  // path answers. L4 is the exact level, so a peer we could not reach
-  // leaves the verdict uncertain: report Unavailable rather than a
-  // confident (and possibly wrong) "not found".
-  for (const MdsId m : topo.alive) q.Contact(m);
+  // L4: one multicast to every live server that has not already answered
+  // "not here"; the lowest id that holds the path answers. L4 is the exact
+  // level, so a peer we could not reach leaves the verdict uncertain:
+  // report Unavailable rather than a confident (and possibly wrong) "not
+  // found".
+  std::vector<MdsId> targets;
+  for (const MdsId m : topo.alive) {
+    if (Has(q.absent, m)) continue;
+    q.Contact(m);
+    targets.push_back(m);
+  }
   bool all_peers_answered = true;
   for (const Reply& r :
-       FanOut(topo, topo.alive, EncodePathRequest(MsgType::kGlobalProbe, path),
+       FanOut(topo, targets, EncodePathRequest(MsgType::kGlobalProbe, path),
               suspects, &q.retries)) {
-    const auto found = BoolReply(r.resp);
+    const auto found = PayloadOf(r.resp, DecodeBoolResp);
     if (!found.ok()) {
       all_peers_answered = false;
       continue;
     }
-    if (*found) return FinishLookup(path, q, 4, true, r.id);
+    if (!*found) continue;
+    if (lease) {
+      // The global probe carries no lease flag: one kLeaseGrant to the home.
+      const auto grant = PayloadOf(
+          Call(r.id, topo.PortOf(r.id),
+               EncodePathRequest(MsgType::kLeaseGrant, path), suspects,
+               &q.retries),
+          DecodeLeaseGrantResp);
+      if (grant.ok() && grant->held) q.lease_ttl_ms = grant->ttl_ms;
+    }
+    return FinishLookup(path, q, 4, true, r.id);
   }
   if (!all_peers_answered) {
     return Status::Unavailable(
@@ -463,21 +515,43 @@ Result<LookupOutcome> Router::Lookup(const std::string& path,
 
 bool Router::TryVerifyOnce(QueryCtx& q, MdsId candidate,
                            const std::string& path) {
-  if (std::find(q.verified.begin(), q.verified.end(), candidate) !=
-      q.verified.end()) {
+  if (Has(q.absent, candidate)) {
+    // It already said "not here": a candidate naming it is a false route.
+    q.trace.false_route = true;
     return false;
   }
-  q.verified.push_back(candidate);
+  if (Has(q.asked, candidate)) return false;
+  q.asked.push_back(candidate);
   q.Contact(candidate);
-  // Stale cache/replica named a dead/slow server, or the answer came
-  // back mangled: degraded service means the query continues down the
-  // hierarchy, not that it fails (Sec. 4.5). The exact L4 pass backstops
-  // any candidate skipped here.
-  const auto v = BoolReply(
-      Call(candidate, q.topo->PortOf(candidate),
-           EncodePathRequest(MsgType::kVerify, path), q.suspects, &q.retries));
-  if (v.ok() && !*v) q.trace.false_route = true;  // confident wrong route
-  return v.ok() && *v;
+  // Stale cache/replica named a dead/slow server, the server shed us, or
+  // the answer came back mangled: degraded service means the query
+  // continues down the hierarchy, not that it fails (Sec. 4.5). The exact
+  // L4 pass backstops any candidate skipped here. A lookup that wants a
+  // lease verifies with kLeaseGrant, whose reply is the verdict and the
+  // lease in one round trip.
+  const std::uint16_t port = q.topo->PortOf(candidate);
+  bool held = false;
+  if (q.lease) {
+    const auto grant = PayloadOf(
+        Call(candidate, port, EncodePathRequest(MsgType::kLeaseGrant, path),
+             q.suspects, &q.retries),
+        DecodeLeaseGrantResp);
+    if (!grant.ok()) return false;
+    held = grant->held;
+    if (held) q.lease_ttl_ms = grant->ttl_ms;
+  } else {
+    const auto v = PayloadOf(
+        Call(candidate, port, EncodePathRequest(MsgType::kVerify, path),
+             q.suspects, &q.retries),
+        DecodeBoolResp);
+    if (!v.ok()) return false;
+    held = *v;
+  }
+  if (!held) {
+    q.absent.push_back(candidate);
+    q.trace.false_route = true;  // confident wrong route
+  }
+  return held;
 }
 
 LookupOutcome Router::FinishLookup(const std::string& path, QueryCtx& q,
@@ -488,6 +562,7 @@ LookupOutcome Router::FinishLookup(const std::string& path, QueryCtx& q,
   result.home = home;
   result.served_level = level;
   result.latency_ms = NowMs() - q.start_ms;
+  result.lease_ttl_ms = q.lease_ttl_ms;
   q.trace.level = static_cast<std::uint8_t>(level);
   q.trace.peers_contacted = static_cast<std::uint32_t>(q.contacted.size());
   q.trace.retries = q.retries;
@@ -541,39 +616,25 @@ LookupOutcome Router::FinishLookup(const std::string& path, QueryCtx& q,
 Result<bool> Router::Verify(MdsId id, const std::string& path,
                             Suspects* suspects) {
   const auto topo = Snapshot();
-  return BoolReply(Call(id, topo->PortOf(id),
-                        EncodePathRequest(MsgType::kVerify, path), suspects));
+  return PayloadOf(Call(id, topo->PortOf(id),
+                        EncodePathRequest(MsgType::kVerify, path), suspects),
+                   DecodeBoolResp);
 }
 
 Result<LeaseGrantResp> Router::RequestLease(MdsId home,
                                             const std::string& path,
                                             Suspects* suspects) {
   const auto topo = Snapshot();
-  const std::uint16_t port = topo->PortOf(home);
-  if (port == 0) return Status::Unavailable("server is down");
-  const std::uint32_t version = topo->VersionOf(home);
-  if (version != 0 && version < 4) {
-    return Status::InvalidArgument("peer predates the lease protocol (v4)");
-  }
-  auto resp = Call(home, port, EncodePathRequest(MsgType::kLeaseGrant, path),
-                   suspects);
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  if (!env->has_payload) return env->status;
-  return DecodeLeaseGrantResp(in);
+  return PayloadOf(Call(home, topo->PortOf(home),
+                        EncodePathRequest(MsgType::kLeaseGrant, path),
+                        suspects),
+                   DecodeLeaseGrantResp);
 }
 
 Status Router::InvalidatePath(const std::string& path, Suspects* suspects) {
   const auto topo = Snapshot();
-  std::vector<MdsId> targets;
-  for (const MdsId id : topo->alive) {
-    const std::uint32_t version = topo->VersionOf(id);
-    if (version == 0 || version >= 4) targets.push_back(id);
-  }
   for (const Reply& r :
-       FanOut(*topo, targets, EncodePathRequest(MsgType::kInvalidate, path),
+       FanOut(*topo, topo->alive, EncodePathRequest(MsgType::kInvalidate, path),
               suspects, nullptr)) {
     if (!r.resp.ok()) continue;  // unreachable: its leases die by TTL
     ByteReader in(*r.resp);

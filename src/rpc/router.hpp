@@ -3,9 +3,12 @@
 // The Router drives the four-level query protocol from the client side —
 // the client library plays the coordinating role of the entry MDS: L1/L2
 // run remotely on the entry server, L3 multicasts one probe to the rest of
-// the entry's group, L4 multicasts one probe to every live server. It also
-// carries the other per-path client calls (verify, lease, invalidate) and
-// the per-peer transport every cluster call rides on.
+// the entry's group, L4 multicasts one probe to every live server that has
+// not already answered. Every server a probe reaches also answers for its
+// own store (and leases the answer when asked), so a lookup ends at the
+// first reply from its home. It also carries the other per-path client
+// calls (verify, lease, invalidate) and the per-peer transport every
+// cluster call rides on.
 //
 // Nothing here takes the orchestrator's lock. The Router reads an
 // immutable Topology snapshot that PrototypeCluster publishes by pointer
@@ -48,13 +51,9 @@ struct Topology {
   std::vector<std::uint16_t> port;     ///< loopback port; 0 = not live
   std::vector<MdsId> alive;            ///< live ids, ascending
   std::vector<std::vector<MdsId>> group;  ///< members of id's group
-  std::vector<std::uint32_t> version;  ///< probed protocol; 0 = unprobed
 
   std::uint16_t PortOf(MdsId id) const {
     return id < port.size() ? port[id] : 0;
-  }
-  std::uint32_t VersionOf(MdsId id) const {
-    return id < version.size() ? version[id] : 0;
   }
   bool Serves(std::uint16_t p) const {
     return p != 0 && std::find(port.begin(), port.end(), p) != port.end();
@@ -123,14 +122,20 @@ class Router {
   /// before has been handled.
   Status Quiesce();
 
-  /// The four-level cascade. Suspected peers are appended to `suspects`;
-  /// the caller fails them over after this returns.
-  Result<LookupOutcome> Lookup(const std::string& path, Suspects* suspects);
+  /// The four-level cascade. Each server answers at most once: the first
+  /// `held` reply ends the lookup, and a server that answered "not here"
+  /// is neither verified nor probed at L4. With `lease`, the home records
+  /// a lease in the same reply and the outcome carries its TTL. Suspected
+  /// peers are appended to `suspects`; the caller fails them over after
+  /// this returns.
+  Result<LookupOutcome> Lookup(const std::string& path, bool lease,
+                               Suspects* suspects);
 
   /// Exact store membership of `path` on `id` (kVerify).
   Result<bool> Verify(MdsId id, const std::string& path, Suspects* suspects);
 
-  /// Ask `home` for a lookup lease on `path` (kLeaseGrant).
+  /// Ask `home` for a lookup lease on `path` (kLeaseGrant). A shed
+  /// request is kRetryAfter.
   Result<LeaseGrantResp> RequestLease(MdsId home, const std::string& path,
                                       Suspects* suspects);
 
@@ -142,7 +147,8 @@ class Router {
  private:
   /// Per-lookup bookkeeping threaded through the level cascade: the
   /// snapshot it runs on, wall-clock attribution per level, distinct peers
-  /// contacted, the verify memo, retries and the trace under construction.
+  /// contacted, which servers already answered, retries, the lease and the
+  /// trace under construction.
   struct QueryCtx;
 
   /// One fan-out target's outcome.
@@ -176,8 +182,10 @@ class Router {
                             const std::vector<std::uint8_t>& req,
                             Suspects* suspects, std::uint32_t* retries);
 
-  /// kVerify `candidate` at most once per lookup. A verify that answers
-  /// "not here" marks the trace as a false route.
+  /// Verify `candidate` at most once per lookup, and never one that
+  /// already answered "not here": kLeaseGrant when the lookup wants a
+  /// lease, kVerify otherwise. A candidate that is not the home marks the
+  /// trace as a false route.
   bool TryVerifyOnce(QueryCtx& q, MdsId candidate, const std::string& path);
   /// Completes a LookupOutcome: closes the serving level, seals the trace,
   /// accounts the query into the client metrics, fire-and-forgets a

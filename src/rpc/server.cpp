@@ -89,12 +89,17 @@ MdsServer::MdsServer(MdsId id, const ClusterConfig& config)
       serve_global_probes_(
           registry_.counter(metrics_names::kServeGlobalProbes)),
       serve_verifies_(registry_.counter(metrics_names::kServeVerifies)),
+      serve_lease_requests_(
+          registry_.counter(metrics_names::kServeLeaseRequests)),
       serve_lease_grants_(
           registry_.counter(metrics_names::kServeLeaseGrants)),
       serve_lease_refusals_(
           registry_.counter(metrics_names::kServeLeaseRefusals)),
       serve_invalidations_(
           registry_.counter(metrics_names::kServeInvalidations)),
+      serve_lease_sweeps_(registry_.counter(metrics_names::kServeLeaseSweeps)),
+      serve_leases_expired_(
+          registry_.counter(metrics_names::kServeLeasesExpired)),
       serve_hot_keys_(registry_.counter(metrics_names::kServeHotKeys)),
       serve_shed_requests_(
           registry_.counter(metrics_names::kServeShedRequests)),
@@ -878,6 +883,10 @@ void MdsServer::RunExport(Task task) {
 // Request execution (worker threads)
 // ---------------------------------------------------------------------------
 
+// Heat is one unit per request that asks this server about a path its own
+// filter says it may hold (AnswerForSelf): a leased lookup that ends on its
+// home costs that home one unit, where a separate verify and lease request
+// used to count two.
 std::uint64_t MdsServer::NoteHotAccess(const std::string& path,
                                        Shard& shard) {
   // Bound the tracked stream so the estimates follow the recent workload:
@@ -894,8 +903,53 @@ std::uint64_t MdsServer::NoteHotAccess(const std::string& path,
   return estimate;
 }
 
+bool MdsServer::OwnFilterMayContain(const std::string& path) const {
+  MutexLock filter(&filter_mu_);
+  return local_filter_.MayContain(path);
+}
+
+MdsServer::SelfAnswer MdsServer::AnswerForSelf(const std::string& path,
+                                               bool may_hold, bool lease,
+                                               Shard& shard) {
+  SelfAnswer answer;
+  if (!may_hold) return answer;
+  const std::uint64_t heat = NoteHotAccess(path, shard);
+  // Shed only the hot tail, and only while this shard is actually
+  // drowning: cold paths and idle servers always get a real answer.
+  if (config_.hotspot.shed_enabled &&
+      heat >= config_.hotspot.hot_threshold &&
+      shard.queue_len.load(std::memory_order_relaxed) >
+          config_.hotspot.shed_queue_depth) {
+    ++serve_shed_requests_;
+    answer.verdict = SelfVerdict::kShed;
+    return answer;
+  }
+  if (!shard.store.Contains(path)) return answer;
+  answer.verdict = SelfVerdict::kHeld;
+  // A lease is a positive membership proof, so it is recorded only for a
+  // path this server stores right now; the client combines the TTL with
+  // its routing-epoch check for coherence.
+  const std::uint32_t ttl = config_.hotspot.lease_ttl_ms;
+  if (!lease || ttl == 0) return answer;
+  answer.lease_ttl_ms = ttl;
+  shard.leases[path] = SteadyNowMs() + ttl;
+  ++serve_lease_grants_;
+  // Prune so an ever-changing hot set cannot grow the table without bound
+  // (the map is shard-local and small, so a linear sweep every 256 grants
+  // is cheap). Counting grants, not the map size, keeps renewals of a
+  // steady set from sweeping on every call.
+  if (++shard.lease_grants % 256 == 0) {
+    const std::uint64_t now = SteadyNowMs();
+    ++serve_lease_sweeps_;
+    serve_leases_expired_ += std::erase_if(
+        shard.leases, [now](const auto& kv) { return kv.second <= now; });
+  }
+  return answer;
+}
+
 LocalLookupResp MdsServer::RunLocalLookup(const std::string& path,
-                                          bool include_lru, Shard& shard) {
+                                          bool include_lru, bool lease,
+                                          Shard& shard) {
   LocalLookupResp resp;
   // Digest-once, as in the simulator: the LRU probe, the segment-array
   // probe and the local-filter screen all reuse one digest per seed.
@@ -929,12 +983,15 @@ LocalLookupResp MdsServer::RunLocalLookup(const std::string& path,
     MutexLock seg(&seg_mu_);
     segment_.QuerySharedInto(digest, resp.hits);
   }
+  bool may_hold;
   {
     MutexLock filter(&filter_mu_);
-    if (local_filter_.MayContain(digest.For(local_filter_.seed()))) {
-      resp.hits.push_back(id_);
-    }
+    may_hold = local_filter_.MayContain(digest.For(local_filter_.seed()));
   }
+  if (may_hold) resp.hits.push_back(id_);
+  const SelfAnswer self = AnswerForSelf(path, may_hold, lease, shard);
+  resp.verdict = self.verdict;
+  resp.lease_ttl_ms = self.lease_ttl_ms;
   return resp;
 }
 
@@ -982,15 +1039,15 @@ std::vector<std::uint8_t> MdsServer::Handle(
   switch (*type) {
     case MsgType::kLookupLocal:
     case MsgType::kGroupProbe: {
-      auto path = in.GetString();
-      if (!path.ok()) return EncodeStatusResp(path.status());
+      auto req = DecodeProbeRequest(in);
+      if (!req.ok()) return EncodeStatusResp(req.status());
       if (*type == MsgType::kLookupLocal) {
         ++serve_local_lookups_;
       } else {
         ++serve_group_probes_;
       }
-      return EncodeLocalLookupResp(
-          RunLocalLookup(*path, *type == MsgType::kLookupLocal, shard));
+      return EncodeLocalLookupResp(RunLocalLookup(
+          req->path, *type == MsgType::kLookupLocal, req->lease, shard));
     }
     case MsgType::kGlobalProbe: {
       auto path = in.GetString();
@@ -1008,18 +1065,13 @@ std::vector<std::uint8_t> MdsServer::Handle(
       auto path = in.GetString();
       if (!path.ok()) return EncodeStatusResp(path.status());
       ++serve_verifies_;
-      const std::uint64_t heat = NoteHotAccess(*path, shard);
-      // Shed only the hot tail, and only while this shard is actually
-      // drowning: cold paths and idle servers always get a real answer.
-      if (config_.hotspot.shed_enabled &&
-          heat >= config_.hotspot.hot_threshold &&
-          shard.queue_len.load(std::memory_order_relaxed) >
-              config_.hotspot.shed_queue_depth) {
-        ++serve_shed_requests_;
+      const SelfAnswer self = AnswerForSelf(
+          *path, OwnFilterMayContain(*path), /*lease=*/false, shard);
+      if (self.verdict == SelfVerdict::kShed) {
         return EncodeStatusResp(
             Status::RetryAfter("hot path on an overloaded shard"));
       }
-      return EncodeBoolResp(shard.store.Contains(*path));
+      return EncodeBoolResp(self.verdict == SelfVerdict::kHeld);
     }
     case MsgType::kTouchLru: {
       respond = false;
@@ -1361,31 +1413,22 @@ std::vector<std::uint8_t> MdsServer::Handle(
     case MsgType::kLeaseGrant: {
       auto path = in.GetString();
       if (!path.ok()) return EncodeStatusResp(path.status());
-      // A lease is a positive membership proof, so it is granted only for
-      // paths this server actually stores right now; the client combines
-      // the TTL with its routing-epoch check for coherence.
-      LeaseGrantResp resp;
-      const std::uint32_t ttl = config_.hotspot.lease_ttl_ms;
-      if (ttl > 0 && shard.store.Contains(*path)) {
-        resp.granted = true;
-        resp.ttl_ms = ttl;
-        resp.home = id_;
-        shard.leases[*path] = SteadyNowMs() + ttl;
-        ++serve_lease_grants_;
-        // Lease demand is lookup demand: a key every client wants leased
-        // is exactly the kind the hot detector should see.
-        (void)NoteHotAccess(*path, shard);  // estimate consumed by kVerify
-        // Opportunistic prune so an ever-changing hot set cannot grow the
-        // table without bound (the map is shard-local and small, so a
-        // linear sweep every 256 grants is cheap).
-        if (shard.leases.size() % 256 == 0) {
-          const std::uint64_t now = SteadyNowMs();
-          std::erase_if(shard.leases,
-                        [now](const auto& kv) { return kv.second <= now; });
-        }
-      } else {
-        ++serve_lease_refusals_;
+      // The reply is a verify as well as a lease: count it as both.
+      ++serve_verifies_;
+      ++serve_lease_requests_;
+      const SelfAnswer self = AnswerForSelf(
+          *path, OwnFilterMayContain(*path), /*lease=*/true, shard);
+      if (self.verdict == SelfVerdict::kShed) {
+        return EncodeStatusResp(
+            Status::RetryAfter("hot path on an overloaded shard"));
       }
+      LeaseGrantResp resp;
+      if (self.verdict == SelfVerdict::kHeld) {
+        resp.held = true;
+        resp.home = id_;
+        resp.ttl_ms = self.lease_ttl_ms;
+      }
+      if (resp.ttl_ms == 0) ++serve_lease_refusals_;
       return EncodeLeaseGrantResp(resp);
     }
     case MsgType::kInvalidate: {

@@ -156,12 +156,16 @@ class MdsServer {
     MetadataStore store GHBA_GUARDED_BY(role);
     LruBloomArray lru GHBA_GUARDED_BY(role);
     /// Outstanding client leases for this shard's paths (path -> absolute
-    /// steady-clock expiry, ms). Shard-owned like the store: kLeaseGrant,
-    /// kInvalidate and kUnlink are all path-routed, so every access runs
-    /// on this worker.
+    /// steady-clock expiry, ms). Shard-owned like the store: the probes
+    /// and kLeaseGrant that record leases, kInvalidate and kUnlink are all
+    /// path-routed, so every access runs on this worker.
     std::unordered_map<std::string, std::uint64_t> leases
         GHBA_GUARDED_BY(role);
-    /// Hot-spot detector over this shard's verify/lease stream.
+    /// Leases recorded on this shard so far; every 256th sweeps the
+    /// expired ones out of `leases`.
+    std::uint64_t lease_grants GHBA_GUARDED_BY(role) = 0;
+    /// Hot-spot detector over the requests that ask this shard about its
+    /// own store.
     CountMinSketch hot_sketch GHBA_GUARDED_BY(role);
 
     // Holders probe the fault injector (IsShardStalled) inside the wait
@@ -213,8 +217,27 @@ class MdsServer {
                                    Shard& shard, bool& respond,
                                    bool& shutdown) GHBA_REQUIRES(shard.role);
 
+  /// L1 (when `include_lru`) and L2 probes plus this server's own answer
+  /// for `path` (AnswerForSelf), recording a lease when `lease` asks.
   LocalLookupResp RunLocalLookup(const std::string& path, bool include_lru,
-                                 Shard& shard) GHBA_REQUIRES(shard.role);
+                                 bool lease, Shard& shard)
+      GHBA_REQUIRES(shard.role);
+
+  /// This server's answer about its own store (v6 self-answer).
+  struct SelfAnswer {
+    SelfVerdict verdict = SelfVerdict::kAbsent;
+    std::uint32_t lease_ttl_ms = 0;  ///< lease recorded; 0 = none
+  };
+  /// The one self-answer that kVerify, kLeaseGrant, kLookupLocal and
+  /// kGroupProbe share, run on the shard that owns `path`. `may_hold` is
+  /// the local filter's verdict: a miss is exact (the filter has no false
+  /// negatives), a hit is checked in the store. A hit counts one unit of
+  /// heat and is shed when hot on an overloaded shard; a held path gets a
+  /// lease when `lease` asks and lease_ttl_ms > 0.
+  SelfAnswer AnswerForSelf(const std::string& path, bool may_hold, bool lease,
+                           Shard& shard) GHBA_REQUIRES(shard.role);
+  /// The local filter's verdict on `path`.
+  bool OwnFilterMayContain(const std::string& path) const;
 
   /// Feed one access to the shard's hot-spot sketch (decaying it on
   /// period) and return the post-add estimate for `path`.
@@ -318,9 +341,12 @@ class MdsServer {
   MetricsRegistry::Counter serve_group_probes_;
   MetricsRegistry::Counter serve_global_probes_;
   MetricsRegistry::Counter serve_verifies_;
+  MetricsRegistry::Counter serve_lease_requests_;
   MetricsRegistry::Counter serve_lease_grants_;
   MetricsRegistry::Counter serve_lease_refusals_;
   MetricsRegistry::Counter serve_invalidations_;
+  MetricsRegistry::Counter serve_lease_sweeps_;
+  MetricsRegistry::Counter serve_leases_expired_;
   MetricsRegistry::Counter serve_hot_keys_;
   MetricsRegistry::Counter serve_shed_requests_;
   MetricsRegistry::Counter serve_txn_begins_;

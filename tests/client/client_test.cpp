@@ -78,6 +78,17 @@ std::uint64_t CacheCounter(PrototypeCluster& cluster, const std::string& name) {
   return cluster.ClientSnapshot().CounterOr(name);
 }
 
+/// `name` summed over every live server's registry.
+std::uint64_t ServeSum(PrototypeCluster& cluster, const char* name) {
+  std::uint64_t total = 0;
+  for (const MdsId id : cluster.AliveServers()) {
+    const auto stats = cluster.FetchStats(id);
+    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+    if (stats.ok()) total += stats->metrics.CounterOr(name);
+  }
+  return total;
+}
+
 TEST(ClientCacheTest, SecondLookupIsServedFromCache) {
   PrototypeCluster cluster(ClientTestConfig(), ProtoScheme::kGhba);
   ASSERT_TRUE(cluster.Start().ok());
@@ -217,13 +228,133 @@ TEST(ClientCacheTest, DisabledCacheNeverCachesOrLeases) {
   off.cache_enabled = false;
   FakeClockClient client(&cluster, off);
 
+  const std::uint64_t grants = ServeSum(cluster, "serve.lease_grants");
   for (int i = 0; i < 3; ++i) {
     const auto r = client->Lookup("/cli/f0");
     ASSERT_TRUE(r.ok());
     EXPECT_TRUE(r->found);
     EXPECT_FALSE(r->from_cache);
+    EXPECT_EQ(r->lease_ttl_ms, 0u);
   }
   EXPECT_EQ(client->CacheSize(), 0u);
+  EXPECT_EQ(ServeSum(cluster, "serve.lease_grants"), grants);
+  EXPECT_EQ(ServeSum(cluster, "serve.lease_requests"), 0u);
+}
+
+TEST(ClientCacheTest, ZeroLeaseTtlFindsButNeverCaches) {
+  ClusterConfig config = ClientTestConfig();
+  config.hotspot.lease_ttl_ms = 0;
+  PrototypeCluster cluster(config, ProtoScheme::kGhba);
+  ASSERT_TRUE(cluster.Start().ok());
+  BuildNamespace(cluster, 8);
+  FakeClockClient client(&cluster);
+
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 8; ++i) {
+      const auto r = client->Lookup("/cli/f" + std::to_string(i));
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_TRUE(r->found);
+      EXPECT_FALSE(r->from_cache);
+      EXPECT_EQ(r->lease_ttl_ms, 0u);
+    }
+  }
+  EXPECT_EQ(client->CacheSize(), 0u);
+  EXPECT_EQ(ServeSum(cluster, "serve.lease_grants"), 0u);
+}
+
+TEST(ClientCacheTest, EntryHolderAnswersWithoutVerifyOrLeaseRequest) {
+  const ClusterConfig config = ClientTestConfig();
+  PrototypeCluster cluster(config, ProtoScheme::kGhba);
+  ASSERT_TRUE(cluster.Start().ok());
+  // The path lives on every server, so whichever server the lookup enters
+  // on holds it and answers for itself in the first reply.
+  FileMetadata md;
+  md.inode = 7;
+  for (const std::uint16_t port : cluster.ServerPorts()) {
+    auto conn = TcpConnection::Connect(port);
+    ASSERT_TRUE(conn.ok());
+    ASSERT_TRUE(conn->SendFrame(EncodeInsert("/cli/everywhere", md)).ok());
+    ASSERT_TRUE(conn->RecvFrame().ok());
+  }
+  FakeClockClient client(&cluster);
+
+  const auto r = client->Lookup("/cli/everywhere");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r->found);
+  EXPECT_FALSE(r->from_cache);
+  EXPECT_LE(r->served_level, 2);
+  EXPECT_EQ(r->lease_ttl_ms, config.hotspot.lease_ttl_ms);
+  EXPECT_EQ(ServeSum(cluster, "serve.local_lookups"), 1u);
+  EXPECT_EQ(ServeSum(cluster, "serve.verifies"), 0u);
+  EXPECT_EQ(ServeSum(cluster, "serve.lease_requests"), 0u);
+  EXPECT_EQ(ServeSum(cluster, "serve.group_probes"), 0u);
+  EXPECT_EQ(ServeSum(cluster, "serve.global_probes"), 0u);
+  EXPECT_EQ(ServeSum(cluster, "serve.lease_grants"), 1u);
+
+  // Cached under the probe's TTL: live one tick before it, dead at it.
+  client.now_ms += config.hotspot.lease_ttl_ms - 1;
+  const auto fresh = client->Lookup("/cli/everywhere");
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_TRUE(fresh->from_cache);
+  client.now_ms += 1;
+  const auto expired = client->Lookup("/cli/everywhere");
+  ASSERT_TRUE(expired.ok());
+  EXPECT_FALSE(expired->from_cache);
+  EXPECT_TRUE(expired->found);
+}
+
+TEST(ClientCacheTest, ProbeGrantedLeaseDiesOnUnlinkRenameAndEpochBump) {
+  // One group of three and no lookup before the client's: every answer is
+  // the entry's or a group peer's own verdict, leased in the probe reply.
+  ClusterConfig config = ClientTestConfig();
+  config.num_mds = 3;
+  PrototypeCluster cluster(config, ProtoScheme::kGhba);
+  ASSERT_TRUE(cluster.Start().ok());
+  const std::vector<std::string> paths = {"/cli/unlinked", "/cli/renamed",
+                                          "/cli/bumped"};
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    FileMetadata md;
+    md.inode = i + 1;
+    ASSERT_TRUE(cluster.Insert(paths[i], md).ok());
+  }
+  ASSERT_TRUE(cluster.PublishAll().ok());
+  FakeClockClient client(&cluster);
+  for (const auto& path : paths) {
+    const auto r = client->Lookup(path);
+    ASSERT_TRUE(r.ok()) << path << ": " << r.status().ToString();
+    EXPECT_TRUE(r->found) << path;
+    EXPECT_GT(r->lease_ttl_ms, 0u) << path;
+    const auto again = client->Lookup(path);
+    ASSERT_TRUE(again.ok());
+    EXPECT_TRUE(again->from_cache) << path;
+  }
+  EXPECT_EQ(ServeSum(cluster, "serve.lease_requests"), 0u);
+  EXPECT_EQ(ServeSum(cluster, "serve.verifies"), 0u);
+  ASSERT_EQ(client->CacheSize(), paths.size());
+
+  ASSERT_TRUE(client->Unlink(paths[0]).ok());
+  const auto unlinked = client->Lookup(paths[0]);
+  ASSERT_TRUE(unlinked.ok());
+  EXPECT_FALSE(unlinked->from_cache);
+  EXPECT_FALSE(unlinked->found);
+
+  ASSERT_TRUE(client->Rename(paths[1], "/cli/renamed.dst").ok());
+  const auto src = client->Lookup(paths[1]);
+  ASSERT_TRUE(src.ok());
+  EXPECT_FALSE(src->from_cache);
+  EXPECT_FALSE(src->found);
+  const auto dst = client->Lookup("/cli/renamed.dst");
+  ASSERT_TRUE(dst.ok());
+  EXPECT_TRUE(dst->found);
+
+  const std::uint64_t epoch = cluster.RoutingEpoch();
+  ASSERT_TRUE(cluster.AddServer().ok());
+  ASSERT_GT(cluster.RoutingEpoch(), epoch);
+  const auto bumped = client->Lookup(paths[2]);
+  ASSERT_TRUE(bumped.ok()) << bumped.status().ToString();
+  EXPECT_FALSE(bumped->from_cache);
+  EXPECT_TRUE(bumped->found);
+  EXPECT_GE(CacheCounter(cluster, "cache.stale_epoch"), 1u);
 }
 
 TEST(ClientCacheTest, CapacityBoundsTheCacheViaLruEviction) {

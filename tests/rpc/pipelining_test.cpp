@@ -180,7 +180,9 @@ TEST_F(PipeliningTest, SlowSpilledLookupDoesNotDelayOtherShard) {
 
   const auto t0 = std::chrono::steady_clock::now();
   ASSERT_TRUE(
-      slow.SendFrame(EncodePathRequest(MsgType::kLookupLocal, slow_path)).ok());
+      slow.SendFrame(EncodeProbeRequest(MsgType::kLookupLocal, slow_path,
+                                        /*lease=*/false))
+          .ok());
   ASSERT_TRUE(
       fast.SendFrame(EncodePathRequest(MsgType::kVerify, fast_path)).ok());
   auto found = ReadBool(fast, Deadline::After(5000ms));

@@ -71,6 +71,77 @@ TEST(ProtocolTest, LocalLookupRespRoundTrip) {
   EXPECT_TRUE(decoded->lru_unique);
   EXPECT_EQ(decoded->lru_home, 7u);
   EXPECT_EQ(decoded->hits, (std::vector<MdsId>{1, 5, 9}));
+  EXPECT_EQ(decoded->verdict, SelfVerdict::kAbsent);
+  EXPECT_EQ(decoded->lease_ttl_ms, 0u);
+}
+
+TEST(ProtocolTest, V6SelfAnswerRoundTrip) {
+  for (const SelfVerdict verdict :
+       {SelfVerdict::kAbsent, SelfVerdict::kHeld, SelfVerdict::kShed}) {
+    LocalLookupResp resp;
+    resp.hits = {2};
+    resp.verdict = verdict;
+    resp.lease_ttl_ms = verdict == SelfVerdict::kHeld ? 1500 : 0;
+    const auto frame = EncodeLocalLookupResp(resp);
+    ByteReader in(frame);
+    ASSERT_TRUE(OpenEnvelope(in).ok());
+    const auto decoded = DecodeLocalLookupResp(in);
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(*decoded, resp);
+    EXPECT_EQ(in.remaining(), 0u);
+  }
+}
+
+TEST(ProtocolTest, V6SelfAnswerRejectsBadVerdictAndStrayLease) {
+  const auto encode = [](std::uint8_t verdict, std::uint32_t ttl) {
+    ByteWriter w;
+    w.PutU8(0);             // lru_unique
+    w.PutU32(kInvalidMds);  // lru_home
+    w.PutVarint(0);         // no hits
+    w.PutU8(verdict);
+    w.PutU32(ttl);
+    return w.Take();
+  };
+  // A verdict byte past kShed, and a lease on a path the responder does
+  // not hold, are both mangled frames.
+  for (const auto& body : {encode(3, 0), encode(0, 10), encode(2, 10)}) {
+    ByteReader in(body);
+    const auto decoded = DecodeLocalLookupResp(in);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+  }
+  const auto held = encode(1, 10);
+  ByteReader in(held);
+  EXPECT_TRUE(DecodeLocalLookupResp(in).ok());
+}
+
+TEST(ProtocolTest, ProbeRequestCarriesTheLeaseFlag) {
+  for (const MsgType type : {MsgType::kLookupLocal, MsgType::kGroupProbe}) {
+    for (const bool lease : {false, true}) {
+      const auto frame = EncodeProbeRequest(type, "/p/q", lease);
+      ByteReader in(frame);
+      const auto decoded_type = DecodeType(in);
+      ASSERT_TRUE(decoded_type.ok());
+      EXPECT_EQ(*decoded_type, type);
+      const auto req = DecodeProbeRequest(in);
+      ASSERT_TRUE(req.ok());
+      EXPECT_EQ(req->path, "/p/q");
+      EXPECT_EQ(req->lease, lease);
+    }
+  }
+  // No v5 fallback: a bare path request is missing the flag.
+  const auto bare = EncodePathRequest(MsgType::kLookupLocal, "/p/q");
+  ByteReader in(bare);
+  ASSERT_TRUE(DecodeType(in).ok());
+  EXPECT_FALSE(DecodeProbeRequest(in).ok());
+  // The flag is a strict bool byte.
+  ByteWriter w;
+  w.PutString("/p/q");
+  w.PutU8(2);
+  ByteReader bad(w.data());
+  const auto decoded = DecodeProbeRequest(bad);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
 }
 
 TEST(ProtocolTest, InsertCarriesMetadata) {
@@ -117,7 +188,7 @@ TEST(ProtocolTest, StatsRespRoundTrip) {
 
 TEST(ProtocolTest, LeaseGrantRespRoundTrip) {
   LeaseGrantResp resp;
-  resp.granted = true;
+  resp.held = true;
   resp.ttl_ms = 2000;
   resp.home = 5;
   const auto frame = EncodeLeaseGrantResp(resp);
@@ -131,14 +202,36 @@ TEST(ProtocolTest, LeaseGrantRespRoundTrip) {
 }
 
 TEST(ProtocolTest, LeaseRefusalRoundTrip) {
-  // granted=false, ttl 0: "not here" — a cache miss, never a negative.
+  // held=false, ttl 0: "not here" — a cache miss, never a negative.
   const auto frame = EncodeLeaseGrantResp(LeaseGrantResp{});
   ByteReader in(frame);
   ASSERT_TRUE(OpenEnvelope(in).ok());
   const auto decoded = DecodeLeaseGrantResp(in);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_FALSE(decoded->granted);
+  EXPECT_FALSE(decoded->held);
   EXPECT_EQ(decoded->ttl_ms, 0u);
+}
+
+TEST(ProtocolTest, LeaseReplyTellsStoredWithoutLeaseFromNotStored) {
+  // held=true, ttl 0: the path is here but no lease was recorded, so the
+  // reply still answers as a verify.
+  LeaseGrantResp stored;
+  stored.held = true;
+  stored.home = 4;
+  const auto frame = EncodeLeaseGrantResp(stored);
+  ByteReader in(frame);
+  ASSERT_TRUE(OpenEnvelope(in).ok());
+  const auto decoded = DecodeLeaseGrantResp(in);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(*decoded, stored);
+  // A lease on a path not held is a mangled frame.
+  ByteWriter w;
+  w.PutU8(0);
+  w.PutU32(100);
+  w.PutU32(kInvalidMds);
+  ByteReader bad(w.data());
+  EXPECT_EQ(DecodeLeaseGrantResp(bad).status().code(),
+            StatusCode::kCorruption);
 }
 
 TEST(ProtocolTest, V4PathRequestsDecode) {
@@ -249,6 +342,29 @@ TEST(ProtocolHardeningTest, EveryTruncationOfLocalLookupRejected) {
   }
 }
 
+TEST(ProtocolHardeningTest, EveryTruncationOfV6LocalLookupRejected) {
+  // The v6 self-answer block (verdict + lease TTL) closes the frame, so a
+  // prefix that keeps every v5 field but cuts the block must fail too.
+  LocalLookupResp resp;
+  resp.lru_unique = true;
+  resp.lru_home = 2;
+  resp.hits = {0, 2};
+  resp.verdict = SelfVerdict::kHeld;
+  resp.lease_ttl_ms = 600000;
+  const auto full = EncodeLocalLookupResp(resp);
+  for (std::size_t len = 0; len < full.size(); ++len) {
+    ByteReader in(std::span<const std::uint8_t>(full.data(), len));
+    const auto env = OpenEnvelope(in);
+    if (!env.ok()) continue;
+    EXPECT_FALSE(DecodeLocalLookupResp(in).ok()) << "prefix length " << len;
+  }
+  ByteReader in(full);
+  ASSERT_TRUE(OpenEnvelope(in).ok());
+  const auto decoded = DecodeLocalLookupResp(in);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(*decoded, resp);
+}
+
 TEST(ProtocolHardeningTest, EveryTruncationOfStatsRejected) {
   StatsResp stats;
   stats.frames_in = 10;
@@ -266,7 +382,7 @@ TEST(ProtocolHardeningTest, EveryTruncationOfStatsRejected) {
 
 TEST(ProtocolHardeningTest, EveryTruncationOfLeaseGrantRejected) {
   LeaseGrantResp resp;
-  resp.granted = true;
+  resp.held = true;
   resp.ttl_ms = 1234;
   resp.home = 9;
   const auto full = EncodeLeaseGrantResp(resp);
@@ -388,7 +504,7 @@ TEST(ProtocolBatchTest, BatchRequestRoundTrips) {
   std::vector<std::vector<std::uint8_t>> subs;
   subs.push_back(EncodeInsert("/b/a", md));
   subs.push_back(EncodePathRequest(MsgType::kVerify, "/b/a"));
-  subs.push_back(EncodePathRequest(MsgType::kLookupLocal, "/b/c"));
+  subs.push_back(EncodeProbeRequest(MsgType::kLookupLocal, "/b/c", false));
   const auto frame = EncodeBatch(subs);
 
   ByteReader in(frame);

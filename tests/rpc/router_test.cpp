@@ -1,6 +1,7 @@
 // The concurrent read path (rpc/router.hpp): scatter-gather L3/L4 with a
-// per-peer fallback, backoff that blocks no other caller, and the exact L4
-// verdict under faults.
+// per-peer fallback, backoff that blocks no other caller, the exact L4
+// verdict under faults, and the v6 cascade in which every server a probe
+// reaches answers for its own store at most once per lookup.
 #include "rpc/router.hpp"
 
 #include <gtest/gtest.h>
@@ -55,6 +56,17 @@ std::vector<std::string> PathsOnShard(std::uint32_t shard,
     if (ShardOfPath(path, num_shards) == shard) paths.push_back(path);
   }
   return paths;
+}
+
+/// `name` summed over every live server's registry.
+std::uint64_t ServeSum(PrototypeCluster& cluster, const char* name) {
+  std::uint64_t total = 0;
+  for (const MdsId id : cluster.AliveServers()) {
+    const auto stats = cluster.FetchStats(id);
+    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+    if (stats.ok()) total += stats->metrics.CounterOr(name);
+  }
+  return total;
 }
 
 TEST(RouterTest, BackoffSleepBlocksNoOtherLookup) {
@@ -232,6 +244,122 @@ TEST(RouterTest, L4AnswersWithTheLowestHoldingId) {
     EXPECT_EQ(r->home, 2u);
   }
   EXPECT_GT(l4, 0);
+}
+
+TEST(RouterTest, MissProbesAtL4OnlyServersThatDidNotAnswerAbsent) {
+  PrototypeCluster cluster(RouterConfig(), ProtoScheme::kGhba);
+  ASSERT_TRUE(cluster.Start().ok());
+  for (int i = 0; i < 24; ++i) {
+    ASSERT_TRUE(cluster.Insert("/miss/f" + std::to_string(i), Md(i)).ok());
+  }
+  ASSERT_TRUE(cluster.PublishAll().ok());
+  // Six servers in two groups of three: the entry and its two peers answer
+  // "not here" for their own stores, so only the other group's three
+  // servers get the global probe.
+  for (int i = 0; i < 8; ++i) {
+    const std::string ghost = "/miss/ghost" + std::to_string(i);
+    const std::uint64_t global0 = ServeSum(cluster, "serve.global_probes");
+    const std::uint64_t verifies0 = ServeSum(cluster, "serve.verifies");
+    const auto r = cluster.Lookup(ghost);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_FALSE(r->found);
+    EXPECT_EQ(r->served_level, 4);
+    EXPECT_EQ(ServeSum(cluster, "serve.global_probes") - global0, 3u)
+        << ghost;
+    EXPECT_EQ(ServeSum(cluster, "serve.verifies") - verifies0, 0u) << ghost;
+  }
+}
+
+TEST(RouterTest, GroupPeerHolderResolvesAtL3WithoutVerify) {
+  // One group of three: every home is the entry or one of its peers, and
+  // no replica of an outsider exists to name a candidate.
+  ClusterConfig config = RouterConfig();
+  config.num_mds = 3;
+  PrototypeCluster cluster(config, ProtoScheme::kGhba);
+  ASSERT_TRUE(cluster.Start().ok());
+  constexpr int kFiles = 24;
+  for (int i = 0; i < kFiles; ++i) {
+    ASSERT_TRUE(cluster.Insert("/peer/f" + std::to_string(i), Md(i)).ok());
+  }
+  ASSERT_TRUE(cluster.PublishAll().ok());
+  int at_l3 = 0;
+  for (int i = 0; i < kFiles; ++i) {
+    const std::string path = "/peer/f" + std::to_string(i);
+    const std::uint64_t verifies0 = ServeSum(cluster, "serve.verifies");
+    const std::uint64_t probes0 = ServeSum(cluster, "serve.group_probes");
+    const auto r = cluster.Lookup(path);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_TRUE(r->found) << path;
+    const std::uint64_t verifies = ServeSum(cluster, "serve.verifies");
+    const std::uint64_t probes = ServeSum(cluster, "serve.group_probes");
+    const auto at_home = cluster.VerifyOn(r->home, path);
+    ASSERT_TRUE(at_home.ok());
+    EXPECT_TRUE(*at_home) << path;
+    // An L1 hint that named a wrong server costs a verify; otherwise the
+    // answer is the entry's or a peer's own verdict.
+    if (r->served_level != 3 || r->trace.false_route) continue;
+    ++at_l3;
+    EXPECT_EQ(verifies - verifies0, 0u) << path;
+    EXPECT_EQ(probes - probes0, 2u) << path;
+  }
+  EXPECT_GT(at_l3, 0);
+}
+
+TEST(RouterTest, ShedProbeLeavesTheServerInTheL4Set) {
+  // One server, one shard, every path hot and every queued request an
+  // overload, so a probe handled with another request queued behind it
+  // is shed.
+  ClusterConfig config = RouterConfig();
+  config.num_mds = 1;
+  config.rpc.server_shards = 1;
+  config.rpc.attempt_timeout_ms = 5000;
+  config.rpc.call_budget_ms = 10000;
+  config.hotspot.shed_enabled = true;
+  config.hotspot.hot_threshold = 1;
+  config.hotspot.shed_queue_depth = 0;
+  FaultInjector injector;
+  PrototypeCluster cluster(config, ProtoScheme::kGhba);
+  cluster.set_fault_injector(&injector);
+  ASSERT_TRUE(cluster.Start().ok());
+  ASSERT_TRUE(cluster.Insert("/shed/hot", Md()).ok());
+  ASSERT_TRUE(cluster.PublishAll().ok());
+  auto filler = TcpConnection::Connect(cluster.ServerPorts()[0]);
+  ASSERT_TRUE(filler.ok());
+
+  // Park the shard until the lookup's probe and one more request are
+  // queued on it.
+  injector.StallShard(0, 0);
+  const std::uint64_t frames0 = cluster.TotalFramesIn();
+  Result<LookupOutcome> r = Status::Unavailable("not run");
+  std::thread lookup([&] { r = cluster.Lookup("/shed/hot", /*lease=*/true); });
+  const auto wait_until =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (cluster.TotalFramesIn() == frames0 &&
+         std::chrono::steady_clock::now() < wait_until) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(filler->SendFrame(EncodeHeader(MsgType::kPing)).ok());
+  while (cluster.TotalFramesIn() < frames0 + 2 &&
+         std::chrono::steady_clock::now() < wait_until) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  injector.UnstallShard(0, 0);
+  lookup.join();
+  ASSERT_TRUE(filler->RecvFrame().ok());
+
+  // The shed probe is no answer: the server is not verified again (its
+  // L2 hit names only itself), stays in the L4 set, and the exact global
+  // probe finds the path there; the lease then takes one kLeaseGrant.
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r->found);
+  EXPECT_EQ(r->home, 0u);
+  EXPECT_EQ(r->served_level, 4);
+  EXPECT_EQ(r->lease_ttl_ms, config.hotspot.lease_ttl_ms);
+  EXPECT_EQ(ServeSum(cluster, "serve.shed_requests"), 1u);
+  EXPECT_EQ(ServeSum(cluster, "serve.global_probes"), 1u);
+  EXPECT_EQ(ServeSum(cluster, "serve.lease_requests"), 1u);
+  // That kLeaseGrant is the only verify.
+  EXPECT_EQ(ServeSum(cluster, "serve.verifies"), 1u);
 }
 
 }  // namespace

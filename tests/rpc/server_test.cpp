@@ -46,6 +46,46 @@ class MdsServerTest : public ::testing::Test {
     return env->status;
   }
 
+  /// Replace the server with one running `config`, and reconnect.
+  void Restart(const ClusterConfig& config) {
+    server_->Stop();
+    server_ = std::make_unique<MdsServer>(0, config);
+    ASSERT_TRUE(server_->Start().ok());
+    auto conn = TcpConnection::Connect(server_->port());
+    ASSERT_TRUE(conn.ok());
+    conn_ = std::move(*conn);
+  }
+
+  Result<LocalLookupResp> Probe(MsgType type, const std::string& path,
+                                bool lease) {
+    auto resp = Call(EncodeProbeRequest(type, path, lease));
+    if (!resp.ok()) return resp.status();
+    ByteReader in(*resp);
+    auto env = OpenEnvelope(in);
+    if (!env.ok()) return env.status();
+    if (!env->has_payload) return env->status;
+    return DecodeLocalLookupResp(in);
+  }
+
+  Result<LeaseGrantResp> Lease(const std::string& path) {
+    auto resp = Call(EncodePathRequest(MsgType::kLeaseGrant, path));
+    if (!resp.ok()) return resp.status();
+    ByteReader in(*resp);
+    auto env = OpenEnvelope(in);
+    if (!env.ok()) return env.status();
+    if (!env->has_payload) return env->status;
+    return DecodeLeaseGrantResp(in);
+  }
+
+  std::uint64_t Counter(const char* name) {
+    auto resp = Call(EncodeHeader(MsgType::kStatsSnapshot));
+    if (!resp.ok()) return 0;
+    ByteReader in(*resp);
+    if (!OpenEnvelope(in).ok()) return 0;
+    const auto snap = DecodeStatsSnapshotResp(in);
+    return snap.ok() ? snap->metrics.CounterOr(name) : 0;
+  }
+
   Result<bool> CallBool(const std::vector<std::uint8_t>& req) {
     auto resp = Call(req);
     if (!resp.ok()) return resp.status();
@@ -105,7 +145,7 @@ TEST_F(MdsServerTest, GlobalProbeIsAuthoritative) {
 TEST_F(MdsServerTest, LocalLookupReportsOwnFilterHit) {
   FileMetadata md;
   ASSERT_TRUE(CallStatus(EncodeInsert("/own", md)).ok());
-  auto resp = Call(EncodePathRequest(MsgType::kLookupLocal, "/own"));
+  auto resp = Call(EncodeProbeRequest(MsgType::kLookupLocal, "/own", false));
   ASSERT_TRUE(resp.ok());
   ByteReader in(*resp);
   auto env = OpenEnvelope(in);
@@ -122,7 +162,8 @@ TEST_F(MdsServerTest, ReplicaInstallAndProbe) {
   owner_filter.Add("/remote/file");
   ASSERT_TRUE(CallStatus(EncodeReplicaInstall(7, owner_filter)).ok());
 
-  auto resp = Call(EncodePathRequest(MsgType::kGroupProbe, "/remote/file"));
+  auto resp =
+      Call(EncodeProbeRequest(MsgType::kGroupProbe, "/remote/file", false));
   ASSERT_TRUE(resp.ok());
   ByteReader in(*resp);
   auto env = OpenEnvelope(in);
@@ -141,7 +182,7 @@ TEST_F(MdsServerTest, ReplicaInstallRefreshesExisting) {
   v2.Add("/new");
   ASSERT_TRUE(CallStatus(EncodeReplicaInstall(7, v2)).ok());
 
-  auto resp = Call(EncodePathRequest(MsgType::kGroupProbe, "/old"));
+  auto resp = Call(EncodeProbeRequest(MsgType::kGroupProbe, "/old", false));
   ASSERT_TRUE(resp.ok());
   ByteReader in(*resp);
   ASSERT_TRUE(OpenEnvelope(in).ok());
@@ -175,7 +216,7 @@ TEST_F(MdsServerTest, TouchLruThenLookupUsesIt) {
   // One-way message: give the loop a moment by round-tripping a ping.
   ASSERT_TRUE(CallStatus(EncodeHeader(MsgType::kPing)).ok());
 
-  auto resp = Call(EncodePathRequest(MsgType::kLookupLocal, "/cached"));
+  auto resp = Call(EncodeProbeRequest(MsgType::kLookupLocal, "/cached", false));
   ASSERT_TRUE(resp.ok());
   ByteReader in(*resp);
   ASSERT_TRUE(OpenEnvelope(in).ok());
@@ -207,7 +248,7 @@ TEST_F(MdsServerTest, LeaseGrantedOnlyForStoredPaths) {
   ASSERT_TRUE(OpenEnvelope(in).ok());
   const auto lease = DecodeLeaseGrantResp(in);
   ASSERT_TRUE(lease.ok());
-  EXPECT_TRUE(lease->granted);
+  EXPECT_TRUE(lease->held);
   EXPECT_EQ(lease->home, 0u);  // the granting server names itself
   EXPECT_EQ(lease->ttl_ms, TestConfig().hotspot.lease_ttl_ms);
 
@@ -219,7 +260,7 @@ TEST_F(MdsServerTest, LeaseGrantedOnlyForStoredPaths) {
   ASSERT_TRUE(OpenEnvelope(min).ok());
   const auto refusal = DecodeLeaseGrantResp(min);
   ASSERT_TRUE(refusal.ok());
-  EXPECT_FALSE(refusal->granted);
+  EXPECT_FALSE(refusal->held);
   EXPECT_EQ(refusal->ttl_ms, 0u);
 }
 
@@ -249,6 +290,103 @@ TEST_F(MdsServerTest, InvalidateAndUnlinkPurgeLeases) {
   ASSERT_TRUE(snap.ok());
   EXPECT_GE(snap->metrics.CounterOr("serve.lease_grants"), 2u);
   EXPECT_GE(snap->metrics.CounterOr("serve.invalidations"), 3u);
+}
+
+TEST_F(MdsServerTest, ProbesAnswerForTheirOwnStoreAndLeaseOnRequest) {
+  FileMetadata md;
+  ASSERT_TRUE(CallStatus(EncodeInsert("/self", md)).ok());
+  for (const MsgType type : {MsgType::kLookupLocal, MsgType::kGroupProbe}) {
+    const auto leased = Probe(type, "/self", /*lease=*/true);
+    ASSERT_TRUE(leased.ok()) << leased.status().ToString();
+    EXPECT_EQ(leased->verdict, SelfVerdict::kHeld);
+    EXPECT_EQ(leased->lease_ttl_ms, TestConfig().hotspot.lease_ttl_ms);
+    const auto plain = Probe(type, "/self", /*lease=*/false);
+    ASSERT_TRUE(plain.ok());
+    EXPECT_EQ(plain->verdict, SelfVerdict::kHeld);
+    EXPECT_EQ(plain->lease_ttl_ms, 0u);
+    const auto elsewhere = Probe(type, "/elsewhere", /*lease=*/true);
+    ASSERT_TRUE(elsewhere.ok());
+    EXPECT_EQ(elsewhere->verdict, SelfVerdict::kAbsent);
+    EXPECT_EQ(elsewhere->lease_ttl_ms, 0u);
+  }
+  // Only the two leased probes of a held path recorded a lease.
+  EXPECT_EQ(Counter("serve.lease_grants"), 2u);
+  EXPECT_EQ(Counter("serve.lease_requests"), 0u);
+  EXPECT_EQ(Counter("serve.verifies"), 0u);
+}
+
+TEST_F(MdsServerTest, ProbeWithoutTheLeaseFlagIsRejected) {
+  // v6 has no fallback for a v5-shaped probe.
+  EXPECT_EQ(CallStatus(EncodePathRequest(MsgType::kLookupLocal, "/x")).code(),
+            StatusCode::kCorruption);
+}
+
+TEST_F(MdsServerTest, LeaseReplyIsAVerifyWhenLeasesAreOff) {
+  ClusterConfig config = TestConfig();
+  config.hotspot.lease_ttl_ms = 0;
+  Restart(config);
+  FileMetadata md;
+  ASSERT_TRUE(CallStatus(EncodeInsert("/stored", md)).ok());
+  // Stored, no lease: held with TTL 0, not a refusal of existence.
+  const auto stored = Lease("/stored");
+  ASSERT_TRUE(stored.ok());
+  EXPECT_TRUE(stored->held);
+  EXPECT_EQ(stored->home, 0u);
+  EXPECT_EQ(stored->ttl_ms, 0u);
+  const auto missing = Lease("/missing");
+  ASSERT_TRUE(missing.ok());
+  EXPECT_FALSE(missing->held);
+  EXPECT_EQ(missing->ttl_ms, 0u);
+  const auto probe = Probe(MsgType::kLookupLocal, "/stored", /*lease=*/true);
+  ASSERT_TRUE(probe.ok());
+  EXPECT_EQ(probe->verdict, SelfVerdict::kHeld);
+  EXPECT_EQ(probe->lease_ttl_ms, 0u);
+  EXPECT_EQ(Counter("serve.lease_grants"), 0u);
+  EXPECT_EQ(Counter("serve.lease_requests"), 2u);
+  EXPECT_EQ(Counter("serve.verifies"), 2u);  // each reply was a verify
+}
+
+TEST_F(MdsServerTest, ExpiredLeasesArePrunedEvery256GrantsWhateverTheMapSize) {
+  ClusterConfig config = TestConfig();
+  config.rpc.server_shards = 1;  // one lease table
+  config.hotspot.lease_ttl_ms = 20;
+  Restart(config);
+  FileMetadata md;
+  constexpr int kShortLived = 10;
+  for (int i = 0; i < kShortLived; ++i) {
+    const std::string path = "/short" + std::to_string(i);
+    ASSERT_TRUE(CallStatus(EncodeInsert(path, md)).ok());
+  }
+  ASSERT_TRUE(CallStatus(EncodeInsert("/keep", md)).ok());
+  for (int i = 0; i < kShortLived; ++i) {
+    ASSERT_TRUE(Lease("/short" + std::to_string(i)).ok());
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  // Renewals of one path keep the table at 11 entries, never a multiple
+  // of 256; the 256th grant sweeps anyway.
+  for (int i = kShortLived; i < 255; ++i) ASSERT_TRUE(Lease("/keep").ok());
+  EXPECT_EQ(Counter("serve.lease_sweeps"), 0u);
+  ASSERT_TRUE(Lease("/keep").ok());
+  EXPECT_EQ(Counter("serve.lease_sweeps"), 1u);
+  EXPECT_EQ(Counter("serve.leases_expired"),
+            static_cast<std::uint64_t>(kShortLived));
+}
+
+TEST_F(MdsServerTest, RenewalAtAMultipleOf256EntriesDoesNotSweep) {
+  ClusterConfig config = TestConfig();
+  config.rpc.server_shards = 1;  // one lease table
+  Restart(config);
+  FileMetadata md;
+  for (int i = 0; i < 256; ++i) {
+    const std::string path = "/many" + std::to_string(i);
+    ASSERT_TRUE(CallStatus(EncodeInsert(path, md)).ok());
+    ASSERT_TRUE(Lease(path).ok());
+  }
+  // 256 grants: one sweep, and 256 live entries in the table.
+  EXPECT_EQ(Counter("serve.lease_sweeps"), 1u);
+  for (int i = 0; i < 16; ++i) ASSERT_TRUE(Lease("/many0").ok());
+  EXPECT_EQ(Counter("serve.lease_sweeps"), 1u);
+  EXPECT_EQ(Counter("serve.leases_expired"), 0u);
 }
 
 TEST_F(MdsServerTest, MalformedFrameAnswersWithError) {

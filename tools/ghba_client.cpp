@@ -10,13 +10,14 @@
 //   $ ghba_client <port> version
 //   $ ghba_client <port> shutdown
 //
-// `verify` resolves the routing, not just existence: it prints the id of
-// the server that answered for the path (from the v4 lease grant) and the
-// replica owners whose filters match, e.g.
+// `verify` sends one probe and prints the daemon's verdict for its own
+// store (held, absent or shed) with the routing picture: the replica owners
+// whose filters match and the L1 hint, e.g.
 //
-//   present resolved=mds2 lease_ttl_ms=2000 replicas=[2] l1=mds2
+//   held replicas=[0 2] l1=mds2
 //
-// Exit status: 0 success; 1 failure; 2 usage; 3 verify says absent.
+// Exit status: 0 success (verify: held); 1 failure (verify: shed); 2 usage;
+// 3 verify says absent.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -39,19 +40,25 @@ int RunVerify(DaemonClient& client, const std::string& path) {
     std::fprintf(stderr, "verify failed: %s\n", v.status().ToString().c_str());
     return 1;
   }
-  std::printf("%s", v->present ? "present" : "absent");
-  if (v->resolved != kInvalidMds) {
-    std::printf(" resolved=mds%u", v->resolved);
-    if (v->lease_granted) std::printf(" lease_ttl_ms=%u", v->lease_ttl_ms);
-  }
-  std::printf(" replicas=[");
+  const char* verdict = "absent";
+  if (v->verdict == SelfVerdict::kHeld) verdict = "held";
+  if (v->verdict == SelfVerdict::kShed) verdict = "shed";
+  std::printf("%s replicas=[", verdict);
   for (std::size_t i = 0; i < v->replica_hits.size(); ++i) {
     std::printf("%s%u", i ? " " : "", v->replica_hits[i]);
   }
   std::printf("]");
   if (v->lru_unique) std::printf(" l1=mds%u", v->lru_home);
   std::printf("\n");
-  return v->present ? 0 : 3;
+  switch (v->verdict) {
+    case SelfVerdict::kHeld:
+      return 0;
+    case SelfVerdict::kShed:
+      return 1;
+    case SelfVerdict::kAbsent:
+      break;
+  }
+  return 3;
 }
 
 }  // namespace
@@ -104,12 +111,11 @@ int main(int argc, char** argv) {
                    lease.status().ToString().c_str());
       return 1;
     }
-    if (lease->granted) {
-      std::printf("granted home=mds%u ttl_ms=%u\n", lease->home,
-                  lease->ttl_ms);
+    if (lease->held) {
+      std::printf("held home=mds%u ttl_ms=%u\n", lease->home, lease->ttl_ms);
       return 0;
     }
-    std::printf("refused\n");
+    std::printf("absent\n");
     return 3;
   }
   if (cmd == "invalidate") {

@@ -104,7 +104,10 @@ struct Fleet {
     if (!c.ok()) return c.status();
     auto v = c->Verify(path);
     if (!v.ok()) return v.status();
-    return v->present;
+    if (v->verdict == ghba::SelfVerdict::kShed) {
+      return ghba::Status::RetryAfter("verify shed");
+    }
+    return v->verdict == ghba::SelfVerdict::kHeld;
   }
 };
 
