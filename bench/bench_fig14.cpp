@@ -4,7 +4,7 @@
 // Paper setup: 60 nodes, optimal M = 7, HP trace scaled by 60. We run all
 // 60 MDSs as in-process servers on loopback. The memory budget is set so
 // that HBA's 59-replica array per server overflows it (overflowing probes
-// physically block the server; see MdsServer::RunLocalLookup) while
+// physically block the server; see MdsServer::PaySpilledProbeDelay) while
 // G-HBA's theta ~ 8 replicas fit — the same mechanism that produced the
 // paper's 31.2% latency reduction.
 #include <chrono>

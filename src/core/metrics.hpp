@@ -56,6 +56,9 @@ inline constexpr char kServeGroupProbes[] = "serve.group_probes";
 inline constexpr char kServeGlobalProbes[] = "serve.global_probes";
 // kVerify and kLeaseGrant frames: both verify a path on its server.
 inline constexpr char kServeVerifies[] = "serve.verifies";
+// Requests the event thread answered itself on an idle shard, without a
+// hand-off to the shard's worker.
+inline constexpr char kServeInlineRequests[] = "serve.inline_requests";
 // Durable storage engine (per-MdsServer registries, --data-dir mode only).
 inline constexpr char kStorageWalAppends[] = "storage.wal_appends";
 inline constexpr char kStorageWalFsyncs[] = "storage.wal_fsyncs";

@@ -44,6 +44,30 @@ std::uint16_t PeekType(const std::vector<std::uint8_t>& frame) {
          (static_cast<std::uint16_t>(frame[1]) << 8);
 }
 
+/// The memory-only requests the event thread may answer inline on an idle
+/// shard (MdsServer::HandleProbe). Everything else — mutations, txn
+/// messages, kInvalidate, whole-server and control messages, kBatch — is
+/// always queued to a worker.
+bool IsInlineProbe(std::uint16_t type) {
+  switch (static_cast<MsgType>(type)) {
+    case MsgType::kLookupLocal:
+    case MsgType::kGroupProbe:
+    case MsgType::kGlobalProbe:
+    case MsgType::kVerify:
+    case MsgType::kLeaseGrant:
+    case MsgType::kTouchLru:
+    case MsgType::kReportOutcome:
+      return true;
+    default:
+      return false;
+  }
+}
+
+void SetNonBlocking(int fd) {
+  const int flags = ::fcntl(fd, F_GETFL, 0);
+  (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+}
+
 std::uint64_t SteadyNowMs() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -103,6 +127,8 @@ MdsServer::MdsServer(MdsId id, const ClusterConfig& config)
       serve_hot_keys_(registry_.counter(metrics_names::kServeHotKeys)),
       serve_shed_requests_(
           registry_.counter(metrics_names::kServeShedRequests)),
+      serve_inline_requests_(
+          registry_.counter(metrics_names::kServeInlineRequests)),
       serve_txn_begins_(registry_.counter(metrics_names::kServeTxnBegins)),
       serve_txn_prepares_(
           registry_.counter(metrics_names::kServeTxnPrepares)),
@@ -136,6 +162,10 @@ Status MdsServer::Start(std::uint16_t port) {
   if (!listener.ok()) return listener.status();
   listener_ = std::move(*listener);
   port_ = listener_.port();
+  // The event thread accepts only when epoll reports the listener ready,
+  // but a client that resets in between would leave a blocking accept(2)
+  // waiting for the next one: non-blocking, that race yields EAGAIN.
+  SetNonBlocking(listener_.fd());
 
   epoll_fd_ = FdHandle(::epoll_create1(EPOLL_CLOEXEC));
   if (!epoll_fd_.valid()) return Status::Internal("epoll_create1 failed");
@@ -319,9 +349,62 @@ std::uint32_t MdsServer::RouteShard(
 void MdsServer::PostTask(std::uint32_t shard_index, Task task) {
   Shard& shard = *shards_[shard_index];
   shard.mu.Lock();
+  PostTaskLocked(shard, std::move(task));
+  shard.mu.Unlock();
+}
+
+void MdsServer::PostTaskLocked(Shard& shard, Task task) {
   shard.queue.push_back(std::move(task));
   shard.queue_len.store(shard.queue.size(), std::memory_order_relaxed);
   shard.cv.notify_one();
+}
+
+bool MdsServer::DispatchToShard(std::uint32_t shard_index, Task task,
+                                Completion& done) {
+  Shard& shard = *shards_[shard_index];
+  const std::uint16_t type = PeekType(task.frame);
+  // Spilled replicas make a probe block (PaySpilledProbeDelay): that server
+  // answers on its workers only. Read before shard.mu, which ranks below
+  // seg_mu_.
+  const bool eligible =
+      IsInlineProbe(type) && ReplicaOverflowFraction() == 0.0;
+  shard.mu.Lock();
+  // Idle means nothing queued and nobody running: an earlier request for
+  // this shard — a same-path insert, say — has finished, so running this
+  // one now keeps same-path FIFO, and with queue_len == 0 it never sheds.
+  const bool claimed =
+      eligible && shard.queue.empty() && !shard.busy &&
+      !shard.park_requested && !shard.parked &&
+      !(injector_ != nullptr && injector_->IsShardStalled(id_, shard.index));
+  if (!claimed) {
+    PostTaskLocked(shard, std::move(task));
+    shard.mu.Unlock();
+    return false;
+  }
+  shard.busy = true;
+  shard.mu.Unlock();
+  {
+    // The claim makes this thread the shard's only user until the release
+    // below, so adopting its role here is sound.
+    ThreadRoleGuard role(&shard.role);
+    ByteReader in(task.frame);
+    // IsInlineProbe accepted the tag; skip it.
+    (void)in.GetU16();
+    done.payload =
+        HandleProbe(static_cast<MsgType>(type), in, shard, done.respond);
+  }
+  ReleaseClaim(shard);
+  ++serve_inline_requests_;
+  return true;
+}
+
+void MdsServer::ReleaseClaim(Shard& shard) {
+  shard.mu.Lock();
+  shard.busy = false;
+  if (shard.claim_waiter) {
+    shard.claim_waiter = false;
+    shard.cv.notify_all();
+  }
   shard.mu.Unlock();
 }
 
@@ -496,7 +579,15 @@ void MdsServer::IoLoop() {
       return;
     }
     const std::uint32_t target = RouteShard(task.frame);
-    PostTask(target, std::move(task));
+    Completion done;
+    if (DispatchToShard(target, std::move(task), done)) {
+      // Answered inline: the reply goes straight into its slot, and the
+      // ordered flush still holds it behind any earlier unfinished slot.
+      PendingResp& p = c.pending[seq];
+      p.respond = done.respond;
+      p.payload = std::move(done.payload);
+      p.ready = true;
+    }
   };
 
   auto close_conn = [&](std::uint64_t cid) {
@@ -546,9 +637,7 @@ void MdsServer::IoLoop() {
         // Level-triggered: accept one per wakeup; more connections re-arm.
         auto conn = listener_.Accept();
         if (!conn.ok()) continue;
-        const int fd = conn->fd();
-        const int flags = ::fcntl(fd, F_GETFL, 0);
-        (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+        SetNonBlocking(conn->fd());
         const std::uint64_t id = next_conn_id++;
         Conn& c = conns[id];
         c.conn = std::move(*conn);
@@ -679,6 +768,14 @@ void MdsServer::WorkerLoop(Shard* shard) {
         shard->cv.wait_for(shard->mu, std::chrono::milliseconds(1));
         continue;
       }
+      if (shard->busy) {
+        // The event thread is answering a probe on this shard inline. Wait
+        // for its release (which wakes us because we flagged it): parking
+        // or popping now would overlap that request.
+        shard->claim_waiter = true;
+        shard->cv.wait(shard->mu);
+        continue;
+      }
       if (shard->park_requested) {
         shard->parked = true;
         shard->cv.notify_all();
@@ -695,6 +792,7 @@ void MdsServer::WorkerLoop(Shard* shard) {
         shard->queue.pop_front();
         shard->queue_len.store(shard->queue.size(),
                                std::memory_order_relaxed);
+        shard->busy = true;
         have = true;
         break;
       }
@@ -708,9 +806,15 @@ void MdsServer::WorkerLoop(Shard* shard) {
       shard->lru.DropHome(task.drop_home);
       shard->lru_bytes.store(shard->lru.MemoryBytes(),
                              std::memory_order_relaxed);
+      ReleaseClaim(*shard);
       continue;
     }
 
+    const std::uint16_t type = PeekType(task.frame);
+    if (type == static_cast<std::uint16_t>(MsgType::kLookupLocal) ||
+        type == static_cast<std::uint16_t>(MsgType::kGroupProbe)) {
+      PaySpilledProbeDelay();
+    }
     bool respond = false;
     bool shutdown = false;
     Completion comp;
@@ -719,6 +823,9 @@ void MdsServer::WorkerLoop(Shard* shard) {
     comp.slot = task.slot;
     comp.payload = Handle(task.frame, *shard, respond, shutdown);
     comp.respond = respond;
+    // Free the shard before the reply can reach the client, so the
+    // client's next request finds it idle.
+    ReleaseClaim(*shard);
     PostCompletion(std::move(comp));
     if (shutdown) RequestStop();
   }
@@ -961,24 +1068,6 @@ LocalLookupResp MdsServer::RunLocalLookup(const std::string& path,
       resp.lru_home = l1.owner;
     }
   }
-  // Emulate memory pressure: replicas beyond the configured budget live on
-  // (simulated) disk, so probing them physically blocks — but only this
-  // shard's worker, never the event thread (a slow lookup on one shard
-  // cannot delay a fast one on another).
-  std::size_t seg_size;
-  {
-    MutexLock seg(&seg_mu_);
-    seg_size = segment_.size();
-  }
-  const double overflow = ReplicaOverflowFraction();
-  if (overflow > 0) {
-    const double disk_filters = static_cast<double>(seg_size + 1) * overflow;
-    const auto delay_us = static_cast<std::int64_t>(
-        disk_filters * config_.latency.spilled_probe_ms * 1000.0);
-    if (delay_us > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-    }
-  }
   {
     MutexLock seg(&seg_mu_);
     segment_.QuerySharedInto(digest, resp.hits);
@@ -993,6 +1082,24 @@ LocalLookupResp MdsServer::RunLocalLookup(const std::string& path,
   resp.verdict = self.verdict;
   resp.lease_ttl_ms = self.lease_ttl_ms;
   return resp;
+}
+
+void MdsServer::PaySpilledProbeDelay() const {
+  // Only this shard's worker blocks, never the event thread: a slow lookup
+  // on one shard cannot delay a fast one on another.
+  std::size_t seg_size;
+  {
+    MutexLock seg(&seg_mu_);
+    seg_size = segment_.size();
+  }
+  const double overflow = ReplicaOverflowFraction();
+  if (overflow <= 0) return;
+  const double disk_filters = static_cast<double>(seg_size + 1) * overflow;
+  const auto delay_us = static_cast<std::int64_t>(
+      disk_filters * config_.latency.spilled_probe_ms * 1000.0);
+  if (delay_us > 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
+  }
 }
 
 std::uint64_t MdsServer::LookupStateBytes() const {
@@ -1027,27 +1134,21 @@ double MdsServer::ReplicaOverflowFraction() const {
          static_cast<double>(replica_bytes);
 }
 
-std::vector<std::uint8_t> MdsServer::Handle(
-    const std::vector<std::uint8_t>& frame, Shard& shard, bool& respond,
-    bool& shutdown) {
+std::vector<std::uint8_t> MdsServer::HandleProbe(MsgType type, ByteReader& in,
+                                                 Shard& shard, bool& respond) {
   respond = true;
-  shutdown = false;
-  ByteReader in(frame);
-  const auto type = DecodeType(in);
-  if (!type.ok()) return EncodeStatusResp(type.status());
-
-  switch (*type) {
+  switch (type) {
     case MsgType::kLookupLocal:
     case MsgType::kGroupProbe: {
       auto req = DecodeProbeRequest(in);
       if (!req.ok()) return EncodeStatusResp(req.status());
-      if (*type == MsgType::kLookupLocal) {
+      if (type == MsgType::kLookupLocal) {
         ++serve_local_lookups_;
       } else {
         ++serve_group_probes_;
       }
       return EncodeLocalLookupResp(RunLocalLookup(
-          req->path, *type == MsgType::kLookupLocal, req->lease, shard));
+          req->path, type == MsgType::kLookupLocal, req->lease, shard));
     }
     case MsgType::kGlobalProbe: {
       auto path = in.GetString();
@@ -1084,6 +1185,74 @@ std::vector<std::uint8_t> MdsServer::Handle(
                             std::memory_order_relaxed);
       return {};
     }
+    case MsgType::kLeaseGrant: {
+      auto path = in.GetString();
+      if (!path.ok()) return EncodeStatusResp(path.status());
+      // The reply is a verify as well as a lease: count it as both.
+      ++serve_verifies_;
+      ++serve_lease_requests_;
+      const SelfAnswer self = AnswerForSelf(
+          *path, OwnFilterMayContain(*path), /*lease=*/true, shard);
+      if (self.verdict == SelfVerdict::kShed) {
+        return EncodeStatusResp(
+            Status::RetryAfter("hot path on an overloaded shard"));
+      }
+      LeaseGrantResp resp;
+      if (self.verdict == SelfVerdict::kHeld) {
+        resp.held = true;
+        resp.home = id_;
+        resp.ttl_ms = self.lease_ttl_ms;
+      }
+      if (resp.ttl_ms == 0) ++serve_lease_refusals_;
+      return EncodeLeaseGrantResp(resp);
+    }
+    case MsgType::kReportOutcome: {
+      // One-way: the coordinating client tells its entry server how the
+      // lookup it started here ended, so Fig. 13's per-level hit counts
+      // accumulate server-side and export via kStatsSnapshot.
+      respond = false;
+      auto report = DecodeOutcomeReport(in);
+      if (!report.ok()) return {};
+      switch (report->level) {
+        case 1: ++outcome_l1_; break;
+        case 2: ++outcome_l2_; break;
+        case 3: ++outcome_l3_; break;
+        default:
+          if (report->found) {
+            ++outcome_l4_;
+          } else {
+            ++outcome_miss_;
+          }
+          break;
+      }
+      if (report->false_route) ++outcome_false_routes_;
+      outcome_latency_ms_.Add(static_cast<double>(report->elapsed_ns) / 1e6);
+      return {};
+    }
+    default:
+      break;
+  }
+  return EncodeStatusResp(Status::InvalidArgument("not a probe request"));
+}
+
+std::vector<std::uint8_t> MdsServer::Handle(
+    const std::vector<std::uint8_t>& frame, Shard& shard, bool& respond,
+    bool& shutdown) {
+  respond = true;
+  shutdown = false;
+  ByteReader in(frame);
+  const auto type = DecodeType(in);
+  if (!type.ok()) return EncodeStatusResp(type.status());
+
+  switch (*type) {
+    case MsgType::kLookupLocal:
+    case MsgType::kGroupProbe:
+    case MsgType::kGlobalProbe:
+    case MsgType::kVerify:
+    case MsgType::kTouchLru:
+    case MsgType::kLeaseGrant:
+    case MsgType::kReportOutcome:
+      return HandleProbe(*type, in, shard, respond);
     case MsgType::kInsert: {
       auto path = in.GetString();
       if (!path.ok()) return EncodeStatusResp(path.status());
@@ -1318,29 +1487,6 @@ std::vector<std::uint8_t> MdsServer::Handle(
       snap.metrics = registry_.Snapshot();
       return EncodeStatsSnapshotResp(snap);
     }
-    case MsgType::kReportOutcome: {
-      // One-way: the coordinating client tells its entry server how the
-      // lookup it started here ended, so Fig. 13's per-level hit counts
-      // accumulate server-side and export via kStatsSnapshot.
-      respond = false;
-      auto report = DecodeOutcomeReport(in);
-      if (!report.ok()) return {};
-      switch (report->level) {
-        case 1: ++outcome_l1_; break;
-        case 2: ++outcome_l2_; break;
-        case 3: ++outcome_l3_; break;
-        default:
-          if (report->found) {
-            ++outcome_l4_;
-          } else {
-            ++outcome_miss_;
-          }
-          break;
-      }
-      if (report->false_route) ++outcome_false_routes_;
-      outcome_latency_ms_.Add(static_cast<double>(report->elapsed_ns) / 1e6);
-      return {};
-    }
     case MsgType::kExportFiles:
       // The event thread hands exports to the maintenance thread; reaching
       // a worker means the frame arrived somewhere it cannot be honoured
@@ -1409,27 +1555,6 @@ std::vector<std::uint8_t> MdsServer::Handle(
       resp.epoch = view_epoch_;
       resp.members = view_members_;
       return EncodeMembershipResp(resp);
-    }
-    case MsgType::kLeaseGrant: {
-      auto path = in.GetString();
-      if (!path.ok()) return EncodeStatusResp(path.status());
-      // The reply is a verify as well as a lease: count it as both.
-      ++serve_verifies_;
-      ++serve_lease_requests_;
-      const SelfAnswer self = AnswerForSelf(
-          *path, OwnFilterMayContain(*path), /*lease=*/true, shard);
-      if (self.verdict == SelfVerdict::kShed) {
-        return EncodeStatusResp(
-            Status::RetryAfter("hot path on an overloaded shard"));
-      }
-      LeaseGrantResp resp;
-      if (self.verdict == SelfVerdict::kHeld) {
-        resp.held = true;
-        resp.home = id_;
-        resp.ttl_ms = self.lease_ttl_ms;
-      }
-      if (resp.ttl_ms == 0) ++serve_lease_refusals_;
-      return EncodeLeaseGrantResp(resp);
     }
     case MsgType::kInvalidate: {
       auto path = in.GetString();

@@ -1,13 +1,16 @@
 // In-process MDS daemon for the loopback prototype.
 //
 // One server = one epoll(7) event thread plus a pool of worker shards plus
-// one maintenance thread (see DESIGN.md "Concurrency invariants"):
+// one maintenance thread (see DESIGN.md "Concurrency invariants" and
+// "MdsServer shard roles"):
 //
 //   * The event thread owns the sockets. It accepts, reads whole frames out
 //     of non-blocking connections (FrameAssembler), routes each request to
 //     a shard, and flushes responses in per-connection request order. It
-//     never touches MDS state and never blocks: injected delays become
-//     deferred flushes, and blocking work lives on the workers.
+//     never blocks: injected delays become deferred flushes, and blocking
+//     work lives on the workers. A memory-only probe whose shard is idle
+//     it answers itself, under that shard's claim (Shard::busy), which
+//     saves the two cross-thread wakeups a queued request pays.
 //   * Requests hash to a shard by path (ShardOfPath). Each shard's worker
 //     exclusively owns that shard's slice of the state — metadata store and
 //     L1 LRU array — enforced at compile time by a per-shard ThreadRole
@@ -169,12 +172,20 @@ class MdsServer {
     CountMinSketch hot_sketch GHBA_GUARDED_BY(role);
 
     // Holders probe the fault injector (IsShardStalled) inside the wait
-    // loop, so this ranks above kFaultInjector; nothing else nests in it.
+    // loop and the event thread's claim, so this ranks above
+    // kFaultInjector; nothing else nests in it.
     Mutex mu{LockRank::kServerShard};
     std::condition_variable_any cv;
     std::deque<Task> queue GHBA_GUARDED_BY(mu);
     bool park_requested GHBA_GUARDED_BY(mu) = false;
     bool parked GHBA_GUARDED_BY(mu) = false;
+    /// The claim on this shard's state: set by whoever runs a task on it —
+    /// the worker when it pops one, the event thread when it answers a
+    /// probe inline on an idle shard — and cleared when that task is done.
+    bool busy GHBA_GUARDED_BY(mu) = false;
+    /// The worker is waiting for the event thread's claim to end; the
+    /// release wakes it only then, so an idle worker is never woken.
+    bool claim_waiter GHBA_GUARDED_BY(mu) = false;
 
     std::atomic<std::uint64_t> files{0};
     std::atomic<std::uint64_t> lru_bytes{0};
@@ -203,7 +214,18 @@ class MdsServer {
   std::uint32_t RouteShard(const std::vector<std::uint8_t>& frame) const;
 
   void PostTask(std::uint32_t shard, Task task);
+  void PostTaskLocked(Shard& shard, Task task) GHBA_REQUIRES(shard.mu);
   void PostCompletion(Completion completion);
+
+  /// The event thread's one dispatch decision for a non-batch request:
+  /// answer it inline, into `done`, when it is a memory-only probe and
+  /// its shard is idle (empty queue, no claim, no park, no injected stall,
+  /// no spilled replicas); otherwise queue it exactly like PostTask.
+  /// True = answered inline.
+  bool DispatchToShard(std::uint32_t shard, Task task, Completion& done);
+  /// End the claim on `shard` (Shard::busy), waking a worker that waits
+  /// for it.
+  void ReleaseClaim(Shard& shard);
 
   /// Record the fatal event-loop error and stop the server. Event-thread
   /// only: the io_role_ requirement both documents that and arms the
@@ -217,6 +239,18 @@ class MdsServer {
                                    Shard& shard, bool& respond,
                                    bool& shutdown) GHBA_REQUIRES(shard.role);
 
+  /// The memory-only requests (probes, verifies, lease grants, L1 touches,
+  /// outcome reports): the part of Handle the event thread may run inline.
+  /// `in` is positioned after the type tag. Nothing reachable from here
+  /// journals, fsyncs or sleeps.
+  std::vector<std::uint8_t> HandleProbe(MsgType type, ByteReader& in,
+                                        Shard& shard, bool& respond)
+      GHBA_REQUIRES(shard.role);
+
+  /// Emulate memory pressure before a segment-array probe: replicas beyond
+  /// the budget live on (simulated) disk, so probing them blocks. Worker
+  /// only — an overflowing server never answers probes inline.
+  void PaySpilledProbeDelay() const;
   /// L1 (when `include_lru`) and L2 probes plus this server's own answer
   /// for `path` (AnswerForSelf), recording a lease when `lease` asks.
   LocalLookupResp RunLocalLookup(const std::string& path, bool include_lru,
@@ -349,6 +383,7 @@ class MdsServer {
   MetricsRegistry::Counter serve_leases_expired_;
   MetricsRegistry::Counter serve_hot_keys_;
   MetricsRegistry::Counter serve_shed_requests_;
+  MetricsRegistry::Counter serve_inline_requests_;
   MetricsRegistry::Counter serve_txn_begins_;
   MetricsRegistry::Counter serve_txn_prepares_;
   MetricsRegistry::Counter serve_txn_commits_;

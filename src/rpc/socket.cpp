@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "common/bytes.hpp"
+#include "rpc/wire_buffer.hpp"
 
 namespace ghba {
 
@@ -131,22 +132,25 @@ Result<TcpConnection> TcpConnection::Connect(std::uint16_t port,
   return conn;
 }
 
+// Both loops try the syscall first and poll only when the socket says
+// EAGAIN: a frame whose bytes fit the socket buffer (or are already
+// waiting in it) costs one syscall instead of a poll plus the call.
 Status TcpConnection::SendAll(const std::uint8_t* data, std::size_t len,
                               const Deadline& deadline) {
   std::size_t sent = 0;
   while (sent < len) {
-    if (!deadline.never()) {
-      const int ready = WaitReady(fd_.get(), POLLOUT, deadline);
-      if (ready == 0) return Status::TimedOut("send deadline expired");
-      if (ready < 0) return Errno("poll(send)");
+    if (deadline.expired()) return Status::TimedOut("send deadline expired");
+    const ssize_t n = ::send(fd_.get(), data + sent, len - sent,
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n >= 0) {
+      sent += static_cast<std::size_t>(n);
+      continue;
     }
-    const ssize_t n =
-        ::send(fd_.get(), data + sent, len - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return Errno("send");
-    }
-    sent += static_cast<std::size_t>(n);
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) return Errno("send");
+    const int ready = WaitReady(fd_.get(), POLLOUT, deadline);
+    if (ready == 0) return Status::TimedOut("send deadline expired");
+    if (ready < 0) return Errno("poll(send)");
   }
   return Status::Ok();
 }
@@ -155,18 +159,18 @@ Status TcpConnection::RecvAll(std::uint8_t* data, std::size_t len,
                               const Deadline& deadline) {
   std::size_t got = 0;
   while (got < len) {
-    if (!deadline.never()) {
-      const int ready = WaitReady(fd_.get(), POLLIN, deadline);
-      if (ready == 0) return Status::TimedOut("recv deadline expired");
-      if (ready < 0) return Errno("poll(recv)");
-    }
-    const ssize_t n = ::recv(fd_.get(), data + got, len - got, 0);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return Errno("recv");
+    if (deadline.expired()) return Status::TimedOut("recv deadline expired");
+    const ssize_t n = ::recv(fd_.get(), data + got, len - got, MSG_DONTWAIT);
+    if (n > 0) {
+      got += static_cast<std::size_t>(n);
+      continue;
     }
     if (n == 0) return Status::Unavailable("peer closed");
-    got += static_cast<std::size_t>(n);
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) return Errno("recv");
+    const int ready = WaitReady(fd_.get(), POLLIN, deadline);
+    if (ready == 0) return Status::TimedOut("recv deadline expired");
+    if (ready < 0) return Errno("poll(recv)");
   }
   return Status::Ok();
 }
@@ -174,70 +178,27 @@ Status TcpConnection::RecvAll(std::uint8_t* data, std::size_t len,
 Status TcpConnection::SendFrame(const std::vector<std::uint8_t>& payload,
                                 Deadline deadline) {
   if (!fd_.valid()) return Status::Unavailable("closed connection");
-  if (payload.size() > (64u << 20)) {
+  if (payload.size() > kMaxWireFrameBytes) {
     return Status::InvalidArgument("frame too large");
   }
-
-  const std::uint8_t* body = payload.data();
-  std::size_t body_len = payload.size();
-  std::vector<std::uint8_t> mutated;
+  FaultInjector::FramePlan plan;
   if (injector_ != nullptr) {
     const std::uint16_t type =
         payload.size() >= 2
             ? static_cast<std::uint16_t>(payload[0] | (payload[1] << 8))
             : 0;
-    const auto plan = injector_->PlanFrame(peer_port_, type);
+    plan = injector_->PlanFrame(peer_port_, type);
     if (plan.delay.count() > 0) std::this_thread::sleep_for(plan.delay);
-    switch (plan.action) {
-      case FaultInjector::FrameAction::kDrop:
-        // The frame vanishes on the wire; the sender believes it went out,
-        // exactly like a lost datagram. The receiver's deadline catches it.
-        return Status::Ok();
-      case FaultInjector::FrameAction::kTruncate:
-        // Header still advertises the full length but only a prefix is
-        // delivered: the receiver blocks mid-frame until its deadline
-        // fires, like a peer crashing mid-send. This connection's framing
-        // is poisoned afterwards; the receiver's magic/CRC check turns any
-        // bytes that drift into the gap into kCorruption, and callers
-        // evict the connection on the resulting error.
-        mutated = payload;
-        MutatePayload(plan, mutated);
-        if (mutated.size() < payload.size()) {
-          body = mutated.data();
-          body_len = mutated.size();
-        }
-        break;
-      case FaultInjector::FrameAction::kCorrupt:
-        mutated = payload;
-        MutatePayload(plan, mutated);
-        body = mutated.data();
-        body_len = mutated.size();
-        break;
-      case FaultInjector::FrameAction::kDeliver:
-        break;
-    }
   }
-
-  // Framed as [magic:2][len:4][crc32:4][payload]. The CRC covers the
-  // *intended* payload, so a receiver detects in-flight corruption,
-  // truncation-induced stream desync, and short writes as kCorruption
-  // instead of handing mangled bytes to the decoders.
-  std::uint8_t header[kFrameHeaderBytes];
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  const std::uint32_t crc = Crc32(payload.data(), payload.size());
-  header[0] = kFrameMagic0;
-  header[1] = kFrameMagic1;
-  header[2] = static_cast<std::uint8_t>(len);
-  header[3] = static_cast<std::uint8_t>(len >> 8);
-  header[4] = static_cast<std::uint8_t>(len >> 16);
-  header[5] = static_cast<std::uint8_t>(len >> 24);
-  header[6] = static_cast<std::uint8_t>(crc);
-  header[7] = static_cast<std::uint8_t>(crc >> 8);
-  header[8] = static_cast<std::uint8_t>(crc >> 16);
-  header[9] = static_cast<std::uint8_t>(crc >> 24);
-  if (Status s = SendAll(header, sizeof(header), deadline); !s.ok()) return s;
-  if (body_len == 0) return Status::Ok();
-  return SendAll(body, body_len, deadline);
+  // Header and body go out in one buffer and one send(2): with TCP_NODELAY
+  // two writes would be two segments, and the peer's event loop could wake
+  // once for each. BuildWireFrame applies the plan's fate — a dropped frame
+  // vanishes as if lost on the wire (the sender believes it went out; the
+  // receiver's deadline catches it), a truncated one advertises its full
+  // length but delivers a prefix, a corrupted one fails the receiver's CRC.
+  std::vector<std::uint8_t> wire;
+  if (!BuildWireFrame(plan, payload, wire)) return Status::Ok();
+  return SendAll(wire.data(), wire.size(), deadline);
 }
 
 Result<std::vector<std::uint8_t>> TcpConnection::RecvFrame(Deadline deadline) {
@@ -257,7 +218,7 @@ Result<std::vector<std::uint8_t>> TcpConnection::RecvFrame(Deadline deadline) {
                             (static_cast<std::uint32_t>(header[7]) << 8) |
                             (static_cast<std::uint32_t>(header[8]) << 16) |
                             (static_cast<std::uint32_t>(header[9]) << 24);
-  if (len > (64u << 20)) return Status::Corruption("frame too large");
+  if (len > kMaxWireFrameBytes) return Status::Corruption("frame too large");
   std::vector<std::uint8_t> payload(len);
   if (len > 0) {
     if (Status s = RecvAll(payload.data(), len, deadline); !s.ok()) return s;

@@ -1,14 +1,16 @@
 // RAII TCP sockets for the loopback prototype.
 //
-// The prototype runs every MDS as an in-process server on 127.0.0.1 with a
-// poll(2)-driven event loop; these wrappers own the file descriptors and
-// provide framed message IO (magic + length + CRC-32 header, see
-// kFrameMagic0 below) with optional deadlines:
-// every Connect/SendFrame/RecvFrame takes an absolute Deadline and reports
-// kTimedOut instead of blocking past it (the default Deadline never
-// expires, preserving fully blocking behaviour). SIGPIPE suppressed;
-// partial reads/writes handled. A connection may carry a FaultInjector,
-// which gets to drop, delay, truncate, or corrupt each outgoing frame.
+// The prototype runs every MDS as an in-process server on 127.0.0.1 with an
+// epoll(7) event loop; these wrappers own the file descriptors and provide
+// framed message IO (magic + length + CRC-32 header, see kFrameMagic0
+// below) with optional deadlines: every Connect/SendFrame/RecvFrame takes
+// an absolute Deadline and reports kTimedOut instead of blocking past it
+// (the default Deadline never expires, preserving fully blocking
+// behaviour). A frame leaves in one send(2), header and body together;
+// sends and receives try the syscall first and poll(2) only when it would
+// block. SIGPIPE suppressed; partial reads/writes handled. A connection may
+// carry a FaultInjector, which gets to drop, delay, truncate, or corrupt
+// each outgoing frame.
 #pragma once
 
 #include <chrono>
@@ -100,7 +102,8 @@ class TcpConnection {
   /// subsequent SendFrame on this connection.
   void set_injector(FaultInjector* injector) { injector_ = injector; }
 
-  /// Send one frame (length prefix + payload). Blocks up to `deadline`.
+  /// Send one frame (header + payload, one send(2) when the socket buffer
+  /// has room). Blocks up to `deadline`.
   Status SendFrame(const std::vector<std::uint8_t>& payload,
                    Deadline deadline = Deadline::Never());
 

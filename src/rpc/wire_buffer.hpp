@@ -10,11 +10,12 @@
 // mark grows (the old loop re-allocated its pollfd set and one payload
 // vector per frame, every iteration).
 //
-// BuildWireFrame mirrors TcpConnection::SendFrame's framing and fault
-// semantics — CRC over the *intended* payload, truncation/corruption mangle
-// only the body — but produces bytes instead of writing a socket, so the
-// event thread can queue responses without ever blocking. Injected delays
-// are the caller's business (workers sleep; the event thread must not).
+// BuildWireFrame lays out one frame and applies its fault plan — CRC over
+// the *intended* payload, truncation/corruption mangle only the body — and
+// produces bytes instead of writing a socket: TcpConnection::SendFrame
+// writes them with one send(2), and the event thread queues responses with
+// it without ever blocking. Injected delays are the caller's business
+// (senders sleep; the event thread must not).
 #pragma once
 
 #include <cstdint>
@@ -57,7 +58,7 @@ class FrameAssembler {
 /// Append one wire frame for `payload` to `out`, applying `plan`'s fate:
 /// false = the frame is dropped (nothing appended), true = header + body
 /// appended (body possibly truncated/corrupted per the plan). The header
-/// always advertises the intended length and CRC, exactly like SendFrame.
+/// always advertises the intended length and CRC.
 bool BuildWireFrame(const FaultInjector::FramePlan& plan,
                     const std::vector<std::uint8_t>& payload,
                     std::vector<std::uint8_t>& out);

@@ -1,6 +1,9 @@
 #include "rpc/socket.hpp"
 
 #include <gtest/gtest.h>
+#include <linux/tcp.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 
 #include <thread>
 
@@ -253,6 +256,126 @@ TEST(SocketFaultTest, CorruptedFrameDetectedByChecksum) {
   ASSERT_FALSE(frame.ok());
   EXPECT_EQ(frame.status().code(), StatusCode::kCorruption);
   EXPECT_GE(injector.counters().corruptions, 1u);
+}
+
+// One SendFrame is one write: header and payload leave as one TCP segment,
+// so a peer already blocked in recv(2) wakes once for the whole frame.
+TEST(SocketTransportTest, FrameLeavesAsOneSegmentAndOneRecv) {
+  auto listener = TcpListener::Bind();
+  ASSERT_TRUE(listener.ok());
+  auto client = TcpConnection::Connect(listener->port());
+  ASSERT_TRUE(client.ok());
+  auto server = listener->Accept();
+  ASSERT_TRUE(server.ok());
+  const std::vector<std::uint8_t> payload(200, 0x42);
+  ssize_t got = -1;
+  std::thread reader([&] {
+    std::vector<std::uint8_t> buf(4096);
+    got = ::recv(server->fd(), buf.data(), buf.size(), 0);
+  });
+  // Let the reader block in recv before the frame goes out.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  tcp_info before{};
+  tcp_info after{};
+  socklen_t len = sizeof(before);
+  ASSERT_EQ(::getsockopt(client->fd(), IPPROTO_TCP, TCP_INFO, &before, &len),
+            0);
+  ASSERT_TRUE(client->SendFrame(payload).ok());
+  len = sizeof(after);
+  ASSERT_EQ(::getsockopt(client->fd(), IPPROTO_TCP, TCP_INFO, &after, &len),
+            0);
+  reader.join();
+  EXPECT_EQ(after.tcpi_data_segs_out - before.tcpi_data_segs_out, 1u);
+  EXPECT_EQ(got, static_cast<ssize_t>(kFrameHeaderBytes + payload.size()));
+}
+
+TEST(SocketTransportTest, SendDeadlineFiresOnFullSocketBuffer) {
+  auto listener = TcpListener::Bind();
+  ASSERT_TRUE(listener.ok());
+  auto client = TcpConnection::Connect(listener->port());
+  ASSERT_TRUE(client.ok());
+  // Accepted but never read: once both socket buffers fill, send blocks.
+  auto server = listener->Accept();
+  ASSERT_TRUE(server.ok());
+  int small = 4096;
+  ASSERT_EQ(::setsockopt(client->fd(), SOL_SOCKET, SO_SNDBUF, &small,
+                         sizeof(small)),
+            0);
+  const std::vector<std::uint8_t> big(8u << 20, 0x11);
+  const auto start = std::chrono::steady_clock::now();
+  const Status s =
+      client->SendFrame(big, Deadline::After(std::chrono::milliseconds(100)));
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  EXPECT_EQ(s.code(), StatusCode::kTimedOut) << s.ToString();
+  EXPECT_GE(elapsed.count(), 80);
+  EXPECT_LT(elapsed.count(), 2000);
+}
+
+TEST(SocketTransportTest, RecvDeadlineFiresMidFrame) {
+  auto listener = TcpListener::Bind();
+  ASSERT_TRUE(listener.ok());
+  auto client = TcpConnection::Connect(listener->port());
+  ASSERT_TRUE(client.ok());
+  auto server = listener->Accept();
+  ASSERT_TRUE(server.ok());
+  // A header that promises 64 bytes, then silence.
+  const std::uint8_t header[kFrameHeaderBytes] = {kFrameMagic0, kFrameMagic1,
+                                                  64, 0, 0, 0, 0, 0, 0, 0};
+  ASSERT_EQ(::send(server->fd(), header, sizeof(header), 0),
+            static_cast<ssize_t>(sizeof(header)));
+  const auto start = std::chrono::steady_clock::now();
+  const auto frame =
+      client->RecvFrame(Deadline::After(std::chrono::milliseconds(50)));
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  ASSERT_FALSE(frame.ok());
+  EXPECT_EQ(frame.status().code(), StatusCode::kTimedOut);
+  EXPECT_GE(elapsed.count(), 40);
+  EXPECT_LT(elapsed.count(), 2000);
+}
+
+TEST(SocketTransportTest, ExpiredDeadlineTimesOutBeforeAnyIo) {
+  auto listener = TcpListener::Bind();
+  ASSERT_TRUE(listener.ok());
+  auto client = TcpConnection::Connect(listener->port());
+  ASSERT_TRUE(client.ok());
+  auto server = listener->Accept();
+  ASSERT_TRUE(server.ok());
+  const Deadline expired = Deadline::After(std::chrono::milliseconds(0));
+  EXPECT_EQ(client->SendFrame({1, 2, 3}, expired).code(),
+            StatusCode::kTimedOut);
+  // Even with a whole frame waiting, an expired deadline reads nothing.
+  ASSERT_TRUE(server->SendFrame({4, 5, 6}).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(client->RecvFrame(expired).status().code(), StatusCode::kTimedOut);
+  const auto frame =
+      client->RecvFrame(Deadline::After(std::chrono::seconds(2)));
+  ASSERT_TRUE(frame.ok());
+  EXPECT_EQ(*frame, (std::vector<std::uint8_t>{4, 5, 6}));
+}
+
+TEST(SocketFaultTest, TruncatedFrameDesyncsTheNextIntoCorruption) {
+  auto listener = TcpListener::Bind();
+  ASSERT_TRUE(listener.ok());
+  FaultInjector::Options opts;
+  opts.truncate_prob = 1.0;
+  FaultInjector injector(opts);
+  auto client = TcpConnection::Connect(listener->port());
+  ASSERT_TRUE(client.ok());
+  auto server = listener->Accept();
+  ASSERT_TRUE(server.ok());
+  client->set_injector(&injector);
+  ASSERT_TRUE(client->SendFrame(std::vector<std::uint8_t>(64, 0x5a)).ok());
+  client->set_injector(nullptr);
+  ASSERT_TRUE(client->SendFrame(std::vector<std::uint8_t>(64, 0x77)).ok());
+  // The truncated body swallows the start of the next frame: the CRC
+  // catches the mix instead of handing it to a decoder.
+  const auto frame =
+      server->RecvFrame(Deadline::After(std::chrono::seconds(2)));
+  ASSERT_FALSE(frame.ok());
+  EXPECT_EQ(frame.status().code(), StatusCode::kCorruption);
+  EXPECT_GE(injector.counters().truncations, 1u);
 }
 
 TEST(FdHandleTest, MoveSemantics) {

@@ -6,7 +6,9 @@
 // ServerPorts()) with a kStatsSnapshot RPC and renders the paper's
 // evaluation quantities from live servers: per-level hit counts and ratios
 // (Fig. 13), lookup latency percentiles (Figs. 8-10, 14), and filter
-// memory (Table 5 / LookupStateBytes). `--json` emits one machine-readable
+// memory (Table 5 / LookupStateBytes), plus the share of request frames
+// the event thread answered inline (serve.inline_requests / frames_in: how
+// often the idle-shard fast path fires). `--json` emits one machine-readable
 // document per poll for scraping; `--watch N` re-polls every N seconds
 // until interrupted.
 //
@@ -87,6 +89,13 @@ QueryLevelValues LevelsOf(const MetricsSnapshot& m) {
   v.l4 = m.CounterOr(metrics_names::kLookupsL4);
   v.miss = m.CounterOr(metrics_names::kLookupsMiss);
   return v;
+}
+
+/// Percent of `frames_in` that the event thread answered inline.
+double InlinePercent(std::uint64_t inline_requests, std::uint64_t frames_in) {
+  if (frames_in == 0) return 0.0;
+  return 100.0 * static_cast<double>(inline_requests) /
+         static_cast<double>(frames_in);
 }
 
 HistogramStats LatencyOf(const MetricsSnapshot& m) {
@@ -175,10 +184,11 @@ void PrintJson(const std::vector<Polled>& servers) {
 void PrintTable(const std::vector<Polled>& servers) {
   std::printf(
       "MDS   files  replicas  state_KiB   lookups    L1%%    L2%%    L3%%"
-      "    L4%%  miss%%   p50ms   p99ms\n");
+      "    L4%%  miss%%   p50ms   p99ms  inline%%\n");
   QueryLevelValues total;
   HistogramStats total_lat;
   std::uint64_t total_files = 0, total_replicas = 0, total_state = 0;
+  std::uint64_t total_inline = 0, total_frames = 0;
   for (const auto& p : servers) {
     if (!p.ok) {
       std::printf(":%u unreachable: %s\n", p.port, p.error.c_str());
@@ -197,23 +207,31 @@ void PrintTable(const std::vector<Polled>& servers) {
     total_files += s.files;
     total_replicas += s.replicas;
     total_state += s.lookup_state_bytes;
+    const std::uint64_t inline_requests =
+        s.metrics.CounterOr(metrics_names::kServeInlineRequests);
+    total_inline += inline_requests;
+    total_frames += s.frames_in;
     std::printf("%3u %7" PRIu64 " %9" PRIu64 " %10.1f %9" PRIu64
-                " %5.1f%% %5.1f%% %5.1f%% %5.1f%% %5.1f%% %7.3f %7.3f\n",
+                " %5.1f%% %5.1f%% %5.1f%% %5.1f%% %5.1f%% %7.3f %7.3f"
+                "  %6.1f%%\n",
                 s.mds_id, s.files, s.replicas,
                 static_cast<double>(s.lookup_state_bytes) / 1024.0,
                 levels.total(), 100 * levels.Fraction(levels.l1),
                 100 * levels.Fraction(levels.l2),
                 100 * levels.Fraction(levels.l3),
                 100 * levels.Fraction(levels.l4),
-                100 * levels.Fraction(levels.miss), lat.p50, lat.p99);
+                100 * levels.Fraction(levels.miss), lat.p50, lat.p99,
+                InlinePercent(inline_requests, s.frames_in));
   }
   std::printf("ALL %7" PRIu64 " %9" PRIu64 " %10.1f %9" PRIu64
-              " %5.1f%% %5.1f%% %5.1f%% %5.1f%% %5.1f%%    mean %7.3f\n",
+              " %5.1f%% %5.1f%% %5.1f%% %5.1f%% %5.1f%%    mean %7.3f"
+              "  %6.1f%%\n",
               total_files, total_replicas,
               static_cast<double>(total_state) / 1024.0, total.total(),
               100 * total.Fraction(total.l1), 100 * total.Fraction(total.l2),
               100 * total.Fraction(total.l3), 100 * total.Fraction(total.l4),
-              100 * total.Fraction(total.miss), total_lat.mean());
+              100 * total.Fraction(total.miss), total_lat.mean(),
+              InlinePercent(total_inline, total_frames));
 }
 
 }  // namespace

@@ -22,10 +22,11 @@
 //
 //   ghba-blocking-on-event-thread
 //     Functions annotated GHBA_REQUIRES(<ThreadRole named io*/event*>) run
-//     on the epoll event thread; any blocking primitive (fsync, sleep,
-//     poll/select, TcpConnection::Connect/SendFrame/RecvFrame, ...)
-//     reachable from one through same-TU calls stalls every connection and
-//     is an error.
+//     on the epoll event thread, and so does every scope that adopts such a
+//     role with `ThreadRoleGuard g(&io_role_)` (the event loop itself); any
+//     blocking primitive (fsync, sleep, poll/select, accept,
+//     TcpConnection::Connect/SendFrame/RecvFrame, ...) reachable from one
+//     through same-TU calls stalls every connection and is an error.
 //
 // Exit status: 0 when clean, 1 when any diagnostic fired, 2 on usage /
 // parse errors — run_clang_tidy.sh treats a missing or non-loadable tool
@@ -346,29 +347,70 @@ class MutexRankNestCallback : public MatchFinder::MatchCallback {
 // Check 3: ghba-blocking-on-event-thread
 // ---------------------------------------------------------------------------
 
-// True when `fd` is annotated GHBA_REQUIRES(x) where x is a ghba::ThreadRole
-// whose field/variable name marks it as the event/io thread.
+// True when `role` names a ghba::ThreadRole field/variable whose name marks
+// it as the event/io thread's.
+bool IsEventRole(const Expr* role) {
+  role = role->IgnoreParenImpCasts();
+  const ValueDecl* vd = nullptr;
+  if (const auto* me = dyn_cast<MemberExpr>(role)) {
+    vd = me->getMemberDecl();
+  } else if (const auto* dre = dyn_cast<DeclRefExpr>(role)) {
+    vd = dre->getDecl();
+  }
+  if (vd == nullptr) return false;
+  if (!IsNamed(RecordOf(vd->getType()), "ghba::ThreadRole")) return false;
+  std::string name = vd->getNameAsString();
+  llvm::StringRef ref(name);
+  return ref.contains_insensitive("io") || ref.contains_insensitive("event");
+}
+
+// True when `fd` is annotated GHBA_REQUIRES(x) where x is an event role.
 bool IsEventThreadFunction(const FunctionDecl* fd) {
   for (const auto* attr : fd->specific_attrs<RequiresCapabilityAttr>()) {
     for (const Expr* arg : attr->args()) {
-      arg = arg->IgnoreParenImpCasts();
-      const ValueDecl* vd = nullptr;
-      if (const auto* me = dyn_cast<MemberExpr>(arg)) {
-        vd = me->getMemberDecl();
-      } else if (const auto* dre = dyn_cast<DeclRefExpr>(arg)) {
-        vd = dre->getDecl();
-      }
-      if (vd == nullptr) continue;
-      if (!IsNamed(RecordOf(vd->getType()), "ghba::ThreadRole")) continue;
-      std::string name = vd->getNameAsString();
-      llvm::StringRef ref(name);
-      if (ref.contains_insensitive("io") || ref.contains_insensitive("event")) {
-        return true;
-      }
+      if (IsEventRole(arg)) return true;
     }
   }
   return false;
 }
+
+// True when `vd` is `ghba::ThreadRoleGuard g(&<event role>)`: from here to
+// the end of its scope the thread is the event thread.
+bool IsEventRoleGuard(const VarDecl* vd) {
+  if (!IsNamed(RecordOf(vd->getType()), "ghba::ThreadRoleGuard")) return false;
+  const Expr* init = vd->getInit();
+  if (init == nullptr) return false;
+  const auto* ctor = dyn_cast<CXXConstructExpr>(init->IgnoreImplicit());
+  if (ctor == nullptr || ctor->getNumArgs() < 1) return false;
+  const auto* addr =
+      dyn_cast<UnaryOperator>(ctor->getArg(0)->IgnoreParenImpCasts());
+  if (addr == nullptr || addr->getOpcode() != UO_AddrOf) return false;
+  return IsEventRole(addr->getSubExpr());
+}
+
+// Collects the compound statements that declare an event-role guard.
+class EventRoleScopeFinder
+    : public RecursiveASTVisitor<EventRoleScopeFinder> {
+ public:
+  bool TraverseCompoundStmt(CompoundStmt* cs) {
+    scopes_.push_back(cs);
+    bool keep_going = RecursiveASTVisitor::TraverseCompoundStmt(cs);
+    scopes_.pop_back();
+    return keep_going;
+  }
+
+  bool VisitVarDecl(VarDecl* vd) {
+    if (!scopes_.empty() && IsEventRoleGuard(vd)) {
+      found.push_back(scopes_.back());
+    }
+    return true;
+  }
+
+  std::vector<CompoundStmt*> found;
+
+ private:
+  std::vector<CompoundStmt*> scopes_;
+};
 
 // Is `callee` a blocking primitive? POSIX names are matched only for
 // global/extern-C functions so an unrelated method named e.g. sleep() is
@@ -445,10 +487,24 @@ class EventThreadCallback : public MatchFinder::MatchCallback {
   void run(const MatchFinder::MatchResult& result) override {
     const auto* fn = result.Nodes.getNodeAs<FunctionDecl>("fn");
     if (fn == nullptr || !fn->doesThisDeclarationHaveABody()) return;
-    if (!IsEventThreadFunction(fn)) return;
+    if (IsEventThreadFunction(fn)) {
+      Scan(*result.Context, fn, fn->getBody());
+      return;
+    }
+    // An unannotated function that adopts the event role itself (the
+    // event loop's thread body) is a root from its guard's scope on.
+    EventRoleScopeFinder finder;
+    finder.TraverseStmt(fn->getBody());
+    for (CompoundStmt* scope : finder.found) {
+      Scan(*result.Context, fn, scope);
+    }
+  }
+
+ private:
+  static void Scan(ASTContext& ctx, const FunctionDecl* fn, Stmt* body) {
     std::set<const FunctionDecl*> visited = {fn};
-    BlockingCallScanner scanner(*result.Context, fn, &visited);
-    scanner.TraverseStmt(fn->getBody());
+    BlockingCallScanner scanner(ctx, fn, &visited);
+    scanner.TraverseStmt(body);
   }
 };
 

@@ -28,10 +28,16 @@ for check in ghba-unchecked-status ghba-mutex-rank ghba-blocking-on-event-thread
     fail=1
   fi
 done
-# bad.cpp encodes 6 numbered findings; a drop means a check regressed.
+# bad.cpp encodes 7 numbered findings; a drop means a check regressed.
 count="$(grep -c 'error:' <<<"${bad_out}")"
-if [ "${count}" -lt 6 ]; then
-  echo "FAIL: expected >= 6 diagnostics on bad.cpp, got ${count}" >&2
+if [ "${count}" -lt 7 ]; then
+  echo "FAIL: expected >= 7 diagnostics on bad.cpp, got ${count}" >&2
+  fail=1
+fi
+# [7]: a loop that adopts the event role through a ThreadRoleGuard, with no
+# annotation, must be scanned too.
+if ! grep -q "event-thread function 'ghba::GuardedLoop::Loop'" <<<"${bad_out}"; then
+  echo "FAIL: the ThreadRoleGuard-scoped event loop was not scanned" >&2
   fail=1
 fi
 

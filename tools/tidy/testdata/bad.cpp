@@ -50,4 +50,16 @@ struct EventThing {
   }
 };
 
+// [7] ghba-blocking-on-event-thread: an event loop that adopts its role
+// through a ThreadRoleGuard instead of a GHBA_REQUIRES annotation. The
+// guard's scope is a scan root too (a check that only read annotations
+// never scanned the loop itself).
+struct GuardedLoop {
+  ThreadRole io_role_;
+  void Loop() {
+    ThreadRoleGuard io(&io_role_);
+    ::sync();  // [7] inside the guarded scope
+  }
+};
+
 }  // namespace ghba

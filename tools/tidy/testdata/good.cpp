@@ -40,6 +40,11 @@ struct WorkerThing {
   ThreadRole worker_role_;
   void Checkpoint() GHBA_REQUIRES(worker_role_) { ::sync(); }
   void AnyThread() { ::sync(); }
+  // A guard adopting a non-event role is not a scan root.
+  void WorkerLoop() {
+    ThreadRoleGuard role(&worker_role_);
+    ::sync();
+  }
 };
 
 }  // namespace ghba
