@@ -4,9 +4,9 @@
 //   * Cost series: for several group sizes M (N fixed), the real TCP
 //     frames and wall time of one AddServer (join), one three-phase
 //     MigrateReplica and one RemoveServer (graceful leave). Join/leave
-//     touch the whole group (filter exchange + membership push), so the
-//     frame counts grow with M; migration touches three servers plus one
-//     epoch push and should stay nearly flat.
+//     touch the whole group (filter exchange), so the frame counts grow
+//     with M; migration touches three servers and should stay nearly
+//     flat.
 //   * Latency series: lookup p50/p99 against a steady cluster vs. the
 //     same load while replicas migrate back and forth continuously. The
 //     dual-epoch window makes a racing lookup probe a superset of
@@ -94,8 +94,7 @@ Actors PickActors(PrototypeCluster& cluster) {
   const auto view = cluster.MembershipOf(0);
   if (!view.ok()) return a;
   for (const MdsId id : cluster.AliveServers()) {
-    if (std::find(view->members.begin(), view->members.end(), id) ==
-        view->members.end()) {
+    if (std::find(view->begin(), view->end(), id) == view->end()) {
       a.owner = id;
       break;
     }
@@ -104,7 +103,7 @@ Actors PickActors(PrototypeCluster& cluster) {
   const auto from = cluster.HolderOf(0, a.owner);
   if (!from.ok()) return a;
   a.from = *from;
-  for (const MdsId id : view->members) {
+  for (const MdsId id : *view) {
     if (id != a.from) {
       a.to = id;
       break;
@@ -277,7 +276,7 @@ int main(int argc, char** argv) {
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> migrations{0};
   // Bounce one outsider replica between two group members: each pass is a
-  // full three-phase handoff with its own epoch push.
+  // full three-phase handoff with its own epoch bump.
   std::thread churner([&] {
     MdsId target = a.to;
     while (!stop.load(std::memory_order_relaxed)) {

@@ -67,9 +67,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     case ghba::MsgType::kReportOutcome:
       (void)ghba::DecodeOutcomeReport(in);  // error = valid outcome
       break;
-    case ghba::MsgType::kMembershipUpdate:
-      (void)ghba::DecodeMembershipUpdate(in);  // error = valid outcome
-      break;
     case ghba::MsgType::kBatch: {
       // Sub-frames are recursively typed; mirror Handle's one-level parse
       // (nested batches are rejected by DecodeBatchRequest itself).
@@ -106,7 +103,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     case ghba::MsgType::kStatsSnapshot:
     case ghba::MsgType::kRecoveryInfo:
     case ghba::MsgType::kVersion:
-    case ghba::MsgType::kGetMembership:
     case ghba::MsgType::kTxnList:
       break;  // no arguments
   }

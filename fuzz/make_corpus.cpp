@@ -87,11 +87,11 @@ int main(int argc, char** argv) {
   // --- fuzz_protocol_decode: selector + response body ---
   WriteSeed(root, "fuzz_protocol_decode", "type",
             Sel(0, ghba::EncodeHeader(ghba::MsgType::kGetStats)));
-  // Pins the decoder's upper bound at the newest v3 type: this seed used
-  // to trap the harness's stale range check (frozen at kRecoveryInfo).
-  WriteSeed(root, "fuzz_protocol_decode", "type_v3",
-            Sel(0, ghba::EncodeHeader(ghba::MsgType::kGetMembership)));
-  // Same trap, one protocol revision later: pins the bound at kInvalidate.
+  // A retired type (21, the v3-v6 membership push) must not decode.
+  WriteSeed(root, "fuzz_protocol_decode", "type_retired",
+            Sel(0, Bytes{21, 0}));
+  // Pins the decoder's range at kInvalidate: seeds like this one used to
+  // trap the harness's stale range check after each protocol revision.
   WriteSeed(root, "fuzz_protocol_decode", "type_v4",
             Sel(0, ghba::EncodeHeader(ghba::MsgType::kInvalidate)));
   // And again for v5: pins the bound at the newest kTxn* type.
@@ -172,11 +172,6 @@ int main(int argc, char** argv) {
   WriteSeed(root, "fuzz_protocol_decode", "version",
             Sel(9, StripEnvelope(ghba::EncodeVersionResp(
                        ghba::kProtocolVersion))));
-  ghba::MembershipResp membership;
-  membership.epoch = 7;
-  membership.members = {1, 2, 5};
-  WriteSeed(root, "fuzz_protocol_decode", "membership",
-            Sel(10, StripEnvelope(ghba::EncodeMembershipResp(membership))));
   {
     // A batch response: one OK status sub-frame, one typed bool sub-frame.
     std::vector<Bytes> subs = {
@@ -260,18 +255,10 @@ int main(int argc, char** argv) {
             ghba::EncodeHeader(ghba::MsgType::kRecoveryInfo));
   WriteSeed(root, "fuzz_request_decode", "version",
             ghba::EncodeHeader(ghba::MsgType::kVersion));
-  WriteSeed(root, "fuzz_request_decode", "get_membership",
-            ghba::EncodeHeader(ghba::MsgType::kGetMembership));
   WriteSeed(root, "fuzz_request_decode", "lease_grant",
             ghba::EncodePathRequest(ghba::MsgType::kLeaseGrant, "/hot/file"));
   WriteSeed(root, "fuzz_request_decode", "invalidate",
             ghba::EncodePathRequest(ghba::MsgType::kInvalidate, "/hot/file"));
-  ghba::MembershipUpdate update;
-  update.epoch = 8;
-  update.reason = ghba::ReconfigReason::kSplit;
-  update.members = {1, 2, 3, 4};
-  WriteSeed(root, "fuzz_request_decode", "membership_update",
-            ghba::EncodeMembershipUpdate(update));
   {
     // A pipelined batch of three request sub-frames.
     std::vector<Bytes> subs = {
@@ -447,7 +434,7 @@ int main(int argc, char** argv) {
     minimal.wal_seq = 0;
     WriteSeed(root, "fuzz_wal_decode", "checkpoint_empty",
               Sel(2, ghba::EncodeCheckpoint(minimal)));
-    // A v3 checkpoint carrying folded transaction state: one in-doubt
+    // A checkpoint carrying folded transaction state: one in-doubt
     // prepare plus a two-row decision table.
     ghba::CheckpointState with_txn;
     with_txn.wal_seq = 9;

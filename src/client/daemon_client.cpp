@@ -146,19 +146,11 @@ Result<TxnListResp> DaemonClient::TxnList() {
 
 Result<std::uint32_t> DaemonClient::Version() {
   auto resp = Call(EncodeHeader(MsgType::kVersion));
-  if (!resp.ok()) {
-    // A pre-kVersion daemon rejects the unknown type as corruption; that
-    // reject is itself the answer.
-    if (resp.status().code() == StatusCode::kCorruption) return 1u;
-    return resp.status();
-  }
+  if (!resp.ok()) return resp.status();
   ByteReader in(*resp);
   auto env = OpenEnvelope(in);
   if (!env.ok()) return env.status();
-  if (!env->has_payload) {
-    return env->status.ok() ? Result<std::uint32_t>(1u)
-                            : Result<std::uint32_t>(env->status);
-  }
+  if (!env->has_payload) return env->status;
   return DecodeVersionResp(in);
 }
 

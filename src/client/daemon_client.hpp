@@ -73,8 +73,7 @@ class DaemonClient {
   Result<TxnDecisionState> TxnResolve(std::uint64_t txn_id);
   Result<TxnListResp> TxnList();
 
-  /// Protocol version the daemon speaks (kVersion; pre-v1 daemons that
-  /// reject the probe report 1).
+  /// Protocol version the daemon reports (kVersion).
   Result<std::uint32_t> Version();
 
   /// Fire-and-forget kShutdown.

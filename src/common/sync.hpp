@@ -118,7 +118,6 @@ namespace ghba {
 ///   kServerShard      MdsServer::Shard::mu (per shard)   worker task queues
 ///   kServerMaint      MdsServer::maint_mu_               maintenance inputs
 ///   kServerOut        MdsServer::out_mu_                 completion outbox
-///   kServerView       MdsServer::view_mu_                membership view
 ///   kServerErr        MdsServer::err_mu_                 last_error_
 ///   kFaultInjector    FaultInjector::mu_                 fault decisions
 ///   kHealth           PeerHealthTracker::mu_             peer states
@@ -145,23 +144,22 @@ enum class LockRank : std::uint8_t {
   kHealth = 3,
   kFaultInjector = 4,
   kServerErr = 5,
-  kServerView = 6,
-  kServerOut = 7,
-  kServerMaint = 8,
-  kServerShard = 9,
-  kServerSeg = 10,
-  kServerFilter = 11,
-  kServerWal = 12,
-  kServerTxn = 13,
-  kRouterSnapshot = 14,
-  kRouterPool = 15,
-  kDrainGate = 16,
-  kCluster = 17,
-  kClient = 18,
+  kServerOut = 6,
+  kServerMaint = 7,
+  kServerShard = 8,
+  kServerSeg = 9,
+  kServerFilter = 10,
+  kServerWal = 11,
+  kServerTxn = 12,
+  kRouterSnapshot = 13,
+  kRouterPool = 14,
+  kDrainGate = 15,
+  kCluster = 16,
+  kClient = 17,
 };
 
 /// Number of distinct ranks (size of the lockdep acquisition graph).
-inline constexpr std::size_t kLockRankCount = 19;
+inline constexpr std::size_t kLockRankCount = 18;
 
 /// Human-readable name for a LockRank (diagnostics).
 constexpr const char* LockRankName(LockRank rank) {
@@ -172,7 +170,6 @@ constexpr const char* LockRankName(LockRank rank) {
     case LockRank::kHealth: return "health";
     case LockRank::kFaultInjector: return "fault-injector";
     case LockRank::kServerErr: return "server-err";
-    case LockRank::kServerView: return "server-view";
     case LockRank::kServerOut: return "server-out";
     case LockRank::kServerMaint: return "server-maint";
     case LockRank::kServerShard: return "server-shard";

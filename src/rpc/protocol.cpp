@@ -119,72 +119,6 @@ Result<OutcomeReport> DecodeOutcomeReport(ByteReader& in) {
   return report;
 }
 
-std::vector<std::uint8_t> EncodeMembershipUpdate(
-    const MembershipUpdate& update) {
-  auto w = WriterFor(MsgType::kMembershipUpdate);
-  w.PutU64(update.epoch);
-  w.PutU8(static_cast<std::uint8_t>(update.reason));
-  w.PutVarint(update.members.size());
-  for (const MdsId id : update.members) w.PutU32(id);
-  return w.Take();
-}
-
-Result<MembershipUpdate> DecodeMembershipUpdate(ByteReader& in) {
-  MembershipUpdate update;
-  auto epoch = in.GetU64();
-  if (!epoch.ok()) return epoch.status();
-  // Epoch 0 is the "never configured" sentinel; a push of it is malformed.
-  if (*epoch == 0) return Status::Corruption("bad membership epoch");
-  update.epoch = *epoch;
-  auto reason = in.GetU8();
-  if (!reason.ok()) return reason.status();
-  if (*reason < static_cast<std::uint8_t>(ReconfigReason::kJoin) ||
-      *reason > static_cast<std::uint8_t>(ReconfigReason::kSplit)) {
-    return Status::Corruption("bad reconfig reason");
-  }
-  update.reason = static_cast<ReconfigReason>(*reason);
-  auto n = in.GetVarint();
-  if (!n.ok()) return n.status();
-  if (*n > in.remaining() / 4) {
-    return Status::Corruption("too many members");
-  }
-  update.members.reserve(*n);
-  for (std::uint64_t i = 0; i < *n; ++i) {
-    auto id = in.GetU32();
-    if (!id.ok()) return id.status();
-    update.members.push_back(*id);
-  }
-  return update;
-}
-
-std::vector<std::uint8_t> EncodeMembershipResp(const MembershipResp& resp) {
-  ByteWriter w;
-  w.PutU8(1);  // envelope
-  w.PutU64(resp.epoch);
-  w.PutVarint(resp.members.size());
-  for (const MdsId id : resp.members) w.PutU32(id);
-  return w.Take();
-}
-
-Result<MembershipResp> DecodeMembershipResp(ByteReader& in) {
-  MembershipResp resp;
-  auto epoch = in.GetU64();
-  if (!epoch.ok()) return epoch.status();
-  resp.epoch = *epoch;
-  auto n = in.GetVarint();
-  if (!n.ok()) return n.status();
-  if (*n > in.remaining() / 4) {
-    return Status::Corruption("too many members");
-  }
-  resp.members.reserve(*n);
-  for (std::uint64_t i = 0; i < *n; ++i) {
-    auto id = in.GetU32();
-    if (!id.ok()) return id.status();
-    resp.members.push_back(*id);
-  }
-  return resp;
-}
-
 std::vector<std::uint8_t> EncodeLeaseGrantResp(const LeaseGrantResp& resp) {
   ByteWriter w;
   w.PutU8(1);  // envelope
@@ -389,9 +323,6 @@ std::vector<std::uint8_t> EncodeRecoveryInfoResp(
   w.PutU8(info.torn_tail ? 1 : 0);
   w.PutU8(info.filter_rebuilt ? 1 : 0);
   w.PutU8(info.filter_matched ? 1 : 0);
-  w.PutU64(info.epoch);
-  w.PutVarint(info.members.size());
-  for (const MdsId id : info.members) w.PutU32(id);
   w.PutU64(info.txn_in_doubt);
   return w.Take();
 }
@@ -418,20 +349,6 @@ Result<RecoveryInfoResp> DecodeRecoveryInfoResp(ByteReader& in) {
   if (Status s = flag(info.torn_tail); !s.ok()) return s;
   if (Status s = flag(info.filter_rebuilt); !s.ok()) return s;
   if (Status s = flag(info.filter_matched); !s.ok()) return s;
-  auto epoch = in.GetU64();
-  if (!epoch.ok()) return epoch.status();
-  info.epoch = *epoch;
-  auto n = in.GetVarint();
-  if (!n.ok()) return n.status();
-  if (*n > in.remaining() / 4) {
-    return Status::Corruption("too many members");
-  }
-  info.members.reserve(*n);
-  for (std::uint64_t i = 0; i < *n; ++i) {
-    auto id = in.GetU32();
-    if (!id.ok()) return id.status();
-    info.members.push_back(*id);
-  }
   auto in_doubt = in.GetU64();
   if (!in_doubt.ok()) return in_doubt.status();
   info.txn_in_doubt = *in_doubt;
@@ -679,7 +596,9 @@ Result<Envelope> OpenEnvelope(ByteReader& in) {
 Result<MsgType> DecodeType(ByteReader& in) {
   auto t = in.GetU16();
   if (!t.ok()) return t.status();
-  if (*t < 1 || *t > static_cast<std::uint16_t>(MsgType::kTxnList)) {
+  // 21 and 22 are the retired membership-push types.
+  if (*t < 1 || *t > static_cast<std::uint16_t>(MsgType::kTxnList) ||
+      *t == 21 || *t == 22) {
     return Status::Corruption("unknown message type");
   }
   return static_cast<MsgType>(*t);

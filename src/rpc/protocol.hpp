@@ -45,8 +45,7 @@ enum class MsgType : std::uint16_t {
   kRecoveryInfo = 18,   ///< what recovery found at startup -> RecoveryInfoResp
   kVersion = 19,        ///< protocol version handshake -> u32 version
   kBatch = 20,          ///< many request/response sub-frames, one CRC
-  kMembershipUpdate = 21,  ///< push a new cluster view (epoch + members)
-  kGetMembership = 22,     ///< read the server's view -> MembershipResp
+  // 21 and 22 carried the v3-v6 membership push; retired, never reused.
   kLeaseGrant = 23,   ///< verify + lease on this MDS -> LeaseGrantResp
   kInvalidate = 24,   ///< revoke any lease/L1 entry for a path -> StatusResp
   // Distributed-transaction messages (v5, two-phase commit).
@@ -60,18 +59,19 @@ enum class MsgType : std::uint16_t {
 };
 
 /// Protocol revision this build speaks. v2 added kVersion and kBatch; v3
-/// adds the reconfiguration messages (kMembershipUpdate, kGetMembership)
-/// and the epoch field on RecoveryInfoResp; v4 adds the client-cache
-/// coherence pair (kLeaseGrant, kInvalidate) and the kRetryAfter shed
-/// status; v5 adds the distributed-transaction family (kTxnBegin ..
-/// kTxnList) behind Client::Rename / CreateExclusive; v6 makes every server
-/// asked about a path answer for its own store in the same reply: probes
-/// carry a lease flag, LocalLookupResp carries the responder's verdict and
-/// lease TTL, and kLeaseGrant's reply tells "stored, no lease" apart from
-/// "not stored", so it doubles as a verify. A v1 peer rejects unknown
-/// types with kCorruption ("unknown message type"), which is what the
-/// client's version probe keys its fallback on.
-inline constexpr std::uint32_t kProtocolVersion = 6;
+/// added a server-held cluster view (types 21/22 and an epoch/members tail
+/// on RecoveryInfoResp); v4 adds the client-cache coherence pair
+/// (kLeaseGrant, kInvalidate) and the kRetryAfter shed status; v5 adds the
+/// distributed-transaction family (kTxnBegin .. kTxnList) behind
+/// Client::Rename / CreateExclusive; v6 makes every server asked about a
+/// path answer for its own store in the same reply: probes carry a lease
+/// flag, LocalLookupResp carries the responder's verdict and lease TTL, and
+/// kLeaseGrant's reply tells "stored, no lease" apart from "not stored", so
+/// it doubles as a verify. v7 deletes the server-held cluster view: types
+/// 21/22 are retired and RecoveryInfoResp loses its epoch/members tail.
+/// Every binary is built from one tree, so peers do not negotiate; kVersion
+/// only reports this number to operators.
+inline constexpr std::uint32_t kProtocolVersion = 7;
 
 /// Upper bound on sub-frames per kBatch frame: enough for any realistic
 /// pipeline depth, small enough that a mangled count cannot make the server
@@ -155,41 +155,12 @@ struct RecoveryInfoResp {
   bool torn_tail = false;  ///< WAL ended in a torn/corrupt frame
   bool filter_rebuilt = false;  ///< snapshot filter unusable, rebuilt
   bool filter_matched = true;  ///< replayed filter == rebuilt filter
-  /// Cluster view recovered from the checkpoint / journaled membership
-  /// records (v3): the coordinator audits this against its own view when
-  /// the server rejoins.
-  std::uint64_t epoch = 0;
-  std::vector<MdsId> members;
   /// In-doubt transaction prepares recovery surfaced (v5): ops holding
   /// intent locks until resolution queries their coordinators.
   std::uint64_t txn_in_doubt = 0;
 
   friend bool operator==(const RecoveryInfoResp&,
                          const RecoveryInfoResp&) = default;
-};
-
-/// Why a cluster view changed; rides in kMembershipUpdate so servers can
-/// count reconfiguration traffic by cause.
-enum class ReconfigReason : std::uint8_t {
-  kJoin = 1,      ///< an MDS joined the group
-  kLeave = 2,     ///< an MDS left gracefully
-  kFailover = 3,  ///< an MDS was declared dead and failed over
-  kMigrate = 4,   ///< a replica handoff flipped placement
-  kSplit = 5,     ///< the group split around max size M
-};
-
-/// Coordinator -> MDS cluster-view push (kMembershipUpdate). Epochs are
-/// strictly increasing per server: a server acks a regression with
-/// kInvalidArgument so a delayed push can never roll the view back. The
-/// server journals the accepted view through its WAL (when durable), so a
-/// restart rejoins with a consistent notion of its peers.
-struct MembershipUpdate {
-  std::uint64_t epoch = 0;
-  ReconfigReason reason = ReconfigReason::kJoin;
-  std::vector<MdsId> members;  ///< the receiver's group peers (incl. self)
-
-  friend bool operator==(const MembershipUpdate&,
-                         const MembershipUpdate&) = default;
 };
 
 /// A server's answer to kLeaseGrant (v4; v6 semantics). `held` is the
@@ -206,15 +177,6 @@ struct LeaseGrantResp {
 
   friend bool operator==(const LeaseGrantResp&,
                          const LeaseGrantResp&) = default;
-};
-
-/// Server's current view (kGetMembership).
-struct MembershipResp {
-  std::uint64_t epoch = 0;
-  std::vector<MdsId> members;
-
-  friend bool operator==(const MembershipResp&,
-                         const MembershipResp&) = default;
 };
 
 // --- distributed transactions (v5) ---
@@ -323,8 +285,6 @@ std::vector<std::uint8_t> EncodeReplicaInstall(MdsId owner,
 std::vector<std::uint8_t> EncodeReplicaDrop(MdsId owner);
 std::vector<std::uint8_t> EncodeReplicaFetch(MdsId owner);
 std::vector<std::uint8_t> EncodeOutcomeReport(const OutcomeReport& report);
-std::vector<std::uint8_t> EncodeMembershipUpdate(
-    const MembershipUpdate& update);
 
 /// Server-side decode of a probe request body (after the type).
 struct ProbeRequest {
@@ -332,9 +292,6 @@ struct ProbeRequest {
   bool lease = false;
 };
 Result<ProbeRequest> DecodeProbeRequest(ByteReader& in);
-
-/// Server-side decode of a kMembershipUpdate request body.
-Result<MembershipUpdate> DecodeMembershipUpdate(ByteReader& in);
 
 /// Batched writes on the wire: many request sub-frames share one TCP frame
 /// and one CRC. Payload: [varint n][varint len, bytes]*n.
@@ -380,7 +337,6 @@ std::vector<std::uint8_t> EncodeStatsSnapshotResp(
     const StatsSnapshotResp& snap);
 std::vector<std::uint8_t> EncodeRecoveryInfoResp(const RecoveryInfoResp& info);
 std::vector<std::uint8_t> EncodeVersionResp(std::uint32_t version);
-std::vector<std::uint8_t> EncodeMembershipResp(const MembershipResp& resp);
 std::vector<std::uint8_t> EncodeLeaseGrantResp(const LeaseGrantResp& resp);
 std::vector<std::uint8_t> EncodeTxnPrepareResp(const TxnPrepareResp& resp);
 std::vector<std::uint8_t> EncodeTxnResolveResp(const TxnResolveResp& resp);
@@ -417,7 +373,6 @@ Result<StatsSnapshotResp> DecodeStatsSnapshotResp(ByteReader& in);
 Result<FileListResp> DecodeFileListResp(ByteReader& in);
 Result<RecoveryInfoResp> DecodeRecoveryInfoResp(ByteReader& in);
 Result<std::uint32_t> DecodeVersionResp(ByteReader& in);
-Result<MembershipResp> DecodeMembershipResp(ByteReader& in);
 Result<LeaseGrantResp> DecodeLeaseGrantResp(ByteReader& in);
 Result<TxnPrepareResp> DecodeTxnPrepareResp(ByteReader& in);
 Result<TxnResolveResp> DecodeTxnResolveResp(ByteReader& in);

@@ -70,7 +70,6 @@ Status PrototypeCluster::StartServer(MdsId id) {
   if (servers_.size() <= id) servers_.resize(id + 1);
   servers_[id] = std::move(server);
   health_.Forget(id);  // a fresh server starts with a clean slate
-  peer_version_.erase(id);  // a new incarnation may speak a new protocol
   return Status::Ok();
 }
 
@@ -112,17 +111,7 @@ Status PrototypeCluster::Start() {
       if (Status s = EnsureCoverage(g); !s.ok()) return s;
     }
   }
-  // A durable restart carries each server's journaled view; fold the
-  // highest recovered epoch in so this incarnation's first push is not
-  // rejected as stale, then hand every server its initial view.
-  if (!config_.storage.data_dir.empty()) {
-    for (const MdsId id : AliveServersLocked()) {
-      if (auto view = FetchMembership(id); view.ok()) {
-        routing_epoch_ = std::max(routing_epoch_, view->epoch);
-      }
-    }
-  }
-  PushMembershipLocked(ReconfigReason::kJoin);
+  BumpEpochLocked();
   started_ = true;
   return Status::Ok();
 }
@@ -176,73 +165,38 @@ void PrototypeCluster::PublishTopologyLocked() {
   router_.Publish(std::move(topo));
 }
 
-std::uint32_t PrototypeCluster::PeerVersion(MdsId id) {
-  if (const auto it = peer_version_.find(id); it != peer_version_.end()) {
-    return it->second;
-  }
-  std::uint32_t version = 1;
-  auto resp = Call(id, EncodeHeader(MsgType::kVersion));
-  if (resp.ok()) {
-    ByteReader in(*resp);
-    const auto env = OpenEnvelope(in);
-    if (env.ok() && env->has_payload) {
-      if (const auto v = DecodeVersionResp(in); v.ok()) version = *v;
-    }
-  } else if (resp.status().code() != StatusCode::kCorruption) {
-    // Transport failure: no verdict on what the peer speaks — assume the
-    // lowest common denominator for this call but re-probe next time.
-    return 1;
-  }
-  // Either a real answer or a kCorruption reject ("unknown message type"
-  // from a pre-kVersion peer): both are durable for this incarnation.
-  peer_version_[id] = version;
-  return version;
-}
-
-Result<std::uint32_t> PrototypeCluster::ProtocolVersionOf(MdsId id) {
-  MutexLock lock(&mu_);
-  if (id >= servers_.size() || !servers_[id]) {
-    return Status::Unavailable("server is down");
-  }
-  return PeerVersion(id);
+void PrototypeCluster::BumpEpochLocked() {
+  ++routing_epoch_;
+  PublishTopologyLocked();
 }
 
 Result<std::vector<std::vector<std::uint8_t>>> PrototypeCluster::CallBatch(
     MdsId id, const std::vector<std::vector<std::uint8_t>>& reqs) {
   std::vector<std::vector<std::uint8_t>> out;
   out.reserve(reqs.size());
-  if (reqs.size() > 1 && PeerVersion(id) >= 2) {
-    for (std::size_t off = 0; off < reqs.size();) {
-      const std::size_t n = std::min<std::size_t>(
-          static_cast<std::size_t>(kMaxBatchFrames), reqs.size() - off);
-      const std::vector<std::vector<std::uint8_t>> window(
-          reqs.begin() + static_cast<std::ptrdiff_t>(off),
-          reqs.begin() + static_cast<std::ptrdiff_t>(off + n));
-      auto resp = Call(id, EncodeBatch(window));
-      if (!resp.ok()) return resp.status();
-      ByteReader in(*resp);
-      const auto env = OpenEnvelope(in);
-      if (!env.ok()) return env.status();
-      if (!env->has_payload) {
-        return env->status.ok()
-                   ? Status::Corruption("batch response carries no payload")
-                   : env->status;
-      }
-      auto subs = DecodeBatchResp(in);
-      if (!subs.ok()) return subs.status();
-      if (subs->size() != n) {
-        return Status::Corruption("batch response count mismatch");
-      }
-      for (auto& sub : *subs) out.push_back(std::move(sub));
-      off += n;
-    }
-    return out;
-  }
-  // Single request, or a v1 peer: plain pipelined-by-caller Calls.
-  for (const auto& req : reqs) {
-    auto resp = Call(id, req);
+  for (std::size_t off = 0; off < reqs.size();) {
+    const std::size_t n = std::min<std::size_t>(
+        static_cast<std::size_t>(kMaxBatchFrames), reqs.size() - off);
+    const std::vector<std::vector<std::uint8_t>> window(
+        reqs.begin() + static_cast<std::ptrdiff_t>(off),
+        reqs.begin() + static_cast<std::ptrdiff_t>(off + n));
+    auto resp = Call(id, EncodeBatch(window));
     if (!resp.ok()) return resp.status();
-    out.push_back(std::move(*resp));
+    ByteReader in(*resp);
+    const auto env = OpenEnvelope(in);
+    if (!env.ok()) return env.status();
+    if (!env->has_payload) {
+      return env->status.ok()
+                 ? Status::Corruption("batch response carries no payload")
+                 : env->status;
+    }
+    auto subs = DecodeBatchResp(in);
+    if (!subs.ok()) return subs.status();
+    if (subs->size() != n) {
+      return Status::Corruption("batch response count mismatch");
+    }
+    for (auto& sub : *subs) out.push_back(std::move(sub));
+    off += n;
   }
   return out;
 }
@@ -374,41 +328,11 @@ Status PrototypeCluster::EnsureCoverage(GroupInfo& g) {
   return Status::Ok();
 }
 
-void PrototypeCluster::PushMembershipLocked(ReconfigReason reason) {
-  FlagGuard guard(in_failover_);  // push traffic accounts, never chases
-  ++routing_epoch_;
-  for (const MdsId id : AliveServersLocked()) {
-    if (PeerVersion(id) < 3) continue;  // pre-v3 peer holds no view
-    MembershipUpdate update;
-    update.epoch = routing_epoch_;
-    update.reason = reason;
-    if (const auto git = group_of_.find(id); git != group_of_.end()) {
-      update.members = groups_[git->second].members;
-    } else {
-      update.members.push_back(id);  // between groups: a view of itself
-    }
-    // A server that misses this push re-syncs on its next epoch check.
-    (void)Call(id, EncodeMembershipUpdate(update));
-  }
-  PublishTopologyLocked();
-}
-
-Result<MembershipResp> PrototypeCluster::FetchMembership(MdsId id) {
-  auto resp = Call(id, EncodeHeader(MsgType::kGetMembership));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  if (!env->has_payload) return env->status;
-  return DecodeMembershipResp(in);
-}
-
-Result<MembershipResp> PrototypeCluster::MembershipOf(MdsId id) {
+Result<std::vector<MdsId>> PrototypeCluster::MembershipOf(MdsId id) const {
   MutexLock lock(&mu_);
-  if (id >= servers_.size() || !servers_[id]) {
-    return Status::Unavailable("server is down");
-  }
-  return FetchMembership(id);
+  const auto git = group_of_.find(id);
+  if (git == group_of_.end()) return Status::Unavailable("server is in no group");
+  return groups_[git->second].members;
 }
 
 Result<MdsId> PrototypeCluster::HolderOf(MdsId group_member,
@@ -861,9 +785,9 @@ Result<PrototypeCluster::ReconfigOutcome> PrototypeCluster::AddServer() {
   FlagGuard guard(in_failover_);  // holds references into groups_
   const std::uint64_t frames_before = TotalFramesInLocked();
   // Recycle the lowest freed id (a removed or failed-over slot) before
-  // growing the vector. StartServer resets the slot's health history and
-  // protocol-version verdict, so the new incarnation starts clean instead
-  // of inheriting its predecessor's kDead state.
+  // growing the vector. StartServer resets the slot's health history, so
+  // the new incarnation starts clean instead of inheriting its
+  // predecessor's kDead state.
   MdsId nid = static_cast<MdsId>(servers_.size());
   for (MdsId id = 0; id < servers_.size(); ++id) {
     if (!servers_[id] && !group_of_.contains(id)) {
@@ -873,7 +797,7 @@ Result<PrototypeCluster::ReconfigOutcome> PrototypeCluster::AddServer() {
   }
   if (Status s = StartServer(nid); !s.ok()) return s;
   if (Status s = JoinTopologyLocked(nid); !s.ok()) return s;
-  PushMembershipLocked(ReconfigReason::kJoin);
+  BumpEpochLocked();
   const std::uint64_t delta = TotalFramesInLocked() - frames_before;
   metrics_.reconfig_messages += delta;
   return ReconfigOutcome{nid, delta};
@@ -906,7 +830,7 @@ Status PrototypeCluster::SplitGroupLocked(std::size_t victim) {
   }
   if (Status s = EnsureCoverage(groups_[victim]); !s.ok()) return s;
   if (Status s = EnsureCoverage(groups_.back()); !s.ok()) return s;
-  PushMembershipLocked(ReconfigReason::kSplit);
+  BumpEpochLocked();
   return Status::Ok();
 }
 
@@ -1054,12 +978,6 @@ Result<RecoveryInfoResp> PrototypeCluster::RestartServerLocked(MdsId id) {
   auto info = DecodeRecoveryInfoResp(in);
   if (!info.ok()) return info.status();
 
-  // The rejoining server recovered its journaled view (checkpoint v2 /
-  // kMembership WAL records); fold its epoch in so the push below strictly
-  // advances past anything it — or its peers — persisted before the
-  // outage. The push then replaces whatever stale membership it recovered.
-  routing_epoch_ = std::max(routing_epoch_, info->epoch);
-
   if (Status s = JoinTopologyLocked(id); !s.ok()) return s;
 
   // Recovery may have restored replicas the rebuilt topology no longer
@@ -1081,7 +999,7 @@ Result<RecoveryInfoResp> PrototypeCluster::RestartServerLocked(MdsId id) {
   // Refresh every replica so the rejoined server serves current filters
   // (its recovered copies may predate mutations on the survivors).
   if (Status s = PublishAllLocked(); !s.ok()) return s;
-  PushMembershipLocked(ReconfigReason::kJoin);
+  BumpEpochLocked();
   return *info;
 }
 
@@ -1226,12 +1144,11 @@ Result<PrototypeCluster::ReconfigOutcome> PrototypeCluster::RemoveServer(
   leaver->Stop();
   leaver.reset();
   // The departed id may be recycled by a later AddServer: its health
-  // history and protocol-version verdict must die with this incarnation,
-  // or the re-added server would start life marked dead.
+  // history must die with this incarnation, or the re-added server would
+  // start life marked dead.
   health_.Forget(id);
-  peer_version_.erase(id);
   if (Status s = PublishAllLocked(); !s.ok()) return s;
-  PushMembershipLocked(ReconfigReason::kLeave);
+  BumpEpochLocked();
 
   const std::uint64_t delta =
       TotalFramesInLocked() + victim_frames - frames_before;
@@ -1285,8 +1202,8 @@ Status PrototypeCluster::FailOver(MdsId id) {
   // (if it holds one) and purges its L1 entries pointing there.
   Status result = Status::Ok();
   for (const MdsId other : AliveServersLocked()) {
-    // Failover cleanup: survivors that miss the drop self-heal on the
-    // next membership epoch.
+    // Failover cleanup is advisory: a survivor that misses the drop keeps
+    // a stale replica, which costs false routes, never a wrong answer.
     (void)Call(other, EncodeReplicaDrop(id));
   }
   if (scheme_ == ProtoScheme::kGhba) {
@@ -1314,11 +1231,11 @@ Status PrototypeCluster::FailOver(MdsId id) {
     g.members.erase(std::find(g.members.begin(), g.members.end(), id));
     group_of_.erase(id);
   }
-  // Survivors learn the post-failover view under a bumped epoch. The dead
-  // peer's health verdict deliberately survives (tests assert the kDead
-  // state is visible after automatic detection); only a graceful
-  // RemoveServer — or a restart of the same id — clears it.
-  PushMembershipLocked(ReconfigReason::kFailover);
+  // Clients drop placements cached before the fail-over. The dead peer's
+  // health verdict deliberately survives (tests assert the kDead state is
+  // visible after automatic detection); only a graceful RemoveServer — or
+  // a restart of the same id — clears it.
+  BumpEpochLocked();
   metrics_.reconfig_messages +=
       TotalFramesInLocked() + victim_frames - frames_before;
   return result;
@@ -1374,11 +1291,12 @@ Status PrototypeCluster::MigrateReplica(MdsId owner, MdsId to) {
     return CrashMigrationLocked(to, "prepare");
   }
 
-  // Phase 2 — flip: rewrite the holder map and push the bumped epoch to
-  // the group (journaled on every durable member). The commit point: from
-  // here recovery completes the migration instead of undoing it.
+  // Phase 2 — flip: rewrite the holder map and bump the epoch. The commit
+  // point: restart recovery follows this map (RestartServerLocked sweeps
+  // every replica it does not assign, then republishes), so from here a
+  // crash completes the migration instead of undoing it.
   assignment->second = to;
-  PushMembershipLocked(ReconfigReason::kMigrate);
+  BumpEpochLocked();
   if (injector_ != nullptr &&
       injector_->ConsumeMigrationCrash(FaultInjector::MigrationPhase::kFlip)) {
     return CrashMigrationLocked(from, "flip");

@@ -104,15 +104,9 @@ class PrototypeCluster {
 
   /// Create many files, each on a uniformly random server (same placement
   /// distribution as Insert). Per-server traffic rides kBatch frames —
-  /// many inserts, one CRC, one round-trip — against v2 peers; v1 peers
-  /// transparently get sequential Calls. First failure aborts.
+  /// many inserts, one CRC, one round-trip. First failure aborts.
   Status InsertBatch(
       const std::vector<std::pair<std::string, FileMetadata>>& files);
-
-  /// Protocol version `id` speaks, probed with kVersion on first use and
-  /// cached until the server restarts. A peer that rejects the probe as an
-  /// unknown message type is recorded as v1.
-  Result<std::uint32_t> ProtocolVersionOf(MdsId id);
 
   /// Remove a file (the lookup protocol locates it first).
   Status Unlink(const std::string& path);
@@ -193,8 +187,9 @@ class PrototypeCluster {
   /// starts:
   ///   1. prepare — snapshot the owner's current filter, install it
   ///      (journaled) on `to`; the old holder still routes.
-  ///   2. flip — rewrite the holder map and push a bumped routing epoch to
-  ///      the group (journaled on every member). This is the commit point.
+  ///   2. flip — rewrite the holder map and bump the routing epoch. This
+  ///      is the commit point: the orchestrator's map is what routing and
+  ///      restart recovery follow.
   ///   3. retire — the old holder drops (journals) its copy.
   /// Between 1 and 3 both holders answer probes for the owner — the
   /// dual-epoch window: lookups racing the flip probe a superset of
@@ -204,8 +199,8 @@ class PrototypeCluster {
   /// replica, never a half-migrated view.
   Status MigrateReplica(MdsId owner, MdsId to);
 
-  /// Split the fullest group in two (tail half forms a new group) and push
-  /// the new views. The adaptivity loop's kSplitGroup action.
+  /// Split the fullest group in two (tail half forms a new group) and bump
+  /// the routing epoch. The adaptivity loop's kSplitGroup action.
   Status SplitLargestGroup();
 
   /// One tick of the online adaptivity loop: sample the live signals
@@ -217,12 +212,14 @@ class PrototypeCluster {
   /// the diagnostic and the next tick retries.
   Result<AdaptiveDecision> AdaptivityTick(AdaptivityController& controller);
 
-  /// Routing epoch of the published topology snapshot (bumped by every
-  /// membership push). One atomic load.
+  /// Routing epoch of the published topology snapshot: bumped by every
+  /// topology change, strictly increasing for the life of this
+  /// orchestrator. One atomic load.
   std::uint64_t RoutingEpoch() const { return router_.Epoch(); }
 
-  /// One server's own cluster view, over the wire (kGetMembership).
-  Result<MembershipResp> MembershipOf(MdsId id);
+  /// Members of `id`'s group (id included), from the orchestrator's own
+  /// topology. Unavailable when `id` is in no group.
+  Result<std::vector<MdsId>> MembershipOf(MdsId id) const;
 
   /// Orchestrator-side placement: which member of `group_member`'s group
   /// holds the replica of `owner`?
@@ -285,18 +282,16 @@ class PrototypeCluster {
       GHBA_REQUIRES(mu_);
   /// Loopback port of live server `id`, 0 when down.
   std::uint16_t PortLocked(MdsId id) const GHBA_REQUIRES(mu_);
-  /// Publish the current topology to the Router.
+  /// Publish the current topology to the Router under the current epoch.
   void PublishTopologyLocked() GHBA_REQUIRES(mu_);
+  /// End of every topology change: bump the routing epoch (invalidating
+  /// every client cache entry stamped with an older one) and publish.
+  void BumpEpochLocked() GHBA_REQUIRES(mu_);
 
-  /// Locked body of ProtocolVersionOf. Transport failures are not cached
-  /// (the next call re-probes); a kCorruption reject is a durable v1
-  /// verdict and is.
-  std::uint32_t PeerVersion(MdsId id) GHBA_REQUIRES(mu_);
   /// Issue `reqs` against one server and return the responses in request
-  /// order. Against a v2 peer, requests pack into kBatch frames (at most
-  /// kMaxBatchFrames sub-frames each, one CRC per frame); against a v1
-  /// peer — or for a single request — this degenerates to plain Calls.
-  /// Every req must be a BatchableType request.
+  /// order. Requests pack into kBatch frames (at most kMaxBatchFrames
+  /// sub-frames each, one CRC per frame). Every req must be a
+  /// BatchableType request.
   Result<std::vector<std::vector<std::uint8_t>>> CallBatch(
       MdsId id, const std::vector<std::vector<std::uint8_t>>& reqs)
       GHBA_REQUIRES(mu_);
@@ -325,18 +320,9 @@ class PrototypeCluster {
   Status EnsureCoverage(GroupInfo& g) GHBA_REQUIRES(mu_);
 
   /// Split group `victim` in two (tail half forms a new group), rebuild
-  /// coverage for both halves and push the new views (kSplit). Callers
-  /// hold the in_failover_ flag.
+  /// coverage for both halves and bump the epoch. Callers hold the
+  /// in_failover_ flag.
   Status SplitGroupLocked(std::size_t victim) GHBA_REQUIRES(mu_);
-
-  /// Bump the routing epoch and push every live server its new group view
-  /// via kMembershipUpdate. Best-effort: an unreachable peer catches up on
-  /// the next push (or at rejoin); until then its stale view costs routing
-  /// efficiency only — the exact L4 level keeps answers correct.
-  void PushMembershipLocked(ReconfigReason reason) GHBA_REQUIRES(mu_);
-
-  /// kGetMembership round-trip (locked body of MembershipOf).
-  Result<MembershipResp> FetchMembership(MdsId id) GHBA_REQUIRES(mu_);
 
   /// Simulated power loss at a migration phase boundary: stop `victim`'s
   /// event loop abruptly, keep every piece of orchestrator bookkeeping
@@ -382,7 +368,7 @@ class PrototypeCluster {
   /// durable coordinator already journaled (ids must be unique per
   /// coordinator table, which survives restarts).
   std::uint64_t NextTxnIdLocked() GHBA_REQUIRES(mu_);
-  /// Locked body of RestartServer (everything up to the rejoin push); the
+  /// Locked body of RestartServer (everything up to the rejoin); the
   /// public wrapper then resolves in-doubt prepares with mu_ released
   /// between messages, as every txn drive runs.
   Result<RecoveryInfoResp> RestartServerLocked(MdsId id) GHBA_REQUIRES(mu_);
@@ -412,14 +398,9 @@ class PrototypeCluster {
   std::vector<std::unique_ptr<MdsServer>> servers_ GHBA_GUARDED_BY(mu_);
   std::vector<GroupInfo> groups_ GHBA_GUARDED_BY(mu_);  // G-HBA only
   std::unordered_map<MdsId, std::size_t> group_of_ GHBA_GUARDED_BY(mu_);
-  /// kVersion probe results, one per live incarnation (StartServer clears
-  /// its entry so a restarted peer is re-probed). Published in the
-  /// Topology snapshot.
-  std::unordered_map<MdsId, std::uint32_t> peer_version_ GHBA_GUARDED_BY(mu_);
-  /// Routing epoch of the last membership push. Strictly increasing;
-  /// Start/RestartServer fold in the epochs durable servers recovered, so
-  /// a new orchestrator incarnation never pushes an epoch the survivors
-  /// would reject as stale.
+  /// Routing epoch, held here and nowhere else. Strictly increasing for
+  /// the life of this orchestrator, which is also the life of every client
+  /// cache stamped with it, so it needs no durable copy.
   std::uint64_t routing_epoch_ GHBA_GUARDED_BY(mu_) = 0;
   /// Txn id allocator; 0 means "not yet seeded" (NextTxnIdLocked draws a
   /// random base — txn id 0 itself is reserved by the wire codecs).

@@ -46,7 +46,7 @@ namespace ghba {
 
 /// Immutable routing view of the cluster. Every vector is indexed by MdsId.
 struct Topology {
-  std::uint64_t epoch = 0;  ///< routing epoch of the last membership push
+  std::uint64_t epoch = 0;  ///< routing epoch; every topology change bumps it
   bool grouped = true;      ///< G-HBA groups (false: HBA mesh, no L3)
   std::vector<std::uint16_t> port;     ///< loopback port; 0 = not live
   std::vector<MdsId> alive;            ///< live ids, ascending

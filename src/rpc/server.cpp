@@ -196,11 +196,6 @@ Status MdsServer::Start(std::uint16_t port) {
     MutexLock lock(&err_mu_);
     last_error_.clear();
   }
-  {
-    MutexLock view(&view_mu_);
-    view_epoch_ = 0;
-    view_members_.clear();
-  }
   txn_.Seed({}, {}, {});
   sabotage_errno_.store(0, std::memory_order_release);
 
@@ -231,13 +226,6 @@ Status MdsServer::Start(std::uint16_t port) {
         // Recovery already deduplicated owners; AlreadyExists cannot fire.
         (void)segment_.AddEntry(owner, std::move(filter));
       }
-    }
-    {
-      // Rejoin with the cluster view the WAL/checkpoint last recorded; the
-      // coordinator's next kMembershipUpdate (higher epoch) supersedes it.
-      MutexLock view(&view_mu_);
-      view_epoch_ = recovered.epoch;
-      view_members_ = std::move(recovered.members);
     }
     // Re-take the intent lock of every in-doubt prepare and restore the
     // decision table; the paths stay fenced against plain mutations until
@@ -1509,52 +1497,9 @@ std::vector<std::uint8_t> MdsServer::Handle(
         info.torn_tail = r.torn_tail;
         info.filter_rebuilt = r.filter_rebuilt;
         info.filter_matched = r.filter_matched;
-        info.epoch = r.epoch;
-        info.members = r.members;
         info.txn_in_doubt = r.txn_in_doubt;
       }
       return EncodeRecoveryInfoResp(info);
-    }
-    case MsgType::kMembershipUpdate: {
-      auto update = DecodeMembershipUpdate(in);
-      if (!update.ok()) return EncodeStatusResp(update.status());
-      ++reconfig_messages_;
-      {
-        MutexLock view(&view_mu_);
-        // Strictly increasing: a delayed or replayed push must never roll
-        // the view back to an older epoch.
-        if (update->epoch <= view_epoch_) {
-          return EncodeStatusResp(
-              Status::InvalidArgument("stale membership epoch"));
-        }
-      }
-      // Journal before adopting: once the ack leaves, a crash must recover
-      // the new view, never the old one.
-      {
-        MutexLock wal(&wal_mu_);
-        if (engine_ != nullptr) {
-          if (Status w = engine_->LogMembership(update->epoch,
-                                                update->members);
-              !w.ok()) {
-            return EncodeStatusResp(w);
-          }
-        }
-      }
-      {
-        MutexLock view(&view_mu_);
-        if (update->epoch > view_epoch_) {
-          view_epoch_ = update->epoch;
-          view_members_ = std::move(update->members);
-        }
-      }
-      return EncodeStatusResp(Status::Ok());
-    }
-    case MsgType::kGetMembership: {
-      MembershipResp resp;
-      MutexLock view(&view_mu_);
-      resp.epoch = view_epoch_;
-      resp.members = view_members_;
-      return EncodeMembershipResp(resp);
     }
     case MsgType::kInvalidate: {
       auto path = in.GetString();

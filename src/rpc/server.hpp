@@ -337,12 +337,6 @@ class MdsServer {
   CountingBloomFilter local_filter_ GHBA_GUARDED_BY(filter_mu_);
   mutable Mutex seg_mu_{LockRank::kServerSeg};
   BloomFilterArray segment_ GHBA_GUARDED_BY(seg_mu_);
-  /// Cluster view (routing epoch + group peers), pushed by the coordinator
-  /// via kMembershipUpdate or recovered from the checkpoint/WAL at Start.
-  /// Epochs strictly increase: a delayed push can never roll the view back.
-  mutable Mutex view_mu_{LockRank::kServerView};
-  std::uint64_t view_epoch_ GHBA_GUARDED_BY(view_mu_) = 0;
-  std::vector<MdsId> view_members_ GHBA_GUARDED_BY(view_mu_);
   /// Durable engine; null when running memory-only (no --data-dir). One
   /// WAL per server: appends serialize on wal_mu_, which lookups never
   /// take — an fsync storm cannot block the read path.

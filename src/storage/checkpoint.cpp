@@ -98,10 +98,15 @@ Result<CheckpointHeader> DecodeCheckpointHeader(ByteReader& in) {
   CheckpointHeader header;
   auto version = in.GetU16();
   if (!version.ok()) return version.status();
-  if (*version < kMinCheckpointVersion || *version > kCheckpointVersion) {
-    return Status::Corruption("unknown checkpoint version");
+  // Only the current format: a file from another build is not corrupt, it
+  // is foreign, and skipping it would silently lose every checkpointed file
+  // (the WAL was truncated when it was written).
+  if (*version != kCheckpointVersion) {
+    return Status::InvalidArgument(
+        "checkpoint format version " + std::to_string(*version) +
+        "; this build reads only version " +
+        std::to_string(kCheckpointVersion));
   }
-  header.version = *version;
   auto wal_seq = in.GetU64();
   if (!wal_seq.ok()) return wal_seq.status();
   header.wal_seq = *wal_seq;
@@ -131,11 +136,7 @@ std::vector<std::uint8_t> EncodeCheckpoint(const CheckpointState& state) {
     body.PutU32(owner);
     body.PutBytes(CompressFilter(filter));
   }
-  // Version-2 cluster view, appended after the replica array.
-  body.PutU64(state.epoch);
-  body.PutVarint(state.members.size());
-  for (const MdsId id : state.members) body.PutU32(id);
-  // Version-3 transaction state: in-doubt prepares + coordinator decisions.
+  // Transaction state: in-doubt prepares + coordinator decisions.
   body.PutVarint(state.txn_pending.size());
   for (const auto& op : state.txn_pending) {
     body.PutU64(op.txn_id);
@@ -218,86 +219,68 @@ Result<CheckpointState> DecodeCheckpoint(
     if (!filter.ok()) return filter.status();
     state.replicas.emplace_back(*owner, std::move(*filter));
   }
-  if (header->version >= 2) {
-    auto epoch = in.GetU64();
-    if (!epoch.ok()) return epoch.status();
-    state.epoch = *epoch;
-    auto member_count = in.GetVarint();
-    if (!member_count.ok()) return member_count.status();
-    if (*member_count > in.remaining() / sizeof(std::uint32_t)) {
-      return Status::Corruption("absurd checkpoint member count");
+  auto pending_count = in.GetVarint();
+  if (!pending_count.ok()) return pending_count.status();
+  // A pending entry costs at least 15 bytes (8 id + 1 sub-op + 4
+  // coordinator + 1 participant count + 1 path length).
+  if (*pending_count > in.remaining() / 15) {
+    return Status::Corruption("absurd checkpoint txn-pending count");
+  }
+  state.txn_pending.reserve(*pending_count);
+  for (std::uint64_t i = 0; i < *pending_count; ++i) {
+    TxnPendingOp op;
+    auto txn_id = in.GetU64();
+    if (!txn_id.ok()) return txn_id.status();
+    op.txn_id = *txn_id;
+    auto subop = in.GetU8();
+    if (!subop.ok()) return subop.status();
+    if (*subop < static_cast<std::uint8_t>(TxnSubOp::kInsert) ||
+        *subop > static_cast<std::uint8_t>(TxnSubOp::kRemove)) {
+      return Status::Corruption("bad checkpoint txn sub-op");
     }
-    state.members.reserve(*member_count);
-    for (std::uint64_t i = 0; i < *member_count; ++i) {
+    op.subop = static_cast<TxnSubOp>(*subop);
+    auto coord = in.GetU32();
+    if (!coord.ok()) return coord.status();
+    op.coordinator = *coord;
+    auto part_count = in.GetVarint();
+    if (!part_count.ok()) return part_count.status();
+    if (*part_count > in.remaining() / sizeof(std::uint32_t)) {
+      return Status::Corruption("absurd checkpoint participant count");
+    }
+    op.participants.reserve(*part_count);
+    for (std::uint64_t j = 0; j < *part_count; ++j) {
       auto id = in.GetU32();
       if (!id.ok()) return id.status();
-      state.members.push_back(*id);
+      op.participants.push_back(*id);
     }
+    auto path = in.GetString();
+    if (!path.ok()) return path.status();
+    op.path = std::move(*path);
+    if (op.subop == TxnSubOp::kInsert) {
+      auto md = FileMetadata::Deserialize(in);
+      if (!md.ok()) return md.status();
+      op.metadata = std::move(*md);
+    }
+    state.txn_pending.push_back(std::move(op));
   }
-  if (header->version >= 3) {
-    auto pending_count = in.GetVarint();
-    if (!pending_count.ok()) return pending_count.status();
-    // A pending entry costs at least 15 bytes (8 id + 1 sub-op + 4
-    // coordinator + 1 participant count + 1 path length).
-    if (*pending_count > in.remaining() / 15) {
-      return Status::Corruption("absurd checkpoint txn-pending count");
+  auto decision_count = in.GetVarint();
+  if (!decision_count.ok()) return decision_count.status();
+  if (*decision_count > in.remaining() / 9) {
+    return Status::Corruption("absurd checkpoint txn-decision count");
+  }
+  state.txn_decisions.reserve(*decision_count);
+  for (std::uint64_t i = 0; i < *decision_count; ++i) {
+    TxnCoordEntry entry;
+    auto txn_id = in.GetU64();
+    if (!txn_id.ok()) return txn_id.status();
+    entry.txn_id = *txn_id;
+    auto st = in.GetU8();
+    if (!st.ok()) return st.status();
+    if (*st > static_cast<std::uint8_t>(TxnCoordState::kAborted)) {
+      return Status::Corruption("bad checkpoint txn decision state");
     }
-    state.txn_pending.reserve(*pending_count);
-    for (std::uint64_t i = 0; i < *pending_count; ++i) {
-      TxnPendingOp op;
-      auto txn_id = in.GetU64();
-      if (!txn_id.ok()) return txn_id.status();
-      op.txn_id = *txn_id;
-      auto subop = in.GetU8();
-      if (!subop.ok()) return subop.status();
-      if (*subop < static_cast<std::uint8_t>(TxnSubOp::kInsert) ||
-          *subop > static_cast<std::uint8_t>(TxnSubOp::kRemove)) {
-        return Status::Corruption("bad checkpoint txn sub-op");
-      }
-      op.subop = static_cast<TxnSubOp>(*subop);
-      auto coord = in.GetU32();
-      if (!coord.ok()) return coord.status();
-      op.coordinator = *coord;
-      auto part_count = in.GetVarint();
-      if (!part_count.ok()) return part_count.status();
-      if (*part_count > in.remaining() / sizeof(std::uint32_t)) {
-        return Status::Corruption("absurd checkpoint participant count");
-      }
-      op.participants.reserve(*part_count);
-      for (std::uint64_t j = 0; j < *part_count; ++j) {
-        auto id = in.GetU32();
-        if (!id.ok()) return id.status();
-        op.participants.push_back(*id);
-      }
-      auto path = in.GetString();
-      if (!path.ok()) return path.status();
-      op.path = std::move(*path);
-      if (op.subop == TxnSubOp::kInsert) {
-        auto md = FileMetadata::Deserialize(in);
-        if (!md.ok()) return md.status();
-        op.metadata = std::move(*md);
-      }
-      state.txn_pending.push_back(std::move(op));
-    }
-    auto decision_count = in.GetVarint();
-    if (!decision_count.ok()) return decision_count.status();
-    if (*decision_count > in.remaining() / 9) {
-      return Status::Corruption("absurd checkpoint txn-decision count");
-    }
-    state.txn_decisions.reserve(*decision_count);
-    for (std::uint64_t i = 0; i < *decision_count; ++i) {
-      TxnCoordEntry entry;
-      auto txn_id = in.GetU64();
-      if (!txn_id.ok()) return txn_id.status();
-      entry.txn_id = *txn_id;
-      auto st = in.GetU8();
-      if (!st.ok()) return st.status();
-      if (*st > static_cast<std::uint8_t>(TxnCoordState::kAborted)) {
-        return Status::Corruption("bad checkpoint txn decision state");
-      }
-      entry.state = static_cast<TxnCoordState>(*st);
-      state.txn_decisions.push_back(entry);
-    }
+    entry.state = static_cast<TxnCoordState>(*st);
+    state.txn_decisions.push_back(entry);
   }
   if (!in.AtEnd()) return Status::Corruption("checkpoint trailing bytes");
   return state;
@@ -343,6 +326,11 @@ Result<LoadedCheckpoint> LoadNewestCheckpoint(const std::string& dir) {
         out.file = checkpoints[i].second;
         out.used_fallback = i > 0;
         return out;
+      }
+      // Another format version: refuse the whole dir, touch nothing.
+      if (state.status().code() == StatusCode::kInvalidArgument) {
+        return Status::InvalidArgument(checkpoints[i].second + ": " +
+                                       state.status().message());
       }
     }
     // Corrupt or unreadable: fall back to the next older snapshot.

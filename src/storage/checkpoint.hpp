@@ -10,20 +10,17 @@
 //          [has_filter u8] has_filter? [CountingBloomFilter]
 //          [replica_count varint] replica_count * ([owner u32][compressed
 //          BloomFilter])
-//          (version >= 2) [epoch u64][member_count varint] member_count *
-//          [member u32]
-//          (version >= 3) [pending_count varint] pending_count *
-//          ([txn_id u64][subop u8][coordinator u32][participant_count
-//          varint][participant u32]*[path string][metadata if insert])
+//          [pending_count varint] pending_count * ([txn_id u64][subop u8]
+//          [coordinator u32][participant_count varint][participant u32]*
+//          [path string][metadata if insert])
 //          [decision_count varint] decision_count * ([txn_id u64][state u8])
 //
-// Version 2 appends the server's cluster view — the routing epoch and its
-// group-member list — so a restarted mds_daemon rejoins with a consistent
-// notion of who its peers are instead of relying on the coordinator to
-// re-push it. Version 3 appends the transaction state (in-doubt prepares
-// and the coordinator decision table) because checkpointing truncates the
-// WAL records that state would otherwise replay from. Version-1/2 files
-// still decode: missing sections come back empty.
+// The transaction state (in-doubt prepares and the coordinator decision
+// table) rides along because checkpointing truncates the WAL records it
+// would otherwise replay from. Only the current version decodes: a file
+// written by another build fails the load with kInvalidArgument instead of
+// being skipped as corrupt, because skipping it would start recovery from
+// nothing over a WAL that was truncated when the file was written.
 //
 // wal_seq is the last WAL sequence the snapshot covers; recovery replays
 // only records beyond it. Writes are atomic (temp file + fsync + rename +
@@ -50,9 +47,8 @@ namespace ghba {
 
 inline constexpr std::uint8_t kCheckpointMagic0 = 0x47;  // 'G'
 inline constexpr std::uint8_t kCheckpointMagic1 = 0x43;  // 'C'
-inline constexpr std::uint16_t kCheckpointVersion = 3;
-/// Oldest format still decodable (pre-cluster-view snapshots).
-inline constexpr std::uint16_t kMinCheckpointVersion = 1;
+/// The only format this build reads or writes.
+inline constexpr std::uint16_t kCheckpointVersion = 4;
 inline constexpr std::size_t kCheckpointHeaderBytes = 20;
 
 /// Allocation cap for a claimed body length (allocate-after-validate).
@@ -69,30 +65,27 @@ struct CheckpointState {
   CountingBloomFilter filter;
   /// Segment replica array entries (owner, flattened filter).
   std::vector<std::pair<MdsId, BloomFilter>> replicas;
-  /// Cluster view at snapshot time (version >= 2): the routing epoch the
-  /// server last acknowledged and its group peers. Zero/empty for v1 files.
-  std::uint64_t epoch = 0;
-  std::vector<MdsId> members;
-  /// Transaction state at snapshot time (version >= 3): prepares still
-  /// in doubt and the coordinator decision table. Empty for older files.
+  /// Transaction state at snapshot time: prepares still in doubt and the
+  /// coordinator decision table.
   std::vector<TxnPendingOp> txn_pending;
   std::vector<TxnCoordEntry> txn_decisions;
 };
 
 struct CheckpointHeader {
-  std::uint16_t version = 0;
   std::uint64_t wal_seq = 0;
   std::uint32_t body_len = 0;
   std::uint32_t body_crc = 0;
 };
 
 /// Header codec, exposed for fuzzing: validates magic, version and the
-/// body-length cap before anything is allocated.
+/// body-length cap before anything is allocated. A version other than
+/// kCheckpointVersion is kInvalidArgument; every other defect is
+/// kCorruption.
 Result<CheckpointHeader> DecodeCheckpointHeader(ByteReader& in);
 
 /// Whole-file codec. Decode verifies the header, the CRC and every body
-/// field; any mismatch is kCorruption (the loader then falls back to an
-/// older file).
+/// field; a foreign version is kInvalidArgument, any other mismatch is
+/// kCorruption (the loader then falls back to an older file).
 std::vector<std::uint8_t> EncodeCheckpoint(const CheckpointState& state);
 Result<CheckpointState> DecodeCheckpoint(std::span<const std::uint8_t> bytes);
 
@@ -114,7 +107,8 @@ struct LoadedCheckpoint {
 };
 
 /// Load the newest valid checkpoint under `dir`. No checkpoint at all is
-/// not an error — the result carries an empty state (wal_seq 0).
+/// not an error — the result carries an empty state (wal_seq 0). A file of
+/// another format version fails the load with kInvalidArgument.
 Result<LoadedCheckpoint> LoadNewestCheckpoint(const std::string& dir);
 
 }  // namespace ghba

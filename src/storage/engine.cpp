@@ -41,12 +41,8 @@ Result<std::unique_ptr<StorageEngine>> StorageEngine::Open(
       .used_fallback_checkpoint = recovered->used_fallback_checkpoint,
       .filter_rebuilt = recovered->filter_rebuilt,
       .filter_matched = recovered->filter_matched,
-      .epoch = recovered->epoch,
-      .members = recovered->members,
       .txn_in_doubt = recovered->txn_pending.size(),
   };
-  engine->view_epoch_ = recovered->epoch;
-  engine->view_members_ = recovered->members;
   // Copies, not moves: TakeRecovered hands the same tables to the server's
   // TxnManager while the engine keeps folding them into checkpoints.
   engine->txn_pending_ = recovered->txn_pending;
@@ -141,18 +137,6 @@ Status StorageEngine::LogReplicaDrop(MdsId owner) {
   record.op = WalOp::kReplicaDrop;
   record.owner = owner;
   return CommitRecord(std::move(record));
-}
-
-Status StorageEngine::LogMembership(std::uint64_t epoch,
-                                    std::vector<MdsId> members) {
-  WalRecord record;
-  record.op = WalOp::kMembership;
-  record.epoch = epoch;
-  record.members = members;
-  if (Status s = CommitRecord(std::move(record)); !s.ok()) return s;
-  view_epoch_ = epoch;
-  view_members_ = std::move(members);
-  return Status::Ok();
 }
 
 Status StorageEngine::LogTxnBegin(std::uint64_t txn_id,
@@ -261,8 +245,6 @@ Status StorageEngine::WriteCheckpoint(
   state.has_filter = true;
   state.filter = filter;
   state.replicas = std::move(replicas);
-  state.epoch = view_epoch_;
-  state.members = view_members_;
   state.txn_pending = txn_pending_;
   state.txn_decisions = txn_decisions_;
 

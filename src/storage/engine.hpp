@@ -42,11 +42,6 @@ struct RecoveryInfo {
   bool used_fallback_checkpoint = false;
   bool filter_rebuilt = false;
   bool filter_matched = true;
-  /// Cluster view recovered from the checkpoint / journaled kMembership
-  /// records: the routing epoch the server last acknowledged and its group
-  /// peers at that time.
-  std::uint64_t epoch = 0;
-  std::vector<MdsId> members;
   /// Prepared-but-undecided transaction ops recovery surfaced; each holds
   /// an intent lock until the coordinator's verdict resolves it.
   std::uint64_t txn_in_doubt = 0;
@@ -57,6 +52,9 @@ class StorageEngine {
   /// Recover from `options.data_dir` (created if missing) and open the WAL
   /// for appending. `filter_template` is an empty counting filter with the
   /// server's configured geometry. `registry` may be null (no metrics).
+  /// A data dir written by another build (a checkpoint of another format
+  /// version, a retired WAL record) fails with kInvalidArgument and is left
+  /// untouched.
   static Result<std::unique_ptr<StorageEngine>> Open(
       const StorageOptions& options,
       const CountingBloomFilter& filter_template, MetricsRegistry* registry);
@@ -82,13 +80,10 @@ class StorageEngine {
   /// republishes filters when the server rejoins after a crash.
   Status LogReplicaInstall(MdsId owner, std::span<const std::uint8_t> blob);
   Status LogReplicaDrop(MdsId owner);
-  /// Journal a cluster-view change (routing epoch + group members). The
-  /// engine remembers the latest view and folds it into every checkpoint.
-  Status LogMembership(std::uint64_t epoch, std::vector<MdsId> members);
 
   /// Journal two-phase-commit transitions. The engine mirrors the pending
   /// prepares and the coordinator decision table so both survive WAL
-  /// truncation inside every checkpoint (v3 section). Callers follow the
+  /// truncation inside every checkpoint. Callers follow the
   /// same discipline as the mutation loggers: journal before acking, roll
   /// back on error.
   Status LogTxnBegin(std::uint64_t txn_id,
@@ -99,11 +94,6 @@ class StorageEngine {
   /// the sub-op, path and (for inserts) metadata to re-apply on replay.
   Status LogTxnCommit(const TxnPendingOp& op);
   Status LogTxnAbort(std::uint64_t txn_id, const std::string& path);
-
-  /// Latest acknowledged cluster view (recovered, then tracking
-  /// LogMembership).
-  std::uint64_t view_epoch() const { return view_epoch_; }
-  const std::vector<MdsId>& view_members() const { return view_members_; }
 
   /// True once the WAL has outgrown options.checkpoint_wal_bytes.
   bool CheckpointDue() const;
@@ -139,8 +129,6 @@ class StorageEngine {
   RecoveredState recovered_;
   RecoveryInfo info_;
   std::uint64_t next_seq_ = 1;
-  std::uint64_t view_epoch_ = 0;
-  std::vector<MdsId> view_members_;
   /// Mirrors of the durable txn state, folded into every checkpoint.
   std::vector<TxnPendingOp> txn_pending_;
   std::vector<TxnCoordEntry> txn_decisions_;

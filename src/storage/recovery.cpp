@@ -49,7 +49,6 @@ StoreMutation ToStoreMutation(WalRecord record) {
       break;
     case WalOp::kReplicaInstall:
     case WalOp::kReplicaDrop:
-    case WalOp::kMembership:
     case WalOp::kTxnBegin:
     case WalOp::kTxnPrepare:
     case WalOp::kTxnCommit:
@@ -85,8 +84,6 @@ Result<RecoveredState> RecoverState(
   }
   out.store.ApplyBatch(batch);
   out.replicas = std::move(ckpt.replicas);
-  out.epoch = ckpt.epoch;
-  out.members = std::move(ckpt.members);
   out.txn_pending = std::move(ckpt.txn_pending);
   out.txn_decisions = std::move(ckpt.txn_decisions);
 
@@ -103,6 +100,10 @@ Result<RecoveredState> RecoverState(
   auto image = WriteAheadLog::ReadAll(data_dir + "/" + kWalFileName);
   if (!image.ok()) return image.status();
   WalReplayResult replay = ReplayWalBuffer(*image, ckpt.wal_seq);
+  if (replay.foreign_record) {
+    return Status::InvalidArgument(data_dir + "/" + kWalFileName +
+                                   " holds a retired record type");
+  }
   out.wal_valid_bytes = replay.valid_bytes;
   out.torn_tail = replay.torn_tail;
   out.replay_records = replay.records.size();
@@ -128,8 +129,8 @@ Result<RecoveredState> RecoverState(
   };
   for (WalRecord& record : replay.records) {
     last_seq = std::max(last_seq, record.seq);
-    // Reconfiguration records replay into the replica array / cluster
-    // view; they never touch the store or the local filter.
+    // Reconfiguration records replay into the replica array; they never
+    // touch the store or the local filter.
     switch (record.op) {
       case WalOp::kReplicaInstall: {
         ByteReader blob(record.filter_blob);
@@ -154,10 +155,6 @@ Result<RecoveredState> RecoverState(
         std::erase_if(out.replicas, [&record](const auto& e) {
           return e.first == record.owner;
         });
-        continue;
-      case WalOp::kMembership:
-        out.epoch = record.epoch;
-        out.members = std::move(record.members);
         continue;
       case WalOp::kTxnBegin:
         // Begin precedes any decision for the same txn in seq order, but a

@@ -34,7 +34,7 @@ inline constexpr char kWalFileName[] = "wal.log";
 /// replay and replica migration both funnel through
 /// MetadataStore::ApplyBatch). Only meaningful for the file-mutation ops
 /// (kInsert/kUpdate/kRemove/kClear); reconfiguration records are replayed
-/// into the replica array / cluster view instead.
+/// into the replica array instead.
 StoreMutation ToStoreMutation(WalRecord record);
 
 struct RecoveredState {
@@ -56,11 +56,6 @@ struct RecoveredState {
   /// checkpointed filter had saturated counters; the rebuilt (exact) one
   /// was installed instead.
   bool filter_matched = true;
-
-  /// Recovered cluster view: the last journaled/checkpointed routing epoch
-  /// and group-member list (kMembership records override the snapshot).
-  std::uint64_t epoch = 0;
-  std::vector<MdsId> members;
 
   /// In-doubt transaction prepares: journaled (or checkpointed) kTxnPrepare
   /// records whose commit/abort never made it to the log. The server must

@@ -43,11 +43,6 @@ void EncodeWalRecordPayload(const WalRecord& record, ByteWriter& out) {
     case WalOp::kReplicaDrop:
       out.PutU32(record.owner);
       break;
-    case WalOp::kMembership:
-      out.PutU64(record.epoch);
-      out.PutVarint(record.members.size());
-      for (const MdsId id : record.members) out.PutU32(id);
-      break;
     case WalOp::kTxnBegin:
       out.PutU64(record.txn_id);
       out.PutVarint(record.members.size());
@@ -87,6 +82,12 @@ Result<WalRecord> DecodeWalRecordPayload(ByteReader& in) {
       *op > static_cast<std::uint8_t>(WalOp::kTxnDecision)) {
     return Status::Corruption("bad WAL op");
   }
+  // Op 7 is the retired cluster-view record: not garbage but a log written
+  // by an older build, which replay must refuse rather than truncate.
+  if (*op == 7) {
+    return Status::InvalidArgument("retired WAL op 7 (written by an older "
+                                   "build)");
+  }
   record.op = static_cast<WalOp>(*op);
   auto seq = in.GetU64();
   if (!seq.ok()) return seq.status();
@@ -123,23 +124,6 @@ Result<WalRecord> DecodeWalRecordPayload(ByteReader& in) {
       auto owner = in.GetU32();
       if (!owner.ok()) return owner.status();
       record.owner = *owner;
-      break;
-    }
-    case WalOp::kMembership: {
-      auto epoch = in.GetU64();
-      if (!epoch.ok()) return epoch.status();
-      record.epoch = *epoch;
-      auto count = in.GetVarint();
-      if (!count.ok()) return count.status();
-      if (*count > in.remaining() / sizeof(std::uint32_t)) {
-        return Status::Corruption("WAL member count overruns record");
-      }
-      record.members.reserve(static_cast<std::size_t>(*count));
-      for (std::uint64_t i = 0; i < *count; ++i) {
-        auto id = in.GetU32();
-        if (!id.ok()) return id.status();
-        record.members.push_back(*id);
-      }
       break;
     }
     case WalOp::kTxnBegin: {
@@ -262,6 +246,11 @@ WalReplayResult ReplayWalBuffer(std::span<const std::uint8_t> buf,
     if (Crc32(payload, len) != crc) break;  // corrupt payload
     ByteReader in(std::span(payload, len));
     auto record = DecodeWalRecordPayload(in);
+    if (!record.ok() &&
+        record.status().code() == StatusCode::kInvalidArgument) {
+      out.foreign_record = true;
+      break;
+    }
     if (!record.ok() || !in.AtEnd()) break;  // undecodable payload
     // Sequences strictly increase within one log; a regression means the
     // tail predates the last Reset and must not replay.

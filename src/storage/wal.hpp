@@ -14,10 +14,9 @@
 // Payload:      [op u8][seq u64][path varint-string][body?]
 // The body depends on the op: kInsert/kUpdate carry FileMetadata,
 // kReplicaInstall carries [owner u32][blob varint-len + bytes],
-// kReplicaDrop carries [owner u32], and kMembership carries
-// [epoch u64][count varint][member u32]* — the migration state machine and
-// cluster-view updates journal through the same frames as file mutations,
-// so crash recovery replays them in one pass (seq strictly increases).
+// and kReplicaDrop carries [owner u32] — the migration state machine
+// journals through the same frames as file mutations, so crash recovery
+// replays it in one pass (seq strictly increases).
 // The kTxn* records (two-phase commit) carry a txn id and, per op, the
 // coordinator, participant list, sub-op and metadata — see WalOp below.
 #pragma once
@@ -49,12 +48,13 @@ enum class WalOp : std::uint8_t {
   kUpdate = 2,  ///< overwrite existing record (path + metadata)
   kRemove = 3,  ///< erase record (path only)
   kClear = 4,   ///< drop all records (migration drain; no path)
-  // Online-reconfiguration records: the replica handoff and cluster-view
-  // changes journal through the same log so a kill -9 at any migration
-  // phase recovers to a consistent placement.
+  // Online-reconfiguration records: the replica handoff journals through
+  // the same log so a kill -9 at any migration phase recovers to a
+  // consistent placement.
   kReplicaInstall = 5,  ///< install/refresh an outsider replica (owner + blob)
   kReplicaDrop = 6,     ///< retire an outsider replica (owner only)
-  kMembership = 7,      ///< routing epoch + group member list
+  // 7 was the retired cluster-view record; the decoder rejects it and it is
+  // never reused.
   // Distributed-transaction records (two-phase commit, presumed abort).
   // Participant side: kTxnPrepare journals the intent (path + sub-op, NOT
   // applied to the store), kTxnCommit is one frame that both applies the
@@ -86,9 +86,7 @@ struct WalRecord {
   MdsId owner = 0;  ///< kReplicaInstall / kReplicaDrop: replica's home MDS
   std::vector<std::uint8_t> filter_blob;  ///< kReplicaInstall: compressed
                                           ///< filter, opaque to the log
-  std::uint64_t epoch = 0;                ///< kMembership: routing epoch
-  std::vector<MdsId> members;             ///< kMembership: group peers;
-                                          ///< kTxnBegin/kTxnPrepare:
+  std::vector<MdsId> members;             ///< kTxnBegin/kTxnPrepare:
                                           ///< participant list
   /// Transaction fields (meaningful for the kTxn* ops). `owner` doubles as
   /// the coordinator id on kTxnPrepare.
@@ -101,6 +99,7 @@ struct WalRecord {
 
 /// Payload codec (no frame header). Decode validates the op, the path cap
 /// and — for ops that carry one — the metadata body; exposed for fuzzing.
+/// A retired op is kInvalidArgument; every other defect is kCorruption.
 void EncodeWalRecordPayload(const WalRecord& record, ByteWriter& out);
 Result<WalRecord> DecodeWalRecordPayload(ByteReader& in);
 
@@ -119,6 +118,9 @@ struct WalReplayResult {
   /// True when trailing bytes had to be dropped (torn frame, bad CRC,
   /// non-monotonic sequence, undecodable payload).
   bool torn_tail = false;
+  /// Scanning stopped at a CRC-clean record of a retired op: the log was
+  /// written by an older build, and recovery must refuse it, not truncate.
+  bool foreign_record = false;
 };
 
 /// Scan a log image and extract every clean record. Total: malformed input

@@ -184,14 +184,13 @@ TEST(ClientCacheTest, EpochBumpInvalidatesAcrossACleanMigration) {
   }
   ASSERT_EQ(client->CacheSize(), home_of.size());
 
-  // Move an outsider replica inside server 0's group: the flip pushes a
-  // bumped epoch, which must kill every older lease at the next probe.
+  // Move an outsider replica inside server 0's group: the flip bumps the
+  // epoch, which must kill every older lease at the next probe.
   const auto view = cluster.MembershipOf(0);
   ASSERT_TRUE(view.ok());
   MdsId owner = kInvalidMds;
   for (const MdsId id : cluster.AliveServers()) {
-    if (std::find(view->members.begin(), view->members.end(), id) ==
-        view->members.end()) {
+    if (std::find(view->begin(), view->end(), id) == view->end()) {
       owner = id;
       break;
     }
@@ -200,7 +199,7 @@ TEST(ClientCacheTest, EpochBumpInvalidatesAcrossACleanMigration) {
   const auto from = cluster.HolderOf(0, owner);
   ASSERT_TRUE(from.ok());
   MdsId to = kInvalidMds;
-  for (const MdsId id : view->members) {
+  for (const MdsId id : *view) {
     if (id != *from) to = id;
   }
   ASSERT_NE(to, kInvalidMds);
@@ -441,8 +440,7 @@ TEST_P(ClientMigrationCrashTest, NoStaleCacheReadAcrossCrashAndRecovery) {
   ASSERT_TRUE(view.ok());
   MdsId owner = kInvalidMds;
   for (const MdsId id : cluster.AliveServers()) {
-    if (std::find(view->members.begin(), view->members.end(), id) ==
-        view->members.end()) {
+    if (std::find(view->begin(), view->end(), id) == view->end()) {
       owner = id;
       break;
     }
@@ -451,7 +449,7 @@ TEST_P(ClientMigrationCrashTest, NoStaleCacheReadAcrossCrashAndRecovery) {
   const auto from = cluster.HolderOf(0, owner);
   ASSERT_TRUE(from.ok());
   MdsId to = kInvalidMds;
-  for (const MdsId id : view->members) {
+  for (const MdsId id : *view) {
     if (id != *from) to = id;
   }
   ASSERT_NE(to, kInvalidMds);

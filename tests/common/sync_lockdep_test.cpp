@@ -204,7 +204,7 @@ TEST(SyncLockdepDeathTest, CrossThreadAbBaCycleAbortsInsteadOfDeadlocking) {
         // cannot even form. The report must cite the opposite order
         // recorded from thread 1.
         Mutex a{LockRank::kServerFilter};
-        Mutex b{LockRank::kServerView};
+        Mutex b{LockRank::kServerOut};
         std::atomic<bool> first_done{false};
         std::thread t1([&] {
           MutexLock la(&a);

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include "rpc/prototype_cluster.hpp"
+#include "storage/checkpoint.hpp"
 
 namespace ghba {
 namespace {
@@ -194,6 +196,31 @@ TEST_P(CrashRecoveryTest, NonDurableRestartReportsAndLoses) {
     if (r->found) ++found;
   }
   EXPECT_LT(found, 12);
+}
+
+TEST_P(CrashRecoveryTest, ServerRefusesACheckpointOfAnotherVersion) {
+  // A data dir left by another build: its only checkpoint says version 3.
+  // The server must refuse to start rather than skip the file as corrupt
+  // and come up without the files it held.
+  const std::string dir = data_dir_ + "/mds-0";
+  std::filesystem::create_directories(dir);
+  CheckpointState state;
+  state.wal_seq = 1;
+  state.files.emplace_back("/old", Md());
+  auto bytes = EncodeCheckpoint(state);
+  bytes[2] = 3;  // version u16 LE
+  bytes[3] = 0;
+  {
+    std::ofstream out(dir + "/" + CheckpointFileName(state.wal_seq),
+                      std::ios::binary);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  MdsServer server(0, DurableConfig());
+  const Status started = server.Start();
+  EXPECT_EQ(started.code(), StatusCode::kInvalidArgument)
+      << started.ToString();
+  EXPECT_FALSE(server.running());
 }
 
 TEST_P(CrashRecoveryTest, RestartOfRunningServerRejected) {

@@ -1,7 +1,7 @@
 // Crash-safe replica migration (the PR's tentpole): the three-phase
 // handoff must move a replica without ever serving a wrong lookup, and a
 // kill -9 at any phase boundary must recover to exactly the pre-flip or
-// post-flip placement — phase 2 (the journaled holder-map flip) is the
+// post-flip placement — phase 2 (the holder-map flip) is the
 // commit point. The crash cases run parameterized over every phase so a
 // new phase cannot ship without a crash test.
 #include <gtest/gtest.h>
@@ -54,8 +54,7 @@ Actors PickActors(PrototypeCluster& cluster) {
   EXPECT_TRUE(view.ok());
   const auto alive = cluster.AliveServers();
   for (const MdsId id : alive) {
-    if (std::find(view->members.begin(), view->members.end(), id) ==
-        view->members.end()) {
+    if (std::find(view->begin(), view->end(), id) == view->end()) {
       a.owner = id;
       break;
     }
@@ -64,7 +63,7 @@ Actors PickActors(PrototypeCluster& cluster) {
   const auto from = cluster.HolderOf(a.member, a.owner);
   EXPECT_TRUE(from.ok());
   a.from = *from;
-  for (const MdsId id : view->members) {
+  for (const MdsId id : *view) {
     if (id != a.from) {
       a.to = id;
       break;
@@ -130,11 +129,8 @@ TEST(MigrationTest, CleanMigrationMovesPlacementAndKeepsLookupsCorrect) {
   ASSERT_TRUE(holds_from.ok());
   EXPECT_FALSE(*holds_from);  // phase 3 retired the old copy
 
-  // The flip pushed a bumped epoch to the group.
+  // The flip bumped the routing epoch.
   EXPECT_GT(cluster.RoutingEpoch(), epoch_before);
-  const auto view = cluster.MembershipOf(a.to);
-  ASSERT_TRUE(view.ok());
-  EXPECT_EQ(view->epoch, cluster.RoutingEpoch());
 
   EXPECT_GE(cluster.metrics().replicas_migrated.value(), 1u);
   EXPECT_GT(cluster.metrics().reconfig_messages.value(), 0u);
@@ -214,8 +210,7 @@ TEST_P(MigrationCrashTest, CrashAtPhaseRecoversToAnEndpointPlacement) {
   const auto view = cluster.MembershipOf(a.member);
   ASSERT_TRUE(view.ok());
   for (const MdsId owner : cluster.AliveServers()) {
-    if (std::find(view->members.begin(), view->members.end(), owner) !=
-        view->members.end()) {
+    if (std::find(view->begin(), view->end(), owner) != view->end()) {
       continue;
     }
     const auto holder = cluster.HolderOf(a.member, owner);

@@ -18,10 +18,13 @@ TEST(ProtocolTest, PathRequestRoundTrip) {
 }
 
 TEST(ProtocolTest, UnknownTypeRejected) {
-  ByteWriter w;
-  w.PutU16(999);
-  ByteReader in(w.data());
-  EXPECT_FALSE(DecodeType(in).ok());
+  // 21 and 22 are the retired membership-push types.
+  for (const std::uint16_t type : {0, 21, 22, 32, 999}) {
+    ByteWriter w;
+    w.PutU16(type);
+    ByteReader in(w.data());
+    EXPECT_FALSE(DecodeType(in).ok()) << type;
+  }
 }
 
 TEST(ProtocolTest, StatusRespRoundTrip) {

@@ -75,44 +75,6 @@ TEST(CheckpointCodecTest, MinimalStateRoundTrips) {
   EXPECT_TRUE(decoded->replicas.empty());
 }
 
-TEST(CheckpointCodecTest, ClusterViewRoundTrips) {
-  auto state = SampleState(42);
-  state.epoch = 17;
-  state.members = {0, 2, 5};
-  const auto decoded = DecodeCheckpoint(EncodeCheckpoint(state));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->epoch, 17u);
-  EXPECT_EQ(decoded->members, (std::vector<MdsId>{0, 2, 5}));
-}
-
-TEST(CheckpointCodecTest, VersionOneFileDecodesWithEmptyView) {
-  // A checkpoint written before the cluster view existed: same body minus
-  // the trailing v2 view ([epoch u64][member count varint]) and v3 txn
-  // sections ([pending varint][decision varint]), header version 1. Build
-  // it by hand so the current decoder is exercised against real old bytes.
-  const auto v2 = EncodeCheckpoint(SampleState(9));
-  const std::size_t view_bytes = sizeof(std::uint64_t) + 1;  // epoch + varint 0
-  const std::size_t txn_bytes = 2;  // two empty varint counts
-  const std::size_t v1_body_len =
-      v2.size() - kCheckpointHeaderBytes - view_bytes - txn_bytes;
-  ByteWriter w;
-  w.PutU8(kCheckpointMagic0);
-  w.PutU8(kCheckpointMagic1);
-  w.PutU16(1);  // pre-view version
-  w.PutU64(9);  // wal_seq
-  w.PutU32(static_cast<std::uint32_t>(v1_body_len));
-  w.PutU32(Crc32(v2.data() + kCheckpointHeaderBytes, v1_body_len));
-  for (std::size_t i = 0; i < v1_body_len; ++i) {
-    w.PutU8(v2[kCheckpointHeaderBytes + i]);
-  }
-  const auto decoded = DecodeCheckpoint(w.data());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->wal_seq, 9u);
-  EXPECT_EQ(decoded->files.size(), 2u);
-  EXPECT_EQ(decoded->epoch, 0u);
-  EXPECT_TRUE(decoded->members.empty());
-}
-
 TEST(CheckpointCodecTest, TxnStateRoundTrips) {
   auto state = SampleState(7);
   TxnPendingOp pending;
@@ -138,40 +100,17 @@ TEST(CheckpointCodecTest, TxnStateRoundTrips) {
   EXPECT_EQ(decoded->txn_decisions, state.txn_decisions);
 }
 
-TEST(CheckpointCodecTest, VersionTwoFileDecodesWithEmptyTxnState) {
-  // A checkpoint written before the txn sections existed: same body minus
-  // the two trailing varint counts, header version 2.
-  auto state = SampleState(11);
-  state.epoch = 4;
-  state.members = {0, 1};
-  const auto v3 = EncodeCheckpoint(state);
-  const std::size_t v2_body_len = v3.size() - kCheckpointHeaderBytes - 2;
-  ByteWriter w;
-  w.PutU8(kCheckpointMagic0);
-  w.PutU8(kCheckpointMagic1);
-  w.PutU16(2);  // pre-txn version
-  w.PutU64(11);  // wal_seq
-  w.PutU32(static_cast<std::uint32_t>(v2_body_len));
-  w.PutU32(Crc32(v3.data() + kCheckpointHeaderBytes, v2_body_len));
-  for (std::size_t i = 0; i < v2_body_len; ++i) {
-    w.PutU8(v3[kCheckpointHeaderBytes + i]);
-  }
-  const auto decoded = DecodeCheckpoint(w.data());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->epoch, 4u);
-  EXPECT_EQ(decoded->members, (std::vector<MdsId>{0, 1}));
-  EXPECT_TRUE(decoded->txn_pending.empty());
-  EXPECT_TRUE(decoded->txn_decisions.empty());
-}
-
 TEST(CheckpointCodecTest, RejectsAbsurdMemberCount) {
+  // One in-doubt remove with no participants and an empty path: the body
+  // ends [participant count][path length 0][decision count 0]. Claim far
+  // more participants than bytes remain and fix up the CRC.
   auto state = SampleState(3);
-  state.epoch = 1;
+  TxnPendingOp op;
+  op.txn_id = 9;
+  op.subop = TxnSubOp::kRemove;
+  state.txn_pending.push_back(op);
   auto bytes = EncodeCheckpoint(state);
-  // The last body byte is now the v3 txn-decision count varint; claim a
-  // count far past the remaining bytes and fix up the CRC. (The member
-  // count has the same remaining-bytes guard.)
-  bytes.back() = 0x7f;
+  bytes[bytes.size() - 3] = 0x7f;
   const std::size_t body_len = bytes.size() - kCheckpointHeaderBytes;
   const std::uint32_t crc =
       Crc32(bytes.data() + kCheckpointHeaderBytes, body_len);
@@ -179,7 +118,9 @@ TEST(CheckpointCodecTest, RejectsAbsurdMemberCount) {
   bytes[17] = static_cast<std::uint8_t>(crc >> 8);
   bytes[18] = static_cast<std::uint8_t>(crc >> 16);
   bytes[19] = static_cast<std::uint8_t>(crc >> 24);
-  EXPECT_FALSE(DecodeCheckpoint(bytes).ok());
+  const auto decoded = DecodeCheckpoint(bytes);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
 }
 
 TEST(CheckpointCodecTest, RejectsCorruptBody) {
@@ -197,8 +138,10 @@ TEST(CheckpointCodecTest, RejectsBadMagicVersionAndLength) {
   }
   {
     auto bytes = good;
-    bytes[2] = 0xee;  // version
-    EXPECT_FALSE(DecodeCheckpoint(bytes).ok());
+    bytes[2] = 0xee;  // version: foreign, not corrupt
+    const auto decoded = DecodeCheckpoint(bytes);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
   }
   {
     auto bytes = good;

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -54,6 +55,17 @@ class RecoveryTest : public ::testing::Test {
       const auto path = "/f" + std::to_string(base + i);
       ASSERT_TRUE((*engine)->LogInsert(path, Md(base + i)).ok());
     }
+  }
+
+  /// Every file in the data dir, by name (a refused Open must change none).
+  std::map<std::string, std::vector<std::uint8_t>> DirBytes() const {
+    std::map<std::string, std::vector<std::uint8_t>> files;
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      auto content = WriteAheadLog::ReadAll(entry.path().string());
+      EXPECT_TRUE(content.ok());
+      files[entry.path().filename().string()] = std::move(*content);
+    }
+    return files;
   }
 
   std::string dir_;
@@ -348,34 +360,75 @@ TEST_F(RecoveryTest, ReinstallOverwritesExistingReplica) {
   EXPECT_FALSE(state->replicas[0].second.MayContain("/stale"));
 }
 
-TEST_F(RecoveryTest, MembershipRecordsRecoverLatestView) {
+TEST_F(RecoveryTest, OtherCheckpointVersionFailsOpenAndLeavesDirUntouched) {
+  // A data dir written by another build: a WAL plus one checkpoint whose
+  // header says version 3. Skipping the checkpoint as corrupt would start
+  // from nothing over a WAL truncated at that checkpoint, losing every file
+  // it held; Open must refuse instead and change no byte.
+  RunInserts(Options(), 0, 4);
+  CheckpointState state;
+  state.wal_seq = 2;
+  state.files.emplace_back("/old", Md(1));
+  auto bytes = EncodeCheckpoint(state);
+  bytes[2] = 3;  // version u16 LE; the CRC covers only the body
+  bytes[3] = 0;
+  const std::string ckpt = dir_ + "/" + CheckpointFileName(state.wal_seq);
   {
-    auto engine = StorageEngine::Open(Options(), Template(), nullptr);
-    ASSERT_TRUE(engine.ok());
-    ASSERT_TRUE((*engine)->LogMembership(3, {0, 1}).ok());
-    ASSERT_TRUE((*engine)->LogMembership(7, {0, 1, 2}).ok());
-    EXPECT_EQ((*engine)->view_epoch(), 7u);
+    std::ofstream out(ckpt, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
   }
-  const auto state = RecoverState(dir_, Template());
-  ASSERT_TRUE(state.ok());
-  EXPECT_EQ(state->epoch, 7u);
-  EXPECT_EQ(state->members, (std::vector<MdsId>{0, 1, 2}));
+  const auto before = DirBytes();
+
+  auto engine = StorageEngine::Open(Options(), Template(), nullptr);
+  ASSERT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument)
+      << engine.status().ToString();
+  EXPECT_NE(engine.status().message().find("checkpoint format version 3"),
+            std::string::npos)
+      << engine.status().ToString();
+  EXPECT_EQ(DirBytes(), before);
 }
 
-TEST_F(RecoveryTest, CheckpointCarriesClusterView) {
+TEST_F(RecoveryTest, RetiredWalRecordFailsOpenAndLeavesDirUntouched) {
+  // A WAL from a build that journaled cluster views (op 7) and never
+  // checkpointed. Treating the CRC-clean op-7 frame as a torn tail would
+  // truncate every record after it; Open must refuse instead.
+  RunInserts(Options(), 0, 2);
+  WalRecord drop;
+  drop.op = WalOp::kReplicaDrop;
+  drop.seq = 3;
+  drop.owner = 1;
+  ByteWriter payload;
+  EncodeWalRecordPayload(drop, payload);
+  auto body = payload.Take();
+  body[0] = 7;
+  ByteWriter frame;
+  frame.PutU8(kWalMagic0);
+  frame.PutU8(kWalMagic1);
+  frame.PutU32(static_cast<std::uint32_t>(body.size()));
+  frame.PutU32(Crc32(body.data(), body.size()));
+  frame.PutBytes(body);
+  WalRecord after;
+  after.op = WalOp::kInsert;
+  after.seq = 4;
+  after.path = "/after";
+  after.metadata = Md(4);
+  const auto tail = EncodeWalRecordFrame(after);
   {
-    auto engine = StorageEngine::Open(Options(), Template(), nullptr);
-    ASSERT_TRUE(engine.ok());
-    ASSERT_TRUE((*engine)->LogMembership(5, {1, 2}).ok());
-    MetadataStore store;
-    ASSERT_TRUE((*engine)->WriteCheckpoint(store, Template(), {}).ok());
-    EXPECT_EQ((*engine)->wal().size_bytes(), 0u);  // view lives on anyway
+    std::ofstream out(wal_path_, std::ios::binary | std::ios::app);
+    out.write(reinterpret_cast<const char*>(frame.data().data()),
+              static_cast<std::streamsize>(frame.data().size()));
+    out.write(reinterpret_cast<const char*>(tail.data()),
+              static_cast<std::streamsize>(tail.size()));
   }
+  const auto before = DirBytes();
+
   auto engine = StorageEngine::Open(Options(), Template(), nullptr);
-  ASSERT_TRUE(engine.ok());
-  EXPECT_EQ((*engine)->recovery_info().epoch, 5u);
-  EXPECT_EQ((*engine)->view_epoch(), 5u);
-  EXPECT_EQ((*engine)->view_members(), (std::vector<MdsId>{1, 2}));
+  ASSERT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument)
+      << engine.status().ToString();
+  EXPECT_EQ(DirBytes(), before);
 }
 
 TEST_F(RecoveryTest, OversizedReplicaBlobIsSkippedNotTorn) {

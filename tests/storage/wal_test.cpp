@@ -127,19 +127,21 @@ TEST(WalCodecTest, ReplicaDropRoundTrip) {
   EXPECT_EQ(*decoded, record);
 }
 
-TEST(WalCodecTest, MembershipRoundTrip) {
+TEST(WalCodecTest, RejectsRetiredMembershipOp) {
+  // Op 7 journaled a server-held cluster view that no longer exists; its
+  // number stays reserved and the decoder refuses it.
   WalRecord record;
-  record.op = WalOp::kMembership;
+  record.op = WalOp::kReplicaDrop;
   record.seq = 13;
-  record.epoch = 42;
-  record.members = {0, 3, 7, 11};
+  record.owner = 3;
   ByteWriter w;
   EncodeWalRecordPayload(record, w);
-  ByteReader r(w.data());
+  auto bytes = w.Take();
+  bytes[0] = 7;
+  ByteReader r(bytes);
   const auto decoded = DecodeWalRecordPayload(r);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(r.AtEnd());
-  EXPECT_EQ(*decoded, record);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(WalCodecTest, RejectsTruncatedReplicaBlob) {
@@ -158,9 +160,9 @@ TEST(WalCodecTest, RejectsTruncatedReplicaBlob) {
 
 TEST(WalCodecTest, RejectsTruncatedMemberList) {
   WalRecord record;
-  record.op = WalOp::kMembership;
+  record.op = WalOp::kTxnBegin;
   record.seq = 1;
-  record.epoch = 5;
+  record.txn_id = 5;
   record.members = {1, 2, 3, 4, 5, 6, 7, 8};
   ByteWriter w;
   EncodeWalRecordPayload(record, w);
@@ -176,23 +178,16 @@ TEST(WalReplayTest, ReconfigurationRecordsReplayInline) {
   install.seq = 2;
   install.owner = 3;
   install.filter_blob = {1, 2, 3};
-  WalRecord membership;
-  membership.op = WalOp::kMembership;
-  membership.seq = 3;
-  membership.epoch = 7;
-  membership.members = {0, 3};
   WalRecord drop;
   drop.op = WalOp::kReplicaDrop;
-  drop.seq = 4;
+  drop.seq = 3;
   drop.owner = 3;
-  const auto buf =
-      FramesFor({Insert(1, "/a"), install, membership, drop, Insert(5, "/b")});
+  const auto buf = FramesFor({Insert(1, "/a"), install, drop, Insert(4, "/b")});
   const auto replay = ReplayWalBuffer(buf, 0);
-  ASSERT_EQ(replay.records.size(), 5u);
+  ASSERT_EQ(replay.records.size(), 4u);
   EXPECT_FALSE(replay.torn_tail);
   EXPECT_EQ(replay.records[1], install);
-  EXPECT_EQ(replay.records[2], membership);
-  EXPECT_EQ(replay.records[3], drop);
+  EXPECT_EQ(replay.records[2], drop);
 }
 
 TEST(WalReplayTest, CleanLogReplaysEverything) {

@@ -280,7 +280,7 @@ int main(int argc, char** argv) {
     std::thread churner([&] {
       std::vector<MdsId> members;
       if (const auto view = cluster.MembershipOf(0); view.ok()) {
-        members = view->members;
+        members = *view;
       }
       MdsId owner = kInvalidMds;
       for (const MdsId id : cluster.AliveServers()) {
