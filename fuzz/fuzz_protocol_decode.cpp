@@ -32,12 +32,13 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       if (type.ok()) {
         // Bound must track the newest MsgType: it froze at kRecoveryInfo
         // when v3 added types 19-22, at 22 when v4 added the lease pair,
-        // and at kInvalidate when v5 added the kTxn* family — each time a
-        // mutated frame carrying a valid new tag tripped this Require.
-        // Types 21 and 22 are retired since v7 and must never decode.
+        // and at 24 when v5 added the kTxn* family — each time a mutated
+        // frame carrying a valid new tag tripped this Require. Types 21
+        // and 22 are retired since v7, 24 since v8; none may decode.
         const auto raw = static_cast<std::uint16_t>(*type);
         Require(*type >= ghba::MsgType::kLookupLocal &&
-                *type <= ghba::MsgType::kTxnList && raw != 21 && raw != 22);
+                *type <= ghba::MsgType::kTxnList && raw != 21 && raw != 22 &&
+                raw != 24);
       }
       break;
     }

@@ -42,7 +42,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     case ghba::MsgType::kVerify:
     case ghba::MsgType::kUnlink:
     case ghba::MsgType::kLeaseGrant:
-    case ghba::MsgType::kInvalidate:
       // Decode failures are the expected fuzz outcome everywhere below;
       // the property is "no crash", not "no error".
       (void)in.GetString();

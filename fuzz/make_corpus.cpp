@@ -90,11 +90,8 @@ int main(int argc, char** argv) {
   // A retired type (21, the v3-v6 membership push) must not decode.
   WriteSeed(root, "fuzz_protocol_decode", "type_retired",
             Sel(0, Bytes{21, 0}));
-  // Pins the decoder's range at kInvalidate: seeds like this one used to
+  // Pins the bound at the newest kTxn* type: seeds like this one used to
   // trap the harness's stale range check after each protocol revision.
-  WriteSeed(root, "fuzz_protocol_decode", "type_v4",
-            Sel(0, ghba::EncodeHeader(ghba::MsgType::kInvalidate)));
-  // And again for v5: pins the bound at the newest kTxn* type.
   WriteSeed(root, "fuzz_protocol_decode", "type_v5",
             Sel(0, ghba::EncodeHeader(ghba::MsgType::kTxnList)));
   WriteSeed(root, "fuzz_protocol_decode", "envelope_error",
@@ -257,8 +254,6 @@ int main(int argc, char** argv) {
             ghba::EncodeHeader(ghba::MsgType::kVersion));
   WriteSeed(root, "fuzz_request_decode", "lease_grant",
             ghba::EncodePathRequest(ghba::MsgType::kLeaseGrant, "/hot/file"));
-  WriteSeed(root, "fuzz_request_decode", "invalidate",
-            ghba::EncodePathRequest(ghba::MsgType::kInvalidate, "/hot/file"));
   {
     // A pipelined batch of three request sub-frames.
     std::vector<Bytes> subs = {

@@ -49,9 +49,12 @@ Client::Client(std::unique_ptr<PrototypeCluster> owned,
       cache_invalidations_(cluster_->metrics().shared_registry()->counter(
           metrics_names::kCacheInvalidations)),
       cache_hot_promotions_(cluster_->metrics().shared_registry()->counter(
-          metrics_names::kCacheHotPromotions)) {}
+          metrics_names::kCacheHotPromotions)) {
+  cluster_->RegisterCache(&inbox_);
+}
 
 Client::~Client() {
+  cluster_->DeregisterCache(&inbox_);
   if (owned_) owned_->Stop();
 }
 
@@ -112,6 +115,13 @@ void Client::CacheErase(const std::string& path) {
   }
 }
 
+void Client::DrainRevoked() {
+  if (!inbox_.pending.load(std::memory_order_acquire)) return;
+  for (const std::string& path : cluster_->TakeRevoked(&inbox_)) {
+    CacheErase(path);
+  }
+}
+
 void Client::NoteAccess(const std::string& path, MdsId home,
                         std::uint64_t epoch) {
   // Periodic halving keeps the sketch tracking the *recent* stream: a key
@@ -137,6 +147,7 @@ void Client::NoteAccess(const std::string& path, MdsId home,
 
 Result<LookupOutcome> Client::Lookup(const std::string& path) {
   MutexLock lock(&mu_);
+  DrainRevoked();
   // Epoch read strictly BEFORE the cascade: if a reconfiguration bumps it
   // mid-lookup, the entry below is stamped with the older epoch and the
   // next probe discards it — staleness always errs toward a re-lookup.
@@ -176,57 +187,42 @@ Result<LookupOutcome> Client::Lookup(const std::string& path) {
 
 Status Client::Insert(const std::string& path, const FileMetadata& metadata) {
   MutexLock lock(&mu_);
+  DrainRevoked();
   return cluster_->Insert(path, metadata);
 }
 
 Status Client::InsertBatch(
     const std::vector<std::pair<std::string, FileMetadata>>& files) {
   MutexLock lock(&mu_);
+  DrainRevoked();
   return cluster_->InsertBatch(files);
 }
 
 Status Client::Unlink(const std::string& path) {
   MutexLock lock(&mu_);
-  CacheErase(path);
+  DrainRevoked();
+  CacheErase(path);  // the cluster's revocation skips a failed lookup
   promoted_.erase(path);
-  if (Status s = cluster_->Unlink(path); !s.ok()) return s;
-  // The home already purged its own lease under the kUnlink; the broadcast
-  // kills leases and L1 entries everywhere else. Only after it succeeds is
-  // the unlink coherent: no server will grant (or honour) a stale lease.
-  return cluster_->InvalidatePath(path);
+  return cluster_->Unlink(path);
 }
 
 Status Client::Rename(const std::string& src, const std::string& dst) {
   MutexLock lock(&mu_);
-  // Purge before driving: even a failed drive may have moved state on a
-  // participant's recovery path, and a purge only costs a re-lookup.
-  CacheErase(src);
-  CacheErase(dst);
+  DrainRevoked();
   promoted_.erase(src);
-  if (Status s = cluster_->Rename(src, dst); !s.ok()) return s;
-  // Durably committed; now make it coherent like Unlink does: the old
-  // name must answer NotFound everywhere, the new name must not be
-  // shadowed by a stale lease or L1 entry anywhere.
-  if (Status s = cluster_->InvalidatePath(src); !s.ok()) return s;
-  return cluster_->InvalidatePath(dst);
+  return cluster_->Rename(src, dst);
 }
 
 Status Client::CreateExclusive(const std::string& path,
                                const FileMetadata& metadata) {
   MutexLock lock(&mu_);
+  DrainRevoked();
   return cluster_->CreateExclusive(path, metadata);
 }
 
 std::size_t Client::CacheSize() const {
   MutexLock lock(&mu_);
   return cache_.size();
-}
-
-void Client::InvalidateCache() {
-  MutexLock lock(&mu_);
-  cache_.clear();
-  lru_.clear();
-  promoted_.clear();
 }
 
 }  // namespace ghba

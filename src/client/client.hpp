@@ -7,15 +7,16 @@
 // cascade:
 //
 //   * a lease/epoch-invalidated lookup cache: every positive lookup may be
-//     cached, but only under a lease its home recorded inside the cascade
+//     cached, but only under a lease its home granted inside the cascade
 //     (protocol v6) and stamped with the routing epoch it was learned
 //     under. An entry answers only while BOTH hold — the lease TTL has not
 //     expired against the (injectable) clock AND the cluster's routing
 //     epoch is unchanged. Any migration, join, leave or fail-over bumps
-//     the epoch and thereby invalidates every older entry at once; an
-//     unlink through this facade additionally broadcasts kInvalidate so
-//     server-side leases and L1 entries die immediately rather than by
-//     TTL.
+//     the epoch and thereby invalidates every older entry at once. The
+//     cluster's Unlink and Rename revoke the paths they change from every
+//     attached cache before they return, so no Client of one cluster
+//     reads what a mutation through it removed; across processes the
+//     lease TTL bounds staleness.
 //   * a count-min-sketch hot-key detector over the lookup stream: when a
 //     path's estimated frequency crosses ClientOptions::hot_threshold the
 //     client asks the cluster to replicate the home server's filter to all
@@ -26,7 +27,8 @@
 //
 // Thread safety: all facade state (cache, sketch, promotion memo) is
 // GHBA_GUARDED_BY(mu_), rank kClient — strictly above kCluster, so a
-// facade operation may call into the cluster but never the reverse.
+// facade operation may call into the cluster but never the reverse: the
+// cluster posts revocations to inbox_, which the client drains under mu_.
 #pragma once
 
 #include <cstdint>
@@ -85,6 +87,7 @@ class Client {
 
   /// Attach to an already-started cluster someone else owns (tests and
   /// benches share one cluster between cache-on and cache-off facades).
+  /// The cluster must outlive the Client.
   static std::unique_ptr<Client> Attach(PrototypeCluster* cluster,
                                         ClientOptions options = {});
 
@@ -92,7 +95,8 @@ class Client {
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
-  /// Four-level lookup behind the cache. A cache hit returns immediately
+  /// Four-level lookup behind the cache. Paths the cluster revoked since
+  /// the last call are dropped first. A cache hit returns immediately
   /// with `from_cache = true` and `served_level = 0` (the cascade never
   /// ran); a miss runs the cluster cascade, asking the home to lease its
   /// answer in the same reply. A lookup the server shed (kRetryAfter) is
@@ -106,17 +110,14 @@ class Client {
   Status InsertBatch(
       const std::vector<std::pair<std::string, FileMetadata>>& files);
 
-  /// Remove a file, then make the removal visible everywhere at once:
-  /// purge the local cache entry and broadcast kInvalidate so every
-  /// server drops its lease and L1 entry for the path. No stale positive
-  /// survives a successful Unlink.
+  /// Remove a file. The cluster revokes the path from every attached
+  /// cache before this returns.
   Status Unlink(const std::string& path);
 
   /// Atomically rename `src` to `dst` via WAL-journaled two-phase commit
-  /// across the involved MDSs (protocol v5), then make the move coherent:
-  /// both local cache entries are purged and kInvalidate is broadcast for
-  /// both names, so no server keeps a lease or L1 entry under the old
-  /// name. Ok means the rename is durably committed — a crash anywhere
+  /// across the involved MDSs (protocol v5). The cluster revokes both
+  /// names from every attached cache before this returns, whatever the
+  /// outcome. Ok means the rename is durably committed — a crash anywhere
   /// after rolls it forward at recovery, never half-applies it.
   Status Rename(const std::string& src, const std::string& dst);
 
@@ -128,9 +129,6 @@ class Client {
 
   /// Cached entries right now (expired-but-unevicted entries count).
   std::size_t CacheSize() const;
-
-  /// Drop every cached entry (bench boundary between phases).
-  void InvalidateCache();
 
   /// The underlying cluster, for orchestration (churn, migration, stats).
   PrototypeCluster& cluster() { return *cluster_; }
@@ -155,6 +153,9 @@ class Client {
   void CacheInsert(const std::string& path, MdsId home, std::uint64_t epoch,
                    std::uint64_t expiry_ms) GHBA_REQUIRES(mu_);
   void CacheErase(const std::string& path) GHBA_REQUIRES(mu_);
+  /// Drop every path the cluster revoked since the last drain. Every
+  /// facade operation calls it, so a write-only client holds no backlog.
+  void DrainRevoked() GHBA_REQUIRES(mu_);
 
   /// Feed the sketch and fire hot replication on a threshold crossing.
   void NoteAccess(const std::string& path, MdsId home, std::uint64_t epoch)
@@ -163,6 +164,8 @@ class Client {
   const ClientOptions options_;
   std::unique_ptr<PrototypeCluster> owned_;  ///< null when attached
   PrototypeCluster* const cluster_;
+  /// Registered with cluster_ for the life of this Client.
+  CacheInbox inbox_;
 
   /// Serializes facade state. Rank kClient: strictly above kCluster, so
   /// every operation may call into the cluster while holding it.

@@ -69,10 +69,6 @@ Result<LeaseGrantResp> DaemonClient::RequestLease(const std::string& path) {
   return DecodeLeaseGrantResp(in);
 }
 
-Status DaemonClient::Invalidate(const std::string& path) {
-  return StatusCall(EncodePathRequest(MsgType::kInvalidate, path));
-}
-
 Result<StatsResp> DaemonClient::Stats() {
   auto resp = Call(EncodeHeader(MsgType::kGetStats));
   if (!resp.ok()) return resp.status();

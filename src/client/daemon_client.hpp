@@ -53,9 +53,8 @@ class DaemonClient {
   /// L1/L2 hits.
   Result<VerifyResult> Verify(const std::string& path);
 
-  /// Lease/invalidate pair, exposed for scripting coherence experiments.
+  /// kLeaseGrant, exposed for scripting coherence experiments.
   Result<LeaseGrantResp> RequestLease(const std::string& path);
-  Status Invalidate(const std::string& path);
 
   Result<StatsResp> Stats();
 

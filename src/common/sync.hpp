@@ -123,6 +123,7 @@ namespace ghba {
 ///   kHealth           PeerHealthTracker::mu_             peer states
 ///   kMetricsRegistry  MetricsRegistry::mu_               metric name maps
 ///   kMetricsStripe    HistogramCell::Stripe::mu (x8)     histogram stripes
+///   kCacheRevoke      PrototypeCluster::caches_mu_       cache inboxes
 ///   kLogging          logging.cpp g_sink_mutex           stderr sink
 ///
 /// Real chains this order admits (all observed in the code):
@@ -136,35 +137,38 @@ namespace ghba {
 ///   wal -> filter / wal -> seg        (mutation journaling + checkpoint)
 ///   shard -> injector                 (stall probe inside the worker wait)
 ///   registry -> stripe                (Snapshot merging histograms)
+///   {client, cluster} -> revoke       (drain / post a client cache inbox)
 ///   anything -> logging               (GHBA_LOG under any lock)
 enum class LockRank : std::uint8_t {
   kLogging = 0,
-  kMetricsStripe = 1,
-  kMetricsRegistry = 2,
-  kHealth = 3,
-  kFaultInjector = 4,
-  kServerErr = 5,
-  kServerOut = 6,
-  kServerMaint = 7,
-  kServerShard = 8,
-  kServerSeg = 9,
-  kServerFilter = 10,
-  kServerWal = 11,
-  kServerTxn = 12,
-  kRouterSnapshot = 13,
-  kRouterPool = 14,
-  kDrainGate = 15,
-  kCluster = 16,
-  kClient = 17,
+  kCacheRevoke = 1,
+  kMetricsStripe = 2,
+  kMetricsRegistry = 3,
+  kHealth = 4,
+  kFaultInjector = 5,
+  kServerErr = 6,
+  kServerOut = 7,
+  kServerMaint = 8,
+  kServerShard = 9,
+  kServerSeg = 10,
+  kServerFilter = 11,
+  kServerWal = 12,
+  kServerTxn = 13,
+  kRouterSnapshot = 14,
+  kRouterPool = 15,
+  kDrainGate = 16,
+  kCluster = 17,
+  kClient = 18,
 };
 
 /// Number of distinct ranks (size of the lockdep acquisition graph).
-inline constexpr std::size_t kLockRankCount = 18;
+inline constexpr std::size_t kLockRankCount = 19;
 
 /// Human-readable name for a LockRank (diagnostics).
 constexpr const char* LockRankName(LockRank rank) {
   switch (rank) {
     case LockRank::kLogging: return "logging";
+    case LockRank::kCacheRevoke: return "cache-revoke";
     case LockRank::kMetricsStripe: return "metrics-stripe";
     case LockRank::kMetricsRegistry: return "metrics-registry";
     case LockRank::kHealth: return "health";

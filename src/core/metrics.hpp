@@ -56,6 +56,8 @@ inline constexpr char kServeGroupProbes[] = "serve.group_probes";
 inline constexpr char kServeGlobalProbes[] = "serve.global_probes";
 // kVerify and kLeaseGrant frames: both verify a path on its server.
 inline constexpr char kServeVerifies[] = "serve.verifies";
+// kTouchLru frames: L1 hints a finished lookup taught its entry server.
+inline constexpr char kServeLruTouches[] = "serve.lru_touches";
 // Requests the event thread answered itself on an idle shard, without a
 // hand-off to the shard's worker.
 inline constexpr char kServeInlineRequests[] = "serve.inline_requests";
@@ -74,13 +76,10 @@ inline constexpr char kStorageRecoveryFilterRebuilt[] =
     "storage.recovery_filter_rebuilt";
 inline constexpr char kStorageRecoveryFilterMismatch[] =
     "storage.recovery_filter_mismatch";
-// Front tier: server-side lease bookkeeping and hot-spot handling.
+// Front tier: server-side lease grants and hot-spot handling.
 inline constexpr char kServeLeaseRequests[] = "serve.lease_requests";
 inline constexpr char kServeLeaseGrants[] = "serve.lease_grants";
 inline constexpr char kServeLeaseRefusals[] = "serve.lease_refusals";
-inline constexpr char kServeInvalidations[] = "serve.invalidations";
-inline constexpr char kServeLeaseSweeps[] = "serve.lease_sweeps";
-inline constexpr char kServeLeasesExpired[] = "serve.leases_expired";
 inline constexpr char kServeHotKeys[] = "serve.hot_keys";
 inline constexpr char kServeShedRequests[] = "serve.shed_requests";
 // Distributed transactions (2PC): server-side message counts.

@@ -596,9 +596,10 @@ Result<Envelope> OpenEnvelope(ByteReader& in) {
 Result<MsgType> DecodeType(ByteReader& in) {
   auto t = in.GetU16();
   if (!t.ok()) return t.status();
-  // 21 and 22 are the retired membership-push types.
+  // 21 and 22 are the retired membership-push types, 24 the retired
+  // lease revocation.
   if (*t < 1 || *t > static_cast<std::uint16_t>(MsgType::kTxnList) ||
-      *t == 21 || *t == 22) {
+      *t == 21 || *t == 22 || *t == 24) {
     return Status::Corruption("unknown message type");
   }
   return static_cast<MsgType>(*t);

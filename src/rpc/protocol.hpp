@@ -47,7 +47,7 @@ enum class MsgType : std::uint16_t {
   kBatch = 20,          ///< many request/response sub-frames, one CRC
   // 21 and 22 carried the v3-v6 membership push; retired, never reused.
   kLeaseGrant = 23,   ///< verify + lease on this MDS -> LeaseGrantResp
-  kInvalidate = 24,   ///< revoke any lease/L1 entry for a path -> StatusResp
+  // 24 carried the v4-v7 lease revocation; retired, never reused.
   // Distributed-transaction messages (v5, two-phase commit).
   kTxnBegin = 25,    ///< coordinator: open a decision record -> StatusResp
   kTxnPrepare = 26,  ///< participant: journal intent + lock -> TxnPrepareResp
@@ -61,17 +61,20 @@ enum class MsgType : std::uint16_t {
 /// Protocol revision this build speaks. v2 added kVersion and kBatch; v3
 /// added a server-held cluster view (types 21/22 and an epoch/members tail
 /// on RecoveryInfoResp); v4 adds the client-cache coherence pair
-/// (kLeaseGrant, kInvalidate) and the kRetryAfter shed status; v5 adds the
-/// distributed-transaction family (kTxnBegin .. kTxnList) behind
-/// Client::Rename / CreateExclusive; v6 makes every server asked about a
-/// path answer for its own store in the same reply: probes carry a lease
-/// flag, LocalLookupResp carries the responder's verdict and lease TTL, and
-/// kLeaseGrant's reply tells "stored, no lease" apart from "not stored", so
-/// it doubles as a verify. v7 deletes the server-held cluster view: types
-/// 21/22 are retired and RecoveryInfoResp loses its epoch/members tail.
+/// (kLeaseGrant and the revocation type 24) and the kRetryAfter shed
+/// status; v5 adds the distributed-transaction family (kTxnBegin ..
+/// kTxnList) behind Client::Rename / CreateExclusive; v6 makes every
+/// server asked about a path answer for its own store in the same reply:
+/// probes carry a lease flag, LocalLookupResp carries the responder's
+/// verdict and lease TTL, and kLeaseGrant's reply tells "stored, no lease"
+/// apart from "not stored", so it doubles as a verify. v7 deletes the
+/// server-held cluster view: types 21/22 are retired and RecoveryInfoResp
+/// loses its epoch/members tail.
+/// v8 deletes the wire revocation: servers keep no lease table, the
+/// cluster revokes client caches in-process, and type 24 is retired.
 /// Every binary is built from one tree, so peers do not negotiate; kVersion
 /// only reports this number to operators.
-inline constexpr std::uint32_t kProtocolVersion = 7;
+inline constexpr std::uint32_t kProtocolVersion = 8;
 
 /// Upper bound on sub-frames per kBatch frame: enough for any realistic
 /// pipeline depth, small enough that a mangled count cannot make the server

@@ -1,6 +1,7 @@
 #include "rpc/prototype_cluster.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "bloom/compressed.hpp"
 #include "common/logging.hpp"
@@ -410,7 +411,8 @@ Result<LookupOutcome> PrototypeCluster::Lookup(const std::string& path,
 Result<LookupOutcome> PrototypeCluster::LookupLocked(
     const std::string& path) {
   Suspects suspects;
-  auto result = router_.Lookup(path, /*lease=*/false, &suspects);
+  auto result = router_.Lookup(path, /*lease=*/false, &suspects,
+                               /*teach_l1=*/false);
   NoteSuspectsLocked(suspects);
   return result;
 }
@@ -421,6 +423,8 @@ Status PrototypeCluster::Unlink(const std::string& path) {
   if (!located.ok()) return located.status();
   if (!located->found) return Status::NotFound(path);
   auto resp = Call(located->home, EncodePathRequest(MsgType::kUnlink, path));
+  // Whatever came back, the home may have removed the path.
+  Revoke(path);
   if (!resp.ok()) return resp.status();
   ByteReader in(*resp);
   auto env = OpenEnvelope(in);
@@ -636,6 +640,15 @@ std::uint64_t PrototypeCluster::NextTxnIdLocked() {
 
 Status PrototypeCluster::Rename(const std::string& src,
                                 const std::string& dst) {
+  const Status status = RenameUnrevoked(src, dst);
+  // On any outcome: a drive that failed part-way may have moved either name.
+  Revoke(src);
+  Revoke(dst);
+  return status;
+}
+
+Status PrototypeCluster::RenameUnrevoked(const std::string& src,
+                                         const std::string& dst) {
   if (src == dst) return Status::InvalidArgument("rename onto itself");
   MdsId src_home = kInvalidMds;
   MdsId dst_home = kInvalidMds;
@@ -712,10 +725,32 @@ Result<LeaseGrantResp> PrototypeCluster::RequestLease(
 }
 
 Status PrototypeCluster::InvalidatePath(const std::string& path) {
-  Suspects suspects;
-  Status result = router_.InvalidatePath(path, &suspects);
-  FailOverSuspects(suspects);
-  return result;
+  Revoke(path);
+  return Status::Ok();
+}
+
+void PrototypeCluster::Revoke(const std::string& path) {
+  MutexLock lock(&caches_mu_);
+  for (auto& [inbox, revoked] : caches_) {
+    revoked.push_back(path);
+    inbox->pending.store(true);
+  }
+}
+
+void PrototypeCluster::RegisterCache(CacheInbox* inbox) {
+  MutexLock lock(&caches_mu_);
+  caches_.try_emplace(inbox);
+}
+
+void PrototypeCluster::DeregisterCache(CacheInbox* inbox) {
+  MutexLock lock(&caches_mu_);
+  caches_.erase(inbox);
+}
+
+std::vector<std::string> PrototypeCluster::TakeRevoked(CacheInbox* inbox) {
+  MutexLock lock(&caches_mu_);
+  inbox->pending.store(false);
+  return std::exchange(caches_[inbox], {});
 }
 
 Result<std::uint32_t> PrototypeCluster::ReplicateHotEntry(MdsId owner) {

@@ -6,9 +6,9 @@
 // counts come straight from the servers' frame counters, which is what
 // Fig. 15 plots.
 //
-// The read path is not here: lookups, leases, verifies and invalidations
-// run on the concurrent Router (rpc/router.hpp), which drives the L1-L4
-// cascade from an immutable Topology snapshot and a per-peer connection
+// The read path is not here: lookups, leases and verifies run on the
+// concurrent Router (rpc/router.hpp), which drives the L1-L4 cascade from
+// an immutable Topology snapshot and a per-peer connection
 // pool without taking the orchestrator's lock. The orchestrator republishes
 // the snapshot after every topology change, and fails over the peers the
 // Router reports as suspected.
@@ -23,6 +23,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -51,6 +52,13 @@ namespace ghba {
 enum class ProtoScheme {
   kGhba,  ///< groups of <= M; theta replicas per server
   kHba,   ///< every server holds every other server's replica
+};
+
+/// A client cache's mailbox: Unlink and Rename post the paths they changed
+/// once the ack or commit is back, with no frame on the wire, and the
+/// owner drains them (TakeRevoked). `pending` spares an idle owner the lock.
+struct CacheInbox {
+  std::atomic<bool> pending{false};
 };
 
 class PrototypeCluster {
@@ -108,7 +116,8 @@ class PrototypeCluster {
   Status InsertBatch(
       const std::vector<std::pair<std::string, FileMetadata>>& files);
 
-  /// Remove a file (the lookup protocol locates it first).
+  /// Remove a file (the lookup protocol locates it first), then revoke the
+  /// path from every registered cache.
   Status Unlink(const std::string& path);
 
   /// Atomically rename `src` to `dst` via WAL-journaled two-phase commit
@@ -118,7 +127,8 @@ class PrototypeCluster {
   /// Ok means the commit decision is durable on the coordinator: a crash
   /// at any later boundary rolls the rename forward at recovery — never a
   /// half-applied pair. NotFound when src is absent, AlreadyExists when
-  /// dst is taken; both abort cleanly.
+  /// dst is taken; both abort cleanly. Whatever the outcome, both names
+  /// are revoked from every registered cache before this returns.
   Status Rename(const std::string& src, const std::string& dst);
 
   /// Atomically create `path` (same hash placement) with `metadata`,
@@ -244,11 +254,16 @@ class PrototypeCluster {
   /// "do not cache", never a negative for the cluster.
   Result<LeaseGrantResp> RequestLease(MdsId home, const std::string& path);
 
-  /// Multicast kInvalidate for `path` to every live server: each drops any
-  /// lease and L1 entry it holds for the path. Best-effort per peer — an
-  /// unreachable server's leases die by TTL instead — but a peer that
-  /// answers with an error fails the call, so callers can assert coherence.
+  /// Revoke `path` from every registered cache, in-process; always Ok.
   Status InvalidatePath(const std::string& path);
+
+  /// Attach a client cache: every revocation is posted to `inbox` until
+  /// DeregisterCache, which must come before the inbox dies.
+  void RegisterCache(CacheInbox* inbox);
+  void DeregisterCache(CacheInbox* inbox);
+  /// The paths revoked from registered `inbox` since the last call; clears
+  /// its `pending` flag.
+  std::vector<std::string> TakeRevoked(CacheInbox* inbox);
 
   /// Flash-crowd response: install `owner`'s filter on every live group
   /// member that is not already its designated holder, so hot lookups
@@ -374,9 +389,14 @@ class PrototypeCluster {
   Result<RecoveryInfoResp> RestartServerLocked(MdsId id) GHBA_REQUIRES(mu_);
 
   /// Router lookup issued while holding mu_ (Unlink and the txn preludes
-  /// locate their paths under the lock that serializes mutations).
+  /// locate their paths under the lock that serializes mutations). It
+  /// teaches no L1 hint: the path is about to move.
   Result<LookupOutcome> LookupLocked(const std::string& path)
       GHBA_REQUIRES(mu_);
+  /// Body of Rename up to the commit; Rename revokes after it returns.
+  Status RenameUnrevoked(const std::string& src, const std::string& dst);
+  /// Post `path` to every registered cache inbox.
+  void Revoke(const std::string& path) GHBA_EXCLUDES(caches_mu_);
   // Locked bodies of the public entry points that other operations reuse.
   Status PublishAllLocked() GHBA_REQUIRES(mu_);
   std::vector<MdsId> AliveServersLocked() const GHBA_REQUIRES(mu_);
@@ -428,6 +448,12 @@ class PrototypeCluster {
 
   /// The concurrent read path and the transport under every call.
   Router router_;
+
+  /// Registered client caches and the paths revoked from each since its
+  /// owner last drained them. A leaf: nothing is acquired under it.
+  Mutex caches_mu_{LockRank::kCacheRevoke};
+  std::unordered_map<CacheInbox*, std::vector<std::string>> caches_
+      GHBA_GUARDED_BY(caches_mu_);
 };
 
 }  // namespace ghba

@@ -69,6 +69,7 @@ struct Router::QueryCtx {
   Suspects* suspects = nullptr;
   MdsId entry = kInvalidMds;
   bool lease = false;         ///< ask the home to lease its answer
+  bool teach_l1 = true;       ///< a hit sends the entry a kTouchLru
   double start_ms = 0;
   double mark_ms = 0;         ///< start of the level in progress
   std::uint32_t retries = 0;  ///< attempts beyond the first, this lookup
@@ -384,7 +385,7 @@ Status Router::Quiesce() {
 }
 
 Result<LookupOutcome> Router::Lookup(const std::string& path, bool lease,
-                                     Suspects* suspects) {
+                                     Suspects* suspects, bool teach_l1) {
   // Held for the whole cascade: a drain cannot move files between the
   // levels of one lookup. Released before the caller fails suspects over.
   ReaderMutexLock gate(&gate_);
@@ -392,6 +393,7 @@ Result<LookupOutcome> Router::Lookup(const std::string& path, bool lease,
   q.topo = Snapshot();
   q.suspects = suspects;
   q.lease = lease;
+  q.teach_l1 = teach_l1;
   q.start_ms = NowMs();
   q.mark_ms = q.start_ms;
   const Topology& topo = *q.topo;
@@ -606,7 +608,7 @@ LookupOutcome Router::FinishLookup(const std::string& path, QueryCtx& q,
   const std::uint16_t entry_port = q.topo->PortOf(q.entry);
   // Telemetry one-ways: losing one only skews per-level hit counters.
   (void)OneWay(entry_port, EncodeOutcomeReport(report));
-  if (found) {
+  if (found && q.teach_l1) {
     // L1 hint, advisory: a lost touch only costs a later L1 miss.
     (void)OneWay(entry_port, EncodeTouch(path, home));
   }
@@ -629,20 +631,6 @@ Result<LeaseGrantResp> Router::RequestLease(MdsId home,
                         EncodePathRequest(MsgType::kLeaseGrant, path),
                         suspects),
                    DecodeLeaseGrantResp);
-}
-
-Status Router::InvalidatePath(const std::string& path, Suspects* suspects) {
-  const auto topo = Snapshot();
-  for (const Reply& r :
-       FanOut(*topo, topo->alive, EncodePathRequest(MsgType::kInvalidate, path),
-              suspects, nullptr)) {
-    if (!r.resp.ok()) continue;  // unreachable: its leases die by TTL
-    ByteReader in(*r.resp);
-    auto env = OpenEnvelope(in);
-    if (!env.ok()) return env.status();
-    if (!env->status.ok()) return env->status;
-  }
-  return Status::Ok();
 }
 
 }  // namespace ghba

@@ -7,8 +7,8 @@
 // not already answered. Every server a probe reaches also answers for its
 // own store (and leases the answer when asked), so a lookup ends at the
 // first reply from its home. It also carries the other per-path client
-// calls (verify, lease, invalidate) and the per-peer transport every
-// cluster call rides on.
+// calls (verify, lease) and the per-peer transport every cluster call
+// rides on.
 //
 // Nothing here takes the orchestrator's lock. The Router reads an
 // immutable Topology snapshot that PrototypeCluster publishes by pointer
@@ -125,11 +125,13 @@ class Router {
   /// The four-level cascade. Each server answers at most once: the first
   /// `held` reply ends the lookup, and a server that answered "not here"
   /// is neither verified nor probed at L4. With `lease`, the home records
-  /// a lease in the same reply and the outcome carries its TTL. Suspected
-  /// peers are appended to `suspects`; the caller fails them over after
-  /// this returns.
+  /// a lease in the same reply and the outcome carries its TTL. With
+  /// `teach_l1`, a hit teaches the entry server's L1 the path's home
+  /// (kTouchLru); a mutation locating a path it is about to move passes
+  /// false. Suspected peers are appended to `suspects`; the caller fails
+  /// them over after this returns.
   Result<LookupOutcome> Lookup(const std::string& path, bool lease,
-                               Suspects* suspects);
+                               Suspects* suspects, bool teach_l1 = true);
 
   /// Exact store membership of `path` on `id` (kVerify).
   Result<bool> Verify(MdsId id, const std::string& path, Suspects* suspects);
@@ -138,11 +140,6 @@ class Router {
   /// request is kRetryAfter.
   Result<LeaseGrantResp> RequestLease(MdsId home, const std::string& path,
                                       Suspects* suspects);
-
-  /// Multicast kInvalidate for `path` to every live server. An unreachable
-  /// peer is skipped (its leases die by TTL); a peer that answers with an
-  /// error fails the call.
-  Status InvalidatePath(const std::string& path, Suspects* suspects);
 
  private:
   /// Per-lookup bookkeeping threaded through the level cascade: the
@@ -190,7 +187,8 @@ class Router {
   /// Completes a LookupOutcome: closes the serving level, seals the trace,
   /// accounts the query into the client metrics, fire-and-forgets a
   /// kReportOutcome to the entry server (Fig. 13 accounting lives
-  /// server-side) and, on a hit, a kTouchLru so the entry's L1 learns it.
+  /// server-side) and, on a hit the lookup may teach, a kTouchLru so the
+  /// entry's L1 learns it.
   LookupOutcome FinishLookup(const std::string& path, QueryCtx& q, int level,
                              bool found, MdsId home);
   Status OneWay(std::uint16_t port, const std::vector<std::uint8_t>& frame);

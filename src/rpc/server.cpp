@@ -44,12 +44,14 @@ std::uint16_t PeekType(const std::vector<std::uint8_t>& frame) {
          (static_cast<std::uint16_t>(frame[1]) << 8);
 }
 
-/// The memory-only requests the event thread may answer inline on an idle
-/// shard (MdsServer::HandleProbe). Everything else — mutations, txn
-/// messages, kInvalidate, whole-server and control messages, kBatch — is
-/// always queued to a worker.
-bool IsInlineProbe(std::uint16_t type) {
+/// The requests the event thread may answer inline on an idle shard: the
+/// memory-only probes (HandleProbe), and kInsert when `inserts`. Everything
+/// else — other mutations, txn messages, whole-server and control
+/// messages, kBatch — is always queued to a worker.
+bool RunsInline(std::uint16_t type, bool inserts) {
   switch (static_cast<MsgType>(type)) {
+    case MsgType::kInsert:
+      return inserts;
     case MsgType::kLookupLocal:
     case MsgType::kGroupProbe:
     case MsgType::kGlobalProbe:
@@ -66,13 +68,6 @@ bool IsInlineProbe(std::uint16_t type) {
 void SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-std::uint64_t SteadyNowMs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 }  // namespace
@@ -98,6 +93,8 @@ IoErrorAction ClassifyWaitError(int errnum) {
 MdsServer::MdsServer(MdsId id, const ClusterConfig& config)
     : id_(id),
       config_(config),
+      inline_inserts_(config.storage.data_dir.empty() ||
+                      config.storage.fsync == FsyncPolicy::kNever),
       local_filter_(CountingBloomFilter::ForCapacity(
           config.expected_files_per_mds, config.bits_per_file,
           config.seed ^ 0x5151)),
@@ -119,11 +116,7 @@ MdsServer::MdsServer(MdsId id, const ClusterConfig& config)
           registry_.counter(metrics_names::kServeLeaseGrants)),
       serve_lease_refusals_(
           registry_.counter(metrics_names::kServeLeaseRefusals)),
-      serve_invalidations_(
-          registry_.counter(metrics_names::kServeInvalidations)),
-      serve_lease_sweeps_(registry_.counter(metrics_names::kServeLeaseSweeps)),
-      serve_leases_expired_(
-          registry_.counter(metrics_names::kServeLeasesExpired)),
+      serve_lru_touches_(registry_.counter(metrics_names::kServeLruTouches)),
       serve_hot_keys_(registry_.counter(metrics_names::kServeHotKeys)),
       serve_shed_requests_(
           registry_.counter(metrics_names::kServeShedRequests)),
@@ -317,7 +310,6 @@ std::uint32_t MdsServer::RouteShard(
     case MsgType::kInsert:
     case MsgType::kUnlink:
     case MsgType::kLeaseGrant:
-    case MsgType::kInvalidate:
     // Per-path txn messages route like the mutations they stage, so a
     // prepare and the plain ops it fences always share one shard worker.
     case MsgType::kTxnPrepare:
@@ -355,7 +347,7 @@ bool MdsServer::DispatchToShard(std::uint32_t shard_index, Task task,
   // answers on its workers only. Read before shard.mu, which ranks below
   // seg_mu_.
   const bool eligible =
-      IsInlineProbe(type) && ReplicaOverflowFraction() == 0.0;
+      RunsInline(type, inline_inserts_) && ReplicaOverflowFraction() == 0.0;
   shard.mu.Lock();
   // Idle means nothing queued and nobody running: an earlier request for
   // this shard — a same-path insert, say — has finished, so running this
@@ -375,11 +367,8 @@ bool MdsServer::DispatchToShard(std::uint32_t shard_index, Task task,
     // The claim makes this thread the shard's only user until the release
     // below, so adopting its role here is sound.
     ThreadRoleGuard role(&shard.role);
-    ByteReader in(task.frame);
-    // IsInlineProbe accepted the tag; skip it.
-    (void)in.GetU16();
-    done.payload =
-        HandleProbe(static_cast<MsgType>(type), in, shard, done.respond);
+    bool shutdown = false;  // kShutdown is never eligible
+    done.payload = Handle(task.frame, shard, done.respond, shutdown);
   }
   ReleaseClaim(shard);
   ++serve_inline_requests_;
@@ -757,7 +746,7 @@ void MdsServer::WorkerLoop(Shard* shard) {
         continue;
       }
       if (shard->busy) {
-        // The event thread is answering a probe on this shard inline. Wait
+        // The event thread is answering a request on this shard inline. Wait
         // for its release (which wakes us because we flagged it): parking
         // or popping now would overlap that request.
         shard->claim_waiter = true;
@@ -1021,24 +1010,14 @@ MdsServer::SelfAnswer MdsServer::AnswerForSelf(const std::string& path,
   }
   if (!shard.store.Contains(path)) return answer;
   answer.verdict = SelfVerdict::kHeld;
-  // A lease is a positive membership proof, so it is recorded only for a
-  // path this server stores right now; the client combines the TTL with
-  // its routing-epoch check for coherence.
+  // A lease is a positive membership proof, so it is granted only for a
+  // path this server stores right now. The server keeps no record of it:
+  // the client combines the TTL with its routing-epoch check, and the
+  // cluster revokes the entries its own mutations make stale.
   const std::uint32_t ttl = config_.hotspot.lease_ttl_ms;
   if (!lease || ttl == 0) return answer;
   answer.lease_ttl_ms = ttl;
-  shard.leases[path] = SteadyNowMs() + ttl;
   ++serve_lease_grants_;
-  // Prune so an ever-changing hot set cannot grow the table without bound
-  // (the map is shard-local and small, so a linear sweep every 256 grants
-  // is cheap). Counting grants, not the map size, keeps renewals of a
-  // steady set from sweeping on every call.
-  if (++shard.lease_grants % 256 == 0) {
-    const std::uint64_t now = SteadyNowMs();
-    ++serve_lease_sweeps_;
-    serve_leases_expired_ += std::erase_if(
-        shard.leases, [now](const auto& kv) { return kv.second <= now; });
-  }
   return answer;
 }
 
@@ -1168,6 +1147,7 @@ std::vector<std::uint8_t> MdsServer::HandleProbe(MsgType type, ByteReader& in,
       if (!path.ok()) return {};
       auto home = in.GetU32();
       if (!home.ok()) return {};
+      ++serve_lru_touches_;
       shard.lru.Touch(*path, *home);
       shard.lru_bytes.store(shard.lru.MemoryBytes(),
                             std::memory_order_relaxed);
@@ -1248,7 +1228,7 @@ std::vector<std::uint8_t> MdsServer::Handle(
       if (!md.ok()) return EncodeStatusResp(md.status());
       // A prepared txn op owns this path until its coordinator's verdict
       // lands; racing a plain insert past it could contradict the vote.
-      // (Prepare and insert share this shard worker, so no check/apply gap.)
+      // (Prepare and insert share this shard's claim: no check/apply gap.)
       if (txn_.IsLocked(*path)) {
         return EncodeStatusResp(
             Status::Unavailable("path intent-locked by an in-flight txn"));
@@ -1318,10 +1298,6 @@ std::vector<std::uint8_t> MdsServer::Handle(
           }
         }
         if (checkpoint_due) NoteCheckpointDue();
-        // The path is gone: any lease out there must not outlive it. The
-        // coordinator broadcasts kInvalidate to the rest of the group;
-        // this covers the shard that served the unlink itself.
-        shard.leases.erase(*path);
       }
       shard.files.store(shard.store.size(), std::memory_order_relaxed);
       return EncodeStatusResp(s);
@@ -1501,18 +1477,6 @@ std::vector<std::uint8_t> MdsServer::Handle(
       }
       return EncodeRecoveryInfoResp(info);
     }
-    case MsgType::kInvalidate: {
-      auto path = in.GetString();
-      if (!path.ok()) return EncodeStatusResp(path.status());
-      ++serve_invalidations_;
-      shard.leases.erase(*path);
-      // Also drop any L1 hint for the path: after an unlink or a
-      // migration the cached (path -> home) would be a stale positive.
-      shard.lru.Invalidate(*path);
-      shard.lru_bytes.store(shard.lru.MemoryBytes(),
-                            std::memory_order_relaxed);
-      return EncodeStatusResp(Status::Ok());
-    }
     case MsgType::kTxnBegin: {
       auto req = DecodeTxnBegin(in);
       if (!req.ok()) return EncodeStatusResp(req.status());
@@ -1691,8 +1655,6 @@ std::vector<std::uint8_t> MdsServer::Handle(
             checkpoint_due = engine_->CheckpointDue();
           }
         }
-        // The path is gone: no lease may outlive it (kUnlink discipline).
-        if (op.subop == TxnSubOp::kRemove) shard.leases.erase(op.path);
         txn_.ClosePendingLocked(req->txn_id, req->path, /*committed=*/true);
       }
       shard.files.store(shard.store.size(), std::memory_order_relaxed);

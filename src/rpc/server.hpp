@@ -42,7 +42,6 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "bloom/bloom_filter_array.hpp"
@@ -158,15 +157,6 @@ class MdsServer {
     ThreadRole role;
     MetadataStore store GHBA_GUARDED_BY(role);
     LruBloomArray lru GHBA_GUARDED_BY(role);
-    /// Outstanding client leases for this shard's paths (path -> absolute
-    /// steady-clock expiry, ms). Shard-owned like the store: the probes
-    /// and kLeaseGrant that record leases, kInvalidate and kUnlink are all
-    /// path-routed, so every access runs on this worker.
-    std::unordered_map<std::string, std::uint64_t> leases
-        GHBA_GUARDED_BY(role);
-    /// Leases recorded on this shard so far; every 256th sweeps the
-    /// expired ones out of `leases`.
-    std::uint64_t lease_grants GHBA_GUARDED_BY(role) = 0;
     /// Hot-spot detector over the requests that ask this shard about its
     /// own store.
     CountMinSketch hot_sketch GHBA_GUARDED_BY(role);
@@ -218,9 +208,10 @@ class MdsServer {
   void PostCompletion(Completion completion);
 
   /// The event thread's one dispatch decision for a non-batch request:
-  /// answer it inline, into `done`, when it is a memory-only probe and
-  /// its shard is idle (empty queue, no claim, no park, no injected stall,
-  /// no spilled replicas); otherwise queue it exactly like PostTask.
+  /// answer it inline, into `done`, when it is a memory-only probe (or an
+  /// insert, under inline_inserts_) and its shard is idle (empty queue, no
+  /// claim, no park, no injected stall, no spilled replicas); otherwise
+  /// queue it exactly like PostTask.
   /// True = answered inline.
   bool DispatchToShard(std::uint32_t shard, Task task, Completion& done);
   /// End the claim on `shard` (Shard::busy), waking a worker that waits
@@ -252,7 +243,7 @@ class MdsServer {
   /// only — an overflowing server never answers probes inline.
   void PaySpilledProbeDelay() const;
   /// L1 (when `include_lru`) and L2 probes plus this server's own answer
-  /// for `path` (AnswerForSelf), recording a lease when `lease` asks.
+  /// for `path` (AnswerForSelf), leased when `lease` asks.
   LocalLookupResp RunLocalLookup(const std::string& path, bool include_lru,
                                  bool lease, Shard& shard)
       GHBA_REQUIRES(shard.role);
@@ -260,7 +251,7 @@ class MdsServer {
   /// This server's answer about its own store (v6 self-answer).
   struct SelfAnswer {
     SelfVerdict verdict = SelfVerdict::kAbsent;
-    std::uint32_t lease_ttl_ms = 0;  ///< lease recorded; 0 = none
+    std::uint32_t lease_ttl_ms = 0;  ///< lease granted; 0 = none
   };
   /// The one self-answer that kVerify, kLeaseGrant, kLookupLocal and
   /// kGroupProbe share, run on the shard that owns `path`. `may_hold` is
@@ -301,6 +292,9 @@ class MdsServer {
 
   MdsId id_;
   ClusterConfig config_;
+  /// A kInsert's journal append cannot fsync here (no data dir, or
+  /// fsync=never), so it may run inline like a probe and wake no worker.
+  const bool inline_inserts_;
   FaultInjector* injector_ = nullptr;
   TcpListener listener_;
   std::uint16_t port_ = 0;
@@ -372,9 +366,7 @@ class MdsServer {
   MetricsRegistry::Counter serve_lease_requests_;
   MetricsRegistry::Counter serve_lease_grants_;
   MetricsRegistry::Counter serve_lease_refusals_;
-  MetricsRegistry::Counter serve_invalidations_;
-  MetricsRegistry::Counter serve_lease_sweeps_;
-  MetricsRegistry::Counter serve_leases_expired_;
+  MetricsRegistry::Counter serve_lru_touches_;
   MetricsRegistry::Counter serve_hot_keys_;
   MetricsRegistry::Counter serve_shed_requests_;
   MetricsRegistry::Counter serve_inline_requests_;

@@ -163,15 +163,61 @@ TEST(ClientCacheTest, OtherClientsStalenessIsBoundedByTheLeaseTtl) {
   FakeClockClient reader(&cluster);
 
   ASSERT_TRUE(reader->Lookup("/cli/f3").ok());
+  const auto cached = reader->Lookup("/cli/f3");
+  ASSERT_TRUE(cached.ok());
+  ASSERT_TRUE(cached->from_cache);
   ASSERT_TRUE(writer->Unlink("/cli/f3").ok());
 
-  // The reader's local entry cannot be reached by the broadcast; its lease
-  // TTL is the staleness bound, after which the re-lookup sees the truth.
-  reader.now_ms += config.hotspot.lease_ttl_ms;
+  // Between Clients of one cluster the bound is zero: the unlink revoked
+  // the reader's entry before it returned, so the reader's next lookup
+  // runs the cascade with its lease still fresh on the clock.
   const auto r = reader->Lookup("/cli/f3");
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->found);
   EXPECT_FALSE(r->from_cache);
+  EXPECT_EQ(reader->CacheSize(), 0u);
+}
+
+TEST(ClientCacheTest, OtherClientsSeeARenameAtOnce) {
+  PrototypeCluster cluster(ClientTestConfig(), ProtoScheme::kGhba);
+  ASSERT_TRUE(cluster.Start().ok());
+  BuildNamespace(cluster, 4);
+  FakeClockClient writer(&cluster);
+  FakeClockClient reader(&cluster);
+
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(reader->Lookup("/cli/f1").ok());
+  ASSERT_EQ(reader->CacheSize(), 1u);
+  ASSERT_TRUE(writer->Rename("/cli/f1", "/cli/f1.moved").ok());
+
+  const auto src = reader->Lookup("/cli/f1");
+  ASSERT_TRUE(src.ok());
+  EXPECT_FALSE(src->found);
+  EXPECT_FALSE(src->from_cache);
+  const auto dst = reader->Lookup("/cli/f1.moved");
+  ASSERT_TRUE(dst.ok());
+  EXPECT_TRUE(dst->found);
+  EXPECT_FALSE(dst->from_cache);
+}
+
+TEST(ClientCacheTest, FailedRenameStillRevokesBothNames) {
+  PrototypeCluster cluster(ClientTestConfig(), ProtoScheme::kGhba);
+  ASSERT_TRUE(cluster.Start().ok());
+  BuildNamespace(cluster, 4);
+  FakeClockClient writer(&cluster);
+  FakeClockClient reader(&cluster);
+
+  ASSERT_TRUE(reader->Lookup("/cli/f0").ok());
+  ASSERT_TRUE(reader->Lookup("/cli/f2").ok());
+  ASSERT_EQ(reader->CacheSize(), 2u);
+  // dst is taken: the rename aborts, and both names are revoked anyway.
+  EXPECT_EQ(writer->Rename("/cli/f0", "/cli/f2").code(),
+            StatusCode::kAlreadyExists);
+  for (const char* path : {"/cli/f0", "/cli/f2"}) {
+    const auto r = reader->Lookup(path);
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(r->found) << path;
+    EXPECT_FALSE(r->from_cache) << path;
+  }
 }
 
 TEST(ClientCacheTest, EpochBumpInvalidatesAcrossACleanMigration) {
@@ -599,6 +645,59 @@ TEST(ClientRaceTest, ConcurrentClientsGetNoWrongAnswerUnderTopologyChurn) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_TRUE(r->found) << i;
   }
+}
+
+TEST(ClientRaceTest, NoLookupStartedAfterAnotherClientsUnlinkFindsThePath) {
+  ClusterConfig config = ClientTestConfig();
+  config.rpc.connect_timeout_ms = 1000;
+  config.rpc.attempt_timeout_ms = 1000;
+  config.rpc.call_budget_ms = 4000;
+  config.hotspot.lease_ttl_ms = 60'000;  // only a revocation can end a hit
+  PrototypeCluster cluster(config, ProtoScheme::kGhba);
+  ASSERT_TRUE(cluster.Start().ok());
+  constexpr int kFiles = 48;
+  for (int i = 0; i < kFiles; ++i) {
+    ASSERT_TRUE(cluster.Insert("/rev/f" + std::to_string(i), FileMetadata{})
+                    .ok());
+  }
+  ASSERT_TRUE(cluster.PublishAll().ok());
+
+  // Files [0, unlinked) are gone: the writer stores the count only after
+  // Unlink returned.
+  std::atomic<int> unlinked{0};
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> stale{0};
+  std::atomic<std::uint64_t> doomed_hits{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      auto client = Client::Attach(&cluster);
+      for (std::uint64_t n = 0; !stop.load(std::memory_order_acquire); ++n) {
+        const int gone = unlinked.load(std::memory_order_acquire);
+        // Alternate between the next file to go (keeps it cached) and one
+        // already gone (must never be found again).
+        const bool probe_gone = gone > 0 && (n + t) % 2 == 0;
+        const int i = probe_gone ? static_cast<int>(n / 2 % gone)
+                                 : std::min(gone, kFiles - 1);
+        const auto r = client->Lookup("/rev/f" + std::to_string(i));
+        if (!r.ok()) continue;
+        if (i < gone && r->found) stale.fetch_add(1);
+        if (i >= gone && r->from_cache) doomed_hits.fetch_add(1);
+      }
+    });
+  }
+  auto writer = Client::Attach(&cluster);
+  for (int i = 0; i < kFiles; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ASSERT_TRUE(writer->Unlink("/rev/f" + std::to_string(i)).ok()) << i;
+    unlinked.store(i + 1, std::memory_order_release);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  stop.store(true, std::memory_order_release);
+  for (auto& reader : readers) reader.join();
+
+  EXPECT_EQ(stale.load(), 0u);
+  EXPECT_GT(doomed_hits.load(), 0u) << "readers never cached a doomed file";
 }
 
 }  // namespace

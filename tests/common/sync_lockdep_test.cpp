@@ -114,6 +114,7 @@ TEST(SyncTest, SharedMutexReadersShareAndAWriterExcludesThem) {
 
 TEST(SyncTest, LockRankNamesCoverTheTable) {
   EXPECT_STREQ(LockRankName(LockRank::kLogging), "logging");
+  EXPECT_STREQ(LockRankName(LockRank::kCacheRevoke), "cache-revoke");
   EXPECT_STREQ(LockRankName(LockRank::kCluster), "cluster");
   EXPECT_STREQ(LockRankName(LockRank::kDrainGate), "drain-gate");
   EXPECT_STREQ(LockRankName(LockRank::kRouterPool), "router-pool");

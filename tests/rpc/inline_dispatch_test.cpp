@@ -3,6 +3,7 @@
 //
 // These pin the rules that make the fast path safe:
 //   * an idle shard's probe is answered inline (serve.inline_requests);
+//   * so is an insert, but only when its journal append cannot fsync;
 //   * a stalled shard's probe is never run inline: it waits for the stall;
 //   * a server with spilled replicas answers probes on its workers only,
 //     and they pay the simulated disk delay there;
@@ -119,11 +120,11 @@ TEST_F(InlineDispatchTest, IdleShardProbeIsAnsweredInline) {
   auto conn = Connect();
   const std::string path = PathOnShard(1, server_->shards());
   Insert(conn, path);
-  // The insert itself is a mutation: it ran on the worker.
+  // With no data dir the insert journals nothing: it ran inline as well.
   const std::uint64_t before = Inline();
-  EXPECT_EQ(before, 0u);
+  EXPECT_EQ(before, 1u);
 
-  // The worker frees the shard before its reply leaves, so the probe that
+  // The insert freed the shard before its reply left, so the probe that
   // follows finds the shard idle.
   ASSERT_TRUE(conn.SendFrame(EncodePathRequest(MsgType::kVerify, path)).ok());
   auto held = ReadBool(conn, Deadline::After(5000ms));
@@ -141,6 +142,33 @@ TEST_F(InlineDispatchTest, IdleShardProbeIsAnsweredInline) {
   // Inline requests count in the per-type counters like queued ones.
   EXPECT_EQ(Counter(metrics_names::kServeVerifies), 1u);
   EXPECT_EQ(Counter(metrics_names::kServeLocalLookups), 1u);
+}
+
+TEST_F(InlineDispatchTest, InsertRunsInlineOnlyWhenItsAppendCannotFsync) {
+  const auto dir = std::filesystem::temp_directory_path() / "ghba_inline_ins";
+  for (const FsyncPolicy fsync :
+       {FsyncPolicy::kAlways, FsyncPolicy::kInterval, FsyncPolicy::kNever}) {
+    std::filesystem::remove_all(dir);
+    ClusterConfig config = TestConfig();
+    config.storage.data_dir = dir.string();
+    config.storage.fsync = fsync;
+    Boot(config);
+    auto conn = Connect();
+    const std::string path = PathOnShard(0, server_->shards());
+    Insert(conn, path);
+    EXPECT_EQ(Inline(), fsync == FsyncPolicy::kNever ? 1u : 0u)
+        << FsyncPolicyName(fsync);
+    ASSERT_TRUE(
+        conn.SendFrame(EncodePathRequest(MsgType::kVerify, path)).ok());
+    auto held = ReadBool(conn, Deadline::After(5000ms));
+    ASSERT_TRUE(held.ok());
+    EXPECT_TRUE(*held) << FsyncPolicyName(fsync);
+    EXPECT_EQ(Counter(metrics_names::kStorageWalAppends), 1u)
+        << FsyncPolicyName(fsync);
+    server_->Stop();
+    server_.reset();
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(InlineDispatchTest, StalledShardProbeWaitsForTheStall) {
@@ -194,6 +222,8 @@ TEST_F(InlineDispatchTest, SpilledReplicasPayTheDelayOnTheWorkerOnly) {
   const auto replica = BloomFilter::ForCapacity(1000, 16.0, 3);
   ASSERT_TRUE(conn.SendFrame(EncodeReplicaInstall(1, replica)).ok());
   ASSERT_TRUE(ReadStatus(conn, Deadline::After(5000ms)).ok());
+  // The insert ran before any replica spilled; count from here.
+  const std::uint64_t before = Inline();
 
   const auto t0 = std::chrono::steady_clock::now();
   ASSERT_TRUE(conn.SendFrame(EncodeProbeRequest(MsgType::kLookupLocal, path,
@@ -210,7 +240,7 @@ TEST_F(InlineDispatchTest, SpilledReplicasPayTheDelayOnTheWorkerOnly) {
   auto held = ReadBool(conn, Deadline::After(5000ms));
   ASSERT_TRUE(held.ok());
   EXPECT_TRUE(*held);
-  EXPECT_EQ(Inline(), 0u);
+  EXPECT_EQ(Inline(), before);
 }
 
 TEST_F(InlineDispatchTest, PipelinedSamePathRequestsStayInOrder) {

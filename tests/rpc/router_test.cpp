@@ -205,15 +205,35 @@ TEST(RouterTest, CrashedPeerAtL4IsUnavailableNeverNotFound) {
     ASSERT_FALSE(r.ok()) << "a peer L4 could not probe may hold the path";
     EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
   }
-  // Unreachable peers are skipped by an invalidation: their leases die by
-  // TTL.
-  EXPECT_TRUE(cluster.InvalidatePath("/l4/absent0").ok());
 
   // Once the crash is failed over, the survivors' verdict is exact again.
   ASSERT_TRUE(cluster.KillServer(4).ok());
   const auto r = cluster.Lookup("/l4/absent0");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_FALSE(r->found);
+}
+
+TEST(RouterTest, MutationPreludesTeachNoL1Hint) {
+  PrototypeCluster cluster(RouterConfig(), ProtoScheme::kGhba);
+  ASSERT_TRUE(cluster.Start().ok());
+  for (const char* path : {"/touch/read", "/touch/gone", "/touch/src"}) {
+    ASSERT_TRUE(cluster.Insert(path, Md()).ok());
+  }
+  ASSERT_TRUE(cluster.PublishAll().ok());
+
+  // A read that finds its path teaches the entry server's L1 once.
+  const auto read = cluster.Lookup("/touch/read");
+  ASSERT_TRUE(read.ok() && read->found);
+  ASSERT_TRUE(cluster.Quiesce().ok());
+  EXPECT_EQ(ServeSum(cluster, "serve.lru_touches"), 1u);
+
+  // Mutations locate paths they are about to move: no hint.
+  ASSERT_TRUE(cluster.Unlink("/touch/gone").ok());
+  ASSERT_TRUE(cluster.Rename("/touch/src", "/touch/dst").ok());
+  EXPECT_EQ(cluster.CreateExclusive("/touch/read", Md()).code(),
+            StatusCode::kAlreadyExists);
+  ASSERT_TRUE(cluster.Quiesce().ok());
+  EXPECT_EQ(ServeSum(cluster, "serve.lru_touches"), 1u);
 }
 
 TEST(RouterTest, L4AnswersWithTheLowestHoldingId) {

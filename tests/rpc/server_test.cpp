@@ -264,32 +264,20 @@ TEST_F(MdsServerTest, LeaseGrantedOnlyForStoredPaths) {
   EXPECT_EQ(refusal->ttl_ms, 0u);
 }
 
-TEST_F(MdsServerTest, InvalidateAndUnlinkPurgeLeases) {
+TEST_F(MdsServerTest, RetiredInvalidateTypeIsRejected) {
   FileMetadata md;
   ASSERT_TRUE(CallStatus(EncodeInsert("/l1", md)).ok());
-  ASSERT_TRUE(CallStatus(EncodeInsert("/l2", md)).ok());
-  for (const char* path : {"/l1", "/l2"}) {
-    auto resp = Call(EncodePathRequest(MsgType::kLeaseGrant, path));
-    ASSERT_TRUE(resp.ok());
-  }
-  // Explicit revocation is idempotent and fine for never-leased paths too.
-  EXPECT_TRUE(
-      CallStatus(EncodePathRequest(MsgType::kInvalidate, "/l1")).ok());
-  EXPECT_TRUE(
-      CallStatus(EncodePathRequest(MsgType::kInvalidate, "/l1")).ok());
-  EXPECT_TRUE(
-      CallStatus(EncodePathRequest(MsgType::kInvalidate, "/never")).ok());
-  // kUnlink purges its own lease as part of the removal.
-  ASSERT_TRUE(CallStatus(EncodePathRequest(MsgType::kUnlink, "/l2")).ok());
-
-  auto resp = Call(EncodeHeader(MsgType::kStatsSnapshot));
-  ASSERT_TRUE(resp.ok());
-  ByteReader in(*resp);
-  ASSERT_TRUE(OpenEnvelope(in).ok());
-  const auto snap = DecodeStatsSnapshotResp(in);
-  ASSERT_TRUE(snap.ok());
-  EXPECT_GE(snap->metrics.CounterOr("serve.lease_grants"), 2u);
-  EXPECT_GE(snap->metrics.CounterOr("serve.invalidations"), 3u);
+  ASSERT_TRUE(Lease("/l1").ok());
+  // Type 24 carried the wire revocation until v8; now it is unknown.
+  ByteWriter w;
+  w.PutU16(24);
+  w.PutString("/l1");
+  EXPECT_FALSE(CallStatus(w.Take()).ok());
+  // The path and its lease grant are untouched by it.
+  const auto lease = Lease("/l1");
+  ASSERT_TRUE(lease.ok());
+  EXPECT_TRUE(lease->held);
+  EXPECT_EQ(Counter("serve.lease_grants"), 2u);
 }
 
 TEST_F(MdsServerTest, ProbesAnswerForTheirOwnStoreAndLeaseOnRequest) {
@@ -344,49 +332,6 @@ TEST_F(MdsServerTest, LeaseReplyIsAVerifyWhenLeasesAreOff) {
   EXPECT_EQ(Counter("serve.lease_grants"), 0u);
   EXPECT_EQ(Counter("serve.lease_requests"), 2u);
   EXPECT_EQ(Counter("serve.verifies"), 2u);  // each reply was a verify
-}
-
-TEST_F(MdsServerTest, ExpiredLeasesArePrunedEvery256GrantsWhateverTheMapSize) {
-  ClusterConfig config = TestConfig();
-  config.rpc.server_shards = 1;  // one lease table
-  config.hotspot.lease_ttl_ms = 20;
-  Restart(config);
-  FileMetadata md;
-  constexpr int kShortLived = 10;
-  for (int i = 0; i < kShortLived; ++i) {
-    const std::string path = "/short" + std::to_string(i);
-    ASSERT_TRUE(CallStatus(EncodeInsert(path, md)).ok());
-  }
-  ASSERT_TRUE(CallStatus(EncodeInsert("/keep", md)).ok());
-  for (int i = 0; i < kShortLived; ++i) {
-    ASSERT_TRUE(Lease("/short" + std::to_string(i)).ok());
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  // Renewals of one path keep the table at 11 entries, never a multiple
-  // of 256; the 256th grant sweeps anyway.
-  for (int i = kShortLived; i < 255; ++i) ASSERT_TRUE(Lease("/keep").ok());
-  EXPECT_EQ(Counter("serve.lease_sweeps"), 0u);
-  ASSERT_TRUE(Lease("/keep").ok());
-  EXPECT_EQ(Counter("serve.lease_sweeps"), 1u);
-  EXPECT_EQ(Counter("serve.leases_expired"),
-            static_cast<std::uint64_t>(kShortLived));
-}
-
-TEST_F(MdsServerTest, RenewalAtAMultipleOf256EntriesDoesNotSweep) {
-  ClusterConfig config = TestConfig();
-  config.rpc.server_shards = 1;  // one lease table
-  Restart(config);
-  FileMetadata md;
-  for (int i = 0; i < 256; ++i) {
-    const std::string path = "/many" + std::to_string(i);
-    ASSERT_TRUE(CallStatus(EncodeInsert(path, md)).ok());
-    ASSERT_TRUE(Lease(path).ok());
-  }
-  // 256 grants: one sweep, and 256 live entries in the table.
-  EXPECT_EQ(Counter("serve.lease_sweeps"), 1u);
-  for (int i = 0; i < 16; ++i) ASSERT_TRUE(Lease("/many0").ok());
-  EXPECT_EQ(Counter("serve.lease_sweeps"), 1u);
-  EXPECT_EQ(Counter("serve.leases_expired"), 0u);
 }
 
 TEST_F(MdsServerTest, MalformedFrameAnswersWithError) {

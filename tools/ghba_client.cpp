@@ -4,7 +4,6 @@
 //   $ ghba_client <port> insert </path> [inode]
 //   $ ghba_client <port> verify </path>
 //   $ ghba_client <port> lease </path>
-//   $ ghba_client <port> invalidate </path>
 //   $ ghba_client <port> unlink </path>
 //   $ ghba_client <port> stats
 //   $ ghba_client <port> version
@@ -66,8 +65,8 @@ int RunVerify(DaemonClient& client, const std::string& path) {
 int main(int argc, char** argv) {
   if (argc < 3) {
     std::fprintf(stderr,
-                 "usage: %s <port> <ping|insert|verify|lease|invalidate|"
-                 "unlink|stats|version|shutdown> [args]\n",
+                 "usage: %s <port> <ping|insert|verify|lease|unlink|"
+                 "stats|version|shutdown> [args]\n",
                  argv[0]);
     return 2;
   }
@@ -117,11 +116,6 @@ int main(int argc, char** argv) {
     }
     std::printf("absent\n");
     return 3;
-  }
-  if (cmd == "invalidate") {
-    const char* path = need_path();
-    if (path == nullptr) return 2;
-    return PrintStatus(client->Invalidate(path));
   }
   if (cmd == "unlink") {
     const char* path = need_path();

@@ -28,12 +28,13 @@
 // actually happened. Results go to stdout as churn_* key=value lines.
 //
 // With --coherence SECS the workload runs the front-tier coherence audit
-// (cache forced ON): lookups warm the leased cache, then each round
-// unlinks a file through the facade and immediately re-reads it — any
-// `found` after a successful unlink is a stale read — while a replica
-// migration bounces in the background bumping the routing epoch. The run
-// fails unless stale == 0, the cache actually served hits, and at least
-// one migration happened. Results go to stdout as coherence_* lines.
+// (cache forced ON): each round a second reader Client and the writer
+// both cache a file, the writer unlinks it, and both re-read it — any
+// `found` after a successful unlink, through either client, is a stale
+// read — while a replica migration bounces in the background bumping the
+// routing epoch. The run fails unless stale == 0, the cache actually
+// served hits, and at least one migration happened. Results go to stdout
+// as coherence_* lines.
 //
 // With --hold the process then blocks until stdin reaches EOF (or a line
 // arrives), keeping the servers alive; the e2e CI smoke uses this to run
@@ -57,27 +58,32 @@ using namespace ghba;
 
 namespace {
 
-/// One round of the coherence audit against `path`: lookup (may seed the
-/// cache), unlink through the facade (purge + broadcast kInvalidate), then
-/// re-read several times — every `found` is a stale read. The file is
-/// re-inserted before returning so the next round starts clean.
+/// One round of the coherence audit against `path`: the reader and the
+/// writer look it up (seeding their caches), the writer unlinks it (the
+/// cluster revokes it from both caches), then both re-read it several
+/// times — every `found` is a stale read. The file is re-inserted before
+/// returning so the next round starts clean.
 /// Returns the number of stale reads (-1 = infrastructure failure).
-int CoherenceRound(Client& client, const std::string& path,
+int CoherenceRound(Client& writer, Client& reader, const std::string& path,
                    std::uint64_t* lookups) {
-  const auto before = client.Lookup(path);
-  ++*lookups;
-  if (!before.ok() || !before->found) return -1;
-  if (const auto s = client.Unlink(path); !s.ok()) return -1;
+  for (Client* client : {&reader, &writer}) {
+    const auto before = client->Lookup(path);
+    ++*lookups;
+    if (!before.ok() || !before->found) return -1;
+  }
+  if (const auto s = writer.Unlink(path); !s.ok()) return -1;
   int stale = 0;
   for (int probe = 0; probe < 3; ++probe) {
-    const auto r = client.Lookup(path);
-    ++*lookups;
-    // Unavailable is transient churn noise; found is the coherence bug.
-    if (r.ok() && r->found) ++stale;
+    for (Client* client : {&writer, &reader}) {
+      const auto r = client->Lookup(path);
+      ++*lookups;
+      // Unavailable is transient churn noise; found is the coherence bug.
+      if (r.ok() && r->found) ++stale;
+    }
   }
   FileMetadata md;
   md.inode = 77;
-  if (const auto s = client.Insert(path, md); !s.ok()) return -1;
+  if (const auto s = writer.Insert(path, md); !s.ok()) return -1;
   return stale;
 }
 
@@ -300,6 +306,7 @@ int main(int argc, char** argv) {
       }
     });
 
+    const auto reader = Client::Attach(&cluster, options);
     std::uint64_t rounds = 0, stale = 0, audit_lookups = 0, failures = 0;
     const auto stop_at = std::chrono::steady_clock::now() +
                          std::chrono::duration<double>(coherence_secs);
@@ -307,7 +314,8 @@ int main(int argc, char** argv) {
       const std::string path =
           "/wk/f" + std::to_string(rounds % static_cast<std::uint64_t>(
                                                 num_files));
-      const int round_stale = CoherenceRound(client, path, &audit_lookups);
+      const int round_stale =
+          CoherenceRound(client, *reader, path, &audit_lookups);
       if (round_stale < 0) {
         ++failures;  // transient churn noise; the bar is on stale reads
       } else {
