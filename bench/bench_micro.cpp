@@ -336,7 +336,7 @@ void BM_CheckpointWrite(benchmark::State& state) {
     filter.Add(path);
   }
   for (auto _ : state) {
-    const auto s = (*engine)->WriteCheckpoint(store, filter, {});
+    const auto s = (*engine)->WriteCheckpoint(store, filter);
     if (!s.ok()) {
       state.SkipWithError("checkpoint failed");
       break;

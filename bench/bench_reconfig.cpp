@@ -3,10 +3,13 @@
 //
 //   * Cost series: for several group sizes M (N fixed), the real TCP
 //     frames and wall time of one AddServer (join), one three-phase
-//     MigrateReplica and one RemoveServer (graceful leave). Join/leave
-//     touch the whole group (filter exchange), so the frame counts grow
-//     with M; migration touches three servers and should stay nearly
-//     flat.
+//     MigrateReplica, one KillServer + RestartServer of a member (restart)
+//     and one RemoveServer (graceful leave). Join/leave touch the whole
+//     group (filter exchange), so the frame counts grow with M; migration
+//     touches three servers and should stay nearly flat. Replicas are
+//     memory-only, so a restart costs the fail-over plus a rejoin that
+//     installs only what the holder map assigns: O(theta + N) frames, no
+//     cluster-wide republish.
 //   * Latency series: lookup p50/p99 against a steady cluster vs. the
 //     same load while replicas migrate back and forth continuously. The
 //     dual-epoch window makes a racing lookup probe a superset of
@@ -124,10 +127,12 @@ struct CostRow {
   std::uint32_t m = 0;
   OpCost join;
   OpCost migrate;
+  OpCost restart;
   OpCost leave;
 };
 
-/// One cluster at group size `m`: measure join, migrate, leave in turn.
+/// One cluster at group size `m`: measure join, migrate, restart, leave in
+/// turn.
 CostRow MeasureCosts(std::uint32_t n, std::uint32_t m, std::size_t files) {
   CostRow row;
   row.n = n;
@@ -152,6 +157,22 @@ CostRow MeasureCosts(std::uint32_t n, std::uint32_t m, std::size_t files) {
       row.migrate.ms = (NowSec() - t0) * 1e3;
       row.migrate.messages = cluster.TotalFramesIn() - frames_before;
     }
+  }
+  {
+    // The new incarnation's frame counter starts at zero, so the kill is
+    // counted by the fail-over's own tally (which adds the victim's
+    // frames) and only the restart by the TotalFramesIn delta.
+    const MdsId member = cluster.AliveServers().front();
+    const std::uint64_t kill_before =
+        cluster.metrics().reconfig_messages.value();
+    const double t0 = NowSec();
+    row.restart.ok = cluster.KillServer(member).ok();
+    const std::uint64_t frames_before = cluster.TotalFramesIn();
+    row.restart.ok = row.restart.ok && cluster.RestartServer(member).ok();
+    row.restart.ms = (NowSec() - t0) * 1e3;
+    row.restart.messages = cluster.metrics().reconfig_messages.value() -
+                           kill_before + cluster.TotalFramesIn() -
+                           frames_before;
   }
   {
     const auto alive = cluster.AliveServers();
@@ -237,18 +258,23 @@ int main(int argc, char** argv) {
   std::vector<std::uint32_t> group_sizes = quick
                                                ? std::vector<std::uint32_t>{2, 4}
                                                : std::vector<std::uint32_t>{2, 3, 6};
-  std::printf("%4s %4s %14s %14s %14s\n", "N", "M", "join msgs(ms)",
-              "migrate msgs(ms)", "leave msgs(ms)");
+  std::printf("%4s %4s %14s %14s %14s %14s\n", "N", "M", "join msgs(ms)",
+              "migrate msgs(ms)", "restart msgs(ms)", "leave msgs(ms)");
   std::vector<CostRow> costs;
   bool all_ok = true;
   for (const std::uint32_t m : group_sizes) {
     CostRow row = MeasureCosts(n, m, files);
-    all_ok = all_ok && row.join.ok && row.migrate.ok && row.leave.ok;
-    std::printf("%4u %4u %8llu(%4.0f) %8llu(%4.0f) %8llu(%4.0f)\n", row.n,
-                row.m, static_cast<unsigned long long>(row.join.messages),
+    all_ok = all_ok && row.join.ok && row.migrate.ok && row.restart.ok &&
+             row.leave.ok;
+    std::printf("%4u %4u %8llu(%4.0f) %8llu(%4.0f) %8llu(%4.0f) "
+                "%8llu(%4.0f)\n",
+                row.n, row.m,
+                static_cast<unsigned long long>(row.join.messages),
                 row.join.ms,
                 static_cast<unsigned long long>(row.migrate.messages),
                 row.migrate.ms,
+                static_cast<unsigned long long>(row.restart.messages),
+                row.restart.ms,
                 static_cast<unsigned long long>(row.leave.messages),
                 row.leave.ms);
     costs.push_back(row);
@@ -325,10 +351,12 @@ int main(int argc, char** argv) {
           "    {\"n\": %u, \"m\": %u, "
           "\"join_messages\": %llu, \"join_ms\": %.2f, "
           "\"migrate_messages\": %llu, \"migrate_ms\": %.2f, "
+          "\"restart_messages\": %llu, \"restart_ms\": %.2f, "
           "\"leave_messages\": %llu, \"leave_ms\": %.2f}%s\n",
           r.n, r.m, static_cast<unsigned long long>(r.join.messages),
           r.join.ms, static_cast<unsigned long long>(r.migrate.messages),
-          r.migrate.ms, static_cast<unsigned long long>(r.leave.messages),
+          r.migrate.ms, static_cast<unsigned long long>(r.restart.messages),
+          r.restart.ms, static_cast<unsigned long long>(r.leave.messages),
           r.leave.ms, i + 1 < costs.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");

@@ -421,8 +421,6 @@ int main(int argc, char** argv) {
     cbf.Add("/a/b");
     cbf.Add("/c");
     state.filter = std::move(cbf);
-    state.replicas.emplace_back(1, DenseFilter());
-    state.replicas.emplace_back(2, SparseFilter());
     WriteSeed(root, "fuzz_wal_decode", "checkpoint",
               Sel(2, ghba::EncodeCheckpoint(state)));
     ghba::CheckpointState minimal;

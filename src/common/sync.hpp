@@ -134,7 +134,7 @@ namespace ghba {
 ///   cluster -> {snapshot, pool, any server lock, health, injector,
 ///              metrics, logging}
 ///   txn -> wal                        (prepare journals under intent lock)
-///   wal -> filter / wal -> seg        (mutation journaling + checkpoint)
+///   wal -> filter                     (mutation journaling + checkpoint)
 ///   shard -> injector                 (stall probe inside the worker wait)
 ///   registry -> stripe                (Snapshot merging histograms)
 ///   {client, cluster} -> revoke       (drain / post a client cache inbox)

@@ -91,20 +91,19 @@ class FaultInjector {
   bool IsShardStalled(MdsId id, std::uint32_t shard) const;
 
   /// Phases of a replica migration (PrototypeCluster::MigrateReplica).
-  /// Each phase's durable effect lands in a server WAL before the next
-  /// phase begins, so a crash at any boundary recovers to exactly the
-  /// pre- or post-migration placement of the migrated replica.
+  /// The phases are orchestrator steps and replicas are memory-only, so a
+  /// crash at any boundary followed by a restart ends with every server's
+  /// segment array matching the orchestrator's holder map.
   enum class MigrationPhase : std::uint8_t {
-    kPrepare = 1,  ///< fresh owner filter installed (journaled) on the
-                   ///< new holder; old holder still routes
-    kFlip = 2,     ///< routing flipped: holder map + epoch bump pushed
-                   ///< (journaled) to the group
-    kRetire = 3,   ///< old holder dropped (journaled) its copy
+    kPrepare = 1,  ///< fresh owner filter installed in the new holder's
+                   ///< memory; old holder still routes
+    kFlip = 2,     ///< routing flipped: holder map rewritten, epoch bumped
+    kRetire = 3,   ///< old holder dropped its copy
   };
 
   /// Arm a one-shot crash point by tag. When the instrumented operation
   /// reaches the boundary named by `tag`, it consumes the arm and stops the
-  /// server whose durable state that boundary touched — abruptly, no drain,
+  /// server whose state that boundary touched — abruptly, no drain,
   /// no bookkeeping — exactly as if the machine lost power there. Tags are
   /// free-form dotted strings owned by the instrumented code:
   ///   migrate.prepare / migrate.flip / migrate.retire

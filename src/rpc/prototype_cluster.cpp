@@ -1013,27 +1013,10 @@ Result<RecoveryInfoResp> PrototypeCluster::RestartServerLocked(MdsId id) {
   auto info = DecodeRecoveryInfoResp(in);
   if (!info.ok()) return info.status();
 
+  // The new incarnation starts with an empty segment array (replicas are
+  // memory-only), and the join installs exactly the replicas the holder
+  // map assigns to it; nothing else in the cluster is touched.
   if (Status s = JoinTopologyLocked(id); !s.ok()) return s;
-
-  // Recovery may have restored replicas the rebuilt topology no longer
-  // assigns to this server (holders moved during the outage); sweep them.
-  const std::unordered_map<MdsId, MdsId>* assigned = nullptr;
-  if (scheme_ == ProtoScheme::kGhba) {
-    assigned = &groups_[group_of_.at(id)].holder;
-  }
-  for (MdsId owner = 0; owner < servers_.size(); ++owner) {
-    if (owner == id || !servers_[owner]) continue;
-    if (scheme_ == ProtoScheme::kHba) continue;  // full mesh keeps them all
-    const auto it = assigned->find(owner);
-    if (it == assigned->end() || it->second != id) {
-      // Best-effort: an undropped extra replica costs memory, not safety.
-      (void)Call(id, EncodeReplicaDrop(owner));
-    }
-  }
-
-  // Refresh every replica so the rejoined server serves current filters
-  // (its recovered copies may predate mutations on the survivors).
-  if (Status s = PublishAllLocked(); !s.ok()) return s;
   BumpEpochLocked();
   return *info;
 }
@@ -1280,7 +1263,7 @@ Status PrototypeCluster::CrashMigrationLocked(MdsId victim,
                                               const char* phase) {
   // Power loss at a phase boundary: the event loop stops, every piece of
   // orchestrator bookkeeping stays (as CrashServer), and the caller's test
-  // restarts the victim to see where its journaled state lands.
+  // restarts the victim to see where the replica placement lands.
   router_.DropPeer(PortLocked(victim));
   if (victim < servers_.size() && servers_[victim]) servers_[victim]->Stop();
   return Status::Unavailable(std::string("migration crashed at phase ") +
@@ -1311,25 +1294,24 @@ Status PrototypeCluster::MigrateReplica(MdsId owner, MdsId to) {
   const std::uint64_t frames_before = TotalFramesInLocked();
 
   // Phase 1 — prepare. Snapshot the owner's *current* filter and install
-  // it (journaled through `to`'s WAL) on the new holder. From here until
-  // retire, both holders answer probes for the owner — the dual-epoch
-  // window: a lookup racing the flip probes a superset of placements, so
-  // the window costs duplicate messages, never a wrong miss.
+  // it in the new holder's memory. From here until retire, both holders
+  // answer probes for the owner — the dual-epoch window: a lookup racing
+  // the flip probes a superset of placements, so the window costs
+  // duplicate messages, never a wrong miss.
   auto filter = FetchFilter(owner);
   if (!filter.ok()) return filter.status();
   if (Status s = InstallReplica(to, owner, *filter); !s.ok()) return s;
   if (injector_ != nullptr &&
       injector_->ConsumeMigrationCrash(
           FaultInjector::MigrationPhase::kPrepare)) {
-    // Routing still points at `from`: recovery sweeps the journaled copy
-    // off `to` at rejoin — exactly the pre-migration placement.
+    // Routing still points at `from`: the copy on `to` dies with its
+    // memory, and the rejoin installs only what the holder map assigns.
     return CrashMigrationLocked(to, "prepare");
   }
 
   // Phase 2 — flip: rewrite the holder map and bump the epoch. The commit
-  // point: restart recovery follows this map (RestartServerLocked sweeps
-  // every replica it does not assign, then republishes), so from here a
-  // crash completes the migration instead of undoing it.
+  // point: a restarted server receives exactly what this map assigns it,
+  // so from here a crash completes the migration instead of undoing it.
   assignment->second = to;
   BumpEpochLocked();
   if (injector_ != nullptr &&
@@ -1337,8 +1319,8 @@ Status PrototypeCluster::MigrateReplica(MdsId owner, MdsId to) {
     return CrashMigrationLocked(from, "flip");
   }
 
-  // Phase 3 — retire: the old holder drops (journals) its copy. The new
-  // copy is installed, so a failed retire only leaves a stale duplicate.
+  // Phase 3 — retire: the old holder drops its copy. The new copy is
+  // installed, so a failed retire only leaves a stale duplicate.
   (void)Call(from, EncodeReplicaDrop(owner));
   ++metrics_.replicas_migrated;
   metrics_.reconfig_messages += TotalFramesInLocked() - frames_before;

@@ -187,20 +187,22 @@ class PrototypeCluster {
   /// config.storage.data_dir set, the new incarnation recovers its durable
   /// state (checkpoint + WAL replay) before rejoining; the returned
   /// RecoveryInfoResp is the peer's own account of what it brought back.
-  /// The rejoined server re-enters a group, receives fresh replicas and
-  /// serves L4 again. A crashed-but-undetected server is failed over first.
+  /// Replicas are memory-only: the new incarnation starts with an empty
+  /// segment array, re-enters a group and receives exactly the replicas
+  /// its holder map assigns (the join's light-weight migration); no other
+  /// replica in the cluster is refreshed. It then serves L4 again. A
+  /// crashed-but-undetected server is failed over first.
   Result<RecoveryInfoResp> RestartServer(MdsId id);
 
   /// Move the replica of `owner` held inside `to`'s group onto `to`, as a
-  /// crash-safe three-phase handoff. Each phase's durable effect is
-  /// journaled through the involved server's WAL before the next phase
-  /// starts:
-  ///   1. prepare — snapshot the owner's current filter, install it
-  ///      (journaled) on `to`; the old holder still routes.
+  /// crash-safe three-phase handoff. The phases are orchestrator steps;
+  /// no server keeps durable state about them (replicas are memory-only):
+  ///   1. prepare — snapshot the owner's current filter, install it on
+  ///      `to`; the old holder still routes.
   ///   2. flip — rewrite the holder map and bump the routing epoch. This
-  ///      is the commit point: the orchestrator's map is what routing and
-  ///      restart recovery follow.
-  ///   3. retire — the old holder drops (journals) its copy.
+  ///      is the commit point: the orchestrator's map is what routing
+  ///      follows and what a restarted server is given.
+  ///   3. retire — the old holder drops its copy.
   /// Between 1 and 3 both holders answer probes for the owner — the
   /// dual-epoch window: lookups racing the flip probe a superset of
   /// placements, so the window costs duplicate messages, never a wrong

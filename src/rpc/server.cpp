@@ -213,13 +213,6 @@ Status MdsServer::Start(std::uint16_t port) {
       MutexLock filter(&filter_mu_);
       local_filter_ = std::move(recovered.filter);
     }
-    {
-      MutexLock seg(&seg_mu_);
-      for (auto& [owner, filter] : recovered.replicas) {
-        // Recovery already deduplicated owners; AlreadyExists cannot fire.
-        (void)segment_.AddEntry(owner, std::move(filter));
-      }
-    }
     // Re-take the intent lock of every in-doubt prepare and restore the
     // decision table; the paths stay fenced against plain mutations until
     // resolution (driver-side ResolveInDoubt) closes them.
@@ -900,18 +893,10 @@ void MdsServer::RunCheckpoint() {
           (void)merged.Insert(path, md);
         });
   }
-  std::vector<std::pair<MdsId, BloomFilter>> replicas;
-  {
-    MutexLock seg(&seg_mu_);
-    replicas.reserve(segment_.entries().size());
-    for (const auto& entry : segment_.entries()) {
-      replicas.emplace_back(entry.owner, entry.filter);
-    }
-  }
   Status s;
   {
     MutexLock filter(&filter_mu_);
-    s = engine_->WriteCheckpoint(merged, local_filter_, std::move(replicas));
+    s = engine_->WriteCheckpoint(merged, local_filter_);
   }
   if (!s.ok()) {
     // Not fatal: the WAL keeps growing and the next due mutation retries.
@@ -1309,89 +1294,29 @@ std::vector<std::uint8_t> MdsServer::Handle(
     case MsgType::kReplicaInstall: {
       auto owner = in.GetU32();
       if (!owner.ok()) return EncodeStatusResp(owner.status());
-      // Keep the raw compressed blob: the WAL journals it opaquely, so a
-      // crash after this ack replays the install on recovery (the migration
-      // handoff's "ship delta" phase is durable once acked).
-      auto blob = in.GetBytes(in.remaining());
-      if (!blob.ok()) return EncodeStatusResp(blob.status());
-      ByteReader blob_in(*blob);
-      auto filter = DecompressFilter(blob_in);
+      auto filter = DecompressFilter(in);
       if (!filter.ok()) return EncodeStatusResp(filter.status());
-      if (!blob_in.AtEnd()) {
+      if (!in.AtEnd()) {
         return EncodeStatusResp(
             Status::Corruption("replica install trailing bytes"));
       }
       ++reconfig_messages_;
-      // Same discipline as kInsert: apply, then log, then ack — a failed
-      // log call restores the previous segment entry and nacks.
-      Status s;
-      bool had_old = false;
-      BloomFilter old_filter;
-      {
-        MutexLock seg(&seg_mu_);
-        const BloomFilter* existing = segment_.Find(*owner);
-        if (existing != nullptr) {
-          had_old = true;
-          old_filter = *existing;
-          s = segment_.RefreshEntry(*owner, *filter);
-        } else {
-          s = segment_.AddEntry(*owner, std::move(*filter));
-        }
+      // Memory-only: a replica is a routing hint the holder map restores
+      // on restart, so nothing is journaled.
+      MutexLock seg(&seg_mu_);
+      if (segment_.Find(*owner) != nullptr) {
+        return EncodeStatusResp(segment_.RefreshEntry(*owner, *filter));
       }
-      if (s.ok()) {
-        bool checkpoint_due = false;
-        {
-          MutexLock wal(&wal_mu_);
-          if (engine_ != nullptr) {
-            if (Status w = engine_->LogReplicaInstall(*owner, *blob);
-                !w.ok()) {
-              MutexLock seg(&seg_mu_);
-              if (had_old) {
-                // Rollback to the entry displaced above; owner is present.
-                (void)segment_.RefreshEntry(*owner, old_filter);
-              } else {
-                // Rollback of the install above; owner is present.
-                (void)segment_.RemoveEntry(*owner);
-              }
-              s = w;
-            } else {
-              checkpoint_due = engine_->CheckpointDue();
-            }
-          }
-        }
-        if (checkpoint_due) NoteCheckpointDue();
-      }
-      return EncodeStatusResp(s);
+      return EncodeStatusResp(segment_.AddEntry(*owner, std::move(*filter)));
     }
     case MsgType::kReplicaDrop: {
       auto owner = in.GetU32();
       if (!owner.ok()) return EncodeStatusResp(owner.status());
       ++reconfig_messages_;
       Status removed;
-      BloomFilter dropped;
       {
         MutexLock seg(&seg_mu_);
-        auto r = segment_.RemoveEntry(*owner);
-        removed = r.status();
-        if (r.ok()) dropped = std::move(*r);
-      }
-      // Journal the retire phase; on log failure restore the entry and
-      // nack so the coordinator retries instead of losing the replica.
-      if (removed.ok()) {
-        bool checkpoint_due = false;
-        {
-          MutexLock wal(&wal_mu_);
-          if (engine_ != nullptr) {
-            if (Status w = engine_->LogReplicaDrop(*owner); !w.ok()) {
-              MutexLock seg(&seg_mu_);
-              // Restoring the entry removed above; the slot is free.
-              (void)segment_.AddEntry(*owner, std::move(dropped));
-              return EncodeStatusResp(w);
-            }
-            checkpoint_due = engine_->CheckpointDue();
-          }
-        }
-        if (checkpoint_due) NoteCheckpointDue();
+        removed = segment_.RemoveEntry(*owner).status();
       }
       // Purge the dropped home from every shard's L1: this shard's now,
       // the others via internal tasks (a briefly stale entry elsewhere

@@ -326,7 +326,8 @@ class MdsServer {
 
   // --- whole-server lookup state, shared across shards ---
   // Ranked below wal_mu_: the mutation paths journal under wal_mu_ and
-  // roll back / snapshot the filter and segment inside that scope.
+  // roll back / snapshot the filter inside that scope. The segment array
+  // is memory-only and never journaled.
   mutable Mutex filter_mu_{LockRank::kServerFilter};
   CountingBloomFilter local_filter_ GHBA_GUARDED_BY(filter_mu_);
   mutable Mutex seg_mu_{LockRank::kServerSeg};
@@ -334,8 +335,8 @@ class MdsServer {
   /// Durable engine; null when running memory-only (no --data-dir). One
   /// WAL per server: appends serialize on wal_mu_, which lookups never
   /// take — an fsync storm cannot block the read path.
-  // Highest server rank: the journaling discipline nests seg_mu_ and
-  // filter_mu_ inside it (apply -> log -> ack, rollback on log failure).
+  // Highest server rank: the journaling discipline nests filter_mu_
+  // inside it (apply -> log -> ack, rollback on log failure).
   mutable Mutex wal_mu_{LockRank::kServerWal};
   std::unique_ptr<StorageEngine> engine_ GHBA_GUARDED_BY(wal_mu_);
   /// Two-phase-commit state (intent locks, pending prepares, coordinator

@@ -10,7 +10,6 @@
 #include <cstring>
 #include <filesystem>
 
-#include "bloom/compressed.hpp"
 #include "storage/wal.hpp"
 
 namespace ghba {
@@ -131,11 +130,6 @@ std::vector<std::uint8_t> EncodeCheckpoint(const CheckpointState& state) {
   }
   body.PutU8(state.has_filter ? 1 : 0);
   if (state.has_filter) state.filter.Serialize(body);
-  body.PutVarint(state.replicas.size());
-  for (const auto& [owner, filter] : state.replicas) {
-    body.PutU32(owner);
-    body.PutBytes(CompressFilter(filter));
-  }
   // Transaction state: in-doubt prepares + coordinator decisions.
   body.PutVarint(state.txn_pending.size());
   for (const auto& op : state.txn_pending) {
@@ -206,19 +200,6 @@ Result<CheckpointState> DecodeCheckpoint(
     state.filter = std::move(*filter);
   }
 
-  auto replica_count = in.GetVarint();
-  if (!replica_count.ok()) return replica_count.status();
-  if (*replica_count > in.remaining()) {
-    return Status::Corruption("absurd checkpoint replica count");
-  }
-  state.replicas.reserve(*replica_count);
-  for (std::uint64_t i = 0; i < *replica_count; ++i) {
-    auto owner = in.GetU32();
-    if (!owner.ok()) return owner.status();
-    auto filter = DecompressFilter(in);
-    if (!filter.ok()) return filter.status();
-    state.replicas.emplace_back(*owner, std::move(*filter));
-  }
   auto pending_count = in.GetVarint();
   if (!pending_count.ok()) return pending_count.status();
   // A pending entry costs at least 15 bytes (8 id + 1 sub-op + 4

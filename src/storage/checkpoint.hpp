@@ -1,5 +1,7 @@
 // Atomic checkpoints of per-MDS state: the metadata map, the authoritative
-// counting Bloom filter and the segment replica array.
+// counting Bloom filter and the transaction state. Segment replicas are not
+// checkpointed: they live in memory only, and a restarted server receives
+// exactly the replicas its holder map assigns.
 //
 // A checkpoint is one self-validating file written next to the WAL:
 //
@@ -8,8 +10,6 @@
 //
 //   body = [file_count varint] file_count * ([path string][metadata])
 //          [has_filter u8] has_filter? [CountingBloomFilter]
-//          [replica_count varint] replica_count * ([owner u32][compressed
-//          BloomFilter])
 //          [pending_count varint] pending_count * ([txn_id u64][subop u8]
 //          [coordinator u32][participant_count varint][participant u32]*
 //          [path string][metadata if insert])
@@ -35,7 +35,6 @@
 #include <utility>
 #include <vector>
 
-#include "bloom/bloom_filter.hpp"
 #include "bloom/counting_bloom_filter.hpp"
 #include "common/bytes.hpp"
 #include "common/lookup_outcome.hpp"
@@ -48,7 +47,7 @@ namespace ghba {
 inline constexpr std::uint8_t kCheckpointMagic0 = 0x47;  // 'G'
 inline constexpr std::uint8_t kCheckpointMagic1 = 0x43;  // 'C'
 /// The only format this build reads or writes.
-inline constexpr std::uint16_t kCheckpointVersion = 4;
+inline constexpr std::uint16_t kCheckpointVersion = 5;
 inline constexpr std::size_t kCheckpointHeaderBytes = 20;
 
 /// Allocation cap for a claimed body length (allocate-after-validate).
@@ -63,8 +62,6 @@ struct CheckpointState {
   /// rebuilds it from `files`.
   bool has_filter = false;
   CountingBloomFilter filter;
-  /// Segment replica array entries (owner, flattened filter).
-  std::vector<std::pair<MdsId, BloomFilter>> replicas;
   /// Transaction state at snapshot time: prepares still in doubt and the
   /// coordinator decision table.
   std::vector<TxnPendingOp> txn_pending;

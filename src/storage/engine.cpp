@@ -118,27 +118,6 @@ Status StorageEngine::LogClear() {
   return LogRecord(WalOp::kClear, {}, nullptr);
 }
 
-Status StorageEngine::LogReplicaInstall(MdsId owner,
-                                        std::span<const std::uint8_t> blob) {
-  // An oversized record would break replay as a torn tail (the replayer
-  // caps frames at kMaxWalRecordBytes), taking every later record with it.
-  // Skip journaling instead: the in-memory install still happens, and the
-  // coordinator republishes filters on rejoin, so staleness is bounded.
-  if (blob.size() + 64 > kMaxWalRecordBytes) return Status::Ok();
-  WalRecord record;
-  record.op = WalOp::kReplicaInstall;
-  record.owner = owner;
-  record.filter_blob.assign(blob.begin(), blob.end());
-  return CommitRecord(std::move(record));
-}
-
-Status StorageEngine::LogReplicaDrop(MdsId owner) {
-  WalRecord record;
-  record.op = WalOp::kReplicaDrop;
-  record.owner = owner;
-  return CommitRecord(std::move(record));
-}
-
 Status StorageEngine::LogTxnBegin(std::uint64_t txn_id,
                                   const std::vector<MdsId>& participants) {
   WalRecord record;
@@ -227,9 +206,8 @@ bool StorageEngine::CheckpointDue() const {
   return wal_.size_bytes() >= options_.checkpoint_wal_bytes;
 }
 
-Status StorageEngine::WriteCheckpoint(
-    const MetadataStore& store, const CountingBloomFilter& filter,
-    std::vector<std::pair<MdsId, BloomFilter>> replicas) {
+Status StorageEngine::WriteCheckpoint(const MetadataStore& store,
+                                      const CountingBloomFilter& filter) {
   const auto start = std::chrono::steady_clock::now();
 
   // Everything the snapshot will claim to cover must be stable first; a
@@ -244,7 +222,6 @@ Status StorageEngine::WriteCheckpoint(
   });
   state.has_filter = true;
   state.filter = filter;
-  state.replicas = std::move(replicas);
   state.txn_pending = txn_pending_;
   state.txn_decisions = txn_decisions_;
 
@@ -265,12 +242,9 @@ Status StorageEngine::WriteCheckpoint(
 }
 
 Result<bool> StorageEngine::MaybeCheckpoint(
-    const MetadataStore& store, const CountingBloomFilter& filter,
-    std::vector<std::pair<MdsId, BloomFilter>> replicas) {
+    const MetadataStore& store, const CountingBloomFilter& filter) {
   if (!CheckpointDue()) return false;
-  if (Status s = WriteCheckpoint(store, filter, std::move(replicas)); !s.ok()) {
-    return s;
-  }
+  if (Status s = WriteCheckpoint(store, filter); !s.ok()) return s;
   return true;
 }
 

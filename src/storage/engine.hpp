@@ -1,13 +1,15 @@
 // Per-MDS durable storage engine: the facade an MdsServer drives.
 //
 // Open() runs crash recovery (checkpoint + WAL tail), reopens the log at
-// the end of its clean prefix and hands the recovered store/filter/replicas
+// the end of its clean prefix and hands the recovered store/filter/txn state
 // to the server via TakeRecovered(). After that the server calls LogInsert /
 // LogUpdate / LogRemove / LogClear after applying each mutation in memory
 // and *before* acking the client — a failed log call tells the server to
 // roll the mutation back and nack, so the WAL never records an op the
 // client was not promised. MaybeCheckpoint() snapshots state and truncates
-// the log once it grows past the configured threshold.
+// the log once it grows past the configured threshold. Segment replicas
+// never pass through the engine: they are memory-only, and a restarted
+// server receives exactly the replicas its holder map assigns.
 //
 // Like the rest of per-server state, the engine is single-threaded: it is
 // owned by the MDS event loop and never locked.
@@ -15,7 +17,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -59,7 +60,7 @@ class StorageEngine {
       const StorageOptions& options,
       const CountingBloomFilter& filter_template, MetricsRegistry* registry);
 
-  /// Move the recovered store/filter/replicas out (valid exactly once,
+  /// Move the recovered store/filter/txn state out (valid exactly once,
   /// right after Open). The RecoveryInfo summary stays behind.
   RecoveredState TakeRecovered() { return std::move(recovered_); }
 
@@ -71,15 +72,6 @@ class StorageEngine {
   Status LogUpdate(std::string_view path, const FileMetadata& metadata);
   Status LogRemove(std::string_view path);
   Status LogClear();
-
-  /// Journal one replica-migration phase. `blob` is the compressed filter
-  /// exactly as it arrived on the wire — the log stores it opaquely. A blob
-  /// too large for one WAL frame is *not* journaled (Ok is still returned):
-  /// an oversized record would read back as a torn tail and break replay of
-  /// everything after it. The staleness is bounded — the coordinator
-  /// republishes filters when the server rejoins after a crash.
-  Status LogReplicaInstall(MdsId owner, std::span<const std::uint8_t> blob);
-  Status LogReplicaDrop(MdsId owner);
 
   /// Journal two-phase-commit transitions. The engine mirrors the pending
   /// prepares and the coordinator decision table so both survive WAL
@@ -98,18 +90,16 @@ class StorageEngine {
   /// True once the WAL has outgrown options.checkpoint_wal_bytes.
   bool CheckpointDue() const;
 
-  /// Snapshot `store` + `filter` + `replicas` to a new checkpoint file and
-  /// truncate the WAL. Barriers on an explicit WAL fsync first so the
+  /// Snapshot `store` + `filter` + the txn state to a new checkpoint file
+  /// and truncate the WAL. Barriers on an explicit WAL fsync first so the
   /// snapshot can never claim coverage of records that were not stable.
-  Status WriteCheckpoint(
-      const MetadataStore& store, const CountingBloomFilter& filter,
-      std::vector<std::pair<MdsId, BloomFilter>> replicas);
+  Status WriteCheckpoint(const MetadataStore& store,
+                         const CountingBloomFilter& filter);
 
   /// WriteCheckpoint, but only when CheckpointDue(). Returns true when a
   /// checkpoint was written.
-  Result<bool> MaybeCheckpoint(
-      const MetadataStore& store, const CountingBloomFilter& filter,
-      std::vector<std::pair<MdsId, BloomFilter>> replicas);
+  Result<bool> MaybeCheckpoint(const MetadataStore& store,
+                               const CountingBloomFilter& filter);
 
   const StorageOptions& options() const { return options_; }
   const WriteAheadLog& wal() const { return wal_; }

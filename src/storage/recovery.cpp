@@ -1,9 +1,7 @@
 #include "storage/recovery.hpp"
 
 #include <algorithm>
-#include <span>
 
-#include "bloom/compressed.hpp"
 #include "storage/checkpoint.hpp"
 
 namespace ghba {
@@ -47,15 +45,12 @@ StoreMutation ToStoreMutation(WalRecord record) {
     case WalOp::kClear:
       m.kind = StoreMutation::Kind::kClear;
       break;
-    case WalOp::kReplicaInstall:
-    case WalOp::kReplicaDrop:
     case WalOp::kTxnBegin:
     case WalOp::kTxnPrepare:
     case WalOp::kTxnCommit:
     case WalOp::kTxnAbort:
     case WalOp::kTxnDecision:
-      // Reconfiguration and transaction records never reach the store this
-      // way; callers divert them before translating (a committed txn sub-op
+      // Transaction records never reach the store this way; callers divert them before translating (a committed txn sub-op
       // is translated explicitly). Mapping to kClear would wipe the store,
       // so translate to a harmless no-op remove of the (empty) path instead.
       m.kind = StoreMutation::Kind::kRemove;
@@ -83,7 +78,6 @@ Result<RecoveredState> RecoverState(
                                   std::move(path), md});
   }
   out.store.ApplyBatch(batch);
-  out.replicas = std::move(ckpt.replicas);
   out.txn_pending = std::move(ckpt.txn_pending);
   out.txn_decisions = std::move(ckpt.txn_decisions);
 
@@ -129,33 +123,8 @@ Result<RecoveredState> RecoverState(
   };
   for (WalRecord& record : replay.records) {
     last_seq = std::max(last_seq, record.seq);
-    // Reconfiguration records replay into the replica array; they never
-    // touch the store or the local filter.
+    // Transaction records replay into the transaction state.
     switch (record.op) {
-      case WalOp::kReplicaInstall: {
-        ByteReader blob(record.filter_blob);
-        auto filter = DecompressFilter(blob);
-        if (!filter.ok() || !blob.AtEnd()) {
-          // The frame CRC checked out, so a bad blob means the writer
-          // journaled garbage. Skip: staleness is bounded — the
-          // coordinator republishes filters when the server rejoins.
-          continue;
-        }
-        auto it = std::find_if(
-            out.replicas.begin(), out.replicas.end(),
-            [&record](const auto& e) { return e.first == record.owner; });
-        if (it != out.replicas.end()) {
-          it->second = std::move(*filter);
-        } else {
-          out.replicas.emplace_back(record.owner, std::move(*filter));
-        }
-        continue;
-      }
-      case WalOp::kReplicaDrop:
-        std::erase_if(out.replicas, [&record](const auto& e) {
-          return e.first == record.owner;
-        });
-        continue;
       case WalOp::kTxnBegin:
         // Begin precedes any decision for the same txn in seq order, but a
         // replayed begin must never roll a checkpointed decision back.

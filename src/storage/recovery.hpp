@@ -2,7 +2,10 @@
 //
 // Recovery rebuilds exactly the state a restarted MDS needs to resume
 // serving L4 (the authoritative level): the metadata store, the local
-// counting Bloom filter and the segment replica array. The invariant that
+// counting Bloom filter and the transaction state. Segment replicas are
+// not recovered: they are memory-only routing hints, and a restarted
+// server receives exactly the replicas its holder map assigns. The
+// invariant that
 // makes L4 exactness survive a restart: after replay, the filter obtained
 // by replaying logged mutations into the checkpointed filter must flatten
 // to the same bits as one rebuilt from scratch over the recovered store.
@@ -17,7 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "bloom/bloom_filter.hpp"
 #include "bloom/counting_bloom_filter.hpp"
 #include "common/lookup_outcome.hpp"
 #include "common/status.hpp"
@@ -33,14 +35,13 @@ inline constexpr char kWalFileName[] = "wal.log";
 /// Translate one WAL record into the shared store mutation type (WAL
 /// replay and replica migration both funnel through
 /// MetadataStore::ApplyBatch). Only meaningful for the file-mutation ops
-/// (kInsert/kUpdate/kRemove/kClear); reconfiguration records are replayed
-/// into the replica array instead.
+/// (kInsert/kUpdate/kRemove/kClear); transaction records are replayed
+/// into the transaction state instead.
 StoreMutation ToStoreMutation(WalRecord record);
 
 struct RecoveredState {
   MetadataStore store;
   CountingBloomFilter filter;
-  std::vector<std::pair<MdsId, BloomFilter>> replicas;
 
   /// First sequence number new WAL records should use.
   std::uint64_t next_seq = 1;

@@ -35,14 +35,6 @@ void EncodeWalRecordPayload(const WalRecord& record, ByteWriter& out) {
     case WalOp::kUpdate:
       record.metadata.Serialize(out);
       break;
-    case WalOp::kReplicaInstall:
-      out.PutU32(record.owner);
-      out.PutVarint(record.filter_blob.size());
-      out.PutBytes(record.filter_blob);
-      break;
-    case WalOp::kReplicaDrop:
-      out.PutU32(record.owner);
-      break;
     case WalOp::kTxnBegin:
       out.PutU64(record.txn_id);
       out.PutVarint(record.members.size());
@@ -82,11 +74,12 @@ Result<WalRecord> DecodeWalRecordPayload(ByteReader& in) {
       *op > static_cast<std::uint8_t>(WalOp::kTxnDecision)) {
     return Status::Corruption("bad WAL op");
   }
-  // Op 7 is the retired cluster-view record: not garbage but a log written
-  // by an older build, which replay must refuse rather than truncate.
-  if (*op == 7) {
-    return Status::InvalidArgument("retired WAL op 7 (written by an older "
-                                   "build)");
+  // Ops 5-7 are the retired replica and cluster-view records: not garbage
+  // but a log written by an older build, which replay must refuse rather
+  // than truncate.
+  if (*op >= 5 && *op <= 7) {
+    return Status::InvalidArgument("retired WAL op " + std::to_string(*op) +
+                                   " (written by an older build)");
   }
   record.op = static_cast<WalOp>(*op);
   auto seq = in.GetU64();
@@ -104,26 +97,6 @@ Result<WalRecord> DecodeWalRecordPayload(ByteReader& in) {
       auto md = FileMetadata::Deserialize(in);
       if (!md.ok()) return md.status();
       record.metadata = std::move(*md);
-      break;
-    }
-    case WalOp::kReplicaInstall: {
-      auto owner = in.GetU32();
-      if (!owner.ok()) return owner.status();
-      record.owner = *owner;
-      auto blob_len = in.GetVarint();
-      if (!blob_len.ok()) return blob_len.status();
-      if (*blob_len > in.remaining()) {
-        return Status::Corruption("WAL replica blob overruns record");
-      }
-      auto blob = in.GetBytes(static_cast<std::size_t>(*blob_len));
-      if (!blob.ok()) return blob.status();
-      record.filter_blob = std::move(*blob);
-      break;
-    }
-    case WalOp::kReplicaDrop: {
-      auto owner = in.GetU32();
-      if (!owner.ok()) return owner.status();
-      record.owner = *owner;
       break;
     }
     case WalOp::kTxnBegin: {

@@ -12,13 +12,12 @@
 //
 // Record frame: [0x57 0x4C]['len' u32 LE]['crc32' u32 LE][payload]
 // Payload:      [op u8][seq u64][path varint-string][body?]
-// The body depends on the op: kInsert/kUpdate carry FileMetadata,
-// kReplicaInstall carries [owner u32][blob varint-len + bytes],
-// and kReplicaDrop carries [owner u32] — the migration state machine
-// journals through the same frames as file mutations, so crash recovery
-// replays it in one pass (seq strictly increases).
-// The kTxn* records (two-phase commit) carry a txn id and, per op, the
+// The body depends on the op: kInsert/kUpdate carry FileMetadata, and the
+// kTxn* records (two-phase commit) carry a txn id and, per op, the
 // coordinator, participant list, sub-op and metadata — see WalOp below.
+// Segment replicas are never journaled: a replica is a routing hint that
+// lives in memory only, and a restarted server receives exactly the
+// replicas its holder map assigns.
 #pragma once
 
 #include <cstdint>
@@ -48,12 +47,8 @@ enum class WalOp : std::uint8_t {
   kUpdate = 2,  ///< overwrite existing record (path + metadata)
   kRemove = 3,  ///< erase record (path only)
   kClear = 4,   ///< drop all records (migration drain; no path)
-  // Online-reconfiguration records: the replica handoff journals through
-  // the same log so a kill -9 at any migration phase recovers to a
-  // consistent placement.
-  kReplicaInstall = 5,  ///< install/refresh an outsider replica (owner + blob)
-  kReplicaDrop = 6,     ///< retire an outsider replica (owner only)
-  // 7 was the retired cluster-view record; the decoder rejects it and it is
+  // 5 and 6 were the retired replica install/drop records and 7 the
+  // retired cluster-view record; the decoder rejects them and they are
   // never reused.
   // Distributed-transaction records (two-phase commit, presumed abort).
   // Participant side: kTxnPrepare journals the intent (path + sub-op, NOT
@@ -82,14 +77,9 @@ struct WalRecord {
   std::uint64_t seq = 0;  ///< strictly increasing per log
   std::string path;
   FileMetadata metadata;  ///< meaningful for kInsert / kUpdate
-  /// Reconfiguration fields (meaningful for the ops noted).
-  MdsId owner = 0;  ///< kReplicaInstall / kReplicaDrop: replica's home MDS
-  std::vector<std::uint8_t> filter_blob;  ///< kReplicaInstall: compressed
-                                          ///< filter, opaque to the log
-  std::vector<MdsId> members;             ///< kTxnBegin/kTxnPrepare:
-                                          ///< participant list
-  /// Transaction fields (meaningful for the kTxn* ops). `owner` doubles as
-  /// the coordinator id on kTxnPrepare.
+  /// Transaction fields (meaningful for the kTxn* ops).
+  MdsId owner = 0;             ///< kTxnPrepare: the coordinator id
+  std::vector<MdsId> members;  ///< kTxnBegin/kTxnPrepare: participant list
   std::uint64_t txn_id = 0;
   TxnSubOp txn_subop = TxnSubOp::kNone;  ///< kTxnPrepare / kTxnCommit
   bool txn_commit = false;               ///< kTxnDecision verdict

@@ -74,6 +74,29 @@ std::map<std::string, MdsId> BuildNamespace(PrototypeCluster& cluster,
   return home_of;
 }
 
+/// Every live server's segment array holds exactly the outsider replicas
+/// the orchestrator's holder map assigns to it: nothing missing, nothing
+/// left over from before a crash.
+void ExpectSegmentsMatchHolderMap(PrototypeCluster& cluster) {
+  const auto alive = cluster.AliveServers();
+  for (const MdsId server : alive) {
+    const auto view = cluster.MembershipOf(server);
+    ASSERT_TRUE(view.ok()) << "server " << server;
+    for (const MdsId owner : alive) {
+      if (owner == server) continue;
+      bool assigned = false;
+      if (std::find(view->begin(), view->end(), owner) == view->end()) {
+        const auto holder = cluster.HolderOf(server, owner);
+        ASSERT_TRUE(holder.ok()) << "server " << server << " owner " << owner;
+        assigned = *holder == server;
+      }
+      const auto held = cluster.HoldsReplica(server, owner);
+      ASSERT_TRUE(held.ok()) << "server " << server << " owner " << owner;
+      EXPECT_EQ(*held, assigned) << "server " << server << " owner " << owner;
+    }
+  }
+}
+
 std::uint64_t CacheCounter(PrototypeCluster& cluster, const std::string& name) {
   return cluster.ClientSnapshot().CounterOr(name);
 }
@@ -448,9 +471,10 @@ TEST(ClientCacheTest, HotKeyPromotionReplicatesTheHomeFilter) {
 
 // A crash at any migration phase, then recovery, must never let the facade
 // serve a wrong answer from a pre-migration lease. The commit point is the
-// phase-2 flip; whichever endpoint placement the crash resolves to, homes
-// are unchanged (migration moves replicas, not files), so the bar is: all
-// lookups correct, no stale cache hit pointing anywhere wrong.
+// phase-2 flip; after the restart every segment array matches the holder
+// map, and homes are unchanged (migration moves replicas, not files), so
+// the bar is: all lookups correct, no stale cache hit pointing anywhere
+// wrong.
 class ClientMigrationCrashTest
     : public ::testing::TestWithParam<FaultInjector::MigrationPhase> {
  protected:
@@ -505,6 +529,7 @@ TEST_P(ClientMigrationCrashTest, NoStaleCacheReadAcrossCrashAndRecovery) {
   const bool committed = GetParam() != FaultInjector::MigrationPhase::kPrepare;
   const MdsId victim = committed ? *from : to;
   ASSERT_TRUE(cluster.RestartServer(victim).ok());
+  ExpectSegmentsMatchHolderMap(cluster);
 
   // Whatever mix of cache hits and re-lookups happens now, every answer
   // must be found at the unchanged home.

@@ -199,28 +199,33 @@ TEST_P(CrashRecoveryTest, NonDurableRestartReportsAndLoses) {
 }
 
 TEST_P(CrashRecoveryTest, ServerRefusesACheckpointOfAnotherVersion) {
-  // A data dir left by another build: its only checkpoint says version 3.
-  // The server must refuse to start rather than skip the file as corrupt
-  // and come up without the files it held.
+  // A data dir left by another build: its only checkpoint says version 3,
+  // or 4 (the last format that carried segment replicas). The server must
+  // refuse to start rather than skip the file as corrupt and come up
+  // without the files it held.
   const std::string dir = data_dir_ + "/mds-0";
-  std::filesystem::create_directories(dir);
-  CheckpointState state;
-  state.wal_seq = 1;
-  state.files.emplace_back("/old", Md());
-  auto bytes = EncodeCheckpoint(state);
-  bytes[2] = 3;  // version u16 LE
-  bytes[3] = 0;
-  {
-    std::ofstream out(dir + "/" + CheckpointFileName(state.wal_seq),
-                      std::ios::binary);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
+  for (const std::uint8_t version : {std::uint8_t{3}, std::uint8_t{4}}) {
+    SCOPED_TRACE(int{version});
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    CheckpointState state;
+    state.wal_seq = 1;
+    state.files.emplace_back("/old", Md());
+    auto bytes = EncodeCheckpoint(state);
+    bytes[2] = version;  // version u16 LE
+    bytes[3] = 0;
+    {
+      std::ofstream out(dir + "/" + CheckpointFileName(state.wal_seq),
+                        std::ios::binary);
+      out.write(reinterpret_cast<const char*>(bytes.data()),
+                static_cast<std::streamsize>(bytes.size()));
+    }
+    MdsServer server(0, DurableConfig());
+    const Status started = server.Start();
+    EXPECT_EQ(started.code(), StatusCode::kInvalidArgument)
+        << started.ToString();
+    EXPECT_FALSE(server.running());
   }
-  MdsServer server(0, DurableConfig());
-  const Status started = server.Start();
-  EXPECT_EQ(started.code(), StatusCode::kInvalidArgument)
-      << started.ToString();
-  EXPECT_FALSE(server.running());
 }
 
 TEST_P(CrashRecoveryTest, RestartOfRunningServerRejected) {

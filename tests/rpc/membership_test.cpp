@@ -135,6 +135,48 @@ TEST(MembershipTest, JoinLeavesServersOutsideTheGroupAndItsHoldersUntouched) {
   EXPECT_EQ(untouched, 4);
 }
 
+TEST(MembershipTest, RestartTouchesOnlyItsGroupAndOneHolderPerOtherGroup) {
+  ClusterConfig config = SmallConfig();
+  config.num_mds = 8;  // groups {0,1,2} {3,4,5} {6,7}
+  PrototypeCluster cluster(config, ProtoScheme::kGhba);
+  ASSERT_TRUE(cluster.Start().ok());
+  const auto frames_in = [&cluster](MdsId id) {
+    const auto stats = cluster.FetchStats(id);
+    EXPECT_TRUE(stats.ok()) << id;
+    return stats.ok() ? stats->frames_in : 0;
+  };
+  const MdsId victim = 4;
+  ASSERT_TRUE(cluster.KillServer(victim).ok());
+  std::map<MdsId, std::uint64_t> before;
+  for (const MdsId id : cluster.AliveServers()) before[id] = frames_in(id);
+
+  ASSERT_TRUE(cluster.RestartServer(victim).ok());
+  ASSERT_EQ(cluster.NumGroups(), 3u) << "the rejoin must not split a group";
+  const auto rejoined = cluster.MembershipOf(victim);
+  ASSERT_TRUE(rejoined.ok());
+  std::vector<MdsId> touched = *rejoined;
+  for (const auto& [id, frames] : before) {
+    if (std::find(rejoined->begin(), rejoined->end(), id) !=
+        rejoined->end()) {
+      continue;
+    }
+    const auto holder = cluster.HolderOf(id, victim);
+    ASSERT_TRUE(holder.ok()) << id;
+    touched.push_back(*holder);
+  }
+  int untouched = 0;
+  for (const auto& [id, frames] : before) {
+    if (std::find(touched.begin(), touched.end(), id) != touched.end()) {
+      continue;
+    }
+    ++untouched;
+    // The rejoin reaches no one else: the only new frame is this
+    // second kStatsSnapshot itself.
+    EXPECT_EQ(frames_in(id) - frames, 1u) << "server " << id;
+  }
+  EXPECT_EQ(untouched, 3);
+}
+
 // More than one request to a peer always rides kBatch: n inserts cost
 // ceil(n / kMaxBatchFrames) frames plus whatever the transport retried.
 TEST(MembershipTest, BatchedInsertsCostOneFramePerBatchWindow) {

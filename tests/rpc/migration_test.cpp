@@ -1,9 +1,10 @@
-// Crash-safe replica migration (the PR's tentpole): the three-phase
-// handoff must move a replica without ever serving a wrong lookup, and a
-// kill -9 at any phase boundary must recover to exactly the pre-flip or
-// post-flip placement — phase 2 (the holder-map flip) is the
-// commit point. The crash cases run parameterized over every phase so a
-// new phase cannot ship without a crash test.
+// Crash-safe replica migration: the three-phase handoff must move a
+// replica without ever serving a wrong lookup, and a kill -9 at any phase
+// boundary followed by a restart must leave every server's segment array
+// matching the orchestrator's holder map — replicas are memory-only, and
+// phase 2 (the holder-map flip) is the commit point. The crash cases run
+// parameterized over every phase so a new phase cannot ship without a
+// crash test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -82,6 +83,29 @@ void ExpectAllLookupsCorrect(PrototypeCluster& cluster,
     ASSERT_TRUE(r.ok()) << path << ": " << r.status().ToString();
     EXPECT_TRUE(r->found) << path;
     EXPECT_EQ(r->home, home) << path;
+  }
+}
+
+/// Every live server's segment array holds exactly the outsider replicas
+/// the orchestrator's holder map assigns to it: nothing missing, nothing
+/// left over from before a crash.
+void ExpectSegmentsMatchHolderMap(PrototypeCluster& cluster) {
+  const auto alive = cluster.AliveServers();
+  for (const MdsId server : alive) {
+    const auto view = cluster.MembershipOf(server);
+    ASSERT_TRUE(view.ok()) << "server " << server;
+    for (const MdsId owner : alive) {
+      if (owner == server) continue;
+      bool assigned = false;
+      if (std::find(view->begin(), view->end(), owner) == view->end()) {
+        const auto holder = cluster.HolderOf(server, owner);
+        ASSERT_TRUE(holder.ok()) << "server " << server << " owner " << owner;
+        assigned = *holder == server;
+      }
+      const auto held = cluster.HoldsReplica(server, owner);
+      ASSERT_TRUE(held.ok()) << "server " << server << " owner " << owner;
+      EXPECT_EQ(*held, assigned) << "server " << server << " owner " << owner;
+    }
   }
 }
 
@@ -200,25 +224,13 @@ TEST_P(MigrationCrashTest, CrashAtPhaseRecoversToAnEndpointPlacement) {
     EXPECT_EQ(*holder, expected_holder);
   }
 
-  // Restart the victim: fail-over + durable recovery + rejoin.
+  // Restart the victim: fail-over + durable recovery + rejoin. The new
+  // incarnation comes up with no replicas and receives exactly what the
+  // holder map assigns it; no lookup is ever wrong.
   const auto info = cluster.RestartServer(victim);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   EXPECT_TRUE(info->durable);
-
-  // Post-recovery audit: routing and server-side placement agree for every
-  // outsider replica of the group, and no lookup is ever wrong.
-  const auto view = cluster.MembershipOf(a.member);
-  ASSERT_TRUE(view.ok());
-  for (const MdsId owner : cluster.AliveServers()) {
-    if (std::find(view->begin(), view->end(), owner) != view->end()) {
-      continue;
-    }
-    const auto holder = cluster.HolderOf(a.member, owner);
-    ASSERT_TRUE(holder.ok()) << "owner " << owner;
-    const auto held = cluster.HoldsReplica(*holder, owner);
-    ASSERT_TRUE(held.ok()) << "owner " << owner;
-    EXPECT_TRUE(*held) << "owner " << owner << " holder " << *holder;
-  }
+  ExpectSegmentsMatchHolderMap(cluster);
   ExpectAllLookupsCorrect(cluster, home_of);
 }
 

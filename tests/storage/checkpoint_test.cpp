@@ -29,9 +29,6 @@ CheckpointState SampleState(std::uint64_t wal_seq) {
   filter.Add("/a/b");
   filter.Add("/c");
   state.filter = std::move(filter);
-  auto replica = BloomFilter::ForCapacity(64, 8.0, /*seed=*/7);
-  replica.Add("/x");
-  state.replicas.emplace_back(3, std::move(replica));
   return state;
 }
 
@@ -60,19 +57,15 @@ TEST(CheckpointCodecTest, RoundTrip) {
   ASSERT_TRUE(decoded->has_filter);
   EXPECT_TRUE(decoded->filter.MayContain("/a/b"));
   EXPECT_EQ(decoded->filter.num_counters(), state.filter.num_counters());
-  ASSERT_EQ(decoded->replicas.size(), 1u);
-  EXPECT_EQ(decoded->replicas[0].first, 3u);
-  EXPECT_EQ(decoded->replicas[0].second, state.replicas[0].second);
 }
 
 TEST(CheckpointCodecTest, MinimalStateRoundTrips) {
-  CheckpointState state;  // no files, no filter, no replicas
+  CheckpointState state;  // no files, no filter, no txn state
   const auto decoded = DecodeCheckpoint(EncodeCheckpoint(state));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->wal_seq, 0u);
   EXPECT_TRUE(decoded->files.empty());
   EXPECT_FALSE(decoded->has_filter);
-  EXPECT_TRUE(decoded->replicas.empty());
 }
 
 TEST(CheckpointCodecTest, TxnStateRoundTrips) {

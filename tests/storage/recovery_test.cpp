@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "bloom/compressed.hpp"
 #include "storage/checkpoint.hpp"
 #include "storage/engine.hpp"
 
@@ -149,11 +148,7 @@ TEST_F(RecoveryTest, CheckpointPlusTailRecoversBoth) {
       filter.Add(path);
       ASSERT_TRUE((*engine)->LogInsert(path, Md(i)).ok());
     }
-    auto replica = BloomFilter::ForCapacity(64, 8.0, /*seed=*/3);
-    replica.Add("/remote");
-    std::vector<std::pair<MdsId, BloomFilter>> replicas;
-    replicas.emplace_back(9, replica);
-    ASSERT_TRUE((*engine)->WriteCheckpoint(store, filter, replicas).ok());
+    ASSERT_TRUE((*engine)->WriteCheckpoint(store, filter).ok());
     EXPECT_EQ((*engine)->wal().size_bytes(), 0u);  // log truncated
 
     // Tail records past the checkpoint.
@@ -166,9 +161,6 @@ TEST_F(RecoveryTest, CheckpointPlusTailRecoversBoth) {
   EXPECT_EQ(state->replay_records, 1u);  // only /tail came from the WAL
   EXPECT_TRUE(state->store.Contains("/ck3"));
   EXPECT_TRUE(state->store.Contains("/tail"));
-  ASSERT_EQ(state->replicas.size(), 1u);
-  EXPECT_EQ(state->replicas[0].first, 9u);
-  EXPECT_TRUE(state->replicas[0].second.MayContain("/remote"));
   EXPECT_TRUE(state->filter_matched);
 }
 
@@ -306,7 +298,7 @@ TEST_F(RecoveryTest, EngineCheckpointsWhenWalOutgrowsThreshold) {
     ASSERT_TRUE(store.Insert(path, Md(i)).ok());
     filter.Add(path);
     ASSERT_TRUE((*engine)->LogInsert(path, Md(i)).ok());
-    auto wrote = (*engine)->MaybeCheckpoint(store, filter, {});
+    auto wrote = (*engine)->MaybeCheckpoint(store, filter);
     ASSERT_TRUE(wrote.ok());
     checkpointed = *wrote;
   }
@@ -319,45 +311,6 @@ TEST_F(RecoveryTest, EngineCheckpointsWhenWalOutgrowsThreshold) {
   ASSERT_TRUE(state.ok());
   EXPECT_EQ(state->store.size(), store.size());
   EXPECT_EQ(state->replay_records, 0u);
-}
-
-TEST_F(RecoveryTest, ReplicaRecordsReplayIntoReplicaArray) {
-  auto replica = BloomFilter::ForCapacity(64, 8.0, /*seed=*/3);
-  replica.Add("/remote");
-  const auto blob = CompressFilter(replica);
-  {
-    auto engine = StorageEngine::Open(Options(), Template(), nullptr);
-    ASSERT_TRUE(engine.ok());
-    ASSERT_TRUE((*engine)->LogReplicaInstall(4, blob).ok());
-    ASSERT_TRUE((*engine)->LogReplicaInstall(8, blob).ok());
-    ASSERT_TRUE((*engine)->LogReplicaDrop(8).ok());
-  }
-  // Install-then-drop nets out to exactly one surviving replica: the
-  // placement a crash between migration phases recovers to is always one
-  // of the two journaled endpoints, never a half-state.
-  const auto state = RecoverState(dir_, Template());
-  ASSERT_TRUE(state.ok());
-  ASSERT_EQ(state->replicas.size(), 1u);
-  EXPECT_EQ(state->replicas[0].first, 4u);
-  EXPECT_TRUE(state->replicas[0].second.MayContain("/remote"));
-}
-
-TEST_F(RecoveryTest, ReinstallOverwritesExistingReplica) {
-  auto v1 = BloomFilter::ForCapacity(64, 8.0, /*seed=*/3);
-  v1.Add("/stale");
-  auto v2 = BloomFilter::ForCapacity(64, 8.0, /*seed=*/3);
-  v2.Add("/fresh");
-  {
-    auto engine = StorageEngine::Open(Options(), Template(), nullptr);
-    ASSERT_TRUE(engine.ok());
-    ASSERT_TRUE((*engine)->LogReplicaInstall(2, CompressFilter(v1)).ok());
-    ASSERT_TRUE((*engine)->LogReplicaInstall(2, CompressFilter(v2)).ok());
-  }
-  const auto state = RecoverState(dir_, Template());
-  ASSERT_TRUE(state.ok());
-  ASSERT_EQ(state->replicas.size(), 1u);
-  EXPECT_TRUE(state->replicas[0].second.MayContain("/fresh"));
-  EXPECT_FALSE(state->replicas[0].second.MayContain("/stale"));
 }
 
 TEST_F(RecoveryTest, OtherCheckpointVersionFailsOpenAndLeavesDirUntouched) {
@@ -391,61 +344,50 @@ TEST_F(RecoveryTest, OtherCheckpointVersionFailsOpenAndLeavesDirUntouched) {
 }
 
 TEST_F(RecoveryTest, RetiredWalRecordFailsOpenAndLeavesDirUntouched) {
-  // A WAL from a build that journaled cluster views (op 7) and never
-  // checkpointed. Treating the CRC-clean op-7 frame as a torn tail would
-  // truncate every record after it; Open must refuse instead.
-  RunInserts(Options(), 0, 2);
-  WalRecord drop;
-  drop.op = WalOp::kReplicaDrop;
-  drop.seq = 3;
-  drop.owner = 1;
-  ByteWriter payload;
-  EncodeWalRecordPayload(drop, payload);
-  auto body = payload.Take();
-  body[0] = 7;
-  ByteWriter frame;
-  frame.PutU8(kWalMagic0);
-  frame.PutU8(kWalMagic1);
-  frame.PutU32(static_cast<std::uint32_t>(body.size()));
-  frame.PutU32(Crc32(body.data(), body.size()));
-  frame.PutBytes(body);
-  WalRecord after;
-  after.op = WalOp::kInsert;
-  after.seq = 4;
-  after.path = "/after";
-  after.metadata = Md(4);
-  const auto tail = EncodeWalRecordFrame(after);
-  {
-    std::ofstream out(wal_path_, std::ios::binary | std::ios::app);
-    out.write(reinterpret_cast<const char*>(frame.data().data()),
-              static_cast<std::streamsize>(frame.data().size()));
-    out.write(reinterpret_cast<const char*>(tail.data()),
-              static_cast<std::streamsize>(tail.size()));
-  }
-  const auto before = DirBytes();
+  // A WAL from a build that journaled replicas (op 5) or cluster views
+  // (op 7) and never checkpointed. Treating the CRC-clean retired frame as
+  // a torn tail would truncate every record after it; Open must refuse
+  // instead.
+  for (const int op : {5, 7}) {
+    SCOPED_TRACE(op);
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    RunInserts(Options(), 0, 2);
+    WalRecord retired;
+    retired.op = WalOp::kRemove;
+    retired.seq = 3;
+    retired.path = "/retired";
+    ByteWriter payload;
+    EncodeWalRecordPayload(retired, payload);
+    auto body = payload.Take();
+    body[0] = static_cast<std::uint8_t>(op);
+    ByteWriter frame;
+    frame.PutU8(kWalMagic0);
+    frame.PutU8(kWalMagic1);
+    frame.PutU32(static_cast<std::uint32_t>(body.size()));
+    frame.PutU32(Crc32(body.data(), body.size()));
+    frame.PutBytes(body);
+    WalRecord after;
+    after.op = WalOp::kInsert;
+    after.seq = 4;
+    after.path = "/after";
+    after.metadata = Md(4);
+    const auto tail = EncodeWalRecordFrame(after);
+    {
+      std::ofstream out(wal_path_, std::ios::binary | std::ios::app);
+      out.write(reinterpret_cast<const char*>(frame.data().data()),
+                static_cast<std::streamsize>(frame.data().size()));
+      out.write(reinterpret_cast<const char*>(tail.data()),
+                static_cast<std::streamsize>(tail.size()));
+    }
+    const auto before = DirBytes();
 
-  auto engine = StorageEngine::Open(Options(), Template(), nullptr);
-  ASSERT_FALSE(engine.ok());
-  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument)
-      << engine.status().ToString();
-  EXPECT_EQ(DirBytes(), before);
-}
-
-TEST_F(RecoveryTest, OversizedReplicaBlobIsSkippedNotTorn) {
-  // A blob too large for one WAL frame must not be journaled: it would
-  // read back as a torn tail and take every later record with it.
-  const std::vector<std::uint8_t> huge(kMaxWalRecordBytes, 0xab);
-  {
     auto engine = StorageEngine::Open(Options(), Template(), nullptr);
-    ASSERT_TRUE(engine.ok());
-    ASSERT_TRUE((*engine)->LogReplicaInstall(3, huge).ok());  // skipped, Ok
-    ASSERT_TRUE((*engine)->LogInsert("/after", Md(1)).ok());
+    ASSERT_FALSE(engine.ok());
+    EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument)
+        << engine.status().ToString();
+    EXPECT_EQ(DirBytes(), before);
   }
-  const auto state = RecoverState(dir_, Template());
-  ASSERT_TRUE(state.ok());
-  EXPECT_FALSE(state->torn_tail);
-  EXPECT_TRUE(state->replicas.empty());
-  EXPECT_TRUE(state->store.Contains("/after"));
 }
 
 TEST_F(RecoveryTest, ToStoreMutationMapsEveryOp) {

@@ -98,64 +98,20 @@ TEST(WalCodecTest, RejectsBadOpAndLongPath) {
   EXPECT_FALSE(DecodeWalRecordPayload(r2).ok());
 }
 
-TEST(WalCodecTest, ReplicaInstallRoundTrip) {
-  WalRecord record;
-  record.op = WalOp::kReplicaInstall;
-  record.seq = 11;
-  record.owner = 4;
-  record.filter_blob = {0xde, 0xad, 0xbe, 0xef, 0x00, 0x42};
-  ByteWriter w;
-  EncodeWalRecordPayload(record, w);
-  ByteReader r(w.data());
-  const auto decoded = DecodeWalRecordPayload(r);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(r.AtEnd());
-  EXPECT_EQ(*decoded, record);
-}
-
-TEST(WalCodecTest, ReplicaDropRoundTrip) {
-  WalRecord record;
-  record.op = WalOp::kReplicaDrop;
-  record.seq = 12;
-  record.owner = 9;
-  ByteWriter w;
-  EncodeWalRecordPayload(record, w);
-  ByteReader r(w.data());
-  const auto decoded = DecodeWalRecordPayload(r);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(r.AtEnd());
-  EXPECT_EQ(*decoded, record);
-}
-
 TEST(WalCodecTest, RejectsRetiredMembershipOp) {
-  // Op 7 journaled a server-held cluster view that no longer exists; its
-  // number stays reserved and the decoder refuses it.
-  WalRecord record;
-  record.op = WalOp::kReplicaDrop;
-  record.seq = 13;
-  record.owner = 3;
-  ByteWriter w;
-  EncodeWalRecordPayload(record, w);
-  auto bytes = w.Take();
-  bytes[0] = 7;
-  ByteReader r(bytes);
-  const auto decoded = DecodeWalRecordPayload(r);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(WalCodecTest, RejectsTruncatedReplicaBlob) {
-  WalRecord record;
-  record.op = WalOp::kReplicaInstall;
-  record.seq = 1;
-  record.owner = 2;
-  record.filter_blob.assign(64, 0x5a);
-  ByteWriter w;
-  EncodeWalRecordPayload(record, w);
-  auto bytes = w.Take();
-  bytes.resize(bytes.size() - 16);  // blob length now overruns the record
-  ByteReader r(bytes);
-  EXPECT_FALSE(DecodeWalRecordPayload(r).ok());
+  // Ops 5 and 6 journaled segment replicas (now memory-only) and op 7 a
+  // server-held cluster view that no longer exists; their numbers stay
+  // reserved and the decoder refuses them.
+  for (const int op : {5, 6, 7}) {
+    ByteWriter w;
+    EncodeWalRecordPayload(Remove(13, "/retired"), w);
+    auto bytes = w.Take();
+    bytes[0] = static_cast<std::uint8_t>(op);
+    ByteReader r(bytes);
+    const auto decoded = DecodeWalRecordPayload(r);
+    ASSERT_FALSE(decoded.ok()) << op;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument) << op;
+  }
 }
 
 TEST(WalCodecTest, RejectsTruncatedMemberList) {
@@ -170,24 +126,6 @@ TEST(WalCodecTest, RejectsTruncatedMemberList) {
   bytes.resize(bytes.size() - 6);  // member count now overruns the record
   ByteReader r(bytes);
   EXPECT_FALSE(DecodeWalRecordPayload(r).ok());
-}
-
-TEST(WalReplayTest, ReconfigurationRecordsReplayInline) {
-  WalRecord install;
-  install.op = WalOp::kReplicaInstall;
-  install.seq = 2;
-  install.owner = 3;
-  install.filter_blob = {1, 2, 3};
-  WalRecord drop;
-  drop.op = WalOp::kReplicaDrop;
-  drop.seq = 3;
-  drop.owner = 3;
-  const auto buf = FramesFor({Insert(1, "/a"), install, drop, Insert(4, "/b")});
-  const auto replay = ReplayWalBuffer(buf, 0);
-  ASSERT_EQ(replay.records.size(), 4u);
-  EXPECT_FALSE(replay.torn_tail);
-  EXPECT_EQ(replay.records[1], install);
-  EXPECT_EQ(replay.records[2], drop);
 }
 
 TEST(WalReplayTest, CleanLogReplaysEverything) {
