@@ -184,6 +184,40 @@ TEST(GhbaJoinTest, AddMdsMigrationMatchesPaperBound) {
       << cluster.CheckInvariants().ToString();
 }
 
+// Pins bench_fig11's setup (BenchConfig(n, PaperOptimalM(n), 1000, seed
+// 100), groups of M-1): the exact replicas one join migrates under hash
+// placement and under G-HBA's least-loaded placement.
+TEST(GhbaJoinTest, MigrationCountsMatchFig11) {
+  struct Case {
+    std::uint32_t n;
+    std::uint32_t m;
+    std::uint64_t hash_placement;
+    std::uint64_t ghba;
+  };
+  for (const Case& c :
+       {Case{20, 6, 15, 5}, Case{60, 7, 48, 12}, Case{100, 9, 79, 16}}) {
+    for (const ReplicaPlacement placement :
+         {ReplicaPlacement::kModularHash, ReplicaPlacement::kLeastLoaded}) {
+      ClusterConfig config;
+      config.num_mds = c.n;
+      config.max_group_size = c.m;
+      config.initial_group_size = c.m - 1;
+      config.expected_files_per_mds = 1000;
+      config.lru_capacity = 2048;
+      config.publish_after_mutations = 128;
+      config.memory_budget_bytes = 1ULL << 30;
+      config.seed = 100;
+      GhbaCluster cluster(config, placement);
+      ReconfigReport rep;
+      ASSERT_TRUE(cluster.AddMds(&rep).ok());
+      const bool hash = placement == ReplicaPlacement::kModularHash;
+      EXPECT_EQ(rep.replicas_migrated, hash ? c.hash_placement : c.ghba)
+          << "N=" << c.n << (hash ? " hash placement" : " G-HBA");
+      EXPECT_TRUE(cluster.CheckInvariants().ok());
+    }
+  }
+}
+
 TEST_F(GhbaClusterTest, GroupSplitWhenAllFull) {
   // Fill every group to M=4: add MDSs until N % M == 0 and all groups full,
   // then one more must split a group.
