@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <iterator>
 
 #include "common/logging.hpp"
 
@@ -12,30 +11,8 @@ GhbaCluster::GhbaCluster(ClusterConfig config, ReplicaPlacement placement)
     : ClusterBase(config), placement_(placement) {
   for (std::uint32_t i = 0; i < config_.num_mds; ++i) NewNode();
 
-  // Partition into balanced groups of at most `target` members (sizes
-  // differ by at most one).
-  const std::uint32_t m = std::max<std::uint32_t>(config_.max_group_size, 1);
-  const std::uint32_t target =
-      config_.initial_group_size == 0
-          ? m
-          : std::min(config_.initial_group_size, m);
-  const std::size_t ngroups = (alive_.size() + target - 1) / target;
-  const std::size_t base = alive_.size() / ngroups;
-  const std::size_t remainder = alive_.size() % ngroups;
-  std::size_t pos = 0;
-  for (std::size_t gi = 0; gi < ngroups; ++gi) {
-    const std::size_t size = base + (gi < remainder ? 1 : 0);
-    const GroupId gid = NewGroup();
-    Group& g = groups_.at(gid);
-    for (std::size_t i = pos; i < pos + size; ++i) {
-      g.members.push_back(alive_[i]);
-      g.idbfa.AddMember(alive_[i]);
-      group_of_[alive_[i]] = gid;
-    }
-    pos += size;
-  }
-  for (auto& [gid, g] : groups_) EnsureGroupCoverage(g, nullptr);
-  for (const MdsId id : alive_) RechargeHolder(id);
+  (void)Apply(GroupPlan::PlanInitial(alive_, config_.max_group_size,
+                                     config_.initial_group_size, placement_));
   metrics_.Reset();  // construction traffic is not part of any experiment
 }
 
@@ -44,119 +21,9 @@ std::string GhbaCluster::SchemeName() const {
                                                       : "G-HBA/hash-placement";
 }
 
-GroupId GhbaCluster::NewGroup() {
-  const GroupId gid = next_group_id_++;
-  Group g;
-  g.id = gid;
-  groups_.emplace(gid, std::move(g));
-  return gid;
-}
-
 // ---------------------------------------------------------------------------
 // Replica management
 // ---------------------------------------------------------------------------
-
-MdsId GhbaCluster::PlacementTarget(const Group& g, MdsId owner) const {
-  assert(!g.members.empty());
-  if (placement_ == ReplicaPlacement::kModularHash) {
-    // Section 2.4's strawman: holder index = owner mod M'. Deterministic in
-    // the member count, hence the re-placement storm when M' changes.
-    return g.members[owner % g.members.size()];
-  }
-  return g.LightestMember();
-}
-
-void GhbaCluster::InstallReplica(Group& g, MdsId owner, MdsId holder,
-                                 std::uint64_t* messages) {
-  assert(!g.replica_holder.contains(owner));
-  const MdsNode& owner_node = node(owner);
-  const BloomFilter* published = owner_node.published_snapshot();
-  BloomFilter snapshot =
-      published != nullptr ? *published : owner_node.SnapshotLocalFilter();
-  const Status s = node(holder).segment().AddEntry(owner, std::move(snapshot));
-  assert(s.ok());
-  (void)s;
-  g.replica_holder[owner] = holder;
-  g.idbfa.AddMember(holder);  // idempotent
-  const Status id_status = g.idbfa.AddReplica(holder, owner);
-  assert(id_status.ok());
-  (void)id_status;
-  if (messages != nullptr) *messages += 1;  // replica shipped to holder
-  RechargeHolder(holder);
-}
-
-void GhbaCluster::DropReplica(Group& g, MdsId owner, std::uint64_t* messages) {
-  const auto it = g.replica_holder.find(owner);
-  assert(it != g.replica_holder.end());
-  const MdsId holder = it->second;
-  auto removed = node(holder).segment().RemoveEntry(owner);
-  assert(removed.ok());
-  (void)removed;
-  const Status id_status = g.idbfa.RemoveReplica(holder, owner);
-  assert(id_status.ok());
-  (void)id_status;
-  g.replica_holder.erase(it);
-  if (messages != nullptr) *messages += 1;  // delete notification
-  RechargeHolder(holder);
-}
-
-void GhbaCluster::MoveReplicaWithinGroup(Group& g, MdsId owner, MdsId from,
-                                         MdsId to) {
-  assert(g.replica_holder.at(owner) == from);
-  auto filter = node(from).segment().RemoveEntry(owner);
-  assert(filter.ok());
-  const Status s = node(to).segment().AddEntry(owner, std::move(*filter));
-  assert(s.ok());
-  (void)s;
-  const Status id_status = g.idbfa.MoveReplica(from, to, owner);
-  assert(id_status.ok());
-  (void)id_status;
-  g.replica_holder[owner] = to;
-  RechargeHolder(from);
-  RechargeHolder(to);
-}
-
-void GhbaCluster::EnsureGroupCoverage(Group& g, ReconfigReport* report) {
-  std::uint64_t messages = 0;
-  std::uint64_t migrated = 0;
-
-  // Drop replicas that should no longer be in this group: owners that became
-  // members (their own local filter covers them) or died.
-  std::vector<MdsId> to_drop;
-  for (const auto& [owner, holder] : g.replica_holder) {
-    if (g.HasMember(owner) || !IsAlive(owner)) to_drop.push_back(owner);
-  }
-  for (const MdsId owner : to_drop) DropReplica(g, owner, &messages);
-
-  // Install missing replicas for every alive outsider.
-  for (const MdsId owner : alive_) {
-    if (g.HasMember(owner) || g.replica_holder.contains(owner)) continue;
-    InstallReplica(g, owner, PlacementTarget(g, owner), &messages);
-    ++migrated;  // a copy crossed the network into this group
-  }
-
-  // Modular-hash placement re-pins every replica to its computed member.
-  if (placement_ == ReplicaPlacement::kModularHash) {
-    std::vector<std::pair<MdsId, MdsId>> moves;  // owner, current holder
-    for (const auto& [owner, holder] : g.replica_holder) {
-      const MdsId want = PlacementTarget(g, owner);
-      if (want != holder) moves.emplace_back(owner, holder);
-    }
-    for (const auto& [owner, holder] : moves) {
-      MoveReplicaWithinGroup(g, owner, holder, PlacementTarget(g, owner));
-      ++migrated;
-      ++messages;
-    }
-  }
-
-  if (report != nullptr) {
-    report->messages += messages;
-    report->replicas_migrated += migrated;
-  }
-  metrics_.messages += messages;
-  metrics_.reconfig_messages += messages;
-  metrics_.replicas_migrated += migrated;
-}
 
 void GhbaCluster::RechargeHolder(MdsId holder) {
   if (!IsAlive(holder)) return;
@@ -189,9 +56,9 @@ void GhbaCluster::PublishReplica(MdsId owner, double now_ms) {
   std::uint64_t messages = 0;
   std::uint64_t targets = 0;
   double apply_cost = 0;
-  const GroupId own_group = group_of_.at(owner);
+  const GroupId own_group = plan_.GroupOf(owner).id;
 
-  for (auto& [gid, g] : groups_) {
+  for (const auto& [gid, g] : plan_.groups()) {
     if (gid == own_group) continue;
     const auto it = g.replica_holder.find(owner);
     if (it == g.replica_holder.end()) continue;  // group has no coverage yet
@@ -200,7 +67,7 @@ void GhbaCluster::PublishReplica(MdsId owner, double now_ms) {
     // Protocol fidelity: the updater locates the holder through the group's
     // IDBFA. A multi-hit sends the update to every candidate; wrong ones
     // simply drop it (Section 2.4), costing one wasted message each.
-    const auto loc = g.idbfa.Locate(owner);
+    const auto loc = idbfa_.at(gid).Locate(owner);
     if (loc.kind == ArrayQueryResult::Kind::kMultiHit) {
       messages += loc.all_hits.size() - 1;
     }
@@ -282,8 +149,7 @@ LookupOutcome GhbaCluster::Lookup(const std::string& path, double now_ms) {
     // Cooperative caching: an expensive (L3/L4) discovery is worth sharing
     // with the group so peers resolve the file at L1 next time.
     if (found && level >= 3 && config_.cooperative_lru) {
-      const Group& g = groups_.at(group_of_.at(entry));
-      for (const MdsId m : g.members) {
+      for (const MdsId m : plan_.GroupOf(entry).members) {
         if (m == entry) continue;
         node(m).lru().Touch(digest, home);
         ++msgs;  // one-way hint
@@ -380,7 +246,7 @@ LookupOutcome GhbaCluster::Lookup(const std::string& path, double now_ms) {
   close_level(2);
 
   // --- L3: multicast within the group ---
-  Group& g = GroupOfMut(entry);
+  const Group& g = plan_.GroupOf(entry);
   if (g.size() > 1) {
     const std::uint64_t peers = g.size() - 1;
     msgs += 2 * peers;
@@ -496,95 +362,61 @@ Result<std::uint64_t> GhbaCluster::RenamePrefix(const std::string& old_prefix,
 // Reconfiguration (Sections 3.1 and 3.2)
 // ---------------------------------------------------------------------------
 
-Result<MdsId> GhbaCluster::AddMds(ReconfigReport* report) {
-  ReconfigReport local;
-  ReconfigReport& rep = report != nullptr ? *report : local;
-
-  const MdsId nid = NewNode();
-
-  // Pick the smallest group with room; if every group is full, split one.
-  GroupId target = 0;
-  std::size_t best = static_cast<std::size_t>(-1);
-  bool found_room = false;
-  for (const auto& [gid, g] : groups_) {
-    if (g.size() < config_.max_group_size && g.size() < best) {
-      best = g.size();
-      target = gid;
-      found_room = true;
-    }
-  }
-  if (!found_room) {
-    // Split a random full group; the new MDS then joins the smaller half.
-    auto it = groups_.begin();
-    std::advance(it, rng_.NextBounded(groups_.size()));
-    SplitGroup(it->first, &rep);
-    rep.group_split = true;
-    best = static_cast<std::size_t>(-1);
-    for (const auto& [gid, g] : groups_) {
-      if (g.size() < config_.max_group_size && g.size() < best) {
-        best = g.size();
-        target = gid;
+ReconfigReport GhbaCluster::Apply(PlanStep step) {
+  ReconfigReport cost;
+  for (const ReplicaOp& op : step.diff.ops) {
+    Status s;
+    if (op.kind == ReplicaOp::Kind::kInstall) {
+      const MdsNode& owner = node(op.owner);
+      const BloomFilter* published = owner.published_snapshot();
+      s = node(op.to).segment().AddEntry(
+          op.owner,
+          published != nullptr ? *published : owner.SnapshotLocalFilter());
+    } else {  // a move carries the holder's copy over; a drop discards it
+      auto filter = node(op.from).segment().RemoveEntry(op.owner);
+      s = filter.status();
+      if (filter.ok() && op.kind == ReplicaOp::Kind::kMove) {
+        s = node(op.to).segment().AddEntry(op.owner, std::move(*filter));
       }
     }
+    assert(s.ok());
+    (void)s;
+    ++cost.messages;  // replica shipped, handed over, or delete notification
+    if (op.migration) ++cost.replicas_migrated;
   }
+  cost.messages += step.diff.idbfa_multicasts;
+  cost.group_split = step.diff.split;
+  cost.group_merged = step.diff.merged;
 
-  Group& g = groups_.at(target);
-  g.members.push_back(nid);
-  g.idbfa.AddMember(nid);
-  group_of_[nid] = target;
-  // A split that ran above already covered the (then group-less) newcomer
-  // as an outsider; it is a member now, so that replica must go.
-  if (g.replica_holder.contains(nid)) DropReplica(g, nid, &rep.messages);
-
-  // The new member must also stop being covered as an outsider (it never
-  // was) and the group's outsider set is unchanged, so only intra-group
-  // rebalancing happens: each overloaded member offloads replicas to the
-  // new MDS (Section 3.1's light-weight migration).
-  // Floor division: every existing member sheds down to the new average so
-  // the newcomer actually receives ~(N - M')/(M' + 1) replicas.
-  const std::size_t outsiders = alive_.size() - g.size();
-  const std::size_t target_load = g.size() == 0 ? 0 : outsiders / g.size();
-  if (placement_ == ReplicaPlacement::kModularHash) {
-    // Strawman: every replica re-places under the new modulus.
-    std::vector<std::pair<MdsId, MdsId>> moves;
+  plan_ = std::move(step.plan);
+  idbfa_.clear();
+  for (const auto& [gid, g] : plan_.groups()) {
+    IdBloomArray& idbfa = idbfa_[gid];
+    for (const MdsId m : g.members) idbfa.AddMember(m);
     for (const auto& [owner, holder] : g.replica_holder) {
-      const MdsId want = PlacementTarget(g, owner);
-      if (want != holder) moves.emplace_back(owner, holder);
-    }
-    for (const auto& [owner, holder] : moves) {
-      MoveReplicaWithinGroup(g, owner, holder, PlacementTarget(g, owner));
-      ++rep.replicas_migrated;
-      ++rep.messages;
-    }
-  } else {
-    for (const MdsId m : g.members) {
-      if (m == nid) continue;
-      auto held = node(m).segment().Owners();
-      while (held.size() > target_load) {
-        const MdsId owner = held.back();
-        held.pop_back();
-        MoveReplicaWithinGroup(g, owner, m, nid);
-        ++rep.replicas_migrated;
-        ++rep.messages;
-      }
+      (void)idbfa.AddReplica(holder, owner);  // holder was just registered
     }
   }
+  for (const MdsId id : alive_) RechargeHolder(id);
+  return cost;
+}
 
-  // Updated IDBFA multicast within the group.
-  rep.messages += g.size() - 1;
-
-  // Announce the new MDS's (empty) filter to one holder in each other group
-  // (a split may already have covered it there).
-  for (auto& [gid, other] : groups_) {
-    if (gid == target || other.replica_holder.contains(nid)) continue;
-    InstallReplica(other, nid, PlacementTarget(other, nid), &rep.messages);
+void GhbaCluster::Charge(const ReconfigReport& delta, ReconfigReport* report) {
+  if (report != nullptr) {
+    report->replicas_migrated += delta.replicas_migrated;
+    report->files_migrated += delta.files_migrated;
+    report->messages += delta.messages;
+    report->group_split |= delta.group_split;
+    report->group_merged |= delta.group_merged;
   }
+  metrics_.replicas_migrated += delta.replicas_migrated;
+  metrics_.reconfig_messages += delta.messages;
+  metrics_.messages += delta.messages;
+}
 
-  for (const MdsId m : g.members) RechargeHolder(m);
-
-  metrics_.replicas_migrated += rep.replicas_migrated;
-  metrics_.reconfig_messages += rep.messages;
-  metrics_.messages += rep.messages;
+Result<MdsId> GhbaCluster::AddMds(ReconfigReport* report) {
+  const MdsId nid = NewNode();
+  Charge(Apply(plan_.PlanJoin(nid, rng_)), report);
   return nid;
 }
 
@@ -593,58 +425,12 @@ Status GhbaCluster::RemoveMds(MdsId id, ReconfigReport* report) {
   if (alive_.size() == 1) {
     return Status::InvalidArgument("cannot remove the last MDS");
   }
-  ReconfigReport local;
-  ReconfigReport& rep = report != nullptr ? *report : local;
+  PlanStep step = plan_.PlanLeave(id);
+  const std::vector<MdsId> targets = step.diff.drain_targets;
+  ReconfigReport cost = Apply(std::move(step));
 
-  const GroupId gid = group_of_.at(id);
-  Group& g = groups_.at(gid);
-
-  // (1) Migrate the replicas this MDS held to the remaining group members.
-  const auto held = g.ReplicasHeldBy(id);
-  if (g.size() > 1) {
-    for (const MdsId owner : held) {
-      // Lightest member other than the departing one.
-      MdsId best = kInvalidMds;
-      std::size_t best_load = static_cast<std::size_t>(-1);
-      for (const MdsId m : g.members) {
-        if (m == id) continue;
-        const auto load = g.LoadOf(m);
-        if (load < best_load) {
-          best_load = load;
-          best = m;
-        }
-      }
-      MoveReplicaWithinGroup(g, owner, id, best);
-      ++rep.replicas_migrated;
-      ++rep.messages;
-    }
-  } else {
-    for (const MdsId owner : held) DropReplica(g, owner, &rep.messages);
-  }
-
-  // (2) Remove its ID filter from the group's IDBFA and tell the members.
-  g.members.erase(std::find(g.members.begin(), g.members.end(), id));
-  const Status id_status = g.idbfa.RemoveMember(id);
-  assert(id_status.ok());
-  (void)id_status;
-  rep.messages += g.size();
-  group_of_.erase(id);
-
-  // (3) Tell the other groups to delete this MDS's replica.
-  for (auto& [ogid, other] : groups_) {
-    if (ogid == gid) continue;
-    if (other.replica_holder.contains(id)) DropReplica(other, id, &rep.messages);
-  }
-
-  // (4) Re-home the departing MDS's files to the remaining group members
-  // (round-robin), falling back to any alive MDS if the group emptied.
+  // Re-home the departing MDS's files to the drain targets, round-robin.
   auto files = node(id).store().ExtractAll();
-  std::vector<MdsId> targets = g.members;
-  if (targets.empty()) {
-    for (const MdsId a : alive_) {
-      if (a != id) targets.push_back(a);
-    }
-  }
   std::size_t rr = 0;
   for (auto& [path, md] : files) {
     const MdsId tgt = targets[rr++ % targets.size()];
@@ -653,23 +439,14 @@ Status GhbaCluster::RemoveMds(MdsId id, ReconfigReport* report) {
     (void)s;
     oracle_[path] = tgt;
   }
-  rep.files_migrated += files.size();
-  rep.messages += files.size();
+  cost.files_migrated += files.size();
+  cost.messages += files.size();
 
   RetireNode(id);
 
   // Receivers' filters changed substantially: publish them immediately.
   for (const MdsId tgt : targets) PublishReplica(tgt, 0.0);
-
-  if (g.members.empty()) {
-    groups_.erase(gid);
-  } else {
-    TryMergeAfterDeparture(gid, &rep);
-  }
-
-  metrics_.replicas_migrated += rep.replicas_migrated;
-  metrics_.reconfig_messages += rep.messages;
-  metrics_.messages += rep.messages;
+  Charge(cost, report);
   return Status::Ok();
 }
 
@@ -678,12 +455,6 @@ Status GhbaCluster::FailMds(MdsId id, ReconfigReport* report) {
   if (alive_.size() == 1) {
     return Status::InvalidArgument("cannot fail the last MDS");
   }
-  ReconfigReport local;
-  ReconfigReport& rep = report != nullptr ? *report : local;
-
-  const GroupId gid = group_of_.at(id);
-  Group& g = groups_.at(gid);
-
   // Heart-beats detected the crash. The files homed there are gone with the
   // node (data-loss handling is a higher layer's job); count them.
   lost_files_ += node(id).file_count();
@@ -694,162 +465,14 @@ Status GhbaCluster::FailMds(MdsId id, ReconfigReport* report) {
       });
   for (const auto& path : dead_paths) oracle_.erase(path);
 
-  // Replicas the dead node *held* for outside owners are re-fetched from
-  // their (alive) owners by the group's remaining members.
-  const auto held = g.ReplicasHeldBy(id);
-  for (const MdsId owner : held) {
-    DropReplica(g, owner, &rep.messages);
-  }
-  g.members.erase(std::find(g.members.begin(), g.members.end(), id));
-  const Status id_status = g.idbfa.RemoveMember(id);
-  assert(id_status.ok());
-  (void)id_status;
-  rep.messages += g.size();  // IDBFA update multicast
-  group_of_.erase(id);
-
-  // "Once an MDS failure is detected, the corresponding Bloom filters are
-  // removed from the other MDSs to reduce the number of false positives."
-  for (auto& [ogid, other] : groups_) {
-    if (other.replica_holder.contains(id)) {
-      DropReplica(other, id, &rep.messages);
-    }
-  }
+  const ReconfigReport cost = Apply(plan_.PlanFail(id));
   // Evict stale L1 entries pointing at the dead node.
   for (const MdsId a : alive_) {
     if (a != id) node(a).lru().DropHome(id);
   }
-
   RetireNode(id);
-
-  if (g.members.empty()) {
-    groups_.erase(gid);
-  } else {
-    // Restore full coverage (re-fetch dropped replicas from their owners).
-    EnsureGroupCoverage(groups_.at(gid), &rep);
-    TryMergeAfterDeparture(gid, &rep);
-  }
-
-  metrics_.replicas_migrated += rep.replicas_migrated;
-  metrics_.reconfig_messages += rep.messages;
-  metrics_.messages += rep.messages;
+  Charge(cost, report);
   return Status::Ok();
-}
-
-void GhbaCluster::SplitGroup(GroupId gid, ReconfigReport* report) {
-  Group& a = groups_.at(gid);
-  const std::size_t move_count = a.members.size() / 2;  // floor(M/2)
-  if (move_count == 0) return;
-
-  const GroupId bid = NewGroup();
-  Group& b = groups_.at(bid);
-
-  // Move the tail members of A into B.
-  std::vector<MdsId> moved(a.members.end() - static_cast<std::ptrdiff_t>(move_count),
-                           a.members.end());
-  a.members.resize(a.members.size() - move_count);
-  for (const MdsId m : moved) {
-    b.members.push_back(m);
-    b.idbfa.AddMember(m);
-    const Status s = a.idbfa.RemoveMember(m);
-    assert(s.ok());
-    (void)s;
-    group_of_[m] = bid;
-  }
-
-  // Re-split the replica bookkeeping: each replica stays physically where it
-  // is; it now belongs to whichever group its holder landed in.
-  std::unordered_map<MdsId, MdsId> old_assignment = std::move(a.replica_holder);
-  a.replica_holder.clear();
-  for (const auto& [owner, holder] : old_assignment) {
-    Group& dst = b.HasMember(holder) ? b : a;
-    dst.replica_holder[owner] = holder;
-    if (&dst == &b) {
-      // Transfer IDBFA bookkeeping from A to B.
-      const Status s = b.idbfa.AddReplica(holder, owner);
-      assert(s.ok());
-      (void)s;
-    } else {
-      // Already tracked in A's IDBFA (holder stayed).
-    }
-  }
-  // Rebuild A's IDBFA cleanly: entries for moved holders are gone with the
-  // member removal; survivors keep theirs. Simplest correct approach:
-  // reconstruct from the assignment.
-  a.idbfa = IdBloomArray(IdBloomArrayOptions{});
-  for (const MdsId m : a.members) a.idbfa.AddMember(m);
-  for (const auto& [owner, holder] : a.replica_holder) {
-    const Status s = a.idbfa.AddReplica(holder, owner);
-    assert(s.ok());
-    (void)s;
-  }
-
-  // Both halves must mirror the whole system again: A now needs replicas of
-  // B's members (and of any owner whose replica moved to B), and vice versa.
-  // These are the "migrate copies" arrows of Fig. 5(a).
-  EnsureGroupCoverage(a, report);
-  EnsureGroupCoverage(b, report);
-  if (report != nullptr) {
-    report->messages += a.size() + b.size();  // new IDBFAs multicast
-  }
-  for (const MdsId m : a.members) RechargeHolder(m);
-  for (const MdsId m : b.members) RechargeHolder(m);
-}
-
-void GhbaCluster::MergeGroups(GroupId dst_id, GroupId src_id,
-                              ReconfigReport* report) {
-  Group& dst = groups_.at(dst_id);
-  Group src = std::move(groups_.at(src_id));
-  groups_.erase(src_id);
-
-  for (const MdsId m : src.members) {
-    dst.members.push_back(m);
-    dst.idbfa.AddMember(m);
-    group_of_[m] = dst_id;
-  }
-  // Adopt src's replicas unless dst already covers the owner (then src's
-  // copy is redundant and dropped) or the owner became a member.
-  for (const auto& [owner, holder] : src.replica_holder) {
-    if (dst.HasMember(owner) || dst.replica_holder.contains(owner) ||
-        !IsAlive(owner)) {
-      auto removed = node(holder).segment().RemoveEntry(owner);
-      assert(removed.ok());
-      (void)removed;
-      if (report != nullptr) ++report->messages;
-      RechargeHolder(holder);
-      continue;
-    }
-    dst.replica_holder[owner] = holder;
-    const Status s = dst.idbfa.AddReplica(holder, owner);
-    assert(s.ok());
-    (void)s;
-  }
-  // dst may have held replicas of src members; coverage fixes that.
-  EnsureGroupCoverage(dst, report);
-  if (report != nullptr) {
-    report->messages += dst.size();  // merged IDBFA multicast
-    report->group_merged = true;
-  }
-  for (const MdsId m : dst.members) RechargeHolder(m);
-}
-
-void GhbaCluster::TryMergeAfterDeparture(GroupId gid, ReconfigReport* report) {
-  // Merge while some pair of groups fits within M (paper: "this process
-  // repeats until no merging can be performed").
-  bool merged = true;
-  while (merged && groups_.size() > 1) {
-    merged = false;
-    for (auto it1 = groups_.begin(); it1 != groups_.end() && !merged; ++it1) {
-      for (auto it2 = std::next(it1); it2 != groups_.end(); ++it2) {
-        if (it1->second.size() + it2->second.size() <=
-            config_.max_group_size) {
-          MergeGroups(it1->first, it2->first, report);
-          merged = true;
-          break;
-        }
-      }
-    }
-  }
-  (void)gid;
 }
 
 // ---------------------------------------------------------------------------
@@ -863,65 +486,36 @@ std::uint64_t GhbaCluster::LookupStateBytes(MdsId id) const {
     bytes += PublishedReplicaBytes(entry.owner);
   }
   bytes += n.lru().MemoryBytes();
-  const auto git = group_of_.find(id);
-  if (git != group_of_.end()) {
-    bytes += groups_.at(git->second).idbfa.MemoryBytes();
+  if (plan_.Contains(id)) {
+    bytes += idbfa_.at(plan_.GroupOf(id).id).MemoryBytes();
   }
   return bytes;
 }
 
 Status GhbaCluster::CheckInvariants() const {
-  // Every alive MDS belongs to exactly one group.
-  for (const MdsId id : alive_) {
-    const auto it = group_of_.find(id);
-    if (it == group_of_.end()) {
-      return Status::Internal("MDS not in any group");
-    }
-    if (!groups_.at(it->second).HasMember(id)) {
-      return Status::Internal("group_of points to a group without the MDS");
-    }
+  if (Status s = plan_.Check(); !s.ok()) return s;
+  if (plan_.Servers() != alive_) {
+    return Status::Internal("group membership does not partition the MDSs");
   }
-  std::size_t member_total = 0;
-  for (const auto& [gid, g] : groups_) {
-    member_total += g.size();
-    if (g.size() > config_.max_group_size) {
-      return Status::Internal("group exceeds M");
-    }
-    // Each group mirrors the entire system: exactly one replica per alive
-    // outsider, held by a member, present in that member's segment array
-    // and locatable through the IDBFA.
-    for (const MdsId owner : alive_) {
-      if (g.HasMember(owner)) {
-        if (g.replica_holder.contains(owner)) {
-          return Status::Internal("replica of a co-member present");
-        }
-        continue;
-      }
-      const auto it = g.replica_holder.find(owner);
-      if (it == g.replica_holder.end()) {
-        return Status::Internal("missing replica coverage for an outsider");
-      }
-      const MdsId holder = it->second;
-      if (!g.HasMember(holder)) {
-        return Status::Internal("replica holder is not a group member");
-      }
+  // Every replica the plan assigns sits in its holder's segment array and
+  // is locatable through the group's IDBFA; no segment holds more.
+  for (const auto& [gid, g] : plan_.groups()) {
+    const IdBloomArray& idbfa = idbfa_.at(gid);
+    for (const auto& [owner, holder] : g.replica_holder) {
       if (!node(holder).segment().HasEntry(owner)) {
         return Status::Internal("segment array missing a held replica");
       }
-      const auto loc = g.idbfa.Locate(owner);
-      bool holder_hit = false;
-      for (const MdsId h : loc.all_hits) holder_hit |= (h == holder);
-      if (!holder_hit) {
+      const auto loc = idbfa.Locate(owner);
+      if (std::find(loc.all_hits.begin(), loc.all_hits.end(), holder) ==
+          loc.all_hits.end()) {
         return Status::Internal("IDBFA cannot locate a held replica");
       }
     }
-    // No stale replicas of dead MDSs.
-    for (const auto& [owner, holder] : g.replica_holder) {
-      if (!IsAlive(owner)) return Status::Internal("replica of a dead MDS");
-    }
   }
-  if (member_total != alive_.size()) {
-    return Status::Internal("group membership does not partition the MDSs");
+  for (const MdsId id : alive_) {
+    if (node(id).segment().size() != plan_.LoadOf(id)) {
+      return Status::Internal("segment array holds an unassigned replica");
+    }
   }
   return Status::Ok();
 }

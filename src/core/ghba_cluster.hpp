@@ -3,27 +3,23 @@
 // The paper's primary contribution. MDSs are partitioned into groups of at
 // most M members. Lookups walk the four-level hierarchy (L1 local LRU array,
 // L2 local segment array, L3 group multicast, L4 global multicast). Replica
-// placement inside a group goes through the IDBFA; reconfiguration uses the
-// light-weight migration of Section 3.1 with group split/merge (Section
-// 3.2). Replica updates are staleness-bounded (Section 3.4's XOR criterion,
-// operationalized as a mutation budget) and touch only one MDS per group.
+// placement inside a group goes through the IDBFA. Reconfiguration (Section
+// 3.1's light-weight migration, Section 3.2's split and merge) is planned by
+// core::GroupPlan; this class applies each ReplicaDiff to its segment arrays
+// and IDBFAs and charges it to the cost model. Replica updates are
+// staleness-bounded (Section 3.4's XOR criterion, operationalized as a
+// mutation budget) and touch only one MDS per group.
 #pragma once
 
 #include <map>
-#include <optional>
 #include <vector>
 
+#include "bloom/id_bloom_array.hpp"
 #include "core/cluster.hpp"
-#include "core/group.hpp"
+#include "core/group_plan.hpp"
 #include "hash/query_digest.hpp"
 
 namespace ghba {
-
-/// How replicas are assigned to members inside a group. kLeastLoaded is
-/// G-HBA's IDBFA-backed policy; kModularHash reproduces the "hash-based
-/// placement" strawman of Section 2.4 (Fig. 11's comparison), which must
-/// re-place replicas whenever the member count changes.
-enum class ReplicaPlacement { kLeastLoaded, kModularHash };
 
 class GhbaCluster final : public ClusterBase {
  public:
@@ -66,15 +62,14 @@ class GhbaCluster final : public ClusterBase {
   void PublishReplica(MdsId owner, double now_ms);
 
   // --- introspection for tests / benches ---
-  std::size_t NumGroups() const { return groups_.size(); }
-  GroupId GroupOf(MdsId id) const { return group_of_.at(id); }
-  const Group& GetGroup(GroupId g) const { return groups_.at(g); }
+  std::size_t NumGroups() const { return plan_.NumGroups(); }
 
   /// Replicas held by `id` (theta in the paper's notation).
   std::size_t ThetaOf(MdsId id) const { return node(id).segment().size(); }
 
-  /// Verify structural invariants (each group mirrors the global system,
-  /// IDBFA consistent with holders, segment arrays match bookkeeping).
+  /// Verify the planner's structural invariants (GroupPlan::Check), that
+  /// the plan covers exactly the alive MDSs, and that every segment array
+  /// and IDBFA matches the plan's holders.
   /// Returns OK or an Internal status describing the violation.
   Status CheckInvariants() const;
 
@@ -105,34 +100,23 @@ class GhbaCluster final : public ClusterBase {
     std::vector<MdsId> contacted;  ///< distinct peers messaged (trace)
   };
 
-  // --- replica management ---
-  void InstallReplica(Group& g, MdsId owner, MdsId holder,
-                      std::uint64_t* messages);
-  void DropReplica(Group& g, MdsId owner, std::uint64_t* messages);
-  void MoveReplicaWithinGroup(Group& g, MdsId owner, MdsId from, MdsId to);
-  MdsId PlacementTarget(const Group& g, MdsId owner) const;
-
-  /// Make `g` hold exactly one replica for every alive non-member owner.
-  void EnsureGroupCoverage(Group& g, ReconfigReport* report);
+  // --- reconfiguration ---
+  /// Apply `step.diff` to the segment arrays, adopt `step.plan` and rebuild
+  /// the IDBFAs from it. Returns the diff's cost: one message per replica
+  /// op plus the IDBFA multicasts. Departed nodes are retired afterwards.
+  ReconfigReport Apply(PlanStep step);
+  /// Add `delta` to `report` (when given) and to the metrics.
+  void Charge(const ReconfigReport& delta, ReconfigReport* report);
 
   /// Recompute a holder's analytic replica bytes and recharge its memory.
   void RechargeHolder(MdsId holder);
 
   void MaybePublish(MdsId owner, double now_ms);
 
-  // --- group lifecycle ---
-  Group& GroupOfMut(MdsId id) { return groups_.at(group_of_.at(id)); }
-  GroupId NewGroup();
-  /// Split `g` (which has M members and a pending join) per Section 3.2.
-  void SplitGroup(GroupId gid, ReconfigReport* report);
-  /// Merge `src` into `dst` when their total size fits M.
-  void MergeGroups(GroupId dst, GroupId src, ReconfigReport* report);
-  void TryMergeAfterDeparture(GroupId gid, ReconfigReport* report);
-
   ReplicaPlacement placement_;
-  std::map<GroupId, Group> groups_;
-  std::unordered_map<MdsId, GroupId> group_of_;
-  GroupId next_group_id_ = 0;
+  GroupPlan plan_;
+  /// Each group's ID Bloom-filter array, derived from plan_'s holders.
+  std::map<GroupId, IdBloomArray> idbfa_;
   std::uint64_t lost_files_ = 0;
   LookupScratch scratch_;
 };

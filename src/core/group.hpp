@@ -1,22 +1,21 @@
-// Group bookkeeping for G-HBA.
+// One G-HBA group as the planner sees it: pure data, no algebra.
 //
-// A group of at most M MDSs collectively mirrors the whole system: for every
-// MDS outside the group, exactly one member holds that MDS's Bloom-filter
-// replica. Two views of the replica->holder relation coexist:
-//   * `replica_holder` — the exact assignment, used to *perform* migrations
-//     and rebuilds (in a real deployment each member derives this from its
-//     own bookkeeping; the simulator centralizes it),
-//   * `idbfa`          — the ID Bloom-filter array the *protocols* consult
-//     (update routing, Section 2.4), kept faithfully in sync and carrying
-//     the paper's probabilistic semantics (multi-hits cost extra messages).
+// A group of at most M servers collectively mirrors the whole system: for
+// every server outside the group, exactly one member holds that server's
+// Bloom-filter replica. `replica_holder` is that exact owner -> holder
+// assignment. The group algebra that keeps it true through joins, leaves,
+// failures, splits and merges lives in core::GroupPlan (group_plan.hpp);
+// the simulator and the prototype only execute what the planner decides.
+// The ID Bloom-filter array the protocols consult (Section 2.4) is
+// executor state derived from this map, not part of it.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <map>
 #include <vector>
 
-#include "bloom/bloom_filter_array.hpp"
-#include "bloom/id_bloom_array.hpp"
+#include "common/lookup_outcome.hpp"
 
 namespace ghba {
 
@@ -25,32 +24,13 @@ using GroupId = std::uint32_t;
 struct Group {
   GroupId id = 0;
   std::vector<MdsId> members;
-  std::unordered_map<MdsId, MdsId> replica_holder;  // owner -> holder
-  IdBloomArray idbfa;
+  std::map<MdsId, MdsId> replica_holder;  // owner -> holder
 
   bool HasMember(MdsId id) const {
-    for (const MdsId m : members) {
-      if (m == id) return true;
-    }
-    return false;
+    return std::find(members.begin(), members.end(), id) != members.end();
   }
 
   std::size_t size() const { return members.size(); }
-
-  /// Number of replicas currently held by `member`.
-  std::size_t LoadOf(MdsId member) const {
-    std::size_t load = 0;
-    for (const auto& [owner, holder] : replica_holder) {
-      if (holder == member) ++load;
-    }
-    return load;
-  }
-
-  /// Member holding the fewest replicas (ties: lowest id).
-  MdsId LightestMember() const;
-
-  /// Owners of replicas held by `member`.
-  std::vector<MdsId> ReplicasHeldBy(MdsId member) const;
 };
 
 }  // namespace ghba

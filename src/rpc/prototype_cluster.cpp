@@ -1,6 +1,7 @@
 #include "rpc/prototype_cluster.hpp"
 
 #include <algorithm>
+#include <set>
 #include <utility>
 
 #include "bloom/compressed.hpp"
@@ -12,9 +13,9 @@ namespace ghba {
 namespace {
 /// Sets a flag for the current scope, restoring the previous value on exit.
 /// Used to suppress the automatic fail-over chase while a topology
-/// operation holds references into groups_/group_of_: a failed Call inside
-/// such an operation must only account health, never mutate the topology
-/// out from under its caller.
+/// operation walks plan_ across Calls: a failed Call inside such an
+/// operation must only account health, never replace the plan out from
+/// under its caller.
 struct FlagGuard {
   explicit FlagGuard(bool& flag) : flag_(flag), saved_(flag) { flag = true; }
   ~FlagGuard() { flag_ = saved_; }
@@ -54,7 +55,7 @@ std::size_t PrototypeCluster::NumServers() const {
 
 std::size_t PrototypeCluster::NumGroups() const {
   MutexLock lock(&mu_);
-  return groups_.size();
+  return plan_.NumGroups();
 }
 
 Result<bool> PrototypeCluster::VerifyOn(MdsId id, const std::string& path) {
@@ -79,38 +80,15 @@ Status PrototypeCluster::Start() {
   for (MdsId id = 0; id < config_.num_mds; ++id) {
     if (Status s = StartServer(id); !s.ok()) return s;
   }
-  if (scheme_ == ProtoScheme::kHba) {
-    // Full mesh: one group containing everyone; every server holds every
-    // other server's replica.
-    GroupInfo g;
-    for (MdsId id = 0; id < config_.num_mds; ++id) {
-      g.members.push_back(id);
-      group_of_[id] = 0;
-    }
-    groups_.push_back(std::move(g));
-    for (MdsId holder = 0; holder < config_.num_mds; ++holder) {
-      for (MdsId owner = 0; owner < config_.num_mds; ++owner) {
-        if (owner == holder) continue;
-        auto filter = FetchFilter(owner);
-        if (!filter.ok()) return filter.status();
-        if (Status s = InstallReplica(holder, owner, *filter); !s.ok()) {
-          return s;
-        }
-      }
-    }
-  } else {
-    const std::uint32_t m = std::max<std::uint32_t>(config_.max_group_size, 1);
-    for (MdsId id = 0; id < config_.num_mds; id += m) {
-      GroupInfo g;
-      for (MdsId i = id; i < std::min<MdsId>(id + m, config_.num_mds); ++i) {
-        g.members.push_back(i);
-        group_of_[i] = groups_.size();
-      }
-      groups_.push_back(std::move(g));
-    }
-    for (auto& g : groups_) {
-      if (Status s = EnsureCoverage(g); !s.ok()) return s;
-    }
+  // HBA is the planner's M = 1: every server a group of its own, holding
+  // every other server's replica.
+  const std::uint32_t m =
+      scheme_ == ProtoScheme::kHba ? 1 : config_.max_group_size;
+  if (Status s = ApplyStepLocked(GroupPlan::PlanInitial(
+          AliveServersLocked(), m, config_.initial_group_size,
+          ReplicaPlacement::kLeastLoaded));
+      !s.ok()) {
+    return s;
   }
   BumpEpochLocked();
   started_ = true;
@@ -156,7 +134,7 @@ void PrototypeCluster::PublishTopologyLocked() {
     topo->port[id] = servers_[id]->port();
     topo->alive.push_back(id);
   }
-  for (const GroupInfo& g : groups_) {
+  for (const auto& [gid, g] : plan_.groups()) {
     std::vector<MdsId> live;
     for (const MdsId m : g.members) {
       if (PortLocked(m) != 0) live.push_back(m);
@@ -271,77 +249,19 @@ Status PrototypeCluster::InstallReplica(MdsId holder, MdsId owner,
   return env->status;
 }
 
-MdsId PrototypeCluster::LightestMember(const GroupInfo& g) const {
-  std::unordered_map<MdsId, std::size_t> load;
-  for (const MdsId m : g.members) load[m] = 0;
-  for (const auto& [owner, holder] : g.holder) ++load[holder];
-  MdsId best = g.members.front();
-  std::size_t best_load = static_cast<std::size_t>(-1);
-  for (const MdsId m : g.members) {
-    if (load[m] < best_load) {
-      best_load = load[m];
-      best = m;
-    }
-  }
-  return best;
-}
-
-std::size_t PrototypeCluster::GroupWithRoom() const {
-  std::size_t best = static_cast<std::size_t>(-1);
-  std::size_t best_size = config_.max_group_size;
-  for (std::size_t i = 0; i < groups_.size(); ++i) {
-    if (groups_[i].members.size() < best_size) {
-      best_size = groups_[i].members.size();
-      best = i;
-    }
-  }
-  return best;
-}
-
-Status PrototypeCluster::EnsureCoverage(GroupInfo& g) {
-  FlagGuard guard(in_failover_);  // holds a reference into groups_
-  const auto is_member = [&](MdsId id) {
-    return std::find(g.members.begin(), g.members.end(), id) !=
-           g.members.end();
-  };
-  // Drop replicas of co-members.
-  std::vector<MdsId> to_drop;
-  for (const auto& [owner, holder] : g.holder) {
-    if (is_member(owner)) to_drop.push_back(owner);
-  }
-  for (const MdsId owner : to_drop) {
-    // Best-effort cleanup: a failed drop leaves a stale replica that the
-    // next reconfiguration sweep retires.
-    (void)Call(g.holder[owner], EncodeReplicaDrop(owner));
-    g.holder.erase(owner);
-  }
-  // Install missing outsider replicas.
-  for (MdsId owner = 0; owner < servers_.size(); ++owner) {
-    if (!servers_[owner] || is_member(owner) || g.holder.contains(owner)) {
-      continue;
-    }
-    auto filter = FetchFilter(owner);
-    if (!filter.ok()) return filter.status();
-    const MdsId holder = LightestMember(g);
-    if (Status s = InstallReplica(holder, owner, *filter); !s.ok()) return s;
-    g.holder[owner] = holder;
-  }
-  return Status::Ok();
-}
-
 Result<std::vector<MdsId>> PrototypeCluster::MembershipOf(MdsId id) const {
   MutexLock lock(&mu_);
-  const auto git = group_of_.find(id);
-  if (git == group_of_.end()) return Status::Unavailable("server is in no group");
-  return groups_[git->second].members;
+  if (!plan_.Contains(id)) return Status::Unavailable("server is in no group");
+  return plan_.GroupOf(id).members;
 }
 
 Result<MdsId> PrototypeCluster::HolderOf(MdsId group_member,
                                          MdsId owner) const {
   MutexLock lock(&mu_);
-  const auto git = group_of_.find(group_member);
-  if (git == group_of_.end()) return Status::NotFound("member is in no group");
-  const auto& holder = groups_[git->second].holder;
+  if (!plan_.Contains(group_member)) {
+    return Status::NotFound("member is in no group");
+  }
+  const auto& holder = plan_.GroupOf(group_member).replica_holder;
   const auto it = holder.find(owner);
   if (it == holder.end()) {
     return Status::NotFound("group assigns no replica of this owner");
@@ -382,22 +302,12 @@ Status PrototypeCluster::InsertBatch(
   if (alive.empty()) return Status::Unavailable("no servers");
   // Same placement distribution as Insert: each file independently draws a
   // uniformly random home. The batching is purely a wire-level grouping.
-  std::map<MdsId, std::vector<std::vector<std::uint8_t>>> per_home;
+  Batches per_home;
   for (const auto& [path, md] : files) {
     const MdsId home = alive[rng_.NextBounded(alive.size())];
     per_home[home].push_back(EncodeInsert(path, md));
   }
-  for (auto& [home, reqs] : per_home) {
-    auto resps = CallBatch(home, reqs);
-    if (!resps.ok()) return resps.status();
-    for (const auto& resp : *resps) {
-      ByteReader in(resp);
-      const auto env = OpenEnvelope(in);
-      if (!env.ok()) return env.status();
-      if (!env->status.ok()) return env->status;
-    }
-  }
-  return Status::Ok();
+  return SendBatchesLocked(per_home);
 }
 
 Result<LookupOutcome> PrototypeCluster::Lookup(const std::string& path,
@@ -762,15 +672,17 @@ Result<std::uint32_t> PrototypeCluster::ReplicateHotEntry(MdsId owner) {
   if (owner >= servers_.size() || !servers_[owner]) {
     return Status::NotFound("owner server is down");
   }
-  FlagGuard guard(in_failover_);  // walks groups_ across Calls
+  FlagGuard guard(in_failover_);  // walks plan_ across Calls
   auto filter = FetchFilter(owner);
   if (!filter.ok()) return filter.status();
   std::uint32_t installs = 0;
-  for (auto& g : groups_) {
-    const auto designated = g.holder.find(owner);
+  for (const auto& [gid, g] : plan_.groups()) {
+    const auto designated = g.replica_holder.find(owner);
     for (const MdsId m : g.members) {
       if (m == owner || m >= servers_.size() || !servers_[m]) continue;
-      if (designated != g.holder.end() && designated->second == m) continue;
+      if (designated != g.replica_holder.end() && designated->second == m) {
+        continue;
+      }
       if (Status s = InstallReplica(m, owner, *filter); !s.ok()) return s;
       ++installs;
     }
@@ -781,43 +693,150 @@ Result<std::uint32_t> PrototypeCluster::ReplicateHotEntry(MdsId owner) {
 
 Status PrototypeCluster::PublishAll() {
   MutexLock lock(&mu_);
-  return PublishAllLocked();
+  return RefreshLocked(AliveServersLocked());
 }
 
-Status PrototypeCluster::PublishAllLocked() {
-  FlagGuard guard(in_failover_);  // iterates groups_ across Calls
-  if (scheme_ == ProtoScheme::kHba) {
-    for (MdsId owner = 0; owner < servers_.size(); ++owner) {
-      if (!servers_[owner]) continue;
-      auto filter = FetchFilter(owner);
-      if (!filter.ok()) return filter.status();
-      for (MdsId holder = 0; holder < servers_.size(); ++holder) {
-        if (!servers_[holder] || holder == owner) continue;
-        if (Status s = InstallReplica(holder, owner, *filter); !s.ok()) {
-          return s;
-        }
-      }
-    }
-    return Status::Ok();
-  }
-  for (MdsId owner = 0; owner < servers_.size(); ++owner) {
-    if (!servers_[owner]) continue;
+Status PrototypeCluster::RefreshLocked(const std::vector<MdsId>& owners) {
+  FlagGuard guard(in_failover_);  // iterates plan_ across Calls
+  Batches installs;
+  for (const MdsId owner : owners) {
     auto filter = FetchFilter(owner);
     if (!filter.ok()) return filter.status();
-    for (auto& g : groups_) {
-      const auto it = g.holder.find(owner);
-      if (it == g.holder.end()) continue;
-      if (Status s = InstallReplica(it->second, owner, *filter); !s.ok()) {
-        return s;
+    for (const auto& [gid, g] : plan_.groups()) {
+      const auto it = g.replica_holder.find(owner);
+      if (it != g.replica_holder.end()) {
+        installs[it->second].push_back(EncodeReplicaInstall(owner, *filter));
       }
+    }
+  }
+  return SendBatchesLocked(installs);
+}
+
+Status PrototypeCluster::SendBatchesLocked(const Batches& batches) {
+  for (const auto& [id, reqs] : batches) {
+    auto resps = CallBatch(id, reqs);
+    if (!resps.ok()) return resps.status();
+    for (const auto& resp : *resps) {
+      ByteReader in(resp);
+      const auto env = OpenEnvelope(in);
+      if (!env.ok()) return env.status();
+      if (!env->status.ok()) return env->status;
     }
   }
   return Status::Ok();
 }
 
+Status PrototypeCluster::ApplyStepLocked(PlanStep step) {
+  // The plan is the orchestrator's truth from here on: a failed install
+  // leaves a holder's segment array behind it, which costs false routes
+  // (the exact L4 path still answers) until PublishAll installs it.
+  plan_ = std::move(step.plan);
+  return ExecuteDiffLocked(step.diff);
+}
+
+Status PrototypeCluster::ExecuteDiffLocked(const ReplicaDiff& diff) {
+  FlagGuard guard(in_failover_);  // the diff names servers across Calls
+  // Net effect of the ordered ops per (holder, owner): what each server
+  // installs, with where the bytes come from (kInvalidMds: the owner's own
+  // filter; otherwise the copy on that old holder), and what it drops. A
+  // replica installed and then moved or dropped within the diff never
+  // travels to its intermediate holder.
+  using Slot = std::pair<MdsId, MdsId>;  // holder, owner
+  std::map<Slot, MdsId> installs;
+  std::set<Slot> drops;
+  for (const ReplicaOp& op : diff.ops) {
+    switch (op.kind) {
+      case ReplicaOp::Kind::kInstall:
+        installs[{op.to, op.owner}] = kInvalidMds;
+        drops.erase({op.to, op.owner});
+        break;
+      case ReplicaOp::Kind::kMove: {
+        MdsId source = op.from;
+        if (const auto it = installs.find({op.from, op.owner});
+            it != installs.end()) {
+          source = it->second;
+          installs.erase(it);
+        } else {
+          drops.insert({op.from, op.owner});
+        }
+        installs[{op.to, op.owner}] = source;
+        drops.erase({op.to, op.owner});
+        break;
+      }
+      case ReplicaOp::Kind::kDrop:
+        if (installs.erase({op.from, op.owner}) == 0) {
+          drops.insert({op.from, op.owner});
+        }
+        break;
+    }
+  }
+  // A departed server's filter leaves every survivor, which also purges
+  // the L1 entries pointing at it.
+  if (diff.departed != kInvalidMds) {
+    for (const MdsId other : AliveServersLocked()) {
+      if (other != diff.departed) drops.insert({other, diff.departed});
+    }
+  }
+
+  // Fetch: one kGetFilter per owner, one kReplicaFetch batch per old
+  // holder a move copies from.
+  std::map<MdsId, BloomFilter> own;
+  std::map<MdsId, std::vector<MdsId>> copied;  // old holder -> owners
+  for (const auto& [slot, source] : installs) {
+    if (source == kInvalidMds) {
+      own.try_emplace(slot.second);
+    } else {
+      copied[source].push_back(slot.second);
+    }
+  }
+  for (auto& [owner, filter] : own) {
+    auto fetched = FetchFilter(owner);
+    if (!fetched.ok()) return fetched.status();
+    filter = std::move(*fetched);
+  }
+  std::map<Slot, BloomFilter> copies;
+  for (const auto& [source, owners] : copied) {
+    std::vector<std::vector<std::uint8_t>> reqs;
+    for (const MdsId owner : owners) reqs.push_back(EncodeReplicaFetch(owner));
+    auto resps = CallBatch(source, reqs);
+    if (!resps.ok()) return resps.status();
+    for (std::size_t i = 0; i < owners.size(); ++i) {
+      ByteReader in((*resps)[i]);
+      auto env = OpenEnvelope(in);
+      if (!env.ok()) return env.status();
+      if (!env->has_payload) return env->status;
+      auto filter = DecompressFilter(in);
+      if (!filter.ok()) return filter.status();
+      copies.emplace(Slot{source, owners[i]}, std::move(*filter));
+    }
+  }
+
+  // Send: every install before any drop, one batch per server each, so a
+  // moved replica is installed before its old copy goes. Drops are
+  // advisory: a missed one leaves a stale replica that costs false routes,
+  // never a wrong answer.
+  Batches install_reqs;
+  for (const auto& [slot, source] : installs) {
+    const auto& [holder, owner] = slot;
+    const BloomFilter& filter = source == kInvalidMds
+                                    ? own.at(owner)
+                                    : copies.at(Slot{source, owner});
+    install_reqs[holder].push_back(EncodeReplicaInstall(owner, filter));
+  }
+  if (Status s = SendBatchesLocked(install_reqs); !s.ok()) return s;
+  Batches drop_reqs;
+  for (const auto& [holder, owner] : drops) {
+    if (PortLocked(holder) != 0) {
+      drop_reqs[holder].push_back(EncodeReplicaDrop(owner));
+    }
+  }
+  for (const auto& [holder, reqs] : drop_reqs) (void)CallBatch(holder, reqs);
+  return Status::Ok();
+}
+
 Result<PrototypeCluster::ReconfigOutcome> PrototypeCluster::AddServer() {
   MutexLock lock(&mu_);
-  FlagGuard guard(in_failover_);  // holds references into groups_
+  FlagGuard guard(in_failover_);  // reconfigures across Calls
   const std::uint64_t frames_before = TotalFramesInLocked();
   // Recycle the lowest freed id (a removed or failed-over slot) before
   // growing the vector. StartServer resets the slot's health history, so
@@ -825,48 +844,19 @@ Result<PrototypeCluster::ReconfigOutcome> PrototypeCluster::AddServer() {
   // predecessor's kDead state.
   MdsId nid = static_cast<MdsId>(servers_.size());
   for (MdsId id = 0; id < servers_.size(); ++id) {
-    if (!servers_[id] && !group_of_.contains(id)) {
+    if (!servers_[id] && !plan_.Contains(id)) {
       nid = id;
       break;
     }
   }
   if (Status s = StartServer(nid); !s.ok()) return s;
-  if (Status s = JoinTopologyLocked(nid); !s.ok()) return s;
+  if (Status s = ApplyStepLocked(plan_.PlanJoin(nid, rng_)); !s.ok()) {
+    return s;
+  }
   BumpEpochLocked();
   const std::uint64_t delta = TotalFramesInLocked() - frames_before;
   metrics_.reconfig_messages += delta;
   return ReconfigOutcome{nid, delta};
-}
-
-Status PrototypeCluster::SplitGroupLocked(std::size_t victim) {
-  GroupInfo& a = groups_[victim];
-  const std::size_t move_count = a.members.size() / 2;
-  if (move_count == 0) {
-    return Status::InvalidArgument("group too small to split");
-  }
-  GroupInfo b;
-  for (std::size_t i = 0; i < move_count; ++i) {
-    b.members.push_back(a.members.back());
-    a.members.pop_back();
-  }
-  // Replicas follow their holders into the new group.
-  for (auto it = a.holder.begin(); it != a.holder.end();) {
-    if (std::find(b.members.begin(), b.members.end(), it->second) !=
-        b.members.end()) {
-      b.holder[it->first] = it->second;
-      it = a.holder.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  groups_.push_back(std::move(b));  // invalidates `a`
-  for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
-    for (const MdsId m : groups_[gi].members) group_of_[m] = gi;
-  }
-  if (Status s = EnsureCoverage(groups_[victim]); !s.ok()) return s;
-  if (Status s = EnsureCoverage(groups_.back()); !s.ok()) return s;
-  BumpEpochLocked();
-  return Status::Ok();
 }
 
 Status PrototypeCluster::SplitLargestGroup() {
@@ -874,97 +864,14 @@ Status PrototypeCluster::SplitLargestGroup() {
   if (scheme_ != ProtoScheme::kGhba) {
     return Status::InvalidArgument("splitting requires the grouped scheme");
   }
-  if (groups_.empty()) return Status::NotFound("no groups");
-  FlagGuard guard(in_failover_);  // SplitGroupLocked walks groups_
+  if (plan_.NumGroups() == 0) return Status::NotFound("no groups");
+  auto step = plan_.PlanSplit(plan_.LargestGroup());
+  if (!step.ok()) return step.status();
   const std::uint64_t frames_before = TotalFramesInLocked();
-  std::size_t victim = 0;
-  for (std::size_t gi = 1; gi < groups_.size(); ++gi) {
-    if (groups_[gi].members.size() > groups_[victim].members.size()) {
-      victim = gi;
-    }
-  }
-  if (groups_[victim].members.size() < 2) {
-    return Status::InvalidArgument("fullest group too small to split");
-  }
-  Status result = SplitGroupLocked(victim);
+  Status result = ApplyStepLocked(std::move(*step));
+  BumpEpochLocked();
   metrics_.reconfig_messages += TotalFramesInLocked() - frames_before;
   return result;
-}
-
-Status PrototypeCluster::JoinTopologyLocked(MdsId nid) {
-  if (scheme_ == ProtoScheme::kHba) {
-    GroupInfo& g = groups_.front();
-    g.members.push_back(nid);
-    group_of_[nid] = 0;
-    // Exchange: newcomer receives all existing replicas, everyone installs
-    // the newcomer's filter.
-    auto fresh = FetchFilter(nid);
-    if (!fresh.ok()) return fresh.status();
-    for (MdsId other = 0; other < servers_.size(); ++other) {
-      if (other == nid || !servers_[other]) continue;
-      auto filter = FetchFilter(other);
-      if (!filter.ok()) return filter.status();
-      if (Status s = InstallReplica(nid, other, *filter); !s.ok()) return s;
-      if (Status s = InstallReplica(other, nid, *fresh); !s.ok()) return s;
-    }
-  } else {
-    std::size_t target = GroupWithRoom();
-    if (target == static_cast<std::size_t>(-1)) {
-      // Split a random full group: tail half forms a new group.
-      const std::size_t victim = rng_.NextBounded(groups_.size());
-      if (Status s = SplitGroupLocked(victim); !s.ok()) return s;
-      target = GroupWithRoom();
-    }
-    GroupInfo& g = groups_[target];
-    g.members.push_back(nid);
-    group_of_[nid] = target;
-    if (g.holder.contains(nid)) {
-      // Best-effort retire of the old holder's copy; a miss leaves a
-      // stale replica, not an inconsistency.
-      (void)Call(g.holder[nid], EncodeReplicaDrop(nid));
-      g.holder.erase(nid);
-    }
-
-    // Light-weight migration: overloaded members hand replicas to the
-    // newcomer via fetch + install + drop.
-    const std::size_t outsiders =
-        AliveServersLocked().size() - g.members.size();
-    const std::size_t target_load =
-        (outsiders + g.members.size() - 1) / g.members.size();
-    std::unordered_map<MdsId, std::vector<MdsId>> held;
-    for (const auto& [owner, holder] : g.holder) held[holder].push_back(owner);
-    for (const MdsId m : g.members) {
-      if (m == nid) continue;
-      auto& owners = held[m];
-      while (owners.size() > target_load) {
-        const MdsId owner = owners.back();
-        owners.pop_back();
-        auto resp = Call(m, EncodeReplicaFetch(owner));
-        if (!resp.ok()) return resp.status();
-        ByteReader in(*resp);
-        auto env = OpenEnvelope(in);
-        if (!env.ok()) return env.status();
-        if (!env->has_payload) return env->status;
-        auto filter = DecompressFilter(in);
-        if (!filter.ok()) return filter.status();
-        if (Status s = InstallReplica(nid, owner, *filter); !s.ok()) return s;
-        // Install succeeded; the old copy is now merely redundant.
-        (void)Call(m, EncodeReplicaDrop(owner));
-        g.holder[owner] = nid;
-      }
-    }
-
-    // The newcomer's replica goes to one member of each other group.
-    auto fresh = FetchFilter(nid);
-    if (!fresh.ok()) return fresh.status();
-    for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
-      if (gi == target || groups_[gi].holder.contains(nid)) continue;
-      const MdsId holder = LightestMember(groups_[gi]);
-      if (Status s = InstallReplica(holder, nid, *fresh); !s.ok()) return s;
-      groups_[gi].holder[nid] = holder;
-    }
-  }
-  return Status::Ok();
 }
 
 Result<RecoveryInfoResp> PrototypeCluster::RestartServer(MdsId id) {
@@ -995,11 +902,11 @@ Result<RecoveryInfoResp> PrototypeCluster::RestartServerLocked(MdsId id) {
   // loop died but no call has failed yet): run the fail-over bookkeeping
   // first so the rejoin below starts from a clean slate, exactly as it
   // would after automatic detection.
-  if (group_of_.contains(id)) {
+  if (plan_.Contains(id)) {
     if (Status s = FailOver(id); !s.ok()) return s;
   }
 
-  FlagGuard guard(in_failover_);  // holds references into groups_
+  FlagGuard guard(in_failover_);  // reconfigures across Calls
   if (Status s = StartServer(id); !s.ok()) return s;
 
   // Recovery handshake before the peer takes any traffic: what did its
@@ -1016,7 +923,9 @@ Result<RecoveryInfoResp> PrototypeCluster::RestartServerLocked(MdsId id) {
   // The new incarnation starts with an empty segment array (replicas are
   // memory-only), and the join installs exactly the replicas the holder
   // map assigns to it; nothing else in the cluster is touched.
-  if (Status s = JoinTopologyLocked(id); !s.ok()) return s;
+  if (Status s = ApplyStepLocked(plan_.PlanJoin(id, rng_)); !s.ok()) {
+    return s;
+  }
   BumpEpochLocked();
   return *info;
 }
@@ -1048,67 +957,19 @@ Result<PrototypeCluster::ReconfigOutcome> PrototypeCluster::RemoveServer(
   if (AliveServersLocked().size() == 1) {
     return Status::InvalidArgument("cannot remove the last server");
   }
-  FlagGuard guard(in_failover_);  // holds references into groups_
+  FlagGuard guard(in_failover_);  // reconfigures across Calls
   const std::uint64_t frames_before = TotalFramesInLocked();
 
-  if (scheme_ == ProtoScheme::kGhba) {
-    const std::size_t gid = group_of_.at(id);
-    GroupInfo& g = groups_[gid];
-    // Move the replicas this server holds to its group peers.
-    std::vector<MdsId> held;
-    for (const auto& [owner, holder] : g.holder) {
-      if (holder == id) held.push_back(owner);
-    }
-    g.members.erase(std::find(g.members.begin(), g.members.end(), id));
-    group_of_.erase(id);
-    for (const MdsId owner : held) {
-      auto resp = Call(id, EncodeReplicaFetch(owner));
-      if (!resp.ok()) return resp.status();
-      ByteReader in(*resp);
-      auto env = OpenEnvelope(in);
-      if (!env.ok()) return env.status();
-      if (!env->has_payload) return env->status;
-      auto filter = DecompressFilter(in);
-      if (!filter.ok()) return filter.status();
-      if (!g.members.empty()) {
-        const MdsId target = LightestMember(g);
-        if (Status s = InstallReplica(target, owner, *filter); !s.ok()) {
-          return s;
-        }
-        g.holder[owner] = target;
-      } else {
-        g.holder.erase(owner);
-      }
-    }
-    // Every survivor drops the leaver's replica/filter state and purges L1
-    // entries pointing at it.
-    for (const MdsId other : AliveServersLocked()) {
-      // Leaver cleanup is advisory; failures leave stale replicas only.
-      if (other != id) (void)Call(other, EncodeReplicaDrop(id));
-    }
-    for (auto& other : groups_) {
-      other.holder.erase(id);
-    }
-    if (g.members.empty()) {
-      groups_.erase(groups_.begin() + static_cast<std::ptrdiff_t>(gid));
-      for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
-        for (const MdsId m : groups_[gi].members) group_of_[m] = gi;
-      }
-    }
-  } else {
-    GroupInfo& g = groups_.front();
-    g.members.erase(std::find(g.members.begin(), g.members.end(), id));
-    group_of_.erase(id);
-    for (const MdsId other : AliveServersLocked()) {
-      if (other == id) continue;
-      (void)Call(other, EncodeReplicaDrop(id));  // advisory, as above
-    }
-  }
+  // The leaver's replicas move to its co-members and every survivor drops
+  // its filter; a merge may follow.
+  PlanStep step = plan_.PlanLeave(id);
+  const std::vector<MdsId> receivers = step.diff.drain_targets;
+  if (Status s = ApplyStepLocked(std::move(step)); !s.ok()) return s;
 
-  // Drain the files to the survivors. kExportFiles extracts and clears the
-  // leaver's store, so until the survivors' re-inserts land the files live
-  // only in this process: the drain gate keeps every lookup out of that
-  // window. The snapshot without the leaver is published before the gate
+  // Drain the files to the leaver's group (to every survivor when the group
+  // emptied). kExportFiles extracts and clears the leaver's store, so until
+  // the receivers' re-inserts land the files live only in this process: the
+  // drain gate keeps every lookup out of that window. The snapshot without the leaver is published before the gate
   // opens, and so before the leaver stops: no lookup routes to a stopped
   // leaver.
   std::unique_ptr<MdsServer> leaver;
@@ -1122,42 +983,26 @@ Result<PrototypeCluster::ReconfigOutcome> PrototypeCluster::RemoveServer(
     if (!env->has_payload) return env->status;
     auto files = DecodeFileListResp(in);
     if (!files.ok()) return files.status();
-    std::vector<MdsId> targets;
-    for (const MdsId s : AliveServersLocked()) {
-      if (s != id) targets.push_back(s);
-    }
-    // Round-robin the files across the survivors, then ship each
-    // survivor's share as batched writes: one kBatch frame per
+    // Round-robin the files across the receivers, then ship each
+    // receiver's share as batched writes: one kBatch frame per
     // kMaxBatchFrames inserts, one CRC and one round-trip each, instead of
     // a Call per file.
-    std::map<MdsId, std::vector<std::vector<std::uint8_t>>> drain;
-    std::map<MdsId, std::vector<const std::string*>> drain_paths;
+    Batches drain;
     std::size_t rr = 0;
     for (const auto& [path, md] : files->files) {
-      const MdsId target = targets[rr++ % targets.size()];
-      drain[target].push_back(EncodeInsert(path, md));
-      drain_paths[target].push_back(&path);
+      drain[receivers[rr++ % receivers.size()]].push_back(
+          EncodeInsert(path, md));
     }
-    for (auto& [target, reqs] : drain) {
-      auto resps = CallBatch(target, reqs);
-      if (!resps.ok()) return resps.status();
-      for (std::size_t i = 0; i < resps->size(); ++i) {
-        ByteReader rin((*resps)[i]);
-        auto renv = OpenEnvelope(rin);
-        if (!renv.ok()) return renv.status();
-        if (!renv->status.ok()) {
-          return Status::Internal("drain re-insert of " +
-                                  *drain_paths[target][i] +
-                                  " failed: " + renv->status.ToString());
-        }
-      }
+    if (Status s = SendBatchesLocked(drain); !s.ok()) {
+      return Status::Internal("drain re-insert failed: " + s.ToString());
     }
     leaver = std::move(servers_[id]);
     PublishTopologyLocked();
   }
 
-  // The survivors' filters changed: refresh their replicas. The leaver's
-  // frame counter disappears with it, so fold it into the delta first.
+  // The receivers' filters changed: refresh their replicas, and nothing
+  // else. The leaver's frame counter disappears with it, so fold it into
+  // the delta first.
   const std::uint64_t victim_frames = leaver->frames_in();
   leaver->Stop();
   leaver.reset();
@@ -1165,7 +1010,7 @@ Result<PrototypeCluster::ReconfigOutcome> PrototypeCluster::RemoveServer(
   // history must die with this incarnation, or the re-added server would
   // start life marked dead.
   health_.Forget(id);
-  if (Status s = PublishAllLocked(); !s.ok()) return s;
+  if (Status s = RefreshLocked(receivers); !s.ok()) return s;
   BumpEpochLocked();
 
   const std::uint64_t delta =
@@ -1217,38 +1062,9 @@ Status PrototypeCluster::FailOver(MdsId id) {
 
   // Fail-over (Section 4.5): "the corresponding Bloom filters are removed
   // from the other MDSs" — every survivor drops the dead server's replica
-  // (if it holds one) and purges its L1 entries pointing there.
-  Status result = Status::Ok();
-  for (const MdsId other : AliveServersLocked()) {
-    // Failover cleanup is advisory: a survivor that misses the drop keeps
-    // a stale replica, which costs false routes, never a wrong answer.
-    (void)Call(other, EncodeReplicaDrop(id));
-  }
-  if (scheme_ == ProtoScheme::kGhba) {
-    const std::size_t gid = group_of_.at(id);
-    GroupInfo& g = groups_[gid];
-    g.members.erase(std::find(g.members.begin(), g.members.end(), id));
-    group_of_.erase(id);
-    // Replicas it held are gone with it; forget the bookkeeping.
-    for (auto it = g.holder.begin(); it != g.holder.end();) {
-      it = it->second == id ? g.holder.erase(it) : std::next(it);
-    }
-    for (auto& other : groups_) {
-      other.holder.erase(id);
-    }
-    if (g.members.empty()) {
-      groups_.erase(groups_.begin() + static_cast<std::ptrdiff_t>(gid));
-      for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
-        for (const MdsId m : groups_[gi].members) group_of_[m] = gi;
-      }
-    } else {
-      result = EnsureCoverage(g);
-    }
-  } else {
-    GroupInfo& g = groups_.front();
-    g.members.erase(std::find(g.members.begin(), g.members.end(), id));
-    group_of_.erase(id);
-  }
+  // and purges its L1 entries pointing there — and the dead server's group
+  // re-installs what it held from the owners.
+  const Status result = ApplyStepLocked(plan_.PlanFail(id));
   // Clients drop placements cached before the fail-over. The dead peer's
   // health verdict deliberately survives (tests assert the kDead state is
   // visible after automatic detection); only a graceful RemoveServer — or
@@ -1281,16 +1097,15 @@ Status PrototypeCluster::MigrateReplica(MdsId owner, MdsId to) {
   if (owner >= servers_.size() || !servers_[owner]) {
     return Status::NotFound("owner server is down");
   }
-  const auto git = group_of_.find(to);
-  if (git == group_of_.end()) return Status::NotFound("target is in no group");
-  GroupInfo& g = groups_[git->second];
-  const auto assignment = g.holder.find(owner);
-  if (assignment == g.holder.end()) {
+  if (!plan_.Contains(to)) return Status::NotFound("target is in no group");
+  const auto& holders = plan_.GroupOf(to).replica_holder;
+  const auto assignment = holders.find(owner);
+  if (assignment == holders.end()) {
     return Status::NotFound("target's group holds no replica of this owner");
   }
   const MdsId from = assignment->second;
   if (from == to) return Status::Ok();
-  FlagGuard guard(in_failover_);  // holds references into groups_
+  FlagGuard guard(in_failover_);  // reconfigures across Calls
   const std::uint64_t frames_before = TotalFramesInLocked();
 
   // Phase 1 — prepare. Snapshot the owner's *current* filter and install
@@ -1312,7 +1127,7 @@ Status PrototypeCluster::MigrateReplica(MdsId owner, MdsId to) {
   // Phase 2 — flip: rewrite the holder map and bump the epoch. The commit
   // point: a restarted server receives exactly what this map assigns it,
   // so from here a crash completes the migration instead of undoing it.
-  assignment->second = to;
+  plan_.Reassign(owner, to);
   BumpEpochLocked();
   if (injector_ != nullptr &&
       injector_->ConsumeMigrationCrash(FaultInjector::MigrationPhase::kFlip)) {
@@ -1340,8 +1155,8 @@ Result<AdaptiveDecision> PrototypeCluster::AdaptivityTick(
     if (!started_) return Status::Unavailable("cluster not started");
     const auto alive = AliveServersLocked();
     signals.num_mds = static_cast<std::uint32_t>(alive.size());
-    signals.num_groups = static_cast<std::uint32_t>(groups_.size());
-    for (const auto& g : groups_) {
+    signals.num_groups = static_cast<std::uint32_t>(plan_.NumGroups());
+    for (const auto& [gid, g] : plan_.groups()) {
       signals.largest_group = std::max(
           signals.largest_group, static_cast<std::uint32_t>(g.members.size()));
     }

@@ -1,10 +1,14 @@
 // Orchestrator of the loopback prototype (paper Section 5).
 //
-// Spawns one MdsServer per MDS, forms groups, installs Bloom-filter
-// replicas over the wire, and runs every mutation: inserts, unlinks,
-// renames, joins, leaves, crashes, restarts, migrations and splits. Message
-// counts come straight from the servers' frame counters, which is what
-// Fig. 15 plots.
+// Spawns one MdsServer per MDS and runs every mutation: inserts, unlinks,
+// renames, joins, leaves, crashes, restarts, migrations and splits. Group
+// membership and replica placement come from core::GroupPlan, the planner
+// the simulator uses too: every topology change is "plan, then execute",
+// where executing a ReplicaDiff costs one kGetFilter per owner whose filter
+// is installed, one kReplicaFetch batch per old holder a move copies from,
+// then one kBatch of installs per server and one of drops. HBA is the
+// planner's M = 1 (every server a group of one). Message counts come
+// straight from the servers' frame counters, which is what Fig. 15 plots.
 //
 // The read path is not here: lookups, leases and verifies run on the
 // concurrent Router (rpc/router.hpp), which drives the L1-L4 cascade from
@@ -13,11 +17,11 @@
 // the snapshot after every topology change, and fails over the peers the
 // Router reports as suspected.
 //
-// Thread safety: orchestrator state (server instances, group topology, the
+// Thread safety: orchestrator state (server instances, the group plan, the
 // reconfiguration guard) is GHBA_GUARDED_BY(mu_); mutating entry points
 // take the lock and everything below them carries GHBA_REQUIRES(mu_), so
 // Clang's -Wthread-safety proves no path touches the topology unlocked —
-// including the automatic fail-over path that rewrites groups_. Read-path
+// including the automatic fail-over path that replaces plan_. Read-path
 // entry points take no orchestrator lock unless a suspected peer has to be
 // failed over, which happens after the Router released everything.
 #pragma once
@@ -36,6 +40,7 @@
 #include "common/sync.hpp"
 #include "core/adaptivity.hpp"
 #include "core/config.hpp"
+#include "core/group_plan.hpp"
 #include "core/metrics.hpp"
 #include "mds/metadata.hpp"
 #include "rpc/fault_injector.hpp"
@@ -48,10 +53,11 @@
 
 namespace ghba {
 
-/// Replica topology the prototype runs.
+/// Replica topology the prototype runs. Both run the same group planner;
+/// they differ in M and in whether lookups multicast within a group (L3).
 enum class ProtoScheme {
   kGhba,  ///< groups of <= M; theta replicas per server
-  kHba,   ///< every server holds every other server's replica
+  kHba,   ///< M = 1: every server holds every other server's replica
 };
 
 /// A client cache's mailbox: Unlink and Rename post the paths they changed
@@ -153,7 +159,8 @@ class PrototypeCluster {
   /// carries the TTL (0 = not leased).
   Result<LookupOutcome> Lookup(const std::string& path, bool lease = false);
 
-  /// Fetch every server's current filter and refresh its replicas.
+  /// Fetch every server's current filter (one kGetFilter each) and refresh
+  /// its replicas on their holders: one kBatch of installs per holder.
   Status PublishAll();
 
   /// What a topology change did: the server involved and the frames the
@@ -164,11 +171,18 @@ class PrototypeCluster {
     std::uint64_t messages = 0;
   };
 
-  /// Add one server (Fig. 15's experiment).
+  /// Add one server (Fig. 15's experiment): it enters the smallest group
+  /// with room, splitting a random full group first when there is none
+  /// (at M = 1 it opens a group of its own). Its co-members hand it
+  /// replicas down to the floor of the new average, and its filter goes to
+  /// one holder in each other group.
   Result<ReconfigOutcome> AddServer();
 
   /// Gracefully decommission a server: its replicas move to group peers,
-  /// its files drain to the survivors, every group drops its filter.
+  /// every survivor drops its filter, groups that now fit within M merge,
+  /// and its files drain to its own group (every survivor when the group
+  /// empties). Only the drain receivers' replicas are refreshed; there is
+  /// no cluster-wide PublishAll.
   Result<ReconfigOutcome> RemoveServer(MdsId id);
 
   /// Crash a server (no drain — its files are lost) and run fail-over:
@@ -211,8 +225,9 @@ class PrototypeCluster {
   /// replica, never a half-migrated view.
   Status MigrateReplica(MdsId owner, MdsId to);
 
-  /// Split the fullest group in two (tail half forms a new group) and bump
-  /// the routing epoch. The adaptivity loop's kSplitGroup action.
+  /// Split the fullest group in two (tail half forms a new group, both
+  /// halves re-cover every outsider) and bump the routing epoch. The
+  /// adaptivity loop's kSplitGroup action.
   Status SplitLargestGroup();
 
   /// One tick of the online adaptivity loop: sample the live signals
@@ -280,17 +295,7 @@ class PrototypeCluster {
   std::uint64_t TotalFramesIn() const;
 
  private:
-  struct GroupInfo {
-    std::vector<MdsId> members;
-    std::unordered_map<MdsId, MdsId> holder;  // owner -> member holding it
-  };
-
   Status StartServer(MdsId id) GHBA_REQUIRES(mu_);
-  /// Wire a freshly started server `nid` into the replica topology: group
-  /// membership, replica exchange/migration, coverage. Shared by AddServer
-  /// (brand-new id) and RestartServer (rejoining id). Callers hold the
-  /// in_failover_ flag (this walks groups_ across Calls).
-  Status JoinTopologyLocked(MdsId nid) GHBA_REQUIRES(mu_);
   /// Router::Call to a server this orchestrator knows, then fail-over for
   /// any peer the failure made suspected (unless a reconfiguration is
   /// already underway, see in_failover_).
@@ -330,16 +335,18 @@ class PrototypeCluster {
   Status InstallReplica(MdsId holder, MdsId owner, const BloomFilter& filter)
       GHBA_REQUIRES(mu_);
 
-  /// Member of `g` holding the fewest replicas.
-  MdsId LightestMember(const GroupInfo& g) const;
-  /// Group index with room, or SIZE_MAX.
-  std::size_t GroupWithRoom() const GHBA_REQUIRES(mu_);
-  Status EnsureCoverage(GroupInfo& g) GHBA_REQUIRES(mu_);
-
-  /// Split group `victim` in two (tail half forms a new group), rebuild
-  /// coverage for both halves and bump the epoch. Callers hold the
-  /// in_failover_ flag.
-  Status SplitGroupLocked(std::size_t victim) GHBA_REQUIRES(mu_);
+  /// Requests per server, sent as one CallBatch each.
+  using Batches = std::map<MdsId, std::vector<std::vector<std::uint8_t>>>;
+  /// CallBatch every server's requests; the first failed request fails it.
+  Status SendBatchesLocked(const Batches& batches) GHBA_REQUIRES(mu_);
+  /// Adopt `step.plan` and execute its diff.
+  Status ApplyStepLocked(PlanStep step) GHBA_REQUIRES(mu_);
+  /// Execute a ReplicaDiff as batched frames (see the file comment). A
+  /// failed fetch or install fails it; drops are advisory.
+  Status ExecuteDiffLocked(const ReplicaDiff& diff) GHBA_REQUIRES(mu_);
+  /// Install the current filter of each of `owners` on its holders, one
+  /// batch per holder.
+  Status RefreshLocked(const std::vector<MdsId>& owners) GHBA_REQUIRES(mu_);
 
   /// Simulated power loss at a migration phase boundary: stop `victim`'s
   /// event loop abruptly, keep every piece of orchestrator bookkeeping
@@ -400,7 +407,6 @@ class PrototypeCluster {
   /// Post `path` to every registered cache inbox.
   void Revoke(const std::string& path) GHBA_EXCLUDES(caches_mu_);
   // Locked bodies of the public entry points that other operations reuse.
-  Status PublishAllLocked() GHBA_REQUIRES(mu_);
   std::vector<MdsId> AliveServersLocked() const GHBA_REQUIRES(mu_);
   std::uint64_t TotalFramesInLocked() const GHBA_REQUIRES(mu_);
   void StopLocked() GHBA_REQUIRES(mu_);
@@ -418,8 +424,9 @@ class PrototypeCluster {
 
   // index = MdsId
   std::vector<std::unique_ptr<MdsServer>> servers_ GHBA_GUARDED_BY(mu_);
-  std::vector<GroupInfo> groups_ GHBA_GUARDED_BY(mu_);  // G-HBA only
-  std::unordered_map<MdsId, std::size_t> group_of_ GHBA_GUARDED_BY(mu_);
+  /// Groups and holder maps: the orchestrator's truth, adopted before its
+  /// diff is executed.
+  GroupPlan plan_ GHBA_GUARDED_BY(mu_);
   /// Routing epoch, held here and nowhere else. Strictly increasing for
   /// the life of this orchestrator, which is also the life of every client
   /// cache stamped with it, so it needs no durable copy.

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "client/client.hpp"
+#include "testing/cluster_expectations.hpp"
 
 namespace ghba {
 namespace {
@@ -72,29 +73,6 @@ std::map<std::string, MdsId> BuildNamespace(PrototypeCluster& cluster,
     if (r.ok()) home_of[path] = r->home;
   }
   return home_of;
-}
-
-/// Every live server's segment array holds exactly the outsider replicas
-/// the orchestrator's holder map assigns to it: nothing missing, nothing
-/// left over from before a crash.
-void ExpectSegmentsMatchHolderMap(PrototypeCluster& cluster) {
-  const auto alive = cluster.AliveServers();
-  for (const MdsId server : alive) {
-    const auto view = cluster.MembershipOf(server);
-    ASSERT_TRUE(view.ok()) << "server " << server;
-    for (const MdsId owner : alive) {
-      if (owner == server) continue;
-      bool assigned = false;
-      if (std::find(view->begin(), view->end(), owner) == view->end()) {
-        const auto holder = cluster.HolderOf(server, owner);
-        ASSERT_TRUE(holder.ok()) << "server " << server << " owner " << owner;
-        assigned = *holder == server;
-      }
-      const auto held = cluster.HoldsReplica(server, owner);
-      ASSERT_TRUE(held.ok()) << "server " << server << " owner " << owner;
-      EXPECT_EQ(*held, assigned) << "server " << server << " owner " << owner;
-    }
-  }
 }
 
 std::uint64_t CacheCounter(PrototypeCluster& cluster, const std::string& name) {

@@ -218,6 +218,28 @@ TEST(GhbaJoinTest, MigrationCountsMatchFig11) {
   }
 }
 
+// M = 1 (which ValidateClusterConfig accepts) leaves nothing to split: a
+// newcomer opens a group of its own and every MDS holds every other MDS's
+// replica, through joins, leaves and failures.
+TEST(GhbaJoinTest, JoinsAtMOneKeepInvariants) {
+  GhbaCluster cluster(SmallConfig(4, 1));
+  for (int i = 0; i < 3; ++i) {
+    ReconfigReport rep;
+    ASSERT_TRUE(cluster.AddMds(&rep).ok());
+    EXPECT_FALSE(rep.group_split);
+    ASSERT_TRUE(cluster.CheckInvariants().ok())
+        << cluster.CheckInvariants().ToString();
+  }
+  ASSERT_TRUE(cluster.RemoveMds(2, nullptr).ok());
+  ASSERT_TRUE(cluster.FailMds(5, nullptr).ok());
+  ASSERT_TRUE(cluster.CheckInvariants().ok())
+      << cluster.CheckInvariants().ToString();
+  EXPECT_EQ(cluster.NumGroups(), cluster.NumMds());
+  for (const MdsId id : cluster.alive()) {
+    EXPECT_EQ(cluster.ThetaOf(id), cluster.NumMds() - 1u) << id;
+  }
+}
+
 TEST_F(GhbaClusterTest, GroupSplitWhenAllFull) {
   // Fill every group to M=4: add MDSs until N % M == 0 and all groups full,
   // then one more must split a group.

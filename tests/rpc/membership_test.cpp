@@ -3,8 +3,11 @@
 // only the joined group and one holder per other group; batched writes ride
 // one frame per kMaxBatchFrames requests; a recycled MdsId starts with
 // clean health state (the RemoveServer/KillServer regression); durable
-// servers restart under a bumped epoch with every file; and membership
-// churn under live lookups never serves a wrong answer.
+// servers restart under a bumped epoch with every file; membership churn
+// under live lookups never serves a wrong answer; departures merge groups
+// that fit within M; M = 1 joins open a group of their own; and seeded
+// join/leave/kill/restart/split sequences keep every segment array equal
+// to the planner's holder map on both schemes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,9 +17,12 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "rpc/prototype_cluster.hpp"
+#include "testing/cluster_expectations.hpp"
 
 namespace ghba {
 namespace {
@@ -377,6 +383,147 @@ TEST(MembershipTest, ChurnUnderLiveLookupsServesEveryFile) {
     EXPECT_TRUE(r->found) << path_of(i);
   }
 }
+
+// The planner's merge rule (Section 3.2): a departure that leaves two
+// groups fitting within M merges them, for a graceful leave and a crash.
+TEST(MembershipTest, DepartureMergesGroupsThatFitWithinM) {
+  ClusterConfig config = SmallConfig();
+  config.num_mds = 4;  // {0,1} {2,3}; losing 0 leaves {1} + {2,3} <= 3
+  for (const bool graceful : {true, false}) {
+    PrototypeCluster cluster(config, ProtoScheme::kGhba);
+    ASSERT_TRUE(cluster.Start().ok());
+    ASSERT_EQ(cluster.NumGroups(), 2u);
+    FileMetadata md;
+    md.inode = 9;
+    ASSERT_TRUE(cluster.Insert("/merge/f", md).ok());
+    ASSERT_TRUE(cluster.PublishAll().ok());
+    const auto home = cluster.Lookup("/merge/f");
+    ASSERT_TRUE(home.ok() && home->found);
+    const MdsId victim = home->home == 0 ? 1 : 0;
+    if (graceful) {
+      ASSERT_TRUE(cluster.RemoveServer(victim).ok());
+    } else {
+      ASSERT_TRUE(cluster.KillServer(victim).ok());
+    }
+    EXPECT_EQ(cluster.NumGroups(), 1u) << (graceful ? "leave" : "kill");
+    const auto members = cluster.MembershipOf(2);
+    ASSERT_TRUE(members.ok());
+    EXPECT_EQ(members->size(), 3u);
+    ExpectSegmentsMatchHolderMap(cluster);
+    const auto r = cluster.Lookup("/merge/f");
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(r->found);
+  }
+}
+
+// max_group_size = 1 is a valid configuration: with nothing to split, a
+// newcomer opens a group of its own and holds every other server's
+// replica, as under HBA.
+TEST(MembershipTest, JoinAtGroupSizeOneOpensAGroupOfItsOwn) {
+  ClusterConfig config = SmallConfig();
+  config.num_mds = 3;
+  config.max_group_size = 1;
+  PrototypeCluster cluster(config, ProtoScheme::kGhba);
+  ASSERT_TRUE(cluster.Start().ok());
+  ASSERT_EQ(cluster.NumGroups(), 3u);
+  const auto added = cluster.AddServer();
+  ASSERT_TRUE(added.ok()) << added.status().ToString();
+  EXPECT_EQ(cluster.NumGroups(), 4u);
+  ExpectSegmentsMatchHolderMap(cluster);
+  FileMetadata md;
+  md.inode = 3;
+  ASSERT_TRUE(cluster.Insert("/one/f", md).ok());
+  ASSERT_TRUE(cluster.PublishAll().ok());
+  const auto r = cluster.Lookup("/one/f");
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(r->found);
+}
+
+// Seeded join/leave/kill/restart/split sequences (split on G-HBA only; HBA
+// is the planner's M = 1): after every step every live server's segment
+// array matches the holder map and every file not lost to a kill is found.
+class MembershipSequenceTest
+    : public ::testing::TestWithParam<std::tuple<ProtoScheme, std::uint64_t>> {
+};
+
+TEST_P(MembershipSequenceTest, EveryStepKeepsSegmentsAndFiles) {
+  const auto [scheme, seed] = GetParam();
+  ClusterConfig config = SmallConfig();
+  config.num_mds = 7;
+  config.seed = seed;
+  PrototypeCluster cluster(config, scheme);
+  ASSERT_TRUE(cluster.Start().ok());
+  std::map<std::string, bool> files;  // path -> still expected
+  for (int i = 0; i < 24; ++i) {
+    const std::string path = "/seq/f" + std::to_string(i);
+    FileMetadata md;
+    md.inode = static_cast<std::uint64_t>(i);
+    ASSERT_TRUE(cluster.Insert(path, md).ok());
+    files[path] = true;
+  }
+  ASSERT_TRUE(cluster.PublishAll().ok());
+
+  Rng rng(seed);
+  MdsId killed = kInvalidMds;
+  for (int step = 0; step < 12; ++step) {
+    const auto alive = cluster.AliveServers();
+    std::string what;
+    if (killed != kInvalidMds) {
+      what = "restart " + std::to_string(killed);
+      ASSERT_TRUE(cluster.RestartServer(killed).ok()) << what;
+      killed = kInvalidMds;
+    } else {
+      const auto dice = rng.NextBounded(4);
+      const MdsId victim = alive[rng.NextBounded(alive.size())];
+      if (dice == 0 || alive.size() <= 3) {
+        const auto added = cluster.AddServer();
+        ASSERT_TRUE(added.ok()) << added.status().ToString();
+        what = "join " + std::to_string(added->id);
+      } else if (dice == 1) {
+        what = "leave " + std::to_string(victim);
+        ASSERT_TRUE(cluster.RemoveServer(victim).ok()) << what;
+      } else if (dice == 2) {
+        what = "kill " + std::to_string(victim);
+        for (auto& [path, expected] : files) {
+          const auto r = cluster.Lookup(path);
+          ASSERT_TRUE(r.ok()) << path;
+          if (r->found && r->home == victim) expected = false;
+        }
+        ASSERT_TRUE(cluster.KillServer(victim).ok()) << what;
+        killed = victim;
+      } else {
+        what = "split";
+        const Status s = cluster.SplitLargestGroup();
+        if (scheme == ProtoScheme::kHba) {
+          EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+        } else {
+          ASSERT_TRUE(s.ok()) << s.ToString();
+        }
+      }
+    }
+    SCOPED_TRACE("step " + std::to_string(step) + ": " + what);
+    ExpectSegmentsMatchHolderMap(cluster);
+    ASSERT_TRUE(cluster.PublishAll().ok());
+    for (const auto& [path, expected] : files) {
+      if (!expected) continue;
+      const auto r = cluster.Lookup(path);
+      ASSERT_TRUE(r.ok()) << path << ": " << r.status().ToString();
+      EXPECT_TRUE(r->found) << path;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, MembershipSequenceTest,
+    ::testing::Combine(::testing::Values(ProtoScheme::kGhba,
+                                         ProtoScheme::kHba),
+                       ::testing::Values(1u, 2u)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) == ProtoScheme::kGhba
+                             ? "Ghba"
+                             : "Hba") +
+             "Seed" + std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace ghba

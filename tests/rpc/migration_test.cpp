@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "rpc/prototype_cluster.hpp"
+#include "testing/cluster_expectations.hpp"
 
 namespace ghba {
 namespace {
@@ -83,29 +84,6 @@ void ExpectAllLookupsCorrect(PrototypeCluster& cluster,
     ASSERT_TRUE(r.ok()) << path << ": " << r.status().ToString();
     EXPECT_TRUE(r->found) << path;
     EXPECT_EQ(r->home, home) << path;
-  }
-}
-
-/// Every live server's segment array holds exactly the outsider replicas
-/// the orchestrator's holder map assigns to it: nothing missing, nothing
-/// left over from before a crash.
-void ExpectSegmentsMatchHolderMap(PrototypeCluster& cluster) {
-  const auto alive = cluster.AliveServers();
-  for (const MdsId server : alive) {
-    const auto view = cluster.MembershipOf(server);
-    ASSERT_TRUE(view.ok()) << "server " << server;
-    for (const MdsId owner : alive) {
-      if (owner == server) continue;
-      bool assigned = false;
-      if (std::find(view->begin(), view->end(), owner) == view->end()) {
-        const auto holder = cluster.HolderOf(server, owner);
-        ASSERT_TRUE(holder.ok()) << "server " << server << " owner " << owner;
-        assigned = *holder == server;
-      }
-      const auto held = cluster.HoldsReplica(server, owner);
-      ASSERT_TRUE(held.ok()) << "server " << server << " owner " << owner;
-      EXPECT_EQ(*held, assigned) << "server " << server << " owner " << owner;
-    }
   }
 }
 

@@ -24,8 +24,9 @@
 // its own Client facade, keep looking files up while the main thread
 // gracefully removes and re-adds servers. Every lookup answer
 // is audited — a not-found or a non-transient error is a wrong lookup —
-// and the run fails unless wrong == 0 and at least one reconfiguration
-// actually happened. Results go to stdout as churn_* key=value lines.
+// and the run fails unless wrong == 0, every join and leave succeeded, and
+// at least one reconfiguration actually happened. Results go to stdout as
+// churn_* key=value lines.
 //
 // With --coherence SECS the workload runs the front-tier coherence audit
 // (cache forced ON): each round a second reader Client and the writer
@@ -238,19 +239,22 @@ int main(int argc, char** argv) {
       });
     }
     std::uint64_t rounds = 0;
+    std::uint64_t reconfig_failures = 0;
+    const auto note = [&reconfig_failures](const char* what, const Status& s) {
+      if (s.ok()) return;
+      std::fprintf(stderr, "churn: %s failed: %s\n", what,
+                   s.ToString().c_str());
+      ++reconfig_failures;
+    };
     const auto stop_at = std::chrono::steady_clock::now() +
                          std::chrono::duration<double>(churn_secs);
     while (std::chrono::steady_clock::now() < stop_at) {
       const auto alive = cluster.AliveServers();
       if (alive.size() > 1) {
-        if (!cluster.RemoveServer(alive.back()).ok()) {
-          std::fprintf(stderr, "churn: remove failed\n");
-        }
+        note("remove", cluster.RemoveServer(alive.back()).status());
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      if (!cluster.AddServer().ok()) {
-        std::fprintf(stderr, "churn: add failed\n");
-      }
+      note("add", cluster.AddServer().status());
       ++rounds;
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
@@ -268,7 +272,7 @@ int main(int argc, char** argv) {
     std::printf("churn_epoch=%llu\n",
                 static_cast<unsigned long long>(cluster.RoutingEpoch()));
     if (churn_wrong.load() != 0 || reconfig_msgs == 0 ||
-        churn_lookups.load() == 0) {
+        churn_lookups.load() == 0 || reconfig_failures != 0) {
       std::fprintf(stderr, "churn failed the zero-wrong-lookups bar\n");
       return 1;
     }
