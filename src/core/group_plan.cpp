@@ -264,7 +264,8 @@ void GroupPlan::MergeWhilePossible(const std::vector<MdsId>& alive,
                                    ReplicaDiff& diff) {
   // Paper: "this process repeats until no merging can be performed". Each
   // round merges the first pair (in group order) that fits within M.
-  const auto mergeable = [this]() -> std::optional<std::pair<GroupId, GroupId>> {
+  using Pair = std::pair<GroupId, GroupId>;
+  const auto mergeable = [this]() -> std::optional<Pair> {
     for (auto a = groups_.begin(); a != groups_.end(); ++a) {
       for (auto b = std::next(a); b != groups_.end(); ++b) {
         if (a->second.size() + b->second.size() <= max_group_size_) {

@@ -771,10 +771,10 @@ Status PrototypeCluster::ExecuteDiffLocked(const ReplicaDiff& diff) {
     }
   }
   // A departed server's filter leaves every survivor, which also purges
-  // the L1 entries pointing at it.
+  // the L1 entries pointing at it. The departed server is sent nothing.
   if (diff.departed != kInvalidMds) {
     for (const MdsId other : AliveServersLocked()) {
-      if (other != diff.departed) drops.insert({other, diff.departed});
+      drops.insert({other, diff.departed});
     }
   }
 
@@ -826,7 +826,7 @@ Status PrototypeCluster::ExecuteDiffLocked(const ReplicaDiff& diff) {
   if (Status s = SendBatchesLocked(install_reqs); !s.ok()) return s;
   Batches drop_reqs;
   for (const auto& [holder, owner] : drops) {
-    if (PortLocked(holder) != 0) {
+    if (holder != diff.departed && PortLocked(holder) != 0) {
       drop_reqs[holder].push_back(EncodeReplicaDrop(owner));
     }
   }
@@ -969,9 +969,9 @@ Result<PrototypeCluster::ReconfigOutcome> PrototypeCluster::RemoveServer(
   // Drain the files to the leaver's group (to every survivor when the group
   // emptied). kExportFiles extracts and clears the leaver's store, so until
   // the receivers' re-inserts land the files live only in this process: the
-  // drain gate keeps every lookup out of that window. The snapshot without the leaver is published before the gate
-  // opens, and so before the leaver stops: no lookup routes to a stopped
-  // leaver.
+  // drain gate keeps every lookup out of that window. The snapshot without
+  // the leaver is published before the gate opens, and so before the
+  // leaver stops: no lookup routes to a stopped leaver.
   std::unique_ptr<MdsServer> leaver;
   {
     WriterMutexLock drain_gate(&router_.drain_gate());
