@@ -327,6 +327,14 @@ Result<LookupOutcome> PrototypeCluster::LookupLocked(
   return result;
 }
 
+Result<LookupOutcome> PrototypeCluster::LookupExactLocked(
+    const std::string& path) {
+  Suspects suspects;
+  auto result = router_.LookupExact(path, &suspects);
+  NoteSuspectsLocked(suspects);
+  return result;
+}
+
 Status PrototypeCluster::Unlink(const std::string& path) {
   MutexLock lock(&mu_);
   auto located = LookupLocked(path);
@@ -572,9 +580,10 @@ Status PrototypeCluster::RenameUnrevoked(const std::string& src,
     if (!located.ok()) return located.status();
     if (!located->found) return Status::NotFound(src);
     src_home = located->home;
-    // Cheap refusal before any journaling; the prepare-insert vote
-    // re-checks authoritatively under dst's intent lock.
-    if (auto probe = LookupLocked(dst); probe.ok() && probe->found) {
+    // Cheap refusal before any journaling, straight at the exact level
+    // (dst is expected absent); the prepare-insert vote re-checks
+    // authoritatively under dst's intent lock.
+    if (auto probe = LookupExactLocked(dst); probe.ok() && probe->found) {
       return Status::AlreadyExists(dst);
     }
     dst_home = alive[Fnv1a64(dst) % alive.size()];
@@ -600,7 +609,7 @@ Status PrototypeCluster::CreateExclusive(const std::string& path,
     // Cheap refusal for a path living anywhere in the cluster; the
     // prepare-insert vote is the authoritative check on the hash home,
     // which is where every racing CreateExclusive for this path lands.
-    if (auto probe = LookupLocked(path); probe.ok() && probe->found) {
+    if (auto probe = LookupExactLocked(path); probe.ok() && probe->found) {
       return Status::AlreadyExists(path);
     }
     home = alive[Fnv1a64(path) % alive.size()];

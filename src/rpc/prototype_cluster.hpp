@@ -397,10 +397,15 @@ class PrototypeCluster {
   /// between messages, as every txn drive runs.
   Result<RecoveryInfoResp> RestartServerLocked(MdsId id) GHBA_REQUIRES(mu_);
 
-  /// Router lookup issued while holding mu_ (Unlink and the txn preludes
-  /// locate their paths under the lock that serializes mutations). It
-  /// teaches no L1 hint: the path is about to move.
+  /// Router lookup issued while holding mu_ (Unlink and Rename locate the
+  /// path they are about to move under the lock that serializes
+  /// mutations). The full cascade; it teaches no L1 hint.
   Result<LookupOutcome> LookupLocked(const std::string& path)
+      GHBA_REQUIRES(mu_);
+  /// Existence check under mu_ for a path expected to be absent (Rename's
+  /// dst, CreateExclusive's path): Router::LookupExact, the L4 multicast
+  /// alone, one round trip.
+  Result<LookupOutcome> LookupExactLocked(const std::string& path)
       GHBA_REQUIRES(mu_);
   /// Body of Rename up to the commit; Rename revokes after it returns.
   Status RenameUnrevoked(const std::string& src, const std::string& dst);

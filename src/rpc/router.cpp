@@ -384,21 +384,27 @@ Status Router::Quiesce() {
   return result;
 }
 
-Result<LookupOutcome> Router::Lookup(const std::string& path, bool lease,
-                                     Suspects* suspects, bool teach_l1) {
-  // Held for the whole cascade: a drain cannot move files between the
-  // levels of one lookup. Released before the caller fails suspects over.
-  ReaderMutexLock gate(&gate_);
-  QueryCtx q;
+Status Router::StartQuery(QueryCtx& q, Suspects* suspects, bool lease,
+                          bool teach_l1) {
   q.topo = Snapshot();
   q.suspects = suspects;
   q.lease = lease;
   q.teach_l1 = teach_l1;
   q.start_ms = NowMs();
   q.mark_ms = q.start_ms;
+  if (q.topo->alive.empty()) return Status::Unavailable("no servers");
+  q.entry = q.topo->alive[Draw(q.topo->alive.size())];
+  return Status::Ok();
+}
+
+Result<LookupOutcome> Router::Lookup(const std::string& path, bool lease,
+                                     Suspects* suspects, bool teach_l1) {
+  // Held for the whole cascade: a drain cannot move files between the
+  // levels of one lookup. Released before the caller fails suspects over.
+  ReaderMutexLock gate(&gate_);
+  QueryCtx q;
+  if (Status s = StartQuery(q, suspects, lease, teach_l1); !s.ok()) return s;
   const Topology& topo = *q.topo;
-  if (topo.alive.empty()) return Status::Unavailable("no servers");
-  q.entry = topo.alive[Draw(topo.alive.size())];
   const MdsId entry = q.entry;
 
   // L1 + L2 on the entry server, which also answers for its own store. A
@@ -475,12 +481,30 @@ Result<LookupOutcome> Router::Lookup(const std::string& path, bool lease,
     }
     q.CloseLevel(3);
   }
+  return GlobalLevel(path, q);
+}
 
-  // L4: one multicast to every live server that has not already answered
-  // "not here"; the lowest id that holds the path answers. L4 is the exact
+Result<LookupOutcome> Router::LookupExact(const std::string& path,
+                                          Suspects* suspects) {
+  ReaderMutexLock gate(&gate_);
+  QueryCtx q;
+  // The entry is drawn only so the outcome report has a server to go to.
+  if (Status s = StartQuery(q, suspects, /*lease=*/false,
+                            /*teach_l1=*/false);
+      !s.ok()) {
+    return s;
+  }
+  return GlobalLevel(path, q);
+}
+
+Result<LookupOutcome> Router::GlobalLevel(const std::string& path,
+                                          QueryCtx& q) {
+  // One multicast to every live server that has not already answered "not
+  // here"; the lowest id that holds the path answers. L4 is the exact
   // level, so a peer we could not reach leaves the verdict uncertain:
   // report Unavailable rather than a confident (and possibly wrong) "not
   // found".
+  const Topology& topo = *q.topo;
   std::vector<MdsId> targets;
   for (const MdsId m : topo.alive) {
     if (Has(q.absent, m)) continue;
@@ -490,18 +514,18 @@ Result<LookupOutcome> Router::Lookup(const std::string& path, bool lease,
   bool all_peers_answered = true;
   for (const Reply& r :
        FanOut(topo, targets, EncodePathRequest(MsgType::kGlobalProbe, path),
-              suspects, &q.retries)) {
+              q.suspects, &q.retries)) {
     const auto found = PayloadOf(r.resp, DecodeBoolResp);
     if (!found.ok()) {
       all_peers_answered = false;
       continue;
     }
     if (!*found) continue;
-    if (lease) {
+    if (q.lease) {
       // The global probe carries no lease flag: one kLeaseGrant to the home.
       const auto grant = PayloadOf(
           Call(r.id, topo.PortOf(r.id),
-               EncodePathRequest(MsgType::kLeaseGrant, path), suspects,
+               EncodePathRequest(MsgType::kLeaseGrant, path), q.suspects,
                &q.retries),
           DecodeLeaseGrantResp);
       if (grant.ok() && grant->held) q.lease_ttl_ms = grant->ttl_ms;

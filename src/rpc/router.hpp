@@ -133,6 +133,14 @@ class Router {
   Result<LookupOutcome> Lookup(const std::string& path, bool lease,
                                Suspects* suspects, bool teach_l1 = true);
 
+  /// The exact level alone, for a path expected to be absent (no level
+  /// above L4 can answer "absent"): one kGlobalProbe to every live server,
+  /// so one round trip instead of the cascade's three. Reports exactly one
+  /// outcome to a drawn entry server, like Lookup; unleased, and it
+  /// teaches no L1 hint. A peer it cannot reach makes it Unavailable.
+  Result<LookupOutcome> LookupExact(const std::string& path,
+                                    Suspects* suspects);
+
   /// Exact store membership of `path` on `id` (kVerify).
   Result<bool> Verify(MdsId id, const std::string& path, Suspects* suspects);
 
@@ -179,6 +187,15 @@ class Router {
                             const std::vector<std::uint8_t>& req,
                             Suspects* suspects, std::uint32_t* retries);
 
+  /// Load the snapshot into `q`, set its options and start its clock, and
+  /// draw its entry server. Unavailable when no server is live.
+  Status StartQuery(QueryCtx& q, Suspects* suspects, bool lease,
+                    bool teach_l1);
+  /// L4: one kGlobalProbe multicast to every live server not in
+  /// `q.absent`; the lowest id that holds the path answers (leased with
+  /// one kLeaseGrant when `q.lease`). Unavailable when a peer could not
+  /// answer and none held the path.
+  Result<LookupOutcome> GlobalLevel(const std::string& path, QueryCtx& q);
   /// Verify `candidate` at most once per lookup, and never one that
   /// already answered "not here": kLeaseGrant when the lookup wants a
   /// lease, kVerify otherwise. A candidate that is not the home marks the

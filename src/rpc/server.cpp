@@ -44,14 +44,22 @@ std::uint16_t PeekType(const std::vector<std::uint8_t>& frame) {
          (static_cast<std::uint16_t>(frame[1]) << 8);
 }
 
-/// The requests the event thread may answer inline on an idle shard: the
-/// memory-only probes (HandleProbe), and kInsert when `inserts`. Everything
-/// else — other mutations, txn messages, whole-server and control
-/// messages, kBatch — is always queued to a worker.
-bool RunsInline(std::uint16_t type, bool inserts) {
+/// The requests the event thread may answer inline on an idle shard: those
+/// whose handler neither fsyncs nor sleeps. That is the memory-only probes
+/// (HandleProbe) always, and the journaling mutations — kInsert, kUnlink and
+/// the per-message 2PC steps — when `append_cannot_fsync`. Everything else
+/// (kTxnResolve/kTxnList, whole-server and control messages, kBatch) is
+/// always queued to a worker.
+bool RunsInline(std::uint16_t type, bool append_cannot_fsync) {
   switch (static_cast<MsgType>(type)) {
     case MsgType::kInsert:
-      return inserts;
+    case MsgType::kUnlink:
+    case MsgType::kTxnBegin:
+    case MsgType::kTxnPrepare:
+    case MsgType::kTxnDecide:
+    case MsgType::kTxnCommit:
+    case MsgType::kTxnAbort:
+      return append_cannot_fsync;
     case MsgType::kLookupLocal:
     case MsgType::kGroupProbe:
     case MsgType::kGlobalProbe:
@@ -93,8 +101,8 @@ IoErrorAction ClassifyWaitError(int errnum) {
 MdsServer::MdsServer(MdsId id, const ClusterConfig& config)
     : id_(id),
       config_(config),
-      inline_inserts_(config.storage.data_dir.empty() ||
-                      config.storage.fsync == FsyncPolicy::kNever),
+      append_cannot_fsync_(config.storage.data_dir.empty() ||
+                           config.storage.fsync == FsyncPolicy::kNever),
       local_filter_(CountingBloomFilter::ForCapacity(
           config.expected_files_per_mds, config.bits_per_file,
           config.seed ^ 0x5151)),
@@ -339,8 +347,8 @@ bool MdsServer::DispatchToShard(std::uint32_t shard_index, Task task,
   // Spilled replicas make a probe block (PaySpilledProbeDelay): that server
   // answers on its workers only. Read before shard.mu, which ranks below
   // seg_mu_.
-  const bool eligible =
-      RunsInline(type, inline_inserts_) && ReplicaOverflowFraction() == 0.0;
+  const bool eligible = RunsInline(type, append_cannot_fsync_) &&
+                        ReplicaOverflowFraction() == 0.0;
   shard.mu.Lock();
   // Idle means nothing queued and nobody running: an earlier request for
   // this shard — a same-path insert, say — has finished, so running this

@@ -208,8 +208,9 @@ class MdsServer {
   void PostCompletion(Completion completion);
 
   /// The event thread's one dispatch decision for a non-batch request:
-  /// answer it inline, into `done`, when it is a memory-only probe (or an
-  /// insert, under inline_inserts_) and its shard is idle (empty queue, no
+  /// answer it inline, into `done`, when its handler neither fsyncs nor
+  /// sleeps — a memory-only probe, or a journaling mutation or 2PC step
+  /// under append_cannot_fsync_ — and its shard is idle (empty queue, no
   /// claim, no park, no injected stall, no spilled replicas); otherwise
   /// queue it exactly like PostTask.
   /// True = answered inline.
@@ -292,9 +293,10 @@ class MdsServer {
 
   MdsId id_;
   ClusterConfig config_;
-  /// A kInsert's journal append cannot fsync here (no data dir, or
-  /// fsync=never), so it may run inline like a probe and wake no worker.
-  const bool inline_inserts_;
+  /// A journal append cannot fsync here (no data dir, or fsync=never), so
+  /// kInsert, kUnlink and the 2PC steps may run inline like a probe and
+  /// wake no worker.
+  const bool append_cannot_fsync_;
   FaultInjector* injector_ = nullptr;
   TcpListener listener_;
   std::uint16_t port_ = 0;

@@ -1,5 +1,6 @@
 #include "txn/txn_driver.hpp"
 
+#include <iterator>
 #include <utility>
 
 namespace ghba {
@@ -112,17 +113,22 @@ Status TxnDriver::Rename(std::uint64_t txn_id, const std::string& src,
 
   // Insert before remove: the transient double-presence window is benign
   // (both lookups succeed), a neither-present window would not be.
-  for (const auto& [participant, path] :
-       {std::pair{dst_home, dst}, std::pair{src_home, src}}) {
+  const std::pair<MdsId, const std::string*> commits[] = {{dst_home, &dst},
+                                                          {src_home, &src}};
+  for (std::size_t i = 0; i < std::size(commits); ++i) {
+    const auto [participant, path] = commits[i];
     CountMessage(stats);
-    if (Status s = transport_->TxnCommit(participant, txn_id, path);
+    if (Status s = transport_->TxnCommit(participant, txn_id, *path);
         !s.ok()) {
       if (stats != nullptr) ++stats->commits_pending;
       continue;  // already committed; resolution will close this op
     }
     if (!Step(TxnPhase::kCommit, participant, stats)) {
-      if (stats != nullptr && participant == dst_home) {
-        ++stats->commits_pending;  // src commit never sent
+      // The commits after this one were never sent. Counted by position:
+      // a same-server rename has dst_home == src_home.
+      if (stats != nullptr) {
+        stats->commits_pending +=
+            static_cast<std::uint32_t>(std::size(commits) - 1 - i);
       }
       return Status::Ok();
     }

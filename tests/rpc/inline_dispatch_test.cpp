@@ -3,7 +3,10 @@
 //
 // These pin the rules that make the fast path safe:
 //   * an idle shard's probe is answered inline (serve.inline_requests);
-//   * so is an insert, but only when its journal append cannot fsync;
+//   * so are an insert, an unlink and each 2PC step, but only when the
+//     journal append cannot fsync;
+//   * a prepare and an unlink of its path pipelined in one write still
+//     fence: the unlink is refused as intent-locked;
 //   * a stalled shard's probe is never run inline: it waits for the stall;
 //   * a server with spilled replicas answers probes on its workers only,
 //     and they pay the simulated disk delay there;
@@ -12,12 +15,14 @@
 //   * a kPing reply still means every earlier one-way frame was applied;
 //   * a checkpoint taken while probes stream in recovers a consistent store.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/metrics.hpp"
@@ -25,6 +30,7 @@
 #include "rpc/protocol.hpp"
 #include "rpc/server.hpp"
 #include "rpc/socket.hpp"
+#include "rpc/wire_buffer.hpp"
 
 namespace ghba {
 namespace {
@@ -155,20 +161,97 @@ TEST_F(InlineDispatchTest, InsertRunsInlineOnlyWhenItsAppendCannotFsync) {
     Boot(config);
     auto conn = Connect();
     const std::string path = PathOnShard(0, server_->shards());
-    Insert(conn, path);
-    EXPECT_EQ(Inline(), fsync == FsyncPolicy::kNever ? 1u : 0u)
+    const std::string staged = PathOnShard(1, server_->shards());
+    const std::string aborted = PathOnShard(1, server_->shards(), 1);
+    TxnPrepareReq insert;
+    insert.path = staged;
+    insert.txn_id = 5;
+    insert.coordinator = 0;
+    insert.subop = TxnSubOp::kInsert;
+    insert.participants = {0};
+    TxnPrepareReq doomed = insert;
+    doomed.path = aborted;
+    doomed.txn_id = 6;
+    // Every journaling request, each appending one WAL record: a plain
+    // insert and unlink, then a whole 2PC (begin, prepare, decide, commit)
+    // and a prepare its abort closes.
+    const std::vector<std::pair<const char*, std::vector<std::uint8_t>>>
+        requests = {
+            {"insert", EncodeInsert(path, FileMetadata{})},
+            {"unlink", EncodePathRequest(MsgType::kUnlink, path)},
+            {"txn begin", EncodeTxnBegin(TxnBeginReq{5, {0}})},
+            {"txn prepare", EncodeTxnPrepare(insert)},
+            {"txn decide", EncodeTxnDecide(TxnDecideReq{5, true})},
+            {"txn commit",
+             EncodeTxnFinish(MsgType::kTxnCommit, TxnFinishReq{staged, 5})},
+            {"txn prepare", EncodeTxnPrepare(doomed)},
+            {"txn abort",
+             EncodeTxnFinish(MsgType::kTxnAbort, TxnFinishReq{aborted, 6})},
+        };
+    for (const auto& [name, frame] : requests) {
+      const std::uint64_t before = Inline();
+      ASSERT_TRUE(conn.SendFrame(frame).ok());
+      ASSERT_TRUE(ReadStatus(conn, Deadline::After(5000ms)).ok()) << name;
+      // Inline only where the append cannot fsync.
+      EXPECT_EQ(Inline() - before, fsync == FsyncPolicy::kNever ? 1u : 0u)
+          << name << " under " << FsyncPolicyName(fsync);
+    }
+    // Inline or queued, each request journaled exactly what it would have.
+    EXPECT_EQ(Counter(metrics_names::kStorageWalAppends), requests.size())
         << FsyncPolicyName(fsync);
-    ASSERT_TRUE(
-        conn.SendFrame(EncodePathRequest(MsgType::kVerify, path)).ok());
-    auto held = ReadBool(conn, Deadline::After(5000ms));
-    ASSERT_TRUE(held.ok());
-    EXPECT_TRUE(*held) << FsyncPolicyName(fsync);
-    EXPECT_EQ(Counter(metrics_names::kStorageWalAppends), 1u)
-        << FsyncPolicyName(fsync);
+    for (const auto& [want, probe] :
+         {std::pair{false, path}, std::pair{true, staged},
+          std::pair{false, aborted}}) {
+      ASSERT_TRUE(
+          conn.SendFrame(EncodePathRequest(MsgType::kVerify, probe)).ok());
+      auto held = ReadBool(conn, Deadline::After(5000ms));
+      ASSERT_TRUE(held.ok());
+      EXPECT_EQ(*held, want) << probe << " under " << FsyncPolicyName(fsync);
+    }
     server_->Stop();
     server_.reset();
   }
   std::filesystem::remove_all(dir);
+}
+
+TEST_F(InlineDispatchTest, PipelinedPrepareFencesTheUnlinkBehindIt) {
+  ClusterConfig config = TestConfig();
+  Boot(config);
+  auto conn = Connect();
+  const std::string path = PathOnShard(1, server_->shards());
+  Insert(conn, path);
+  TxnPrepareReq remove;
+  remove.path = path;
+  remove.txn_id = 7;
+  remove.coordinator = 0;
+  remove.subop = TxnSubOp::kRemove;
+  remove.participants = {0};
+  // Both frames in one send(2): the event thread reads them from one
+  // wakeup, so the unlink finds the prepare finished (inline) or queued
+  // ahead of it on the same shard, never behind it.
+  std::vector<std::uint8_t> blob;
+  ASSERT_TRUE(BuildWireFrame(FaultInjector::FramePlan{},
+                             EncodeTxnPrepare(remove), blob));
+  ASSERT_TRUE(BuildWireFrame(FaultInjector::FramePlan{},
+                             EncodePathRequest(MsgType::kUnlink, path),
+                             blob));
+  const std::uint64_t before = Inline();
+  ASSERT_EQ(::send(conn.fd(), blob.data(), blob.size(), 0),
+            static_cast<ssize_t>(blob.size()));
+  const auto deadline = Deadline::After(5000ms);
+  EXPECT_TRUE(ReadStatus(conn, deadline).ok()) << "prepare-remove vote";
+  const Status unlink = ReadStatus(conn, deadline);
+  EXPECT_EQ(unlink.code(), StatusCode::kUnavailable) << unlink.ToString();
+  EXPECT_NE(unlink.message().find("intent-locked"), std::string::npos)
+      << unlink.ToString();
+  // No data dir: both ran on the event thread.
+  EXPECT_EQ(Inline() - before, 2u);
+
+  // The fenced unlink changed nothing: the file is still there.
+  ASSERT_TRUE(conn.SendFrame(EncodePathRequest(MsgType::kVerify, path)).ok());
+  auto held = ReadBool(conn, deadline);
+  ASSERT_TRUE(held.ok());
+  EXPECT_TRUE(*held);
 }
 
 TEST_F(InlineDispatchTest, StalledShardProbeWaitsForTheStall) {

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "hash/fnv.hpp"
 #include "rpc/prototype_cluster.hpp"
 
 namespace ghba {
@@ -380,6 +381,162 @@ TEST(RouterTest, ShedProbeLeavesTheServerInTheL4Set) {
   EXPECT_EQ(ServeSum(cluster, "serve.lease_requests"), 1u);
   // That kLeaseGrant is the only verify.
   EXPECT_EQ(ServeSum(cluster, "serve.verifies"), 1u);
+}
+
+/// Per-type request counts and the lookup levels reported, summed over
+/// the servers in `ids`. Quiesce first for the one-way reports to land.
+struct ServeCounts {
+  std::uint64_t local = 0;   ///< kLookupLocal
+  std::uint64_t group = 0;   ///< kGroupProbe
+  std::uint64_t global = 0;  ///< kGlobalProbe
+  std::uint64_t prepares = 0;
+  std::uint64_t upper = 0;   ///< lookups served at L3 or L4 (found)
+  std::uint64_t miss = 0;
+  std::uint64_t levels = 0;  ///< l1 + l2 + l3 + l4 + miss
+};
+
+ServeCounts CountServes(PrototypeCluster& cluster,
+                        const std::vector<MdsId>& ids) {
+  ServeCounts c;
+  for (const MdsId id : ids) {
+    const auto stats = cluster.FetchStats(id);
+    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+    if (!stats.ok()) continue;
+    const auto& m = stats->metrics;
+    c.local += m.CounterOr(metrics_names::kServeLocalLookups);
+    c.group += m.CounterOr(metrics_names::kServeGroupProbes);
+    c.global += m.CounterOr(metrics_names::kServeGlobalProbes);
+    c.prepares += m.CounterOr(metrics_names::kServeTxnPrepares);
+    c.upper += m.CounterOr(metrics_names::kLookupsL3) +
+               m.CounterOr(metrics_names::kLookupsL4);
+    c.miss += m.CounterOr(metrics_names::kLookupsMiss);
+    c.levels += m.CounterOr(metrics_names::kLookupsL1) +
+                m.CounterOr(metrics_names::kLookupsL2) +
+                m.CounterOr(metrics_names::kLookupsL3) +
+                m.CounterOr(metrics_names::kLookupsL4) +
+                m.CounterOr(metrics_names::kLookupsMiss);
+  }
+  return c;
+}
+
+/// Where CreateExclusive and a rename's dst land: the hash home over the
+/// id-sorted live set, as the orchestrator computes it.
+MdsId HashHome(PrototypeCluster& cluster, const std::string& path) {
+  const auto alive = cluster.AliveServers();
+  return alive[Fnv1a64(path) % alive.size()];
+}
+
+TEST(RouterTest, ExistenceChecksGoStraightToTheExactLevel) {
+  PrototypeCluster cluster(RouterConfig(), ProtoScheme::kGhba);
+  ASSERT_TRUE(cluster.Start().ok());
+  for (int i = 0; i < 24; ++i) {
+    ASSERT_TRUE(cluster.Insert("/exact/f" + std::to_string(i), Md(i)).ok());
+  }
+  ASSERT_TRUE(cluster.PublishAll().ok());
+  const auto alive = cluster.AliveServers();
+
+  // CreateExclusive of an absent path: the check is one kGlobalProbe per
+  // live server and nothing else, reported as one miss.
+  for (int i = 0; i < 4; ++i) {
+    const std::string path = "/exact/new" + std::to_string(i);
+    ASSERT_TRUE(cluster.Quiesce().ok());
+    const ServeCounts before = CountServes(cluster, alive);
+    ASSERT_TRUE(cluster.CreateExclusive(path, Md()).ok()) << path;
+    ASSERT_TRUE(cluster.Quiesce().ok());
+    const ServeCounts after = CountServes(cluster, alive);
+    EXPECT_EQ(after.local - before.local, 0u) << path;
+    EXPECT_EQ(after.group - before.group, 0u) << path;
+    EXPECT_EQ(after.global - before.global, alive.size()) << path;
+    EXPECT_EQ(after.levels - before.levels, 1u) << path;
+    EXPECT_EQ(after.miss - before.miss, 1u) << path;
+  }
+
+  // A rename with an absent dst: src's cascade takes the one kLookupLocal,
+  // and a kGroupProbe to the entry's two peers only if it got past L2.
+  // The dst check adds global probes alone. Two outcomes per rename, the
+  // dst check's a miss.
+  for (int i = 0; i < 8; ++i) {
+    const std::string src = "/exact/f" + std::to_string(i);
+    ASSERT_TRUE(cluster.Quiesce().ok());
+    const ServeCounts before = CountServes(cluster, alive);
+    ASSERT_TRUE(cluster.Rename(src, "/exact/moved" + std::to_string(i)).ok())
+        << src;
+    ASSERT_TRUE(cluster.Quiesce().ok());
+    const ServeCounts after = CountServes(cluster, alive);
+    EXPECT_EQ(after.local - before.local, 1u) << src;
+    EXPECT_EQ(after.group - before.group, 2 * (after.upper - before.upper))
+        << src;
+    EXPECT_GE(after.global - before.global, alive.size()) << src;
+    EXPECT_EQ(after.levels - before.levels, 2u) << src;
+    EXPECT_EQ(after.miss - before.miss, 1u) << src;
+  }
+}
+
+TEST(RouterTest, ExistenceCheckFindsAPathHeldOffItsHashHome) {
+  PrototypeCluster cluster(RouterConfig(), ProtoScheme::kGhba);
+  ASSERT_TRUE(cluster.Start().ok());
+  ASSERT_TRUE(cluster.Insert("/exact/src", Md(1)).ok());
+  // "/exact/taken" lives on the server after its hash home, inserted
+  // there directly and never published: no replica names it, only the
+  // exact level can find it.
+  const std::string taken = "/exact/taken";
+  const MdsId holder = (HashHome(cluster, taken) + 1) % 6;
+  auto conn = TcpConnection::Connect(cluster.ServerPorts()[holder]);
+  ASSERT_TRUE(conn.ok());
+  ASSERT_TRUE(conn->SendFrame(EncodeInsert(taken, Md(2))).ok());
+  ASSERT_TRUE(conn->RecvFrame().ok());
+
+  EXPECT_EQ(cluster.Rename("/exact/src", taken).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(cluster.CreateExclusive(taken, Md(3)).code(),
+            StatusCode::kAlreadyExists);
+  // Both refused by the check, before any prepare.
+  EXPECT_EQ(ServeSum(cluster, metrics_names::kServeTxnPrepares), 0u);
+  const auto src = cluster.Lookup("/exact/src");
+  ASSERT_TRUE(src.ok()) << src.status().ToString();
+  EXPECT_TRUE(src->found);
+  const auto held = cluster.VerifyOn(holder, taken);
+  ASSERT_TRUE(held.ok());
+  EXPECT_TRUE(*held);
+}
+
+TEST(RouterTest, CrashedPeerLeavesTheExistenceCheckToThePrepareVote) {
+  ClusterConfig config = RouterConfig();
+  config.rpc.suspect_after = 1000;  // keep the crash undetected
+  PrototypeCluster cluster(config, ProtoScheme::kGhba);
+  ASSERT_TRUE(cluster.Start().ok());
+  const std::string taken = "/exact/taken";
+  const std::string fresh = "/exact/fresh";
+  ASSERT_TRUE(cluster.CreateExclusive(taken, Md(1)).ok());
+  ASSERT_TRUE(cluster.PublishAll().ok());
+  MdsId victim = 0;
+  while (victim == HashHome(cluster, taken) ||
+         victim == HashHome(cluster, fresh)) {
+    ++victim;
+  }
+  std::vector<MdsId> live;
+  for (const MdsId id : cluster.AliveServers()) {
+    if (id != victim) live.push_back(id);
+  }
+  ASSERT_TRUE(cluster.CrashServer(victim).ok());
+
+  // The check cannot hear "absent" from the victim, so for the fresh path
+  // it is Unavailable and decides nothing: the hash home's prepare vote
+  // accepts it.
+  std::uint64_t prepares = CountServes(cluster, live).prepares;
+  ASSERT_TRUE(cluster.CreateExclusive(fresh, Md(2)).ok());
+  EXPECT_EQ(CountServes(cluster, live).prepares - prepares, 1u);
+  // A live holder's "held" is exact whoever else is down: the taken path
+  // is refused by the check, before any prepare.
+  prepares = CountServes(cluster, live).prepares;
+  EXPECT_EQ(cluster.CreateExclusive(taken, Md(3)).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(CountServes(cluster, live).prepares - prepares, 0u);
+  for (const std::string& path : {taken, fresh}) {
+    const auto held = cluster.VerifyOn(HashHome(cluster, path), path);
+    ASSERT_TRUE(held.ok()) << path;
+    EXPECT_TRUE(*held) << path;
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "hash/fnv.hpp"
@@ -254,11 +255,18 @@ struct CrashCase {
   const char* name;
 };
 
-class TxnCrashTest : public ::testing::TestWithParam<CrashCase> {
+/// Every boundary runs once per fsync policy: under kNever the journaling
+/// 2PC handlers run inline on the event thread of an idle shard, under
+/// kAlways on the shard workers.
+class TxnCrashTest
+    : public ::testing::TestWithParam<std::tuple<CrashCase, FsyncPolicy>> {
  protected:
   void SetUp() override {
     const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    std::string name = info->name();
+    // The suite name tells the fsync instantiations apart: ctest runs
+    // them in parallel.
+    std::string name =
+        std::string(info->test_suite_name()) + "_" + info->name();
     std::replace(name.begin(), name.end(), '/', '_');
     dir_ = std::filesystem::temp_directory_path() / ("ghba_txncrash_" + name);
     std::filesystem::remove_all(dir_);
@@ -269,10 +277,10 @@ class TxnCrashTest : public ::testing::TestWithParam<CrashCase> {
 };
 
 TEST_P(TxnCrashTest, CrashAtPhaseBoundaryRecoversToExactlyOneEndpoint) {
-  const CrashCase& c = GetParam();
+  const auto& [c, fsync] = GetParam();
   ClusterConfig config = TxnConfig();
   config.storage.data_dir = dir_.string();
-  config.storage.fsync = FsyncPolicy::kAlways;
+  config.storage.fsync = fsync;
 
   FaultInjector injector;
   PrototypeCluster cluster(config, ProtoScheme::kGhba);
@@ -322,30 +330,45 @@ TEST_P(TxnCrashTest, CrashAtPhaseBoundaryRecoversToExactlyOneEndpoint) {
   EXPECT_TRUE(after->found);
 }
 
+constexpr CrashCase kCrashCases[] = {
+    // Coordinator dies right after journaling Begin: nothing prepared
+    // anywhere, the drive fails, src survives.
+    CrashCase{"txn.begin.0", false, false, "CoordAfterBegin"},
+    // src_home dies after journaling its prepare-remove: the decision can
+    // never be journaled, restart resolution force-aborts.
+    CrashCase{"txn.prepare.0", false, false, "SrcAfterPrepare"},
+    // dst_home dies after journaling its prepare-insert: the decision
+    // still commits at the live coordinator — acked, rolled forward into
+    // the dead server's recovery.
+    CrashCase{"txn.prepare.1", true, true, "DstAfterPrepare"},
+    // Coordinator dies with the commit decision durable but no commit
+    // sent to itself: acked, self-resolution applies the remove.
+    CrashCase{"txn.decide.0", false, true, "CoordAfterDecide"},
+    // dst_home dies after applying its commit: acked, recovery replays the
+    // journaled commit, nothing left in doubt.
+    CrashCase{"txn.commit.0", true, true, "DstAfterCommit"},
+    // src_home dies after the final commit: the txn was fully closed.
+    CrashCase{"txn.commit.1", false, true, "SrcAfterCommit"},
+};
+
+std::string CrashCaseName(
+    const ::testing::TestParamInfo<std::tuple<CrashCase, FsyncPolicy>>&
+        info) {
+  return std::get<0>(info.param).name;
+}
+
+// A crash stops the server's loop without losing what its WAL wrote, as
+// kill -9 keeps the page cache, so fsync=never is sound here too.
 INSTANTIATE_TEST_SUITE_P(
     AllBoundaries, TxnCrashTest,
-    ::testing::Values(
-        // Coordinator dies right after journaling Begin: nothing prepared
-        // anywhere, the drive fails, src survives.
-        CrashCase{"txn.begin.0", false, false, "CoordAfterBegin"},
-        // src_home dies after journaling its prepare-remove: the decision
-        // can never be journaled, restart resolution force-aborts.
-        CrashCase{"txn.prepare.0", false, false, "SrcAfterPrepare"},
-        // dst_home dies after journaling its prepare-insert: the decision
-        // still commits at the live coordinator — acked, rolled forward
-        // into the dead server's recovery.
-        CrashCase{"txn.prepare.1", true, true, "DstAfterPrepare"},
-        // Coordinator dies with the commit decision durable but no commit
-        // sent to itself: acked, self-resolution applies the remove.
-        CrashCase{"txn.decide.0", false, true, "CoordAfterDecide"},
-        // dst_home dies after applying its commit: acked, recovery replays
-        // the journaled commit, nothing left in doubt.
-        CrashCase{"txn.commit.0", true, true, "DstAfterCommit"},
-        // src_home dies after the final commit: the txn was fully closed.
-        CrashCase{"txn.commit.1", false, true, "SrcAfterCommit"}),
-    [](const ::testing::TestParamInfo<CrashCase>& info) {
-      return info.param.name;
-    });
+    ::testing::Combine(::testing::ValuesIn(kCrashCases),
+                       ::testing::Values(FsyncPolicy::kAlways)),
+    CrashCaseName);
+INSTANTIATE_TEST_SUITE_P(
+    AllBoundariesInline, TxnCrashTest,
+    ::testing::Combine(::testing::ValuesIn(kCrashCases),
+                       ::testing::Values(FsyncPolicy::kNever)),
+    CrashCaseName);
 
 }  // namespace
 }  // namespace ghba

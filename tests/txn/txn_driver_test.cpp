@@ -1,0 +1,166 @@
+// TxnDriver: the client-side 2PC choreography, over a recording fake
+// transport. Pins the message order of a rename (the crash matrices in
+// tests/rpc/txn_test.cpp and tools/txn_chaos name their boundaries by it)
+// and the count of closing commits a halted drive leaves to resolution.
+#include "txn/txn_driver.hpp"
+
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <optional>
+#include <ostream>
+#include <string>
+#include <vector>
+
+namespace ghba {
+namespace {
+
+/// One message the driver sent.
+struct Sent {
+  TxnPhase phase;
+  MdsId target;
+  std::string path;  ///< empty for begin and decide
+  bool operator==(const Sent& other) const {
+    return phase == other.phase && target == other.target &&
+           path == other.path;
+  }
+};
+
+std::ostream& operator<<(std::ostream& os, const Sent& s) {
+  return os << TxnPhaseName(s.phase) << "(" << s.target << "," << s.path
+            << ")";
+}
+
+constexpr std::uint64_t kSrcInode = 77;
+
+/// Accepts every message and records it. A remove prepare votes yes with
+/// metadata carrying kSrcInode.
+class RecordingTransport : public TxnTransport {
+ public:
+  Status TxnBegin(MdsId coordinator, std::uint64_t,
+                  const std::vector<MdsId>& participants) override {
+    sent.push_back({TxnPhase::kBegin, coordinator, ""});
+    begun_participants = participants;
+    return Status::Ok();
+  }
+  Result<std::optional<FileMetadata>> TxnPrepare(
+      MdsId participant, const TxnPendingOp& op) override {
+    sent.push_back({TxnPhase::kPrepare, participant, op.path});
+    if (op.subop == TxnSubOp::kInsert) {
+      inserted_inode = op.metadata.inode;
+      return std::optional<FileMetadata>();
+    }
+    FileMetadata md;
+    md.inode = kSrcInode;
+    return std::optional<FileMetadata>(md);
+  }
+  Status TxnDecide(MdsId coordinator, std::uint64_t, bool commit) override {
+    sent.push_back({TxnPhase::kDecide, coordinator, ""});
+    decisions.push_back(commit);
+    return Status::Ok();
+  }
+  Status TxnCommit(MdsId participant, std::uint64_t,
+                   const std::string& path) override {
+    sent.push_back({TxnPhase::kCommit, participant, path});
+    return Status::Ok();
+  }
+  Status TxnAbort(MdsId participant, std::uint64_t,
+                  const std::string& path) override {
+    sent.push_back({TxnPhase::kAbort, participant, path});
+    return Status::Ok();
+  }
+  Result<std::vector<TxnPendingOp>> TxnList(MdsId) override {
+    return std::vector<TxnPendingOp>();
+  }
+  Result<TxnResolution> TxnQueryDecision(MdsId, std::uint64_t) override {
+    return TxnResolution::kUnknown;
+  }
+  bool TxnServerConfirmedDead(MdsId) override { return false; }
+
+  std::vector<Sent> sent;
+  std::vector<MdsId> begun_participants;
+  std::vector<bool> decisions;
+  std::uint64_t inserted_inode = 0;
+};
+
+/// A hook that halts the drive after the `n`-th (1-based) step of `phase`.
+TxnDriver::StepHook HaltAfter(TxnPhase phase, int n) {
+  auto seen = std::make_shared<int>(0);
+  return [phase, n, seen](TxnPhase at, MdsId) {
+    return at != phase || ++*seen != n;
+  };
+}
+
+std::vector<Sent> Choreography(MdsId src_home, MdsId dst_home) {
+  return {{TxnPhase::kBegin, src_home, ""},
+          {TxnPhase::kPrepare, src_home, "/src"},
+          {TxnPhase::kPrepare, dst_home, "/dst"},
+          {TxnPhase::kDecide, src_home, ""},
+          {TxnPhase::kCommit, dst_home, "/dst"},
+          {TxnPhase::kCommit, src_home, "/src"}};
+}
+
+TEST(TxnDriverTest, CrossServerRenameSendsTheSixMessagesInOrder) {
+  RecordingTransport transport;
+  TxnDriver driver(&transport);
+  TxnDriveStats stats;
+  ASSERT_TRUE(driver.Rename(9, "/src", 1, "/dst", 2, &stats).ok());
+  EXPECT_EQ(transport.sent, Choreography(1, 2));
+  EXPECT_EQ(transport.begun_participants, (std::vector<MdsId>{1, 2}));
+  EXPECT_EQ(transport.decisions, std::vector<bool>{true});
+  // The insert prepare stages the metadata the remove vote carried.
+  EXPECT_EQ(transport.inserted_inode, kSrcInode);
+  EXPECT_EQ(stats.messages, 6u);
+  EXPECT_EQ(stats.commits_pending, 0u);
+  EXPECT_FALSE(stats.halted);
+}
+
+TEST(TxnDriverTest, SameServerRenameSendsTheSameSixMessages) {
+  RecordingTransport transport;
+  TxnDriver driver(&transport);
+  TxnDriveStats stats;
+  ASSERT_TRUE(driver.Rename(9, "/src", 3, "/dst", 3, &stats).ok());
+  EXPECT_EQ(transport.sent, Choreography(3, 3));
+  EXPECT_EQ(transport.begun_participants, std::vector<MdsId>{3});
+  EXPECT_EQ(stats.messages, 6u);
+  EXPECT_EQ(stats.commits_pending, 0u);
+}
+
+TEST(TxnDriverTest, HaltAfterDecideLeavesBothCommitsPending) {
+  for (const MdsId dst_home : {MdsId{2}, MdsId{1}}) {
+    RecordingTransport transport;
+    TxnDriver driver(&transport, HaltAfter(TxnPhase::kDecide, 1));
+    TxnDriveStats stats;
+    ASSERT_TRUE(driver.Rename(9, "/src", 1, "/dst", dst_home, &stats).ok());
+    EXPECT_EQ(stats.messages, 4u) << dst_home;
+    EXPECT_EQ(stats.commits_pending, 2u) << dst_home;
+    EXPECT_TRUE(stats.halted);
+  }
+}
+
+// A halt after a commit owes only the commits not yet sent. Counted by the
+// commit's position, not by its server: in a same-server rename both
+// commits go to dst_home.
+TEST(TxnDriverTest, HaltAfterEachCommitOwesOnlyTheUnsentCommits) {
+  for (const MdsId dst_home : {MdsId{2}, MdsId{1}}) {
+    for (int halt_at = 1; halt_at <= 2; ++halt_at) {
+      RecordingTransport transport;
+      TxnDriver driver(&transport, HaltAfter(TxnPhase::kCommit, halt_at));
+      TxnDriveStats stats;
+      ASSERT_TRUE(
+          driver.Rename(9, "/src", 1, "/dst", dst_home, &stats).ok());
+      const auto full = Choreography(1, dst_home);
+      EXPECT_EQ(transport.sent,
+                std::vector<Sent>(full.begin(), full.begin() + 4 + halt_at))
+          << "dst_home " << dst_home << ", halt after commit " << halt_at;
+      EXPECT_EQ(stats.messages, static_cast<std::uint32_t>(4 + halt_at));
+      EXPECT_EQ(stats.commits_pending,
+                static_cast<std::uint32_t>(2 - halt_at))
+          << "dst_home " << dst_home << ", halt after commit " << halt_at;
+      EXPECT_TRUE(stats.halted);
+    }
+  }
+}
+
+}  // namespace
+}  // namespace ghba

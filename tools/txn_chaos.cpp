@@ -1,11 +1,12 @@
 // txn_chaos — deployment-mode crash sweep for distributed transactions.
 //
 //   $ txn_chaos --daemon ./tools/mds_daemon [--mds N] [--data-dir DIR]
-//               [--renames K] [--keep]
+//               [--renames K] [--fsync always|never] [--keep]
 //
-// Spawns N real mds_daemon processes (durable, fsync=always, ephemeral
-// ports), then proves the two claims the in-process matrix proves — with
-// kill -9 instead of a simulated crash:
+// Spawns N real mds_daemon processes (durable, fsync=always unless
+// --fsync says otherwise, ephemeral ports), then proves the two claims
+// the in-process matrix proves — with kill -9 instead of a simulated
+// crash:
 //
 //   1. clean cross-daemon renames move files atomically;
 //   2. killing the targeted daemon at EVERY 2PC message boundary (and the
@@ -13,6 +14,10 @@
 //      same data dir plus in-doubt resolution, to exactly one endpoint:
 //      the new name iff the rename was acked, the old name otherwise —
 //      never both, never neither, and no background file is ever lost.
+//
+// kill -9 keeps the page cache, so --fsync never is sound for these
+// process crashes; under it the daemons run the 2PC handlers inline on
+// the event thread of an idle shard.
 //
 // Exit status 0 iff every audit passed; CI runs this as the txn-chaos
 // stage. The namespace layout mirrors the orchestrator: a path's home is
@@ -57,12 +62,13 @@ struct Fleet {
   DaemonProcess& at(MdsId id) { return daemons[id]; }
 
   Status StartAll(const std::string& binary, const std::string& data_dir,
-                  std::size_t n) {
+                  const std::string& fsync, std::size_t n) {
     for (std::size_t id = 0; id < n; ++id) {
       DaemonProcess::Options opt;
       opt.binary = binary;
       opt.id = static_cast<MdsId>(id);
       opt.data_dir = data_dir;
+      opt.fsync = fsync;
       daemons.emplace_back(std::move(opt));
       if (Status s = daemons.back().Start(); !s.ok()) return s;
       transport.SetPort(static_cast<MdsId>(id), daemons.back().port());
@@ -194,6 +200,7 @@ void RunFaultCase(Fleet& fleet, std::uint64_t& txn_id, const Fault& f) {
 int main(int argc, char** argv) {
   std::string binary;
   std::string data_dir;
+  std::string fsync = "always";
   std::size_t num_mds = 3;
   int renames = 8;
   bool keep = false;
@@ -206,12 +213,16 @@ int main(int argc, char** argv) {
       num_mds = static_cast<std::size_t>(std::atoi(argv[++i]));
     } else if (std::strcmp(argv[i], "--renames") == 0 && i + 1 < argc) {
       renames = std::atoi(argv[++i]);
+    } else if (std::strcmp(argv[i], "--fsync") == 0 && i + 1 < argc &&
+               (std::strcmp(argv[i + 1], "always") == 0 ||
+                std::strcmp(argv[i + 1], "never") == 0)) {
+      fsync = argv[++i];
     } else if (std::strcmp(argv[i], "--keep") == 0) {
       keep = true;
     } else {
       std::fprintf(stderr,
                    "usage: %s --daemon PATH [--mds N] [--data-dir DIR] "
-                   "[--renames K] [--keep]\n",
+                   "[--renames K] [--fsync always|never] [--keep]\n",
                    argv[0]);
       return 2;
     }
@@ -233,12 +244,13 @@ int main(int argc, char** argv) {
   int rc = 1;
   {
     Fleet fleet;
-    if (const Status s = fleet.StartAll(binary, data_dir, num_mds); !s.ok()) {
+    if (const Status s = fleet.StartAll(binary, data_dir, fsync, num_mds);
+        !s.ok()) {
       std::fprintf(stderr, "fleet start: %s\n", s.ToString().c_str());
       return 1;
     }
-    std::printf("fleet: %zu daemons, data-dir=%s\n", num_mds,
-                data_dir.c_str());
+    std::printf("fleet: %zu daemons, data-dir=%s, fsync=%s\n", num_mds,
+                data_dir.c_str(), fsync.c_str());
 
     std::uint64_t txn_id = 0;
 
