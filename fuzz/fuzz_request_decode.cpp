@@ -78,9 +78,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       }
       break;
     }
-    case ghba::MsgType::kTxnBegin:
-      (void)ghba::DecodeTxnBegin(in);  // error = valid outcome
-      break;
     case ghba::MsgType::kTxnPrepare:
       (void)ghba::DecodeTxnPrepare(in);  // error = valid outcome
       break;

@@ -267,11 +267,6 @@ int main(int argc, char** argv) {
   {
     // The v5 transaction family: one seed per wire message, in the order a
     // rename drives them.
-    ghba::TxnBeginReq begin;
-    begin.txn_id = 77;
-    begin.participants = {2, 5};
-    WriteSeed(root, "fuzz_request_decode", "txn_begin",
-              ghba::EncodeTxnBegin(begin));
     ghba::TxnPrepareReq prep_remove;
     prep_remove.path = "/txn/src";
     prep_remove.txn_id = 77;
@@ -371,14 +366,9 @@ int main(int argc, char** argv) {
     ghba::EncodeWalRecordPayload(insert, payload);
     WriteSeed(root, "fuzz_wal_decode", "payload_insert", Sel(1, payload.Take()));
 
-    // A transaction's full journal trail on one participant/coordinator:
-    // begin, prepare (with the intent payload), the commit decision and the
+    // A transaction's full journal trail on its coordinator: the prepare
+    // that opens it (with the intent payload), the commit decision and the
     // closing commit — the records replay/recovery folds into txn state.
-    ghba::WalRecord txn_begin;
-    txn_begin.op = ghba::WalOp::kTxnBegin;
-    txn_begin.seq = 4;
-    txn_begin.txn_id = 77;
-    txn_begin.members = {2, 5};
     ghba::WalRecord txn_prepare;
     txn_prepare.op = ghba::WalOp::kTxnPrepare;
     txn_prepare.seq = 5;
@@ -401,8 +391,7 @@ int main(int argc, char** argv) {
     txn_commit.path = "/txn/dst";
     txn_commit.metadata = SampleMetadata();
     Bytes txn_log;
-    for (const auto* r : {&txn_begin, &txn_prepare, &txn_decision,
-                          &txn_commit}) {
+    for (const auto* r : {&txn_prepare, &txn_decision, &txn_commit}) {
       const auto frame = ghba::EncodeWalRecordFrame(*r);
       txn_log.insert(txn_log.end(), frame.begin(), frame.end());
     }
@@ -440,7 +429,7 @@ int main(int argc, char** argv) {
     pending.participants = {2, 5};
     with_txn.txn_pending.push_back(pending);
     with_txn.txn_decisions.push_back({76, ghba::TxnCoordState::kCommitted});
-    with_txn.txn_decisions.push_back({77, ghba::TxnCoordState::kBegun});
+    with_txn.txn_decisions.push_back({78, ghba::TxnCoordState::kAborted});
     WriteSeed(root, "fuzz_wal_decode", "checkpoint_txn",
               Sel(2, ghba::EncodeCheckpoint(with_txn)));
   }

@@ -79,14 +79,6 @@ Result<StatsResp> DaemonClient::Stats() {
   return DecodeStatsResp(in);
 }
 
-Status DaemonClient::TxnBegin(std::uint64_t txn_id,
-                              const std::vector<MdsId>& participants) {
-  TxnBeginReq req;
-  req.txn_id = txn_id;
-  req.participants = participants;
-  return StatusCall(EncodeTxnBegin(req));
-}
-
 Result<TxnPrepareResp> DaemonClient::TxnPrepare(const TxnPrepareReq& req) {
   auto resp = Call(EncodeTxnPrepare(req));
   if (!resp.ok()) return resp.status();

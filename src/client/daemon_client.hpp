@@ -63,8 +63,6 @@ class DaemonClient {
   // txn_chaos tool builds its TxnTransport from these: the same TxnDriver
   // choreography proven in-process then runs against real daemons it can
   // kill -9 between phases.
-  Status TxnBegin(std::uint64_t txn_id,
-                  const std::vector<MdsId>& participants);
   Result<TxnPrepareResp> TxnPrepare(const TxnPrepareReq& req);
   Status TxnDecide(std::uint64_t txn_id, bool commit);
   Status TxnCommit(std::uint64_t txn_id, const std::string& path);

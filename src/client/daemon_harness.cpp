@@ -187,15 +187,6 @@ void DaemonTxnTransport::Invalidate(MdsId id) {
   }
 }
 
-Status DaemonTxnTransport::TxnBegin(MdsId coordinator, std::uint64_t txn_id,
-                                    const std::vector<MdsId>& participants) {
-  DaemonClient* c = Session(coordinator);
-  if (c == nullptr) return Status::Unavailable("server unreachable");
-  Status s = c->TxnBegin(txn_id, participants);
-  if (!s.ok()) Invalidate(coordinator);
-  return s;
-}
-
 Result<std::optional<FileMetadata>> DaemonTxnTransport::TxnPrepare(
     MdsId participant, const TxnPendingOp& op) {
   DaemonClient* c = Session(participant);

@@ -96,8 +96,6 @@ class DaemonTxnTransport final : public TxnTransport {
   /// true until the next SetPort.
   void MarkDead(MdsId id);
 
-  Status TxnBegin(MdsId coordinator, std::uint64_t txn_id,
-                  const std::vector<MdsId>& participants) override;
   Result<std::optional<FileMetadata>> TxnPrepare(
       MdsId participant, const TxnPendingOp& op) override;
   Status TxnDecide(MdsId coordinator, std::uint64_t txn_id,

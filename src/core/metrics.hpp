@@ -83,7 +83,6 @@ inline constexpr char kServeLeaseRefusals[] = "serve.lease_refusals";
 inline constexpr char kServeHotKeys[] = "serve.hot_keys";
 inline constexpr char kServeShedRequests[] = "serve.shed_requests";
 // Distributed transactions (2PC): server-side message counts.
-inline constexpr char kServeTxnBegins[] = "serve.txn_begins";
 inline constexpr char kServeTxnPrepares[] = "serve.txn_prepares";
 inline constexpr char kServeTxnCommits[] = "serve.txn_commits";
 inline constexpr char kServeTxnAborts[] = "serve.txn_aborts";

@@ -389,24 +389,6 @@ Result<TxnSubOp> GetSubOp(ByteReader& in) {
 
 }  // namespace
 
-std::vector<std::uint8_t> EncodeTxnBegin(const TxnBeginReq& req) {
-  auto w = WriterFor(MsgType::kTxnBegin);
-  w.PutU64(req.txn_id);
-  PutMdsIds(w, req.participants);
-  return w.Take();
-}
-
-Result<TxnBeginReq> DecodeTxnBegin(ByteReader& in) {
-  TxnBeginReq req;
-  auto txn_id = in.GetU64();
-  if (!txn_id.ok()) return txn_id.status();
-  // Txn id 0 is the "no transaction" sentinel everywhere in the manager.
-  if (*txn_id == 0) return Status::Corruption("bad txn id");
-  req.txn_id = *txn_id;
-  if (Status s = GetMdsIds(in, &req.participants); !s.ok()) return s;
-  return req;
-}
-
 std::vector<std::uint8_t> EncodeTxnPrepare(const TxnPrepareReq& req) {
   auto w = WriterFor(MsgType::kTxnPrepare);
   w.PutString(req.path);
@@ -597,9 +579,9 @@ Result<MsgType> DecodeType(ByteReader& in) {
   auto t = in.GetU16();
   if (!t.ok()) return t.status();
   // 21 and 22 are the retired membership-push types, 24 the retired
-  // lease revocation.
+  // lease revocation, 25 the retired txn begin.
   if (*t < 1 || *t > static_cast<std::uint16_t>(MsgType::kTxnList) ||
-      *t == 21 || *t == 22 || *t == 24) {
+      *t == 21 || *t == 22 || *t == 24 || *t == 25) {
     return Status::Corruption("unknown message type");
   }
   return static_cast<MsgType>(*t);
@@ -621,7 +603,7 @@ bool BatchableType(MsgType type) {
 }
 
 std::vector<std::uint8_t> EncodeBatch(
-    const std::vector<std::vector<std::uint8_t>>& subs) {
+    std::span<const std::vector<std::uint8_t>> subs) {
   auto w = WriterFor(MsgType::kBatch);
   w.PutVarint(subs.size());
   for (const auto& sub : subs) {

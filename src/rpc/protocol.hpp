@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,8 +49,8 @@ enum class MsgType : std::uint16_t {
   // 21 and 22 carried the v3-v6 membership push; retired, never reused.
   kLeaseGrant = 23,   ///< verify + lease on this MDS -> LeaseGrantResp
   // 24 carried the v4-v7 lease revocation; retired, never reused.
-  // Distributed-transaction messages (v5, two-phase commit).
-  kTxnBegin = 25,    ///< coordinator: open a decision record -> StatusResp
+  // Distributed-transaction messages (v5, two-phase commit). 25 carried
+  // the v5-v8 txn begin; retired, never reused.
   kTxnPrepare = 26,  ///< participant: journal intent + lock -> TxnPrepareResp
   kTxnDecide = 27,   ///< coordinator: durably fix the verdict -> StatusResp
   kTxnCommit = 28,   ///< participant: apply + close prepare -> StatusResp
@@ -72,9 +73,11 @@ enum class MsgType : std::uint16_t {
 /// loses its epoch/members tail.
 /// v8 deletes the wire revocation: servers keep no lease table, the
 /// cluster revokes client caches in-process, and type 24 is retired.
+/// v9 retires kTxnBegin (type 25): a coordinator counts a txn open while
+/// it holds the txn's own prepare, so the first prepare opens it.
 /// Every binary is built from one tree, so peers do not negotiate; kVersion
 /// only reports this number to operators.
-inline constexpr std::uint32_t kProtocolVersion = 8;
+inline constexpr std::uint32_t kProtocolVersion = 9;
 
 /// Upper bound on sub-frames per kBatch frame: enough for any realistic
 /// pipeline depth, small enough that a mangled count cannot make the server
@@ -184,14 +187,6 @@ struct LeaseGrantResp {
 
 // --- distributed transactions (v5) ---
 
-/// Coordinator -> its own log: open the decision record (kTxnBegin).
-struct TxnBeginReq {
-  std::uint64_t txn_id = 0;
-  std::vector<MdsId> participants;
-
-  friend bool operator==(const TxnBeginReq&, const TxnBeginReq&) = default;
-};
-
 /// Driver -> participant: journal the prepared sub-op and take the per-path
 /// intent lock (kTxnPrepare). Path rides first so shard routing shares the
 /// generic "string after type" parse. `metadata` is meaningful only for
@@ -299,7 +294,7 @@ Result<ProbeRequest> DecodeProbeRequest(ByteReader& in);
 /// Batched writes on the wire: many request sub-frames share one TCP frame
 /// and one CRC. Payload: [varint n][varint len, bytes]*n.
 std::vector<std::uint8_t> EncodeBatch(
-    const std::vector<std::vector<std::uint8_t>>& subs);
+    std::span<const std::vector<std::uint8_t>> subs);
 
 /// Server-side decode of a kBatch request body. Validates the count and
 /// every length against the remaining frame bytes, and rejects sub-frames
@@ -311,14 +306,12 @@ Result<std::vector<std::vector<std::uint8_t>>> DecodeBatchRequest(
 Result<OutcomeReport> DecodeOutcomeReport(ByteReader& in);
 
 // --- transaction requests (v5) ---
-std::vector<std::uint8_t> EncodeTxnBegin(const TxnBeginReq& req);
 std::vector<std::uint8_t> EncodeTxnPrepare(const TxnPrepareReq& req);
 std::vector<std::uint8_t> EncodeTxnDecide(const TxnDecideReq& req);
 std::vector<std::uint8_t> EncodeTxnFinish(MsgType type,
                                           const TxnFinishReq& req);
 std::vector<std::uint8_t> EncodeTxnResolve(std::uint64_t txn_id);
 
-Result<TxnBeginReq> DecodeTxnBegin(ByteReader& in);
 Result<TxnPrepareReq> DecodeTxnPrepare(ByteReader& in);
 Result<TxnDecideReq> DecodeTxnDecide(ByteReader& in);
 Result<TxnFinishReq> DecodeTxnFinish(ByteReader& in);

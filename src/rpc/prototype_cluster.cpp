@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <utility>
 
 #include "bloom/compressed.hpp"
@@ -24,6 +25,77 @@ struct FlagGuard {
   bool& flag_;
   bool saved_;
 };
+
+/// The window of `reqs` that one kBatch frame carries from `off` on.
+std::span<const std::vector<std::uint8_t>> BatchWindow(
+    const std::vector<std::vector<std::uint8_t>>& reqs, std::size_t off) {
+  return std::span(reqs).subspan(
+      off, std::min<std::size_t>(static_cast<std::size_t>(kMaxBatchFrames),
+                                 reqs.size() - off));
+}
+
+/// The `n` sub-responses of a kBatch reply.
+Result<std::vector<std::vector<std::uint8_t>>> BatchRepliesOf(
+    const Result<std::vector<std::uint8_t>>& resp, std::size_t n) {
+  if (!resp.ok()) return resp.status();
+  ByteReader in(*resp);
+  const auto env = OpenEnvelope(in);
+  if (!env.ok()) return env.status();
+  if (!env->has_payload) {
+    return env->status.ok()
+               ? Status::Corruption("batch response carries no payload")
+               : env->status;
+  }
+  auto subs = DecodeBatchResp(in);
+  if (!subs.ok()) return subs.status();
+  if (subs->size() != n) {
+    return Status::Corruption("batch response count mismatch");
+  }
+  return subs;
+}
+
+/// The first failure in a kBatch reply of `n` sub-responses, else Ok.
+Status BatchStatusOf(const Result<std::vector<std::uint8_t>>& resp,
+                     std::size_t n) {
+  auto subs = BatchRepliesOf(resp, n);
+  if (!subs.ok()) return subs.status();
+  for (const auto& sub : *subs) {
+    ByteReader in(sub);
+    const auto env = OpenEnvelope(in);
+    if (!env.ok()) return env.status();
+    if (!env->status.ok()) return env->status;
+  }
+  return Status::Ok();
+}
+
+/// The kTxnPrepare frame for `op`.
+std::vector<std::uint8_t> EncodePrepareOf(const TxnPendingOp& op) {
+  TxnPrepareReq req;
+  req.path = op.path;
+  req.txn_id = op.txn_id;
+  req.coordinator = op.coordinator;
+  req.subop = op.subop;
+  req.participants = op.participants;
+  req.metadata = op.metadata;
+  return EncodeTxnPrepare(req);
+}
+
+/// A kTxnPrepare reply as the driver's vote: a remove's carries the file's
+/// metadata, an insert's carries none.
+Result<std::optional<FileMetadata>> VoteOf(
+    const Result<std::vector<std::uint8_t>>& resp) {
+  if (!resp.ok()) return resp.status();
+  ByteReader in(*resp);
+  auto env = OpenEnvelope(in);
+  if (!env.ok()) return env.status();
+  // A NO vote (NotFound, AlreadyExists, intent-locked, ...) arrives as a
+  // plain status envelope; the driver turns it into an abort.
+  if (!env->has_payload) return env->status;
+  auto vote = DecodeTxnPrepareResp(in);
+  if (!vote.ok()) return vote.status();
+  if (!vote->has_metadata) return std::optional<FileMetadata>();
+  return std::optional<FileMetadata>(std::move(vote->metadata));
+}
 }  // namespace
 
 PrototypeCluster::PrototypeCluster(ClusterConfig config, ProtoScheme scheme)
@@ -154,28 +226,11 @@ Result<std::vector<std::vector<std::uint8_t>>> PrototypeCluster::CallBatch(
   std::vector<std::vector<std::uint8_t>> out;
   out.reserve(reqs.size());
   for (std::size_t off = 0; off < reqs.size();) {
-    const std::size_t n = std::min<std::size_t>(
-        static_cast<std::size_t>(kMaxBatchFrames), reqs.size() - off);
-    const std::vector<std::vector<std::uint8_t>> window(
-        reqs.begin() + static_cast<std::ptrdiff_t>(off),
-        reqs.begin() + static_cast<std::ptrdiff_t>(off + n));
-    auto resp = Call(id, EncodeBatch(window));
-    if (!resp.ok()) return resp.status();
-    ByteReader in(*resp);
-    const auto env = OpenEnvelope(in);
-    if (!env.ok()) return env.status();
-    if (!env->has_payload) {
-      return env->status.ok()
-                 ? Status::Corruption("batch response carries no payload")
-                 : env->status;
-    }
-    auto subs = DecodeBatchResp(in);
+    const auto window = BatchWindow(reqs, off);
+    auto subs = BatchRepliesOf(Call(id, EncodeBatch(window)), window.size());
     if (!subs.ok()) return subs.status();
-    if (subs->size() != n) {
-      return Status::Corruption("batch response count mismatch");
-    }
     for (auto& sub : *subs) out.push_back(std::move(sub));
-    off += n;
+    off += window.size();
   }
   return out;
 }
@@ -327,14 +382,6 @@ Result<LookupOutcome> PrototypeCluster::LookupLocked(
   return result;
 }
 
-Result<LookupOutcome> PrototypeCluster::LookupExactLocked(
-    const std::string& path) {
-  Suspects suspects;
-  auto result = router_.LookupExact(path, &suspects);
-  NoteSuspectsLocked(suspects);
-  return result;
-}
-
 Status PrototypeCluster::Unlink(const std::string& path) {
   MutexLock lock(&mu_);
   auto located = LookupLocked(path);
@@ -359,15 +406,12 @@ Status PrototypeCluster::Unlink(const std::string& path) {
 struct PrototypeCluster::TxnBridge final : TxnTransport {
   explicit TxnBridge(PrototypeCluster* cluster) : c(cluster) {}
 
-  Status TxnBegin(MdsId coordinator, std::uint64_t txn_id,
-                  const std::vector<MdsId>& participants) override {
-    MutexLock lock(&c->mu_);
-    return c->TxnBeginAt(coordinator, txn_id, participants);
-  }
   Result<std::optional<FileMetadata>> TxnPrepare(
       MdsId participant, const TxnPendingOp& op) override {
     MutexLock lock(&c->mu_);
-    return c->TxnPrepareAt(participant, op);
+    return op.subop == TxnSubOp::kInsert
+               ? c->TxnPrepareInsertAt(participant, op)
+               : c->TxnPrepareAt(participant, op);
   }
   Status TxnDecide(MdsId coordinator, std::uint64_t txn_id,
                    bool commit) override {
@@ -412,40 +456,27 @@ struct PrototypeCluster::TxnBridge final : TxnTransport {
   PrototypeCluster* c;
 };
 
-Status PrototypeCluster::TxnBeginAt(MdsId coordinator, std::uint64_t txn_id,
-                                    const std::vector<MdsId>& participants) {
-  TxnBeginReq req;
-  req.txn_id = txn_id;
-  req.participants = participants;
-  auto resp = Call(coordinator, EncodeTxnBegin(req));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  return env->status;
-}
-
 Result<std::optional<FileMetadata>> PrototypeCluster::TxnPrepareAt(
     MdsId participant, const TxnPendingOp& op) {
-  TxnPrepareReq req;
-  req.path = op.path;
-  req.txn_id = op.txn_id;
-  req.coordinator = op.coordinator;
-  req.subop = op.subop;
-  req.participants = op.participants;
-  req.metadata = op.metadata;
-  auto resp = Call(participant, EncodeTxnPrepare(req));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  // A NO vote (NotFound, AlreadyExists, intent-locked, ...) arrives as a
-  // plain status envelope; the driver turns it into an abort.
-  if (!env->has_payload) return env->status;
-  auto vote = DecodeTxnPrepareResp(in);
-  if (!vote.ok()) return vote.status();
-  if (!vote->has_metadata) return std::optional<FileMetadata>();
-  return std::optional<FileMetadata>(std::move(vote->metadata));
+  return VoteOf(Call(participant, EncodePrepareOf(op)));
+}
+
+Result<std::optional<FileMetadata>> PrototypeCluster::TxnPrepareInsertAt(
+    MdsId participant, const TxnPendingOp& op) {
+  Suspects suspects;
+  const ExactPrepare checked = router_.PrepareExact(
+      op.path, participant, EncodePrepareOf(op), &suspects);
+  NoteSuspectsLocked(suspects);
+  auto vote = VoteOf(checked.vote);
+  if (checked.holder == kInvalidMds || checked.holder == participant) {
+    return vote;  // the participant's own AlreadyExists is in its vote
+  }
+  // Held on another server: refuse, and leave no intent lock or in-doubt
+  // op behind. A missed abort resolves by presumed abort.
+  if (vote.ok()) {
+    (void)TxnFinishAt(MsgType::kTxnAbort, participant, op.txn_id, op.path);
+  }
+  return Status::AlreadyExists(op.path);
 }
 
 Status PrototypeCluster::TxnDecideAt(MdsId coordinator, std::uint64_t txn_id,
@@ -580,12 +611,7 @@ Status PrototypeCluster::RenameUnrevoked(const std::string& src,
     if (!located.ok()) return located.status();
     if (!located->found) return Status::NotFound(src);
     src_home = located->home;
-    // Cheap refusal before any journaling, straight at the exact level
-    // (dst is expected absent); the prepare-insert vote re-checks
-    // authoritatively under dst's intent lock.
-    if (auto probe = LookupExactLocked(dst); probe.ok() && probe->found) {
-      return Status::AlreadyExists(dst);
-    }
+    // dst's exact check rides its insert prepare (TxnPrepareInsertAt).
     dst_home = alive[Fnv1a64(dst) % alive.size()];
     txn_id = NextTxnIdLocked();
     txn_step_seq_.fill(0);
@@ -606,12 +632,9 @@ Status PrototypeCluster::CreateExclusive(const std::string& path,
     if (!started_) return Status::Unavailable("cluster not started");
     const auto alive = AliveServersLocked();
     if (alive.empty()) return Status::Unavailable("no servers");
-    // Cheap refusal for a path living anywhere in the cluster; the
-    // prepare-insert vote is the authoritative check on the hash home,
-    // which is where every racing CreateExclusive for this path lands.
-    if (auto probe = LookupExactLocked(path); probe.ok() && probe->found) {
-      return Status::AlreadyExists(path);
-    }
+    // The exact check rides the insert prepare (TxnPrepareInsertAt): the
+    // vote is authoritative on the hash home, which is where every racing
+    // CreateExclusive for this path lands.
     home = alive[Fnv1a64(path) % alive.size()];
     txn_id = NextTxnIdLocked();
     txn_step_seq_.fill(0);
@@ -722,17 +745,45 @@ Status PrototypeCluster::RefreshLocked(const std::vector<MdsId>& owners) {
 }
 
 Status PrototypeCluster::SendBatchesLocked(const Batches& batches) {
-  for (const auto& [id, reqs] : batches) {
-    auto resps = CallBatch(id, reqs);
-    if (!resps.ok()) return resps.status();
-    for (const auto& resp : *resps) {
-      ByteReader in(resp);
-      const auto env = OpenEnvelope(in);
-      if (!env.ok()) return env.status();
-      if (!env->status.ok()) return env->status;
-    }
+  // Ports as this lock sees them: a joining server is sent its installs
+  // before the topology that lists it is published.
+  Topology ports;
+  ports.port.resize(servers_.size());
+  for (MdsId id = 0; id < servers_.size(); ++id) {
+    ports.port[id] = PortLocked(id);
   }
-  return Status::Ok();
+  std::vector<const Batches::value_type*> open;  // servers with reqs left
+  for (const auto& entry : batches) {
+    if (!entry.second.empty()) open.push_back(&entry);
+  }
+  Status result = Status::Ok();
+  for (std::size_t off = 0; !open.empty();
+       off += static_cast<std::size_t>(kMaxBatchFrames)) {
+    std::vector<MdsId> targets;
+    std::vector<std::size_t> counts;
+    std::vector<std::vector<std::uint8_t>> frames;
+    for (const auto* entry : open) {
+      const auto window = BatchWindow(entry->second, off);
+      targets.push_back(entry->first);
+      counts.push_back(window.size());
+      frames.push_back(EncodeBatch(window));
+    }
+    std::vector<const std::vector<std::uint8_t>*> sends;
+    for (const auto& frame : frames) sends.push_back(&frame);
+    Suspects suspects;
+    auto replies = router_.Scatter(ports, targets, sends, &suspects);
+    NoteSuspectsLocked(suspects);
+    std::vector<const Batches::value_type*> next;
+    for (std::size_t i = 0; i < open.size(); ++i) {
+      if (Status s = BatchStatusOf(replies[i].resp, counts[i]); !s.ok()) {
+        if (result.ok()) result = std::move(s);
+      } else if (off + counts[i] < open[i]->second.size()) {
+        next.push_back(open[i]);
+      }
+    }
+    open = std::move(next);
+  }
+  return result;
 }
 
 Status PrototypeCluster::ApplyStepLocked(PlanStep step) {
@@ -839,7 +890,7 @@ Status PrototypeCluster::ExecuteDiffLocked(const ReplicaDiff& diff) {
       drop_reqs[holder].push_back(EncodeReplicaDrop(owner));
     }
   }
-  for (const auto& [holder, reqs] : drop_reqs) (void)CallBatch(holder, reqs);
+  (void)SendBatchesLocked(drop_reqs);
   return Status::Ok();
 }
 
@@ -1230,7 +1281,9 @@ MetricsSnapshot PrototypeCluster::ClientSnapshot() {
   return metrics_.Snapshot();
 }
 
-Status PrototypeCluster::Quiesce() { return router_.Quiesce(); }
+Status PrototypeCluster::Quiesce(QuiesceReport* report) {
+  return router_.Quiesce(report);
+}
 
 std::vector<std::uint16_t> PrototypeCluster::ServerPorts() const {
   MutexLock lock(&mu_);

@@ -100,8 +100,10 @@ class PrototypeCluster {
   /// round-trip on every idle pooled connection. Each connection is FIFO on
   /// the server side, so once the ping answers, every frame queued before
   /// it has been handled. Call before polling server stats that must include
-  /// already-issued lookups.
-  Status Quiesce();
+  /// already-issued lookups. A server whose ping fails and that the
+  /// heart-beat confirms dead is reported down in `report`, not as an
+  /// error; every other live server that drained is listed as drained.
+  Status Quiesce(QuiesceReport* report = nullptr);
 
   /// Loopback ports of the live servers, in MdsId order (ghba_stats polls
   /// these over independent connections).
@@ -335,9 +337,13 @@ class PrototypeCluster {
   Status InstallReplica(MdsId holder, MdsId owner, const BloomFilter& filter)
       GHBA_REQUIRES(mu_);
 
-  /// Requests per server, sent as one CallBatch each.
+  /// Requests per server, packed into kBatch frames like CallBatch.
   using Batches = std::map<MdsId, std::vector<std::vector<std::uint8_t>>>;
-  /// CallBatch every server's requests; the first failed request fails it.
+  /// Send every server's requests in rounds: each round is one
+  /// Router::Scatter carrying every server's next kBatch window, so the
+  /// servers work in parallel. A server whose window failed is sent no
+  /// more; the others finish. The first failure (in server order) is
+  /// returned.
   Status SendBatchesLocked(const Batches& batches) GHBA_REQUIRES(mu_);
   /// Adopt `step.plan` and execute its diff.
   Status ApplyStepLocked(PlanStep step) GHBA_REQUIRES(mu_);
@@ -362,13 +368,17 @@ class PrototypeCluster {
   struct TxnBridge;
 
   // Locked bodies of the TxnBridge — one per v5 protocol message, all
-  // plain Call() round-trips with the envelope idiom.
-  Status TxnBeginAt(MdsId coordinator, std::uint64_t txn_id,
-                    const std::vector<MdsId>& participants)
-      GHBA_REQUIRES(mu_);
+  // plain Call() round-trips with the envelope idiom, except an insert
+  // prepare, which rides its exact check's scatter.
   Result<std::optional<FileMetadata>> TxnPrepareAt(MdsId participant,
                                                    const TxnPendingOp& op)
       GHBA_REQUIRES(mu_);
+  /// An insert prepare and the exact check of its path in one round trip
+  /// (Router::PrepareExact). A holder anywhere makes it AlreadyExists and
+  /// leaves nothing staged: a yes vote is aborted before it returns. A
+  /// peer it cannot reach leaves the verdict to the vote.
+  Result<std::optional<FileMetadata>> TxnPrepareInsertAt(
+      MdsId participant, const TxnPendingOp& op) GHBA_REQUIRES(mu_);
   Status TxnDecideAt(MdsId coordinator, std::uint64_t txn_id, bool commit)
       GHBA_REQUIRES(mu_);
   Status TxnFinishAt(MsgType type, MdsId participant, std::uint64_t txn_id,
@@ -401,11 +411,6 @@ class PrototypeCluster {
   /// path they are about to move under the lock that serializes
   /// mutations). The full cascade; it teaches no L1 hint.
   Result<LookupOutcome> LookupLocked(const std::string& path)
-      GHBA_REQUIRES(mu_);
-  /// Existence check under mu_ for a path expected to be absent (Rename's
-  /// dst, CreateExclusive's path): Router::LookupExact, the L4 multicast
-  /// alone, one round trip.
-  Result<LookupOutcome> LookupExactLocked(const std::string& path)
       GHBA_REQUIRES(mu_);
   /// Body of Rename up to the commit; Rename revokes after it returns.
   Status RenameUnrevoked(const std::string& src, const std::string& dst);
@@ -441,7 +446,7 @@ class PrototypeCluster {
   std::uint64_t next_txn_id_ GHBA_GUARDED_BY(mu_) = 0;
   /// Per-drive message counters, one per TxnPhase: position k within a
   /// phase names the crash point txn.<phase>.<k>. Reset at drive start.
-  std::array<std::uint32_t, 5> txn_step_seq_ GHBA_GUARDED_BY(mu_){};
+  std::array<std::uint32_t, 4> txn_step_seq_ GHBA_GUARDED_BY(mu_){};
 
   PeerHealthTracker health_;  // internally synchronized
   /// Client-side accounting. Internally synchronized (atomic counters,

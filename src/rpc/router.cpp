@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <iterator>
+#include <optional>
 #include <thread>
 
 #include "common/rng.hpp"
@@ -53,6 +54,20 @@ Result<T> PayloadOf(const Result<std::vector<std::uint8_t>>& resp,
   if (!env.ok()) return env.status();
   if (!env->has_payload) return env->status;
   return decode(in);
+}
+
+/// What an insert prepare's reply says about the participant's own store,
+/// checked under the path's intent lock: a yes vote (a payload) is
+/// "absent", AlreadyExists is "held", and any other reply (a transport
+/// failure, an intent lock held by another txn, ...) says nothing.
+std::optional<bool> VoteHolds(const Result<std::vector<std::uint8_t>>& resp) {
+  if (!resp.ok()) return std::nullopt;
+  ByteReader in(*resp);
+  const auto env = OpenEnvelope(in);
+  if (!env.ok()) return std::nullopt;
+  if (env->has_payload) return false;
+  if (env->status.code() == StatusCode::kAlreadyExists) return true;
+  return std::nullopt;
 }
 
 bool Has(const std::vector<MdsId>& ids, MdsId id) {
@@ -270,32 +285,38 @@ Result<std::vector<std::uint8_t>> Router::Exchange(
   return resp;
 }
 
-std::vector<Router::Reply> Router::FanOut(
+std::vector<Router::Reply> Router::Scatter(
     const Topology& topo, const std::vector<MdsId>& targets,
-    const std::vector<std::uint8_t>& req, Suspects* suspects,
-    std::uint32_t* retries) {
+    std::span<const std::vector<std::uint8_t>* const> frames,
+    Suspects* suspects, std::uint32_t* retries) {
   struct Leg {
     TcpConnection conn;
     Status status = Status::Unavailable("never sent");
     bool sent = false;
   };
+  const auto frame_of = [&frames](std::size_t i)
+      -> const std::vector<std::uint8_t>& {
+    return *frames[frames.size() == 1 ? 0 : i];
+  };
   const Deadline deadline = Deadline::After(Ms(rpc_.attempt_timeout_ms));
   std::vector<Reply> replies(targets.size());
   std::vector<Leg> legs(targets.size());
-  // Scatter: the probe goes out to every target before any reply is read,
-  // so the targets work on it in parallel.
+  // Scatter: every frame goes out before any reply is read, so the targets
+  // work on them in parallel.
   for (std::size_t i = 0; i < targets.size(); ++i) {
     replies[i].id = targets[i];
-    auto conn = Checkout(topo.PortOf(targets[i]), deadline);
+    const std::uint16_t port = topo.PortOf(targets[i]);
+    if (port == 0) continue;  // Retry() below reports it down
+    auto conn = Checkout(port, deadline);
     if (!conn.ok()) {
       legs[i].status = conn.status();
       continue;
     }
     legs[i].conn = std::move(*conn);
-    legs[i].status = legs[i].conn.SendFrame(req, deadline);
+    legs[i].status = legs[i].conn.SendFrame(frame_of(i), deadline);
     legs[i].sent = legs[i].status.ok();
   }
-  // Gather, under the same deadline: the whole level costs one round trip.
+  // Gather, under the same deadline: the whole round costs one round trip.
   for (std::size_t i = 0; i < targets.size(); ++i) {
     Leg& leg = legs[i];
     if (!leg.sent) continue;
@@ -319,7 +340,7 @@ std::vector<Router::Reply> Router::FanOut(
     if (leg.status.code() == StatusCode::kTimedOut) {
       health_->RecordTimeout(targets[i]);
     }
-    replies[i].resp = Retry(targets[i], topo.PortOf(targets[i]), req,
+    replies[i].resp = Retry(targets[i], topo.PortOf(targets[i]), frame_of(i),
                             /*first_attempt=*/1, leg.status, suspects,
                             retries);
   }
@@ -358,7 +379,7 @@ bool Router::ConfirmDead(std::uint16_t port) {
   return true;
 }
 
-Status Router::Quiesce() {
+Status Router::Quiesce(QuiesceReport* report) {
   std::unordered_map<std::uint16_t, std::vector<TcpConnection>> idle;
   {
     MutexLock lock(&pool_mu_);
@@ -366,6 +387,8 @@ Status Router::Quiesce() {
   }
   const auto ping = EncodeHeader(MsgType::kPing);
   Status result = Status::Ok();
+  std::vector<std::uint16_t> failed;  // a ping failed, not confirmed dead
+  std::vector<std::uint16_t> down;
   for (auto& [port, conns] : idle) {
     for (auto& conn : conns) {
       const Deadline deadline = Deadline::After(Ms(rpc_.attempt_timeout_ms));
@@ -376,8 +399,28 @@ Status Router::Quiesce() {
       }
       if (s.ok()) {
         Return(port, std::move(conn));
-      } else if (result.ok()) {
-        result = s;
+        continue;
+      }
+      if (ConfirmDead(port)) {
+        // Its other idle connections close with `idle`; none drains.
+        DropPeer(port);
+        down.push_back(port);
+        break;
+      }
+      failed.push_back(port);
+      if (result.ok()) result = s;
+    }
+  }
+  if (report != nullptr) {
+    *report = QuiesceReport{};
+    const auto topo = Snapshot();
+    for (const MdsId id : topo->alive) {
+      const std::uint16_t port = topo->PortOf(id);
+      if (std::find(down.begin(), down.end(), port) != down.end()) {
+        report->down.push_back(id);
+      } else if (std::find(failed.begin(), failed.end(), port) ==
+                 failed.end()) {
+        report->drained.push_back(id);
       }
     }
   }
@@ -484,17 +527,53 @@ Result<LookupOutcome> Router::Lookup(const std::string& path, bool lease,
   return GlobalLevel(path, q);
 }
 
-Result<LookupOutcome> Router::LookupExact(const std::string& path,
-                                          Suspects* suspects) {
+ExactPrepare Router::PrepareExact(const std::string& path, MdsId participant,
+                                  const std::vector<std::uint8_t>& prepare,
+                                  Suspects* suspects) {
   ReaderMutexLock gate(&gate_);
+  ExactPrepare out;
   QueryCtx q;
   // The entry is drawn only so the outcome report has a server to go to.
   if (Status s = StartQuery(q, suspects, /*lease=*/false,
                             /*teach_l1=*/false);
       !s.ok()) {
-    return s;
+    out.vote = s;
+    return out;
   }
-  return GlobalLevel(path, q);
+  const Topology& topo = *q.topo;
+  std::vector<MdsId> targets = topo.alive;
+  if (!Has(targets, participant)) targets.push_back(participant);
+  const auto probe = EncodePathRequest(MsgType::kGlobalProbe, path);
+  std::vector<const std::vector<std::uint8_t>*> frames(targets.size(),
+                                                       &probe);
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    if (targets[i] == participant) frames[i] = &prepare;
+    q.Contact(targets[i]);
+  }
+  // As at L4, a server that could not answer leaves the verdict
+  // uncertain: no outcome unless someone holds the path.
+  bool all_answered = true;
+  for (Reply& r : Scatter(topo, targets, frames, suspects, &q.retries)) {
+    std::optional<bool> held;
+    if (r.id == participant) {
+      held = VoteHolds(r.resp);
+      out.vote = std::move(r.resp);
+    } else if (const auto found = PayloadOf(r.resp, DecodeBoolResp);
+               found.ok()) {
+      held = *found;
+    }
+    if (!held.has_value()) {
+      all_answered = false;
+    } else if (*held) {
+      out.holder = std::min(out.holder, r.id);
+    }
+  }
+  if (out.holder != kInvalidMds) {
+    (void)FinishLookup(path, q, 4, true, out.holder);
+  } else if (all_answered) {
+    (void)FinishLookup(path, q, 4, false, kInvalidMds);
+  }
+  return out;
 }
 
 Result<LookupOutcome> Router::GlobalLevel(const std::string& path,

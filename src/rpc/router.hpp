@@ -17,9 +17,11 @@
 // Router's own mutexes are held only to copy the snapshot pointer or to
 // push or pop one pooled connection, never across I/O.
 //
-// Fan-out is scatter-gather: one probe is sent to every target, then every
+// Fan-out is scatter-gather: a frame is sent to every target, then every
 // reply is gathered under one shared attempt deadline, so a level costs one
-// round trip however many peers it asks. A peer whose fast-path exchange
+// round trip however many peers it asks. A scatter may send each target a
+// different frame: a create's insert prepare rides the same round as the
+// kGlobalProbes of its exact check. A peer whose fast-path exchange
 // fails falls back to Call(): retries with jittered backoff (sleeping with
 // nothing held), health accounting and, through the returned Suspects,
 // fail-over once the caller has released everything.
@@ -29,6 +31,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -58,6 +61,24 @@ struct Topology {
   bool Serves(std::uint16_t p) const {
     return p != 0 && std::find(port.begin(), port.end(), p) != port.end();
   }
+};
+
+/// What Router::Quiesce found, per live server of the snapshot.
+struct QuiesceReport {
+  /// Every idle connection answered its ping (or none was idle): each
+  /// frame sent on a pooled connection before has been handled.
+  std::vector<MdsId> drained;
+  /// A ping failed and ConfirmDead agreed: its connections left the pool.
+  std::vector<MdsId> down;
+};
+
+/// The insert prepare that carried a path's exact check (see
+/// Router::PrepareExact).
+struct ExactPrepare {
+  /// The participant's raw reply to its kTxnPrepare.
+  Result<std::vector<std::uint8_t>> vote = Status::Unavailable("never sent");
+  /// Lowest live id holding the path; kInvalidMds when none said so.
+  MdsId holder = kInvalidMds;
 };
 
 /// A peer whose call failures just made it suspected. The port pins the
@@ -119,8 +140,28 @@ class Router {
 
   /// kPing every idle pooled connection. Each connection is FIFO on the
   /// server side, so once its ping answers, every one-way frame sent on it
-  /// before has been handled.
-  Status Quiesce();
+  /// before has been handled. A port whose ping fails and that
+  /// ConfirmDead confirms is dropped from the pool and reported down, not
+  /// as an error; any other failed ping is the returned error (its server
+  /// is then in neither list of `report`).
+  Status Quiesce(QuiesceReport* report = nullptr);
+
+  /// One scatter target's outcome.
+  struct Reply {
+    MdsId id = kInvalidMds;
+    Result<std::vector<std::uint8_t>> resp =
+        Status::Unavailable("never sent");
+  };
+
+  /// Send `frames[i]` to `targets[i]` (or `frames[0]` to every target when
+  /// `frames` holds one frame) before any reply is read, then gather every
+  /// reply under one attempt deadline, so the round costs one round trip
+  /// however many peers it asks. Targets whose exchange failed go through
+  /// Retry() from attempt 1. Replies come back in target order.
+  std::vector<Reply> Scatter(
+      const Topology& topo, const std::vector<MdsId>& targets,
+      std::span<const std::vector<std::uint8_t>* const> frames,
+      Suspects* suspects, std::uint32_t* retries = nullptr);
 
   /// The four-level cascade. Each server answers at most once: the first
   /// `held` reply ends the lookup, and a server that answered "not here"
@@ -133,13 +174,18 @@ class Router {
   Result<LookupOutcome> Lookup(const std::string& path, bool lease,
                                Suspects* suspects, bool teach_l1 = true);
 
-  /// The exact level alone, for a path expected to be absent (no level
-  /// above L4 can answer "absent"): one kGlobalProbe to every live server,
-  /// so one round trip instead of the cascade's three. Reports exactly one
-  /// outcome to a drawn entry server, like Lookup; unleased, and it
-  /// teaches no L1 hint. A peer it cannot reach makes it Unavailable.
-  Result<LookupOutcome> LookupExact(const std::string& path,
-                                    Suspects* suspects);
+  /// A create's exact check riding its insert prepare's round trip: one
+  /// scatter sends `prepare` (a kTxnPrepare of `path`) to `participant`
+  /// and a kGlobalProbe of `path` to every other live server. The vote
+  /// answers for the participant's own store under its intent lock: a
+  /// yes vote is "absent", AlreadyExists is "held". Like L4, it reports
+  /// exactly one outcome to a drawn entry server (found at the holder, or
+  /// a miss) when every server answered or someone holds the path;
+  /// unleased, and it teaches no L1 hint. The caller acts on the verdict:
+  /// this sends nothing else.
+  ExactPrepare PrepareExact(const std::string& path, MdsId participant,
+                            const std::vector<std::uint8_t>& prepare,
+                            Suspects* suspects);
 
   /// Exact store membership of `path` on `id` (kVerify).
   Result<bool> Verify(MdsId id, const std::string& path, Suspects* suspects);
@@ -155,13 +201,6 @@ class Router {
   /// contacted, which servers already answered, retries, the lease and the
   /// trace under construction.
   struct QueryCtx;
-
-  /// One fan-out target's outcome.
-  struct Reply {
-    MdsId id = kInvalidMds;
-    Result<std::vector<std::uint8_t>> resp =
-        Status::Unavailable("never sent");
-  };
 
   /// Pooled connection to `port`, or a fresh one opened within `deadline`.
   Result<TcpConnection> Checkout(std::uint16_t port, Deadline deadline);
@@ -179,13 +218,14 @@ class Router {
       std::uint32_t first_attempt, Status last, Suspects* suspects,
       std::uint32_t* retries);
 
-  /// Send `req` to every target, then gather every reply under one attempt
-  /// deadline. Targets whose exchange failed go through Retry() from
-  /// attempt 1. Replies come back in target order.
+  /// Scatter of one frame to every target.
   std::vector<Reply> FanOut(const Topology& topo,
                             const std::vector<MdsId>& targets,
                             const std::vector<std::uint8_t>& req,
-                            Suspects* suspects, std::uint32_t* retries);
+                            Suspects* suspects, std::uint32_t* retries) {
+    const std::vector<std::uint8_t>* const frame = &req;
+    return Scatter(topo, targets, {&frame, 1}, suspects, retries);
+  }
 
   /// Load the snapshot into `q`, set its options and start its clock, and
   /// draw its entry server. Unavailable when no server is live.

@@ -54,7 +54,6 @@ bool RunsInline(std::uint16_t type, bool append_cannot_fsync) {
   switch (static_cast<MsgType>(type)) {
     case MsgType::kInsert:
     case MsgType::kUnlink:
-    case MsgType::kTxnBegin:
     case MsgType::kTxnPrepare:
     case MsgType::kTxnDecide:
     case MsgType::kTxnCommit:
@@ -130,7 +129,6 @@ MdsServer::MdsServer(MdsId id, const ClusterConfig& config)
           registry_.counter(metrics_names::kServeShedRequests)),
       serve_inline_requests_(
           registry_.counter(metrics_names::kServeInlineRequests)),
-      serve_txn_begins_(registry_.counter(metrics_names::kServeTxnBegins)),
       serve_txn_prepares_(
           registry_.counter(metrics_names::kServeTxnPrepares)),
       serve_txn_commits_(registry_.counter(metrics_names::kServeTxnCommits)),
@@ -1410,29 +1408,6 @@ std::vector<std::uint8_t> MdsServer::Handle(
       }
       return EncodeRecoveryInfoResp(info);
     }
-    case MsgType::kTxnBegin: {
-      auto req = DecodeTxnBegin(in);
-      if (!req.ok()) return EncodeStatusResp(req.status());
-      ++serve_txn_begins_;
-      bool checkpoint_due = false;
-      {
-        MutexLock txn(&txn_.mu());
-        {
-          MutexLock wal(&wal_mu_);
-          if (engine_ != nullptr) {
-            if (Status w = engine_->LogTxnBegin(req->txn_id,
-                                                req->participants);
-                !w.ok()) {
-              return EncodeStatusResp(w);
-            }
-            checkpoint_due = engine_->CheckpointDue();
-          }
-        }
-        txn_.BeginLocked(req->txn_id);
-      }
-      if (checkpoint_due) NoteCheckpointDue();
-      return EncodeStatusResp(Status::Ok());
-    }
     case MsgType::kTxnPrepare: {
       auto req = DecodeTxnPrepare(in);
       if (!req.ok()) return EncodeStatusResp(req.status());
@@ -1497,8 +1472,7 @@ std::vector<std::uint8_t> MdsServer::Handle(
       bool checkpoint_due = false;
       {
         MutexLock txn(&txn_.mu());
-        const auto prior = txn_.QueryLocked(req->txn_id);
-        if (prior.has_value() && *prior != TxnCoordState::kBegun) {
+        if (const auto prior = txn_.QueryLocked(req->txn_id)) {
           const bool committed = *prior == TxnCoordState::kCommitted;
           if (committed == req->commit) {
             return EncodeStatusResp(Status::Ok());  // idempotent re-decide
@@ -1508,10 +1482,11 @@ std::vector<std::uint8_t> MdsServer::Handle(
           return EncodeStatusResp(
               Status::InvalidArgument("txn decision already fixed"));
         }
-        if (!prior.has_value() && req->commit) {
-          // Unknown txn (never begun here, or pruned): a resolver may have
-          // already answered "aborted" for it under presumed abort, so a
-          // late commit verdict is unsafe to record.
+        if (req->commit && !txn_.IsOpenLocked(req->txn_id, id_)) {
+          // Not open here (its coordinator prepare never came, or was
+          // already closed): a resolver may have answered "aborted" for it
+          // under presumed abort, so a late commit verdict is unsafe to
+          // record. An abort verdict is always safe: it is the fence.
           return EncodeStatusResp(
               Status::InvalidArgument("commit decision for unknown txn"));
         }
@@ -1627,17 +1602,11 @@ std::vector<std::uint8_t> MdsServer::Handle(
       {
         MutexLock txn(&txn_.mu());
         if (const auto state = txn_.QueryLocked(*txn_id)) {
-          switch (*state) {
-            case TxnCoordState::kBegun:
-              resp.state = TxnDecisionState::kPending;
-              break;
-            case TxnCoordState::kCommitted:
-              resp.state = TxnDecisionState::kCommitted;
-              break;
-            case TxnCoordState::kAborted:
-              resp.state = TxnDecisionState::kAborted;
-              break;
-          }
+          resp.state = *state == TxnCoordState::kCommitted
+                           ? TxnDecisionState::kCommitted
+                           : TxnDecisionState::kAborted;
+        } else if (txn_.IsOpenLocked(*txn_id, id_)) {
+          resp.state = TxnDecisionState::kPending;
         } else {
           resp.state = TxnDecisionState::kUnknown;  // presumed abort
         }

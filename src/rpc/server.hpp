@@ -373,7 +373,6 @@ class MdsServer {
   MetricsRegistry::Counter serve_hot_keys_;
   MetricsRegistry::Counter serve_shed_requests_;
   MetricsRegistry::Counter serve_inline_requests_;
-  MetricsRegistry::Counter serve_txn_begins_;
   MetricsRegistry::Counter serve_txn_prepares_;
   MetricsRegistry::Counter serve_txn_commits_;
   MetricsRegistry::Counter serve_txn_aborts_;

@@ -257,7 +257,8 @@ Result<CheckpointState> DecodeCheckpoint(
     entry.txn_id = *txn_id;
     auto st = in.GetU8();
     if (!st.ok()) return st.status();
-    if (*st > static_cast<std::uint8_t>(TxnCoordState::kAborted)) {
+    if (*st != static_cast<std::uint8_t>(TxnCoordState::kCommitted) &&
+        *st != static_cast<std::uint8_t>(TxnCoordState::kAborted)) {
       return Status::Corruption("bad checkpoint txn decision state");
     }
     entry.state = static_cast<TxnCoordState>(*st);

@@ -14,6 +14,7 @@
 //          [coordinator u32][participant_count varint][participant u32]*
 //          [path string][metadata if insert])
 //          [decision_count varint] decision_count * ([txn_id u64][state u8])
+//          (state: 1 committed, 2 aborted; v6 retired v5's 0 = begun)
 //
 // The transaction state (in-doubt prepares and the coordinator decision
 // table) rides along because checkpointing truncates the WAL records it
@@ -47,7 +48,7 @@ namespace ghba {
 inline constexpr std::uint8_t kCheckpointMagic0 = 0x47;  // 'G'
 inline constexpr std::uint8_t kCheckpointMagic1 = 0x43;  // 'C'
 /// The only format this build reads or writes.
-inline constexpr std::uint16_t kCheckpointVersion = 5;
+inline constexpr std::uint16_t kCheckpointVersion = 6;
 inline constexpr std::size_t kCheckpointHeaderBytes = 20;
 
 /// Allocation cap for a claimed body length (allocate-after-validate).

@@ -118,25 +118,6 @@ Status StorageEngine::LogClear() {
   return LogRecord(WalOp::kClear, {}, nullptr);
 }
 
-Status StorageEngine::LogTxnBegin(std::uint64_t txn_id,
-                                  const std::vector<MdsId>& participants) {
-  WalRecord record;
-  record.op = WalOp::kTxnBegin;
-  record.txn_id = txn_id;
-  record.members = participants;
-  if (Status s = CommitRecord(std::move(record)); !s.ok()) return s;
-  for (auto& d : txn_decisions_) {
-    if (d.txn_id == txn_id) return Status::Ok();  // idempotent re-begin
-  }
-  txn_decisions_.push_back(TxnCoordEntry{txn_id, TxnCoordState::kBegun});
-  // Presumed abort keeps the table prunable: a dropped entry answers
-  // "aborted" to any future resolve query.
-  if (txn_decisions_.size() > kMaxTxnCoordEntries) {
-    txn_decisions_.erase(txn_decisions_.begin());
-  }
-  return Status::Ok();
-}
-
 Status StorageEngine::LogTxnDecision(std::uint64_t txn_id, bool commit) {
   WalRecord record;
   record.op = WalOp::kTxnDecision;

@@ -78,8 +78,6 @@ class StorageEngine {
   /// truncation inside every checkpoint. Callers follow the
   /// same discipline as the mutation loggers: journal before acking, roll
   /// back on error.
-  Status LogTxnBegin(std::uint64_t txn_id,
-                     const std::vector<MdsId>& participants);
   Status LogTxnDecision(std::uint64_t txn_id, bool commit);
   Status LogTxnPrepare(const TxnPendingOp& op);
   /// One frame that applies the sub-op and closes the prepare; `op` carries

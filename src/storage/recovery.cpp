@@ -45,7 +45,6 @@ StoreMutation ToStoreMutation(WalRecord record) {
     case WalOp::kClear:
       m.kind = StoreMutation::Kind::kClear;
       break;
-    case WalOp::kTxnBegin:
     case WalOp::kTxnPrepare:
     case WalOp::kTxnCommit:
     case WalOp::kTxnAbort:
@@ -125,16 +124,6 @@ Result<RecoveredState> RecoverState(
     last_seq = std::max(last_seq, record.seq);
     // Transaction records replay into the transaction state.
     switch (record.op) {
-      case WalOp::kTxnBegin:
-        // Begin precedes any decision for the same txn in seq order, but a
-        // replayed begin must never roll a checkpointed decision back.
-        if (std::none_of(out.txn_decisions.begin(), out.txn_decisions.end(),
-                         [&record](const TxnCoordEntry& d) {
-                           return d.txn_id == record.txn_id;
-                         })) {
-          upsert_decision(record.txn_id, TxnCoordState::kBegun);
-        }
-        continue;
       case WalOp::kTxnDecision:
         upsert_decision(record.txn_id, record.txn_commit
                                            ? TxnCoordState::kCommitted

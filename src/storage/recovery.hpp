@@ -63,7 +63,7 @@ struct RecoveredState {
   /// re-take their intent locks and have them resolved before the paths
   /// accept plain mutations again.
   std::vector<TxnPendingOp> txn_pending;
-  /// Coordinator decision table: every kTxnBegin/kTxnDecision outcome that
+  /// Coordinator decision table: every kTxnDecision verdict that
   /// survives (checkpoint section + WAL tail).
   std::vector<TxnCoordEntry> txn_decisions;
   /// Participant outcomes closed since the checkpoint (txn_id -> committed),

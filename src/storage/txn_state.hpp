@@ -5,9 +5,12 @@
 //   * pending prepares (participant side): every kTxnPrepare whose
 //     kTxnCommit/kTxnAbort has not been journaled yet. These are the
 //     in-doubt ops a restart must re-lock and resolve.
-//   * the coordinator decision table: kTxnBegin marks a txn begun,
-//     kTxnDecision fixes its verdict. Under presumed abort the table may
-//     be pruned — a query for an unknown txn answers "aborted".
+//   * the coordinator decision table: kTxnDecision fixes a txn's verdict.
+//     Under presumed abort the table may be pruned — a query for an
+//     unknown txn answers "aborted". An undecided txn has no row: the
+//     coordinator counts it open while it holds the txn's own prepare
+//     (one whose `coordinator` is itself), and recovery re-seeds that
+//     prepare like any other, so "open" survives a restart.
 //
 // Both are folded into checkpoints (v3 body section) because a checkpoint
 // truncates the WAL records they came from.
@@ -37,10 +40,9 @@ struct TxnPendingOp {
   friend bool operator==(const TxnPendingOp&, const TxnPendingOp&) = default;
 };
 
-/// Coordinator-side decision states. Order matters: the checkpoint codec
-/// bounds the encoded byte by kAborted.
+/// Coordinator-side verdicts. The checkpoint codec accepts exactly these
+/// two bytes (0 was the retired "begun" state).
 enum class TxnCoordState : std::uint8_t {
-  kBegun = 0,      ///< kTxnBegin journaled, no decision yet
   kCommitted = 1,  ///< kTxnDecision(commit) durable — the txn IS committed
   kAborted = 2,    ///< kTxnDecision(abort) durable
 };
@@ -48,7 +50,7 @@ enum class TxnCoordState : std::uint8_t {
 /// One coordinator decision-table row.
 struct TxnCoordEntry {
   std::uint64_t txn_id = 0;
-  TxnCoordState state = TxnCoordState::kBegun;
+  TxnCoordState state = TxnCoordState::kAborted;
 
   friend bool operator==(const TxnCoordEntry&, const TxnCoordEntry&) = default;
 };

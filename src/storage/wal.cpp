@@ -35,11 +35,6 @@ void EncodeWalRecordPayload(const WalRecord& record, ByteWriter& out) {
     case WalOp::kUpdate:
       record.metadata.Serialize(out);
       break;
-    case WalOp::kTxnBegin:
-      out.PutU64(record.txn_id);
-      out.PutVarint(record.members.size());
-      for (const MdsId id : record.members) out.PutU32(id);
-      break;
     case WalOp::kTxnPrepare:
       out.PutU64(record.txn_id);
       out.PutU32(record.owner);  // coordinator
@@ -74,10 +69,10 @@ Result<WalRecord> DecodeWalRecordPayload(ByteReader& in) {
       *op > static_cast<std::uint8_t>(WalOp::kTxnDecision)) {
     return Status::Corruption("bad WAL op");
   }
-  // Ops 5-7 are the retired replica and cluster-view records: not garbage
-  // but a log written by an older build, which replay must refuse rather
-  // than truncate.
-  if (*op >= 5 && *op <= 7) {
+  // Ops 5-8 are the retired replica, cluster-view and txn-begin records:
+  // not garbage but a log written by an older build, which replay must
+  // refuse rather than truncate.
+  if (*op >= 5 && *op <= 8) {
     return Status::InvalidArgument("retired WAL op " + std::to_string(*op) +
                                    " (written by an older build)");
   }
@@ -97,23 +92,6 @@ Result<WalRecord> DecodeWalRecordPayload(ByteReader& in) {
       auto md = FileMetadata::Deserialize(in);
       if (!md.ok()) return md.status();
       record.metadata = std::move(*md);
-      break;
-    }
-    case WalOp::kTxnBegin: {
-      auto txn_id = in.GetU64();
-      if (!txn_id.ok()) return txn_id.status();
-      record.txn_id = *txn_id;
-      auto count = in.GetVarint();
-      if (!count.ok()) return count.status();
-      if (*count > in.remaining() / sizeof(std::uint32_t)) {
-        return Status::Corruption("WAL participant count overruns record");
-      }
-      record.members.reserve(static_cast<std::size_t>(*count));
-      for (std::uint64_t i = 0; i < *count; ++i) {
-        auto id = in.GetU32();
-        if (!id.ok()) return id.status();
-        record.members.push_back(*id);
-      }
       break;
     }
     case WalOp::kTxnPrepare: {

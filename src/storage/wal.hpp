@@ -47,17 +47,17 @@ enum class WalOp : std::uint8_t {
   kUpdate = 2,  ///< overwrite existing record (path + metadata)
   kRemove = 3,  ///< erase record (path only)
   kClear = 4,   ///< drop all records (migration drain; no path)
-  // 5 and 6 were the retired replica install/drop records and 7 the
-  // retired cluster-view record; the decoder rejects them and they are
-  // never reused.
+  // 5 and 6 were the retired replica install/drop records, 7 the retired
+  // cluster-view record and 8 the retired txn-begin record; the decoder
+  // rejects them and they are never reused.
   // Distributed-transaction records (two-phase commit, presumed abort).
   // Participant side: kTxnPrepare journals the intent (path + sub-op, NOT
   // applied to the store), kTxnCommit is one frame that both applies the
   // sub-op and closes the prepare (so a torn tail can never half-apply),
   // kTxnAbort closes the prepare without applying. Coordinator side:
-  // kTxnBegin opens the decision record, kTxnDecision is THE commit point
-  // — once it is durable the transaction's outcome is fixed.
-  kTxnBegin = 8,     ///< coordinator: txn_id + participant list
+  // kTxnDecision is THE commit point — once it is durable the
+  // transaction's outcome is fixed. The coordinator's own kTxnPrepare is
+  // what keeps an undecided txn open there (see TxnManager::IsOpenLocked).
   kTxnPrepare = 9,   ///< participant: txn_id + sub-op + path (+ metadata)
   kTxnCommit = 10,   ///< participant: apply sub-op and close the prepare
   kTxnAbort = 11,    ///< participant: close the prepare, nothing applied
@@ -79,7 +79,7 @@ struct WalRecord {
   FileMetadata metadata;  ///< meaningful for kInsert / kUpdate
   /// Transaction fields (meaningful for the kTxn* ops).
   MdsId owner = 0;             ///< kTxnPrepare: the coordinator id
-  std::vector<MdsId> members;  ///< kTxnBegin/kTxnPrepare: participant list
+  std::vector<MdsId> members;  ///< kTxnPrepare: participant list
   std::uint64_t txn_id = 0;
   TxnSubOp txn_subop = TxnSubOp::kNone;  ///< kTxnPrepare / kTxnCommit
   bool txn_commit = false;               ///< kTxnDecision verdict

@@ -50,19 +50,11 @@ Status TxnDriver::Rename(std::uint64_t txn_id, const std::string& src,
   std::vector<MdsId> participants{src_home};
   if (dst_home != src_home) participants.push_back(dst_home);
 
-  CountMessage(stats);
-  if (Status s = transport_->TxnBegin(coordinator, txn_id, participants);
-      !s.ok()) {
-    return s;
-  }
-  if (!Step(TxnPhase::kBegin, coordinator, stats)) {
-    return Status::Unavailable("txn halted after begin");
-  }
-
   std::vector<std::pair<MdsId, std::string>> prepared;
 
-  // Prepare the remove first: its vote carries src's metadata, which the
-  // insert prepare needs. NotFound here IS the rename's NotFound.
+  // Prepare the remove first: it goes to the coordinator and opens the
+  // txn there, and its vote carries src's metadata, which the insert
+  // prepare needs. NotFound here IS the rename's NotFound.
   TxnPendingOp remove_op;
   remove_op.txn_id = txn_id;
   remove_op.subop = TxnSubOp::kRemove;
@@ -141,14 +133,6 @@ Status TxnDriver::CreateExclusive(std::uint64_t txn_id,
                                   const FileMetadata& metadata,
                                   TxnDriveStats* stats) {
   if (txn_id == 0) return Status::InvalidArgument("txn id 0 is reserved");
-  CountMessage(stats);
-  if (Status s = transport_->TxnBegin(home, txn_id, {home}); !s.ok()) {
-    return s;
-  }
-  if (!Step(TxnPhase::kBegin, home, stats)) {
-    return Status::Unavailable("txn halted after begin");
-  }
-
   TxnPendingOp op;
   op.txn_id = txn_id;
   op.subop = TxnSubOp::kInsert;
@@ -211,7 +195,7 @@ Result<std::uint64_t> TxnDriver::ResolveInDoubt(MdsId server) {
     }
 
     if (verdict == TxnResolution::kPending) {
-      // Begun but undecided: no client is still driving this txn (we are
+      // Open but undecided: no client is still driving this txn (we are
       // the recovery path), so fix the verdict to abort first.
       if (Status s = transport_->TxnDecide(op.coordinator, op.txn_id, false);
           !s.ok()) {

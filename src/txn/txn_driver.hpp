@@ -1,7 +1,7 @@
 // Client-side two-phase-commit driver over an abstract transport.
 //
 // The driver owns the message choreography of a namespace transaction —
-// who gets begun, prepared, decided, committed, in what order — while the
+// who gets prepared, decided, committed, in what order — while the
 // transport owns how a message reaches a server. Two transports exist:
 // PrototypeCluster (loopback sockets, in-process servers) and the txn_chaos
 // tool (DaemonClient connections to real mds_daemon processes it can
@@ -11,19 +11,27 @@
 //
 // Protocol (presumed abort, client-driven — servers never dial out):
 //
-//   Begin(C)          coordinator C journals kTxnBegin
+//   Prepare(C)        the first prepare goes to the coordinator C itself
+//                     and opens the txn there: C counts a txn open while it
+//                     holds one of its prepares naming C as coordinator
 //   Prepare(P_i)      each participant validates, journals kTxnPrepare and
 //                     takes an intent lock; a remove-prepare's vote carries
 //                     the file's metadata so a rename needs no read RPC
-//   Decide(C, commit) THE commit point: C journals kTxnDecision. Only
+//   Decide(C, commit) THE commit point: C journals kTxnDecision, and
+//                     accepts a commit only while the txn is open. Only
 //                     after this returns is the operation acked.
 //   Commit(P_i)       each participant applies + closes in one WAL frame
+//
+// A rename is Prepare(src) -> Prepare(dst) -> Decide -> Commit(dst) ->
+// Commit(src), coordinated by src's home: five messages, five appends.
+// CreateExclusive is Prepare -> Decide -> Commit on the path's home.
 //
 // Any prepare refusal flips the txn to Decide(C, abort) + best-effort
 // Abort(P_i). A crash after Decide leaves participants in doubt; recovery
 // resolution (ResolveInDoubt) re-drives the closing messages from the
 // coordinator's durable decision table, or presumes abort once the
-// coordinator is confirmed dead and reports no decision.
+// coordinator is confirmed dead and reports no decision. A resolver that
+// finds a txn open on its coordinator fences it with Decide(abort) first.
 //
 // Crash/halt instrumentation: after every message the driver calls the
 // `after_step` hook with the phase and the server that just processed it.
@@ -48,16 +56,14 @@ namespace ghba {
 /// Which protocol message just completed (hook tag; ArmCrashPoint tags are
 /// built from these names — see TxnPhaseName).
 enum class TxnPhase : std::uint8_t {
-  kBegin = 0,
-  kPrepare = 1,
-  kDecide = 2,
-  kCommit = 3,
-  kAbort = 4,
+  kPrepare = 0,
+  kDecide = 1,
+  kCommit = 2,
+  kAbort = 3,
 };
 
 constexpr const char* TxnPhaseName(TxnPhase phase) {
   switch (phase) {
-    case TxnPhase::kBegin: return "begin";
     case TxnPhase::kPrepare: return "prepare";
     case TxnPhase::kDecide: return "decide";
     case TxnPhase::kCommit: return "commit";
@@ -71,7 +77,7 @@ constexpr const char* TxnPhaseName(TxnPhase phase) {
 /// layer so it cannot use the wire enum directly).
 enum class TxnResolution : std::uint8_t {
   kUnknown = 0,   ///< no table entry: presumed abort
-  kPending = 1,   ///< begun, undecided: resolver force-aborts
+  kPending = 1,   ///< open on its coordinator, undecided: resolver fences
   kCommitted = 2,
   kAborted = 3,
 };
@@ -83,11 +89,10 @@ class TxnTransport {
  public:
   virtual ~TxnTransport() = default;
 
-  virtual Status TxnBegin(MdsId coordinator, std::uint64_t txn_id,
-                          const std::vector<MdsId>& participants) = 0;
   /// Returns the prepared file's prior metadata for kRemove sub-ops
   /// (nullopt for kInsert). A non-OK status is a NO vote or a transport
-  /// failure; either way the driver aborts.
+  /// failure; either way the driver aborts. A refused prepare leaves
+  /// nothing staged. The first prepare of a txn goes to its coordinator.
   virtual Result<std::optional<FileMetadata>> TxnPrepare(
       MdsId participant, const TxnPendingOp& op) = 0;
   virtual Status TxnDecide(MdsId coordinator, std::uint64_t txn_id,
@@ -138,7 +143,7 @@ class TxnDriver {
 
   /// Atomically create `path` on `home` (also the coordinator) with
   /// `metadata`, failing with AlreadyExists if present. Single-participant
-  /// 2PC: same journal trail, same crash matrix, one server.
+  /// 2PC: prepare, decide, commit, all on one server.
   Status CreateExclusive(std::uint64_t txn_id, const std::string& path,
                          MdsId home, const FileMetadata& metadata,
                          TxnDriveStats* stats = nullptr);

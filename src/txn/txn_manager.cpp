@@ -64,12 +64,12 @@ std::vector<TxnPendingOp> TxnManager::PendingLocked() const {
   return pending_;
 }
 
-void TxnManager::BeginLocked(std::uint64_t txn_id) {
-  for (const TxnCoordEntry& d : decisions_) {
-    if (d.txn_id == txn_id) return;
-  }
-  decisions_.push_back(TxnCoordEntry{txn_id, TxnCoordState::kBegun});
-  if (decisions_.size() > kMaxTxnCoordEntries) decisions_.pop_front();
+bool TxnManager::IsOpenLocked(std::uint64_t txn_id, MdsId self) const {
+  if (QueryLocked(txn_id).has_value()) return false;
+  return std::any_of(pending_.begin(), pending_.end(),
+                     [&](const TxnPendingOp& op) {
+                       return op.txn_id == txn_id && op.coordinator == self;
+                     });
 }
 
 void TxnManager::DecideLocked(std::uint64_t txn_id, bool commit) {

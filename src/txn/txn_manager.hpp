@@ -1,5 +1,7 @@
 // Server-side two-phase-commit state: intent locks, pending prepares,
-// the coordinator decision table and the closed-outcome history.
+// the coordinator decision table and the closed-outcome history. A txn
+// has no begin record: its coordinator counts it open while it holds the
+// txn's own prepare and no verdict (IsOpenLocked).
 //
 // One TxnManager lives in each MdsServer, shared by every worker shard
 // (txn requests are path-routed like plain mutations, but the txn tables
@@ -36,6 +38,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/lookup_outcome.hpp"
 #include "common/sync.hpp"
 #include "storage/txn_state.hpp"
 
@@ -109,9 +112,15 @@ class TxnManager {
 
   // --- coordinator side -------------------------------------------------
 
-  /// Record a journaled begin. Idempotent: re-begin of a decided txn keeps
-  /// the decision.
-  void BeginLocked(std::uint64_t txn_id) GHBA_REQUIRES(mu_);
+  /// Is `txn_id` open on its coordinator `self`: undecided here, with one
+  /// of its prepares pending whose coordinator is `self`? The coordinator
+  /// is always the server of a txn's first prepare, so the txn is open from
+  /// that prepare until its verdict is journaled. No begin record is
+  /// needed: recovery re-seeds the pending prepares, so "open" survives a
+  /// restart. kTxnResolve answers kPending for an open txn, and a commit
+  /// decision is accepted only for one.
+  bool IsOpenLocked(std::uint64_t txn_id, MdsId self) const
+      GHBA_REQUIRES(mu_);
 
   /// Record a journaled decision (idempotent; a repeat must agree — the
   /// caller rejects flips before journaling).

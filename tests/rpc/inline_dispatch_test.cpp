@@ -173,13 +173,13 @@ TEST_F(InlineDispatchTest, InsertRunsInlineOnlyWhenItsAppendCannotFsync) {
     doomed.path = aborted;
     doomed.txn_id = 6;
     // Every journaling request, each appending one WAL record: a plain
-    // insert and unlink, then a whole 2PC (begin, prepare, decide, commit)
-    // and a prepare its abort closes.
+    // insert and unlink, then a whole 2PC (prepare, decide, commit; the
+    // coordinator's own prepare opens the txn) and a prepare its abort
+    // closes.
     const std::vector<std::pair<const char*, std::vector<std::uint8_t>>>
         requests = {
             {"insert", EncodeInsert(path, FileMetadata{})},
             {"unlink", EncodePathRequest(MsgType::kUnlink, path)},
-            {"txn begin", EncodeTxnBegin(TxnBeginReq{5, {0}})},
             {"txn prepare", EncodeTxnPrepare(insert)},
             {"txn decide", EncodeTxnDecide(TxnDecideReq{5, true})},
             {"txn commit",

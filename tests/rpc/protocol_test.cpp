@@ -19,8 +19,8 @@ TEST(ProtocolTest, PathRequestRoundTrip) {
 
 TEST(ProtocolTest, UnknownTypeRejected) {
   // 21 and 22 are the retired membership-push types, 24 the retired
-  // lease revocation.
-  for (const std::uint16_t type : {0, 21, 22, 24, 32, 999}) {
+  // lease revocation, 25 the retired txn begin.
+  for (const std::uint16_t type : {0, 21, 22, 24, 25, 32, 999}) {
     ByteWriter w;
     w.PutU16(type);
     ByteReader in(w.data());

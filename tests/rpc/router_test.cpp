@@ -435,8 +435,9 @@ TEST(RouterTest, ExistenceChecksGoStraightToTheExactLevel) {
   ASSERT_TRUE(cluster.PublishAll().ok());
   const auto alive = cluster.AliveServers();
 
-  // CreateExclusive of an absent path: the check is one kGlobalProbe per
-  // live server and nothing else, reported as one miss.
+  // CreateExclusive of an absent path: the check rides the prepare's
+  // round, one kTxnPrepare to the hash home and one kGlobalProbe to every
+  // other live server, and nothing else, reported as one miss.
   for (int i = 0; i < 4; ++i) {
     const std::string path = "/exact/new" + std::to_string(i);
     ASSERT_TRUE(cluster.Quiesce().ok());
@@ -446,15 +447,17 @@ TEST(RouterTest, ExistenceChecksGoStraightToTheExactLevel) {
     const ServeCounts after = CountServes(cluster, alive);
     EXPECT_EQ(after.local - before.local, 0u) << path;
     EXPECT_EQ(after.group - before.group, 0u) << path;
-    EXPECT_EQ(after.global - before.global, alive.size()) << path;
+    EXPECT_EQ(after.global - before.global, alive.size() - 1) << path;
+    EXPECT_EQ(after.prepares - before.prepares, 1u) << path;
     EXPECT_EQ(after.levels - before.levels, 1u) << path;
     EXPECT_EQ(after.miss - before.miss, 1u) << path;
   }
 
   // A rename with an absent dst: src's cascade takes the one kLookupLocal,
   // and a kGroupProbe to the entry's two peers only if it got past L2.
-  // The dst check adds global probes alone. Two outcomes per rename, the
-  // dst check's a miss.
+  // The dst check adds global probes to every server but dst's home, which
+  // gets the insert prepare. Two outcomes per rename, the dst check's a
+  // miss.
   for (int i = 0; i < 8; ++i) {
     const std::string src = "/exact/f" + std::to_string(i);
     ASSERT_TRUE(cluster.Quiesce().ok());
@@ -466,7 +469,8 @@ TEST(RouterTest, ExistenceChecksGoStraightToTheExactLevel) {
     EXPECT_EQ(after.local - before.local, 1u) << src;
     EXPECT_EQ(after.group - before.group, 2 * (after.upper - before.upper))
         << src;
-    EXPECT_GE(after.global - before.global, alive.size()) << src;
+    EXPECT_GE(after.global - before.global, alive.size() - 1) << src;
+    EXPECT_EQ(after.prepares - before.prepares, 2u) << src;
     EXPECT_EQ(after.levels - before.levels, 2u) << src;
     EXPECT_EQ(after.miss - before.miss, 1u) << src;
   }
@@ -490,8 +494,10 @@ TEST(RouterTest, ExistenceCheckFindsAPathHeldOffItsHashHome) {
             StatusCode::kAlreadyExists);
   EXPECT_EQ(cluster.CreateExclusive(taken, Md(3)).code(),
             StatusCode::kAlreadyExists);
-  // Both refused by the check, before any prepare.
-  EXPECT_EQ(ServeSum(cluster, metrics_names::kServeTxnPrepares), 0u);
+  // Both refused in the insert prepare's round: the rename's two
+  // prepares and the create's one were all aborted, nothing is in doubt.
+  EXPECT_EQ(ServeSum(cluster, metrics_names::kServeTxnPrepares), 3u);
+  EXPECT_EQ(ServeSum(cluster, metrics_names::kServeTxnAborts), 3u);
   const auto src = cluster.Lookup("/exact/src");
   ASSERT_TRUE(src.ok()) << src.status().ToString();
   EXPECT_TRUE(src->found);
@@ -520,18 +526,25 @@ TEST(RouterTest, CrashedPeerLeavesTheExistenceCheckToThePrepareVote) {
   }
   ASSERT_TRUE(cluster.CrashServer(victim).ok());
 
+  // The crashed server's pooled connections cannot drain, but Quiesce
+  // reports it down instead of failing: every live connection drained.
+  QuiesceReport report;
+  ASSERT_TRUE(cluster.Quiesce(&report).ok());
+  EXPECT_EQ(report.down, std::vector<MdsId>{victim});
+  EXPECT_EQ(report.drained, live);
+
   // The check cannot hear "absent" from the victim, so for the fresh path
-  // it is Unavailable and decides nothing: the hash home's prepare vote
+  // it decides nothing: the hash home's prepare vote, in the same round,
   // accepts it.
   std::uint64_t prepares = CountServes(cluster, live).prepares;
   ASSERT_TRUE(cluster.CreateExclusive(fresh, Md(2)).ok());
   EXPECT_EQ(CountServes(cluster, live).prepares - prepares, 1u);
   // A live holder's "held" is exact whoever else is down: the taken path
-  // is refused by the check, before any prepare.
+  // is refused in the same round, here by its home's own vote.
   prepares = CountServes(cluster, live).prepares;
   EXPECT_EQ(cluster.CreateExclusive(taken, Md(3)).code(),
             StatusCode::kAlreadyExists);
-  EXPECT_EQ(CountServes(cluster, live).prepares - prepares, 0u);
+  EXPECT_EQ(CountServes(cluster, live).prepares - prepares, 1u);
   for (const std::string& path : {taken, fresh}) {
     const auto held = cluster.VerifyOn(HashHome(cluster, path), path);
     ASSERT_TRUE(held.ok()) << path;

@@ -9,14 +9,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <map>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "core/metrics.hpp"
 #include "hash/fnv.hpp"
 #include "rpc/prototype_cluster.hpp"
+#include "rpc/server.hpp"
+#include "rpc/socket.hpp"
 
 namespace ghba {
 namespace {
@@ -87,6 +91,41 @@ void ExpectAllLookupsCorrect(PrototypeCluster& cluster,
     EXPECT_TRUE(r->found) << path;
     EXPECT_EQ(r->home, home) << path;
   }
+}
+
+/// One request/response on a fresh connection to `port`; empty on error.
+std::vector<std::uint8_t> RawCall(std::uint16_t port,
+                                  const std::vector<std::uint8_t>& req) {
+  auto conn = TcpConnection::Connect(port);
+  EXPECT_TRUE(conn.ok());
+  if (!conn.ok() || !conn->SendFrame(req).ok()) return {};
+  auto resp = conn->RecvFrame(Deadline::After(std::chrono::seconds(5)));
+  EXPECT_TRUE(resp.ok());
+  return resp.ok() ? std::move(*resp) : std::vector<std::uint8_t>{};
+}
+
+/// The in-doubt ops on the server at `port` (its kTxnList), read without
+/// resolving them.
+std::vector<TxnListEntry> InDoubtAt(std::uint16_t port) {
+  const auto resp = RawCall(port, EncodeHeader(MsgType::kTxnList));
+  ByteReader in(resp);
+  const auto env = OpenEnvelope(in);
+  EXPECT_TRUE(env.ok() && env->has_payload);
+  if (!env.ok() || !env->has_payload) return {};
+  auto list = DecodeTxnListResp(in);
+  EXPECT_TRUE(list.ok());
+  return list.ok() ? std::move(list->entries) : std::vector<TxnListEntry>{};
+}
+
+/// Sum of a server-side counter over the live servers.
+std::uint64_t ServeSum(PrototypeCluster& cluster, const char* name) {
+  std::uint64_t total = 0;
+  for (const MdsId id : cluster.AliveServers()) {
+    const auto stats = cluster.FetchStats(id);
+    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+    if (stats.ok()) total += stats->metrics.CounterOr(name);
+  }
+  return total;
 }
 
 /// The exactly-one-endpoint invariant every txn test ends on: an acked
@@ -179,6 +218,81 @@ TEST(TxnTest, CreateExclusiveCreatesOnceAtTheHashHome) {
   EXPECT_TRUE(cluster.CreateExclusive(path, md).ok());
 }
 
+// The exact check of a create's path rides its insert prepare. A path
+// held off its hash home (inserted straight on the next server, never
+// published) is found in that round: the drive is AlreadyExists, src
+// stays, and nothing stays staged anywhere, because the hash home's yes
+// vote is aborted in the same call.
+TEST(TxnTest, DstHeldOffItsHashHomeRefusesAndLeavesNothingStaged) {
+  PrototypeCluster cluster(TxnConfig(), ProtoScheme::kGhba);
+  ASSERT_TRUE(cluster.Start().ok());
+  const auto ports = cluster.ServerPorts();
+  ASSERT_EQ(ports.size(), 6u);  // index == id while every server is up
+  const std::string src = "/txn/heldsrc";
+  FileMetadata md;
+  md.inode = 31;
+  ASSERT_TRUE(cluster.Insert(src, md).ok());
+  const auto src_r = cluster.Lookup(src);
+  ASSERT_TRUE(src_r.ok() && src_r->found);
+  const MdsId src_home = src_r->home;
+
+  // Plants `path` on the server after its hash home; returns the holder.
+  const auto hold_off_home = [&](const std::string& path) {
+    const MdsId holder = (HashHome(cluster, path) + 1) % 6;
+    const auto resp = RawCall(ports[holder], EncodeInsert(path, md));
+    ByteReader in(resp);
+    const auto env = OpenEnvelope(in);
+    EXPECT_TRUE(env.ok() && env->status.ok()) << path;
+    return holder;
+  };
+  const auto expect_nothing_staged = [&](const std::string& path,
+                                         std::uint64_t prepares_before,
+                                         std::uint64_t aborts_before) {
+    // Every yes vote was closed by an abort: none left in doubt.
+    const std::uint64_t prepares =
+        ServeSum(cluster, metrics_names::kServeTxnPrepares) - prepares_before;
+    EXPECT_GE(prepares, 1u) << path;
+    EXPECT_EQ(ServeSum(cluster, metrics_names::kServeTxnAborts) -
+                  aborts_before,
+              prepares)
+        << path;
+    for (MdsId id = 0; id < ports.size(); ++id) {
+      EXPECT_TRUE(InDoubtAt(ports[id]).empty()) << path << " on " << id;
+    }
+    const auto hash_home = cluster.VerifyOn(HashHome(cluster, path), path);
+    ASSERT_TRUE(hash_home.ok());
+    EXPECT_FALSE(*hash_home) << path << " was created at its hash home";
+  };
+
+  for (const bool cross : {true, false}) {
+    const std::string dst = PickDst(cluster, src_home, cross);
+    const MdsId holder = hold_off_home(dst);
+    const std::uint64_t prepares =
+        ServeSum(cluster, metrics_names::kServeTxnPrepares);
+    const std::uint64_t aborts =
+        ServeSum(cluster, metrics_names::kServeTxnAborts);
+    EXPECT_EQ(cluster.Rename(src, dst).code(), StatusCode::kAlreadyExists)
+        << dst;
+    expect_nothing_staged(dst, prepares, aborts);
+    const auto still = cluster.Lookup(src);
+    ASSERT_TRUE(still.ok());
+    EXPECT_TRUE(still->found) << "src lost by a refused rename onto " << dst;
+    const auto held = cluster.VerifyOn(holder, dst);
+    ASSERT_TRUE(held.ok());
+    EXPECT_TRUE(*held);
+  }
+
+  const std::string created = "/txn/heldnew";
+  hold_off_home(created);
+  const std::uint64_t prepares =
+      ServeSum(cluster, metrics_names::kServeTxnPrepares);
+  const std::uint64_t aborts =
+      ServeSum(cluster, metrics_names::kServeTxnAborts);
+  EXPECT_EQ(cluster.CreateExclusive(created, md).code(),
+            StatusCode::kAlreadyExists);
+  expect_nothing_staged(created, prepares, aborts);
+}
+
 // --- client-death (halt) cases: the driver stops mid-choreography, the
 // servers stay up, and ResolveInDoubt must finish what the decision (or
 // presumed abort) dictates. ---------------------------------------------
@@ -253,11 +367,43 @@ struct CrashCase {
   bool victim_is_dst;  ///< which home dies (false: src_home == coordinator)
   bool acked;          ///< Rename must return Ok iff the decision preceded
   const char* name;
+  /// The victim is a coordinator that dies with the txn open: once
+  /// recovered, before any resolution, it must still answer kPending.
+  bool open_at_restart = false;
 };
 
-/// Every boundary runs once per fsync policy: under kNever the journaling
-/// 2PC handlers run inline on the event thread of an idle shard, under
-/// kAlways on the shard workers.
+/// Boot a second incarnation of server `id` over a copy of its data dir
+/// (recovery, no resolution: nothing else talks to it), and ask it what
+/// its one in-doubt txn is: the coordinator's verdict as a resolver sees it.
+TxnDecisionState RecoveredVerdict(const ClusterConfig& base,
+                                  const std::filesystem::path& data_dir,
+                                  MdsId id) {
+  const std::string mds = "mds-" + std::to_string(id);
+  const auto copy = data_dir / "recovered-copy";
+  std::filesystem::create_directories(copy);
+  std::filesystem::copy(data_dir / mds, copy / mds,
+                        std::filesystem::copy_options::recursive);
+  ClusterConfig config = base;
+  config.storage.data_dir = copy.string();
+  MdsServer server(id, config);
+  EXPECT_TRUE(server.Start().ok());
+  TxnDecisionState verdict = TxnDecisionState::kUnknown;
+  const auto listed = InDoubtAt(server.port());
+  if (listed.size() == 1 && listed[0].coordinator == id) {
+    const auto resp =
+        RawCall(server.port(), EncodeTxnResolve(listed[0].txn_id));
+    ByteReader in(resp);
+    const auto env = OpenEnvelope(in);
+    const auto resolved = DecodeTxnResolveResp(in);
+    if (env.ok() && resolved.ok()) verdict = resolved->state;
+  } else {
+    ADD_FAILURE() << "expected one in-doubt op coordinated by " << id;
+  }
+  server.Stop();
+  std::filesystem::remove_all(copy);
+  return verdict;
+}
+
 class TxnCrashTest
     : public ::testing::TestWithParam<std::tuple<CrashCase, FsyncPolicy>> {
  protected:
@@ -309,6 +455,12 @@ TEST_P(TxnCrashTest, CrashAtPhaseBoundaryRecoversToExactlyOneEndpoint) {
   EXPECT_FALSE(injector.HasArmedCrashPoints())
       << "the armed crash point never fired";
 
+  if (c.open_at_restart) {
+    EXPECT_EQ(RecoveredVerdict(config, dir_, victim),
+              TxnDecisionState::kPending)
+        << "the coordinator's prepare no longer holds its txn open";
+  }
+
   // Restart = fail-over + durable recovery + rejoin + in-doubt resolution.
   // Whatever the crash left in doubt must be resolved by the time the
   // restart returns — the caller never babysits recovery.
@@ -331,12 +483,11 @@ TEST_P(TxnCrashTest, CrashAtPhaseBoundaryRecoversToExactlyOneEndpoint) {
 }
 
 constexpr CrashCase kCrashCases[] = {
-    // Coordinator dies right after journaling Begin: nothing prepared
-    // anywhere, the drive fails, src survives.
-    CrashCase{"txn.begin.0", false, false, "CoordAfterBegin"},
-    // src_home dies after journaling its prepare-remove: the decision can
-    // never be journaled, restart resolution force-aborts.
-    CrashCase{"txn.prepare.0", false, false, "SrcAfterPrepare"},
+    // src_home, the coordinator, dies after journaling its prepare-remove,
+    // which opened the txn there: the decision can never be journaled.
+    // Recovery brings the txn back open (kPending), and restart
+    // resolution force-aborts it.
+    CrashCase{"txn.prepare.0", false, false, "SrcAfterPrepare", true},
     // dst_home dies after journaling its prepare-insert: the decision
     // still commits at the live coordinator — acked, rolled forward into
     // the dead server's recovery.

@@ -86,7 +86,7 @@ TEST(CheckpointCodecTest, TxnStateRoundTrips) {
   remove.participants = {4};
   state.txn_pending.push_back(remove);
   state.txn_decisions.push_back({76, TxnCoordState::kCommitted});
-  state.txn_decisions.push_back({77, TxnCoordState::kBegun});
+  state.txn_decisions.push_back({77, TxnCoordState::kAborted});
   const auto decoded = DecodeCheckpoint(EncodeCheckpoint(state));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->txn_pending, state.txn_pending);
@@ -114,6 +114,26 @@ TEST(CheckpointCodecTest, RejectsAbsurdMemberCount) {
   const auto decoded = DecodeCheckpoint(bytes);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+}
+
+TEST(CheckpointCodecTest, DecisionStateIsOneOfTheTwoVerdicts) {
+  // The body ends with the one decision row's state byte. 0 was v5's
+  // "begun"; an undecided txn no longer has a row.
+  auto state = SampleState(2);
+  state.txn_decisions.push_back({77, TxnCoordState::kAborted});
+  for (const std::uint8_t byte : {0, 3}) {
+    auto bytes = EncodeCheckpoint(state);
+    bytes.back() = byte;
+    const std::size_t body_len = bytes.size() - kCheckpointHeaderBytes;
+    const std::uint32_t crc =
+        Crc32(bytes.data() + kCheckpointHeaderBytes, body_len);
+    for (int i = 0; i < 4; ++i) {
+      bytes[16 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+    }
+    const auto decoded = DecodeCheckpoint(bytes);
+    ASSERT_FALSE(decoded.ok()) << int{byte};
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption) << int{byte};
+  }
 }
 
 TEST(CheckpointCodecTest, RejectsCorruptBody) {

@@ -114,11 +114,25 @@ TEST(WalCodecTest, RejectsRetiredMembershipOp) {
   }
 }
 
+TEST(WalCodecTest, RejectsRetiredTxnBeginOp) {
+  // Op 8 journaled a coordinator's txn begin; the coordinator's own prepare
+  // now opens the txn, so the number stays reserved like 5-7.
+  ByteWriter w;
+  EncodeWalRecordPayload(Remove(13, "/retired"), w);
+  auto bytes = w.Take();
+  bytes[0] = 8;
+  ByteReader r(bytes);
+  const auto decoded = DecodeWalRecordPayload(r);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(WalCodecTest, RejectsTruncatedMemberList) {
   WalRecord record;
-  record.op = WalOp::kTxnBegin;
+  record.op = WalOp::kTxnPrepare;
   record.seq = 1;
   record.txn_id = 5;
+  record.txn_subop = TxnSubOp::kRemove;  // members end the payload
   record.members = {1, 2, 3, 4, 5, 6, 7, 8};
   ByteWriter w;
   EncodeWalRecordPayload(record, w);

@@ -19,7 +19,7 @@ namespace {
 struct Sent {
   TxnPhase phase;
   MdsId target;
-  std::string path;  ///< empty for begin and decide
+  std::string path;  ///< empty for decide
   bool operator==(const Sent& other) const {
     return phase == other.phase && target == other.target &&
            path == other.path;
@@ -37,15 +37,10 @@ constexpr std::uint64_t kSrcInode = 77;
 /// metadata carrying kSrcInode.
 class RecordingTransport : public TxnTransport {
  public:
-  Status TxnBegin(MdsId coordinator, std::uint64_t,
-                  const std::vector<MdsId>& participants) override {
-    sent.push_back({TxnPhase::kBegin, coordinator, ""});
-    begun_participants = participants;
-    return Status::Ok();
-  }
   Result<std::optional<FileMetadata>> TxnPrepare(
       MdsId participant, const TxnPendingOp& op) override {
     sent.push_back({TxnPhase::kPrepare, participant, op.path});
+    prepared.push_back(op);
     if (op.subop == TxnSubOp::kInsert) {
       inserted_inode = op.metadata.inode;
       return std::optional<FileMetadata>();
@@ -78,7 +73,7 @@ class RecordingTransport : public TxnTransport {
   bool TxnServerConfirmedDead(MdsId) override { return false; }
 
   std::vector<Sent> sent;
-  std::vector<MdsId> begun_participants;
+  std::vector<TxnPendingOp> prepared;
   std::vector<bool> decisions;
   std::uint64_t inserted_inode = 0;
 };
@@ -92,38 +87,79 @@ TxnDriver::StepHook HaltAfter(TxnPhase phase, int n) {
 }
 
 std::vector<Sent> Choreography(MdsId src_home, MdsId dst_home) {
-  return {{TxnPhase::kBegin, src_home, ""},
-          {TxnPhase::kPrepare, src_home, "/src"},
+  return {{TxnPhase::kPrepare, src_home, "/src"},
           {TxnPhase::kPrepare, dst_home, "/dst"},
           {TxnPhase::kDecide, src_home, ""},
           {TxnPhase::kCommit, dst_home, "/dst"},
           {TxnPhase::kCommit, src_home, "/src"}};
 }
 
-TEST(TxnDriverTest, CrossServerRenameSendsTheSixMessagesInOrder) {
+/// Every prepare names the coordinator and the participant list, so the
+/// coordinator's own prepare (the first) is what opens the txn there.
+void ExpectPreparesOpenAtTheCoordinator(const RecordingTransport& transport,
+                                        MdsId coordinator,
+                                        const std::vector<MdsId>& members) {
+  ASSERT_FALSE(transport.sent.empty());
+  EXPECT_EQ(transport.sent.front().phase, TxnPhase::kPrepare);
+  EXPECT_EQ(transport.sent.front().target, coordinator);
+  for (const TxnPendingOp& op : transport.prepared) {
+    EXPECT_EQ(op.coordinator, coordinator) << op.path;
+    EXPECT_EQ(op.participants, members) << op.path;
+  }
+}
+
+TEST(TxnDriverTest, CrossServerRenameSendsTheFiveMessagesInOrder) {
   RecordingTransport transport;
   TxnDriver driver(&transport);
   TxnDriveStats stats;
   ASSERT_TRUE(driver.Rename(9, "/src", 1, "/dst", 2, &stats).ok());
   EXPECT_EQ(transport.sent, Choreography(1, 2));
-  EXPECT_EQ(transport.begun_participants, (std::vector<MdsId>{1, 2}));
+  ExpectPreparesOpenAtTheCoordinator(transport, 1, {1, 2});
   EXPECT_EQ(transport.decisions, std::vector<bool>{true});
   // The insert prepare stages the metadata the remove vote carried.
   EXPECT_EQ(transport.inserted_inode, kSrcInode);
-  EXPECT_EQ(stats.messages, 6u);
+  EXPECT_EQ(stats.messages, 5u);
   EXPECT_EQ(stats.commits_pending, 0u);
   EXPECT_FALSE(stats.halted);
 }
 
-TEST(TxnDriverTest, SameServerRenameSendsTheSameSixMessages) {
+TEST(TxnDriverTest, SameServerRenameSendsTheSameFiveMessages) {
   RecordingTransport transport;
   TxnDriver driver(&transport);
   TxnDriveStats stats;
   ASSERT_TRUE(driver.Rename(9, "/src", 3, "/dst", 3, &stats).ok());
   EXPECT_EQ(transport.sent, Choreography(3, 3));
-  EXPECT_EQ(transport.begun_participants, std::vector<MdsId>{3});
-  EXPECT_EQ(stats.messages, 6u);
+  ExpectPreparesOpenAtTheCoordinator(transport, 3, {3});
+  EXPECT_EQ(stats.messages, 5u);
   EXPECT_EQ(stats.commits_pending, 0u);
+}
+
+TEST(TxnDriverTest, CreateExclusiveSendsThreeMessagesToItsHome) {
+  RecordingTransport transport;
+  TxnDriver driver(&transport);
+  TxnDriveStats stats;
+  FileMetadata md;
+  md.inode = 5;
+  ASSERT_TRUE(driver.CreateExclusive(9, "/new", 4, md, &stats).ok());
+  EXPECT_EQ(transport.sent, (std::vector<Sent>{
+                                {TxnPhase::kPrepare, 4, "/new"},
+                                {TxnPhase::kDecide, 4, ""},
+                                {TxnPhase::kCommit, 4, "/new"}}));
+  ExpectPreparesOpenAtTheCoordinator(transport, 4, {4});
+  EXPECT_EQ(transport.inserted_inode, 5u);
+  EXPECT_EQ(stats.messages, 3u);
+  EXPECT_EQ(stats.commits_pending, 0u);
+}
+
+TEST(TxnDriverTest, HaltAfterCreateExclusiveDecideLeavesItsCommitPending) {
+  RecordingTransport transport;
+  TxnDriver driver(&transport, HaltAfter(TxnPhase::kDecide, 1));
+  TxnDriveStats stats;
+  ASSERT_TRUE(driver.CreateExclusive(9, "/new", 4, FileMetadata{}, &stats)
+                  .ok());
+  EXPECT_EQ(stats.messages, 2u);
+  EXPECT_EQ(stats.commits_pending, 1u);
+  EXPECT_TRUE(stats.halted);
 }
 
 TEST(TxnDriverTest, HaltAfterDecideLeavesBothCommitsPending) {
@@ -132,7 +168,7 @@ TEST(TxnDriverTest, HaltAfterDecideLeavesBothCommitsPending) {
     TxnDriver driver(&transport, HaltAfter(TxnPhase::kDecide, 1));
     TxnDriveStats stats;
     ASSERT_TRUE(driver.Rename(9, "/src", 1, "/dst", dst_home, &stats).ok());
-    EXPECT_EQ(stats.messages, 4u) << dst_home;
+    EXPECT_EQ(stats.messages, 3u) << dst_home;
     EXPECT_EQ(stats.commits_pending, 2u) << dst_home;
     EXPECT_TRUE(stats.halted);
   }
@@ -151,9 +187,9 @@ TEST(TxnDriverTest, HaltAfterEachCommitOwesOnlyTheUnsentCommits) {
           driver.Rename(9, "/src", 1, "/dst", dst_home, &stats).ok());
       const auto full = Choreography(1, dst_home);
       EXPECT_EQ(transport.sent,
-                std::vector<Sent>(full.begin(), full.begin() + 4 + halt_at))
+                std::vector<Sent>(full.begin(), full.begin() + 3 + halt_at))
           << "dst_home " << dst_home << ", halt after commit " << halt_at;
-      EXPECT_EQ(stats.messages, static_cast<std::uint32_t>(4 + halt_at));
+      EXPECT_EQ(stats.messages, static_cast<std::uint32_t>(3 + halt_at));
       EXPECT_EQ(stats.commits_pending,
                 static_cast<std::uint32_t>(2 - halt_at))
           << "dst_home " << dst_home << ", halt after commit " << halt_at;

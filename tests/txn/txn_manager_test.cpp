@@ -97,27 +97,47 @@ TEST(TxnManagerTest, CoordinatorDecisionLifecycle) {
   MutexLock lock(&m.mu());
   EXPECT_FALSE(m.QueryLocked(11).has_value());
 
-  m.BeginLocked(11);
-  ASSERT_TRUE(m.QueryLocked(11).has_value());
-  EXPECT_EQ(*m.QueryLocked(11), TxnCoordState::kBegun);
-
   m.DecideLocked(11, /*commit=*/true);
+  ASSERT_TRUE(m.QueryLocked(11).has_value());
+  EXPECT_EQ(*m.QueryLocked(11), TxnCoordState::kCommitted);
+  m.DecideLocked(11, /*commit=*/true);  // idempotent repeat
   EXPECT_EQ(*m.QueryLocked(11), TxnCoordState::kCommitted);
 
-  // Re-begin after a decision must not reopen the txn.
-  m.BeginLocked(11);
-  EXPECT_EQ(*m.QueryLocked(11), TxnCoordState::kCommitted);
-
-  m.BeginLocked(12);
   m.DecideLocked(12, /*commit=*/false);
   EXPECT_EQ(*m.QueryLocked(12), TxnCoordState::kAborted);
+}
+
+TEST(TxnManagerTest, TxnIsOpenWhileItsCoordinatorPrepareIsPendingAndUndecided) {
+  constexpr MdsId kSelf = 3;
+  TxnManager m;
+  MutexLock lock(&m.mu());
+  EXPECT_FALSE(m.IsOpenLocked(11, kSelf));  // unknown
+
+  // A prepare naming another server as coordinator opens nothing here.
+  m.AddPendingLocked(MakeOp(11, "/dst", TxnSubOp::kInsert, /*coordinator=*/5));
+  EXPECT_FALSE(m.IsOpenLocked(11, kSelf));
+
+  // The coordinator's own prepare opens the txn, for that server only.
+  m.AddPendingLocked(MakeOp(11, "/src", TxnSubOp::kRemove, kSelf));
+  EXPECT_TRUE(m.IsOpenLocked(11, kSelf));
+  EXPECT_FALSE(m.IsOpenLocked(11, 4));
+  EXPECT_FALSE(m.IsOpenLocked(12, kSelf));
+
+  // A verdict closes it, whether or not the prepare is still pending.
+  m.DecideLocked(11, /*commit=*/true);
+  EXPECT_FALSE(m.IsOpenLocked(11, kSelf));
+
+  // Closing the coordinator's prepare undecided closes it too.
+  m.AddPendingLocked(MakeOp(13, "/other", TxnSubOp::kInsert, kSelf));
+  EXPECT_TRUE(m.IsOpenLocked(13, kSelf));
+  m.ClosePendingLocked(13, "/other", /*committed=*/false);
+  EXPECT_FALSE(m.IsOpenLocked(13, kSelf));
 }
 
 TEST(TxnManagerTest, DecisionTableAgesFifo) {
   TxnManager m;
   MutexLock lock(&m.mu());
   for (std::uint64_t id = 1; id <= kMaxTxnCoordEntries + 8; ++id) {
-    m.BeginLocked(id);
     m.DecideLocked(id, /*commit=*/true);
   }
   // The oldest rows aged out (presumed abort makes that safe); the newest
@@ -139,9 +159,10 @@ TEST(TxnManagerTest, ClosedHistoryAgesFifo) {
 
 TEST(TxnManagerTest, SeedRestoresLocksDecisionsAndHistory) {
   TxnManager m;
-  std::vector<TxnPendingOp> pending{MakeOp(3, "/locked", TxnSubOp::kRemove)};
+  std::vector<TxnPendingOp> pending{MakeOp(3, "/locked", TxnSubOp::kRemove),
+                                    MakeOp(5, "/open", TxnSubOp::kRemove)};
   std::vector<TxnCoordEntry> decisions{{3, TxnCoordState::kCommitted},
-                                       {4, TxnCoordState::kBegun}};
+                                       {4, TxnCoordState::kAborted}};
   std::vector<std::pair<std::uint64_t, bool>> closed{{2, true}, {1, false}};
   m.Seed(std::move(pending), std::move(decisions), closed);
 
@@ -149,12 +170,15 @@ TEST(TxnManagerTest, SeedRestoresLocksDecisionsAndHistory) {
   EXPECT_TRUE(m.IsLockedByOtherLocked("/locked", 0));
   ASSERT_NE(m.FindPendingLocked(3, "/locked"), nullptr);
   EXPECT_EQ(*m.QueryLocked(3), TxnCoordState::kCommitted);
-  EXPECT_EQ(*m.QueryLocked(4), TxnCoordState::kBegun);
+  EXPECT_EQ(*m.QueryLocked(4), TxnCoordState::kAborted);
+  // A re-seeded coordinator prepare keeps its undecided txn open.
+  EXPECT_TRUE(m.IsOpenLocked(5, /*self=*/0));
+  EXPECT_FALSE(m.IsOpenLocked(3, /*self=*/0));
   ASSERT_TRUE(m.ClosedOutcomeLocked(2).has_value());
   EXPECT_TRUE(*m.ClosedOutcomeLocked(2));
   ASSERT_TRUE(m.ClosedOutcomeLocked(1).has_value());
   EXPECT_FALSE(*m.ClosedOutcomeLocked(1));
-  EXPECT_EQ(m.PendingLocked().size(), 1u);
+  EXPECT_EQ(m.PendingLocked().size(), 2u);
 }
 
 TEST(TxnManagerTest, SeedResetsPriorState) {
@@ -162,7 +186,7 @@ TEST(TxnManagerTest, SeedResetsPriorState) {
   {
     MutexLock lock(&m.mu());
     m.AddPendingLocked(MakeOp(9, "/old"));
-    m.BeginLocked(9);
+    m.DecideLocked(9, /*commit=*/false);
   }
   m.Seed({}, {}, {});
   MutexLock lock(&m.mu());

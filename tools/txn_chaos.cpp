@@ -153,7 +153,7 @@ void RunFaultCase(Fleet& fleet, std::uint64_t& txn_id, const Fault& f) {
   Check(fleet.Insert(src, md).ok(), "insert src");
 
   const MdsId victim = f.victim_dst ? dst_home : src_home;
-  std::uint32_t seen[5] = {0, 0, 0, 0, 0};
+  std::uint32_t seen[4] = {0, 0, 0, 0};  // one per TxnPhase
   bool fired = false;
   TxnDriver driver(&fleet.transport,
                    [&](TxnPhase phase, MdsId /*target*/) {
@@ -289,7 +289,6 @@ int main(int argc, char** argv) {
     // deaths. Ack expectations follow the commit point: everything at or
     // after Decide(commit) durable is acked and must roll forward.
     const Fault kMatrix[] = {
-        {"kill-begin", TxnPhase::kBegin, 0, true, false, false},
         {"kill-prepare-src", TxnPhase::kPrepare, 0, true, false, false},
         {"kill-prepare-dst", TxnPhase::kPrepare, 1, true, true, true},
         {"kill-decide", TxnPhase::kDecide, 0, true, false, true},
