@@ -61,8 +61,7 @@ int main(int argc, char** argv) {
       const std::uint32_t tif = 4;
       const auto profile = ScaledProfile(trace, tif, files);
 
-      auto hba_config = BenchConfig(n, m, 2 * files / n);
-      HbaCluster hba(hba_config);
+      GhbaCluster hba(GroupsOfOne(BenchConfig(n, m, 2 * files / n)));
       const auto hba_run = MeasureUpdates(hba, profile, tif, updates);
 
       auto ghba_config = BenchConfig(n, m, 2 * files / n);

@@ -18,7 +18,6 @@
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "core/ghba_cluster.hpp"
-#include "core/hba_cluster.hpp"
 #include "hash/murmur3.hpp"
 #include "hash/xx64.hpp"
 #include "mds/store.hpp"
@@ -201,7 +200,9 @@ BENCHMARK(BM_GhbaLookupMiss);
 
 void BM_HbaLookupMiss(benchmark::State& state) {
   const auto paths = MakePaths(16384);
-  HbaCluster cluster(LookupBenchConfig());
+  auto config = LookupBenchConfig();
+  config.max_group_size = 1;  // HBA is G-HBA with groups of one
+  GhbaCluster cluster(config);
   for (const auto& p : paths) (void)cluster.CreateFile(p, FileMetadata{}, 0);
   cluster.FlushReplicas(0);
   std::vector<std::string> absent;

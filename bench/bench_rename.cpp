@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
   std::vector<SchemeRow> scheme_rows;
   for (const int dirs : {1, 4, 16, 32}) {
     GhbaCluster ghba(BenchConfig(30, 6, 20000));
-    HbaCluster hba(BenchConfig(30, 6, 20000));
+    GhbaCluster hba(GroupsOfOne(BenchConfig(30, 6, 20000)));
     HashPlacementCluster hash(BenchConfig(30, 6, 20000));
     PopulateTree(ghba, total_dirs, files_per_dir);
     PopulateTree(hba, total_dirs, files_per_dir);

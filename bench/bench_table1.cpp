@@ -153,7 +153,8 @@ int main(int argc, char** argv) {
   rows.push_back(Run(std::make_unique<StaticSubtreeCluster>(config), profile,
                      tif, ops));
   rows.push_back(
-      Run(std::make_unique<HbaCluster>(config), profile, tif, ops));
+      Run(std::make_unique<GhbaCluster>(GroupsOfOne(config)), profile, tif,
+          ops));
   rows.push_back(
       Run(std::make_unique<GhbaCluster>(config), profile, tif, ops));
 

@@ -25,14 +25,14 @@ std::uint64_t AvgLookupBytes(MetadataCluster& cluster) {
   return count ? total / count : 0;
 }
 
-template <typename Cluster, typename... Args>
+/// G-HBA at group size `m`; HBA and BFA are `m = 1` with L1 on and off.
 std::uint64_t MeasureScheme(std::uint32_t n, std::uint32_t m,
                             double bits_per_file, std::uint64_t files,
                             const WorkloadProfile& profile, std::uint32_t tif,
-                            Args&&... args) {
+                            bool use_lru = true) {
   auto config = BenchConfig(n, m, 2 * files / n);
   config.bits_per_file = bits_per_file;
-  Cluster cluster(config, std::forward<Args>(args)...);
+  GhbaCluster cluster(config, ReplicaPlacement::kLeastLoaded, use_lru);
   IntensifiedTrace trace(profile, tif, 17);
   ReplaySimulator sim(cluster);
   sim.Populate(trace);
@@ -57,14 +57,12 @@ int main(int argc, char** argv) {
               "BFA16", "HBA", "G-HBA");
   for (std::uint32_t n = 20; n <= 100; n += 20) {
     const std::uint32_t m = PaperOptimalM(n);
-    const auto bfa8 = MeasureScheme<HbaCluster>(n, m, 8.0, files, profile,
-                                                tif, /*use_lru=*/false);
-    const auto bfa16 = MeasureScheme<HbaCluster>(n, m, 16.0, files, profile,
-                                                 tif, /*use_lru=*/false);
-    const auto hba = MeasureScheme<HbaCluster>(n, m, 8.0, files, profile,
-                                               tif, /*use_lru=*/true);
-    const auto ghba = MeasureScheme<GhbaCluster>(n, m, 8.0, files, profile,
-                                                 tif);
+    const auto bfa8 = MeasureScheme(n, 1, 8.0, files, profile, tif,
+                                    /*use_lru=*/false);
+    const auto bfa16 = MeasureScheme(n, 1, 16.0, files, profile, tif,
+                                     /*use_lru=*/false);
+    const auto hba = MeasureScheme(n, 1, 8.0, files, profile, tif);
+    const auto ghba = MeasureScheme(n, m, 8.0, files, profile, tif);
     const double base = static_cast<double>(bfa8);
     std::printf("%-8u %-6u  %-8.4f %-8.4f %-8.4f %-8.4f\n", n, m, 1.0,
                 bfa16 / base, hba / base, ghba / base);

@@ -13,7 +13,6 @@
 
 #include "core/config.hpp"
 #include "core/ghba_cluster.hpp"
-#include "core/hba_cluster.hpp"
 #include "core/simulator.hpp"
 #include "trace/generator.hpp"
 #include "trace/profile.hpp"
@@ -72,6 +71,13 @@ inline ClusterConfig BenchConfig(std::uint32_t n, std::uint32_t m,
   c.publish_after_mutations = 128;
   c.memory_budget_bytes = 1ULL << 30;  // ample unless a bench overrides
   c.seed = seed;
+  return c;
+}
+
+/// `c` with groups of one: GhbaCluster on it is HBA, or BFA with L1 off.
+inline ClusterConfig GroupsOfOne(ClusterConfig c) {
+  c.max_group_size = 1;
+  c.initial_group_size = 1;
   return c;
 }
 

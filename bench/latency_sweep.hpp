@@ -53,12 +53,8 @@ inline void RunLatencyFigure(const std::string& figure,
     for (const bool use_ghba : {false, true}) {
       auto config = BenchConfig(n, m, 2 * initial_files / n);
       config.memory_budget_bytes = budget;
-      std::unique_ptr<MetadataCluster> cluster;
-      if (use_ghba) {
-        cluster = std::make_unique<GhbaCluster>(config);
-      } else {
-        cluster = std::make_unique<HbaCluster>(config);
-      }
+      const auto cluster = std::make_unique<GhbaCluster>(
+          use_ghba ? config : GroupsOfOne(config));
       // Warm the LRU arrays first so the curve shows the memory-pressure
       // trend, not the cache cold-start.
       const auto result = RunReplay(*cluster, profile, tif, ops,

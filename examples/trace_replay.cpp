@@ -15,7 +15,6 @@
 
 #include "core/ghba_cluster.hpp"
 #include "core/hash_cluster.hpp"
-#include "core/hba_cluster.hpp"
 #include "core/simulator.hpp"
 
 using namespace ghba;
@@ -50,10 +49,11 @@ int main(int argc, char** argv) {
   std::unique_ptr<MetadataCluster> cluster;
   if (scheme == "ghba") {
     cluster = std::make_unique<GhbaCluster>(config);
-  } else if (scheme == "hba") {
-    cluster = std::make_unique<HbaCluster>(config, /*use_lru=*/true);
-  } else if (scheme == "bfa") {
-    cluster = std::make_unique<HbaCluster>(config, /*use_lru=*/false);
+  } else if (scheme == "hba" || scheme == "bfa") {
+    // HBA and BFA are G-HBA with groups of one, L1 on and off.
+    config.max_group_size = 1;
+    cluster = std::make_unique<GhbaCluster>(
+        config, ReplicaPlacement::kLeastLoaded, /*use_lru=*/scheme == "hba");
   } else if (scheme == "hash") {
     cluster = std::make_unique<HashPlacementCluster>(config);
   } else {

@@ -7,8 +7,9 @@
 
 namespace ghba {
 
-GhbaCluster::GhbaCluster(ClusterConfig config, ReplicaPlacement placement)
-    : ClusterBase(config), placement_(placement) {
+GhbaCluster::GhbaCluster(ClusterConfig config, ReplicaPlacement placement,
+                         bool use_lru)
+    : ClusterBase(config), placement_(placement), use_lru_(use_lru) {
   for (std::uint32_t i = 0; i < config_.num_mds; ++i) NewNode();
 
   (void)Apply(GroupPlan::PlanInitial(alive_, config_.max_group_size,
@@ -17,6 +18,7 @@ GhbaCluster::GhbaCluster(ClusterConfig config, ReplicaPlacement placement)
 }
 
 std::string GhbaCluster::SchemeName() const {
+  if (config_.max_group_size == 1) return use_lru_ ? "HBA" : "BFA";
   return placement_ == ReplicaPlacement::kLeastLoaded ? "G-HBA"
                                                       : "G-HBA/hash-placement";
 }
@@ -146,9 +148,10 @@ LookupOutcome GhbaCluster::Lookup(const std::string& path, double now_ms) {
   };
 
   const auto finish = [&](int level, bool found, MdsId home) {
+    if (found && use_lru_) e.lru().Touch(digest, home);  // remember at L1
     // Cooperative caching: an expensive (L3/L4) discovery is worth sharing
     // with the group so peers resolve the file at L1 next time.
-    if (found && level >= 3 && config_.cooperative_lru) {
+    if (found && level >= 3 && use_lru_ && config_.cooperative_lru) {
       for (const MdsId m : plan_.GroupOf(entry).members) {
         if (m == entry) continue;
         node(m).lru().Touch(digest, home);
@@ -212,19 +215,20 @@ LookupOutcome GhbaCluster::Lookup(const std::string& path, double now_ms) {
     return v.found;
   };
 
-  // --- L1: local LRU Bloom-filter array ---
-  lat += ServeAt(entry, now_ms,
-                 config_.latency.local_proc_ms +
-                     config_.latency.ArrayProbe(
-                         std::max<std::uint64_t>(e.lru().home_count(), 1)));
-  ArrayQueryResult& l1 = scratch_.l1;
-  e.lru().Query(digest, l1);
-  if (l1.unique() && IsAlive(l1.owner)) {
-    if (verify_candidate(l1.owner)) {
-      e.lru().Touch(digest, l1.owner);
-      return finish(1, true, l1.owner);
+  // --- L1: local LRU Bloom-filter array (none when L1 is off) ---
+  double entry_ms = config_.latency.local_proc_ms;
+  if (use_lru_) {
+    entry_ms += config_.latency.ArrayProbe(
+        std::max<std::uint64_t>(e.lru().home_count(), 1));
+  }
+  lat += ServeAt(entry, now_ms, entry_ms);
+  if (use_lru_) {
+    ArrayQueryResult& l1 = scratch_.l1;
+    e.lru().Query(digest, l1);
+    if (l1.unique() && IsAlive(l1.owner)) {
+      if (verify_candidate(l1.owner)) return finish(1, true, l1.owner);
+      e.lru().Invalidate(digest);  // stale cache entry
     }
-    e.lru().Invalidate(digest);  // stale cache entry
   }
   close_level(1);
 
@@ -238,10 +242,7 @@ LookupOutcome GhbaCluster::Lookup(const std::string& path, double now_ms) {
     const bool fresh = std::find(already_verified.begin(),
                                  already_verified.end(),
                                  candidate) == already_verified.end();
-    if (fresh && verify_candidate(candidate)) {
-      e.lru().Touch(digest, candidate);
-      return finish(2, true, candidate);
-    }
+    if (fresh && verify_candidate(candidate)) return finish(2, true, candidate);
   }
   close_level(2);
 
@@ -275,10 +276,7 @@ LookupOutcome GhbaCluster::Lookup(const std::string& path, double now_ms) {
           already_verified.end()) {
         continue;
       }
-      if (verify_candidate(c)) {
-        e.lru().Touch(digest, c);
-        return finish(3, true, c);
-      }
+      if (verify_candidate(c)) return finish(3, true, c);
     }
   }
   close_level(3);
@@ -305,11 +303,7 @@ LookupOutcome GhbaCluster::Lookup(const std::string& path, double now_ms) {
     if (found_here) found_home = m;
   }
   lat += gcast + slowest_verify;
-  if (found_home != kInvalidMds) {
-    e.lru().Touch(digest, found_home);
-    return finish(4, true, found_home);
-  }
-  return finish(4, false, kInvalidMds);
+  return finish(4, found_home != kInvalidMds, found_home);
 }
 
 // ---------------------------------------------------------------------------
@@ -485,8 +479,9 @@ std::uint64_t GhbaCluster::LookupStateBytes(MdsId id) const {
   for (const auto& entry : n.segment().entries()) {
     bytes += PublishedReplicaBytes(entry.owner);
   }
-  bytes += n.lru().MemoryBytes();
-  if (plan_.Contains(id)) {
+  if (use_lru_) bytes += n.lru().MemoryBytes();
+  // A lone member has no peer to locate a replica among: no IDBFA.
+  if (plan_.Contains(id) && plan_.GroupOf(id).size() > 1) {
     bytes += idbfa_.at(plan_.GroupOf(id).id).MemoryBytes();
   }
   return bytes;

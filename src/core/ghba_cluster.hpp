@@ -9,6 +9,13 @@
 // and IDBFAs and charges it to the cost model. Replica updates are
 // staleness-bounded (Section 3.4's XOR criterion, operationalized as a
 // mutation budget) and touch only one MDS per group.
+//
+// The baselines are this class at M = 1 (max_group_size = 1). A group of
+// one holds the replica of every other MDS, so each node carries the full
+// global image, and the walk has no group level: that is HBA (Zhu et al.,
+// the scheme G-HBA extends), and with L1 off (`use_lru == false`) the pure
+// Bloom Filter Array (BFA) of Table 5. A lone member has no peer to locate
+// a replica among, so it is charged no IDBFA bytes.
 #pragma once
 
 #include <map>
@@ -23,8 +30,11 @@ namespace ghba {
 
 class GhbaCluster final : public ClusterBase {
  public:
+  /// `use_lru == false` turns L1 off: no LRU array is probed, touched or
+  /// counted (the BFA baseline at M = 1).
   explicit GhbaCluster(ClusterConfig config,
-                       ReplicaPlacement placement = ReplicaPlacement::kLeastLoaded);
+                       ReplicaPlacement placement = ReplicaPlacement::kLeastLoaded,
+                       bool use_lru = true);
 
   std::string SchemeName() const override;
 
@@ -114,6 +124,7 @@ class GhbaCluster final : public ClusterBase {
   void MaybePublish(MdsId owner, double now_ms);
 
   ReplicaPlacement placement_;
+  bool use_lru_;
   GroupPlan plan_;
   /// Each group's ID Bloom-filter array, derived from plan_'s holders.
   std::map<GroupId, IdBloomArray> idbfa_;

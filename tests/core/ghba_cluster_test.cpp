@@ -409,5 +409,255 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Shape{2, 1}, Shape{5, 2}, Shape{9, 3}, Shape{10, 10},
                       Shape{13, 4}, Shape{30, 6}, Shape{31, 5}));
 
+// --- M = 1: HBA (L1 on) and BFA (L1 off), the full global image per MDS ---
+
+ClusterConfig HbaConfig(std::uint32_t n = 10) {
+  ClusterConfig c = SmallConfig(n, /*m=*/1);
+  c.seed = 9;
+  return c;
+}
+
+GhbaCluster Bfa(const ClusterConfig& config) {
+  return GhbaCluster(config, ReplicaPlacement::kLeastLoaded,
+                     /*use_lru=*/false);
+}
+
+void ExpectFullMesh(const GhbaCluster& cluster) {
+  EXPECT_TRUE(cluster.CheckInvariants().ok())
+      << cluster.CheckInvariants().ToString();
+  for (const MdsId id : cluster.alive()) {
+    EXPECT_EQ(cluster.node(id).segment().size(), cluster.NumMds() - 1) << id;
+  }
+}
+
+class HbaClusterTest : public ::testing::Test {
+ protected:
+  HbaClusterTest() : cluster_(HbaConfig()) {}
+
+  void PopulateFiles(int count) {
+    for (int i = 0; i < count; ++i) {
+      ASSERT_TRUE(
+          cluster_.CreateFile("/hba/f" + std::to_string(i), Md(i), 0).ok());
+    }
+    cluster_.FlushReplicas(0);
+    cluster_.metrics().Reset();
+  }
+
+  GhbaCluster cluster_;
+};
+
+TEST_F(HbaClusterTest, FullMeshInvariant) {
+  EXPECT_TRUE(cluster_.CheckInvariants().ok());
+  for (const MdsId id : cluster_.alive()) {
+    EXPECT_EQ(cluster_.node(id).segment().size(), 9u);
+  }
+}
+
+TEST_F(HbaClusterTest, LookupResolvesLocallyWithFreshReplicas) {
+  PopulateFiles(400);
+  int local = 0;
+  for (int i = 0; i < 400; ++i) {
+    const auto r = cluster_.Lookup("/hba/f" + std::to_string(i), 0);
+    ASSERT_TRUE(r.found) << i;
+    local += (r.served_level <= 2);
+  }
+  // Every MDS holds the full image: almost everything resolves at L1/L2.
+  EXPECT_GT(local, 380);
+}
+
+TEST_F(HbaClusterTest, MissConcludedByGlobalMulticast) {
+  PopulateFiles(50);
+  const auto r = cluster_.Lookup("/absent", 0);
+  EXPECT_FALSE(r.found);
+  EXPECT_EQ(r.served_level, 4);
+}
+
+TEST_F(HbaClusterTest, PublishBroadcastsToAll) {
+  PopulateFiles(10);
+  const std::uint64_t msgs_before = cluster_.metrics().update_messages;
+  cluster_.PublishReplica(0, 0);
+  // 2 messages (update + ack) per other MDS.
+  EXPECT_EQ(cluster_.metrics().update_messages - msgs_before, 2u * 9u);
+}
+
+TEST_F(HbaClusterTest, AddMdsMigratesAllReplicas) {
+  ReconfigReport rep;
+  const auto nid = cluster_.AddMds(&rep);
+  ASSERT_TRUE(nid.ok());
+  // Fig. 11: HBA migrates all N existing replicas to the newcomer.
+  EXPECT_EQ(rep.replicas_migrated, 10u);
+  // Fig. 15: the newcomer exchanges filters with everyone (~2N messages).
+  EXPECT_GE(rep.messages, 2u * 10u);
+  EXPECT_TRUE(cluster_.CheckInvariants().ok());
+}
+
+TEST_F(HbaClusterTest, RemoveMdsKeepsMeshAndFiles) {
+  PopulateFiles(200);
+  ReconfigReport rep;
+  ASSERT_TRUE(cluster_.RemoveMds(3, &rep).ok());
+  EXPECT_TRUE(cluster_.CheckInvariants().ok());
+  EXPECT_EQ(cluster_.NumMds(), 9u);
+  for (int i = 0; i < 200; ++i) {
+    const auto r = cluster_.Lookup("/hba/f" + std::to_string(i), 0);
+    EXPECT_TRUE(r.found) << i;
+    EXPECT_NE(r.home, 3u);
+  }
+}
+
+TEST_F(HbaClusterTest, LookupStateScalesWithN) {
+  PopulateFiles(500);
+  // HBA per-MDS lookup state covers all files in the system.
+  const double all_files_bytes =
+      500 * cluster_.config().bits_per_file / 8.0;
+  const auto bytes = cluster_.LookupStateBytes(cluster_.alive().front());
+  EXPECT_GE(static_cast<double>(bytes), all_files_bytes * 0.9);
+}
+
+TEST_F(HbaClusterTest, LevelCountersSumToLookupsAcrossChurn) {
+  PopulateFiles(200);
+  std::uint64_t lookups = 0;
+  const auto sweep = [&] {
+    for (int i = 0; i < 200; i += 7) {
+      (void)cluster_.Lookup("/hba/f" + std::to_string(i), 0);
+      ++lookups;
+    }
+    (void)cluster_.Lookup("/absent/path", 0);
+    ++lookups;
+    ASSERT_EQ(cluster_.metrics().levels.total(), lookups);
+  };
+  sweep();
+  ASSERT_TRUE(cluster_.AddMds(nullptr).ok());
+  sweep();
+  ASSERT_TRUE(cluster_.RemoveMds(2, nullptr).ok());
+  sweep();
+  const auto levels = cluster_.metrics().levels.Values();
+  EXPECT_EQ(levels.l1 + levels.l2 + levels.l3 + levels.l4 + levels.miss,
+            lookups);
+  EXPECT_GT(levels.miss, 0u);
+}
+
+TEST_F(HbaClusterTest, LoneMemberIsChargedNoIdbfa) {
+  PopulateFiles(300);
+  for (int i = 0; i < 300; i += 3) {
+    (void)cluster_.Lookup("/hba/f" + std::to_string(i), 0);  // fill the LRU
+  }
+  // Every MDS holds every other MDS's replica: its state is all published
+  // filters (own included) plus its LRU array, and nothing for an IDBFA.
+  std::uint64_t filters = 0;
+  for (const MdsId id : cluster_.alive()) {
+    filters += static_cast<std::uint64_t>(
+        static_cast<double>(cluster_.node(id).file_count()) *
+        cluster_.config().bits_per_file / 8.0);
+  }
+  for (const MdsId id : cluster_.alive()) {
+    const std::uint64_t lru = cluster_.node(id).lru().MemoryBytes();
+    EXPECT_EQ(cluster_.LookupStateBytes(id), filters + lru) << id;
+  }
+}
+
+TEST_F(HbaClusterTest, FailMdsKeepsFullMesh) {
+  PopulateFiles(200);
+  const std::uint64_t lost = cluster_.node(4).file_count();
+  ReconfigReport rep;
+  ASSERT_TRUE(cluster_.FailMds(4, &rep).ok());
+  EXPECT_EQ(cluster_.NumMds(), 9u);
+  EXPECT_EQ(cluster_.lost_files(), lost);
+  ExpectFullMesh(cluster_);
+  std::uint64_t found = 0;
+  for (int i = 0; i < 200; ++i) {
+    const auto r = cluster_.Lookup("/hba/f" + std::to_string(i), 0);
+    EXPECT_NE(r.home, 4u) << i;
+    found += r.found;
+  }
+  EXPECT_EQ(found, 200u - lost);
+  // A second failure and a join keep the mesh.
+  ASSERT_TRUE(cluster_.FailMds(7, nullptr).ok());
+  ASSERT_TRUE(cluster_.AddMds(nullptr).ok());
+  ExpectFullMesh(cluster_);
+}
+
+TEST(BfaClusterTest, NoLruMeansNoL1Hits) {
+  GhbaCluster bfa = Bfa(HbaConfig());
+  EXPECT_EQ(bfa.SchemeName(), "BFA");
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(bfa.CreateFile("/bfa/f" + std::to_string(i), Md(i), 0).ok());
+  }
+  bfa.FlushReplicas(0);
+  bfa.metrics().Reset();
+  for (int rep = 0; rep < 3; ++rep) {
+    for (int i = 0; i < 50; ++i) {
+      EXPECT_TRUE(bfa.Lookup("/bfa/f" + std::to_string(i), 0).found);
+    }
+  }
+  EXPECT_EQ(bfa.metrics().levels.l1, 0u);
+  EXPECT_GT(bfa.metrics().levels.l2, 0u);
+}
+
+TEST(BfaClusterTest, LruIsNeverTouched) {
+  for (const std::uint32_t m : {1u, 3u}) {
+    auto config = HbaConfig();
+    config.max_group_size = m;
+    config.cooperative_lru = true;  // must not seed peers' LRUs either
+    GhbaCluster cluster = Bfa(config);
+    for (int i = 0; i < 50; ++i) {
+      ASSERT_TRUE(
+          cluster.CreateFile("/bfa/f" + std::to_string(i), Md(i), 0).ok());
+    }
+    // Unpublished files resolve at L4, which with L1 on would cache them.
+    for (int rep = 0; rep < 3; ++rep) {
+      for (int i = 0; i < 50; ++i) {
+        EXPECT_TRUE(cluster.Lookup("/bfa/f" + std::to_string(i), 0).found);
+      }
+      (void)cluster.Lookup("/absent", 0);
+    }
+    cluster.FlushReplicas(0);
+    for (int i = 0; i < 50; ++i) {
+      EXPECT_TRUE(cluster.Lookup("/bfa/f" + std::to_string(i), 0).found);
+    }
+    EXPECT_EQ(cluster.metrics().levels.l1, 0u) << "M=" << m;
+    EXPECT_GT(cluster.metrics().levels.l4, 0u) << "M=" << m;
+    for (const MdsId id : cluster.alive()) {
+      EXPECT_EQ(cluster.node(id).lru().home_count(), 0u)
+          << "M=" << m << " MDS " << id;
+    }
+  }
+}
+
+TEST(BfaClusterTest, SchemeNameFollowsGroupSizeAndL1) {
+  EXPECT_EQ(GhbaCluster(HbaConfig()).SchemeName(), "HBA");
+  EXPECT_EQ(Bfa(HbaConfig()).SchemeName(), "BFA");
+  EXPECT_EQ(GhbaCluster(SmallConfig()).SchemeName(), "G-HBA");
+}
+
+TEST(HbaMemoryTest, SmallBudgetCausesDiskProbes) {
+  auto config = HbaConfig();
+  config.memory_budget_bytes = 2048;  // tiny: replicas must spill
+  GhbaCluster cluster(config);
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(
+        cluster.CreateFile("/big/f" + std::to_string(i), Md(i), 0).ok());
+  }
+  cluster.FlushReplicas(0);
+  cluster.metrics().Reset();
+  for (int i = 0; i < 100; ++i) {
+    (void)cluster.Lookup("/big/f" + std::to_string(i), 0);
+  }
+  EXPECT_GT(cluster.metrics().disk_probes, 0u);
+}
+
+TEST(HbaMemoryTest, AmpleBudgetAvoidsDiskProbes) {
+  GhbaCluster cluster(HbaConfig());
+  for (int i = 0; i < 500; ++i) {
+    ASSERT_TRUE(
+        cluster.CreateFile("/ok/f" + std::to_string(i), Md(i), 0).ok());
+  }
+  cluster.FlushReplicas(0);
+  cluster.metrics().Reset();
+  for (int i = 0; i < 100; ++i) {
+    (void)cluster.Lookup("/ok/f" + std::to_string(i), 0);
+  }
+  EXPECT_EQ(cluster.metrics().disk_probes, 0u);
+}
+
 }  // namespace
 }  // namespace ghba

@@ -9,7 +9,6 @@
 #include <string>
 
 #include "core/ghba_cluster.hpp"
-#include "core/hba_cluster.hpp"
 #include "hash/murmur3.hpp"
 
 namespace ghba {
@@ -73,7 +72,8 @@ TEST(LookupFastpathTest, GhbaHitHashesOncePerSeed) {
 
 TEST(LookupFastpathTest, HbaLookupHashesOncePerSeed) {
   auto config = FastpathConfig();
-  HbaCluster cluster(config, /*use_lru=*/true);
+  config.max_group_size = 1;  // HBA: G-HBA with groups of one
+  GhbaCluster cluster(config);
   Populate(cluster, 200);
   for (int i = 0; i < 16; ++i) {
     LookupOutcome hit;

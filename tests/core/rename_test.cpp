@@ -7,7 +7,6 @@
 
 #include "core/ghba_cluster.hpp"
 #include "core/hash_cluster.hpp"
-#include "core/hba_cluster.hpp"
 
 namespace ghba {
 namespace {
@@ -70,7 +69,9 @@ TEST(RenameTest, GhbaRenamesWithoutMigration) {
 }
 
 TEST(RenameTest, HbaRenamesWithoutMigration) {
-  HbaCluster cluster(RenameConfig());
+  auto config = RenameConfig();
+  config.max_group_size = 1;  // HBA: G-HBA with groups of one
+  GhbaCluster cluster(config);
   PopulateTwoDirs(cluster);
   ReconfigReport rep;
   const auto renamed = cluster.RenamePrefix("/old/", "/new/", 0, &rep);

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "core/ghba_cluster.hpp"
-#include "core/hba_cluster.hpp"
 
 namespace ghba {
 namespace {
@@ -126,7 +125,9 @@ TEST(ReplaySimulatorTest, CloseWritesAttributesAtHome) {
 }
 
 TEST(ReplaySimulatorTest, WorksWithHbaToo) {
-  HbaCluster cluster(TestConfig());
+  auto config = TestConfig();
+  config.max_group_size = 1;  // HBA: G-HBA with groups of one
+  GhbaCluster cluster(config);
   ReplaySimulator sim(cluster);
   IntensifiedTrace trace(TinyProfile(), 2, 15, 0);
   sim.Populate(trace);

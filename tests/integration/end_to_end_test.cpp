@@ -9,7 +9,6 @@
 
 #include "core/ghba_cluster.hpp"
 #include "core/hash_cluster.hpp"
-#include "core/hba_cluster.hpp"
 #include "core/simulator.hpp"
 
 namespace ghba {
@@ -37,10 +36,13 @@ ClusterConfig IntegrationConfig(std::uint32_t n = 10) {
 // lookup structures are routing accelerators, never sources of truth.
 TEST(EndToEndTest, AllSchemesAgreeOnMembership) {
   std::vector<std::unique_ptr<MetadataCluster>> clusters;
+  // HBA and BFA are G-HBA with groups of one, L1 on and off.
+  auto groups_of_one = IntegrationConfig();
+  groups_of_one.max_group_size = 1;
   clusters.push_back(std::make_unique<GhbaCluster>(IntegrationConfig()));
-  clusters.push_back(std::make_unique<HbaCluster>(IntegrationConfig()));
-  clusters.push_back(
-      std::make_unique<HbaCluster>(IntegrationConfig(), /*use_lru=*/false));
+  clusters.push_back(std::make_unique<GhbaCluster>(groups_of_one));
+  clusters.push_back(std::make_unique<GhbaCluster>(
+      groups_of_one, ReplicaPlacement::kLeastLoaded, /*use_lru=*/false));
   clusters.push_back(
       std::make_unique<HashPlacementCluster>(IntegrationConfig()));
 
