@@ -55,17 +55,24 @@ Result<std::vector<std::vector<std::uint8_t>>> BatchRepliesOf(
 }
 
 /// The first failure in a kBatch reply of `n` sub-responses, else Ok.
-Status BatchStatusOf(const Result<std::vector<std::uint8_t>>& resp,
-                     std::size_t n) {
-  auto subs = BatchRepliesOf(resp, n);
-  if (!subs.ok()) return subs.status();
-  for (const auto& sub : *subs) {
+/// The first failure among a kBatch reply's sub-responses.
+Status SubStatusOf(const std::vector<std::vector<std::uint8_t>>& subs) {
+  for (const auto& sub : subs) {
     ByteReader in(sub);
     const auto env = OpenEnvelope(in);
     if (!env.ok()) return env.status();
     if (!env->status.ok()) return env->status;
   }
   return Status::Ok();
+}
+
+/// The filter a kGetFilter or kReplicaFetch response carries.
+Result<BloomFilter> DecodeFilterResp(const std::vector<std::uint8_t>& resp) {
+  ByteReader in(resp);
+  auto env = OpenEnvelope(in);
+  if (!env.ok()) return env.status();
+  if (!env->has_payload) return env->status;
+  return DecompressFilter(in);
 }
 
 /// The kTxnPrepare frame for `op`.
@@ -221,20 +228,6 @@ void PrototypeCluster::BumpEpochLocked() {
   PublishTopologyLocked();
 }
 
-Result<std::vector<std::vector<std::uint8_t>>> PrototypeCluster::CallBatch(
-    MdsId id, const std::vector<std::vector<std::uint8_t>>& reqs) {
-  std::vector<std::vector<std::uint8_t>> out;
-  out.reserve(reqs.size());
-  for (std::size_t off = 0; off < reqs.size();) {
-    const auto window = BatchWindow(reqs, off);
-    auto subs = BatchRepliesOf(Call(id, EncodeBatch(window)), window.size());
-    if (!subs.ok()) return subs.status();
-    for (auto& sub : *subs) out.push_back(std::move(sub));
-    off += window.size();
-  }
-  return out;
-}
-
 void PrototypeCluster::NoteSuspectsLocked(const Suspects& suspects) {
   for (const Suspect& suspect : suspects) {
     if (in_failover_) return;  // repair traffic only accounts, never chases
@@ -284,14 +277,29 @@ void PrototypeCluster::FailOverConfirmedLocked(MdsId id) {
   }
 }
 
+Result<std::vector<BloomFilter>> PrototypeCluster::FetchFilters(
+    const std::vector<MdsId>& owners) {
+  const auto req = EncodeHeader(MsgType::kGetFilter);
+  const std::vector<std::uint8_t>* const frame = &req;
+  Suspects suspects;
+  auto replies = router_.Scatter(PortsLocked(), owners, {&frame, 1},
+                                 &suspects);
+  NoteSuspectsLocked(suspects);
+  std::vector<BloomFilter> filters;
+  filters.reserve(owners.size());
+  for (const Router::Reply& reply : replies) {
+    if (!reply.resp.ok()) return reply.resp.status();
+    auto filter = DecodeFilterResp(*reply.resp);
+    if (!filter.ok()) return filter.status();
+    filters.push_back(std::move(*filter));
+  }
+  return filters;
+}
+
 Result<BloomFilter> PrototypeCluster::FetchFilter(MdsId owner) {
-  auto resp = Call(owner, EncodeHeader(MsgType::kGetFilter));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  if (!env->has_payload) return env->status;
-  return DecompressFilter(in);
+  auto filters = FetchFilters({owner});
+  if (!filters.ok()) return filters.status();
+  return std::move(filters->front());
 }
 
 Status PrototypeCluster::InstallReplica(MdsId holder, MdsId owner,
@@ -730,28 +738,33 @@ Status PrototypeCluster::PublishAll() {
 
 Status PrototypeCluster::RefreshLocked(const std::vector<MdsId>& owners) {
   FlagGuard guard(in_failover_);  // iterates plan_ across Calls
+  auto filters = FetchFilters(owners);
+  if (!filters.ok()) return filters.status();
   Batches installs;
-  for (const MdsId owner : owners) {
-    auto filter = FetchFilter(owner);
-    if (!filter.ok()) return filter.status();
+  for (std::size_t i = 0; i < owners.size(); ++i) {
     for (const auto& [gid, g] : plan_.groups()) {
-      const auto it = g.replica_holder.find(owner);
+      const auto it = g.replica_holder.find(owners[i]);
       if (it != g.replica_holder.end()) {
-        installs[it->second].push_back(EncodeReplicaInstall(owner, *filter));
+        installs[it->second].push_back(
+            EncodeReplicaInstall(owners[i], (*filters)[i]));
       }
     }
   }
   return SendBatchesLocked(installs);
 }
 
-Status PrototypeCluster::SendBatchesLocked(const Batches& batches) {
-  // Ports as this lock sees them: a joining server is sent its installs
-  // before the topology that lists it is published.
+Topology PrototypeCluster::PortsLocked() const {
   Topology ports;
   ports.port.resize(servers_.size());
   for (MdsId id = 0; id < servers_.size(); ++id) {
     ports.port[id] = PortLocked(id);
   }
+  return ports;
+}
+
+Status PrototypeCluster::SendBatchesLocked(const Batches& batches,
+                                           Batches* out) {
+  const Topology ports = PortsLocked();
   std::vector<const Batches::value_type*> open;  // servers with reqs left
   for (const auto& entry : batches) {
     if (!entry.second.empty()) open.push_back(&entry);
@@ -775,11 +788,17 @@ Status PrototypeCluster::SendBatchesLocked(const Batches& batches) {
     NoteSuspectsLocked(suspects);
     std::vector<const Batches::value_type*> next;
     for (std::size_t i = 0; i < open.size(); ++i) {
-      if (Status s = BatchStatusOf(replies[i].resp, counts[i]); !s.ok()) {
+      auto subs = BatchRepliesOf(replies[i].resp, counts[i]);
+      Status s = subs.ok() ? SubStatusOf(*subs) : subs.status();
+      if (!s.ok()) {
         if (result.ok()) result = std::move(s);
-      } else if (off + counts[i] < open[i]->second.size()) {
-        next.push_back(open[i]);
+        continue;
       }
+      if (out != nullptr) {
+        auto& got = (*out)[open[i]->first];
+        for (auto& sub : *subs) got.push_back(std::move(sub));
+      }
+      if (off + counts[i] < open[i]->second.size()) next.push_back(open[i]);
     }
     open = std::move(next);
   }
@@ -838,36 +857,35 @@ Status PrototypeCluster::ExecuteDiffLocked(const ReplicaDiff& diff) {
     }
   }
 
-  // Fetch: one kGetFilter per owner, one kReplicaFetch batch per old
-  // holder a move copies from.
-  std::map<MdsId, BloomFilter> own;
+  // Fetch: one scatter of kGetFilter frames to the owners, then one round
+  // of kReplicaFetch batches to the old holders a move copies from.
+  std::vector<MdsId> owners;
+  Batches fetch_reqs;
   std::map<MdsId, std::vector<MdsId>> copied;  // old holder -> owners
   for (const auto& [slot, source] : installs) {
     if (source == kInvalidMds) {
-      own.try_emplace(slot.second);
+      owners.push_back(slot.second);
     } else {
       copied[source].push_back(slot.second);
+      fetch_reqs[source].push_back(EncodeReplicaFetch(slot.second));
     }
   }
-  for (auto& [owner, filter] : own) {
-    auto fetched = FetchFilter(owner);
-    if (!fetched.ok()) return fetched.status();
-    filter = std::move(*fetched);
+  std::sort(owners.begin(), owners.end());
+  owners.erase(std::unique(owners.begin(), owners.end()), owners.end());
+  auto filters = FetchFilters(owners);
+  if (!filters.ok()) return filters.status();
+  std::map<MdsId, BloomFilter> own;
+  for (std::size_t i = 0; i < owners.size(); ++i) {
+    own.emplace(owners[i], std::move((*filters)[i]));
   }
+  Batches fetched;
+  if (Status s = SendBatchesLocked(fetch_reqs, &fetched); !s.ok()) return s;
   std::map<Slot, BloomFilter> copies;
-  for (const auto& [source, owners] : copied) {
-    std::vector<std::vector<std::uint8_t>> reqs;
-    for (const MdsId owner : owners) reqs.push_back(EncodeReplicaFetch(owner));
-    auto resps = CallBatch(source, reqs);
-    if (!resps.ok()) return resps.status();
-    for (std::size_t i = 0; i < owners.size(); ++i) {
-      ByteReader in((*resps)[i]);
-      auto env = OpenEnvelope(in);
-      if (!env.ok()) return env.status();
-      if (!env->has_payload) return env->status;
-      auto filter = DecompressFilter(in);
+  for (const auto& [source, held] : copied) {
+    for (std::size_t i = 0; i < held.size(); ++i) {
+      auto filter = DecodeFilterResp(fetched.at(source)[i]);
       if (!filter.ok()) return filter.status();
-      copies.emplace(Slot{source, owners[i]}, std::move(*filter));
+      copies.emplace(Slot{source, held[i]}, std::move(*filter));
     }
   }
 

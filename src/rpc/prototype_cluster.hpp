@@ -6,7 +6,9 @@
 // the simulator uses too: every topology change is "plan, then execute",
 // where executing a ReplicaDiff costs one kGetFilter per owner whose filter
 // is installed, one kReplicaFetch batch per old holder a move copies from,
-// then one kBatch of installs per server and one of drops. HBA is the
+// then one kBatch of installs per server and one of drops. Each of the
+// four kinds goes out as one Router::Scatter, so it costs one round trip
+// however many servers it reaches. HBA is the
 // planner's M = 1 (every server a group of one). Message counts come
 // straight from the servers' frame counters, which is what Fig. 15 plots.
 //
@@ -312,14 +314,6 @@ class PrototypeCluster {
   /// every client cache entry stamped with an older one) and publish.
   void BumpEpochLocked() GHBA_REQUIRES(mu_);
 
-  /// Issue `reqs` against one server and return the responses in request
-  /// order. Requests pack into kBatch frames (at most kMaxBatchFrames
-  /// sub-frames each, one CRC per frame). Every req must be a
-  /// BatchableType request.
-  Result<std::vector<std::vector<std::uint8_t>>> CallBatch(
-      MdsId id, const std::vector<std::vector<std::uint8_t>>& reqs)
-      GHBA_REQUIRES(mu_);
-
   /// Health pipeline for suspected peers: confirm with kPing heart-beats
   /// and fail over the confirmed dead. The Locked form serves orchestrator
   /// calls; the unlocked form serves the Router path, pinging with nothing
@@ -333,18 +327,29 @@ class PrototypeCluster {
   /// the automatic detection path.
   Status FailOver(MdsId id) GHBA_REQUIRES(mu_);
 
+  /// The current local filter of each of `owners`, in order, fetched in one
+  /// Router::Scatter of kGetFilter frames. Any failed fetch fails the call.
+  Result<std::vector<BloomFilter>> FetchFilters(
+      const std::vector<MdsId>& owners) GHBA_REQUIRES(mu_);
   Result<BloomFilter> FetchFilter(MdsId owner) GHBA_REQUIRES(mu_);
   Status InstallReplica(MdsId holder, MdsId owner, const BloomFilter& filter)
       GHBA_REQUIRES(mu_);
 
-  /// Requests per server, packed into kBatch frames like CallBatch.
+  /// Every live server's port as this lock sees them: a joining server is
+  /// reached before the topology that lists it is published.
+  Topology PortsLocked() const GHBA_REQUIRES(mu_);
+  /// Requests per server, packed into kBatch frames (at most
+  /// kMaxBatchFrames sub-frames each, one CRC per frame). Every request
+  /// must be a BatchableType request.
   using Batches = std::map<MdsId, std::vector<std::vector<std::uint8_t>>>;
   /// Send every server's requests in rounds: each round is one
   /// Router::Scatter carrying every server's next kBatch window, so the
   /// servers work in parallel. A server whose window failed is sent no
   /// more; the others finish. The first failure (in server order) is
-  /// returned.
-  Status SendBatchesLocked(const Batches& batches) GHBA_REQUIRES(mu_);
+  /// returned. With `out`, each server's sub-responses are appended to
+  /// its entry there, in request order.
+  Status SendBatchesLocked(const Batches& batches, Batches* out = nullptr)
+      GHBA_REQUIRES(mu_);
   /// Adopt `step.plan` and execute its diff.
   Status ApplyStepLocked(PlanStep step) GHBA_REQUIRES(mu_);
   /// Execute a ReplicaDiff as batched frames (see the file comment). A
