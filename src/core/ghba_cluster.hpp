@@ -32,9 +32,10 @@ class GhbaCluster final : public ClusterBase {
  public:
   /// `use_lru == false` turns L1 off: no LRU array is probed, touched or
   /// counted (the BFA baseline at M = 1).
-  explicit GhbaCluster(ClusterConfig config,
-                       ReplicaPlacement placement = ReplicaPlacement::kLeastLoaded,
-                       bool use_lru = true);
+  explicit GhbaCluster(
+      ClusterConfig config,
+      ReplicaPlacement placement = ReplicaPlacement::kLeastLoaded,
+      bool use_lru = true);
 
   std::string SchemeName() const override;
 

@@ -54,8 +54,7 @@ Result<std::vector<std::vector<std::uint8_t>>> BatchRepliesOf(
   return subs;
 }
 
-/// The first failure in a kBatch reply of `n` sub-responses, else Ok.
-/// The first failure among a kBatch reply's sub-responses.
+/// The first failure among a kBatch reply's sub-responses, else Ok.
 Status SubStatusOf(const std::vector<std::vector<std::uint8_t>>& subs) {
   for (const auto& sub : subs) {
     ByteReader in(sub);
