@@ -2,8 +2,8 @@
 // layer. This is the bench behind BENCH_reconfig.json:
 //
 //   * Cost series: for several group sizes M (N fixed), the real TCP
-//     frames and wall time of one AddServer (join), one three-phase
-//     MigrateReplica, one KillServer + RestartServer of a member (restart)
+//     frames and wall time of one AddServer (join), one MigrateReplica (a
+//     one-move diff), one KillServer + RestartServer of a member (restart)
 //     and one RemoveServer (graceful leave). Join/leave touch the whole
 //     group (filter exchange), so the frame counts grow with M; migration
 //     touches three servers and should stay nearly flat. Replicas are
@@ -302,7 +302,7 @@ int main(int argc, char** argv) {
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> migrations{0};
   // Bounce one outsider replica between two group members: each pass is a
-  // full three-phase handoff with its own epoch bump.
+  // one-move diff (fetch, install, publish under a new epoch, drop).
   std::thread churner([&] {
     MdsId target = a.to;
     while (!stop.load(std::memory_order_relaxed)) {

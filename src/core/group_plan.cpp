@@ -135,13 +135,6 @@ MdsId GroupPlan::PlacementTarget(const Group& g, MdsId owner) const {
   return LightestMember(g);
 }
 
-void GroupPlan::Rehome(Group& g, MdsId owner, MdsId to) {
-  MdsId& holder = g.replica_holder.at(owner);
-  EraseOwner(held_[holder], owner);
-  held_[to].push_back(owner);
-  holder = to;
-}
-
 void GroupPlan::Install(Group& g, MdsId owner, MdsId holder, bool migration,
                         ReplicaDiff& diff) {
   assert(!g.replica_holder.contains(owner));
@@ -152,9 +145,11 @@ void GroupPlan::Install(Group& g, MdsId owner, MdsId holder, bool migration,
 }
 
 void GroupPlan::Move(Group& g, MdsId owner, MdsId to, ReplicaDiff& diff) {
-  const MdsId from = g.replica_holder.at(owner);
-  Rehome(g, owner, to);
-  diff.ops.push_back({ReplicaOp::Kind::kMove, owner, from, to, true});
+  MdsId& holder = g.replica_holder.at(owner);
+  diff.ops.push_back({ReplicaOp::Kind::kMove, owner, holder, to, true});
+  EraseOwner(held_[holder], owner);
+  held_[to].push_back(owner);
+  holder = to;
 }
 
 void GroupPlan::Drop(Group& g, MdsId owner, ReplicaDiff& diff) {
@@ -165,11 +160,6 @@ void GroupPlan::Drop(Group& g, MdsId owner, ReplicaDiff& diff) {
   EraseOwner(held_[holder], owner);
   diff.ops.push_back({ReplicaOp::Kind::kDrop, owner, holder, kInvalidMds,
                       false});
-}
-
-void GroupPlan::Reassign(MdsId owner, MdsId to) {
-  Group& g = groups_.at(group_of_.at(to));
-  if (g.replica_holder.at(owner) != to) Rehome(g, owner, to);
 }
 
 // ---------------------------------------------------------------------------
@@ -458,6 +448,13 @@ Result<PlanStep> GroupPlan::PlanSplit(GroupId victim) const {
   }
   PlanStep step{*this, {}};
   step.plan.Split(victim, Servers(), step.diff);
+  return step;
+}
+
+PlanStep GroupPlan::PlanMove(MdsId owner, MdsId to) const {
+  PlanStep step{*this, {}};
+  step.plan.Move(step.plan.groups_.at(group_of_.at(to)), owner, to,
+                 step.diff);
   return step;
 }
 

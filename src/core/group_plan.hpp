@@ -78,9 +78,9 @@ class GroupPlan {
   /// Split group `victim` in two; InvalidArgument below two members.
   Result<PlanStep> PlanSplit(GroupId victim) const;
 
-  /// MigrateReplica's flip: `to`'s group now holds `owner` on `to`.
-  /// Requires `to`'s group to hold a replica of `owner`.
-  void Reassign(MdsId owner, MdsId to);
+  /// Move `to`'s group's replica of `owner` onto member `to`: one kMove
+  /// op. Requires that group to hold it on another member.
+  PlanStep PlanMove(MdsId owner, MdsId to) const;
 
   /// Structural invariants: the groups partition the servers, no group
   /// exceeds M, every group holds exactly one replica of every outsider on
@@ -114,8 +114,6 @@ class GroupPlan {
   GroupId NewGroup();
   MdsId PlacementTarget(const Group& g, MdsId owner) const;
 
-  /// Hand `owner`'s replica in `g` to member `to`, keeping held_ in step.
-  void Rehome(Group& g, MdsId owner, MdsId to);
   void Install(Group& g, MdsId owner, MdsId holder, bool migration,
                ReplicaDiff& diff);
   void Move(Group& g, MdsId owner, MdsId to, ReplicaDiff& diff);

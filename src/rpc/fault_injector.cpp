@@ -137,27 +137,6 @@ bool FaultInjector::HasArmedCrashPoints() const {
   return !crash_points_.empty();
 }
 
-namespace {
-
-const char* MigrationCrashTag(FaultInjector::MigrationPhase phase) {
-  switch (phase) {
-    case FaultInjector::MigrationPhase::kPrepare: return "migrate.prepare";
-    case FaultInjector::MigrationPhase::kFlip: return "migrate.flip";
-    case FaultInjector::MigrationPhase::kRetire: return "migrate.retire";
-  }
-  return "migrate.unknown";
-}
-
-}  // namespace
-
-void FaultInjector::ArmMigrationCrash(MigrationPhase phase) {
-  ArmCrashPoint(MigrationCrashTag(phase));
-}
-
-bool FaultInjector::ConsumeMigrationCrash(MigrationPhase phase) {
-  return ConsumeCrashPoint(MigrationCrashTag(phase));
-}
-
 FaultInjector::Counters FaultInjector::counters() const {
   MutexLock lock(&mu_);
   return counters_;

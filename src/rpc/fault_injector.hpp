@@ -90,24 +90,15 @@ class FaultInjector {
   void UnstallShard(MdsId id, std::uint32_t shard);
   bool IsShardStalled(MdsId id, std::uint32_t shard) const;
 
-  /// Phases of a replica migration (PrototypeCluster::MigrateReplica).
-  /// The phases are orchestrator steps and replicas are memory-only, so a
-  /// crash at any boundary followed by a restart ends with every server's
-  /// segment array matching the orchestrator's holder map.
-  enum class MigrationPhase : std::uint8_t {
-    kPrepare = 1,  ///< fresh owner filter installed in the new holder's
-                   ///< memory; old holder still routes
-    kFlip = 2,     ///< routing flipped: holder map rewritten, epoch bumped
-    kRetire = 3,   ///< old holder dropped its copy
-  };
-
   /// Arm a one-shot crash point by tag. When the instrumented operation
   /// reaches the boundary named by `tag`, it consumes the arm and stops the
   /// server whose state that boundary touched — abruptly, no drain,
   /// no bookkeeping — exactly as if the machine lost power there. Tags are
   /// free-form dotted strings owned by the instrumented code:
-  ///   migrate.prepare / migrate.flip / migrate.retire
-  ///       (PrototypeCluster::MigrateReplica phase boundaries)
+  ///   reconfig.<stage>.<id>  crash server <id> after the scatter round in
+  ///                          which it answered that stage of a
+  ///                          reconfiguration; <stage> is fetch, install
+  ///                          or drop (PrototypeCluster::ApplyStepLocked)
   ///   txn.<phase>[.<k>]      crash the k-th target of a 2PC phase
   ///   txnhalt.<phase>[.<k>]  halt the 2PC driver (client death), server
   ///                          stays up
@@ -120,15 +111,6 @@ class FaultInjector {
 
   /// Any crash point still armed? (Tests assert their arm actually fired.)
   bool HasArmedCrashPoints() const;
-
-  /// Arm a one-shot crash at a replica-migration phase boundary. Wrapper
-  /// over ArmCrashPoint with the migrate.* tags (kept for the existing
-  /// migration tests; new instrumentation should use tags directly).
-  void ArmMigrationCrash(MigrationPhase phase);
-
-  /// Consume the armed crash if it matches `phase` (true at most once per
-  /// ArmMigrationCrash). Thread-safe.
-  bool ConsumeMigrationCrash(MigrationPhase phase);
 
   struct Counters {
     std::uint64_t frames = 0;
@@ -154,8 +136,7 @@ class FaultInjector {
   std::set<MdsId> stalled_ GHBA_GUARDED_BY(mu_);
   std::set<std::pair<MdsId, std::uint32_t>> stalled_shards_
       GHBA_GUARDED_BY(mu_);
-  /// Armed one-shot crash-point tags (migration phases map onto the
-  /// migrate.* tags; 2PC phase boundaries use txn.* / txnhalt.*).
+  /// Armed one-shot crash-point tags (reconfig.*, txn.*, txnhalt.*).
   std::set<std::string> crash_points_ GHBA_GUARDED_BY(mu_);
   struct ArmedFrameFault {
     std::uint16_t port;

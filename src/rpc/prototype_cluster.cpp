@@ -168,7 +168,6 @@ Status PrototypeCluster::Start() {
       !s.ok()) {
     return s;
   }
-  BumpEpochLocked();
   started_ = true;
   return Status::Ok();
 }
@@ -299,16 +298,6 @@ Result<BloomFilter> PrototypeCluster::FetchFilter(MdsId owner) {
   auto filters = FetchFilters({owner});
   if (!filters.ok()) return filters.status();
   return std::move(filters->front());
-}
-
-Status PrototypeCluster::InstallReplica(MdsId holder, MdsId owner,
-                                        const BloomFilter& filter) {
-  auto resp = Call(holder, EncodeReplicaInstall(owner, filter));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  return env->status;
 }
 
 Result<std::vector<MdsId>> PrototypeCluster::MembershipOf(MdsId id) const {
@@ -567,7 +556,7 @@ bool PrototypeCluster::TxnStepLocked(TxnPhase phase, MdsId target) {
     // The server that just processed this message loses power. The driver
     // keeps going and hits the dead peer (or finishes without it) —
     // exactly what a machine failure mid-protocol looks like.
-    CrashTxnLocked(target);
+    PowerOffLocked(target);
     return true;
   }
   if (injector_->ConsumeCrashPoint("txnhalt." + name + suffix) ||
@@ -577,11 +566,10 @@ bool PrototypeCluster::TxnStepLocked(TxnPhase phase, MdsId target) {
   return true;
 }
 
-void PrototypeCluster::CrashTxnLocked(MdsId victim) {
-  // Same power-loss semantics as CrashMigrationLocked: the event loop
-  // stops, its pooled connections drop, every piece of orchestrator
-  // bookkeeping stays. Detection then happens through failed calls, as
-  // after a real machine failure.
+void PrototypeCluster::PowerOffLocked(MdsId victim) {
+  // The event loop stops, its pooled connections drop, every piece of
+  // orchestrator bookkeeping stays. Detection then happens through failed
+  // calls, as after a real machine failure.
   router_.DropPeer(PortLocked(victim));
   if (victim < servers_.size() && servers_[victim]) servers_[victim]->Stop();
 }
@@ -714,7 +702,7 @@ Result<std::uint32_t> PrototypeCluster::ReplicateHotEntry(MdsId owner) {
   FlagGuard guard(in_failover_);  // walks plan_ across Calls
   auto filter = FetchFilter(owner);
   if (!filter.ok()) return filter.status();
-  std::uint32_t installs = 0;
+  Batches installs;
   for (const auto& [gid, g] : plan_.groups()) {
     const auto designated = g.replica_holder.find(owner);
     for (const MdsId m : g.members) {
@@ -722,12 +710,13 @@ Result<std::uint32_t> PrototypeCluster::ReplicateHotEntry(MdsId owner) {
       if (designated != g.replica_holder.end() && designated->second == m) {
         continue;
       }
-      if (Status s = InstallReplica(m, owner, *filter); !s.ok()) return s;
-      ++installs;
+      installs[m].push_back(EncodeReplicaInstall(owner, *filter));
     }
   }
-  metrics_.replicas_migrated += installs;
-  return installs;
+  if (Status s = SendBatchesLocked(installs); !s.ok()) return s;
+  const auto copies = static_cast<std::uint32_t>(installs.size());
+  metrics_.replicas_migrated += copies;
+  return copies;
 }
 
 Status PrototypeCluster::PublishAll() {
@@ -762,7 +751,7 @@ Topology PrototypeCluster::PortsLocked() const {
 }
 
 Status PrototypeCluster::SendBatchesLocked(const Batches& batches,
-                                           Batches* out) {
+                                           Batches* out, const char* stage) {
   const Topology ports = PortsLocked();
   std::vector<const Batches::value_type*> open;  // servers with reqs left
   for (const auto& entry : batches) {
@@ -786,8 +775,10 @@ Status PrototypeCluster::SendBatchesLocked(const Batches& batches,
     auto replies = router_.Scatter(ports, targets, sends, &suspects);
     NoteSuspectsLocked(suspects);
     std::vector<const Batches::value_type*> next;
+    std::vector<MdsId> answered;
     for (std::size_t i = 0; i < open.size(); ++i) {
       auto subs = BatchRepliesOf(replies[i].resp, counts[i]);
+      if (subs.ok()) answered.push_back(open[i]->first);
       Status s = subs.ok() ? SubStatusOf(*subs) : subs.status();
       if (!s.ok()) {
         if (result.ok()) result = std::move(s);
@@ -799,6 +790,7 @@ Status PrototypeCluster::SendBatchesLocked(const Batches& batches,
       }
       if (off + counts[i] < open[i]->second.size()) next.push_back(open[i]);
     }
+    if (stage != nullptr) CrashPointsLocked(stage, answered);
     open = std::move(next);
   }
   return result;
@@ -809,20 +801,16 @@ Status PrototypeCluster::ApplyStepLocked(PlanStep step) {
   // leaves a holder's segment array behind it, which costs false routes
   // (the exact L4 path still answers) until PublishAll installs it.
   plan_ = std::move(step.plan);
-  return ExecuteDiffLocked(step.diff);
-}
-
-Status PrototypeCluster::ExecuteDiffLocked(const ReplicaDiff& diff) {
   FlagGuard guard(in_failover_);  // the diff names servers across Calls
+  reconfig_crash_.clear();
   // Net effect of the ordered ops per (holder, owner): what each server
   // installs, with where the bytes come from (kInvalidMds: the owner's own
   // filter; otherwise the copy on that old holder), and what it drops. A
   // replica installed and then moved or dropped within the diff never
   // travels to its intermediate holder.
-  using Slot = std::pair<MdsId, MdsId>;  // holder, owner
-  std::map<Slot, MdsId> installs;
+  Installs installs;
   std::set<Slot> drops;
-  for (const ReplicaOp& op : diff.ops) {
+  for (const ReplicaOp& op : step.diff.ops) {
     switch (op.kind) {
       case ReplicaOp::Kind::kInstall:
         installs[{op.to, op.owner}] = kInvalidMds;
@@ -850,12 +838,40 @@ Status PrototypeCluster::ExecuteDiffLocked(const ReplicaDiff& diff) {
   }
   // A departed server's filter leaves every survivor, which also purges
   // the L1 entries pointing at it. The departed server is sent nothing.
-  if (diff.departed != kInvalidMds) {
+  const MdsId departed = step.diff.departed;
+  if (departed != kInvalidMds) {
     for (const MdsId other : AliveServersLocked()) {
-      drops.insert({other, diff.departed});
+      drops.insert({other, departed});
     }
   }
 
+  // Publish between the installs and the drops, whatever the installs
+  // returned: every server started so far is in the snapshot, and until
+  // the drops land both holders of a moved replica answer for it (the
+  // dual-epoch window), so a lookup racing the change probes a superset of
+  // the placements: duplicate messages, never a wrong miss.
+  const Status result = InstallLocked(installs);
+  BumpEpochLocked();
+  // Drops are advisory: a missed one leaves a stale replica that costs
+  // false routes, never a wrong answer. After a failed install none is
+  // sent, so no old copy goes before its new one is in place.
+  if (result.ok()) {
+    Batches drop_reqs;
+    for (const auto& [holder, owner] : drops) {
+      if (holder != departed && PortLocked(holder) != 0) {
+        drop_reqs[holder].push_back(EncodeReplicaDrop(owner));
+      }
+    }
+    (void)SendBatchesLocked(drop_reqs, nullptr, "drop");  // advisory
+  }
+  if (!reconfig_crash_.empty()) {
+    return Status::Unavailable("reconfiguration crashed at " +
+                               reconfig_crash_);
+  }
+  return result;
+}
+
+Status PrototypeCluster::InstallLocked(const Installs& installs) {
   // Fetch: one scatter of kGetFilter frames to the owners, then one round
   // of kReplicaFetch batches to the old holders a move copies from.
   std::vector<MdsId> owners;
@@ -873,12 +889,15 @@ Status PrototypeCluster::ExecuteDiffLocked(const ReplicaDiff& diff) {
   owners.erase(std::unique(owners.begin(), owners.end()), owners.end());
   auto filters = FetchFilters(owners);
   if (!filters.ok()) return filters.status();
+  CrashPointsLocked("fetch", owners);
   std::map<MdsId, BloomFilter> own;
   for (std::size_t i = 0; i < owners.size(); ++i) {
     own.emplace(owners[i], std::move((*filters)[i]));
   }
   Batches fetched;
-  if (Status s = SendBatchesLocked(fetch_reqs, &fetched); !s.ok()) return s;
+  if (Status s = SendBatchesLocked(fetch_reqs, &fetched, "fetch"); !s.ok()) {
+    return s;
+  }
   std::map<Slot, BloomFilter> copies;
   for (const auto& [source, held] : copied) {
     for (std::size_t i = 0; i < held.size(); ++i) {
@@ -888,10 +907,7 @@ Status PrototypeCluster::ExecuteDiffLocked(const ReplicaDiff& diff) {
     }
   }
 
-  // Send: every install before any drop, one batch per server each, so a
-  // moved replica is installed before its old copy goes. Drops are
-  // advisory: a missed one leaves a stale replica that costs false routes,
-  // never a wrong answer.
+  // Install: one batch per receiving server.
   Batches install_reqs;
   for (const auto& [slot, source] : installs) {
     const auto& [holder, owner] = slot;
@@ -900,15 +916,19 @@ Status PrototypeCluster::ExecuteDiffLocked(const ReplicaDiff& diff) {
                                     : copies.at(Slot{source, owner});
     install_reqs[holder].push_back(EncodeReplicaInstall(owner, filter));
   }
-  if (Status s = SendBatchesLocked(install_reqs); !s.ok()) return s;
-  Batches drop_reqs;
-  for (const auto& [holder, owner] : drops) {
-    if (holder != diff.departed && PortLocked(holder) != 0) {
-      drop_reqs[holder].push_back(EncodeReplicaDrop(owner));
-    }
+  return SendBatchesLocked(install_reqs, nullptr, "install");
+}
+
+void PrototypeCluster::CrashPointsLocked(const char* stage,
+                                         const std::vector<MdsId>& answered) {
+  if (injector_ == nullptr || !injector_->HasArmedCrashPoints()) return;
+  for (const MdsId id : answered) {
+    std::string tag =
+        std::string("reconfig.") + stage + "." + std::to_string(id);
+    if (!injector_->ConsumeCrashPoint(tag)) continue;
+    PowerOffLocked(id);
+    if (reconfig_crash_.empty()) reconfig_crash_ = std::move(tag);
   }
-  (void)SendBatchesLocked(drop_reqs);
-  return Status::Ok();
 }
 
 Result<PrototypeCluster::ReconfigOutcome> PrototypeCluster::AddServer() {
@@ -927,12 +947,10 @@ Result<PrototypeCluster::ReconfigOutcome> PrototypeCluster::AddServer() {
     }
   }
   if (Status s = StartServer(nid); !s.ok()) return s;
-  if (Status s = ApplyStepLocked(plan_.PlanJoin(nid, rng_)); !s.ok()) {
-    return s;
-  }
-  BumpEpochLocked();
+  const Status joined = ApplyStepLocked(plan_.PlanJoin(nid, rng_));
   const std::uint64_t delta = TotalFramesInLocked() - frames_before;
   metrics_.reconfig_messages += delta;
+  if (!joined.ok()) return joined;
   return ReconfigOutcome{nid, delta};
 }
 
@@ -945,8 +963,7 @@ Status PrototypeCluster::SplitLargestGroup() {
   auto step = plan_.PlanSplit(plan_.LargestGroup());
   if (!step.ok()) return step.status();
   const std::uint64_t frames_before = TotalFramesInLocked();
-  Status result = ApplyStepLocked(std::move(*step));
-  BumpEpochLocked();
+  const Status result = ApplyStepLocked(std::move(*step));
   metrics_.reconfig_messages += TotalFramesInLocked() - frames_before;
   return result;
 }
@@ -986,8 +1003,14 @@ Result<RecoveryInfoResp> PrototypeCluster::RestartServerLocked(MdsId id) {
   FlagGuard guard(in_failover_);  // reconfigures across Calls
   if (Status s = StartServer(id); !s.ok()) return s;
 
-  // Recovery handshake before the peer takes any traffic: what did its
-  // durable engine bring back? (Without --data-dir: durable=false, zeros.)
+  // The new incarnation starts with an empty segment array (replicas are
+  // memory-only), and the join installs exactly the replicas the holder
+  // map assigns to it; nothing else in the cluster is touched. The join
+  // publishes the started server whatever it or the handshake returns.
+  const Status joined = ApplyStepLocked(plan_.PlanJoin(id, rng_));
+
+  // Recovery handshake: what did its durable engine bring back? (Without
+  // --data-dir: durable=false, zeros.)
   auto resp = Call(id, EncodeHeader(MsgType::kRecoveryInfo));
   if (!resp.ok()) return resp.status();
   ByteReader in(*resp);
@@ -996,14 +1019,7 @@ Result<RecoveryInfoResp> PrototypeCluster::RestartServerLocked(MdsId id) {
   if (!env->has_payload) return env->status;
   auto info = DecodeRecoveryInfoResp(in);
   if (!info.ok()) return info.status();
-
-  // The new incarnation starts with an empty segment array (replicas are
-  // memory-only), and the join installs exactly the replicas the holder
-  // map assigns to it; nothing else in the cluster is touched.
-  if (Status s = ApplyStepLocked(plan_.PlanJoin(id, rng_)); !s.ok()) {
-    return s;
-  }
-  BumpEpochLocked();
+  if (!joined.ok()) return joined;
   return *info;
 }
 
@@ -1038,10 +1054,12 @@ Result<PrototypeCluster::ReconfigOutcome> PrototypeCluster::RemoveServer(
   const std::uint64_t frames_before = TotalFramesInLocked();
 
   // The leaver's replicas move to its co-members and every survivor drops
-  // its filter; a merge may follow.
+  // its filter; a merge may follow. Once the plan is adopted the leaver is
+  // in no group, so it drains and leaves servers_ whatever the executor
+  // returned, and the first failure is returned at the end.
   PlanStep step = plan_.PlanLeave(id);
   const std::vector<MdsId> receivers = step.diff.drain_targets;
-  if (Status s = ApplyStepLocked(std::move(step)); !s.ok()) return s;
+  const Status applied = ApplyStepLocked(std::move(step));
 
   // Drain the files to the leaver's group (to every survivor when the group
   // emptied). kExportFiles extracts and clears the leaver's store, so until
@@ -1050,29 +1068,10 @@ Result<PrototypeCluster::ReconfigOutcome> PrototypeCluster::RemoveServer(
   // the leaver is published before the gate opens, and so before the
   // leaver stops: no lookup routes to a stopped leaver.
   std::unique_ptr<MdsServer> leaver;
+  Status drained;
   {
     WriterMutexLock drain_gate(&router_.drain_gate());
-    auto resp = Call(id, EncodeHeader(MsgType::kExportFiles));
-    if (!resp.ok()) return resp.status();
-    ByteReader in(*resp);
-    auto env = OpenEnvelope(in);
-    if (!env.ok()) return env.status();
-    if (!env->has_payload) return env->status;
-    auto files = DecodeFileListResp(in);
-    if (!files.ok()) return files.status();
-    // Round-robin the files across the receivers, then ship each
-    // receiver's share as batched writes: one kBatch frame per
-    // kMaxBatchFrames inserts, one CRC and one round-trip each, instead of
-    // a Call per file.
-    Batches drain;
-    std::size_t rr = 0;
-    for (const auto& [path, md] : files->files) {
-      drain[receivers[rr++ % receivers.size()]].push_back(
-          EncodeInsert(path, md));
-    }
-    if (Status s = SendBatchesLocked(drain); !s.ok()) {
-      return Status::Internal("drain re-insert failed: " + s.ToString());
-    }
+    drained = DrainLocked(id, receivers);
     leaver = std::move(servers_[id]);
     PublishTopologyLocked();
   }
@@ -1087,13 +1086,41 @@ Result<PrototypeCluster::ReconfigOutcome> PrototypeCluster::RemoveServer(
   // history must die with this incarnation, or the re-added server would
   // start life marked dead.
   health_.Forget(id);
-  if (Status s = RefreshLocked(receivers); !s.ok()) return s;
+  const Status refreshed = RefreshLocked(receivers);
   BumpEpochLocked();
 
   const std::uint64_t delta =
       TotalFramesInLocked() + victim_frames - frames_before;
   metrics_.reconfig_messages += delta;
+  for (const Status& s : {applied, drained, refreshed}) {
+    if (!s.ok()) return s;
+  }
   return ReconfigOutcome{id, delta};
+}
+
+Status PrototypeCluster::DrainLocked(MdsId id,
+                                     const std::vector<MdsId>& receivers) {
+  auto resp = Call(id, EncodeHeader(MsgType::kExportFiles));
+  if (!resp.ok()) return resp.status();
+  ByteReader in(*resp);
+  auto env = OpenEnvelope(in);
+  if (!env.ok()) return env.status();
+  if (!env->has_payload) return env->status;
+  auto files = DecodeFileListResp(in);
+  if (!files.ok()) return files.status();
+  // Round-robin the files across the receivers, then ship each receiver's
+  // share as batched writes: one kBatch frame per kMaxBatchFrames inserts,
+  // one CRC and one round-trip each, instead of a Call per file.
+  Batches drain;
+  std::size_t rr = 0;
+  for (const auto& [path, md] : files->files) {
+    drain[receivers[rr++ % receivers.size()]].push_back(
+        EncodeInsert(path, md));
+  }
+  if (Status s = SendBatchesLocked(drain); !s.ok()) {
+    return Status::Internal("drain re-insert failed: " + s.ToString());
+  }
+  return Status::Ok();
 }
 
 Status PrototypeCluster::KillServer(MdsId id) {
@@ -1140,27 +1167,15 @@ Status PrototypeCluster::FailOver(MdsId id) {
   // Fail-over (Section 4.5): "the corresponding Bloom filters are removed
   // from the other MDSs" — every survivor drops the dead server's replica
   // and purges its L1 entries pointing there — and the dead server's group
-  // re-installs what it held from the owners.
+  // re-installs what it held from the owners. The epoch bump makes clients
+  // drop placements cached before the fail-over. The dead peer's health
+  // verdict deliberately survives (tests assert the kDead state is visible
+  // after automatic detection); only a graceful RemoveServer — or a
+  // restart of the same id — clears it.
   const Status result = ApplyStepLocked(plan_.PlanFail(id));
-  // Clients drop placements cached before the fail-over. The dead peer's
-  // health verdict deliberately survives (tests assert the kDead state is
-  // visible after automatic detection); only a graceful RemoveServer — or
-  // a restart of the same id — clears it.
-  BumpEpochLocked();
   metrics_.reconfig_messages +=
       TotalFramesInLocked() + victim_frames - frames_before;
   return result;
-}
-
-Status PrototypeCluster::CrashMigrationLocked(MdsId victim,
-                                              const char* phase) {
-  // Power loss at a phase boundary: the event loop stops, every piece of
-  // orchestrator bookkeeping stays (as CrashServer), and the caller's test
-  // restarts the victim to see where the replica placement lands.
-  router_.DropPeer(PortLocked(victim));
-  if (victim < servers_.size() && servers_[victim]) servers_[victim]->Stop();
-  return Status::Unavailable(std::string("migration crashed at phase ") +
-                             phase);
 }
 
 Status PrototypeCluster::MigrateReplica(MdsId owner, MdsId to) {
@@ -1180,48 +1195,12 @@ Status PrototypeCluster::MigrateReplica(MdsId owner, MdsId to) {
   if (assignment == holders.end()) {
     return Status::NotFound("target's group holds no replica of this owner");
   }
-  const MdsId from = assignment->second;
-  if (from == to) return Status::Ok();
-  FlagGuard guard(in_failover_);  // reconfigures across Calls
+  if (assignment->second == to) return Status::Ok();
   const std::uint64_t frames_before = TotalFramesInLocked();
-
-  // Phase 1 — prepare. Snapshot the owner's *current* filter and install
-  // it in the new holder's memory. From here until retire, both holders
-  // answer probes for the owner — the dual-epoch window: a lookup racing
-  // the flip probes a superset of placements, so the window costs
-  // duplicate messages, never a wrong miss.
-  auto filter = FetchFilter(owner);
-  if (!filter.ok()) return filter.status();
-  if (Status s = InstallReplica(to, owner, *filter); !s.ok()) return s;
-  if (injector_ != nullptr &&
-      injector_->ConsumeMigrationCrash(
-          FaultInjector::MigrationPhase::kPrepare)) {
-    // Routing still points at `from`: the copy on `to` dies with its
-    // memory, and the rejoin installs only what the holder map assigns.
-    return CrashMigrationLocked(to, "prepare");
-  }
-
-  // Phase 2 — flip: rewrite the holder map and bump the epoch. The commit
-  // point: a restarted server receives exactly what this map assigns it,
-  // so from here a crash completes the migration instead of undoing it.
-  plan_.Reassign(owner, to);
-  BumpEpochLocked();
-  if (injector_ != nullptr &&
-      injector_->ConsumeMigrationCrash(FaultInjector::MigrationPhase::kFlip)) {
-    return CrashMigrationLocked(from, "flip");
-  }
-
-  // Phase 3 — retire: the old holder drops its copy. The new copy is
-  // installed, so a failed retire only leaves a stale duplicate.
-  (void)Call(from, EncodeReplicaDrop(owner));
+  const Status result = ApplyStepLocked(plan_.PlanMove(owner, to));
   ++metrics_.replicas_migrated;
   metrics_.reconfig_messages += TotalFramesInLocked() - frames_before;
-  if (injector_ != nullptr &&
-      injector_->ConsumeMigrationCrash(
-          FaultInjector::MigrationPhase::kRetire)) {
-    return CrashMigrationLocked(from, "retire");
-  }
-  return Status::Ok();
+  return result;
 }
 
 Result<AdaptiveDecision> PrototypeCluster::AdaptivityTick(

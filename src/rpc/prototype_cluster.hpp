@@ -3,12 +3,13 @@
 // Spawns one MdsServer per MDS and runs every mutation: inserts, unlinks,
 // renames, joins, leaves, crashes, restarts, migrations and splits. Group
 // membership and replica placement come from core::GroupPlan, the planner
-// the simulator uses too: every topology change is "plan, then execute",
-// where executing a ReplicaDiff costs one kGetFilter per owner whose filter
-// is installed, one kReplicaFetch batch per old holder a move copies from,
-// then one kBatch of installs per server and one of drops. Each of the
-// four kinds goes out as one Router::Scatter, so it costs one round trip
-// however many servers it reaches. HBA is the
+// the simulator uses too: every topology change, a replica migration
+// included, is "plan, then execute", where executing a ReplicaDiff costs
+// one kGetFilter per owner whose filter is installed, one kReplicaFetch
+// batch per old holder a move copies from, then one kBatch of installs per
+// server, the publish of the new topology, and one kBatch of drops per
+// server. Each of the four kinds goes out as one Router::Scatter, so it
+// costs one round trip however many servers it reaches. HBA is the
 // planner's M = 1 (every server a group of one). Message counts come
 // straight from the servers' frame counters, which is what Fig. 15 plots.
 //
@@ -212,21 +213,13 @@ class PrototypeCluster {
   /// crashed-but-undetected server is failed over first.
   Result<RecoveryInfoResp> RestartServer(MdsId id);
 
-  /// Move the replica of `owner` held inside `to`'s group onto `to`, as a
-  /// crash-safe three-phase handoff. The phases are orchestrator steps;
-  /// no server keeps durable state about them (replicas are memory-only):
-  ///   1. prepare — snapshot the owner's current filter, install it on
-  ///      `to`; the old holder still routes.
-  ///   2. flip — rewrite the holder map and bump the routing epoch. This
-  ///      is the commit point: the orchestrator's map is what routing
-  ///      follows and what a restarted server is given.
-  ///   3. retire — the old holder drops its copy.
-  /// Between 1 and 3 both holders answer probes for the owner — the
-  /// dual-epoch window: lookups racing the flip probe a superset of
-  /// placements, so the window costs duplicate messages, never a wrong
-  /// miss. A crash at any boundary (see FaultInjector::ArmMigrationCrash)
-  /// recovers to exactly the pre-flip or post-flip placement of this
-  /// replica, never a half-migrated view.
+  /// Move the replica of `owner` held inside `to`'s group onto `to`: the
+  /// one-move diff GroupPlan::PlanMove, run by the executor every other
+  /// reconfiguration uses. It copies the old holder's bytes
+  /// (kReplicaFetch), installs them on `to`, publishes, then drops the old
+  /// copy: three frames. The holder map is adopted first, so a crash at
+  /// any of the executor's crash points, followed by a restart, lands on
+  /// the post-migration placement.
   Status MigrateReplica(MdsId owner, MdsId to);
 
   /// Split the fullest group in two (tail half forms a new group, both
@@ -289,10 +282,11 @@ class PrototypeCluster {
   /// Flash-crowd response: install `owner`'s filter on every live group
   /// member that is not already its designated holder, so hot lookups
   /// resolve at L2 on any entry server instead of funnelling through one
-  /// holder per group (reuses the MigrateReplica install path). The extra
-  /// copies are cache-grade: PublishAll refreshes only designated holders,
-  /// so a stale extra costs a false route that kVerify absorbs, never a
-  /// wrong answer. Returns the number of copies installed.
+  /// holder per group: one kGetFilter, then one scatter of kBatch frames,
+  /// one install per receiving member. The extra copies are cache-grade:
+  /// PublishAll refreshes only designated holders, so a stale extra costs
+  /// a false route that kVerify absorbs, never a wrong answer. Returns the
+  /// number of copies installed.
   Result<std::uint32_t> ReplicateHotEntry(MdsId owner);
 
   /// Total frames received across all servers (monotone counter).
@@ -332,8 +326,6 @@ class PrototypeCluster {
   Result<std::vector<BloomFilter>> FetchFilters(
       const std::vector<MdsId>& owners) GHBA_REQUIRES(mu_);
   Result<BloomFilter> FetchFilter(MdsId owner) GHBA_REQUIRES(mu_);
-  Status InstallReplica(MdsId holder, MdsId owner, const BloomFilter& filter)
-      GHBA_REQUIRES(mu_);
 
   /// Every live server's port as this lock sees them: a joining server is
   /// reached before the topology that lists it is published.
@@ -347,24 +339,41 @@ class PrototypeCluster {
   /// servers work in parallel. A server whose window failed is sent no
   /// more; the others finish. The first failure (in server order) is
   /// returned. With `out`, each server's sub-responses are appended to
-  /// its entry there, in request order.
-  Status SendBatchesLocked(const Batches& batches, Batches* out = nullptr)
-      GHBA_REQUIRES(mu_);
-  /// Adopt `step.plan` and execute its diff.
+  /// its entry there, in request order. With `stage`, each round ends at
+  /// the crash points of that executor stage (CrashPointsLocked).
+  Status SendBatchesLocked(const Batches& batches, Batches* out = nullptr,
+                           const char* stage = nullptr) GHBA_REQUIRES(mu_);
+  /// Adopt `step.plan`, then execute its diff as batched frames (see the
+  /// file comment): fetch, install, publish (BumpEpochLocked), drop. It
+  /// publishes whatever the fetches and installs returned; a failed fetch
+  /// or install fails it and sends no drops; drops are advisory. A crash
+  /// point that fired makes it Unavailable, naming the point.
   Status ApplyStepLocked(PlanStep step) GHBA_REQUIRES(mu_);
-  /// Execute a ReplicaDiff as batched frames (see the file comment). A
-  /// failed fetch or install fails it; drops are advisory.
-  Status ExecuteDiffLocked(const ReplicaDiff& diff) GHBA_REQUIRES(mu_);
+  using Slot = std::pair<MdsId, MdsId>;  // holder, owner
+  /// Each slot to install, with where its bytes come from: kInvalidMds for
+  /// the owner's own filter, else the old holder a move copies.
+  using Installs = std::map<Slot, MdsId>;
+  /// The fetch and install stages of ApplyStepLocked.
+  Status InstallLocked(const Installs& installs) GHBA_REQUIRES(mu_);
+  /// The executor's crash points: after a scatter round of `stage` (fetch,
+  /// install or drop), each armed reconfig.<stage>.<id> of a server that
+  /// answered in it powers that server off and is recorded in
+  /// reconfig_crash_. The executor then carries on as after a real power
+  /// loss.
+  void CrashPointsLocked(const char* stage, const std::vector<MdsId>& answered)
+      GHBA_REQUIRES(mu_);
   /// Install the current filter of each of `owners` on its holders, one
   /// batch per holder.
   Status RefreshLocked(const std::vector<MdsId>& owners) GHBA_REQUIRES(mu_);
-
-  /// Simulated power loss at a migration phase boundary: stop `victim`'s
-  /// event loop abruptly, keep every piece of orchestrator bookkeeping
-  /// (as CrashServer does), and report the aborted migration. The caller's
-  /// test restarts the victim and asserts where recovery landed.
-  Status CrashMigrationLocked(MdsId victim, const char* phase)
+  /// A leave's drain: kExportFiles from `id`, its files re-inserted on
+  /// `receivers` round-robin as batched writes.
+  Status DrainLocked(MdsId id, const std::vector<MdsId>& receivers)
       GHBA_REQUIRES(mu_);
+  /// Power loss at a crash point: stop `victim`'s event loop and drop its
+  /// pooled connections, keeping every piece of orchestrator bookkeeping
+  /// (as CrashServer does); detection happens via failed calls. The
+  /// caller's test restarts the victim and asserts where recovery landed.
+  void PowerOffLocked(MdsId victim) GHBA_REQUIRES(mu_);
 
   /// TxnDriver's transport over Call() (defined in the .cpp). Each method
   /// takes mu_ itself, so the driver runs unlocked between messages —
@@ -398,10 +407,6 @@ class PrototypeCluster {
   /// txnhalt.<phase>[.<k>] (halt the driver — the client dies at that
   /// boundary) crash points armed on the injector. Returns false to halt.
   bool TxnStepLocked(TxnPhase phase, MdsId target) GHBA_REQUIRES(mu_);
-  /// Power loss at a txn phase boundary: same semantics as
-  /// CrashMigrationLocked — the event loop stops, every piece of
-  /// orchestrator bookkeeping stays, detection happens via failed calls.
-  void CrashTxnLocked(MdsId victim) GHBA_REQUIRES(mu_);
   /// Next client-side transaction id. Lazily seeded from rng_ so a fresh
   /// orchestrator over an old data_dir cannot collide with txn ids a
   /// durable coordinator already journaled (ids must be unique per
@@ -469,6 +474,9 @@ class PrototypeCluster {
   /// Reconfiguration guard against recursive fail-over: the repair traffic
   /// itself may hit slow peers, which must only be accounted, not chased.
   bool in_failover_ GHBA_GUARDED_BY(mu_) = false;
+  /// The first crash point that fired in the running ApplyStepLocked;
+  /// empty when none did.
+  std::string reconfig_crash_ GHBA_GUARDED_BY(mu_);
 
   /// The concurrent read path and the transport under every call.
   Router router_;

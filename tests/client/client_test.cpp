@@ -231,8 +231,8 @@ TEST(ClientCacheTest, EpochBumpInvalidatesAcrossACleanMigration) {
   }
   ASSERT_EQ(client->CacheSize(), home_of.size());
 
-  // Move an outsider replica inside server 0's group: the flip bumps the
-  // epoch, which must kill every older lease at the next probe.
+  // Move an outsider replica inside server 0's group: the move's publish
+  // bumps the epoch, which must kill every older lease at the next probe.
   const auto view = cluster.MembershipOf(0);
   ASSERT_TRUE(view.ok());
   MdsId owner = kInvalidMds;
@@ -447,14 +447,13 @@ TEST(ClientCacheTest, HotKeyPromotionReplicatesTheHomeFilter) {
   EXPECT_EQ(CacheCounter(cluster, "cache.hot_promotions"), promotions);
 }
 
-// A crash at any migration phase, then recovery, must never let the facade
-// serve a wrong answer from a pre-migration lease. The commit point is the
-// phase-2 flip; after the restart every segment array matches the holder
-// map, and homes are unchanged (migration moves replicas, not files), so
-// the bar is: all lookups correct, no stale cache hit pointing anywhere
-// wrong.
-class ClientMigrationCrashTest
-    : public ::testing::TestWithParam<FaultInjector::MigrationPhase> {
+// A crash at any stage of a migration, then recovery, must never let the
+// facade serve a wrong answer from a pre-migration lease. The plan is
+// adopted before the move runs; after the restart every segment array
+// matches the holder map, and homes are unchanged (migration moves
+// replicas, not files), so the bar is: all lookups correct, no stale cache
+// hit pointing anywhere wrong.
+class ClientMigrationCrashTest : public ::testing::TestWithParam<MoveCrash> {
  protected:
   void SetUp() override {
     const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
@@ -502,39 +501,38 @@ TEST_P(ClientMigrationCrashTest, NoStaleCacheReadAcrossCrashAndRecovery) {
   }
   ASSERT_NE(to, kInvalidMds);
 
-  injector.ArmMigrationCrash(GetParam());
-  ASSERT_FALSE(cluster.MigrateReplica(owner, to).ok());
-  const bool committed = GetParam() != FaultInjector::MigrationPhase::kPrepare;
-  const MdsId victim = committed ? *from : to;
-  ASSERT_TRUE(cluster.RestartServer(victim).ok());
+  const MdsId victim = GetParam() == MoveCrash::kInstallTo ? to : *from;
+  const std::string tag = ReconfigCrashPoint(StageOf(GetParam()), victim);
+  injector.ArmCrashPoint(tag);
+  const Status failed = cluster.MigrateReplica(owner, to);
+  ASSERT_EQ(failed.code(), StatusCode::kUnavailable);
+  EXPECT_NE(failed.ToString().find(tag), std::string::npos);
+  EXPECT_FALSE(injector.HasArmedCrashPoints());
+  const auto holder = cluster.HolderOf(0, owner);
+  ASSERT_TRUE(holder.ok());
+  EXPECT_EQ(*holder, to);
+  const auto restarted = cluster.RestartServer(victim);
+  ASSERT_TRUE(restarted.ok()) << restarted.status().ToString();
+  EXPECT_TRUE(restarted->durable);
   ExpectSegmentsMatchHolderMap(cluster);
 
-  // Whatever mix of cache hits and re-lookups happens now, every answer
-  // must be found at the unchanged home.
+  // The migration and the restart bumped the routing epoch, so no entry
+  // cached before them may answer; every answer must be found at the
+  // unchanged home.
   for (const auto& [path, home] : home_of) {
     const auto r = client->Lookup(path);
     ASSERT_TRUE(r.ok()) << path;
+    EXPECT_FALSE(r->from_cache) << path;
     EXPECT_TRUE(r->found) << path;
     EXPECT_EQ(r->home, home) << path;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllPhases, ClientMigrationCrashTest,
-    ::testing::Values(FaultInjector::MigrationPhase::kPrepare,
-                      FaultInjector::MigrationPhase::kFlip,
-                      FaultInjector::MigrationPhase::kRetire),
-    [](const ::testing::TestParamInfo<FaultInjector::MigrationPhase>& info) {
-      switch (info.param) {
-        case FaultInjector::MigrationPhase::kPrepare:
-          return "Prepare";
-        case FaultInjector::MigrationPhase::kFlip:
-          return "Flip";
-        case FaultInjector::MigrationPhase::kRetire:
-          return "Retire";
-      }
-      return "Unknown";
-    });
+INSTANTIATE_TEST_SUITE_P(AllStages, ClientMigrationCrashTest,
+                         ::testing::Values(MoveCrash::kFetchFrom,
+                                           MoveCrash::kInstallTo,
+                                           MoveCrash::kDropFrom),
+                         MoveCrashName);
 
 TEST(ClientRaceTest, ConcurrentClientsGetNoWrongAnswerUnderTopologyChurn) {
   ClusterConfig config = ClientTestConfig();

@@ -262,16 +262,29 @@ TEST(GroupPlanTest, DepartureMergesGroupsThatFitWithinM) {
   EXPECT_EQ(plan.PlanLeave(0).diff.drain_targets, (std::vector<MdsId>{1}));
 }
 
-TEST(GroupPlanTest, ReassignMovesOneHolderInPlace) {
+TEST(GroupPlanTest, PlanMoveIsOneMoveOp) {
   std::vector<MdsId> servers{0, 1, 2, 3, 4, 5};
-  GroupPlan plan =
+  const GroupPlan plan =
       GroupPlan::PlanInitial(servers, 3, 0, ReplicaPlacement::kLeastLoaded)
           .plan;
   const MdsId from = plan.GroupOf(0).replica_holder.at(3);
   const MdsId to = from == 0 ? 1 : 0;
-  plan.Reassign(3, to);
-  EXPECT_EQ(plan.GroupOf(0).replica_holder.at(3), to);
-  EXPECT_TRUE(plan.Check().ok()) << plan.Check().ToString();
+  const PlanStep step = plan.PlanMove(3, to);
+
+  ASSERT_EQ(step.diff.ops.size(), 1u);
+  const ReplicaOp& op = step.diff.ops.front();
+  EXPECT_EQ(op.kind, ReplicaOp::Kind::kMove);
+  EXPECT_EQ(op.owner, 3u);
+  EXPECT_EQ(op.from, from);
+  EXPECT_EQ(op.to, to);
+  EXPECT_EQ(step.diff.departed, kInvalidMds);
+  EXPECT_TRUE(step.plan.Check().ok()) << step.plan.Check().ToString();
+  EXPECT_EQ(step.plan.GroupOf(0).replica_holder.at(3), to);
+  EXPECT_EQ(step.plan.LoadOf(to), plan.LoadOf(to) + 1);
+  EXPECT_EQ(step.plan.LoadOf(from), plan.LoadOf(from) - 1);
+  // The source plan is untouched.
+  EXPECT_EQ(plan.GroupOf(0).replica_holder.at(3), from);
+  EXPECT_TRUE(plan.Check().ok());
 }
 
 }  // namespace

@@ -2,12 +2,13 @@
 // and strictly increases with every topology change; a G-HBA join touches
 // only the joined group and one holder per other group; batched writes ride
 // one frame per kMaxBatchFrames requests; a recycled MdsId starts with
-// clean health state (the RemoveServer/KillServer regression); durable
-// servers restart under a bumped epoch with every file; membership churn
-// under live lookups never serves a wrong answer; departures merge groups
-// that fit within M; M = 1 joins open a group of their own; and seeded
-// join/leave/kill/restart/split sequences keep every segment array equal
-// to the planner's holder map on both schemes.
+// clean health state (the RemoveServer/KillServer regression); a failed
+// join still publishes its newcomer; durable servers restart under a
+// bumped epoch with every file; membership churn under live lookups never
+// serves a wrong answer; departures merge groups that fit within M; M = 1
+// joins open a group of their own; and seeded join/leave/kill/restart/split
+// sequences keep every segment array equal to the planner's holder map on
+// both schemes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -97,6 +98,43 @@ TEST(MembershipTest, RecycledIdStartsWithCleanHealthState) {
   // administrative action, not a failure.
   ASSERT_TRUE(cluster.RemoveServer(victim).ok());
   EXPECT_EQ(cluster.health().state(victim), PeerState::kHealthy);
+}
+
+// A join whose install batch fails still publishes the started newcomer.
+// Insert draws homes from every started server, so an unpublished one
+// would take files that the L4 multicast never asks, and their lookups
+// would answer NotFound.
+TEST(MembershipTest, FailedJoinStillPublishesTheNewcomer) {
+  const ClusterConfig config = SmallConfig();
+  FaultInjector injector;
+  PrototypeCluster cluster(config, ProtoScheme::kHba);
+  cluster.set_fault_injector(&injector);
+  ASSERT_TRUE(cluster.Start().ok());
+  // At M = 1 a join sends every other server one kBatch: the install of
+  // the newcomer's filter. Mangle server 0's on every attempt.
+  const std::uint16_t port = cluster.ServerPorts()[0];
+  for (std::uint32_t i = 0; i < config.rpc.max_attempts; ++i) {
+    injector.ArmFrameFault(port, static_cast<std::uint16_t>(MsgType::kBatch),
+                           FaultInjector::FrameAction::kCorrupt);
+  }
+  const auto added = cluster.AddServer();
+  ASSERT_FALSE(added.ok());
+  EXPECT_FALSE(injector.HasArmedFrameFaults());
+  const auto newcomer = static_cast<MdsId>(config.num_mds);
+  ASSERT_EQ(cluster.AliveServers().size(), config.num_mds + 1);
+
+  int on_newcomer = 0;
+  for (int i = 0; i < 64; ++i) {
+    const std::string path = "/failed-join/f" + std::to_string(i);
+    FileMetadata md;
+    md.inode = static_cast<std::uint64_t>(i);
+    ASSERT_TRUE(cluster.Insert(path, md).ok());
+    const auto r = cluster.Lookup(path);
+    ASSERT_TRUE(r.ok()) << path << ": " << r.status().ToString();
+    EXPECT_TRUE(r->found) << path;
+    if (r->found && r->home == newcomer) ++on_newcomer;
+  }
+  EXPECT_GT(on_newcomer, 0);
 }
 
 // The paper's light-weight join (Sec. 4, Fig. 15): when the target group

@@ -1,16 +1,18 @@
-// Crash-safe replica migration: the three-phase handoff must move a
-// replica without ever serving a wrong lookup, and a kill -9 at any phase
-// boundary followed by a restart must leave every server's segment array
-// matching the orchestrator's holder map — replicas are memory-only, and
-// phase 2 (the holder-map flip) is the commit point. The crash cases run
-// parameterized over every phase so a new phase cannot ship without a
-// crash test.
+// Replica migration is a one-move diff run by the executor every
+// reconfiguration shares: it must move a replica without ever serving a
+// wrong lookup, and a power loss at any of the executor's crash points
+// (reconfig.{fetch,install,drop}.<id>) followed by a restart must leave
+// every server's segment array matching the orchestrator's holder map —
+// replicas are memory-only, and the plan is adopted before execution. The
+// migration crash cases run parameterized over every stage; a join, a
+// leave and a split get the same restart-and-check case.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -76,14 +78,20 @@ Actors PickActors(PrototypeCluster& cluster) {
 }
 
 /// Every inserted file still resolves to its recorded home: the zero
-/// wrong-lookups acceptance bar.
+/// wrong-lookups acceptance bar. Files homed on `drained` (a leaver) must
+/// resolve anywhere else.
 void ExpectAllLookupsCorrect(PrototypeCluster& cluster,
-                             const std::map<std::string, MdsId>& home_of) {
+                             const std::map<std::string, MdsId>& home_of,
+                             MdsId drained = kInvalidMds) {
   for (const auto& [path, home] : home_of) {
     const auto r = cluster.Lookup(path);
     ASSERT_TRUE(r.ok()) << path << ": " << r.status().ToString();
     EXPECT_TRUE(r->found) << path;
-    EXPECT_EQ(r->home, home) << path;
+    if (home == drained) {
+      EXPECT_NE(r->home, drained) << path;
+    } else {
+      EXPECT_EQ(r->home, home) << path;
+    }
   }
 }
 
@@ -117,6 +125,8 @@ TEST(MigrationTest, CleanMigrationMovesPlacementAndKeepsLookupsCorrect) {
   ASSERT_TRUE(holds_before.ok());
   EXPECT_TRUE(*holds_before);
   const std::uint64_t epoch_before = cluster.RoutingEpoch();
+  const std::uint64_t messages_before =
+      cluster.metrics().reconfig_messages.value();
 
   ASSERT_TRUE(cluster.MigrateReplica(a.owner, a.to).ok());
 
@@ -129,13 +139,16 @@ TEST(MigrationTest, CleanMigrationMovesPlacementAndKeepsLookupsCorrect) {
   EXPECT_TRUE(*holds_to);
   const auto holds_from = cluster.HoldsReplica(a.from, a.owner);
   ASSERT_TRUE(holds_from.ok());
-  EXPECT_FALSE(*holds_from);  // phase 3 retired the old copy
+  EXPECT_FALSE(*holds_from);  // the drop retired the old copy
 
-  // The flip bumped the routing epoch.
+  // The publish bumped the routing epoch.
   EXPECT_GT(cluster.RoutingEpoch(), epoch_before);
 
+  // One kReplicaFetch batch to the old holder, one install batch to the
+  // new one, one drop batch to the old one.
   EXPECT_GE(cluster.metrics().replicas_migrated.value(), 1u);
-  EXPECT_GT(cluster.metrics().reconfig_messages.value(), 0u);
+  EXPECT_EQ(cluster.metrics().reconfig_messages.value() - messages_before,
+            3u);
   ExpectAllLookupsCorrect(cluster, home_of);
 
   // Migrating onto the current holder is a no-op, not an error.
@@ -152,82 +165,161 @@ TEST(MigrationTest, RejectsUnknownActors) {
   EXPECT_FALSE(cluster.MigrateReplica(a.to, a.to).ok());
 }
 
-class MigrationCrashTest
-    : public ::testing::TestWithParam<FaultInjector::MigrationPhase> {
- protected:
-  void SetUp() override {
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    std::string name = info->name();
-    std::replace(name.begin(), name.end(), '/', '_');
-    dir_ = std::filesystem::temp_directory_path() / ("ghba_migcrash_" + name);
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
-  std::filesystem::path dir_;
-};
-
-TEST_P(MigrationCrashTest, CrashAtPhaseRecoversToAnEndpointPlacement) {
-  const auto phase = GetParam();
-  ClusterConfig config = MigrationConfig();
-  config.storage.data_dir = dir_.string();
-  config.storage.fsync = FsyncPolicy::kAlways;
-
-  FaultInjector injector;
-  PrototypeCluster cluster(config, ProtoScheme::kGhba);
-  cluster.set_fault_injector(&injector);
-  ASSERT_TRUE(cluster.Start().ok());
-  const auto home_of = BuildNamespace(cluster, 24);
-  const auto a = PickActors(cluster);
-  ASSERT_NE(a.from, a.to);
-
-  injector.ArmMigrationCrash(phase);
-  const Status failed = cluster.MigrateReplica(a.owner, a.to);
+/// A reconfiguration that hit an armed crash point: it failed as
+/// Unavailable naming the point, the point fired, and the victim powered
+/// off like a machine failure, still listed alive.
+void ExpectCrashedAt(const Status& failed, const std::string& tag,
+                     const FaultInjector& injector, PrototypeCluster& cluster,
+                     MdsId victim) {
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.code(), StatusCode::kUnavailable);
-  EXPECT_NE(failed.ToString().find("migration crashed"), std::string::npos);
+  EXPECT_NE(failed.ToString().find(tag), std::string::npos)
+      << failed.ToString();
+  EXPECT_FALSE(injector.HasArmedCrashPoints());
+  const auto alive = cluster.AliveServers();
+  EXPECT_NE(std::count(alive.begin(), alive.end(), victim), 0)
+      << "crash must look like a machine failure, not a graceful leave";
+}
 
-  // The commit point is the phase-2 flip: a crash before it leaves the
-  // pre-migration placement, a crash at or after it the post-migration
-  // one. Nothing in between exists to observe.
-  const bool committed = phase != FaultInjector::MigrationPhase::kPrepare;
-  const MdsId victim = committed ? a.from : a.to;
-  const MdsId expected_holder = committed ? a.to : a.from;
-  {
-    const auto alive = cluster.AliveServers();
-    EXPECT_NE(std::count(alive.begin(), alive.end(), victim), 0)
-        << "crash must look like a machine failure, not a graceful leave";
-    const auto holder = cluster.HolderOf(a.member, a.owner);
-    ASSERT_TRUE(holder.ok());
-    EXPECT_EQ(*holder, expected_holder);
-  }
-
-  // Restart the victim: fail-over + durable recovery + rejoin. The new
-  // incarnation comes up with no replicas and receives exactly what the
-  // holder map assigns it; no lookup is ever wrong.
+/// Restart the victim: fail-over + durable recovery + rejoin. The new
+/// incarnation comes up with no replicas and receives exactly what the
+/// holder map assigns it; no lookup is ever wrong.
+void RestartAndCheck(PrototypeCluster& cluster, MdsId victim,
+                     const std::map<std::string, MdsId>& home_of,
+                     MdsId drained = kInvalidMds) {
   const auto info = cluster.RestartServer(victim);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   EXPECT_TRUE(info->durable);
   ExpectSegmentsMatchHolderMap(cluster);
-  ExpectAllLookupsCorrect(cluster, home_of);
+  ExpectAllLookupsCorrect(cluster, home_of, drained);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllPhases, MigrationCrashTest,
-    ::testing::Values(FaultInjector::MigrationPhase::kPrepare,
-                      FaultInjector::MigrationPhase::kFlip,
-                      FaultInjector::MigrationPhase::kRetire),
-    [](const ::testing::TestParamInfo<FaultInjector::MigrationPhase>& info) {
-      switch (info.param) {
-        case FaultInjector::MigrationPhase::kPrepare:
-          return "Prepare";
-        case FaultInjector::MigrationPhase::kFlip:
-          return "Flip";
-        case FaultInjector::MigrationPhase::kRetire:
-          return "Retire";
-      }
-      return "Unknown";
-    });
+/// A durable cluster with an injector attached, in a per-test data dir.
+class CrashFixture : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name = std::string(info->test_suite_name()) + "_" +
+                       info->name();
+    std::replace(name.begin(), name.end(), '/', '_');
+    dir_ = std::filesystem::temp_directory_path() / ("ghba_migcrash_" + name);
+    std::filesystem::remove_all(dir_);
+    ClusterConfig config = MigrationConfig();
+    config.storage.data_dir = dir_.string();
+    config.storage.fsync = FsyncPolicy::kAlways;
+    cluster_ = std::make_unique<PrototypeCluster>(config, ProtoScheme::kGhba);
+    cluster_->set_fault_injector(&injector_);
+    ASSERT_TRUE(cluster_->Start().ok());
+    home_of_ = BuildNamespace(*cluster_, 24);
+  }
+  void TearDown() override {
+    cluster_.reset();
+    std::filesystem::remove_all(dir_);
+  }
+
+  std::filesystem::path dir_;
+  FaultInjector injector_;
+  std::unique_ptr<PrototypeCluster> cluster_;
+  std::map<std::string, MdsId> home_of_;
+};
+
+class MigrationCrashTest : public CrashFixture,
+                           public ::testing::WithParamInterface<MoveCrash> {};
+
+TEST_P(MigrationCrashTest, RestartLandsOnTheNewHolder) {
+  PrototypeCluster& cluster = *cluster_;
+  const auto a = PickActors(cluster);
+  ASSERT_NE(a.from, a.to);
+  const MdsId victim = GetParam() == MoveCrash::kInstallTo ? a.to : a.from;
+  const std::string tag = ReconfigCrashPoint(StageOf(GetParam()), victim);
+
+  injector_.ArmCrashPoint(tag);
+  ExpectCrashedAt(cluster.MigrateReplica(a.owner, a.to), tag, injector_,
+                  cluster, victim);
+  // The plan is adopted before the diff runs: whichever stage the crash
+  // hit, routing and a restart follow the post-migration holder.
+  const auto holder = cluster.HolderOf(a.member, a.owner);
+  ASSERT_TRUE(holder.ok());
+  EXPECT_EQ(*holder, a.to);
+
+  RestartAndCheck(cluster, victim, home_of_);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllStages, MigrationCrashTest,
+                         ::testing::Values(MoveCrash::kFetchFrom,
+                                           MoveCrash::kInstallTo,
+                                           MoveCrash::kDropFrom),
+                         MoveCrashName);
+
+using ReconfigCrashTest = CrashFixture;
+
+TEST_F(ReconfigCrashTest, JoinCrashAtNewcomerInstallRecovers) {
+  PrototypeCluster& cluster = *cluster_;
+  // No slot is free to recycle, so the newcomer takes the next id. The
+  // join splits a full group and the newcomer receives its share of the
+  // replicas in the install round.
+  const auto newcomer = static_cast<MdsId>(cluster.NumServers());
+  const std::string tag = ReconfigCrashPoint("install", newcomer);
+
+  injector_.ArmCrashPoint(tag);
+  ExpectCrashedAt(cluster.AddServer().status(), tag, injector_, cluster,
+                  newcomer);
+  EXPECT_TRUE(cluster.MembershipOf(newcomer).ok());
+
+  RestartAndCheck(cluster, newcomer, home_of_);
+}
+
+TEST_F(ReconfigCrashTest, LeaveCrashAtOutsiderDropStillDrains) {
+  PrototypeCluster& cluster = *cluster_;
+  // Server 1 leaves; its files drain to its co-members. An outsider drops
+  // the leaver's filter in the drop round and loses power there.
+  const MdsId leaver = 1;
+  const auto view = cluster.MembershipOf(leaver);
+  ASSERT_TRUE(view.ok());
+  ASSERT_GT(view->size(), 1u);
+  MdsId victim = kInvalidMds;
+  for (const MdsId id : cluster.AliveServers()) {
+    if (std::find(view->begin(), view->end(), id) == view->end()) {
+      victim = id;
+      break;
+    }
+  }
+  ASSERT_NE(victim, kInvalidMds);
+  const std::string tag = ReconfigCrashPoint("drop", victim);
+
+  injector_.ArmCrashPoint(tag);
+  ExpectCrashedAt(cluster.RemoveServer(leaver).status(), tag, injector_,
+                  cluster, victim);
+  // The leaver is out of the plan, so it is out of the cluster too: a
+  // second leave or a kill of its id finds no such server.
+  const auto alive = cluster.AliveServers();
+  EXPECT_EQ(std::count(alive.begin(), alive.end(), leaver), 0);
+  EXPECT_EQ(cluster.RemoveServer(leaver).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(cluster.KillServer(leaver).code(), StatusCode::kNotFound);
+
+  RestartAndCheck(cluster, victim, home_of_, /*drained=*/leaver);
+}
+
+TEST_F(ReconfigCrashTest, SplitCrashAtTailInstallRecovers) {
+  PrototypeCluster& cluster = *cluster_;
+  // Both groups are full, so the split takes the first, server 0's. Its
+  // tail member forms the new group, which installs the replicas of its
+  // old co-members.
+  const auto view = cluster.MembershipOf(0);
+  ASSERT_TRUE(view.ok());
+  const MdsId victim = view->back();
+  const std::string tag = ReconfigCrashPoint("install", victim);
+
+  injector_.ArmCrashPoint(tag);
+  ExpectCrashedAt(cluster.SplitLargestGroup(), tag, injector_, cluster,
+                  victim);
+  const auto tail = cluster.MembershipOf(victim);
+  ASSERT_TRUE(tail.ok());
+  EXPECT_EQ(tail->size(), 1u);
+
+  RestartAndCheck(cluster, victim, home_of_);
+}
 
 }  // namespace
 }  // namespace ghba

@@ -286,7 +286,7 @@ int main(int argc, char** argv) {
     std::atomic<bool> stop{false};
     std::atomic<std::uint64_t> migrations{0};
     // Replica-migration bouncer: move some outsider's replica between the
-    // members of server 0's group, bumping the routing epoch every flip.
+    // members of server 0's group, bumping the routing epoch every move.
     std::thread churner([&] {
       std::vector<MdsId> members;
       if (const auto view = cluster.MembershipOf(0); view.ok()) {
