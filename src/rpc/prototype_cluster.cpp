@@ -894,16 +894,33 @@ Status PrototypeCluster::InstallLocked(const Installs& installs) {
   for (std::size_t i = 0; i < owners.size(); ++i) {
     own.emplace(owners[i], std::move((*filters)[i]));
   }
+  // An old holder that did not answer (down, or it missed the install
+  // that gave it the copy) is stood in for by the owner's own filter: one
+  // more kGetFilter scatter, on that path only.
   Batches fetched;
-  if (Status s = SendBatchesLocked(fetch_reqs, &fetched, "fetch"); !s.ok()) {
-    return s;
-  }
+  (void)SendBatchesLocked(fetch_reqs, &fetched, "fetch");
   std::map<Slot, BloomFilter> copies;
+  std::vector<MdsId> refetch;
   for (const auto& [source, held] : copied) {
+    const auto got = fetched.find(source);
     for (std::size_t i = 0; i < held.size(); ++i) {
-      auto filter = DecodeFilterResp(fetched.at(source)[i]);
-      if (!filter.ok()) return filter.status();
-      copies.emplace(Slot{source, held[i]}, std::move(*filter));
+      if (got != fetched.end() && i < got->second.size()) {
+        if (auto filter = DecodeFilterResp(got->second[i]); filter.ok()) {
+          copies.emplace(Slot{source, held[i]}, std::move(*filter));
+          continue;
+        }
+      }
+      if (own.count(held[i]) == 0) refetch.push_back(held[i]);
+    }
+  }
+  std::sort(refetch.begin(), refetch.end());
+  refetch.erase(std::unique(refetch.begin(), refetch.end()), refetch.end());
+  if (!refetch.empty()) {
+    auto refetched = FetchFilters(refetch);
+    if (!refetched.ok()) return refetched.status();
+    CrashPointsLocked("fetch", refetch);
+    for (std::size_t i = 0; i < refetch.size(); ++i) {
+      own.emplace(refetch[i], std::move((*refetched)[i]));
     }
   }
 
@@ -911,9 +928,9 @@ Status PrototypeCluster::InstallLocked(const Installs& installs) {
   Batches install_reqs;
   for (const auto& [slot, source] : installs) {
     const auto& [holder, owner] = slot;
-    const BloomFilter& filter = source == kInvalidMds
-                                    ? own.at(owner)
-                                    : copies.at(Slot{source, owner});
+    const auto copy = copies.find(Slot{source, owner});
+    const BloomFilter& filter =
+        copy != copies.end() ? copy->second : own.at(owner);
     install_reqs[holder].push_back(EncodeReplicaInstall(owner, filter));
   }
   return SendBatchesLocked(install_reqs, nullptr, "install");
@@ -1006,8 +1023,11 @@ Result<RecoveryInfoResp> PrototypeCluster::RestartServerLocked(MdsId id) {
   // The new incarnation starts with an empty segment array (replicas are
   // memory-only), and the join installs exactly the replicas the holder
   // map assigns to it; nothing else in the cluster is touched. The join
-  // publishes the started server whatever it or the handshake returns.
-  const Status joined = ApplyStepLocked(plan_.PlanJoin(id, rng_));
+  // publishes the started server whatever it returns, so a failed join
+  // (a crash point included) is reported before the handshake runs.
+  if (Status s = ApplyStepLocked(plan_.PlanJoin(id, rng_)); !s.ok()) {
+    return s;
+  }
 
   // Recovery handshake: what did its durable engine bring back? (Without
   // --data-dir: durable=false, zeros.)
@@ -1019,7 +1039,6 @@ Result<RecoveryInfoResp> PrototypeCluster::RestartServerLocked(MdsId id) {
   if (!env->has_payload) return env->status;
   auto info = DecodeRecoveryInfoResp(in);
   if (!info.ok()) return info.status();
-  if (!joined.ok()) return joined;
   return *info;
 }
 
@@ -1055,8 +1074,8 @@ Result<PrototypeCluster::ReconfigOutcome> PrototypeCluster::RemoveServer(
 
   // The leaver's replicas move to its co-members and every survivor drops
   // its filter; a merge may follow. Once the plan is adopted the leaver is
-  // in no group, so it drains and leaves servers_ whatever the executor
-  // returned, and the first failure is returned at the end.
+  // in no group, so it drains whatever the executor returned, and the
+  // first failure is returned at the end.
   PlanStep step = plan_.PlanLeave(id);
   const std::vector<MdsId> receivers = step.diff.drain_targets;
   const Status applied = ApplyStepLocked(std::move(step));
@@ -1068,12 +1087,26 @@ Result<PrototypeCluster::ReconfigOutcome> PrototypeCluster::RemoveServer(
   // the leaver is published before the gate opens, and so before the
   // leaver stops: no lookup routes to a stopped leaver.
   std::unique_ptr<MdsServer> leaver;
+  bool exported = false;
   Status drained;
   {
     WriterMutexLock drain_gate(&router_.drain_gate());
-    drained = DrainLocked(id, receivers);
-    leaver = std::move(servers_[id]);
-    PublishTopologyLocked();
+    drained = DrainLocked(id, receivers, &exported);
+    // A running leaver whose export failed still holds every file.
+    if (exported || !servers_[id]->running()) {
+      leaver = std::move(servers_[id]);
+      PublishTopologyLocked();
+    }
+  }
+  if (leaver == nullptr) {
+    // Undo the leave as a join of the same id: the leaver re-enters the
+    // plan and its filter goes back to its holders, so its files stay
+    // reachable, and the leave's failure is returned. A failed rejoin
+    // ends as any failed join does: published, its holders short until
+    // PublishAll.
+    (void)ApplyStepLocked(plan_.PlanJoin(id, rng_));
+    metrics_.reconfig_messages += TotalFramesInLocked() - frames_before;
+    return applied.ok() ? drained : applied;
   }
 
   // The receivers' filters changed: refresh their replicas, and nothing
@@ -1099,15 +1132,21 @@ Result<PrototypeCluster::ReconfigOutcome> PrototypeCluster::RemoveServer(
 }
 
 Status PrototypeCluster::DrainLocked(MdsId id,
-                                     const std::vector<MdsId>& receivers) {
+                                     const std::vector<MdsId>& receivers,
+                                     bool* exported) {
   auto resp = Call(id, EncodeHeader(MsgType::kExportFiles));
   if (!resp.ok()) return resp.status();
   ByteReader in(*resp);
   auto env = OpenEnvelope(in);
   if (!env.ok()) return env.status();
-  if (!env->has_payload) return env->status;
+  if (!env->has_payload) {
+    return env->status.ok()
+               ? Status::Corruption("export response carries no payload")
+               : env->status;
+  }
   auto files = DecodeFileListResp(in);
   if (!files.ok()) return files.status();
+  *exported = true;
   // Round-robin the files across the receivers, then ship each receiver's
   // share as batched writes: one kBatch frame per kMaxBatchFrames inserts,
   // one CRC and one round-trip each, instead of a Call per file.

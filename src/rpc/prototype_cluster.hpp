@@ -187,7 +187,8 @@ class PrototypeCluster {
   /// every survivor drops its filter, groups that now fit within M merge,
   /// and its files drain to its own group (every survivor when the group
   /// empties). Only the drain receivers' replicas are refreshed; there is
-  /// no cluster-wide PublishAll.
+  /// no cluster-wide PublishAll. If the export fails on a running leaver,
+  /// the leave is undone as a join of the same id and returns the error.
   Result<ReconfigOutcome> RemoveServer(MdsId id);
 
   /// Crash a server (no drain — its files are lost) and run fail-over:
@@ -217,7 +218,9 @@ class PrototypeCluster {
   /// one-move diff GroupPlan::PlanMove, run by the executor every other
   /// reconfiguration uses. It copies the old holder's bytes
   /// (kReplicaFetch), installs them on `to`, publishes, then drops the old
-  /// copy: three frames. The holder map is adopted first, so a crash at
+  /// copy: three frames. An old holder that cannot hand its copy over
+  /// (down, or it lacks it) is stood in for by the owner's own filter
+  /// (kGetFilter). The holder map is adopted first, so a crash at
   /// any of the executor's crash points, followed by a restart, lands on
   /// the post-migration placement.
   Status MigrateReplica(MdsId owner, MdsId to);
@@ -366,9 +369,10 @@ class PrototypeCluster {
   /// batch per holder.
   Status RefreshLocked(const std::vector<MdsId>& owners) GHBA_REQUIRES(mu_);
   /// A leave's drain: kExportFiles from `id`, its files re-inserted on
-  /// `receivers` round-robin as batched writes.
-  Status DrainLocked(MdsId id, const std::vector<MdsId>& receivers)
-      GHBA_REQUIRES(mu_);
+  /// `receivers` round-robin as batched writes. `*exported` turns true
+  /// once the export's reply decoded: from then on `id` holds no file.
+  Status DrainLocked(MdsId id, const std::vector<MdsId>& receivers,
+                     bool* exported) GHBA_REQUIRES(mu_);
   /// Power loss at a crash point: stop `victim`'s event loop and drop its
   /// pooled connections, keeping every piece of orchestrator bookkeeping
   /// (as CrashServer does); detection happens via failed calls. The

@@ -3,7 +3,8 @@
 // only the joined group and one holder per other group; batched writes ride
 // one frame per kMaxBatchFrames requests; a recycled MdsId starts with
 // clean health state (the RemoveServer/KillServer regression); a failed
-// join still publishes its newcomer; durable servers restart under a
+// join still publishes its newcomer; a leave whose export fails keeps the
+// leaver and its files; durable servers restart under a
 // bumped epoch with every file; membership churn under live lookups never
 // serves a wrong answer; departures merge groups that fit within M; M = 1
 // joins open a group of their own; and seeded join/leave/kill/restart/split
@@ -135,6 +136,63 @@ TEST(MembershipTest, FailedJoinStillPublishesTheNewcomer) {
     if (r->found && r->home == newcomer) ++on_newcomer;
   }
   EXPECT_GT(on_newcomer, 0);
+}
+
+// A leave whose kExportFiles fails on a live leaver exported nothing: the
+// leaver still holds every file it homes. The leave is undone as a join of
+// the same id, so those files stay reachable and a later leave drains them.
+TEST(MembershipTest, FailedExportKeepsTheLeaverAndItsFiles) {
+  const ClusterConfig config = SmallConfig();
+  FaultInjector injector;
+  PrototypeCluster cluster(config, ProtoScheme::kGhba);
+  cluster.set_fault_injector(&injector);
+  ASSERT_TRUE(cluster.Start().ok());
+  const MdsId leaver = 1;
+  std::map<std::string, MdsId> home_of;
+  for (int i = 0; i < 48; ++i) {
+    const std::string path = "/failed-export/f" + std::to_string(i);
+    FileMetadata md;
+    md.inode = static_cast<std::uint64_t>(i);
+    ASSERT_TRUE(cluster.Insert(path, md).ok());
+  }
+  ASSERT_TRUE(cluster.PublishAll().ok());
+  int on_leaver = 0;
+  for (int i = 0; i < 48; ++i) {
+    const std::string path = "/failed-export/f" + std::to_string(i);
+    const auto r = cluster.Lookup(path);
+    ASSERT_TRUE(r.ok() && r->found) << path;
+    home_of[path] = r->home;
+    if (r->home == leaver) ++on_leaver;
+  }
+  ASSERT_GT(on_leaver, 0);
+
+  const std::uint16_t port = cluster.ServerPorts()[leaver];
+  for (std::uint32_t i = 0; i < config.rpc.max_attempts; ++i) {
+    injector.ArmFrameFault(port,
+                           static_cast<std::uint16_t>(MsgType::kExportFiles),
+                           FaultInjector::FrameAction::kCorrupt);
+  }
+  ASSERT_FALSE(cluster.RemoveServer(leaver).ok());
+  EXPECT_FALSE(injector.HasArmedFrameFaults());
+  const auto alive = cluster.AliveServers();
+  EXPECT_EQ(std::count(alive.begin(), alive.end(), leaver), 1);
+  EXPECT_TRUE(cluster.MembershipOf(leaver).ok());
+  ExpectSegmentsMatchHolderMap(cluster);
+  for (const auto& [path, home] : home_of) {
+    const auto r = cluster.Lookup(path);
+    ASSERT_TRUE(r.ok()) << path << ": " << r.status().ToString();
+    EXPECT_TRUE(r->found) << path;
+    EXPECT_EQ(r->home, home) << path;
+  }
+
+  // The retried leave drains every file to a survivor.
+  ASSERT_TRUE(cluster.RemoveServer(leaver).ok());
+  for (const auto& [path, home] : home_of) {
+    const auto r = cluster.Lookup(path);
+    ASSERT_TRUE(r.ok()) << path << ": " << r.status().ToString();
+    EXPECT_TRUE(r->found) << path;
+    EXPECT_NE(r->home, leaver) << path;
+  }
 }
 
 // The paper's light-weight join (Sec. 4, Fig. 15): when the target group

@@ -155,6 +155,34 @@ TEST(MigrationTest, CleanMigrationMovesPlacementAndKeepsLookupsCorrect) {
   EXPECT_TRUE(cluster.MigrateReplica(a.owner, a.to).ok());
 }
 
+// An old holder that is down (crashed, not yet detected) cannot hand over
+// its copy: the move installs the owner's own filter instead, and the
+// migration succeeds.
+TEST(MigrationTest, DeadOldHolderIsStoodInForByTheOwner) {
+  PrototypeCluster cluster(MigrationConfig(), ProtoScheme::kGhba);
+  ASSERT_TRUE(cluster.Start().ok());
+  const auto home_of = BuildNamespace(cluster, 24);
+  const auto a = PickActors(cluster);
+  ASSERT_NE(a.from, a.to);
+
+  ASSERT_TRUE(cluster.CrashServer(a.from).ok());
+  const Status migrated = cluster.MigrateReplica(a.owner, a.to);
+  ASSERT_TRUE(migrated.ok()) << migrated.ToString();
+  const auto holder = cluster.HolderOf(a.member, a.owner);
+  ASSERT_TRUE(holder.ok());
+  EXPECT_EQ(*holder, a.to);
+  const auto holds_to = cluster.HoldsReplica(a.to, a.owner);
+  ASSERT_TRUE(holds_to.ok());
+  EXPECT_TRUE(*holds_to);
+  for (const auto& [path, home] : home_of) {
+    if (home == a.from) continue;  // lost with the crashed server
+    const auto r = cluster.Lookup(path);
+    ASSERT_TRUE(r.ok()) << path << ": " << r.status().ToString();
+    EXPECT_TRUE(r->found) << path;
+    EXPECT_EQ(r->home, home) << path;
+  }
+}
+
 TEST(MigrationTest, RejectsUnknownActors) {
   PrototypeCluster cluster(MigrationConfig(), ProtoScheme::kGhba);
   ASSERT_TRUE(cluster.Start().ok());
