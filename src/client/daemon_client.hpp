@@ -58,18 +58,6 @@ class DaemonClient {
 
   Result<StatsResp> Stats();
 
-  // --- distributed transactions (v5) ---
-  // Typed wrappers over the kTxn* family, one per wire message. The
-  // txn_chaos tool builds its TxnTransport from these: the same TxnDriver
-  // choreography proven in-process then runs against real daemons it can
-  // kill -9 between phases.
-  Result<TxnPrepareResp> TxnPrepare(const TxnPrepareReq& req);
-  Status TxnDecide(std::uint64_t txn_id, bool commit);
-  Status TxnCommit(std::uint64_t txn_id, const std::string& path);
-  Status TxnAbort(std::uint64_t txn_id, const std::string& path);
-  Result<TxnDecisionState> TxnResolve(std::uint64_t txn_id);
-  Result<TxnListResp> TxnList();
-
   /// Protocol version the daemon reports (kVersion).
   Result<std::uint32_t> Version();
 
@@ -82,8 +70,6 @@ class DaemonClient {
 
   /// One request/response exchange with the per-call deadline.
   Result<std::vector<std::uint8_t>> Call(const std::vector<std::uint8_t>& req);
-  /// Exchange + envelope open for calls whose payload is just a Status.
-  Status StatusCall(const std::vector<std::uint8_t>& req);
 
   TcpConnection conn_;
   std::uint32_t io_timeout_ms_;

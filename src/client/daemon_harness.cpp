@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <utility>
 
 namespace ghba {
@@ -157,125 +158,36 @@ void DaemonProcess::Reap() {
 
 // --- DaemonTxnTransport ---------------------------------------------------
 
+DaemonTxnTransport::DaemonTxnTransport()
+    : router_(RpcOptions{}, /*seed=*/0, &health_, &metrics_) {}
+
 void DaemonTxnTransport::SetPort(MdsId id, std::uint16_t port) {
-  Peer& peer = peers_[id];
-  peer.port = port;
-  peer.dead = false;
-  peer.session.reset();
+  if (ports_.size() <= id) {
+    ports_.resize(id + 1, 0);
+    dead_.resize(id + 1, false);
+  }
+  ports_[id] = port;
+  dead_[id] = false;
+  // The Router pools connections only to the ports it was handed last,
+  // and closes idle ones to a port that left.
+  auto topo = std::make_shared<Topology>();
+  topo->port = ports_;
+  router_.Publish(std::move(topo));
 }
 
 void DaemonTxnTransport::MarkDead(MdsId id) {
-  Peer& peer = peers_[id];
-  peer.dead = true;
-  peer.session.reset();
+  SetPort(id, 0);
+  dead_[id] = true;
 }
 
-DaemonClient* DaemonTxnTransport::Session(MdsId id) {
-  const auto it = peers_.find(id);
-  if (it == peers_.end() || it->second.port == 0) return nullptr;
-  if (!it->second.session.has_value()) {
-    auto conn = DaemonClient::Connect(it->second.port, io_timeout_ms_);
-    if (!conn.ok()) return nullptr;
-    it->second.session.emplace(std::move(*conn));
-  }
-  return &*it->second.session;
-}
-
-void DaemonTxnTransport::Invalidate(MdsId id) {
-  if (const auto it = peers_.find(id); it != peers_.end()) {
-    it->second.session.reset();
-  }
-}
-
-Result<std::optional<FileMetadata>> DaemonTxnTransport::TxnPrepare(
-    MdsId participant, const TxnPendingOp& op) {
-  DaemonClient* c = Session(participant);
-  if (c == nullptr) return Status::Unavailable("server unreachable");
-  TxnPrepareReq req;
-  req.path = op.path;
-  req.txn_id = op.txn_id;
-  req.coordinator = op.coordinator;
-  req.subop = op.subop;
-  req.participants = op.participants;
-  req.metadata = op.metadata;
-  auto resp = c->TxnPrepare(req);
-  if (!resp.ok()) {
-    Invalidate(participant);
-    return resp.status();
-  }
-  if (!resp->has_metadata) return std::optional<FileMetadata>();
-  return std::optional<FileMetadata>(resp->metadata);
-}
-
-Status DaemonTxnTransport::TxnDecide(MdsId coordinator, std::uint64_t txn_id,
-                                     bool commit) {
-  DaemonClient* c = Session(coordinator);
-  if (c == nullptr) return Status::Unavailable("server unreachable");
-  Status s = c->TxnDecide(txn_id, commit);
-  if (!s.ok()) Invalidate(coordinator);
-  return s;
-}
-
-Status DaemonTxnTransport::TxnCommit(MdsId participant, std::uint64_t txn_id,
-                                     const std::string& path) {
-  DaemonClient* c = Session(participant);
-  if (c == nullptr) return Status::Unavailable("server unreachable");
-  Status s = c->TxnCommit(txn_id, path);
-  if (!s.ok()) Invalidate(participant);
-  return s;
-}
-
-Status DaemonTxnTransport::TxnAbort(MdsId participant, std::uint64_t txn_id,
-                                    const std::string& path) {
-  DaemonClient* c = Session(participant);
-  if (c == nullptr) return Status::Unavailable("server unreachable");
-  Status s = c->TxnAbort(txn_id, path);
-  if (!s.ok()) Invalidate(participant);
-  return s;
-}
-
-Result<std::vector<TxnPendingOp>> DaemonTxnTransport::TxnList(MdsId server) {
-  DaemonClient* c = Session(server);
-  if (c == nullptr) return Status::Unavailable("server unreachable");
-  auto resp = c->TxnList();
-  if (!resp.ok()) {
-    Invalidate(server);
-    return resp.status();
-  }
-  std::vector<TxnPendingOp> out;
-  out.reserve(resp->entries.size());
-  for (const TxnListEntry& e : resp->entries) {
-    TxnPendingOp op;
-    op.txn_id = e.txn_id;
-    op.coordinator = e.coordinator;
-    op.subop = e.subop;
-    op.path = e.path;
-    out.push_back(std::move(op));
-  }
-  return out;
-}
-
-Result<TxnResolution> DaemonTxnTransport::TxnQueryDecision(
-    MdsId coordinator, std::uint64_t txn_id) {
-  DaemonClient* c = Session(coordinator);
-  if (c == nullptr) return Status::Unavailable("server unreachable");
-  auto resp = c->TxnResolve(txn_id);
-  if (!resp.ok()) {
-    Invalidate(coordinator);
-    return resp.status();
-  }
-  switch (*resp) {
-    case TxnDecisionState::kPending: return TxnResolution::kPending;
-    case TxnDecisionState::kCommitted: return TxnResolution::kCommitted;
-    case TxnDecisionState::kAborted: return TxnResolution::kAborted;
-    case TxnDecisionState::kUnknown: break;
-  }
-  return TxnResolution::kUnknown;
+Result<std::vector<std::uint8_t>> DaemonTxnTransport::Call(
+    MdsId server, const std::vector<std::uint8_t>& frame) {
+  const std::uint16_t port = server < ports_.size() ? ports_[server] : 0;
+  return router_.Call(server, port, frame, /*suspects=*/nullptr);
 }
 
 bool DaemonTxnTransport::TxnServerConfirmedDead(MdsId server) {
-  const auto it = peers_.find(server);
-  return it != peers_.end() && it->second.dead;
+  return server < dead_.size() && dead_[server];
 }
 
 }  // namespace ghba

@@ -10,10 +10,11 @@
 //     fault the crash matrix is about: SIGKILL, no flush, no goodbye.
 //     Start() on the same data dir afterwards is the recovery under test.
 //
-//   * DaemonTxnTransport — TxnTransport over DaemonClient connections, one
-//     lazily-(re)established session per server id. Any call error drops
-//     the cached session, so a daemon restarted on a NEW port just needs
-//     SetPort() and the next call reconnects. Confirmed death is harness
+//   * DaemonTxnTransport — the one wire transport (WireTxnTransport, the
+//     same encoders and decoders the in-process orchestrator uses) whose
+//     frames ride a Router over the fleet's ports: pooled connections,
+//     the default RpcOptions deadlines and retries. A daemon restarted on
+//     a NEW port just needs SetPort(). Confirmed death is harness
 //     bookkeeping (MarkDead after a Kill9), never a guess from timeouts —
 //     exactly like the in-process orchestrator, a slow-but-alive server
 //     must not trigger presumed abort.
@@ -26,13 +27,13 @@
 #include <sys/types.h>
 
 #include <cstdint>
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "client/daemon_client.hpp"
-#include "txn/txn_driver.hpp"
+#include "core/metrics.hpp"
+#include "rpc/health.hpp"
+#include "rpc/router.hpp"
+#include "rpc/wire_txn_transport.hpp"
 
 namespace ghba {
 
@@ -82,49 +83,30 @@ class DaemonProcess {
   std::uint16_t port_ = 0;
 };
 
-/// TxnTransport over per-server DaemonClient sessions.
-class DaemonTxnTransport final : public TxnTransport {
+/// The wire transport over a Router to a daemon fleet.
+class DaemonTxnTransport final : public WireTxnTransport {
  public:
-  explicit DaemonTxnTransport(std::uint32_t io_timeout_ms = 2000)
-      : io_timeout_ms_(io_timeout_ms) {}
+  DaemonTxnTransport();
 
-  /// Bind (or rebind, after a restart) server `id` to `port`. Drops any
-  /// cached session and clears the dead mark.
+  /// Bind (or rebind, after a restart) server `id` to `port`, and clear
+  /// its dead mark.
   void SetPort(MdsId id, std::uint16_t port);
 
-  /// Record that `id` was killed (Kill9) — TxnServerConfirmedDead answers
-  /// true until the next SetPort.
+  /// Record that `id` was killed (Kill9): calls to it fail at once, and
+  /// TxnServerConfirmedDead answers true until the next SetPort.
   void MarkDead(MdsId id);
 
-  Result<std::optional<FileMetadata>> TxnPrepare(
-      MdsId participant, const TxnPendingOp& op) override;
-  Status TxnDecide(MdsId coordinator, std::uint64_t txn_id,
-                   bool commit) override;
-  Status TxnCommit(MdsId participant, std::uint64_t txn_id,
-                   const std::string& path) override;
-  Status TxnAbort(MdsId participant, std::uint64_t txn_id,
-                  const std::string& path) override;
-  Result<std::vector<TxnPendingOp>> TxnList(MdsId server) override;
-  Result<TxnResolution> TxnQueryDecision(MdsId coordinator,
-                                         std::uint64_t txn_id) override;
   bool TxnServerConfirmedDead(MdsId server) override;
 
  private:
-  struct Peer {
-    std::uint16_t port = 0;
-    bool dead = false;
-    std::optional<DaemonClient> session;
-  };
+  Result<std::vector<std::uint8_t>> Call(
+      MdsId server, const std::vector<std::uint8_t>& frame) override;
 
-  /// The (re)connected session for `id`, or null with the connect error
-  /// left for the caller to surface as Unavailable.
-  DaemonClient* Session(MdsId id);
-  /// Drop `id`'s cached session after any call error (the next call
-  /// reconnects — possibly to a restarted daemon).
-  void Invalidate(MdsId id);
-
-  std::uint32_t io_timeout_ms_;
-  std::map<MdsId, Peer> peers_;
+  PeerHealthTracker health_;
+  ClusterMetrics metrics_;
+  Router router_;
+  std::vector<std::uint16_t> ports_;  ///< by MdsId; 0 while dead
+  std::vector<bool> dead_;            ///< by MdsId
 };
 
 }  // namespace ghba

@@ -575,6 +575,14 @@ Result<Envelope> OpenEnvelope(ByteReader& in) {
   return env;
 }
 
+Status StatusOf(const Result<std::vector<std::uint8_t>>& resp) {
+  if (!resp.ok()) return resp.status();
+  ByteReader in(*resp);
+  auto env = OpenEnvelope(in);
+  if (!env.ok()) return env.status();
+  return env->status;
+}
+
 Result<MsgType> DecodeType(ByteReader& in) {
   auto t = in.GetU16();
   if (!t.ok()) return t.status();

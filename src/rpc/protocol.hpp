@@ -354,6 +354,27 @@ struct Envelope {
 /// Consume the envelope; on has_payload the reader sits at the payload.
 Result<Envelope> OpenEnvelope(ByteReader& in);
 
+/// The typed payload of a reply. A transport failure, a mangled envelope
+/// or a remote status (a NO vote, kRetryAfter from a shed request, ...) is
+/// the error; an OK status where a payload belongs is Corruption.
+template <typename T>
+Result<T> PayloadOf(const Result<std::vector<std::uint8_t>>& resp,
+                    Result<T> (*decode)(ByteReader&)) {
+  if (!resp.ok()) return resp.status();
+  ByteReader in(*resp);
+  auto env = OpenEnvelope(in);
+  if (!env.ok()) return env.status();
+  if (!env->has_payload) {
+    return env->status.ok() ? Status::Corruption("reply carries no payload")
+                            : env->status;
+  }
+  return decode(in);
+}
+
+/// The status a bare-ack reply carries. A transport failure or a mangled
+/// envelope is the error.
+Status StatusOf(const Result<std::vector<std::uint8_t>>& resp);
+
 Result<MsgType> DecodeType(ByteReader& in);
 
 /// Remote status wrapped in a distinct type (Result<Status> would be

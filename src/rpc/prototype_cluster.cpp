@@ -37,16 +37,7 @@ std::span<const std::vector<std::uint8_t>> BatchWindow(
 /// The `n` sub-responses of a kBatch reply.
 Result<std::vector<std::vector<std::uint8_t>>> BatchRepliesOf(
     const Result<std::vector<std::uint8_t>>& resp, std::size_t n) {
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  const auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  if (!env->has_payload) {
-    return env->status.ok()
-               ? Status::Corruption("batch response carries no payload")
-               : env->status;
-  }
-  auto subs = DecodeBatchResp(in);
+  auto subs = PayloadOf(resp, DecodeBatchResp);
   if (!subs.ok()) return subs.status();
   if (subs->size() != n) {
     return Status::Corruption("batch response count mismatch");
@@ -65,43 +56,6 @@ Status SubStatusOf(const std::vector<std::vector<std::uint8_t>>& subs) {
   return Status::Ok();
 }
 
-/// The filter a kGetFilter or kReplicaFetch response carries.
-Result<BloomFilter> DecodeFilterResp(const std::vector<std::uint8_t>& resp) {
-  ByteReader in(resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  if (!env->has_payload) return env->status;
-  return DecompressFilter(in);
-}
-
-/// The kTxnPrepare frame for `op`.
-std::vector<std::uint8_t> EncodePrepareOf(const TxnPendingOp& op) {
-  TxnPrepareReq req;
-  req.path = op.path;
-  req.txn_id = op.txn_id;
-  req.coordinator = op.coordinator;
-  req.subop = op.subop;
-  req.participants = op.participants;
-  req.metadata = op.metadata;
-  return EncodeTxnPrepare(req);
-}
-
-/// A kTxnPrepare reply as the driver's vote: a remove's carries the file's
-/// metadata, an insert's carries none.
-Result<std::optional<FileMetadata>> VoteOf(
-    const Result<std::vector<std::uint8_t>>& resp) {
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  // A NO vote (NotFound, AlreadyExists, intent-locked, ...) arrives as a
-  // plain status envelope; the driver turns it into an abort.
-  if (!env->has_payload) return env->status;
-  auto vote = DecodeTxnPrepareResp(in);
-  if (!vote.ok()) return vote.status();
-  if (!vote->has_metadata) return std::optional<FileMetadata>();
-  return std::optional<FileMetadata>(std::move(vote->metadata));
-}
 }  // namespace
 
 PrototypeCluster::PrototypeCluster(ClusterConfig config, ProtoScheme scheme)
@@ -286,8 +240,7 @@ Result<std::vector<BloomFilter>> PrototypeCluster::FetchFilters(
   std::vector<BloomFilter> filters;
   filters.reserve(owners.size());
   for (const Router::Reply& reply : replies) {
-    if (!reply.resp.ok()) return reply.resp.status();
-    auto filter = DecodeFilterResp(*reply.resp);
+    auto filter = PayloadOf(reply.resp, DecompressFilter);
     if (!filter.ok()) return filter.status();
     filters.push_back(std::move(*filter));
   }
@@ -338,12 +291,7 @@ Status PrototypeCluster::Insert(const std::string& path,
   const auto alive = AliveServersLocked();
   if (alive.empty()) return Status::Unavailable("no servers");
   const MdsId home = alive[rng_.NextBounded(alive.size())];
-  auto resp = Call(home, EncodeInsert(path, metadata));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  return env->status;
+  return StatusOf(Call(home, EncodeInsert(path, metadata)));
 }
 
 Status PrototypeCluster::InsertBatch(
@@ -386,52 +334,43 @@ Status PrototypeCluster::Unlink(const std::string& path) {
   auto resp = Call(located->home, EncodePathRequest(MsgType::kUnlink, path));
   // Whatever came back, the home may have removed the path.
   Revoke(path);
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  return env->status;
+  return StatusOf(resp);
 }
 
 // --- distributed transactions (v5) ---
 
-/// TxnDriver's transport, bound to the cluster's Call() path. Every method
-/// takes mu_ for exactly one message round-trip: a drive holds no lock
-/// between messages, so lookups, inserts and even fail-overs interleave
-/// with an in-flight transaction — the same concurrency real daemons see.
-struct PrototypeCluster::TxnBridge final : TxnTransport {
+/// TxnDriver's transport over the cluster's Call() path. Each round trip
+/// takes mu_ for itself: a drive holds no lock between messages, so
+/// lookups, inserts and even fail-overs interleave with an in-flight
+/// transaction — the same concurrency real daemons see.
+struct PrototypeCluster::TxnBridge final : WireTxnTransport {
   explicit TxnBridge(PrototypeCluster* cluster) : c(cluster) {}
 
+  /// An insert prepare and the exact check of its path in one round trip
+  /// (Router::PrepareExact). A holder anywhere makes it AlreadyExists and
+  /// leaves nothing staged: a yes vote is aborted before it returns. A
+  /// peer it cannot reach leaves the verdict to the vote.
   Result<std::optional<FileMetadata>> TxnPrepare(
       MdsId participant, const TxnPendingOp& op) override {
-    MutexLock lock(&c->mu_);
-    return op.subop == TxnSubOp::kInsert
-               ? c->TxnPrepareInsertAt(participant, op)
-               : c->TxnPrepareAt(participant, op);
-  }
-  Status TxnDecide(MdsId coordinator, std::uint64_t txn_id,
-                   bool commit) override {
-    MutexLock lock(&c->mu_);
-    return c->TxnDecideAt(coordinator, txn_id, commit);
-  }
-  Status TxnCommit(MdsId participant, std::uint64_t txn_id,
-                   const std::string& path) override {
-    MutexLock lock(&c->mu_);
-    return c->TxnFinishAt(MsgType::kTxnCommit, participant, txn_id, path);
-  }
-  Status TxnAbort(MdsId participant, std::uint64_t txn_id,
-                  const std::string& path) override {
-    MutexLock lock(&c->mu_);
-    return c->TxnFinishAt(MsgType::kTxnAbort, participant, txn_id, path);
-  }
-  Result<std::vector<TxnPendingOp>> TxnList(MdsId server) override {
-    MutexLock lock(&c->mu_);
-    return c->TxnListAt(server);
-  }
-  Result<TxnResolution> TxnQueryDecision(MdsId coordinator,
-                                         std::uint64_t txn_id) override {
-    MutexLock lock(&c->mu_);
-    return c->TxnQueryDecisionAt(coordinator, txn_id);
+    if (op.subop != TxnSubOp::kInsert) {
+      return WireTxnTransport::TxnPrepare(participant, op);
+    }
+    ExactPrepare checked;
+    {
+      MutexLock lock(&c->mu_);
+      Suspects suspects;
+      checked = c->router_.PrepareExact(op.path, participant,
+                                        PrepareFrame(op), &suspects);
+      c->NoteSuspectsLocked(suspects);
+    }
+    auto vote = VoteOf(checked.vote);
+    if (checked.holder == kInvalidMds || checked.holder == participant) {
+      return vote;  // the participant's own AlreadyExists is in its vote
+    }
+    // Held on another server: refuse, and leave no intent lock or in-doubt
+    // op behind. A missed abort resolves by presumed abort.
+    if (vote.ok()) (void)TxnAbort(participant, op.txn_id, op.path);
+    return Status::AlreadyExists(op.path);
   }
   bool TxnServerConfirmedDead(MdsId server) override {
     MutexLock lock(&c->mu_);
@@ -444,110 +383,23 @@ struct PrototypeCluster::TxnBridge final : TxnTransport {
            !c->servers_[server]->running();
   }
   /// TxnDriver's after_step hook (not part of the transport interface).
-  bool AfterStep(TxnPhase phase, MdsId target) {
+  bool AfterStep(TxnPhase phase, std::uint32_t k, MdsId target) {
     MutexLock lock(&c->mu_);
-    return c->TxnStepLocked(phase, target);
+    return c->TxnStepLocked(phase, k, target);
+  }
+
+ private:
+  Result<std::vector<std::uint8_t>> Call(
+      MdsId server, const std::vector<std::uint8_t>& frame) override {
+    MutexLock lock(&c->mu_);
+    return c->Call(server, frame);
   }
 
   PrototypeCluster* c;
 };
 
-Result<std::optional<FileMetadata>> PrototypeCluster::TxnPrepareAt(
-    MdsId participant, const TxnPendingOp& op) {
-  return VoteOf(Call(participant, EncodePrepareOf(op)));
-}
-
-Result<std::optional<FileMetadata>> PrototypeCluster::TxnPrepareInsertAt(
-    MdsId participant, const TxnPendingOp& op) {
-  Suspects suspects;
-  const ExactPrepare checked = router_.PrepareExact(
-      op.path, participant, EncodePrepareOf(op), &suspects);
-  NoteSuspectsLocked(suspects);
-  auto vote = VoteOf(checked.vote);
-  if (checked.holder == kInvalidMds || checked.holder == participant) {
-    return vote;  // the participant's own AlreadyExists is in its vote
-  }
-  // Held on another server: refuse, and leave no intent lock or in-doubt
-  // op behind. A missed abort resolves by presumed abort.
-  if (vote.ok()) {
-    (void)TxnFinishAt(MsgType::kTxnAbort, participant, op.txn_id, op.path);
-  }
-  return Status::AlreadyExists(op.path);
-}
-
-Status PrototypeCluster::TxnDecideAt(MdsId coordinator, std::uint64_t txn_id,
-                                     bool commit) {
-  TxnDecideReq req;
-  req.txn_id = txn_id;
-  req.commit = commit;
-  auto resp = Call(coordinator, EncodeTxnDecide(req));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  return env->status;
-}
-
-Status PrototypeCluster::TxnFinishAt(MsgType type, MdsId participant,
-                                     std::uint64_t txn_id,
-                                     const std::string& path) {
-  TxnFinishReq req;
-  req.path = path;
-  req.txn_id = txn_id;
-  auto resp = Call(participant, EncodeTxnFinish(type, req));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  return env->status;
-}
-
-Result<std::vector<TxnPendingOp>> PrototypeCluster::TxnListAt(MdsId server) {
-  auto resp = Call(server, EncodeHeader(MsgType::kTxnList));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  if (!env->has_payload) return env->status;
-  auto list = DecodeTxnListResp(in);
-  if (!list.ok()) return list.status();
-  std::vector<TxnPendingOp> ops;
-  ops.reserve(list->entries.size());
-  for (auto& e : list->entries) {
-    TxnPendingOp op;
-    op.txn_id = e.txn_id;
-    op.coordinator = e.coordinator;
-    op.subop = e.subop;
-    op.path = std::move(e.path);
-    ops.push_back(std::move(op));
-  }
-  return ops;
-}
-
-Result<TxnResolution> PrototypeCluster::TxnQueryDecisionAt(
-    MdsId coordinator, std::uint64_t txn_id) {
-  auto resp = Call(coordinator, EncodeTxnResolve(txn_id));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  if (!env->has_payload) return env->status;
-  auto decoded = DecodeTxnResolveResp(in);
-  if (!decoded.ok()) return decoded.status();
-  switch (decoded->state) {
-    case TxnDecisionState::kPending: return TxnResolution::kPending;
-    case TxnDecisionState::kCommitted: return TxnResolution::kCommitted;
-    case TxnDecisionState::kAborted: return TxnResolution::kAborted;
-    case TxnDecisionState::kUnknown: break;
-  }
-  return TxnResolution::kUnknown;
-}
-
-bool PrototypeCluster::TxnStepLocked(TxnPhase phase, MdsId target) {
-  // Position k within the phase names the crash point txn.<phase>.<k>;
-  // count even when nothing is armed so the numbering never depends on
-  // which other points a test consumed first.
-  const std::uint32_t k = txn_step_seq_[static_cast<std::size_t>(phase)]++;
+bool PrototypeCluster::TxnStepLocked(TxnPhase phase, std::uint32_t k,
+                                     MdsId target) {
   if (injector_ == nullptr || !injector_->HasArmedCrashPoints()) return true;
   const std::string name = TxnPhaseName(phase);
   const std::string suffix = "." + std::to_string(k);
@@ -606,15 +458,15 @@ Status PrototypeCluster::RenameUnrevoked(const std::string& src,
     if (!located.ok()) return located.status();
     if (!located->found) return Status::NotFound(src);
     src_home = located->home;
-    // dst's exact check rides its insert prepare (TxnPrepareInsertAt).
+    // dst's exact check rides its insert prepare (TxnBridge::TxnPrepare).
     dst_home = alive[Fnv1a64(dst) % alive.size()];
     txn_id = NextTxnIdLocked();
-    txn_step_seq_.fill(0);
   }
   TxnBridge bridge(this);
-  TxnDriver driver(&bridge, [&bridge](TxnPhase phase, MdsId target) {
-    return bridge.AfterStep(phase, target);
-  });
+  TxnDriver driver(&bridge,
+                   [&bridge](TxnPhase phase, std::uint32_t k, MdsId target) {
+                     return bridge.AfterStep(phase, k, target);
+                   });
   return driver.Rename(txn_id, src, src_home, dst, dst_home);
 }
 
@@ -627,17 +479,17 @@ Status PrototypeCluster::CreateExclusive(const std::string& path,
     if (!started_) return Status::Unavailable("cluster not started");
     const auto alive = AliveServersLocked();
     if (alive.empty()) return Status::Unavailable("no servers");
-    // The exact check rides the insert prepare (TxnPrepareInsertAt): the
-    // vote is authoritative on the hash home, which is where every racing
-    // CreateExclusive for this path lands.
+    // The exact check rides the insert prepare (TxnBridge::TxnPrepare):
+    // the vote is authoritative on the hash home, which is where every
+    // racing CreateExclusive for this path lands.
     home = alive[Fnv1a64(path) % alive.size()];
     txn_id = NextTxnIdLocked();
-    txn_step_seq_.fill(0);
   }
   TxnBridge bridge(this);
-  TxnDriver driver(&bridge, [&bridge](TxnPhase phase, MdsId target) {
-    return bridge.AfterStep(phase, target);
-  });
+  TxnDriver driver(&bridge,
+                   [&bridge](TxnPhase phase, std::uint32_t k, MdsId target) {
+                     return bridge.AfterStep(phase, k, target);
+                   });
   return driver.CreateExclusive(txn_id, path, home, metadata);
 }
 
@@ -905,7 +757,8 @@ Status PrototypeCluster::InstallLocked(const Installs& installs) {
     const auto got = fetched.find(source);
     for (std::size_t i = 0; i < held.size(); ++i) {
       if (got != fetched.end() && i < got->second.size()) {
-        if (auto filter = DecodeFilterResp(got->second[i]); filter.ok()) {
+        if (auto filter = PayloadOf(got->second[i], DecompressFilter);
+            filter.ok()) {
           copies.emplace(Slot{source, held[i]}, std::move(*filter));
           continue;
         }
@@ -1031,15 +884,8 @@ Result<RecoveryInfoResp> PrototypeCluster::RestartServerLocked(MdsId id) {
 
   // Recovery handshake: what did its durable engine bring back? (Without
   // --data-dir: durable=false, zeros.)
-  auto resp = Call(id, EncodeHeader(MsgType::kRecoveryInfo));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  if (!env->has_payload) return env->status;
-  auto info = DecodeRecoveryInfoResp(in);
-  if (!info.ok()) return info.status();
-  return *info;
+  return PayloadOf(Call(id, EncodeHeader(MsgType::kRecoveryInfo)),
+                   DecodeRecoveryInfoResp);
 }
 
 Result<BloomFilter> PrototypeCluster::FilterOf(MdsId id) {
@@ -1077,15 +923,28 @@ Result<PrototypeCluster::ReconfigOutcome> PrototypeCluster::RemoveServer(
   // in no group, so it drains whatever the executor returned, and the
   // first failure is returned at the end.
   PlanStep step = plan_.PlanLeave(id);
-  const std::vector<MdsId> receivers = step.diff.drain_targets;
+  std::vector<MdsId> receivers = std::move(step.diff.drain_targets);
   const Status applied = ApplyStepLocked(std::move(step));
+  // The drain goes only to receivers still running after the executor (a
+  // crash point may have powered one off), or to every running survivor
+  // when none is.
+  const auto running = [this, id](MdsId r) {
+    return r != id && r < servers_.size() && servers_[r] &&
+           servers_[r]->running();
+  };
+  std::erase_if(receivers, [&running](MdsId r) { return !running(r); });
+  if (receivers.empty()) {
+    for (const MdsId r : AliveServersLocked()) {
+      if (running(r)) receivers.push_back(r);
+    }
+  }
 
-  // Drain the files to the leaver's group (to every survivor when the group
-  // emptied). kExportFiles extracts and clears the leaver's store, so until
-  // the receivers' re-inserts land the files live only in this process: the
-  // drain gate keeps every lookup out of that window. The snapshot without
-  // the leaver is published before the gate opens, and so before the
-  // leaver stops: no lookup routes to a stopped leaver.
+  // Drain the files to the receivers. kExportFiles extracts and clears the
+  // leaver's store, so until the receivers' re-inserts land the files live
+  // only in this process: the drain gate keeps every lookup out of that
+  // window. The snapshot without the leaver is published before the gate
+  // opens, and so before the leaver stops: no lookup routes to a stopped
+  // leaver.
   std::unique_ptr<MdsServer> leaver;
   bool exported = false;
   Status drained;
@@ -1134,17 +993,9 @@ Result<PrototypeCluster::ReconfigOutcome> PrototypeCluster::RemoveServer(
 Status PrototypeCluster::DrainLocked(MdsId id,
                                      const std::vector<MdsId>& receivers,
                                      bool* exported) {
-  auto resp = Call(id, EncodeHeader(MsgType::kExportFiles));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  if (!env->has_payload) {
-    return env->status.ok()
-               ? Status::Corruption("export response carries no payload")
-               : env->status;
-  }
-  auto files = DecodeFileListResp(in);
+  if (receivers.empty()) return Status::Unavailable("no running receiver");
+  auto files = PayloadOf(Call(id, EncodeHeader(MsgType::kExportFiles)),
+                         DecodeFileListResp);
   if (!files.ok()) return files.status();
   *exported = true;
   // Round-robin the files across the receivers, then ship each receiver's
@@ -1262,14 +1113,10 @@ Result<AdaptiveDecision> PrototypeCluster::AdaptivityTick(
     signals.lookups_total = metrics_.levels.total();
     signals.latency = MeasureComponents(metrics_);
     for (const MdsId id : alive) {
-      auto resp = Call(id, EncodeHeader(MsgType::kStatsSnapshot));
-      if (!resp.ok()) continue;  // a slow peer skips one sample
-      ByteReader in(*resp);
-      auto env = OpenEnvelope(in);
-      if (!env.ok() || !env->has_payload) continue;
-      if (auto snap = DecodeStatsSnapshotResp(in); snap.ok()) {
-        signals.lookup_state_bytes += snap->lookup_state_bytes;
-      }
+      auto snap = PayloadOf(Call(id, EncodeHeader(MsgType::kStatsSnapshot)),
+                            DecodeStatsSnapshotResp);
+      if (!snap.ok()) continue;  // a slow peer skips one sample
+      signals.lookup_state_bytes += snap->lookup_state_bytes;
     }
   }
 
@@ -1331,13 +1178,8 @@ std::vector<std::uint16_t> PrototypeCluster::ServerPorts() const {
 
 Result<StatsSnapshotResp> PrototypeCluster::FetchStats(MdsId id) {
   MutexLock lock(&mu_);
-  auto resp = Call(id, EncodeHeader(MsgType::kStatsSnapshot));
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  if (!env->has_payload) return env->status;
-  return DecodeStatsSnapshotResp(in);
+  return PayloadOf(Call(id, EncodeHeader(MsgType::kStatsSnapshot)),
+                   DecodeStatsSnapshotResp);
 }
 
 std::uint64_t PrototypeCluster::TotalFramesIn() const {

@@ -29,7 +29,6 @@
 // failed over, which happens after the Router released everything.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -52,6 +51,7 @@
 #include "rpc/router.hpp"
 #include "rpc/server.hpp"
 #include "rpc/socket.hpp"
+#include "rpc/wire_txn_transport.hpp"
 #include "txn/txn_driver.hpp"
 
 namespace ghba {
@@ -185,8 +185,9 @@ class PrototypeCluster {
 
   /// Gracefully decommission a server: its replicas move to group peers,
   /// every survivor drops its filter, groups that now fit within M merge,
-  /// and its files drain to its own group (every survivor when the group
-  /// empties). Only the drain receivers' replicas are refreshed; there is
+  /// and its files drain to the members of its own group still running
+  /// after the executor (every running survivor when there is none). Only
+  /// the drain receivers' replicas are refreshed; there is
   /// no cluster-wide PublishAll. If the export fails on a running leaver,
   /// the leave is undone as a join of the same id and returns the error.
   Result<ReconfigOutcome> RemoveServer(MdsId id);
@@ -371,6 +372,7 @@ class PrototypeCluster {
   /// A leave's drain: kExportFiles from `id`, its files re-inserted on
   /// `receivers` round-robin as batched writes. `*exported` turns true
   /// once the export's reply decoded: from then on `id` holds no file.
+  /// With no receiver nothing is exported.
   Status DrainLocked(MdsId id, const std::vector<MdsId>& receivers,
                      bool* exported) GHBA_REQUIRES(mu_);
   /// Power loss at a crash point: stop `victim`'s event loop and drop its
@@ -379,38 +381,21 @@ class PrototypeCluster {
   /// caller's test restarts the victim and asserts where recovery landed.
   void PowerOffLocked(MdsId victim) GHBA_REQUIRES(mu_);
 
-  /// TxnDriver's transport over Call() (defined in the .cpp). Each method
-  /// takes mu_ itself, so the driver runs unlocked between messages —
-  /// concurrent cluster traffic interleaves with a transaction exactly as
-  /// it would against real daemons.
+  /// TxnDriver's transport (defined in the .cpp): the one wire transport
+  /// (WireTxnTransport) over Call(), taking mu_ for each round trip, so
+  /// the driver runs unlocked between messages — concurrent cluster
+  /// traffic interleaves with a transaction exactly as it would against
+  /// real daemons. Only the insert prepare is its own: it rides the exact
+  /// check's scatter (Router::PrepareExact).
   struct TxnBridge;
 
-  // Locked bodies of the TxnBridge — one per v5 protocol message, all
-  // plain Call() round-trips with the envelope idiom, except an insert
-  // prepare, which rides its exact check's scatter.
-  Result<std::optional<FileMetadata>> TxnPrepareAt(MdsId participant,
-                                                   const TxnPendingOp& op)
-      GHBA_REQUIRES(mu_);
-  /// An insert prepare and the exact check of its path in one round trip
-  /// (Router::PrepareExact). A holder anywhere makes it AlreadyExists and
-  /// leaves nothing staged: a yes vote is aborted before it returns. A
-  /// peer it cannot reach leaves the verdict to the vote.
-  Result<std::optional<FileMetadata>> TxnPrepareInsertAt(
-      MdsId participant, const TxnPendingOp& op) GHBA_REQUIRES(mu_);
-  Status TxnDecideAt(MdsId coordinator, std::uint64_t txn_id, bool commit)
-      GHBA_REQUIRES(mu_);
-  Status TxnFinishAt(MsgType type, MdsId participant, std::uint64_t txn_id,
-                     const std::string& path) GHBA_REQUIRES(mu_);
-  Result<std::vector<TxnPendingOp>> TxnListAt(MdsId server)
-      GHBA_REQUIRES(mu_);
-  Result<TxnResolution> TxnQueryDecisionAt(MdsId coordinator,
-                                           std::uint64_t txn_id)
-      GHBA_REQUIRES(mu_);
   /// After-step hook body: consume txn.<phase>[.<k>] (crash the server
   /// that just processed message k of that phase, bookkeeping kept) and
   /// txnhalt.<phase>[.<k>] (halt the driver — the client dies at that
-  /// boundary) crash points armed on the injector. Returns false to halt.
-  bool TxnStepLocked(TxnPhase phase, MdsId target) GHBA_REQUIRES(mu_);
+  /// boundary) crash points armed on the injector. The driver numbers k.
+  /// Returns false to halt.
+  bool TxnStepLocked(TxnPhase phase, std::uint32_t k, MdsId target)
+      GHBA_REQUIRES(mu_);
   /// Next client-side transaction id. Lazily seeded from rng_ so a fresh
   /// orchestrator over an old data_dir cannot collide with txn ids a
   /// durable coordinator already journaled (ids must be unique per
@@ -458,9 +443,6 @@ class PrototypeCluster {
   /// Txn id allocator; 0 means "not yet seeded" (NextTxnIdLocked draws a
   /// random base — txn id 0 itself is reserved by the wire codecs).
   std::uint64_t next_txn_id_ GHBA_GUARDED_BY(mu_) = 0;
-  /// Per-drive message counters, one per TxnPhase: position k within a
-  /// phase names the crash point txn.<phase>.<k>. Reset at drive start.
-  std::array<std::uint32_t, 4> txn_step_seq_ GHBA_GUARDED_BY(mu_){};
 
   PeerHealthTracker health_;  // internally synchronized
   /// Client-side accounting. Internally synchronized (atomic counters,

@@ -43,19 +43,6 @@ bool IsRemoteCorruptionReject(const std::vector<std::uint8_t>& resp) {
          env->status.code() == StatusCode::kCorruption;
 }
 
-/// The typed payload of a reply. A transport failure, a mangled envelope
-/// or a remote status (kRetryAfter from a shed request, say) is the error.
-template <typename T>
-Result<T> PayloadOf(const Result<std::vector<std::uint8_t>>& resp,
-                    Result<T> (*decode)(ByteReader&)) {
-  if (!resp.ok()) return resp.status();
-  ByteReader in(*resp);
-  auto env = OpenEnvelope(in);
-  if (!env.ok()) return env.status();
-  if (!env->has_payload) return env->status;
-  return decode(in);
-}
-
 /// What an insert prepare's reply says about the participant's own store,
 /// checked under the path's intent lock: a yes vote (a payload) is
 /// "absent", AlreadyExists is "held", and any other reply (a transport

@@ -5,18 +5,11 @@
 
 namespace ghba {
 
-namespace {
-
-void CountMessage(TxnDriveStats* stats) {
-  if (stats != nullptr) ++stats->messages;
-}
-
-}  // namespace
-
 bool TxnDriver::Step(TxnPhase phase, MdsId target, TxnDriveStats* stats) {
-  if (!after_step_) return true;
-  if (after_step_(phase, target)) return true;
-  if (stats != nullptr) stats->halted = true;
+  // Count even without a hook, so position k never depends on one.
+  const std::uint32_t k = stats->steps[static_cast<std::size_t>(phase)]++;
+  if (!after_step_ || after_step_(phase, k, target)) return true;
+  stats->halted = true;
   return false;
 }
 
@@ -27,13 +20,13 @@ Status TxnDriver::AbortAll(
   // The abort decision makes the outcome durable; the per-participant
   // aborts merely release intent locks early. Failures are fine — a
   // participant that misses its abort resolves via presumed abort.
-  CountMessage(stats);
+  ++stats->messages;
   Status decide = transport_->TxnDecide(coordinator, txn_id, false);
   if (decide.ok() && !Step(TxnPhase::kDecide, coordinator, stats)) {
     return cause;
   }
   for (const auto& [participant, path] : prepared) {
-    CountMessage(stats);
+    ++stats->messages;
     // Best-effort: the op aborts anyway once the participant resolves.
     (void)transport_->TxnAbort(participant, txn_id, path);
     if (!Step(TxnPhase::kAbort, participant, stats)) return cause;
@@ -46,6 +39,8 @@ Status TxnDriver::Rename(std::uint64_t txn_id, const std::string& src,
                          MdsId dst_home, TxnDriveStats* stats) {
   if (txn_id == 0) return Status::InvalidArgument("txn id 0 is reserved");
   if (src == dst) return Status::InvalidArgument("rename onto itself");
+  TxnDriveStats local;
+  if (stats == nullptr) stats = &local;
   const MdsId coordinator = src_home;
   std::vector<MdsId> participants{src_home};
   if (dst_home != src_home) participants.push_back(dst_home);
@@ -61,7 +56,7 @@ Status TxnDriver::Rename(std::uint64_t txn_id, const std::string& src,
   remove_op.path = src;
   remove_op.coordinator = coordinator;
   remove_op.participants = participants;
-  CountMessage(stats);
+  ++stats->messages;
   auto vote = transport_->TxnPrepare(src_home, remove_op);
   if (!vote.ok()) {
     return AbortAll(txn_id, coordinator, prepared, vote.status(), stats);
@@ -83,7 +78,7 @@ Status TxnDriver::Rename(std::uint64_t txn_id, const std::string& src,
   insert_op.metadata = **vote;
   insert_op.coordinator = coordinator;
   insert_op.participants = participants;
-  CountMessage(stats);
+  ++stats->messages;
   if (auto ins = transport_->TxnPrepare(dst_home, insert_op); !ins.ok()) {
     return AbortAll(txn_id, coordinator, prepared, ins.status(), stats);
   }
@@ -94,12 +89,12 @@ Status TxnDriver::Rename(std::uint64_t txn_id, const std::string& src,
 
   // THE commit point. Failure to make the decision durable aborts; after
   // it returns, the rename is committed no matter what happens next.
-  CountMessage(stats);
+  ++stats->messages;
   if (Status s = transport_->TxnDecide(coordinator, txn_id, true); !s.ok()) {
     return AbortAll(txn_id, coordinator, prepared, std::move(s), stats);
   }
   if (!Step(TxnPhase::kDecide, coordinator, stats)) {
-    if (stats != nullptr) stats->commits_pending += 2;
+    stats->commits_pending += 2;
     return Status::Ok();  // committed; closing messages owed to resolution
   }
 
@@ -109,19 +104,17 @@ Status TxnDriver::Rename(std::uint64_t txn_id, const std::string& src,
                                                           {src_home, &src}};
   for (std::size_t i = 0; i < std::size(commits); ++i) {
     const auto [participant, path] = commits[i];
-    CountMessage(stats);
+    ++stats->messages;
     if (Status s = transport_->TxnCommit(participant, txn_id, *path);
         !s.ok()) {
-      if (stats != nullptr) ++stats->commits_pending;
+      ++stats->commits_pending;
       continue;  // already committed; resolution will close this op
     }
     if (!Step(TxnPhase::kCommit, participant, stats)) {
       // The commits after this one were never sent. Counted by position:
       // a same-server rename has dst_home == src_home.
-      if (stats != nullptr) {
-        stats->commits_pending +=
-            static_cast<std::uint32_t>(std::size(commits) - 1 - i);
-      }
+      stats->commits_pending +=
+          static_cast<std::uint32_t>(std::size(commits) - 1 - i);
       return Status::Ok();
     }
   }
@@ -133,6 +126,8 @@ Status TxnDriver::CreateExclusive(std::uint64_t txn_id,
                                   const FileMetadata& metadata,
                                   TxnDriveStats* stats) {
   if (txn_id == 0) return Status::InvalidArgument("txn id 0 is reserved");
+  TxnDriveStats local;
+  if (stats == nullptr) stats = &local;
   TxnPendingOp op;
   op.txn_id = txn_id;
   op.subop = TxnSubOp::kInsert;
@@ -140,7 +135,7 @@ Status TxnDriver::CreateExclusive(std::uint64_t txn_id,
   op.metadata = metadata;
   op.coordinator = home;
   op.participants = {home};
-  CountMessage(stats);
+  ++stats->messages;
   if (auto vote = transport_->TxnPrepare(home, op); !vote.ok()) {
     return AbortAll(txn_id, home, {}, vote.status(), stats);
   }
@@ -148,18 +143,18 @@ Status TxnDriver::CreateExclusive(std::uint64_t txn_id,
     return Status::Unavailable("txn halted after prepare");
   }
 
-  CountMessage(stats);
+  ++stats->messages;
   if (Status s = transport_->TxnDecide(home, txn_id, true); !s.ok()) {
     return AbortAll(txn_id, home, {{home, path}}, std::move(s), stats);
   }
   if (!Step(TxnPhase::kDecide, home, stats)) {
-    if (stats != nullptr) ++stats->commits_pending;
+    ++stats->commits_pending;
     return Status::Ok();
   }
 
-  CountMessage(stats);
+  ++stats->messages;
   if (Status s = transport_->TxnCommit(home, txn_id, path); !s.ok()) {
-    if (stats != nullptr) ++stats->commits_pending;
+    ++stats->commits_pending;
     return Status::Ok();  // committed; resolution closes it
   }
   (void)Step(TxnPhase::kCommit, home, stats);  // drive is complete either way

@@ -2,12 +2,13 @@
 //
 // The driver owns the message choreography of a namespace transaction —
 // who gets prepared, decided, committed, in what order — while the
-// transport owns how a message reaches a server. Two transports exist:
-// PrototypeCluster (loopback sockets, in-process servers) and the txn_chaos
-// tool (DaemonClient connections to real mds_daemon processes it can
-// kill -9 between phases). Both reuse this file verbatim, which is the
-// point: the protocol proven crash-safe in-process is byte-for-byte the one
-// the daemons speak.
+// transport owns how a message reaches a server. There is one wire
+// transport, rpc/wire_txn_transport.hpp, with one Call() per deployment:
+// PrototypeCluster's (loopback sockets, in-process servers) and
+// DaemonTxnTransport's (real mds_daemon processes that the txn_chaos tool
+// can kill -9 between phases). Both run this file and encode every message
+// in that one place, which is the point: the protocol proven crash-safe
+// in-process is byte-for-byte the one the daemons speak.
 //
 // Protocol (presumed abort, client-driven — servers never dial out):
 //
@@ -34,12 +35,15 @@
 // finds a txn open on its coordinator fences it with Decide(abort) first.
 //
 // Crash/halt instrumentation: after every message the driver calls the
-// `after_step` hook with the phase and the server that just processed it.
-// A false return halts the driver mid-protocol — exactly a client dying at
-// that boundary — and the hook itself may crash the target server first.
-// Both faults at every boundary are what the phase-matrix tests sweep.
+// `after_step` hook with the phase, the message's position k among that
+// phase's messages in this drive (the k of crash point txn.<phase>.<k>),
+// and the server that just processed it. A false return halts the driver
+// mid-protocol — exactly a client dying at that boundary — and the hook
+// itself may crash the target server first. Both faults at every boundary
+// are what the phase-matrix tests sweep.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -121,13 +125,18 @@ struct TxnDriveStats {
   std::uint32_t messages = 0;        ///< RPCs issued by this drive
   std::uint32_t commits_pending = 0; ///< acked commit left undelivered
   bool halted = false;               ///< hook stopped the driver mid-flight
+  /// Steps run per TxnPhase (index): the next one of a phase is its k.
+  std::array<std::uint32_t, 4> steps{};
 };
 
 class TxnDriver {
  public:
   /// `after_step` may be null (no instrumentation). It runs after every
-  /// successful message; returning false halts the drive at that boundary.
-  using StepHook = std::function<bool(TxnPhase, MdsId target)>;
+  /// successful message with that message's position `k` within its phase
+  /// in this drive (0-based); returning false halts the drive at that
+  /// boundary.
+  using StepHook =
+      std::function<bool(TxnPhase, std::uint32_t k, MdsId target)>;
 
   explicit TxnDriver(TxnTransport* transport, StepHook after_step = nullptr)
       : transport_(transport), after_step_(std::move(after_step)) {}
@@ -156,7 +165,7 @@ class TxnDriver {
   Result<std::uint64_t> ResolveInDoubt(MdsId server);
 
  private:
-  /// Run the hook; false means halt.
+  /// Count the step in `stats->steps` and run the hook; false means halt.
   bool Step(TxnPhase phase, MdsId target, TxnDriveStats* stats);
 
   /// Decide(abort) + best-effort aborts to every prepared participant,

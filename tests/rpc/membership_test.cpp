@@ -195,6 +195,49 @@ TEST(MembershipTest, FailedExportKeepsTheLeaverAndItsFiles) {
   }
 }
 
+// A drain receiver that loses power in the leave's drop round gets no
+// share of the leaver's files: kExportFiles clears the leaver, so a share
+// sent to a stopped receiver would be lost. The running co-members take
+// every file, and each one answers after the receiver restarts.
+TEST(MembershipTest, DrainSkipsAReceiverCrashedInTheDropRound) {
+  FaultInjector injector;
+  PrototypeCluster cluster(SmallConfig(), ProtoScheme::kGhba);
+  cluster.set_fault_injector(&injector);
+  ASSERT_TRUE(cluster.Start().ok());
+  const MdsId leaver = 1;
+  const auto view = cluster.MembershipOf(leaver);
+  ASSERT_TRUE(view.ok());
+  ASSERT_GT(view->size(), 2u);  // a receiver survives the crash
+  const MdsId receiver = view->front() != leaver ? view->front() : view->back();
+  std::vector<std::string> drained;
+  for (int i = 0; i < 48; ++i) {
+    const std::string path = "/drain-crash/f" + std::to_string(i);
+    FileMetadata md;
+    md.inode = static_cast<std::uint64_t>(i);
+    ASSERT_TRUE(cluster.Insert(path, md).ok());
+  }
+  ASSERT_TRUE(cluster.PublishAll().ok());
+  for (int i = 0; i < 48; ++i) {
+    const std::string path = "/drain-crash/f" + std::to_string(i);
+    const auto r = cluster.Lookup(path);
+    ASSERT_TRUE(r.ok() && r->found) << path;
+    if (r->home == leaver) drained.push_back(path);
+  }
+  ASSERT_GT(drained.size(), 1u);
+
+  injector.ArmCrashPoint("reconfig.drop." + std::to_string(receiver));
+  EXPECT_EQ(cluster.RemoveServer(leaver).status().code(),
+            StatusCode::kUnavailable);
+  EXPECT_FALSE(injector.HasArmedCrashPoints());
+  ASSERT_TRUE(cluster.RestartServer(receiver).ok());
+  for (const std::string& path : drained) {
+    const auto r = cluster.Lookup(path);
+    ASSERT_TRUE(r.ok()) << path << ": " << r.status().ToString();
+    EXPECT_TRUE(r->found) << path;
+    EXPECT_NE(r->home, receiver) << path;
+  }
+}
+
 // The paper's light-weight join (Sec. 4, Fig. 15): when the target group
 // has room, the join touches the group it enters and one replica holder in
 // each other group. Every other server receives no frame at all.

@@ -218,6 +218,54 @@ TEST(TxnTest, CreateExclusiveCreatesOnceAtTheHashHome) {
   EXPECT_TRUE(cluster.CreateExclusive(path, md).ok());
 }
 
+/// Frames the servers received for `op`, fire-and-forget frames included:
+/// a Quiesce on each side flushes them, and the closing Quiesce's own pings
+/// (one per pooled connection, counted by a second Quiesce over the same
+/// pool) are taken back out.
+template <typename Op>
+std::uint64_t FramesOf(PrototypeCluster& cluster, Op op) {
+  EXPECT_TRUE(cluster.Quiesce().ok());
+  const std::uint64_t start = cluster.TotalFramesIn();
+  op();
+  EXPECT_TRUE(cluster.Quiesce().ok());
+  const std::uint64_t flushed = cluster.TotalFramesIn();
+  EXPECT_TRUE(cluster.Quiesce().ok());
+  const std::uint64_t pings = cluster.TotalFramesIn() - flushed;
+  return flushed - start - pings;
+}
+
+// The wire traffic of the two drives, pinned on a fixed seed so the
+// Router's entry draws repeat. A CreateExclusive is its prepare plus the
+// exact check's five kGlobalProbes and one outcome report, then decide and
+// commit: 9. A cross-server rename of a published src is those 9 plus the
+// remove prepare, the second commit and the four frames of the lookup that
+// locates src on this seed: 15.
+TEST(TxnTest, DrivesSendAFixedNumberOfFrames) {
+  ClusterConfig config = TxnConfig();
+  // Default deadlines: a retry on a loaded machine would resend a frame.
+  config.rpc = RpcOptions{};
+  PrototypeCluster cluster(config, ProtoScheme::kGhba);
+  ASSERT_TRUE(cluster.Start().ok());
+  FileMetadata md;
+  md.inode = 5;
+  EXPECT_EQ(FramesOf(cluster,
+                     [&] {
+                       EXPECT_TRUE(
+                           cluster.CreateExclusive("/txn/pinned", md).ok());
+                     }),
+            9u);
+
+  const std::string src = "/txn/pinsrc";
+  ASSERT_TRUE(cluster.Insert(src, md).ok());
+  ASSERT_TRUE(cluster.PublishAll().ok());
+  const auto src_r = cluster.Lookup(src);
+  ASSERT_TRUE(src_r.ok() && src_r->found);
+  const std::string dst = PickDst(cluster, src_r->home, /*cross=*/true);
+  EXPECT_EQ(FramesOf(cluster,
+                     [&] { EXPECT_TRUE(cluster.Rename(src, dst).ok()); }),
+            15u);
+}
+
 // The exact check of a create's path rides its insert prepare. A path
 // held off its hash home (inserted straight on the next server, never
 // published) is found in that round: the drive is AlreadyExists, src

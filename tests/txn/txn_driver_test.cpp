@@ -6,10 +6,10 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <optional>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ghba {
@@ -80,9 +80,8 @@ class RecordingTransport : public TxnTransport {
 
 /// A hook that halts the drive after the `n`-th (1-based) step of `phase`.
 TxnDriver::StepHook HaltAfter(TxnPhase phase, int n) {
-  auto seen = std::make_shared<int>(0);
-  return [phase, n, seen](TxnPhase at, MdsId) {
-    return at != phase || ++*seen != n;
+  return [phase, n](TxnPhase at, std::uint32_t k, MdsId) {
+    return at != phase || static_cast<int>(k) + 1 != n;
   };
 }
 
@@ -110,10 +109,24 @@ void ExpectPreparesOpenAtTheCoordinator(const RecordingTransport& transport,
 
 TEST(TxnDriverTest, CrossServerRenameSendsTheFiveMessagesInOrder) {
   RecordingTransport transport;
-  TxnDriver driver(&transport);
+  // The hook sees each message's position within its phase: the k of the
+  // crash point txn.<phase>.<k>.
+  std::vector<std::pair<TxnPhase, std::uint32_t>> steps;
+  TxnDriver driver(&transport, [&steps](TxnPhase phase, std::uint32_t k,
+                                        MdsId) {
+    steps.emplace_back(phase, k);
+    return true;
+  });
   TxnDriveStats stats;
   ASSERT_TRUE(driver.Rename(9, "/src", 1, "/dst", 2, &stats).ok());
   EXPECT_EQ(transport.sent, Choreography(1, 2));
+  const std::vector<std::pair<TxnPhase, std::uint32_t>> positions = {
+      {TxnPhase::kPrepare, 0},
+      {TxnPhase::kPrepare, 1},
+      {TxnPhase::kDecide, 0},
+      {TxnPhase::kCommit, 0},
+      {TxnPhase::kCommit, 1}};
+  EXPECT_EQ(steps, positions);
   ExpectPreparesOpenAtTheCoordinator(transport, 1, {1, 2});
   EXPECT_EQ(transport.decisions, std::vector<bool>{true});
   // The insert prepare stages the metadata the remove vote carried.

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "client/daemon_client.hpp"
 #include "client/daemon_harness.hpp"
 #include "hash/fnv.hpp"
 
@@ -57,7 +58,7 @@ void Check(bool ok, const std::string& what) {
 
 struct Fleet {
   std::vector<DaemonProcess> daemons;
-  DaemonTxnTransport transport{2000};
+  DaemonTxnTransport transport;
 
   DaemonProcess& at(MdsId id) { return daemons[id]; }
 
@@ -153,12 +154,10 @@ void RunFaultCase(Fleet& fleet, std::uint64_t& txn_id, const Fault& f) {
   Check(fleet.Insert(src, md).ok(), "insert src");
 
   const MdsId victim = f.victim_dst ? dst_home : src_home;
-  std::uint32_t seen[4] = {0, 0, 0, 0};  // one per TxnPhase
   bool fired = false;
   TxnDriver driver(&fleet.transport,
-                   [&](TxnPhase phase, MdsId /*target*/) {
-                     const auto idx = static_cast<std::size_t>(phase);
-                     if (phase != f.phase || seen[idx]++ != f.k) return true;
+                   [&](TxnPhase phase, std::uint32_t k, MdsId /*target*/) {
+                     if (phase != f.phase || k != f.k) return true;
                      fired = true;
                      if (f.crash) {
                        fleet.Kill(victim);
