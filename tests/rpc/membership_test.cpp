@@ -4,7 +4,8 @@
 // one frame per kMaxBatchFrames requests; a recycled MdsId starts with
 // clean health state (the RemoveServer/KillServer regression); a failed
 // join still publishes its newcomer; a leave whose export fails keeps the
-// leaver and its files; durable servers restart under a
+// leaver and its files; a drain skips a receiver that crashed in the
+// leave's drop round; durable servers restart under a
 // bumped epoch with every file; membership churn under live lookups never
 // serves a wrong answer; departures merge groups that fit within M; M = 1
 // joins open a group of their own; and seeded join/leave/kill/restart/split
@@ -200,8 +201,11 @@ TEST(MembershipTest, FailedExportKeepsTheLeaverAndItsFiles) {
 // sent to a stopped receiver would be lost. The running co-members take
 // every file, and each one answers after the receiver restarts.
 TEST(MembershipTest, DrainSkipsAReceiverCrashedInTheDropRound) {
+  ClusterConfig config = SmallConfig();
+  // Default deadlines: only the crash point may fail a call here.
+  config.rpc = RpcOptions{};
   FaultInjector injector;
-  PrototypeCluster cluster(SmallConfig(), ProtoScheme::kGhba);
+  PrototypeCluster cluster(config, ProtoScheme::kGhba);
   cluster.set_fault_injector(&injector);
   ASSERT_TRUE(cluster.Start().ok());
   const MdsId leaver = 1;
