@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -483,6 +484,252 @@ TEST_F(InlineDispatchTest, CheckpointWhileProbesStreamRecoversConsistently) {
   EXPECT_FALSE(*absent);
   server_->Stop();
   server_.reset();
+  std::filesystem::remove_all(dir);
+}
+
+// What the server does with one valid frame of each live message type,
+// pinned end to end so a change to the dispatch cannot move a type off its
+// thread, its shard or its reply unnoticed.
+struct DispatchCase {
+  MsgType type;
+  bool reply;      ///< a reply frame comes back (false: one-way)
+  bool batchable;  ///< DecodeBatchRequest accepts it as a sub-frame
+  enum Inline { kNever, kIdle, kIdleNoFsync } runs_inline;
+  bool path_keyed;  ///< runs on its path's shard (else shard 0)
+  std::vector<std::uint8_t> (*frame)(const std::string& path);
+};
+
+std::vector<std::uint8_t> TxnPrepareFrame(const std::string& path) {
+  TxnPrepareReq req;
+  req.path = path;
+  req.txn_id = 41;
+  req.coordinator = 0;
+  req.subop = TxnSubOp::kInsert;
+  req.participants = {0};
+  return EncodeTxnPrepare(req);
+}
+
+std::vector<std::uint8_t> OutcomeFrame(const std::string&) {
+  OutcomeReport report;
+  report.level = 2;
+  report.found = true;
+  return EncodeOutcomeReport(report);
+}
+
+const std::vector<DispatchCase>& DispatchCases() {
+  using D = DispatchCase;
+  static const std::vector<DispatchCase> cases = {
+      {MsgType::kLookupLocal, true, true, D::kIdle, true,
+       [](const std::string& p) {
+         return EncodeProbeRequest(MsgType::kLookupLocal, p, false);
+       }},
+      {MsgType::kGroupProbe, true, true, D::kIdle, true,
+       [](const std::string& p) {
+         return EncodeProbeRequest(MsgType::kGroupProbe, p, true);
+       }},
+      {MsgType::kGlobalProbe, true, true, D::kIdle, true,
+       [](const std::string& p) {
+         return EncodePathRequest(MsgType::kGlobalProbe, p);
+       }},
+      {MsgType::kVerify, true, true, D::kIdle, true,
+       [](const std::string& p) {
+         return EncodePathRequest(MsgType::kVerify, p);
+       }},
+      {MsgType::kTouchLru, false, false, D::kIdle, true,
+       [](const std::string& p) { return EncodeTouch(p, 3); }},
+      {MsgType::kInsert, true, true, D::kIdleNoFsync, true,
+       [](const std::string& p) { return EncodeInsert(p, FileMetadata{}); }},
+      {MsgType::kUnlink, true, true, D::kIdleNoFsync, true,
+       [](const std::string& p) {
+         return EncodePathRequest(MsgType::kUnlink, p);
+       }},
+      {MsgType::kGetFilter, true, true, D::kNever, false,
+       [](const std::string&) { return EncodeHeader(MsgType::kGetFilter); }},
+      {MsgType::kReplicaInstall, true, true, D::kNever, false,
+       [](const std::string&) {
+         return EncodeReplicaInstall(1, BloomFilter::ForCapacity(64, 8.0, 3));
+       }},
+      {MsgType::kReplicaDrop, true, true, D::kNever, false,
+       [](const std::string&) { return EncodeReplicaDrop(1); }},
+      {MsgType::kReplicaFetch, true, true, D::kNever, false,
+       [](const std::string&) { return EncodeReplicaFetch(1); }},
+      {MsgType::kGetStats, true, true, D::kNever, false,
+       [](const std::string&) { return EncodeHeader(MsgType::kGetStats); }},
+      {MsgType::kPing, true, true, D::kNever, false,
+       [](const std::string&) { return EncodeHeader(MsgType::kPing); }},
+      {MsgType::kStatsSnapshot, true, true, D::kNever, false,
+       [](const std::string&) {
+         return EncodeHeader(MsgType::kStatsSnapshot);
+       }},
+      {MsgType::kReportOutcome, false, false, D::kIdle, false, OutcomeFrame},
+      {MsgType::kRecoveryInfo, true, true, D::kNever, false,
+       [](const std::string&) { return EncodeHeader(MsgType::kRecoveryInfo); }},
+      {MsgType::kVersion, true, true, D::kNever, false,
+       [](const std::string&) { return EncodeHeader(MsgType::kVersion); }},
+      {MsgType::kBatch, true, false, D::kNever, false,
+       [](const std::string&) {
+         const std::vector<std::vector<std::uint8_t>> subs = {
+             EncodeHeader(MsgType::kPing)};
+         return EncodeBatch(subs);
+       }},
+      {MsgType::kLeaseGrant, true, true, D::kIdle, true,
+       [](const std::string& p) {
+         return EncodePathRequest(MsgType::kLeaseGrant, p);
+       }},
+      {MsgType::kTxnPrepare, true, true, D::kIdleNoFsync, true,
+       TxnPrepareFrame},
+      {MsgType::kTxnDecide, true, true, D::kIdleNoFsync, false,
+       [](const std::string&) {
+         return EncodeTxnDecide(TxnDecideReq{41, false});
+       }},
+      {MsgType::kTxnCommit, true, true, D::kIdleNoFsync, true,
+       [](const std::string& p) {
+         return EncodeTxnFinish(MsgType::kTxnCommit, TxnFinishReq{p, 41});
+       }},
+      {MsgType::kTxnAbort, true, true, D::kIdleNoFsync, true,
+       [](const std::string& p) {
+         return EncodeTxnFinish(MsgType::kTxnAbort, TxnFinishReq{p, 41});
+       }},
+      {MsgType::kTxnResolve, true, true, D::kNever, false,
+       [](const std::string&) { return EncodeTxnResolve(41); }},
+      {MsgType::kTxnList, true, true, D::kNever, false,
+       [](const std::string&) { return EncodeHeader(MsgType::kTxnList); }},
+      // The whole-server drain parks every shard on the maintenance thread
+      // after it replies, so nothing whose inline answer is pinned follows
+      // it; kShutdown stops the server and goes last.
+      {MsgType::kExportFiles, true, false, D::kNever, false,
+       [](const std::string&) { return EncodeHeader(MsgType::kExportFiles); }},
+      {MsgType::kShutdown, false, false, D::kNever, false,
+       [](const std::string&) { return EncodeHeader(MsgType::kShutdown); }},
+  };
+  return cases;
+}
+
+TEST_F(InlineDispatchTest, EveryTypeRunsWhereItsRulesSay) {
+  // The cases cover exactly the ids the decoder accepts.
+  std::vector<std::uint16_t> live;
+  for (std::uint32_t raw = 0; raw <= 0xffff; ++raw) {
+    const std::uint8_t bytes[2] = {static_cast<std::uint8_t>(raw & 0xff),
+                                   static_cast<std::uint8_t>(raw >> 8)};
+    ByteReader in(std::span<const std::uint8_t>(bytes, 2));
+    if (DecodeType(in).ok()) live.push_back(static_cast<std::uint16_t>(raw));
+  }
+  std::vector<std::uint16_t> covered;
+  for (const DispatchCase& c : DispatchCases()) {
+    covered.push_back(static_cast<std::uint16_t>(c.type));
+  }
+  std::sort(covered.begin(), covered.end());
+  EXPECT_EQ(covered, live);
+
+  for (const DispatchCase& c : DispatchCases()) {
+    const std::string name = std::to_string(static_cast<int>(c.type));
+    const auto batch = EncodeBatch(
+        std::vector<std::vector<std::uint8_t>>{c.frame("/inline/batched")});
+    ByteReader in(batch);
+    ASSERT_TRUE(in.GetU16().ok());
+    EXPECT_EQ(DecodeBatchRequest(in).ok(), c.batchable) << "type " << name;
+  }
+
+  const auto dir = std::filesystem::temp_directory_path() / "ghba_inline_pin";
+  for (const bool durable : {false, true}) {
+    std::filesystem::remove_all(dir);
+    ClusterConfig config = TestConfig();
+    if (durable) {
+      config.storage.data_dir = dir.string();
+      config.storage.fsync = FsyncPolicy::kAlways;
+    }
+    FaultInjector injector;
+    Boot(config, &injector);
+    auto conn = Connect();
+    auto other = Connect();
+    int fresh = 0;
+    // A path on shard 1, new each time, so a path-keyed frame runs off
+    // shard 0.
+    auto next_path = [&] { return PathOnShard(1, server_->shards(), fresh++); };
+    // Send `frame`, then a kPing and a kVersion; read every reply. A
+    // one-way frame's first reply is the ping's.
+    auto exchange = [&](const std::vector<std::uint8_t>& frame, bool reply,
+                        const std::string& what) {
+      ASSERT_TRUE(conn.SendFrame(frame).ok()) << what;
+      ASSERT_TRUE(conn.SendFrame(EncodeHeader(MsgType::kPing)).ok()) << what;
+      ASSERT_TRUE(conn.SendFrame(EncodeHeader(MsgType::kVersion)).ok())
+          << what;
+      const auto deadline = Deadline::After(10000ms);
+      if (reply) {
+        ASSERT_TRUE(conn.RecvFrame(deadline).ok()) << what;
+      }
+      EXPECT_TRUE(ReadStatus(conn, deadline).ok()) << what << ": ping";
+      auto version = conn.RecvFrame(deadline);
+      ASSERT_TRUE(version.ok()) << what;
+      ByteReader vin(*version);
+      auto env = OpenEnvelope(vin);
+      ASSERT_TRUE(env.ok()) << what;
+      EXPECT_TRUE(env->has_payload) << what << ": replies out of step";
+    };
+    // Leave both shards idle: internal work an earlier frame queued on
+    // either (a replica drop's L1 purge) finishes before this probe's reply.
+    auto settle = [&] {
+      for (std::uint32_t s = 0; s < server_->shards(); ++s) {
+        ASSERT_TRUE(other
+                        .SendFrame(EncodePathRequest(
+                            MsgType::kVerify, PathOnShard(s, 2, 1000)))
+                        .ok());
+        ASSERT_TRUE(ReadBool(other, Deadline::After(10000ms)).ok());
+      }
+    };
+
+    for (const DispatchCase& c : DispatchCases()) {
+      const std::string what = "type " +
+                               std::to_string(static_cast<int>(c.type)) +
+                               (durable ? " fsync=always" : " no data dir");
+      const bool eligible =
+          c.runs_inline == DispatchCase::kIdle ||
+          (c.runs_inline == DispatchCase::kIdleNoFsync && !durable);
+      if (c.type == MsgType::kShutdown) {
+        const std::uint64_t before = Inline();
+        ASSERT_TRUE(conn.SendFrame(c.frame(next_path())).ok());
+        ASSERT_TRUE(conn.SendFrame(EncodeHeader(MsgType::kPing)).ok());
+        // No reply, and the ping behind it is never served.
+        EXPECT_FALSE(conn.RecvFrame(Deadline::After(10000ms)).ok()) << what;
+        EXPECT_EQ(Inline(), before) << what;
+        break;
+      }
+
+      settle();
+      const std::uint64_t before = Inline();
+      exchange(c.frame(next_path()), c.reply, what);
+      EXPECT_EQ(Inline() - before, eligible ? 1u : 0u) << what;
+      if (!eligible) continue;
+
+      // Which shard it runs on: a frame whose shard is stalled is queued,
+      // not answered inline. Both frames counted means the event thread
+      // has made the first one's dispatch decision.
+      const std::uint32_t home = c.path_keyed ? 1 : 0;
+      for (const std::uint32_t stalled : {home, 1 - home}) {
+        settle();
+        const std::uint64_t at = Inline();
+        const std::uint64_t in_before = server_->frames_in();
+        injector.StallShard(0, stalled);
+        ASSERT_TRUE(conn.SendFrame(c.frame(next_path())).ok());
+        ASSERT_TRUE(conn.SendFrame(EncodeHeader(MsgType::kVersion)).ok());
+        const auto guard = std::chrono::steady_clock::now() + 10s;
+        while (server_->frames_in() < in_before + 2 &&
+               std::chrono::steady_clock::now() < guard) {
+          std::this_thread::yield();
+        }
+        injector.UnstallShard(0, stalled);
+        const auto deadline = Deadline::After(10000ms);
+        if (c.reply) {
+          ASSERT_TRUE(conn.RecvFrame(deadline).ok()) << what;
+        }
+        ASSERT_TRUE(conn.RecvFrame(deadline).ok()) << what;
+        EXPECT_EQ(Inline() - at, stalled == home ? 0u : 1u)
+            << what << " with shard " << stalled << " stalled";
+      }
+    }
+    server_->Stop();
+    server_.reset();
+  }
   std::filesystem::remove_all(dir);
 }
 
