@@ -30,15 +30,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     case 0: {
       const auto type = ghba::DecodeType(in);
       if (type.ok()) {
-        // Bound must track the newest MsgType: it froze at kRecoveryInfo
-        // when v3 added types 19-22, at 22 when v4 added the lease pair,
-        // and at 24 when v5 added the kTxn* family — each time a mutated
-        // frame carrying a valid new tag tripped this Require. Types 21
-        // and 22 are retired since v7, 24 since v8; none may decode.
-        const auto raw = static_cast<std::uint16_t>(*type);
-        Require(*type >= ghba::MsgType::kLookupLocal &&
-                *type <= ghba::MsgType::kTxnList && raw != 21 && raw != 22 &&
-                raw != 24);
+        // Only an id with a row in the message table decodes, and it
+        // decodes to itself: re-encoding gives back the same u16.
+        const auto bytes = ghba::EncodeHeader(*type);
+        Require(bytes.size() == 2 && bytes[0] == data[1] &&
+                bytes[1] == data[2]);
       }
       break;
     }
@@ -81,18 +77,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
         Require(redecoded.ok() && *redecoded == *resp);
         // The decoder consumed exactly the encoded body.
         Require(again.remaining() == 0);
-      }
-      break;
-    }
-    case 4: {
-      const auto stats = ghba::DecodeStatsResp(in);
-      if (stats.ok()) {
-        const auto bytes = ghba::EncodeStatsResp(*stats);
-        ghba::ByteReader again(bytes);
-        Require(ghba::OpenEnvelope(again).ok());
-        auto redecoded = ghba::DecodeStatsResp(again);
-        Require(redecoded.ok() && redecoded->frames_in == stats->frames_in &&
-                redecoded->replicas == stats->replicas);
       }
       break;
     }

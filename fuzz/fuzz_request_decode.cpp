@@ -92,7 +92,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       (void)ghba::DecodeTxnResolve(in);  // error = valid outcome
       break;
     case ghba::MsgType::kGetFilter:
-    case ghba::MsgType::kGetStats:
     case ghba::MsgType::kPing:
     case ghba::MsgType::kShutdown:
     case ghba::MsgType::kExportFiles:

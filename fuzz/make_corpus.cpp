@@ -86,12 +86,12 @@ int main(int argc, char** argv) {
 
   // --- fuzz_protocol_decode: selector + response body ---
   WriteSeed(root, "fuzz_protocol_decode", "type",
-            Sel(0, ghba::EncodeHeader(ghba::MsgType::kGetStats)));
+            Sel(0, ghba::EncodeHeader(ghba::MsgType::kStatsSnapshot)));
   // A retired type (21, the v3-v6 membership push) must not decode.
   WriteSeed(root, "fuzz_protocol_decode", "type_retired",
             Sel(0, Bytes{21, 0}));
-  // Pins the bound at the newest kTxn* type: seeds like this one used to
-  // trap the harness's stale range check after each protocol revision.
+  // The newest type: seeds like this one trapped the hand-kept range
+  // check the harness had before the message table.
   WriteSeed(root, "fuzz_protocol_decode", "type_v5",
             Sel(0, ghba::EncodeHeader(ghba::MsgType::kTxnList)));
   WriteSeed(root, "fuzz_protocol_decode", "envelope_error",
@@ -115,9 +115,6 @@ int main(int argc, char** argv) {
   lookup.lease_ttl_ms = 0;
   WriteSeed(root, "fuzz_protocol_decode", "lookup_v6_shed",
             Sel(3, StripEnvelope(ghba::EncodeLocalLookupResp(lookup))));
-  ghba::StatsResp stats{100, 99, 1234, 5};
-  WriteSeed(root, "fuzz_protocol_decode", "stats",
-            Sel(4, StripEnvelope(ghba::EncodeStatsResp(stats))));
   ghba::FileListResp files;
   files.files.emplace_back("/a/b", SampleMetadata());
   files.files.emplace_back("/c", SampleMetadata());

@@ -52,8 +52,9 @@ Result<LeaseGrantResp> DaemonClient::RequestLease(const std::string& path) {
                    DecodeLeaseGrantResp);
 }
 
-Result<StatsResp> DaemonClient::Stats() {
-  return PayloadOf(Call(EncodeHeader(MsgType::kGetStats)), DecodeStatsResp);
+Result<StatsSnapshotResp> DaemonClient::Stats() {
+  return PayloadOf(Call(EncodeHeader(MsgType::kStatsSnapshot)),
+                   DecodeStatsSnapshotResp);
 }
 
 Result<std::uint32_t> DaemonClient::Version() {

@@ -56,7 +56,8 @@ class DaemonClient {
   /// kLeaseGrant, exposed for scripting coherence experiments.
   Result<LeaseGrantResp> RequestLease(const std::string& path);
 
-  Result<StatsResp> Stats();
+  /// The four server counters ghba_client prints, from kStatsSnapshot.
+  Result<StatsSnapshotResp> Stats();
 
   /// Protocol version the daemon reports (kVersion).
   Result<std::uint32_t> Version();

@@ -47,7 +47,7 @@ Status ValidateClusterConfig(const ClusterConfig& config) {
   }
   const RpcOptions& rpc = config.rpc;
   if (rpc.connect_timeout_ms == 0 || rpc.attempt_timeout_ms == 0 ||
-      rpc.ping_timeout_ms == 0 || rpc.server_io_timeout_ms == 0) {
+      rpc.ping_timeout_ms == 0) {
     return Status::InvalidArgument("rpc timeouts must be >= 1 ms");
   }
   if (rpc.call_budget_ms < rpc.attempt_timeout_ms) {

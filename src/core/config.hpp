@@ -27,9 +27,6 @@ struct RpcOptions {
   std::uint32_t max_attempts = 3;
   /// Base backoff between attempts; doubles per retry with +/-50% jitter.
   std::uint32_t retry_backoff_ms = 5;
-  /// Server-side bound on reading or writing one frame: a client that
-  /// stalls mid-frame is disconnected instead of wedging the event loop.
-  std::uint32_t server_io_timeout_ms = 2000;
   /// Consecutive call failures before a peer is suspected.
   std::uint32_t suspect_after = 2;
   /// Heart-beat confirmation: a suspected peer is pinged this many times

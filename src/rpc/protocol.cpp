@@ -184,16 +184,6 @@ std::vector<std::uint8_t> EncodeFilterResp(const BloomFilter& filter) {
   return w.Take();
 }
 
-std::vector<std::uint8_t> EncodeStatsResp(const StatsResp& stats) {
-  ByteWriter w;
-  w.PutU8(1);  // envelope
-  w.PutU64(stats.frames_in);
-  w.PutU64(stats.frames_out);
-  w.PutU64(stats.files);
-  w.PutU64(stats.replicas);
-  return w.Take();
-}
-
 std::vector<std::uint8_t> EncodeStatsSnapshotResp(
     const StatsSnapshotResp& snap) {
   ByteWriter w;
@@ -586,28 +576,9 @@ Status StatusOf(const Result<std::vector<std::uint8_t>>& resp) {
 Result<MsgType> DecodeType(ByteReader& in) {
   auto t = in.GetU16();
   if (!t.ok()) return t.status();
-  // 21 and 22 are the retired membership-push types, 24 the retired
-  // lease revocation, 25 the retired txn begin.
-  if (*t < 1 || *t > static_cast<std::uint16_t>(MsgType::kTxnList) ||
-      *t == 21 || *t == 22 || *t == 24 || *t == 25) {
-    return Status::Corruption("unknown message type");
-  }
-  return static_cast<MsgType>(*t);
-}
-
-bool BatchableType(MsgType type) {
-  switch (type) {
-    case MsgType::kTouchLru:
-    case MsgType::kReportOutcome:
-    case MsgType::kShutdown:
-    case MsgType::kBatch:
-    // A whole-server drain needs every shard parked; it cannot share a
-    // frame with requests that execute on individual shards.
-    case MsgType::kExportFiles:
-      return false;
-    default:
-      return true;
-  }
+  const MsgRow* row = FindMsgRow(*t);
+  if (row == nullptr) return Status::Corruption("unknown message type");
+  return row->type;
 }
 
 std::vector<std::uint8_t> EncodeBatch(
@@ -642,7 +613,7 @@ Result<std::vector<std::vector<std::uint8_t>>> DecodeBatchRequest(
     ByteReader sub(*bytes);
     auto type = DecodeType(sub);
     if (!type.ok()) return type.status();
-    if (!BatchableType(*type)) {
+    if (!Batchable(RowOf(*type))) {
       return Status::InvalidArgument("message type not allowed in a batch");
     }
     subs.push_back(std::move(*bytes));
@@ -751,23 +722,6 @@ Result<LocalLookupResp> DecodeLocalLookupResp(ByteReader& in) {
   }
   resp.lease_ttl_ms = *ttl;
   return resp;
-}
-
-Result<StatsResp> DecodeStatsResp(ByteReader& in) {
-  StatsResp stats;
-  auto a = in.GetU64();
-  if (!a.ok()) return a.status();
-  stats.frames_in = *a;
-  auto b = in.GetU64();
-  if (!b.ok()) return b.status();
-  stats.frames_out = *b;
-  auto c = in.GetU64();
-  if (!c.ok()) return c.status();
-  stats.files = *c;
-  auto d = in.GetU64();
-  if (!d.ok()) return d.status();
-  stats.replicas = *d;
-  return stats;
 }
 
 }  // namespace ghba

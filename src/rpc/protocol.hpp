@@ -9,6 +9,7 @@
 // multi-byte integers little-endian via ByteWriter.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -37,7 +38,7 @@ enum class MsgType : std::uint16_t {
   kReplicaInstall = 9,   ///< add/refresh a replica in the segment array
   kReplicaDrop = 10,     ///< remove a replica from the segment array
   kReplicaFetch = 11,    ///< read a replica back out (migration) -> Filter
-  kGetStats = 12,     ///< message/file counters -> StatsResp
+  // 12 carried the v1-v9 counters-only stats reply; retired, never reused.
   kPing = 13,         ///< liveness -> StatusResp
   kShutdown = 14,     ///< stop the server loop; no response
   kExportFiles = 15,  ///< drain all (path, metadata) pairs -> FileListResp
@@ -75,21 +76,146 @@ enum class MsgType : std::uint16_t {
 /// cluster revokes client caches in-process, and type 24 is retired.
 /// v9 retires kTxnBegin (type 25): a coordinator counts a txn open while
 /// it holds the txn's own prepare, so the first prepare opens it.
+/// v10 retires kGetStats (type 12): kStatsSnapshot carries the same four
+/// counters.
 /// Every binary is built from one tree, so peers do not negotiate; kVersion
 /// only reports this number to operators.
-inline constexpr std::uint32_t kProtocolVersion = 9;
+inline constexpr std::uint32_t kProtocolVersion = 10;
 
 /// Upper bound on sub-frames per kBatch frame: enough for any realistic
 /// pipeline depth, small enough that a mangled count cannot make the server
 /// queue unbounded work from one frame.
 inline constexpr std::uint64_t kMaxBatchFrames = 4096;
 
-/// True when `type` may ride inside a kBatch frame: request/response
-/// messages only. One-ways (kTouchLru, kReportOutcome) would leave a batch
-/// slot forever unfilled, kShutdown kills the server mid-batch, nested
-/// kBatch frames would let one frame amplify itself, and kExportFiles is a
-/// whole-server drain that cannot run on a single shard.
-bool BatchableType(MsgType type);
+/// Where a server runs a message.
+enum class MsgRunsOn : std::uint8_t {
+  kPathShard,    ///< the shard that owns the path after the type tag
+  kShardZero,    ///< shard 0: whole-server state and control
+  kMaintenance,  ///< the maintenance thread, every shard parked
+  kEventThread,  ///< split on the event thread into its sub-frames
+};
+
+/// When the event thread may answer a message itself, on an idle shard,
+/// instead of waking the shard's worker.
+enum class MsgInline : std::uint8_t {
+  kNever,
+  kIdleShard,         ///< memory-only: the handler neither fsyncs nor sleeps
+  kIdleShardNoFsync,  ///< journals: only when the append cannot fsync
+};
+
+/// One live message type and every per-type rule a server applies to it.
+struct MsgRow {
+  MsgType type;
+  bool reply = true;  ///< false: one-way, no reply frame
+  MsgRunsOn runs_on = MsgRunsOn::kShardZero;
+  MsgInline runs_inline = MsgInline::kNever;
+  /// The worker pays the simulated spilled-replica delay before the
+  /// handler (a segment-array probe). Never on the event thread: a server
+  /// with spilled replicas answers nothing inline.
+  bool spill_delay = false;
+  /// The handler may append to the WAL; the server checks for a due
+  /// checkpoint after it.
+  bool journals = false;
+};
+
+/// The message table: one row per live MsgType, in id order. A retired id
+/// has no row.
+inline constexpr MsgRow kMsgTable[] = {
+    {.type = MsgType::kLookupLocal,
+     .runs_on = MsgRunsOn::kPathShard,
+     .runs_inline = MsgInline::kIdleShard,
+     .spill_delay = true},
+    {.type = MsgType::kGroupProbe,
+     .runs_on = MsgRunsOn::kPathShard,
+     .runs_inline = MsgInline::kIdleShard,
+     .spill_delay = true},
+    {.type = MsgType::kGlobalProbe,
+     .runs_on = MsgRunsOn::kPathShard,
+     .runs_inline = MsgInline::kIdleShard},
+    {.type = MsgType::kVerify,
+     .runs_on = MsgRunsOn::kPathShard,
+     .runs_inline = MsgInline::kIdleShard},
+    {.type = MsgType::kTouchLru,
+     .reply = false,
+     .runs_on = MsgRunsOn::kPathShard,
+     .runs_inline = MsgInline::kIdleShard},
+    {.type = MsgType::kInsert,
+     .runs_on = MsgRunsOn::kPathShard,
+     .runs_inline = MsgInline::kIdleShardNoFsync,
+     .journals = true},
+    {.type = MsgType::kUnlink,
+     .runs_on = MsgRunsOn::kPathShard,
+     .runs_inline = MsgInline::kIdleShardNoFsync,
+     .journals = true},
+    {.type = MsgType::kGetFilter},
+    {.type = MsgType::kReplicaInstall},
+    {.type = MsgType::kReplicaDrop},
+    {.type = MsgType::kReplicaFetch},
+    {.type = MsgType::kPing},
+    {.type = MsgType::kShutdown, .reply = false},
+    {.type = MsgType::kExportFiles, .runs_on = MsgRunsOn::kMaintenance},
+    {.type = MsgType::kStatsSnapshot},
+    {.type = MsgType::kReportOutcome,
+     .reply = false,
+     .runs_inline = MsgInline::kIdleShard},
+    {.type = MsgType::kRecoveryInfo},
+    {.type = MsgType::kVersion},
+    {.type = MsgType::kBatch, .runs_on = MsgRunsOn::kEventThread},
+    {.type = MsgType::kLeaseGrant,
+     .runs_on = MsgRunsOn::kPathShard,
+     .runs_inline = MsgInline::kIdleShard},
+    // Per-path txn messages run where the mutations they stage run, so a
+    // prepare and the plain ops it fences always share one shard worker.
+    {.type = MsgType::kTxnPrepare,
+     .runs_on = MsgRunsOn::kPathShard,
+     .runs_inline = MsgInline::kIdleShardNoFsync,
+     .journals = true},
+    {.type = MsgType::kTxnDecide,
+     .runs_inline = MsgInline::kIdleShardNoFsync,
+     .journals = true},
+    {.type = MsgType::kTxnCommit,
+     .runs_on = MsgRunsOn::kPathShard,
+     .runs_inline = MsgInline::kIdleShardNoFsync,
+     .journals = true},
+    {.type = MsgType::kTxnAbort,
+     .runs_on = MsgRunsOn::kPathShard,
+     .runs_inline = MsgInline::kIdleShardNoFsync,
+     .journals = true},
+    {.type = MsgType::kTxnResolve},
+    {.type = MsgType::kTxnList},
+};
+
+/// kMsgTable's position of every raw id, -1 for an id with no row.
+inline constexpr auto kMsgRowIndex = [] {
+  std::array<std::int8_t, 32> index{};
+  index.fill(-1);
+  for (std::size_t i = 0; i < std::size(kMsgTable); ++i) {
+    auto& slot = index[static_cast<std::uint16_t>(kMsgTable[i].type)];
+    if (slot >= 0) throw "two rows for one message type";
+    slot = static_cast<std::int8_t>(i);
+  }
+  return index;
+}();
+
+/// The row of raw type id `raw`; null for an unknown or retired id.
+constexpr const MsgRow* FindMsgRow(std::uint16_t raw) {
+  if (raw >= kMsgRowIndex.size() || kMsgRowIndex[raw] < 0) return nullptr;
+  return &kMsgTable[kMsgRowIndex[raw]];
+}
+
+/// The row of a live (decoded) type.
+constexpr const MsgRow& RowOf(MsgType type) {
+  return *FindMsgRow(static_cast<std::uint16_t>(type));
+}
+
+/// A message may ride inside a kBatch frame when it has a reply and runs
+/// on one shard. A one-way would leave a batch slot forever unfilled, a
+/// nested kBatch would let one frame amplify itself, and kExportFiles is a
+/// whole-server drain that cannot share a frame with shard requests.
+constexpr bool Batchable(const MsgRow& row) {
+  return row.reply && (row.runs_on == MsgRunsOn::kPathShard ||
+                       row.runs_on == MsgRunsOn::kShardZero);
+}
 
 /// What a server says about a path in its own store (v6 self-answer).
 enum class SelfVerdict : std::uint8_t {
@@ -113,13 +239,6 @@ struct LocalLookupResp {
 
   friend bool operator==(const LocalLookupResp&,
                          const LocalLookupResp&) = default;
-};
-
-struct StatsResp {
-  std::uint64_t frames_in = 0;
-  std::uint64_t frames_out = 0;
-  std::uint64_t files = 0;
-  std::uint64_t replicas = 0;
 };
 
 /// Full per-MDS observability export (kStatsSnapshot). Fixed header fields
@@ -298,7 +417,7 @@ std::vector<std::uint8_t> EncodeBatch(
 
 /// Server-side decode of a kBatch request body. Validates the count and
 /// every length against the remaining frame bytes, and rejects sub-frames
-/// whose leading type is not BatchableType.
+/// whose type has no row or is not Batchable.
 Result<std::vector<std::vector<std::uint8_t>>> DecodeBatchRequest(
     ByteReader& in);
 
@@ -328,7 +447,6 @@ std::vector<std::uint8_t> EncodeStatusResp(const Status& status);
 std::vector<std::uint8_t> EncodeBoolResp(bool value);
 std::vector<std::uint8_t> EncodeLocalLookupResp(const LocalLookupResp& resp);
 std::vector<std::uint8_t> EncodeFilterResp(const BloomFilter& filter);
-std::vector<std::uint8_t> EncodeStatsResp(const StatsResp& stats);
 std::vector<std::uint8_t> EncodeStatsSnapshotResp(
     const StatsSnapshotResp& snap);
 std::vector<std::uint8_t> EncodeRecoveryInfoResp(const RecoveryInfoResp& info);
@@ -375,6 +493,7 @@ Result<T> PayloadOf(const Result<std::vector<std::uint8_t>>& resp,
 /// envelope is the error.
 Status StatusOf(const Result<std::vector<std::uint8_t>>& resp);
 
+/// The leading type of a frame; Corruption for an id with no row.
 Result<MsgType> DecodeType(ByteReader& in);
 
 /// Remote status wrapped in a distinct type (Result<Status> would be
@@ -385,7 +504,6 @@ struct RemoteStatus {
 Result<RemoteStatus> DecodeStatusResp(ByteReader& in);
 Result<bool> DecodeBoolResp(ByteReader& in);
 Result<LocalLookupResp> DecodeLocalLookupResp(ByteReader& in);
-Result<StatsResp> DecodeStatsResp(ByteReader& in);
 Result<StatsSnapshotResp> DecodeStatsSnapshotResp(ByteReader& in);
 Result<FileListResp> DecodeFileListResp(ByteReader& in);
 Result<RecoveryInfoResp> DecodeRecoveryInfoResp(ByteReader& in);

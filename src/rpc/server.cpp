@@ -44,34 +44,6 @@ std::uint16_t PeekType(const std::vector<std::uint8_t>& frame) {
          (static_cast<std::uint16_t>(frame[1]) << 8);
 }
 
-/// The requests the event thread may answer inline on an idle shard: those
-/// whose handler neither fsyncs nor sleeps. That is the memory-only probes
-/// (HandleProbe) always, and the journaling mutations — kInsert, kUnlink and
-/// the per-message 2PC steps — when `append_cannot_fsync`. Everything else
-/// (kTxnResolve/kTxnList, whole-server and control messages, kBatch) is
-/// always queued to a worker.
-bool RunsInline(std::uint16_t type, bool append_cannot_fsync) {
-  switch (static_cast<MsgType>(type)) {
-    case MsgType::kInsert:
-    case MsgType::kUnlink:
-    case MsgType::kTxnPrepare:
-    case MsgType::kTxnDecide:
-    case MsgType::kTxnCommit:
-    case MsgType::kTxnAbort:
-      return append_cannot_fsync;
-    case MsgType::kLookupLocal:
-    case MsgType::kGroupProbe:
-    case MsgType::kGlobalProbe:
-    case MsgType::kVerify:
-    case MsgType::kLeaseGrant:
-    case MsgType::kTouchLru:
-    case MsgType::kReportOutcome:
-      return true;
-    default:
-      return false;
-  }
-}
-
 void SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
@@ -295,34 +267,16 @@ void MdsServer::FailEventLoop(const char* what, int errnum) {
 }
 
 std::uint32_t MdsServer::RouteShard(
-    const std::vector<std::uint8_t>& frame) const {
-  if (shards_.size() <= 1) return 0;
-  ByteReader in(frame);
-  auto type = in.GetU16();
-  if (!type.ok()) return 0;
-  switch (static_cast<MsgType>(*type)) {
-    case MsgType::kLookupLocal:
-    case MsgType::kGroupProbe:
-    case MsgType::kGlobalProbe:
-    case MsgType::kVerify:
-    case MsgType::kTouchLru:
-    case MsgType::kInsert:
-    case MsgType::kUnlink:
-    case MsgType::kLeaseGrant:
-    // Per-path txn messages route like the mutations they stage, so a
-    // prepare and the plain ops it fences always share one shard worker.
-    case MsgType::kTxnPrepare:
-    case MsgType::kTxnCommit:
-    case MsgType::kTxnAbort: {
-      auto path = in.GetString();
-      if (!path.ok()) return 0;
-      return ShardOfPath(*path, shards());
-    }
-    default:
-      // Whole-server messages (filters, replicas, stats, control) and
-      // malformed frames all run on shard 0.
-      return 0;
+    const MsgRow* row, const std::vector<std::uint8_t>& frame) const {
+  if (shards_.size() <= 1 || row == nullptr ||
+      row->runs_on != MsgRunsOn::kPathShard) {
+    return 0;
   }
+  ByteReader in(frame);
+  (void)in.GetU16();  // the type tag the row came from
+  auto path = in.GetString();
+  if (!path.ok()) return 0;
+  return ShardOfPath(*path, shards());
 }
 
 void MdsServer::PostTask(std::uint32_t shard_index, Task task) {
@@ -338,15 +292,18 @@ void MdsServer::PostTaskLocked(Shard& shard, Task task) {
   shard.cv.notify_one();
 }
 
-bool MdsServer::DispatchToShard(std::uint32_t shard_index, Task task,
-                                Completion& done) {
+bool MdsServer::DispatchToShard(std::uint32_t shard_index, const MsgRow* row,
+                                Task task, std::vector<std::uint8_t>& reply) {
   Shard& shard = *shards_[shard_index];
-  const std::uint16_t type = PeekType(task.frame);
+  const bool may_inline =
+      row != nullptr &&
+      (row->runs_inline == MsgInline::kIdleShard ||
+       (row->runs_inline == MsgInline::kIdleShardNoFsync &&
+        append_cannot_fsync_));
   // Spilled replicas make a probe block (PaySpilledProbeDelay): that server
   // answers on its workers only. Read before shard.mu, which ranks below
   // seg_mu_.
-  const bool eligible = RunsInline(type, append_cannot_fsync_) &&
-                        ReplicaOverflowFraction() == 0.0;
+  const bool eligible = may_inline && ReplicaOverflowFraction() == 0.0;
   shard.mu.Lock();
   // Idle means nothing queued and nobody running: an earlier request for
   // this shard — a same-path insert, say — has finished, so running this
@@ -366,8 +323,7 @@ bool MdsServer::DispatchToShard(std::uint32_t shard_index, Task task,
     // The claim makes this thread the shard's only user until the release
     // below, so adopting its role here is sound.
     ThreadRoleGuard role(&shard.role);
-    bool shutdown = false;  // kShutdown is never eligible
-    done.payload = Handle(task.frame, shard, done.respond, shutdown);
+    reply = Serve(task.frame, shard);
   }
   ReleaseClaim(shard);
   ++serve_inline_requests_;
@@ -508,18 +464,21 @@ void MdsServer::IoLoop() {
   };
 
   // Hand one complete request frame to its executor. Every frame — one-way
-  // or not — claims the next response slot so responses stay in order.
+  // or not — claims the next response slot so responses stay in order; a
+  // one-way frame's slot flushes nothing. A frame with no row is answered
+  // on shard 0 with the decode error.
   auto dispatch_frame = [&](std::uint64_t cid, Conn& c,
                             std::vector<std::uint8_t> f) {
     frames_in_.fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t seq = c.next_seq++;
-    const std::uint16_t raw_type = PeekType(f);
-    if (raw_type == static_cast<std::uint16_t>(MsgType::kBatch)) {
+    const MsgRow* row = FindMsgRow(PeekType(f));
+    PendingResp& p = c.pending[seq];
+    p.respond = row == nullptr || row->reply;
+    if (row != nullptr && row->runs_on == MsgRunsOn::kEventThread) {
       ByteReader in(f);
-      (void)in.GetU16();  // skip the type tag PeekType already validated
+      (void)in.GetU16();  // the type tag the row came from
       auto subs = DecodeBatchRequest(in);
       if (subs.ok()) {
-        PendingResp& p = c.pending[seq];
         p.is_batch = true;
         p.remaining = subs->size();
         p.slots.resize(subs->size());
@@ -532,7 +491,8 @@ void MdsServer::IoLoop() {
           // Route before the move: the by-value Task parameter may be
           // constructed before RouteShard runs (evaluation order is
           // unspecified), which would hash a moved-from frame.
-          const std::uint32_t target = RouteShard(task.frame);
+          const std::uint32_t target =
+              RouteShard(FindMsgRow(PeekType(task.frame)), task.frame);
           PostTask(target, std::move(task));
         }
         return;
@@ -540,12 +500,11 @@ void MdsServer::IoLoop() {
       // Undecodable batch: fall through; shard 0 re-decodes and answers
       // with the error so the reject still flows through the ordered path.
     }
-    c.pending[seq];  // claim the slot
     Task task;
     task.conn_id = cid;
     task.seq = seq;
     task.frame = std::move(f);
-    if (raw_type == static_cast<std::uint16_t>(MsgType::kExportFiles)) {
+    if (row != nullptr && row->runs_on == MsgRunsOn::kMaintenance) {
       // Whole-server drain: only the maintenance thread may park every
       // shard for a consistent cut.
       maint_mu_.Lock();
@@ -554,14 +513,10 @@ void MdsServer::IoLoop() {
       maint_mu_.Unlock();
       return;
     }
-    const std::uint32_t target = RouteShard(task.frame);
-    Completion done;
-    if (DispatchToShard(target, std::move(task), done)) {
+    const std::uint32_t target = RouteShard(row, task.frame);
+    if (DispatchToShard(target, row, std::move(task), p.payload)) {
       // Answered inline: the reply goes straight into its slot, and the
       // ordered flush still holds it behind any earlier unfinished slot.
-      PendingResp& p = c.pending[seq];
-      p.respond = done.respond;
-      p.payload = std::move(done.payload);
       p.ready = true;
     }
   };
@@ -694,11 +649,9 @@ void MdsServer::IoLoop() {
           p.payload = EncodeBatchResp(p.slots);
           p.slots.clear();
           p.slots.shrink_to_fit();
-          p.respond = true;
           p.ready = true;
         }
       } else {
-        p.respond = comp.respond;
         p.payload = std::move(comp.payload);
         p.ready = true;
       }
@@ -786,24 +739,17 @@ void MdsServer::WorkerLoop(Shard* shard) {
       continue;
     }
 
-    const std::uint16_t type = PeekType(task.frame);
-    if (type == static_cast<std::uint16_t>(MsgType::kLookupLocal) ||
-        type == static_cast<std::uint16_t>(MsgType::kGroupProbe)) {
-      PaySpilledProbeDelay();
-    }
-    bool respond = false;
-    bool shutdown = false;
+    const MsgRow* row = FindMsgRow(PeekType(task.frame));
+    if (row != nullptr && row->spill_delay) PaySpilledProbeDelay();
     Completion comp;
     comp.conn_id = task.conn_id;
     comp.seq = task.seq;
     comp.slot = task.slot;
-    comp.payload = Handle(task.frame, *shard, respond, shutdown);
-    comp.respond = respond;
+    comp.payload = Serve(task.frame, *shard);
     // Free the shard before the reply can reach the client, so the
     // client's next request finds it idle.
     ReleaseClaim(*shard);
     PostCompletion(std::move(comp));
-    if (shutdown) RequestStop();
   }
 }
 
@@ -932,7 +878,6 @@ void MdsServer::RunExport(Task task) {
   comp.conn_id = task.conn_id;
   comp.seq = task.seq;
   comp.slot = task.slot;
-  comp.respond = true;
   if (!logged.ok()) {
     // Roll the drain back: the coordinator must not receive records a
     // restart of this server would still claim to own.
@@ -1092,9 +1037,27 @@ double MdsServer::ReplicaOverflowFraction() const {
          static_cast<double>(replica_bytes);
 }
 
-std::vector<std::uint8_t> MdsServer::HandleProbe(MsgType type, ByteReader& in,
-                                                 Shard& shard, bool& respond) {
-  respond = true;
+std::vector<std::uint8_t> MdsServer::Serve(
+    const std::vector<std::uint8_t>& frame, Shard& shard) {
+  ByteReader in(frame);
+  const auto type = DecodeType(in);
+  if (!type.ok()) return EncodeStatusResp(type.status());
+  auto reply = Handle(*type, in, shard);
+  // After the handler has released every lock it took (txn_.mu() included),
+  // so the checkpoint check adds no lock nesting.
+  if (RowOf(*type).journals) {
+    bool due;
+    {
+      MutexLock wal(&wal_mu_);
+      due = engine_ != nullptr && engine_->CheckpointDue();
+    }
+    if (due) NoteCheckpointDue();
+  }
+  return reply;
+}
+
+std::vector<std::uint8_t> MdsServer::Handle(MsgType type, ByteReader& in,
+                                            Shard& shard) {
   switch (type) {
     case MsgType::kLookupLocal:
     case MsgType::kGroupProbe: {
@@ -1133,7 +1096,6 @@ std::vector<std::uint8_t> MdsServer::HandleProbe(MsgType type, ByteReader& in,
       return EncodeBoolResp(self.verdict == SelfVerdict::kHeld);
     }
     case MsgType::kTouchLru: {
-      respond = false;
       auto path = in.GetString();
       if (!path.ok()) return {};
       auto home = in.GetU32();
@@ -1169,7 +1131,6 @@ std::vector<std::uint8_t> MdsServer::HandleProbe(MsgType type, ByteReader& in,
       // One-way: the coordinating client tells its entry server how the
       // lookup it started here ended, so Fig. 13's per-level hit counts
       // accumulate server-side and export via kStatsSnapshot.
-      respond = false;
       auto report = DecodeOutcomeReport(in);
       if (!report.ok()) return {};
       switch (report->level) {
@@ -1188,30 +1149,6 @@ std::vector<std::uint8_t> MdsServer::HandleProbe(MsgType type, ByteReader& in,
       outcome_latency_ms_.Add(static_cast<double>(report->elapsed_ns) / 1e6);
       return {};
     }
-    default:
-      break;
-  }
-  return EncodeStatusResp(Status::InvalidArgument("not a probe request"));
-}
-
-std::vector<std::uint8_t> MdsServer::Handle(
-    const std::vector<std::uint8_t>& frame, Shard& shard, bool& respond,
-    bool& shutdown) {
-  respond = true;
-  shutdown = false;
-  ByteReader in(frame);
-  const auto type = DecodeType(in);
-  if (!type.ok()) return EncodeStatusResp(type.status());
-
-  switch (*type) {
-    case MsgType::kLookupLocal:
-    case MsgType::kGroupProbe:
-    case MsgType::kGlobalProbe:
-    case MsgType::kVerify:
-    case MsgType::kTouchLru:
-    case MsgType::kLeaseGrant:
-    case MsgType::kReportOutcome:
-      return HandleProbe(*type, in, shard, respond);
     case MsgType::kInsert: {
       auto path = in.GetString();
       if (!path.ok()) return EncodeStatusResp(path.status());
@@ -1233,22 +1170,16 @@ std::vector<std::uint8_t> MdsServer::Handle(
           MutexLock filter(&filter_mu_);
           local_filter_.Add(*path);
         }
-        bool checkpoint_due = false;
-        {
-          MutexLock wal(&wal_mu_);
-          if (engine_ != nullptr) {
-            if (Status w = engine_->LogInsert(*path, *md); !w.ok()) {
-              // Rollback of the insert we just made; both entries exist.
-              (void)shard.store.Remove(*path);
-              MutexLock filter(&filter_mu_);
-              (void)local_filter_.Remove(*path);  // ditto
-              s = w;
-            } else {
-              checkpoint_due = engine_->CheckpointDue();
-            }
+        MutexLock wal(&wal_mu_);
+        if (engine_ != nullptr) {
+          if (Status w = engine_->LogInsert(*path, *md); !w.ok()) {
+            // Rollback of the insert we just made; both entries exist.
+            (void)shard.store.Remove(*path);
+            MutexLock filter(&filter_mu_);
+            (void)local_filter_.Remove(*path);  // ditto
+            s = w;
           }
         }
-        if (checkpoint_due) NoteCheckpointDue();
       }
       shard.files.store(shard.store.size(), std::memory_order_relaxed);
       return EncodeStatusResp(s);
@@ -1273,22 +1204,16 @@ std::vector<std::uint8_t> MdsServer::Handle(
           // audits rather than failing the client's unlink.
           (void)local_filter_.Remove(*path);
         }
-        bool checkpoint_due = false;
-        {
-          MutexLock wal(&wal_mu_);
-          if (engine_ != nullptr) {
-            if (Status w = engine_->LogRemove(*path); !w.ok()) {
-              // Rollback: re-insert what we removed two lines up.
-              (void)shard.store.Insert(*path, std::move(*old_md));
-              MutexLock filter(&filter_mu_);
-              local_filter_.Add(*path);
-              s = w;
-            } else {
-              checkpoint_due = engine_->CheckpointDue();
-            }
+        MutexLock wal(&wal_mu_);
+        if (engine_ != nullptr) {
+          if (Status w = engine_->LogRemove(*path); !w.ok()) {
+            // Rollback: re-insert what we removed two lines up.
+            (void)shard.store.Insert(*path, std::move(*old_md));
+            MutexLock filter(&filter_mu_);
+            local_filter_.Add(*path);
+            s = w;
           }
         }
-        if (checkpoint_due) NoteCheckpointDue();
       }
       shard.files.store(shard.store.size(), std::memory_order_relaxed);
       return EncodeStatusResp(s);
@@ -1349,19 +1274,6 @@ std::vector<std::uint8_t> MdsServer::Handle(
       }
       return EncodeFilterResp(*filter);
     }
-    case MsgType::kGetStats: {
-      StatsResp stats;
-      stats.frames_in = frames_in();
-      stats.frames_out = frames_out();
-      for (const auto& s : shards_) {
-        stats.files += s->files.load(std::memory_order_relaxed);
-      }
-      {
-        MutexLock seg(&seg_mu_);
-        stats.replicas = segment_.size();
-      }
-      return EncodeStatsResp(stats);
-    }
     case MsgType::kPing:
       return EncodeStatusResp(Status::Ok());
     case MsgType::kVersion:
@@ -1383,14 +1295,14 @@ std::vector<std::uint8_t> MdsServer::Handle(
       return EncodeStatsSnapshotResp(snap);
     }
     case MsgType::kExportFiles:
-      // The event thread hands exports to the maintenance thread; reaching
-      // a worker means the frame arrived somewhere it cannot be honoured
-      // (e.g. smuggled into a batch past DecodeBatchRequest).
+      // Its row hands it to the maintenance thread (RunExport), and no
+      // batch may carry it: a shard never runs one.
       return EncodeStatusResp(
           Status::InvalidArgument("kExportFiles cannot run on a shard"));
     case MsgType::kShutdown:
-      respond = false;
-      shutdown = true;
+      // Never inline (its row), so this is a worker: it stops every
+      // thread, and nothing queued behind it is served.
+      RequestStop();
       return {};
     case MsgType::kRecoveryInfo: {
       RecoveryInfoResp info;
@@ -1413,7 +1325,6 @@ std::vector<std::uint8_t> MdsServer::Handle(
       if (!req.ok()) return EncodeStatusResp(req.status());
       ++serve_txn_prepares_;
       TxnPrepareResp resp;
-      bool checkpoint_due = false;
       {
         MutexLock txn(&txn_.mu());
         if (txn_.ClosedOutcomeLocked(req->txn_id).has_value()) {
@@ -1458,18 +1369,15 @@ std::vector<std::uint8_t> MdsServer::Handle(
             if (Status w = engine_->LogTxnPrepare(op); !w.ok()) {
               return EncodeStatusResp(w);
             }
-            checkpoint_due = engine_->CheckpointDue();
           }
         }
         txn_.AddPendingLocked(std::move(op));
       }
-      if (checkpoint_due) NoteCheckpointDue();
       return EncodeTxnPrepareResp(resp);
     }
     case MsgType::kTxnDecide: {
       auto req = DecodeTxnDecide(in);
       if (!req.ok()) return EncodeStatusResp(req.status());
-      bool checkpoint_due = false;
       {
         MutexLock txn(&txn_.mu());
         if (const auto prior = txn_.QueryLocked(req->txn_id)) {
@@ -1497,19 +1405,16 @@ std::vector<std::uint8_t> MdsServer::Handle(
                 !w.ok()) {
               return EncodeStatusResp(w);
             }
-            checkpoint_due = engine_->CheckpointDue();
           }
         }
         txn_.DecideLocked(req->txn_id, req->commit);
       }
-      if (checkpoint_due) NoteCheckpointDue();
       return EncodeStatusResp(Status::Ok());
     }
     case MsgType::kTxnCommit: {
       auto req = DecodeTxnFinish(in);
       if (!req.ok()) return EncodeStatusResp(req.status());
       ++serve_txn_commits_;
-      bool checkpoint_due = false;
       {
         MutexLock txn(&txn_.mu());
         const TxnPendingOp* found =
@@ -1560,20 +1465,17 @@ std::vector<std::uint8_t> MdsServer::Handle(
               }
               return EncodeStatusResp(w);
             }
-            checkpoint_due = engine_->CheckpointDue();
           }
         }
         txn_.ClosePendingLocked(req->txn_id, req->path, /*committed=*/true);
       }
       shard.files.store(shard.store.size(), std::memory_order_relaxed);
-      if (checkpoint_due) NoteCheckpointDue();
       return EncodeStatusResp(Status::Ok());
     }
     case MsgType::kTxnAbort: {
       auto req = DecodeTxnFinish(in);
       if (!req.ok()) return EncodeStatusResp(req.status());
       ++serve_txn_aborts_;
-      bool checkpoint_due = false;
       {
         MutexLock txn(&txn_.mu());
         if (txn_.FindPendingLocked(req->txn_id, req->path) == nullptr) {
@@ -1586,12 +1488,10 @@ std::vector<std::uint8_t> MdsServer::Handle(
                 !w.ok()) {
               return EncodeStatusResp(w);
             }
-            checkpoint_due = engine_->CheckpointDue();
           }
         }
         txn_.ClosePendingLocked(req->txn_id, req->path, /*committed=*/false);
       }
-      if (checkpoint_due) NoteCheckpointDue();
       return EncodeStatusResp(Status::Ok());
     }
     case MsgType::kTxnResolve: {

@@ -8,9 +8,10 @@
 //     of non-blocking connections (FrameAssembler), routes each request to
 //     a shard, and flushes responses in per-connection request order. It
 //     never blocks: injected delays become deferred flushes, and blocking
-//     work lives on the workers. A memory-only probe whose shard is idle
-//     it answers itself, under that shard's claim (Shard::busy), which
-//     saves the two cross-thread wakeups a queued request pays.
+//     work lives on the workers. A request whose kMsgTable row lets it run
+//     inline (protocol.hpp) and whose shard is idle it answers itself,
+//     under that shard's claim (Shard::busy), which saves the two
+//     cross-thread wakeups a queued request pays.
 //   * Requests hash to a shard by path (ShardOfPath). Each shard's worker
 //     exclusively owns that shard's slice of the state — metadata store and
 //     L1 LRU array — enforced at compile time by a per-shard ThreadRole
@@ -144,7 +145,6 @@ class MdsServer {
     std::uint64_t conn_id = 0;
     std::uint64_t seq = 0;
     std::int32_t slot = -1;
-    bool respond = false;
     std::vector<std::uint8_t> payload;
   };
 
@@ -199,22 +199,24 @@ class MdsServer {
   /// maintenance via their condvars). Safe from any thread.
   void RequestStop();
 
-  /// Which shard executes `frame`: path-routed types hash the path, all
-  /// other (and malformed) frames run on shard 0.
-  std::uint32_t RouteShard(const std::vector<std::uint8_t>& frame) const;
+  /// Which shard executes `frame`, whose type has `row` (null: none): a
+  /// kPathShard row hashes the path; every other frame, a malformed one
+  /// included, runs on shard 0.
+  std::uint32_t RouteShard(const MsgRow* row,
+                           const std::vector<std::uint8_t>& frame) const;
 
   void PostTask(std::uint32_t shard, Task task);
   void PostTaskLocked(Shard& shard, Task task) GHBA_REQUIRES(shard.mu);
   void PostCompletion(Completion completion);
 
   /// The event thread's one dispatch decision for a non-batch request:
-  /// answer it inline, into `done`, when its handler neither fsyncs nor
-  /// sleeps — a memory-only probe, or a journaling mutation or 2PC step
-  /// under append_cannot_fsync_ — and its shard is idle (empty queue, no
-  /// claim, no park, no injected stall, no spilled replicas); otherwise
-  /// queue it exactly like PostTask.
-  /// True = answered inline.
-  bool DispatchToShard(std::uint32_t shard, Task task, Completion& done);
+  /// answer it inline, into `reply`, when its row's MsgInline allows it —
+  /// always for kIdleShard, under append_cannot_fsync_ for
+  /// kIdleShardNoFsync — and its shard is idle (empty queue, no claim, no
+  /// park, no injected stall, no spilled replicas); otherwise queue it
+  /// exactly like PostTask. True = answered inline.
+  bool DispatchToShard(std::uint32_t shard, const MsgRow* row, Task task,
+                       std::vector<std::uint8_t>& reply);
   /// End the claim on `shard` (Shard::busy), waking a worker that waits
   /// for it.
   void ReleaseClaim(Shard& shard);
@@ -225,18 +227,18 @@ class MdsServer {
   /// must never fsync/sleep/poll/connect.
   void FailEventLoop(const char* what, int errnum) GHBA_REQUIRES(io_role_);
 
-  /// Dispatch one request frame on `shard`'s worker; returns the response
-  /// payload, or empty for one-way messages. Sets `shutdown` for kShutdown.
-  std::vector<std::uint8_t> Handle(const std::vector<std::uint8_t>& frame,
-                                   Shard& shard, bool& respond,
-                                   bool& shutdown) GHBA_REQUIRES(shard.role);
+  /// Run one request frame on `shard` — on its worker, or on the event
+  /// thread when DispatchToShard claimed it — and return the reply (empty
+  /// for a one-way message): Handle, then the rule its kMsgTable row adds
+  /// after it (a journaling message checks for a due checkpoint).
+  std::vector<std::uint8_t> Serve(const std::vector<std::uint8_t>& frame,
+                                  Shard& shard) GHBA_REQUIRES(shard.role);
 
-  /// The memory-only requests (probes, verifies, lease grants, L1 touches,
-  /// outcome reports): the part of Handle the event thread may run inline.
-  /// `in` is positioned after the type tag. Nothing reachable from here
-  /// journals, fsyncs or sleeps.
-  std::vector<std::uint8_t> HandleProbe(MsgType type, ByteReader& in,
-                                        Shard& shard, bool& respond)
+  /// The server's one per-type dispatch. `in` sits after the type tag. A
+  /// type the table lets run inline reaches nothing here that journals
+  /// under an fsync policy that can fsync, or sleeps: the spilled-replica
+  /// delay is paid by the worker before it calls Serve.
+  std::vector<std::uint8_t> Handle(MsgType type, ByteReader& in, Shard& shard)
       GHBA_REQUIRES(shard.role);
 
   /// Emulate memory pressure before a segment-array probe: replicas beyond
@@ -278,8 +280,8 @@ class MdsServer {
   /// Resident bytes of the lookup structures (live LookupStateBytes).
   std::uint64_t LookupStateBytes() const;
 
-  /// Tell the maintenance thread a checkpoint is due (worker-side cheap
-  /// check after a WAL append crossed the threshold).
+  /// Tell the maintenance thread a checkpoint is due (Serve's cheap check
+  /// after a journaling message found the WAL past the threshold).
   void NoteCheckpointDue();
 
   // --- maintenance-thread operations (run with every shard parked; the
@@ -294,8 +296,8 @@ class MdsServer {
   MdsId id_;
   ClusterConfig config_;
   /// A journal append cannot fsync here (no data dir, or fsync=never), so
-  /// kInsert, kUnlink and the 2PC steps may run inline like a probe and
-  /// wake no worker.
+  /// the kIdleShardNoFsync messages (kInsert, kUnlink and the 2PC steps)
+  /// may run inline like a probe and wake no worker.
   const bool append_cannot_fsync_;
   FaultInjector* injector_ = nullptr;
   TcpListener listener_;

@@ -40,7 +40,6 @@ ClusterConfig ChaosConfig() {
   c.rpc.call_budget_ms = 450;
   c.rpc.max_attempts = 3;
   c.rpc.retry_backoff_ms = 2;
-  c.rpc.server_io_timeout_ms = 150;
   // suspect_after 3 + 3 ping probes: a healthy peer that merely loses a
   // few frames to the injector essentially never gets failed over, while
   // the stalled server (which answers nothing, ever) always does.
@@ -188,7 +187,7 @@ TEST(ChaosTest, KillRestartUnderPipelinedLoadLosesNothing) {
   ASSERT_TRUE(cluster.PublishAll().ok());
 
   // Pipelined load against server 0 (which stays up): windows of
-  // alternating kPing / kGetStats frames, all in flight at once. The
+  // alternating kPing / kStatsSnapshot frames, all in flight at once. The
   // response types must come back in request order — a misroute or a
   // dropped slot shows up as a type mismatch or a stuck RecvFrame.
   const auto ports = cluster.ServerPorts();
@@ -206,7 +205,7 @@ TEST(ChaosTest, KillRestartUnderPipelinedLoadLosesNothing) {
       const int kWindow = 16;
       for (int i = 0; i < kWindow; ++i) {
         const auto req = (i % 2 == 0) ? EncodeHeader(MsgType::kPing)
-                                      : EncodeHeader(MsgType::kGetStats);
+                                      : EncodeHeader(MsgType::kStatsSnapshot);
         if (!conn->SendFrame(req, Deadline::After(deadline_ms)).ok()) {
           ++load_failures;
           return;
@@ -228,7 +227,7 @@ TEST(ChaosTest, KillRestartUnderPipelinedLoadLosesNothing) {
         // response order must mirror request order exactly.
         const bool want_payload = (i % 2 == 1);
         if (env->has_payload != want_payload ||
-            (want_payload && !DecodeStatsResp(in).ok())) {
+            (want_payload && !DecodeStatsSnapshotResp(in).ok())) {
           ++load_failures;
           return;
         }

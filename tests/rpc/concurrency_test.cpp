@@ -89,12 +89,12 @@ TEST(ServerConcurrencyTest, ParallelClientsInsertAndVerify) {
   // Every insert from every thread landed exactly once.
   auto conn = TcpConnection::Connect(server.port());
   ASSERT_TRUE(conn.ok());
-  ASSERT_TRUE(conn->SendFrame(EncodeHeader(MsgType::kGetStats)).ok());
+  ASSERT_TRUE(conn->SendFrame(EncodeHeader(MsgType::kStatsSnapshot)).ok());
   auto resp = conn->RecvFrame();
   ASSERT_TRUE(resp.ok());
   ByteReader in(*resp);
   ASSERT_TRUE(OpenEnvelope(in).ok());
-  const auto stats = DecodeStatsResp(in);
+  const auto stats = DecodeStatsSnapshotResp(in);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->files, static_cast<std::uint64_t>(kThreads) * kOpsPerThread);
 

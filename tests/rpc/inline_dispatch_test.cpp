@@ -553,8 +553,6 @@ const std::vector<DispatchCase>& DispatchCases() {
        [](const std::string&) { return EncodeReplicaDrop(1); }},
       {MsgType::kReplicaFetch, true, true, D::kNever, false,
        [](const std::string&) { return EncodeReplicaFetch(1); }},
-      {MsgType::kGetStats, true, true, D::kNever, false,
-       [](const std::string&) { return EncodeHeader(MsgType::kGetStats); }},
       {MsgType::kPing, true, true, D::kNever, false,
        [](const std::string&) { return EncodeHeader(MsgType::kPing); }},
       {MsgType::kStatsSnapshot, true, true, D::kNever, false,

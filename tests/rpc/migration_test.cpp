@@ -35,7 +35,6 @@ ClusterConfig MigrationConfig() {
   c.rpc.call_budget_ms = 450;
   c.rpc.max_attempts = 3;
   c.rpc.retry_backoff_ms = 2;
-  c.rpc.server_io_timeout_ms = 150;
   c.rpc.suspect_after = 3;
   c.rpc.ping_attempts = 3;
   c.rpc.ping_timeout_ms = 100;

@@ -18,9 +18,10 @@ TEST(ProtocolTest, PathRequestRoundTrip) {
 }
 
 TEST(ProtocolTest, UnknownTypeRejected) {
-  // 21 and 22 are the retired membership-push types, 24 the retired
-  // lease revocation, 25 the retired txn begin.
-  for (const std::uint16_t type : {0, 21, 22, 24, 25, 32, 999}) {
+  // 12 is the retired counters-only stats, 21 and 22 the retired
+  // membership-push types, 24 the retired lease revocation, 25 the retired
+  // txn begin.
+  for (const std::uint16_t type : {0, 12, 21, 22, 24, 25, 32, 999}) {
     ByteWriter w;
     w.PutU16(type);
     ByteReader in(w.data());
@@ -171,23 +172,6 @@ TEST(ProtocolTest, ReplicaInstallCarriesFilter) {
   const auto decoded = DecompressFilter(in);
   ASSERT_TRUE(decoded.ok());
   EXPECT_TRUE(decoded->MayContain("/file"));
-}
-
-TEST(ProtocolTest, StatsRespRoundTrip) {
-  StatsResp stats;
-  stats.frames_in = 10;
-  stats.frames_out = 20;
-  stats.files = 30;
-  stats.replicas = 40;
-  const auto frame = EncodeStatsResp(stats);
-  ByteReader in(frame);
-  const auto env = OpenEnvelope(in);
-  ASSERT_TRUE(env.ok());
-  ASSERT_TRUE(env->has_payload);
-  const auto decoded = DecodeStatsResp(in);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->frames_in, 10u);
-  EXPECT_EQ(decoded->replicas, 40u);
 }
 
 TEST(ProtocolTest, LeaseGrantRespRoundTrip) {
@@ -367,21 +351,6 @@ TEST(ProtocolHardeningTest, EveryTruncationOfV6LocalLookupRejected) {
   EXPECT_EQ(*decoded, resp);
 }
 
-TEST(ProtocolHardeningTest, EveryTruncationOfStatsRejected) {
-  StatsResp stats;
-  stats.frames_in = 10;
-  stats.frames_out = 20;
-  stats.files = 30;
-  stats.replicas = 40;
-  const auto full = EncodeStatsResp(stats);
-  for (std::size_t len = 0; len < full.size(); ++len) {
-    ByteReader in(std::span<const std::uint8_t>(full.data(), len));
-    const auto env = OpenEnvelope(in);
-    if (!env.ok()) continue;
-    EXPECT_FALSE(DecodeStatsResp(in).ok()) << "prefix length " << len;
-  }
-}
-
 TEST(ProtocolHardeningTest, EveryTruncationOfLeaseGrantRejected) {
   LeaseGrantResp resp;
   resp.held = true;
@@ -523,7 +492,7 @@ TEST(ProtocolBatchTest, NonBatchableSubFrameRejected) {
   for (const MsgType type :
        {MsgType::kShutdown, MsgType::kTouchLru, MsgType::kReportOutcome,
         MsgType::kBatch, MsgType::kExportFiles}) {
-    EXPECT_FALSE(BatchableType(type));
+    EXPECT_FALSE(Batchable(RowOf(type)));
     std::vector<std::vector<std::uint8_t>> subs;
     subs.push_back(EncodePathRequest(MsgType::kVerify, "/ok"));
     subs.push_back(EncodeHeader(type));
@@ -533,9 +502,9 @@ TEST(ProtocolBatchTest, NonBatchableSubFrameRejected) {
     EXPECT_FALSE(DecodeBatchRequest(in).ok())
         << "type " << static_cast<int>(type) << " slipped into a batch";
   }
-  EXPECT_TRUE(BatchableType(MsgType::kInsert));
-  EXPECT_TRUE(BatchableType(MsgType::kVerify));
-  EXPECT_TRUE(BatchableType(MsgType::kLookupLocal));
+  EXPECT_TRUE(Batchable(RowOf(MsgType::kInsert)));
+  EXPECT_TRUE(Batchable(RowOf(MsgType::kVerify)));
+  EXPECT_TRUE(Batchable(RowOf(MsgType::kLookupLocal)));
 }
 
 TEST(ProtocolBatchTest, CountBombRejectedBeforeAllocating) {

@@ -197,7 +197,6 @@ ClusterConfig TightRpcConfig(std::uint32_t n = 6, std::uint32_t m = 3) {
   c.rpc.call_budget_ms = 600;
   c.rpc.max_attempts = 2;
   c.rpc.retry_backoff_ms = 2;
-  c.rpc.server_io_timeout_ms = 200;
   c.rpc.suspect_after = 2;
   c.rpc.ping_attempts = 2;
   c.rpc.ping_timeout_ms = 100;

@@ -228,11 +228,11 @@ TEST_F(MdsServerTest, TouchLruThenLookupUsesIt) {
 
 TEST_F(MdsServerTest, StatsCountFrames) {
   ASSERT_TRUE(CallStatus(EncodeHeader(MsgType::kPing)).ok());
-  auto resp = Call(EncodeHeader(MsgType::kGetStats));
+  auto resp = Call(EncodeHeader(MsgType::kStatsSnapshot));
   ASSERT_TRUE(resp.ok());
   ByteReader in(*resp);
   ASSERT_TRUE(OpenEnvelope(in).ok());
-  const auto stats = DecodeStatsResp(in);
+  const auto stats = DecodeStatsSnapshotResp(in);
   ASSERT_TRUE(stats.ok());
   EXPECT_GE(stats->frames_in, 2u);
   EXPECT_GE(stats->frames_out, 1u);
