@@ -90,8 +90,7 @@ int main(int argc, char** argv) {
   // A retired type (21, the v3-v6 membership push) must not decode.
   WriteSeed(root, "fuzz_protocol_decode", "type_retired",
             Sel(0, Bytes{21, 0}));
-  // The newest type: seeds like this one trapped the hand-kept range
-  // check the harness had before the message table.
+  // The highest live type id.
   WriteSeed(root, "fuzz_protocol_decode", "type_v5",
             Sel(0, ghba::EncodeHeader(ghba::MsgType::kTxnList)));
   WriteSeed(root, "fuzz_protocol_decode", "envelope_error",

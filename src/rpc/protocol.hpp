@@ -89,8 +89,8 @@ inline constexpr std::uint64_t kMaxBatchFrames = 4096;
 
 /// Where a server runs a message.
 enum class MsgRunsOn : std::uint8_t {
-  kPathShard,    ///< the shard that owns the path after the type tag
-  kShardZero,    ///< shard 0: whole-server state and control
+  kPath,         ///< the shard that owns the path after the type tag
+  kShard0,       ///< shard 0: whole-server state and control
   kMaintenance,  ///< the maintenance thread, every shard parked
   kEventThread,  ///< split on the event thread into its sub-frames
 };
@@ -99,91 +99,64 @@ enum class MsgRunsOn : std::uint8_t {
 /// instead of waking the shard's worker.
 enum class MsgInline : std::uint8_t {
   kNever,
-  kIdleShard,         ///< memory-only: the handler neither fsyncs nor sleeps
-  kIdleShardNoFsync,  ///< journals: only when the append cannot fsync
+  kIdle,         ///< memory-only: the handler neither fsyncs nor sleeps
+  kIdleNoFsync,  ///< journals: only when the append cannot fsync
 };
 
 /// One live message type and every per-type rule a server applies to it.
 struct MsgRow {
   MsgType type;
-  bool reply = true;  ///< false: one-way, no reply frame
-  MsgRunsOn runs_on = MsgRunsOn::kShardZero;
-  MsgInline runs_inline = MsgInline::kNever;
+  bool reply;  ///< false: one-way, no reply frame
+  MsgRunsOn runs_on;
+  MsgInline runs_inline;
   /// The worker pays the simulated spilled-replica delay before the
   /// handler (a segment-array probe). Never on the event thread: a server
   /// with spilled replicas answers nothing inline.
-  bool spill_delay = false;
+  bool spill_delay;
   /// The handler may append to the WAL; the server checks for a due
   /// checkpoint after it.
-  bool journals = false;
+  bool journals;
 };
 
 /// The message table: one row per live MsgType, in id order. A retired id
-/// has no row.
-inline constexpr MsgRow kMsgTable[] = {
-    {.type = MsgType::kLookupLocal,
-     .runs_on = MsgRunsOn::kPathShard,
-     .runs_inline = MsgInline::kIdleShard,
-     .spill_delay = true},
-    {.type = MsgType::kGroupProbe,
-     .runs_on = MsgRunsOn::kPathShard,
-     .runs_inline = MsgInline::kIdleShard,
-     .spill_delay = true},
-    {.type = MsgType::kGlobalProbe,
-     .runs_on = MsgRunsOn::kPathShard,
-     .runs_inline = MsgInline::kIdleShard},
-    {.type = MsgType::kVerify,
-     .runs_on = MsgRunsOn::kPathShard,
-     .runs_inline = MsgInline::kIdleShard},
-    {.type = MsgType::kTouchLru,
-     .reply = false,
-     .runs_on = MsgRunsOn::kPathShard,
-     .runs_inline = MsgInline::kIdleShard},
-    {.type = MsgType::kInsert,
-     .runs_on = MsgRunsOn::kPathShard,
-     .runs_inline = MsgInline::kIdleShardNoFsync,
-     .journals = true},
-    {.type = MsgType::kUnlink,
-     .runs_on = MsgRunsOn::kPathShard,
-     .runs_inline = MsgInline::kIdleShardNoFsync,
-     .journals = true},
-    {.type = MsgType::kGetFilter},
-    {.type = MsgType::kReplicaInstall},
-    {.type = MsgType::kReplicaDrop},
-    {.type = MsgType::kReplicaFetch},
-    {.type = MsgType::kPing},
-    {.type = MsgType::kShutdown, .reply = false},
-    {.type = MsgType::kExportFiles, .runs_on = MsgRunsOn::kMaintenance},
-    {.type = MsgType::kStatsSnapshot},
-    {.type = MsgType::kReportOutcome,
-     .reply = false,
-     .runs_inline = MsgInline::kIdleShard},
-    {.type = MsgType::kRecoveryInfo},
-    {.type = MsgType::kVersion},
-    {.type = MsgType::kBatch, .runs_on = MsgRunsOn::kEventThread},
-    {.type = MsgType::kLeaseGrant,
-     .runs_on = MsgRunsOn::kPathShard,
-     .runs_inline = MsgInline::kIdleShard},
-    // Per-path txn messages run where the mutations they stage run, so a
-    // prepare and the plain ops it fences always share one shard worker.
-    {.type = MsgType::kTxnPrepare,
-     .runs_on = MsgRunsOn::kPathShard,
-     .runs_inline = MsgInline::kIdleShardNoFsync,
-     .journals = true},
-    {.type = MsgType::kTxnDecide,
-     .runs_inline = MsgInline::kIdleShardNoFsync,
-     .journals = true},
-    {.type = MsgType::kTxnCommit,
-     .runs_on = MsgRunsOn::kPathShard,
-     .runs_inline = MsgInline::kIdleShardNoFsync,
-     .journals = true},
-    {.type = MsgType::kTxnAbort,
-     .runs_on = MsgRunsOn::kPathShard,
-     .runs_inline = MsgInline::kIdleShardNoFsync,
-     .journals = true},
-    {.type = MsgType::kTxnResolve},
-    {.type = MsgType::kTxnList},
-};
+/// has no row. Per-path txn messages run where the mutations they stage
+/// run, so a prepare and the plain ops it fences share one shard worker.
+inline constexpr auto kMsgTable = [] {
+  using enum MsgType;
+  using enum MsgRunsOn;
+  using enum MsgInline;
+  constexpr bool kReply = true;
+  constexpr bool kOneWay = false;
+  return std::to_array<MsgRow>({
+      // type           reply    runs on       inline        spill  journals
+      {kLookupLocal,    kReply,  kPath,        kIdle,        true,  false},
+      {kGroupProbe,     kReply,  kPath,        kIdle,        true,  false},
+      {kGlobalProbe,    kReply,  kPath,        kIdle,        false, false},
+      {kVerify,         kReply,  kPath,        kIdle,        false, false},
+      {kTouchLru,       kOneWay, kPath,        kIdle,        false, false},
+      {kInsert,         kReply,  kPath,        kIdleNoFsync, false, true},
+      {kUnlink,         kReply,  kPath,        kIdleNoFsync, false, true},
+      {kGetFilter,      kReply,  kShard0,      kNever,       false, false},
+      {kReplicaInstall, kReply,  kShard0,      kNever,       false, false},
+      {kReplicaDrop,    kReply,  kShard0,      kNever,       false, false},
+      {kReplicaFetch,   kReply,  kShard0,      kNever,       false, false},
+      {kPing,           kReply,  kShard0,      kNever,       false, false},
+      {kShutdown,       kOneWay, kShard0,      kNever,       false, false},
+      {kExportFiles,    kReply,  kMaintenance, kNever,       false, false},
+      {kStatsSnapshot,  kReply,  kShard0,      kNever,       false, false},
+      {kReportOutcome,  kOneWay, kShard0,      kIdle,        false, false},
+      {kRecoveryInfo,   kReply,  kShard0,      kNever,       false, false},
+      {kVersion,        kReply,  kShard0,      kNever,       false, false},
+      {kBatch,          kReply,  kEventThread, kNever,       false, false},
+      {kLeaseGrant,     kReply,  kPath,        kIdle,        false, false},
+      {kTxnPrepare,     kReply,  kPath,        kIdleNoFsync, false, true},
+      {kTxnDecide,      kReply,  kShard0,      kIdleNoFsync, false, true},
+      {kTxnCommit,      kReply,  kPath,        kIdleNoFsync, false, true},
+      {kTxnAbort,       kReply,  kPath,        kIdleNoFsync, false, true},
+      {kTxnResolve,     kReply,  kShard0,      kNever,       false, false},
+      {kTxnList,        kReply,  kShard0,      kNever,       false, false},
+  });
+}();
 
 /// kMsgTable's position of every raw id, -1 for an id with no row.
 inline constexpr auto kMsgRowIndex = [] {
@@ -213,8 +186,8 @@ constexpr const MsgRow& RowOf(MsgType type) {
 /// nested kBatch would let one frame amplify itself, and kExportFiles is a
 /// whole-server drain that cannot share a frame with shard requests.
 constexpr bool Batchable(const MsgRow& row) {
-  return row.reply && (row.runs_on == MsgRunsOn::kPathShard ||
-                       row.runs_on == MsgRunsOn::kShardZero);
+  return row.reply && (row.runs_on == MsgRunsOn::kPath ||
+                       row.runs_on == MsgRunsOn::kShard0);
 }
 
 /// What a server says about a path in its own store (v6 self-answer).

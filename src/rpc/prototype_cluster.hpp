@@ -336,7 +336,7 @@ class PrototypeCluster {
   Topology PortsLocked() const GHBA_REQUIRES(mu_);
   /// Requests per server, packed into kBatch frames (at most
   /// kMaxBatchFrames sub-frames each, one CRC per frame). Every request
-  /// must be a BatchableType request.
+  /// must be of a Batchable type (its kMsgTable row).
   using Batches = std::map<MdsId, std::vector<std::vector<std::uint8_t>>>;
   /// Send every server's requests in rounds: each round is one
   /// Router::Scatter carrying every server's next kBatch window, so the

@@ -269,7 +269,7 @@ void MdsServer::FailEventLoop(const char* what, int errnum) {
 std::uint32_t MdsServer::RouteShard(
     const MsgRow* row, const std::vector<std::uint8_t>& frame) const {
   if (shards_.size() <= 1 || row == nullptr ||
-      row->runs_on != MsgRunsOn::kPathShard) {
+      row->runs_on != MsgRunsOn::kPath) {
     return 0;
   }
   ByteReader in(frame);
@@ -297,8 +297,8 @@ bool MdsServer::DispatchToShard(std::uint32_t shard_index, const MsgRow* row,
   Shard& shard = *shards_[shard_index];
   const bool may_inline =
       row != nullptr &&
-      (row->runs_inline == MsgInline::kIdleShard ||
-       (row->runs_inline == MsgInline::kIdleShardNoFsync &&
+      (row->runs_inline == MsgInline::kIdle ||
+       (row->runs_inline == MsgInline::kIdleNoFsync &&
         append_cannot_fsync_));
   // Spilled replicas make a probe block (PaySpilledProbeDelay): that server
   // answers on its workers only. Read before shard.mu, which ranks below

@@ -200,7 +200,7 @@ class MdsServer {
   void RequestStop();
 
   /// Which shard executes `frame`, whose type has `row` (null: none): a
-  /// kPathShard row hashes the path; every other frame, a malformed one
+  /// kPath row hashes the path; every other frame, a malformed one
   /// included, runs on shard 0.
   std::uint32_t RouteShard(const MsgRow* row,
                            const std::vector<std::uint8_t>& frame) const;
@@ -211,10 +211,10 @@ class MdsServer {
 
   /// The event thread's one dispatch decision for a non-batch request:
   /// answer it inline, into `reply`, when its row's MsgInline allows it —
-  /// always for kIdleShard, under append_cannot_fsync_ for
-  /// kIdleShardNoFsync — and its shard is idle (empty queue, no claim, no
-  /// park, no injected stall, no spilled replicas); otherwise queue it
-  /// exactly like PostTask. True = answered inline.
+  /// always for kIdle, under append_cannot_fsync_ for kIdleNoFsync — and
+  /// its shard is idle (empty queue, no claim, no park, no injected stall,
+  /// no spilled replicas); otherwise queue it exactly like PostTask.
+  /// True = answered inline.
   bool DispatchToShard(std::uint32_t shard, const MsgRow* row, Task task,
                        std::vector<std::uint8_t>& reply);
   /// End the claim on `shard` (Shard::busy), waking a worker that waits
@@ -296,7 +296,7 @@ class MdsServer {
   MdsId id_;
   ClusterConfig config_;
   /// A journal append cannot fsync here (no data dir, or fsync=never), so
-  /// the kIdleShardNoFsync messages (kInsert, kUnlink and the 2PC steps)
+  /// the kIdleNoFsync messages (kInsert, kUnlink and the 2PC steps)
   /// may run inline like a probe and wake no worker.
   const bool append_cannot_fsync_;
   FaultInjector* injector_ = nullptr;
