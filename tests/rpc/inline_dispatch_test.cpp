@@ -13,7 +13,9 @@
 //   * same path -> same shard -> FIFO still holds across the two paths
 //     (pipelined insert -> verify, touch -> lookup);
 //   * a kPing reply still means every earlier one-way frame was applied;
-//   * a checkpoint taken while probes stream in recovers a consistent store.
+//   * a checkpoint taken while probes stream in recovers a consistent store;
+//   * every live message type replies, batches, runs inline and lands on
+//     the shard its rules say (one case per type).
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
