@@ -325,6 +325,59 @@ TEST(RouterTest, GroupPeerHolderResolvesAtL3WithoutVerify) {
   EXPECT_GT(at_l3, 0);
 }
 
+TEST(RouterTest, CascadeLevelsMatchTheSequentialWalk) {
+  // Six servers in groups of three on a fixed seed: published files, files
+  // inserted after PublishAll (no replica names them) and absent paths.
+  // Every lookup's level and home are those of the entry-first L1 -> L2 ->
+  // L3 -> L4 walk, lookup by lookup; Quiesce lands each lookup's kTouchLru
+  // before the next one starts.
+  PrototypeCluster cluster(RouterConfig(), ProtoScheme::kGhba);
+  ASSERT_TRUE(cluster.Start().ok());
+  for (int i = 0; i < 18; ++i) {
+    ASSERT_TRUE(cluster.Insert("/pin/pub" + std::to_string(i), Md(i)).ok());
+  }
+  ASSERT_TRUE(cluster.PublishAll().ok());
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(
+        cluster.Insert("/pin/new" + std::to_string(i), Md(100 + i)).ok());
+  }
+  std::vector<std::string> paths;
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 18; ++i) {
+      paths.push_back("/pin/pub" + std::to_string(i));
+    }
+    for (int i = 0; i < 6; ++i) {
+      paths.push_back("/pin/new" + std::to_string(i));
+    }
+    for (int i = 0; i < 4; ++i) {
+      paths.push_back("/pin/ghost" + std::to_string(i));
+    }
+  }
+  // "level:home", "-" for no home: pub0..17, new0..5, ghost0..3, twice.
+  const std::vector<std::string> walk = {
+      "3:0", "3:0", "3:4", "2:1", "3:3", "2:1",
+      "3:3", "3:3", "2:0", "2:3", "3:5", "3:4",
+      "2:1", "3:3", "3:5", "3:1", "3:3", "3:3",
+      "2:5", "3:1", "4:3", "4:5", "3:1", "3:0",
+      "4:-", "4:-", "4:-", "4:-",
+      "2:0", "3:0", "3:4", "1:1", "3:3", "3:1",
+      "1:3", "1:3", "3:0", "3:3", "2:5", "3:4",
+      "3:1", "3:3", "2:5", "2:1", "3:3", "2:3",
+      "4:5", "4:1", "3:3", "1:5", "1:1", "3:0",
+      "4:-", "4:-", "4:-", "4:-",
+  };
+  ASSERT_EQ(walk.size(), paths.size());
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    const auto r = cluster.Lookup(paths[i]);
+    ASSERT_TRUE(r.ok()) << paths[i] << ": " << r.status().ToString();
+    ASSERT_TRUE(cluster.Quiesce().ok());
+    const std::string home =
+        r->home == kInvalidMds ? "-" : std::to_string(r->home);
+    EXPECT_EQ(std::to_string(r->served_level) + ":" + home, walk[i])
+        << "lookup " << i << " of " << paths[i];
+  }
+}
+
 TEST(RouterTest, ShedProbeLeavesTheServerInTheL4Set) {
   // One server, one shard, every path hot and every queued request an
   // overload, so a probe handled with another request queued behind it
