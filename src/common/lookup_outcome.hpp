@@ -21,6 +21,7 @@ constexpr MdsId kInvalidMds = static_cast<MdsId>(-1);
 /// Per-query trace: where the lookup went and what each level cost.
 /// Levels are 1-based (L1 = local LRU array .. L4 = global multicast);
 /// index `i` of `level_elapsed_ns` is the time attributed to level i+1.
+/// The round that asks the entry and its group at once is charged to L1.
 struct LookupTrace {
   std::uint8_t level = 0;  ///< deepest level reached, 1..4 (0 = not run)
   std::array<std::uint64_t, 4> level_elapsed_ns{};  ///< per-level elapsed

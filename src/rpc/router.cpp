@@ -437,30 +437,79 @@ Result<LookupOutcome> Router::Lookup(const std::string& path, bool lease,
   const Topology& topo = *q.topo;
   const MdsId entry = q.entry;
 
-  // L1 + L2 on the entry server, which also answers for its own store. A
-  // slow or dead entry degrades the query to the lower levels (empty local
-  // result) instead of failing it: the hierarchy below is a superset of
-  // what the entry could have answered.
-  LocalLookupResp local;
-  const auto probe =
-      Call(entry, topo.PortOf(entry),
-           EncodeProbeRequest(MsgType::kLookupLocal, path, lease), suspects,
-           &q.retries);
-  if (auto reply = PayloadOf(probe, DecodeLocalLookupResp); reply.ok()) {
-    local = std::move(*reply);
-    if (local.verdict == SelfVerdict::kHeld) {
-      q.lease_ttl_ms = local.lease_ttl_ms;
-      if (local.lru_unique && local.lru_home == entry) {
-        return FinishLookup(path, q, 1, true, entry);
-      }
-      q.CloseLevel(1);
-      return FinishLookup(path, q, 2, true, entry);
+  // One round for L1, L2 and L3: the entry's kLookupLocal and a
+  // kGroupProbe to each other member of its group go out in one scatter.
+  // Every server answers for its own store; the entry adds its L1 hint and
+  // L2 hits, each peer the candidates its replicas hit. A server that
+  // cannot answer counts as no answer and the query continues: the levels
+  // below are a superset of what it could have said.
+  std::vector<MdsId> targets{entry};
+  if (topo.grouped && entry < topo.group.size()) {
+    for (const MdsId m : topo.group[entry]) {
+      if (m == entry) continue;
+      q.Contact(m);
+      targets.push_back(m);
     }
-    q.NoteVerdict(entry, local.verdict);
-  } else {
-    q.asked.push_back(entry);
+  }
+  const auto local_probe =
+      EncodeProbeRequest(MsgType::kLookupLocal, path, lease);
+  const auto group_probe =
+      EncodeProbeRequest(MsgType::kGroupProbe, path, lease);
+  std::vector<const std::vector<std::uint8_t>*> frames(targets.size(),
+                                                       &group_probe);
+  frames[0] = &local_probe;
+  LocalLookupResp local;
+  std::vector<MdsId> candidates;  // L2 and L3 hits, verified after the round
+  // Peers holding the path, in group order, with the lease each recorded.
+  std::vector<std::pair<MdsId, std::uint32_t>> holders;
+  for (const Reply& r : Scatter(topo, targets, frames, suspects, &q.retries)) {
+    auto reply = PayloadOf(r.resp, DecodeLocalLookupResp);
+    if (!reply.ok()) {
+      // A silent entry is not verified again; a silent peer may still be,
+      // as a candidate.
+      if (r.id == entry) q.asked.push_back(entry);
+      continue;
+    }
+    q.NoteVerdict(r.id, reply->verdict);
+    candidates.insert(candidates.end(), reply->hits.begin(),
+                      reply->hits.end());
+    if (r.id == entry) {
+      local = std::move(*reply);
+    } else if (reply->verdict == SelfVerdict::kHeld) {
+      holders.emplace_back(r.id, reply->lease_ttl_ms);
+    }
+  }
+  q.CloseLevel(1);
+  if (local.verdict == SelfVerdict::kHeld) {
+    q.lease_ttl_ms = local.lease_ttl_ms;
+    const bool l1 = local.lru_unique && local.lru_home == entry;
+    return FinishLookup(path, q, l1 ? 1 : 2, true, entry);
+  }
+  if (!holders.empty()) {
+    // Report the level the entry-first walk would have: its L1 hint, then
+    // a unique L2 hit, would have found this peer before L3 did.
+    const auto held = [&holders](MdsId id) {
+      return std::find_if(holders.begin(), holders.end(), [id](const auto& h) {
+        return h.first == id;
+      });
+    };
+    int level = 3;
+    auto home = holders.begin();
+    if (local.lru_unique && held(local.lru_home) != holders.end()) {
+      level = 1;
+      home = held(local.lru_home);
+    } else if (local.hits.size() == 1 &&
+               held(local.hits.front()) != holders.end()) {
+      level = 2;
+      home = held(local.hits.front());
+    }
+    q.lease_ttl_ms = home->second;
+    return FinishLookup(path, q, level, true, home->first);
   }
 
+  // No server in the round holds it: verify the entry's L1 hint, then a
+  // unique L2 hit, then the L3 candidates, skipping every server that
+  // already answered.
   if (local.lru_unique && TryVerifyOnce(q, local.lru_home, path)) {
     return FinishLookup(path, q, 1, true, local.lru_home);
   }
@@ -469,38 +518,7 @@ Result<LookupOutcome> Router::Lookup(const std::string& path, bool lease,
     return FinishLookup(path, q, 2, true, local.hits.front());
   }
   q.CloseLevel(2);
-
-  // L3: one multicast to the rest of the entry's group. Each peer answers
-  // for its own store and names the candidates its replicas hit. A peer
-  // that cannot answer counts as a miss and the query continues; its
-  // candidates resurface at L4.
   if (topo.grouped) {
-    std::vector<MdsId> candidates(local.hits);
-    std::vector<MdsId> peers;
-    if (entry < topo.group.size()) {
-      for (const MdsId m : topo.group[entry]) {
-        if (m == entry) continue;
-        q.Contact(m);
-        peers.push_back(m);
-      }
-    }
-    MdsId holder = kInvalidMds;
-    for (const Reply& r :
-         FanOut(topo, peers,
-                EncodeProbeRequest(MsgType::kGroupProbe, path, lease),
-                suspects, &q.retries)) {
-      // A slow/dead peer must not fail the query.
-      const auto presp = PayloadOf(r.resp, DecodeLocalLookupResp);
-      if (!presp.ok()) continue;
-      if (presp->verdict == SelfVerdict::kHeld && holder == kInvalidMds) {
-        holder = r.id;
-        q.lease_ttl_ms = presp->lease_ttl_ms;
-      }
-      q.NoteVerdict(r.id, presp->verdict);
-      candidates.insert(candidates.end(), presp->hits.begin(),
-                        presp->hits.end());
-    }
-    if (holder != kInvalidMds) return FinishLookup(path, q, 3, true, holder);
     std::sort(candidates.begin(), candidates.end());
     candidates.erase(std::unique(candidates.begin(), candidates.end()),
                      candidates.end());

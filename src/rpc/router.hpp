@@ -1,14 +1,14 @@
 // Concurrent read path of the loopback prototype (paper Section 5).
 //
 // The Router drives the four-level query protocol from the client side —
-// the client library plays the coordinating role of the entry MDS: L1/L2
-// run remotely on the entry server, L3 multicasts one probe to the rest of
-// the entry's group, L4 multicasts one probe to every live server that has
-// not already answered. Every server a probe reaches also answers for its
-// own store (and leases the answer when asked), so a lookup ends at the
-// first reply from its home. It also carries the other per-path client
-// calls (verify, lease) and the per-peer transport every cluster call
-// rides on.
+// the client library plays the coordinating role of the entry MDS. L1, L2
+// and L3 share one round: the entry server gets its kLookupLocal and the
+// rest of its group a kGroupProbe in one scatter. L4 multicasts one probe
+// to every live server that has not already answered. Every server a
+// probe reaches also answers for its own store (and leases the answer
+// when asked), so a lookup whose home is in the entry's group ends in its
+// first round. It also carries the other per-path client calls (verify,
+// lease) and the per-peer transport every cluster call rides on.
 //
 // Nothing here takes the orchestrator's lock. The Router reads an
 // immutable Topology snapshot that PrototypeCluster publishes by pointer
@@ -18,9 +18,10 @@
 // push or pop one pooled connection, never across I/O.
 //
 // Fan-out is scatter-gather: a frame is sent to every target, then every
-// reply is gathered under one shared attempt deadline, so a level costs one
+// reply is gathered under one shared attempt deadline, so a round costs one
 // round trip however many peers it asks. A scatter may send each target a
-// different frame: a create's insert prepare rides the same round as the
+// different frame: a lookup's kLookupLocal rides the same round as its
+// kGroupProbes, and a create's insert prepare the same round as the
 // kGlobalProbes of its exact check. A peer whose fast-path exchange
 // fails falls back to Call(): retries with jittered backoff (sleeping with
 // nothing held), health accounting and, through the returned Suspects,
@@ -163,8 +164,13 @@ class Router {
       std::span<const std::vector<std::uint8_t>* const> frames,
       Suspects* suspects, std::uint32_t* retries = nullptr);
 
-  /// The four-level cascade. Each server answers at most once: the first
-  /// `held` reply ends the lookup, and a server that answered "not here"
+  /// The four-level cascade. One scatter asks the entry (kLookupLocal) and
+  /// the rest of its group (kGroupProbe); a `held` reply in that round
+  /// ends the lookup at the level the entry-first walk would report (L1
+  /// or L2 for the entry; for a peer, L1 if the entry's L1 hint named it,
+  /// L2 if its L2 hits were exactly that peer, else L3). Otherwise the L1
+  /// hint, a unique L2 hit and the L3 candidates are verified, then L4.
+  /// Each server answers at most once: a server that answered "not here"
   /// is neither verified nor probed at L4. With `lease`, the home records
   /// a lease in the same reply and the outcome carries its TTL. With
   /// `teach_l1`, a hit teaches the entry server's L1 the path's home

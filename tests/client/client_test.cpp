@@ -312,7 +312,9 @@ TEST(ClientCacheTest, EntryHolderAnswersWithoutVerifyOrLeaseRequest) {
   PrototypeCluster cluster(config, ProtoScheme::kGhba);
   ASSERT_TRUE(cluster.Start().ok());
   // The path lives on every server, so whichever server the lookup enters
-  // on holds it and answers for itself in the first reply.
+  // on holds it and answers for itself in the first round. Its two group
+  // peers get their kGroupProbe in that round and, holding the path too,
+  // lease it as well.
   FileMetadata md;
   md.inode = 7;
   for (const std::uint16_t port : cluster.ServerPorts()) {
@@ -332,9 +334,9 @@ TEST(ClientCacheTest, EntryHolderAnswersWithoutVerifyOrLeaseRequest) {
   EXPECT_EQ(ServeSum(cluster, "serve.local_lookups"), 1u);
   EXPECT_EQ(ServeSum(cluster, "serve.verifies"), 0u);
   EXPECT_EQ(ServeSum(cluster, "serve.lease_requests"), 0u);
-  EXPECT_EQ(ServeSum(cluster, "serve.group_probes"), 0u);
+  EXPECT_EQ(ServeSum(cluster, "serve.group_probes"), 2u);
   EXPECT_EQ(ServeSum(cluster, "serve.global_probes"), 0u);
-  EXPECT_EQ(ServeSum(cluster, "serve.lease_grants"), 1u);
+  EXPECT_EQ(ServeSum(cluster, "serve.lease_grants"), 3u);
 
   // Cached under the probe's TTL: live one tick before it, dead at it.
   client.now_ms += config.hotspot.lease_ttl_ms - 1;

@@ -441,8 +441,8 @@ struct ServeCounts {
   std::uint64_t local = 0;   ///< kLookupLocal
   std::uint64_t group = 0;   ///< kGroupProbe
   std::uint64_t global = 0;  ///< kGlobalProbe
+  std::uint64_t verifies = 0;  ///< kVerify and kLeaseGrant
   std::uint64_t prepares = 0;
-  std::uint64_t upper = 0;   ///< lookups served at L3 or L4 (found)
   std::uint64_t miss = 0;
   std::uint64_t levels = 0;  ///< l1 + l2 + l3 + l4 + miss
 };
@@ -458,9 +458,8 @@ ServeCounts CountServes(PrototypeCluster& cluster,
     c.local += m.CounterOr(metrics_names::kServeLocalLookups);
     c.group += m.CounterOr(metrics_names::kServeGroupProbes);
     c.global += m.CounterOr(metrics_names::kServeGlobalProbes);
+    c.verifies += m.CounterOr(metrics_names::kServeVerifies);
     c.prepares += m.CounterOr(metrics_names::kServeTxnPrepares);
-    c.upper += m.CounterOr(metrics_names::kLookupsL3) +
-               m.CounterOr(metrics_names::kLookupsL4);
     c.miss += m.CounterOr(metrics_names::kLookupsMiss);
     c.levels += m.CounterOr(metrics_names::kLookupsL1) +
                 m.CounterOr(metrics_names::kLookupsL2) +
@@ -476,6 +475,108 @@ ServeCounts CountServes(PrototypeCluster& cluster,
 MdsId HashHome(PrototypeCluster& cluster, const std::string& path) {
   const auto alive = cluster.AliveServers();
   return alive[Fnv1a64(path) % alive.size()];
+}
+
+/// One lookup's serve deltas, per server of `ids` and summed.
+struct LookupServes {
+  std::vector<ServeCounts> per_server;
+  ServeCounts total;
+};
+
+LookupServes ServesOfLookup(PrototypeCluster& cluster,
+                            const std::vector<MdsId>& ids,
+                            const std::string& path,
+                            Result<LookupOutcome>* outcome) {
+  std::vector<ServeCounts> before;
+  EXPECT_TRUE(cluster.Quiesce().ok());
+  for (const MdsId id : ids) before.push_back(CountServes(cluster, {id}));
+  *outcome = cluster.Lookup(path);
+  EXPECT_TRUE(cluster.Quiesce().ok());
+  LookupServes out;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const ServeCounts after = CountServes(cluster, {ids[i]});
+    ServeCounts d;
+    d.local = after.local - before[i].local;
+    d.group = after.group - before[i].group;
+    d.global = after.global - before[i].global;
+    d.verifies = after.verifies - before[i].verifies;
+    out.per_server.push_back(d);
+    out.total.local += d.local;
+    out.total.group += d.group;
+    out.total.global += d.global;
+    out.total.verifies += d.verifies;
+  }
+  return out;
+}
+
+TEST(RouterTest, OneRoundReachesTheWholeGroup) {
+  // Six servers in two groups of three. Files inserted after PublishAll
+  // are in no replica: only their home's own answer finds them.
+  PrototypeCluster cluster(RouterConfig(), ProtoScheme::kGhba);
+  ASSERT_TRUE(cluster.Start().ok());
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_TRUE(cluster.Insert("/round/pub" + std::to_string(i), Md(i)).ok());
+  }
+  ASSERT_TRUE(cluster.PublishAll().ok());
+  for (int i = 0; i < 24; ++i) {
+    ASSERT_TRUE(
+        cluster.Insert("/round/new" + std::to_string(i), Md(100 + i)).ok());
+  }
+  const auto alive = cluster.AliveServers();
+
+  // The entry is the server that got the kLookupLocal, its group the
+  // servers that got a kGroupProbe in the same round. A path one of those
+  // peers holds costs that one round and nothing else.
+  int peer_held = 0;
+  for (int i = 0; i < 24; ++i) {
+    const std::string path = "/round/new" + std::to_string(i);
+    Result<LookupOutcome> r = Status::Unavailable("not run");
+    const LookupServes s = ServesOfLookup(cluster, alive, path, &r);
+    ASSERT_TRUE(r.ok()) << path << ": " << r.status().ToString();
+    ASSERT_TRUE(r->found) << path;
+    EXPECT_EQ(s.total.local, 1u) << path;
+    EXPECT_EQ(s.total.group, 2u) << path;
+    if (r->home >= alive.size() || s.per_server[r->home].group != 1) continue;
+    ++peer_held;
+    EXPECT_EQ(s.total.verifies, 0u) << path;
+    EXPECT_EQ(s.total.global, 0u) << path;
+  }
+  EXPECT_GT(peer_held, 0);
+
+  // A miss: the round hears "absent" from the entry's whole group, so the
+  // global probe goes only to the three servers outside it.
+  for (int i = 0; i < 6; ++i) {
+    const std::string ghost = "/round/ghost" + std::to_string(i);
+    Result<LookupOutcome> r = Status::Unavailable("not run");
+    const LookupServes s = ServesOfLookup(cluster, alive, ghost, &r);
+    ASSERT_TRUE(r.ok()) << ghost << ": " << r.status().ToString();
+    EXPECT_FALSE(r->found) << ghost;
+    EXPECT_EQ(s.total.global, 3u) << ghost;
+    for (std::size_t j = 0; j < alive.size(); ++j) {
+      const bool in_round =
+          s.per_server[j].local == 1 || s.per_server[j].group == 1;
+      EXPECT_EQ(s.per_server[j].global, in_round ? 0u : 1u)
+          << ghost << " on " << alive[j];
+    }
+  }
+
+  // M = 1 (HBA): the round is the entry's kLookupLocal alone.
+  PrototypeCluster hba(RouterConfig(), ProtoScheme::kHba);
+  ASSERT_TRUE(hba.Start().ok());
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_TRUE(hba.Insert("/hba/pub" + std::to_string(i), Md(i)).ok());
+  }
+  ASSERT_TRUE(hba.PublishAll().ok());
+  ASSERT_TRUE(hba.Insert("/hba/new", Md(100)).ok());
+  std::vector<std::string> paths = {"/hba/new", "/hba/ghost"};
+  for (int i = 0; i < 12; ++i) paths.push_back("/hba/pub" + std::to_string(i));
+  for (const std::string& path : paths) {
+    ASSERT_TRUE(hba.Lookup(path).ok()) << path;
+  }
+  ASSERT_TRUE(hba.Quiesce().ok());
+  const ServeCounts c = CountServes(hba, hba.AliveServers());
+  EXPECT_EQ(c.local, paths.size());
+  EXPECT_EQ(c.group, 0u);
 }
 
 TEST(RouterTest, ExistenceChecksGoStraightToTheExactLevel) {
@@ -505,8 +606,8 @@ TEST(RouterTest, ExistenceChecksGoStraightToTheExactLevel) {
     EXPECT_EQ(after.miss - before.miss, 1u) << path;
   }
 
-  // A rename with an absent dst: src's cascade takes the one kLookupLocal,
-  // and a kGroupProbe to the entry's two peers only if it got past L2.
+  // A rename with an absent dst: src's cascade takes the one kLookupLocal
+  // and, in the same round, a kGroupProbe to each of the entry's two peers.
   // The dst check adds global probes to every server but dst's home, which
   // gets the insert prepare. Two outcomes per rename, the dst check's a
   // miss.
@@ -519,8 +620,7 @@ TEST(RouterTest, ExistenceChecksGoStraightToTheExactLevel) {
     ASSERT_TRUE(cluster.Quiesce().ok());
     const ServeCounts after = CountServes(cluster, alive);
     EXPECT_EQ(after.local - before.local, 1u) << src;
-    EXPECT_EQ(after.group - before.group, 2 * (after.upper - before.upper))
-        << src;
+    EXPECT_EQ(after.group - before.group, 2u) << src;
     EXPECT_GE(after.global - before.global, alive.size() - 1) << src;
     EXPECT_EQ(after.prepares - before.prepares, 2u) << src;
     EXPECT_EQ(after.levels - before.levels, 2u) << src;
