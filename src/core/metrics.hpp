@@ -61,6 +61,9 @@ inline constexpr char kServeLruTouches[] = "serve.lru_touches";
 // Requests the event thread answered itself on an idle shard, without a
 // hand-off to the shard's worker.
 inline constexpr char kServeInlineRequests[] = "serve.inline_requests";
+// Times the maintenance thread parked every shard (a checkpoint or an
+// export).
+inline constexpr char kServeShardParks[] = "serve.shard_parks";
 // Durable storage engine (per-MdsServer registries, --data-dir mode only).
 inline constexpr char kStorageWalAppends[] = "storage.wal_appends";
 inline constexpr char kStorageWalFsyncs[] = "storage.wal_fsyncs";

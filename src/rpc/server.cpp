@@ -101,6 +101,7 @@ MdsServer::MdsServer(MdsId id, const ClusterConfig& config)
           registry_.counter(metrics_names::kServeShedRequests)),
       serve_inline_requests_(
           registry_.counter(metrics_names::kServeInlineRequests)),
+      serve_shard_parks_(registry_.counter(metrics_names::kServeShardParks)),
       serve_txn_prepares_(
           registry_.counter(metrics_names::kServeTxnPrepares)),
       serve_txn_commits_(registry_.counter(metrics_names::kServeTxnCommits)),
@@ -758,6 +759,7 @@ void MdsServer::WorkerLoop(Shard* shard) {
 // ---------------------------------------------------------------------------
 
 void MdsServer::ParkAllShards() {
+  ++serve_shard_parks_;
   for (auto& shard : shards_) {
     shard->mu.Lock();
     shard->park_requested = true;
@@ -870,9 +872,13 @@ void MdsServer::RunExport(Task task) {
     local_filter_.Clear();
   }
   Status logged = Status::Ok();
+  bool checkpoint_due = false;
   {
     MutexLock wal(&wal_mu_);
-    if (engine_ != nullptr) logged = engine_->LogClear();
+    if (engine_ != nullptr) {
+      logged = engine_->LogClear();
+      checkpoint_due = logged.ok() && engine_->CheckpointDue();
+    }
   }
   Completion comp;
   comp.conn_id = task.conn_id;
@@ -896,7 +902,9 @@ void MdsServer::RunExport(Task task) {
     shard->files.store(shard->store.size(), std::memory_order_relaxed);
   }
   PostCompletion(std::move(comp));
-  if (logged.ok()) NoteCheckpointDue();
+  // As Serve does after a journaling message: park the shards for a
+  // checkpoint only when one is due (never on a memory-only server).
+  if (checkpoint_due) NoteCheckpointDue();
 }
 
 // ---------------------------------------------------------------------------

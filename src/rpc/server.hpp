@@ -375,6 +375,7 @@ class MdsServer {
   MetricsRegistry::Counter serve_hot_keys_;
   MetricsRegistry::Counter serve_shed_requests_;
   MetricsRegistry::Counter serve_inline_requests_;
+  MetricsRegistry::Counter serve_shard_parks_;
   MetricsRegistry::Counter serve_txn_prepares_;
   MetricsRegistry::Counter serve_txn_commits_;
   MetricsRegistry::Counter serve_txn_aborts_;

@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "bloom/compressed.hpp"
+#include "core/metrics.hpp"
 
 namespace ghba {
 namespace {
@@ -224,6 +225,31 @@ TEST_F(MdsServerTest, TouchLruThenLookupUsesIt) {
   ASSERT_TRUE(local.ok());
   EXPECT_TRUE(local->lru_unique);
   EXPECT_EQ(local->lru_home, 4u);
+}
+
+TEST_F(MdsServerTest, MemoryOnlyExportParksTheShardsOnce) {
+  ASSERT_TRUE(CallStatus(EncodeInsert("/drain/a", FileMetadata{})).ok());
+  ASSERT_TRUE(CallStatus(EncodeInsert("/drain/b", FileMetadata{})).ok());
+  EXPECT_EQ(Counter(metrics_names::kServeShardParks), 0u);
+  auto resp = Call(EncodeHeader(MsgType::kExportFiles));
+  ASSERT_TRUE(resp.ok());
+  ByteReader in(*resp);
+  ASSERT_TRUE(OpenEnvelope(in).ok());
+  const auto files = DecodeFileListResp(in);
+  ASSERT_TRUE(files.ok());
+  EXPECT_EQ(files->files.size(), 2u);
+  // With no journal there is never a checkpoint to write, so nothing may
+  // park the shards a second time. A second park would follow the reply
+  // at once; give it time to show.
+  std::uint64_t parks = 0;
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+  while (std::chrono::steady_clock::now() < until) {
+    parks = Counter(metrics_names::kServeShardParks);
+    if (parks > 1) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(parks, 1u);
 }
 
 TEST_F(MdsServerTest, StatsCountFrames) {
