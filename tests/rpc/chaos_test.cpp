@@ -175,6 +175,9 @@ TEST(ChaosTest, KillRestartUnderPipelinedLoadLosesNothing) {
   config.max_group_size = 2;
   config.storage.data_dir = dir.string();
   config.storage.fsync = FsyncPolicy::kAlways;
+  // Default deadlines: an fsync'd call must not time out on a loaded
+  // machine; only the kills may fail a call here.
+  config.rpc = RpcOptions{};
   PrototypeCluster cluster(config, ProtoScheme::kGhba);
   ASSERT_TRUE(cluster.Start().ok());
 

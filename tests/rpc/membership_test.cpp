@@ -362,6 +362,9 @@ TEST(MembershipTest, DurableRestartBumpsTheEpochAndServesEveryFile) {
   config.max_group_size = 2;
   config.storage.data_dir = dir.string();
   config.storage.fsync = FsyncPolicy::kAlways;
+  // Default deadlines: an fsync'd call must not time out on a loaded
+  // machine.
+  config.rpc = RpcOptions{};
   const int kFiles = 24;
   const auto path_of = [](int i) { return "/durable/f" + std::to_string(i); };
   const auto expect_every_file = [&](PrototypeCluster& cluster) {

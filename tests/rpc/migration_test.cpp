@@ -234,6 +234,9 @@ class CrashFixture : public ::testing::Test {
     ClusterConfig config = MigrationConfig();
     config.storage.data_dir = dir_.string();
     config.storage.fsync = FsyncPolicy::kAlways;
+    // Default deadlines: an fsync'd call must not time out on a loaded
+    // machine; only the crash point may fail a call here.
+    config.rpc = RpcOptions{};
     cluster_ = std::make_unique<PrototypeCluster>(config, ProtoScheme::kGhba);
     cluster_->set_fault_injector(&injector_);
     ASSERT_TRUE(cluster_->Start().ok());

@@ -474,6 +474,9 @@ TEST_P(TxnCrashTest, CrashAtPhaseBoundaryRecoversToExactlyOneEndpoint) {
   ClusterConfig config = TxnConfig();
   config.storage.data_dir = dir_.string();
   config.storage.fsync = fsync;
+  // Default deadlines: an fsync'd call must not time out on a loaded
+  // machine; only the crash point may fail a call here.
+  config.rpc = RpcOptions{};
 
   FaultInjector injector;
   PrototypeCluster cluster(config, ProtoScheme::kGhba);
