@@ -1,7 +1,8 @@
-// The concurrent read path (rpc/router.hpp): scatter-gather L3/L4 with a
-// per-peer fallback, backoff that blocks no other caller, the exact L4
-// verdict under faults, and the v6 cascade in which every server a probe
-// reaches answers for its own store at most once per lookup.
+// The concurrent read path (rpc/router.hpp): scatter-gather rounds (the
+// entry and its group in one, L4 in another) with a per-peer fallback,
+// backoff that blocks no other caller, the exact L4 verdict under faults,
+// and the v6 cascade in which every server a probe reaches answers for
+// its own store at most once per lookup.
 #include "rpc/router.hpp"
 
 #include <gtest/gtest.h>
@@ -514,9 +515,6 @@ TEST(RouterTest, OneRoundReachesTheWholeGroup) {
   // are in no replica: only their home's own answer finds them.
   PrototypeCluster cluster(RouterConfig(), ProtoScheme::kGhba);
   ASSERT_TRUE(cluster.Start().ok());
-  for (int i = 0; i < 12; ++i) {
-    ASSERT_TRUE(cluster.Insert("/round/pub" + std::to_string(i), Md(i)).ok());
-  }
   ASSERT_TRUE(cluster.PublishAll().ok());
   for (int i = 0; i < 24; ++i) {
     ASSERT_TRUE(
