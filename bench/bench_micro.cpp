@@ -14,7 +14,6 @@
 #include "bloom/compressed.hpp"
 #include "bloom/counting_bloom_filter.hpp"
 #include "bloom/lru_bloom_array.hpp"
-#include "bloom/scalable_filter.hpp"
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "core/ghba_cluster.hpp"
@@ -131,18 +130,6 @@ void BM_LruTouchQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LruTouchQuery);
-
-void BM_ScalableFilterAdd(benchmark::State& state) {
-  ScalableCountingFilter::Options options;
-  options.initial_capacity = 4096;
-  ScalableCountingFilter f(options);
-  const auto paths = MakePaths(8192);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    f.Add(paths[i++ & 8191]);
-  }
-}
-BENCHMARK(BM_ScalableFilterAdd);
 
 void BM_CompressSparseFilter(benchmark::State& state) {
   auto bf = BloomFilter::ForCapacity(100000, 16.0);

@@ -51,11 +51,6 @@ Status IdBloomArray::RemoveReplica(MdsId member, MdsId replica_owner) {
   return it->second.Remove(DigestOf(replica_owner, options_.seed));
 }
 
-Status IdBloomArray::MoveReplica(MdsId from, MdsId to, MdsId replica_owner) {
-  if (Status s = RemoveReplica(from, replica_owner); !s.ok()) return s;
-  return AddReplica(to, replica_owner);
-}
-
 ArrayQueryResult IdBloomArray::Locate(MdsId replica_owner) const {
   const Hash128 digest = DigestOf(replica_owner, options_.seed);
   ArrayQueryResult result;

@@ -56,9 +56,6 @@ class IdBloomArray {
   /// Record that `member` no longer holds `replica_owner`'s replica.
   Status RemoveReplica(MdsId member, MdsId replica_owner);
 
-  /// Convenience: move a replica between members.
-  Status MoveReplica(MdsId from, MdsId to, MdsId replica_owner);
-
   /// Probabilistic location of the member holding `replica_owner`'s
   /// replica. kUniqueHit gives the member id; kMultiHit lists candidates.
   ArrayQueryResult Locate(MdsId replica_owner) const;

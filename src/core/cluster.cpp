@@ -8,12 +8,6 @@ namespace ghba {
 ClusterBase::ClusterBase(ClusterConfig config)
     : config_(config), rng_(config.seed) {}
 
-std::uint64_t ClusterBase::TotalFiles() const {
-  std::uint64_t total = 0;
-  for (const MdsId id : alive_) total += nodes_[id]->file_count();
-  return total;
-}
-
 MdsId ClusterBase::OracleHome(const std::string& path) const {
   const auto it = oracle_.find(path);
   return it == oracle_.end() ? kInvalidMds : it->second;

@@ -112,9 +112,6 @@ class ClusterBase : public MetadataCluster {
 
   const ClusterConfig& config() const { return config_; }
 
-  /// Total files across all MDSs.
-  std::uint64_t TotalFiles() const;
-
   /// The simulation oracle's view of a path's home (kInvalidMds if absent).
   /// Bookkeeping only — never used for routing decisions.
   MdsId OracleHome(const std::string& path) const;

@@ -30,17 +30,9 @@ class FifoServer {
     return Completion{start, busy_until_, start - arrival};
   }
 
-  /// Peek the queueing delay an arrival at `t` would currently see.
-  double WaitAt(double t) const { return std::max(0.0, busy_until_ - t); }
-
   double busy_until() const { return busy_until_; }
   double total_busy_time() const { return busy_time_; }
   std::uint64_t served() const { return served_; }
-
-  /// Utilization over [0, horizon].
-  double Utilization(double horizon) const {
-    return horizon > 0 ? std::min(1.0, busy_time_ / horizon) : 0.0;
-  }
 
   void Reset() {
     busy_until_ = 0;

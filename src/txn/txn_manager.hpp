@@ -105,10 +105,6 @@ class TxnManager {
     MutexLock lock(&mu_);
     return PendingLocked();
   }
-  std::uint64_t InDoubt() GHBA_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return pending_.size();
-  }
 
   // --- coordinator side -------------------------------------------------
 

@@ -51,26 +51,6 @@ TEST(IdBloomArrayTest, StaleReplicaLeaveRejectedWithoutCorruption) {
   EXPECT_EQ(idbfa.RemoveReplica(1, 42).code(), StatusCode::kInvalidArgument);
 }
 
-TEST(IdBloomArrayTest, MoveOfUnregisteredReplicaAddsNothing) {
-  IdBloomArray idbfa;
-  idbfa.AddMember(1);
-  idbfa.AddMember(2);
-  EXPECT_FALSE(idbfa.MoveReplica(1, 2, 7).ok());
-  // The failed move must not have registered the replica at the target.
-  EXPECT_EQ(idbfa.Locate(7).kind, ArrayQueryResult::Kind::kZeroHit);
-}
-
-TEST(IdBloomArrayTest, MoveReplicaRelocates) {
-  IdBloomArray idbfa;
-  idbfa.AddMember(1);
-  idbfa.AddMember(2);
-  ASSERT_TRUE(idbfa.AddReplica(1, 77).ok());
-  ASSERT_TRUE(idbfa.MoveReplica(1, 2, 77).ok());
-  const auto r = idbfa.Locate(77);
-  ASSERT_EQ(r.kind, ArrayQueryResult::Kind::kUniqueHit);
-  EXPECT_EQ(r.owner, 2u);
-}
-
 TEST(IdBloomArrayTest, RemoveMemberDropsItsFilter) {
   IdBloomArray idbfa;
   idbfa.AddMember(1);

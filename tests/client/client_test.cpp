@@ -472,6 +472,9 @@ TEST_P(ClientMigrationCrashTest, NoStaleCacheReadAcrossCrashAndRecovery) {
   ClusterConfig config = ClientTestConfig();
   config.storage.data_dir = dir_.string();
   config.storage.fsync = FsyncPolicy::kAlways;
+  // Default deadlines: an fsync'd call must not time out on a loaded
+  // machine; only the crash point may fail a call here.
+  config.rpc = RpcOptions{};
 
   FaultInjector injector;
   PrototypeCluster cluster(config, ProtoScheme::kGhba);

@@ -156,10 +156,11 @@ TEST_P(RouterFanOutFaultTest, FaultedGroupProbeIsRetriedNotMissed) {
   }
   ASSERT_TRUE(cluster.PublishAll().ok());
 
-  // Aim the fault at server 1's next kGroupProbe. The lookup that sends it
-  // must still resolve by L3 (every group covers every outsider, so a
-  // present file never needs L4) and must count the retry that recovered
-  // the probe.
+  // Aim the fault at server 1's next kGroupProbe. L1-L3 share one round,
+  // so the probe also rides lookups that end at L1 or L2. The lookup that
+  // sends it must still resolve by L3 (every group covers every outsider,
+  // so a present file never needs L4) and must count the retry that
+  // recovered the probe.
   const std::uint16_t member_port = cluster.ServerPorts()[1];
   int fired = 0;
   for (int i = 0; i < kFiles; ++i) {
@@ -176,7 +177,7 @@ TEST_P(RouterFanOutFaultTest, FaultedGroupProbeIsRetriedNotMissed) {
     EXPECT_TRUE(*at_home) << path;
     if (fired == 4 || injector.HasArmedFrameFaults()) continue;
     ++fired;
-    EXPECT_EQ(r->served_level, 3) << path;
+    EXPECT_LE(r->served_level, 3) << path;
     EXPECT_GE(r->trace.retries, 1u) << path;
   }
   EXPECT_GT(fired, 0);

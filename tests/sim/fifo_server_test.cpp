@@ -39,24 +39,8 @@ TEST(FifoServerTest, GapDrainsQueue) {
   const auto c = s.Serve(100.0, 1.0);
   EXPECT_DOUBLE_EQ(c.wait, 0.0);
   EXPECT_DOUBLE_EQ(c.start, 100.0);
-}
-
-TEST(FifoServerTest, WaitAtPeeksWithoutMutating) {
-  FifoServer s;
-  s.Serve(0.0, 5.0);
-  EXPECT_DOUBLE_EQ(s.WaitAt(2.0), 3.0);
-  EXPECT_DOUBLE_EQ(s.WaitAt(10.0), 0.0);
-  EXPECT_EQ(s.served(), 1u);
-}
-
-TEST(FifoServerTest, UtilizationBounded) {
-  FifoServer s;
-  s.Serve(0.0, 3.0);
-  s.Serve(5.0, 3.0);
-  EXPECT_DOUBLE_EQ(s.total_busy_time(), 6.0);
-  EXPECT_NEAR(s.Utilization(10.0), 0.6, 1e-12);
-  EXPECT_DOUBLE_EQ(s.Utilization(0.0), 0.0);
-  EXPECT_LE(s.Utilization(1.0), 1.0);
+  // Busy time counts service only, not the idle gap between the two.
+  EXPECT_DOUBLE_EQ(s.total_busy_time(), 2.0);
 }
 
 TEST(FifoServerTest, ResetClears) {
