@@ -451,22 +451,71 @@ TxnDecisionState RecoveredVerdict(const ClusterConfig& base,
   return verdict;
 }
 
-class TxnCrashTest
-    : public ::testing::TestWithParam<std::tuple<CrashCase, FsyncPolicy>> {
+/// A fresh data dir per test, named after it: ctest runs tests in
+/// parallel, and the suite name tells the fsync instantiations apart.
+class DataDirFixture {
  protected:
-  void SetUp() override {
+  void MakeDataDir() {
     const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    // The suite name tells the fsync instantiations apart: ctest runs
-    // them in parallel.
     std::string name =
         std::string(info->test_suite_name()) + "_" + info->name();
     std::replace(name.begin(), name.end(), '/', '_');
     dir_ = std::filesystem::temp_directory_path() / ("ghba_txncrash_" + name);
     std::filesystem::remove_all(dir_);
   }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
 
   std::filesystem::path dir_;
+};
+
+class TxnDurableTest : public ::testing::Test, protected DataDirFixture {
+ protected:
+  void SetUp() override { MakeDataDir(); }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+};
+
+// A heart-beat says a coordinator is down, not that its journal is gone.
+// The client dies right after the commit decision (the rename is acked),
+// then the coordinator crashes before any commit reached a participant.
+// Resolving dst_home while the coordinator is down must leave its op in
+// doubt: a presumed abort there would drop dst while the restarted
+// coordinator rolls its committed remove forward, losing both names.
+TEST_F(TxnDurableTest, DownCoordinatorKeepsItsParticipantsInDoubt) {
+  ClusterConfig config = TxnConfig();
+  config.storage.data_dir = dir_.string();
+  config.rpc = RpcOptions{};
+  FaultInjector injector;
+  PrototypeCluster cluster(config, ProtoScheme::kGhba);
+  cluster.set_fault_injector(&injector);
+  ASSERT_TRUE(cluster.Start().ok());
+
+  const std::string src = "/txn/downsrc";
+  ASSERT_TRUE(cluster.Insert(src, FileMetadata{}).ok());
+  const auto src_r = cluster.Lookup(src);
+  ASSERT_TRUE(src_r.ok() && src_r->found);
+  const MdsId src_home = src_r->home;
+  const std::string dst = PickDst(cluster, src_home, /*cross=*/true);
+  const MdsId dst_home = HashHome(cluster, dst);
+
+  injector.ArmCrashPoint("txnhalt.decide.0");
+  ASSERT_TRUE(cluster.Rename(src, dst).ok());
+  ASSERT_TRUE(cluster.CrashServer(src_home).ok());
+
+  const auto left = cluster.ResolveInDoubt(dst_home);
+  ASSERT_TRUE(left.ok()) << left.status().ToString();
+  EXPECT_EQ(*left, 1u) << "resolved without the coordinator's verdict";
+
+  const auto info = cluster.RestartServer(src_home);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(info->txn_in_doubt, 0u);
+  ExpectRenameEndpoint(cluster, src, dst, /*acked=*/true);
+}
+
+class TxnCrashTest
+    : public ::testing::TestWithParam<std::tuple<CrashCase, FsyncPolicy>>,
+      protected DataDirFixture {
+ protected:
+  void SetUp() override { MakeDataDir(); }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
 };
 
 TEST_P(TxnCrashTest, CrashAtPhaseBoundaryRecoversToExactlyOneEndpoint) {
