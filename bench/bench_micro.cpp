@@ -259,8 +259,8 @@ void BM_FilterSerialize(benchmark::State& state) {
 BENCHMARK(BM_FilterSerialize);
 
 // Durable-path cost per mutation: one WAL append+commit under each fsync
-// policy. kAlways is the per-op fsync the simulator charges wal_fsync_ms
-// for; kNever shows the pure framing+write cost.
+// policy. kAlways pays an fsync per op; kNever shows the pure
+// framing+write cost.
 void BM_StorageWalAppend(benchmark::State& state) {
   const auto policy = static_cast<FsyncPolicy>(state.range(0));
   const std::string dir =

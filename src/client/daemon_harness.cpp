@@ -162,12 +162,8 @@ DaemonTxnTransport::DaemonTxnTransport()
     : router_(RpcOptions{}, /*seed=*/0, &health_, &metrics_) {}
 
 void DaemonTxnTransport::SetPort(MdsId id, std::uint16_t port) {
-  if (ports_.size() <= id) {
-    ports_.resize(id + 1, 0);
-    dead_.resize(id + 1, false);
-  }
+  if (ports_.size() <= id) ports_.resize(id + 1, 0);
   ports_[id] = port;
-  dead_[id] = false;
   // The Router pools connections only to the ports it was handed last,
   // and closes idle ones to a port that left.
   auto topo = std::make_shared<Topology>();
@@ -175,19 +171,10 @@ void DaemonTxnTransport::SetPort(MdsId id, std::uint16_t port) {
   router_.Publish(std::move(topo));
 }
 
-void DaemonTxnTransport::MarkDead(MdsId id) {
-  SetPort(id, 0);
-  dead_[id] = true;
-}
-
 Result<std::vector<std::uint8_t>> DaemonTxnTransport::Call(
     MdsId server, const std::vector<std::uint8_t>& frame) {
   const std::uint16_t port = server < ports_.size() ? ports_[server] : 0;
   return router_.Call(server, port, frame, /*suspects=*/nullptr);
-}
-
-bool DaemonTxnTransport::TxnServerConfirmedDead(MdsId server) {
-  return server < dead_.size() && dead_[server];
 }
 
 }  // namespace ghba

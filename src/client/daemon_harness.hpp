@@ -14,10 +14,10 @@
 //     same encoders and decoders the in-process orchestrator uses) whose
 //     frames ride a Router over the fleet's ports: pooled connections,
 //     the default RpcOptions deadlines and retries. A daemon restarted on
-//     a NEW port just needs SetPort(). Confirmed death is harness
-//     bookkeeping (MarkDead after a Kill9), never a guess from timeouts —
-//     exactly like the in-process orchestrator, a slow-but-alive server
-//     must not trigger presumed abort.
+//     a NEW port just needs SetPort(); port 0 marks a killed one, whose
+//     calls then fail at once. Resolution never presumes anything from a
+//     failed call: an op whose coordinator is down stays in doubt until
+//     the coordinator is back.
 //
 // This lives in the client library (not tools/) because the daemon-mode
 // test links it too: the point of the harness is that the SAME TxnDriver
@@ -88,15 +88,9 @@ class DaemonTxnTransport final : public WireTxnTransport {
  public:
   DaemonTxnTransport();
 
-  /// Bind (or rebind, after a restart) server `id` to `port`, and clear
-  /// its dead mark.
+  /// Bind (or rebind, after a restart) server `id` to `port`; port 0
+  /// (a killed daemon) makes every call to it fail at once.
   void SetPort(MdsId id, std::uint16_t port);
-
-  /// Record that `id` was killed (Kill9): calls to it fail at once, and
-  /// TxnServerConfirmedDead answers true until the next SetPort.
-  void MarkDead(MdsId id);
-
-  bool TxnServerConfirmedDead(MdsId server) override;
 
  private:
   Result<std::vector<std::uint8_t>> Call(
@@ -106,7 +100,6 @@ class DaemonTxnTransport final : public WireTxnTransport {
   ClusterMetrics metrics_;
   Router router_;
   std::vector<std::uint16_t> ports_;  ///< by MdsId; 0 while dead
-  std::vector<bool> dead_;            ///< by MdsId
 };
 
 }  // namespace ghba

@@ -72,33 +72,15 @@ LookupOutcome ClusterBase::CloseFile(const std::string& path, double now_ms,
   });
   assert(s.ok());
   (void)s;
-  // The attribute write costs a store mutation at the home (plus its WAL
-  // fsync share when durability is modeled); filters are untouched (same
-  // path set), so no publish pressure.
-  res.latency_ms +=
-      ServeAt(res.home, now_ms + res.latency_ms,
-              config_.latency.mem_metadata_ms + DurabilityCost());
+  // The attribute write costs a store mutation at the home; filters are
+  // untouched (same path set), so no publish pressure.
+  res.latency_ms += ServeAt(res.home, now_ms + res.latency_ms,
+                            config_.latency.mem_metadata_ms);
   return res;
 }
 
-double ClusterBase::DurabilityCost() const {
-  if (!config_.model_durability) return 0.0;
-  switch (config_.storage.fsync) {
-    case FsyncPolicy::kAlways:
-      return config_.latency.wal_fsync_ms;
-    case FsyncPolicy::kInterval:
-      return config_.latency.wal_fsync_ms /
-             static_cast<double>(
-                 std::max<std::uint32_t>(config_.storage.fsync_interval_appends, 1));
-    case FsyncPolicy::kNever:
-      return 0.0;
-  }
-  return 0.0;
-}
-
 double ClusterBase::ChargeMutation(MdsId home, double now_ms) {
-  return ServeAt(home, now_ms, config_.latency.mem_metadata_ms +
-                                   DurabilityCost());
+  return ServeAt(home, now_ms, config_.latency.mem_metadata_ms);
 }
 
 Result<std::uint64_t> ClusterBase::RenameKeysKeepingHomes(

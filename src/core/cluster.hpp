@@ -176,16 +176,8 @@ class ClusterBase : public MetadataCluster {
   /// the node's FIFO queue, so saturated MDSs accumulate delay.
   double ServeAt(MdsId id, double arrival_ms, double service_ms);
 
-  /// Per-mutation durability cost under the configured fsync policy
-  /// (model_durability off -> 0). kAlways pays a full WAL fsync per
-  /// mutation; kInterval amortizes one fsync across the batch; kNever is
-  /// free (and correspondingly lossy — the prototype's storage tests show
-  /// the bound). Schemes charge this on every create/unlink/close at the
-  /// home MDS, so the Γ optimizer weighs durability against multicast cost.
-  double DurabilityCost() const;
-
-  /// ServeAt(home, ...) for one durable mutation: the home is occupied for
-  /// the mutation's fsync share (feeds the queueing model when enabled).
+  /// ServeAt(home, ...) for one mutation: the home is occupied for one
+  /// in-memory metadata update (feeds the queueing model when enabled).
   double ChargeMutation(MdsId home, double now_ms);
 
   ClusterConfig config_;

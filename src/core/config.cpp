@@ -65,9 +65,6 @@ Status ValidateClusterConfig(const ClusterConfig& config) {
   if (rpc.server_shards == 0 || rpc.server_shards > 64) {
     return Status::InvalidArgument("rpc.server_shards must be in [1, 64]");
   }
-  if (lat.wal_fsync_ms < 0) {
-    return Status::InvalidArgument("wal_fsync_ms must be non-negative");
-  }
   const StorageOptions& storage = config.storage;
   if (storage.fsync == FsyncPolicy::kInterval &&
       storage.fsync_interval_appends == 0) {

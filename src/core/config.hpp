@@ -149,11 +149,6 @@ struct ClusterConfig {
   /// MdsServer opens an engine under data_dir/mds-<id> when set.
   StorageOptions storage;
 
-  /// Charge mutations the fsync cost of the configured storage.fsync policy
-  /// in the simulator, so Fig. 6's Γ optimizer sees durability cost. Off by
-  /// default (the paper's model is memory-only).
-  bool model_durability = false;
-
   /// Online adaptivity (group split / MDS join / leave under live load).
   AdaptivityOptions adaptivity;
 

@@ -21,7 +21,10 @@
 #include "common/metrics_registry.hpp"
 #include "common/status.hpp"
 #include "mds/metadata.hpp"
-#include "storage/wal.hpp"  // TxnSubOp: wire and WAL share the sub-op enum
+// TxnSubOp and TxnDecisionState: the wire shares them with the WAL and
+// the txn driver.
+#include "storage/txn_state.hpp"
+#include "storage/wal.hpp"
 
 namespace ghba {
 
@@ -320,18 +323,6 @@ struct TxnFinishReq {
   std::uint64_t txn_id = 0;
 
   friend bool operator==(const TxnFinishReq&, const TxnFinishReq&) = default;
-};
-
-/// What a kTxnResolve query learned about a transaction's outcome.
-/// kUnknown from a coordinator means "never began here" — under presumed
-/// abort the resolver treats it exactly like kAborted. kPending means the
-/// coordinator began the txn but never journaled a decision; the resolver
-/// force-aborts it via kTxnDecide before releasing participants.
-enum class TxnDecisionState : std::uint8_t {
-  kUnknown = 0,
-  kPending = 1,
-  kCommitted = 2,
-  kAborted = 3,
 };
 
 struct TxnResolveResp {

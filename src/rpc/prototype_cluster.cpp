@@ -372,16 +372,6 @@ struct PrototypeCluster::TxnBridge final : WireTxnTransport {
     if (vote.ok()) (void)TxnAbort(participant, op.txn_id, op.path);
     return Status::AlreadyExists(op.path);
   }
-  bool TxnServerConfirmedDead(MdsId server) override {
-    MutexLock lock(&c->mu_);
-    // The orchestrator's own bookkeeping is the truth here: a crashed or
-    // removed server has a stopped (or absent) MdsServer object. A server
-    // that is up but slow keeps its object running, so a transient stall
-    // never masquerades as death and resolution stays in doubt instead of
-    // presuming abort too eagerly.
-    return server >= c->servers_.size() || !c->servers_[server] ||
-           !c->servers_[server]->running();
-  }
   /// TxnDriver's after_step hook (not part of the transport interface).
   bool AfterStep(TxnPhase phase, std::uint32_t k, MdsId target) {
     MutexLock lock(&c->mu_);
@@ -844,7 +834,17 @@ Result<RecoveryInfoResp> PrototypeCluster::RestartServer(MdsId id) {
     MutexLock lock(&mu_);
     info = RestartServerLocked(id);
   }
-  if (!info.ok() || info->txn_in_doubt == 0) return info;
+  if (!info.ok()) return info;
+  // A durable server is back with its decision table, so the ops other
+  // servers kept in doubt while it was down can be resolved now. They go
+  // first: a committed rename's insert lands before its coordinator's
+  // remove, so the file never has neither name.
+  if (info->durable) {
+    for (const MdsId other : AliveServers()) {
+      if (other != id) (void)ResolveInDoubt(other);
+    }
+  }
+  if (info->txn_in_doubt == 0) return info;
   // Recovery re-locked every prepared-but-undecided op (their paths
   // refuse plain mutations until resolved); consult each op's coordinator
   // now so committed renames roll forward and everything else rolls back

@@ -153,9 +153,11 @@ class PrototypeCluster {
   /// Resolve every in-doubt prepared op on `id` against its coordinator's
   /// durable decision table: committed ops roll forward, aborted/unknown
   /// roll back (presumed abort), an undecided txn is force-aborted first.
-  /// Returns the number of ops still in doubt (coordinator unreachable
-  /// and not confirmed dead); 0 means the server is clean. RestartServer
-  /// runs this automatically when recovery reports in-doubt prepares.
+  /// Returns the number of ops still in doubt (coordinator down or
+  /// unreachable: only its journal can settle them); 0 means the server
+  /// is clean. RestartServer runs this automatically, on the restarted
+  /// server's own in-doubt prepares and, after a durable recovery, first
+  /// on every other server, whose ops it may coordinate.
   Result<std::uint64_t> ResolveInDoubt(MdsId id);
 
   /// Four-level lookup driven from the client, on the Router: L3 and L4
@@ -212,7 +214,9 @@ class PrototypeCluster {
   /// segment array, re-enters a group and receives exactly the replicas
   /// its holder map assigns (the join's light-weight migration); no other
   /// replica in the cluster is refreshed. It then serves L4 again. A
-  /// crashed-but-undetected server is failed over first.
+  /// crashed-but-undetected server is failed over first. In-doubt ops are
+  /// resolved last (see ResolveInDoubt); the returned txn_in_doubt is the
+  /// restarted server's count after that pass.
   Result<RecoveryInfoResp> RestartServer(MdsId id);
 
   /// Move the replica of `owner` held inside `to`'s group onto `to`: the

@@ -79,18 +79,12 @@ Result<std::vector<TxnPendingOp>> WireTxnTransport::TxnList(MdsId server) {
   return ops;
 }
 
-Result<TxnResolution> WireTxnTransport::TxnQueryDecision(
+Result<TxnDecisionState> WireTxnTransport::TxnQueryDecision(
     MdsId coordinator, std::uint64_t txn_id) {
   auto decided = PayloadOf(Call(coordinator, EncodeTxnResolve(txn_id)),
                            DecodeTxnResolveResp);
   if (!decided.ok()) return decided.status();
-  switch (decided->state) {
-    case TxnDecisionState::kPending: return TxnResolution::kPending;
-    case TxnDecisionState::kCommitted: return TxnResolution::kCommitted;
-    case TxnDecisionState::kAborted: return TxnResolution::kAborted;
-    case TxnDecisionState::kUnknown: break;
-  }
-  return TxnResolution::kUnknown;
+  return decided->state;
 }
 
 }  // namespace ghba

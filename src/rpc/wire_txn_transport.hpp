@@ -2,12 +2,11 @@
 //
 // WireTxnTransport is TxnDriver's transport over the wire. It holds the
 // only client-side encoder and decoder of each kTxn* message (prepare and
-// its vote, decide, commit and abort, list, resolve) and maps a
-// coordinator's TxnDecisionState to the driver's TxnResolution. How a
-// frame reaches a server is the subclass's one Call(): PrototypeCluster's
-// TxnBridge sends it through the orchestrator's Router under the cluster
-// mutex, and DaemonTxnTransport through a Router over the ports of a
-// forked mds_daemon fleet. The choreography proven in-process therefore
+// its vote, decide, commit and abort, list, resolve). How a frame reaches
+// a server is the subclass's one Call(): PrototypeCluster's TxnBridge
+// sends it through the orchestrator's Router under the cluster mutex, and
+// DaemonTxnTransport through a Router over the ports of a forked
+// mds_daemon fleet. The choreography proven in-process therefore
 // sends the daemons the same bytes.
 #pragma once
 
@@ -34,8 +33,8 @@ class WireTxnTransport : public TxnTransport {
   Status TxnAbort(MdsId participant, std::uint64_t txn_id,
                   const std::string& path) override;
   Result<std::vector<TxnPendingOp>> TxnList(MdsId server) override;
-  Result<TxnResolution> TxnQueryDecision(MdsId coordinator,
-                                         std::uint64_t txn_id) override;
+  Result<TxnDecisionState> TxnQueryDecision(MdsId coordinator,
+                                            std::uint64_t txn_id) override;
 
  protected:
   /// One request/response round trip with `server`. A transport failure

@@ -27,10 +27,6 @@ struct LatencyModel {
   double spilled_probe_ms = 1.5;
   double mem_metadata_ms = 0.002;    ///< metadata fetch when cached in RAM
   double metadata_cache_hit = 0.90;  ///< probability home metadata is cached
-  /// One WAL fsync on the home MDS (7200rpm-era commit: on the order of a
-  /// rotational latency). Charged to mutations when durability is modeled;
-  /// the interval policy amortizes it across the batch.
-  double wal_fsync_ms = 8.0;
 
   /// Probing `filters` Bloom filters in local memory.
   double ArrayProbe(std::uint64_t filters) const {

@@ -7,10 +7,11 @@
 //     in-doubt ops a restart must re-lock and resolve.
 //   * the coordinator decision table: kTxnDecision fixes a txn's verdict.
 //     Under presumed abort the table may be pruned — a query for an
-//     unknown txn answers "aborted". An undecided txn has no row: the
-//     coordinator counts it open while it holds the txn's own prepare
-//     (one whose `coordinator` is itself), and recovery re-seeds that
-//     prepare like any other, so "open" survives a restart.
+//     unknown txn answers "unknown", which resolves as aborted. An
+//     undecided txn has no row: the coordinator counts it open while it
+//     holds the txn's own prepare (one whose `coordinator` is itself),
+//     and recovery re-seeds that prepare like any other, so "open"
+//     survives a restart.
 //
 // Both are folded into checkpoints (v3 body section) because a checkpoint
 // truncates the WAL records they came from.
@@ -27,8 +28,8 @@
 namespace ghba {
 
 /// One prepared-but-undecided participant op: exactly the payload of its
-/// kTxnPrepare record. `participants` lets a resolver consult the txn's
-/// other members when the coordinator is confirmed dead.
+/// kTxnPrepare record. Nothing reads `participants`; it stays because the
+/// WAL record and the checkpoint carry it.
 struct TxnPendingOp {
   std::uint64_t txn_id = 0;
   TxnSubOp subop = TxnSubOp::kNone;
@@ -38,6 +39,19 @@ struct TxnPendingOp {
   std::vector<MdsId> participants;
 
   friend bool operator==(const TxnPendingOp&, const TxnPendingOp&) = default;
+};
+
+/// A coordinator's verdict on a txn as its kTxnResolve answers it, and so
+/// as a resolver sees it. kUnknown means "no row here" — never began, or
+/// pruned — and under presumed abort the resolver treats it exactly like
+/// kAborted. kPending means the coordinator holds the txn open without a
+/// decision; the resolver force-aborts it via kTxnDecide before releasing
+/// participants.
+enum class TxnDecisionState : std::uint8_t {
+  kUnknown = 0,
+  kPending = 1,
+  kCommitted = 2,
+  kAborted = 3,
 };
 
 /// Coordinator-side verdicts. The checkpoint codec accepts exactly these
@@ -55,10 +69,11 @@ struct TxnCoordEntry {
   friend bool operator==(const TxnCoordEntry&, const TxnCoordEntry&) = default;
 };
 
-/// Presumed abort lets the decision table stay bounded: entries beyond
-/// this cap are pruned oldest-first, and a pruned commit entry can only
-/// belong to a txn whose participants have all closed (the driver pushes
-/// commits before acking; recovery resolution closes the stragglers).
+/// The decision table keeps at most this many rows, pruned oldest-first.
+/// Nothing keeps a commit row until the txn's participants have closed:
+/// the driver acks once the decision is durable, so a participant still
+/// in doubt after this many later decisions at its coordinator reads
+/// "unknown" and aborts its half of an acked txn.
 inline constexpr std::size_t kMaxTxnCoordEntries = 4096;
 
 }  // namespace ghba

@@ -167,29 +167,17 @@ Result<std::uint64_t> TxnDriver::ResolveInDoubt(MdsId server) {
 
   std::uint64_t unresolved = 0;
   for (const TxnPendingOp& op : *pending) {
-    TxnResolution verdict = TxnResolution::kUnknown;
-    if (op.coordinator == server) {
-      // Self-coordinated op: the server's own recovered decision table is
-      // authoritative; ask it directly.
-      auto res = transport_->TxnQueryDecision(server, op.txn_id);
-      if (!res.ok()) return res.status();
-      verdict = *res;
-    } else {
-      auto res = transport_->TxnQueryDecision(op.coordinator, op.txn_id);
-      if (res.ok()) {
-        verdict = *res;
-      } else if (transport_->TxnServerConfirmedDead(op.coordinator)) {
-        // Presumed abort: a dead coordinator that never reported a commit
-        // decision cannot have committed (it journals the decision before
-        // anyone acks), so rolling back is safe.
-        verdict = TxnResolution::kAborted;
-      } else {
-        ++unresolved;  // merely unreachable: stay in doubt, retry later
-        continue;
-      }
+    // Only the coordinator's journal knows the verdict. A coordinator that
+    // does not answer may be down, but its journal is not gone: the op
+    // stays in doubt until it answers again.
+    auto res = transport_->TxnQueryDecision(op.coordinator, op.txn_id);
+    if (!res.ok()) {
+      ++unresolved;
+      continue;
     }
+    TxnDecisionState verdict = *res;
 
-    if (verdict == TxnResolution::kPending) {
+    if (verdict == TxnDecisionState::kPending) {
       // Open but undecided: no client is still driving this txn (we are
       // the recovery path), so fix the verdict to abort first.
       if (Status s = transport_->TxnDecide(op.coordinator, op.txn_id, false);
@@ -197,10 +185,10 @@ Result<std::uint64_t> TxnDriver::ResolveInDoubt(MdsId server) {
         ++unresolved;
         continue;
       }
-      verdict = TxnResolution::kAborted;
+      verdict = TxnDecisionState::kAborted;
     }
 
-    Status close = verdict == TxnResolution::kCommitted
+    Status close = verdict == TxnDecisionState::kCommitted
                        ? transport_->TxnCommit(server, op.txn_id, op.path)
                        : transport_->TxnAbort(server, op.txn_id, op.path);
     if (!close.ok()) ++unresolved;

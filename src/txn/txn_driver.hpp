@@ -30,9 +30,10 @@
 // Any prepare refusal flips the txn to Decide(C, abort) + best-effort
 // Abort(P_i). A crash after Decide leaves participants in doubt; recovery
 // resolution (ResolveInDoubt) re-drives the closing messages from the
-// coordinator's durable decision table, or presumes abort once the
-// coordinator is confirmed dead and reports no decision. A resolver that
-// finds a txn open on its coordinator fences it with Decide(abort) first.
+// coordinator's answer to kTxnResolve, and only from it: a coordinator
+// that does not answer leaves its ops in doubt, since a down server still
+// has its journal. A resolver that finds a txn open on its coordinator
+// fences it with Decide(abort) first.
 //
 // Crash/halt instrumentation: after every message the driver calls the
 // `after_step` hook with the phase, the message's position k among that
@@ -76,16 +77,6 @@ constexpr const char* TxnPhaseName(TxnPhase phase) {
   return "unknown";
 }
 
-/// Coordinator verdicts as a resolver sees them (the wire's
-/// TxnDecisionState mirrors this; the txn library stays below the rpc
-/// layer so it cannot use the wire enum directly).
-enum class TxnResolution : std::uint8_t {
-  kUnknown = 0,   ///< no table entry: presumed abort
-  kPending = 1,   ///< open on its coordinator, undecided: resolver fences
-  kCommitted = 2,
-  kAborted = 3,
-};
-
 /// How a transaction message reaches a server. Implementations return
 /// kUnavailable-style errors for dead/unreachable targets; the driver
 /// translates those into abort or in-doubt per phase.
@@ -110,12 +101,8 @@ class TxnTransport {
   /// Every in-doubt prepare on `server` (its kTxnList).
   virtual Result<std::vector<TxnPendingOp>> TxnList(MdsId server) = 0;
   /// Ask `coordinator` for its verdict on `txn_id` (its kTxnResolve).
-  virtual Result<TxnResolution> TxnQueryDecision(MdsId coordinator,
-                                                 std::uint64_t txn_id) = 0;
-  /// Is `server` confirmed dead (crashed / removed), as opposed to merely
-  /// unreachable right now? Resolution only presumes abort on confirmed
-  /// death; a transient partition leaves the op in doubt.
-  virtual bool TxnServerConfirmedDead(MdsId server) = 0;
+  virtual Result<TxnDecisionState> TxnQueryDecision(MdsId coordinator,
+                                                    std::uint64_t txn_id) = 0;
 };
 
 /// Outcome of one Rename/CreateExclusive drive, beyond the Status: which
@@ -160,8 +147,8 @@ class TxnDriver {
   /// Resolve every in-doubt prepare on `server` by consulting each op's
   /// coordinator: committed rolls forward, aborted/unknown rolls back, an
   /// undecided txn is first force-aborted on the coordinator. Returns the
-  /// number of ops still in doubt (coordinator unreachable and not
-  /// confirmed dead); 0 means the server is clean.
+  /// number of ops still in doubt (coordinator down or unreachable, or a
+  /// closing message failed); 0 means the server is clean.
   Result<std::uint64_t> ResolveInDoubt(MdsId server);
 
  private:

@@ -138,8 +138,8 @@ class TxnManager {
   /// path -> txn_id holding its intent lock. Derived from pending_, kept
   /// alongside so the hot "is this path locked" check is one hash probe.
   std::unordered_map<std::string, std::uint64_t> locks_ GHBA_GUARDED_BY(mu_);
-  /// Coordinator decision table, pruned FIFO at kMaxTxnCoordEntries
-  /// (presumed abort makes dropping old entries safe; see txn_state.hpp).
+  /// Coordinator decision table, pruned FIFO at kMaxTxnCoordEntries (see
+  /// txn_state.hpp for what pruning a commit row risks).
   std::deque<TxnCoordEntry> decisions_ GHBA_GUARDED_BY(mu_);
   /// Closed participant outcomes (txn_id -> committed) with FIFO aging.
   std::unordered_map<std::uint64_t, bool> closed_ GHBA_GUARDED_BY(mu_);

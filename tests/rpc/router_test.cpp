@@ -103,40 +103,42 @@ TEST(RouterTest, BackoffSleepBlocksNoOtherLookup) {
       ++slow_calls;
     }
   });
-  // Start measuring once the flaky call is past its first attempt.
-  const auto wait_until = std::chrono::steady_clock::now() +
-                          std::chrono::seconds(10);
-  while (cluster.health().TotalCounts().retries == 0 &&
-         std::chrono::steady_clock::now() < wait_until) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_GT(cluster.health().TotalCounts().retries, 0u);
 
-  // The bound is the shortest backoff sleep: a lookup that waited through
-  // one fails it, while an unblocked lookup takes a few milliseconds even
-  // under a sanitizer.
-  const auto kBound = std::chrono::milliseconds(200);
-  auto slowest = std::chrono::steady_clock::duration::zero();
+  // The flaky call sleeps from the timeout it records to the retry it
+  // records on waking. Only its attempts fail, and each of its calls times
+  // out all three, so a finished call leaves 3 timeouts, 2 retries and one
+  // failure, and the call in flight is asleep exactly when it has one
+  // timeout more than retries and fewer than three.
+  using Counts = PeerHealthTracker::CumulativeCounts;
+  const auto asleep = [](const Counts& c) {
+    const std::uint64_t timeouts = c.timeouts - 3 * c.failures;
+    const std::uint64_t retries = c.retries - 2 * c.failures;
+    return timeouts < 3 && timeouts == retries + 1;
+  };
+  const auto same = [](const Counts& a, const Counts& b) {
+    return a.timeouts == b.timeouts && a.retries == b.retries &&
+           a.failures == b.failures;
+  };
+  // A lookup that starts and ends on the same asleep counts ran inside one
+  // backoff sleep. If the sleep blocked lookups, none could.
   int lookups = 0;
-  const auto end =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(1500);
-  while (std::chrono::steady_clock::now() < end) {
-    const auto start = std::chrono::steady_clock::now();
+  int inside_a_sleep = 0;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (inside_a_sleep < 10 && std::chrono::steady_clock::now() < give_up) {
+    const Counts before = cluster.health().TotalCounts();
     const auto r = cluster.Lookup(files[lookups % files.size()]);
-    slowest = std::max(slowest, std::chrono::steady_clock::now() - start);
+    const Counts after = cluster.health().TotalCounts();
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_TRUE(r->found);
     ++lookups;
+    if (asleep(before) && same(before, after)) ++inside_a_sleep;
   }
   stop.store(true);
   flaky.join();
   injector.UnstallShard(slow, 1);
 
-  EXPECT_LT(slowest, kBound)
-      << std::chrono::duration_cast<std::chrono::milliseconds>(slowest)
-             .count()
-      << " ms";
-  EXPECT_GT(lookups, 10);
+  EXPECT_EQ(inside_a_sleep, 10) << "of " << lookups << " lookups";
   EXPECT_GE(slow_calls.load(), 1);
   // The flaky verifies really retried: two retries per call.
   EXPECT_GE(cluster.health().TotalCounts().retries, 2u);

@@ -371,6 +371,80 @@ TEST_F(MdsServerTest, MalformedFrameAnswersWithError) {
   EXPECT_FALSE(env->status.ok());
 }
 
+// A client pipelines more reply bytes than the socket buffers hold and
+// reads nothing until the server has queued every reply. The server's
+// send would block, so its event loop keeps the rest in the connection's
+// out buffer and waits for EPOLLOUT. Every reply still arrives, in request
+// order, and the connection stays usable.
+TEST_F(MdsServerTest, BackedUpRepliesArriveInOrderOnAnOpenConnection) {
+  FileMetadata md;
+  ASSERT_TRUE(CallStatus(EncodeInsert("/bp/held", md)).ok());
+  auto probe = TcpConnection::Connect(server_->port());
+  ASSERT_TRUE(probe.ok());
+  // The server's replies so far, read on the probe connection.
+  const auto frames_out = [&]() -> std::uint64_t {
+    if (!probe->SendFrame(EncodeHeader(MsgType::kStatsSnapshot)).ok()) {
+      return 0;
+    }
+    auto resp = probe->RecvFrame(Deadline::After(std::chrono::seconds(10)));
+    if (!resp.ok()) return 0;
+    ByteReader in(*resp);
+    if (!OpenEnvelope(in).ok()) return 0;
+    const auto stats = DecodeStatsSnapshotResp(in);
+    return stats.ok() ? stats->frames_out : 0;
+  };
+  const std::uint64_t before = frames_out();
+
+  // One batch of 1024 stats snapshots answers with about 0.7 MB, so eight
+  // outgrow the socket buffers (Linux caps a send buffer at 4 MiB by
+  // default). A verify follows each batch, held or absent by parity, so
+  // the order of the replies shows in their contents.
+  constexpr int kBatches = 8;
+  constexpr std::size_t kPerBatch = 1024;
+  const std::vector<std::vector<std::uint8_t>> subs(
+      kPerBatch, EncodeHeader(MsgType::kStatsSnapshot));
+  const auto batch = EncodeBatch(subs);
+  const auto verify = [](int i) {
+    return EncodePathRequest(MsgType::kVerify,
+                             i % 2 == 0 ? "/bp/held" : "/bp/absent");
+  };
+  for (int i = 0; i < kBatches; ++i) {
+    ASSERT_TRUE(conn_.SendFrame(batch).ok());
+    ASSERT_TRUE(conn_.SendFrame(verify(i)).ok());
+  }
+
+  // frames_out counts a reply once it is queued for its connection; the
+  // probe's own earlier replies are taken back out.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (std::uint64_t probes = 1;; ++probes) {
+    if (frames_out() - before - probes >= 2 * kBatches) break;
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up)
+        << "the server never queued every reply";
+  }
+
+  for (int i = 0; i < kBatches; ++i) {
+    auto resp = conn_.RecvFrame(Deadline::After(std::chrono::seconds(10)));
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    ByteReader in(*resp);
+    const auto env = OpenEnvelope(in);
+    ASSERT_TRUE(env.ok() && env->has_payload) << "batch " << i;
+    const auto slots = DecodeBatchResp(in);
+    ASSERT_TRUE(slots.ok()) << "batch " << i;
+    EXPECT_EQ(slots->size(), kPerBatch) << "batch " << i;
+
+    resp = conn_.RecvFrame(Deadline::After(std::chrono::seconds(10)));
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    ByteReader vin(*resp);
+    const auto venv = OpenEnvelope(vin);
+    ASSERT_TRUE(venv.ok() && venv->has_payload) << "verify " << i;
+    const auto held = DecodeBoolResp(vin);
+    ASSERT_TRUE(held.ok()) << "verify " << i;
+    EXPECT_EQ(*held, i % 2 == 0) << "verify " << i;
+  }
+  EXPECT_TRUE(CallStatus(EncodeHeader(MsgType::kPing)).ok());
+}
+
 TEST_F(MdsServerTest, StopIsIdempotent) {
   server_->Stop();
   server_->Stop();

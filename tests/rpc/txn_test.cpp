@@ -116,6 +116,27 @@ std::vector<TxnListEntry> InDoubtAt(std::uint16_t port) {
   return list.ok() ? std::move(list->entries) : std::vector<TxnListEntry>{};
 }
 
+/// A plain kInsert of `path` on the server at `port`.
+Status InsertAt(std::uint16_t port, const std::string& path,
+                const FileMetadata& md) {
+  const auto resp = RawCall(port, EncodeInsert(path, md));
+  ByteReader in(resp);
+  const auto env = OpenEnvelope(in);
+  return env.ok() ? env->status : env.status();
+}
+
+/// The verdict the server at `port` gives a resolver for `txn_id` (its
+/// kTxnResolve answer).
+TxnDecisionState VerdictAt(std::uint16_t port, std::uint64_t txn_id) {
+  const auto resp = RawCall(port, EncodeTxnResolve(txn_id));
+  ByteReader in(resp);
+  const auto env = OpenEnvelope(in);
+  EXPECT_TRUE(env.ok() && env->has_payload);
+  const auto resolved = DecodeTxnResolveResp(in);
+  EXPECT_TRUE(resolved.ok());
+  return resolved.ok() ? resolved->state : TxnDecisionState::kUnknown;
+}
+
 /// Sum of a server-side counter over the live servers.
 std::uint64_t ServeSum(PrototypeCluster& cluster, const char* name) {
   std::uint64_t total = 0;
@@ -286,10 +307,7 @@ TEST(TxnTest, DstHeldOffItsHashHomeRefusesAndLeavesNothingStaged) {
   // Plants `path` on the server after its hash home; returns the holder.
   const auto hold_off_home = [&](const std::string& path) {
     const MdsId holder = (HashHome(cluster, path) + 1) % 6;
-    const auto resp = RawCall(ports[holder], EncodeInsert(path, md));
-    ByteReader in(resp);
-    const auto env = OpenEnvelope(in);
-    EXPECT_TRUE(env.ok() && env->status.ok()) << path;
+    EXPECT_TRUE(InsertAt(ports[holder], path, md).ok()) << path;
     return holder;
   };
   const auto expect_nothing_staged = [&](const std::string& path,
@@ -405,6 +423,79 @@ TEST(TxnTest, HaltAfterDecideIsAckedAndResolutionRollsForward) {
   ExpectRenameEndpoint(cluster, src, dst, /*acked=*/true);
 }
 
+// A refused dst prepare turns the drive into Decide(abort), and the client
+// dies right after it, before releasing src's prepare. The coordinator
+// answers the resolver "aborted", and resolution releases src.
+TEST(TxnTest, HaltAfterAbortDecisionResolvesAborted) {
+  FaultInjector injector;
+  PrototypeCluster cluster(TxnConfig(), ProtoScheme::kGhba);
+  cluster.set_fault_injector(&injector);
+  ASSERT_TRUE(cluster.Start().ok());
+  const auto ports = cluster.ServerPorts();
+
+  const std::string src = "/txn/abortsrc";
+  ASSERT_TRUE(cluster.Insert(src, FileMetadata{}).ok());
+  const auto src_r = cluster.Lookup(src);
+  ASSERT_TRUE(src_r.ok() && src_r->found);
+  const MdsId src_home = src_r->home;
+  const std::string dst = PickDst(cluster, src_home, /*cross=*/true);
+  // At its hash home, so the dst prepare itself votes no.
+  ASSERT_TRUE(cluster.CreateExclusive(dst, FileMetadata{}).ok());
+
+  injector.ArmCrashPoint("txnhalt.decide.0");
+  EXPECT_EQ(cluster.Rename(src, dst).code(), StatusCode::kAlreadyExists);
+  EXPECT_FALSE(injector.HasArmedCrashPoints()) << "no abort decision ran";
+
+  const auto listed = InDoubtAt(ports[src_home]);
+  ASSERT_EQ(listed.size(), 1u);
+  EXPECT_EQ(listed[0].path, src);
+  EXPECT_EQ(VerdictAt(ports[src_home], listed[0].txn_id),
+            TxnDecisionState::kAborted);
+
+  const auto left = cluster.ResolveInDoubt(src_home);
+  ASSERT_TRUE(left.ok()) << left.status().ToString();
+  EXPECT_EQ(*left, 0u);
+  EXPECT_TRUE(InDoubtAt(ports[src_home]).empty());
+  const auto still = cluster.Lookup(src);
+  ASSERT_TRUE(still.ok());
+  EXPECT_TRUE(still->found) << "an aborted rename moved src";
+  EXPECT_TRUE(cluster.Unlink(src).ok()) << "src still intent-locked";
+}
+
+// A prepare whose coordinator never saw the txn: the coordinator answers
+// "unknown", which resolves as aborted and frees the path.
+TEST(TxnTest, PrepareUnknownToItsCoordinatorResolvesAborted) {
+  PrototypeCluster cluster(TxnConfig(), ProtoScheme::kGhba);
+  ASSERT_TRUE(cluster.Start().ok());
+  const auto ports = cluster.ServerPorts();
+
+  const std::string path = "/txn/orphan";
+  const MdsId home = HashHome(cluster, path);
+  const MdsId coordinator = (home + 1) % ports.size();
+  TxnPrepareReq req;
+  req.path = path;
+  req.txn_id = 9001;
+  req.coordinator = coordinator;
+  req.subop = TxnSubOp::kInsert;
+  req.participants = {home};
+  const auto resp = RawCall(ports[home], EncodeTxnPrepare(req));
+  ByteReader in(resp);
+  const auto env = OpenEnvelope(in);
+  ASSERT_TRUE(env.ok() && env->status.ok());
+
+  EXPECT_EQ(InsertAt(ports[home], path, FileMetadata{}).code(),
+            StatusCode::kUnavailable)
+      << "the prepared path is not intent-locked";
+  EXPECT_EQ(VerdictAt(ports[coordinator], req.txn_id),
+            TxnDecisionState::kUnknown);
+
+  const auto left = cluster.ResolveInDoubt(home);
+  ASSERT_TRUE(left.ok()) << left.status().ToString();
+  EXPECT_EQ(*left, 0u);
+  EXPECT_TRUE(InDoubtAt(ports[home]).empty());
+  EXPECT_TRUE(InsertAt(ports[home], path, FileMetadata{}).ok());
+}
+
 // --- server-crash matrix: kill the targeted MDS at every message boundary
 // of the choreography, restart it (fail-over + durable recovery + rejoin +
 // automatic in-doubt resolution), and audit the endpoint invariant. ------
@@ -437,12 +528,7 @@ TxnDecisionState RecoveredVerdict(const ClusterConfig& base,
   TxnDecisionState verdict = TxnDecisionState::kUnknown;
   const auto listed = InDoubtAt(server.port());
   if (listed.size() == 1 && listed[0].coordinator == id) {
-    const auto resp =
-        RawCall(server.port(), EncodeTxnResolve(listed[0].txn_id));
-    ByteReader in(resp);
-    const auto env = OpenEnvelope(in);
-    const auto resolved = DecodeTxnResolveResp(in);
-    if (env.ok() && resolved.ok()) verdict = resolved->state;
+    verdict = VerdictAt(server.port(), listed[0].txn_id);
   } else {
     ADD_FAILURE() << "expected one in-doubt op coordinated by " << id;
   }

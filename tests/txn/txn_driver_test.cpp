@@ -67,10 +67,9 @@ class RecordingTransport : public TxnTransport {
   Result<std::vector<TxnPendingOp>> TxnList(MdsId) override {
     return std::vector<TxnPendingOp>();
   }
-  Result<TxnResolution> TxnQueryDecision(MdsId, std::uint64_t) override {
-    return TxnResolution::kUnknown;
+  Result<TxnDecisionState> TxnQueryDecision(MdsId, std::uint64_t) override {
+    return TxnDecisionState::kUnknown;
   }
-  bool TxnServerConfirmedDead(MdsId) override { return false; }
 
   std::vector<Sent> sent;
   std::vector<TxnPendingOp> prepared;

@@ -140,8 +140,7 @@ TEST(TxnManagerTest, DecisionTableAgesFifo) {
   for (std::uint64_t id = 1; id <= kMaxTxnCoordEntries + 8; ++id) {
     m.DecideLocked(id, /*commit=*/true);
   }
-  // The oldest rows aged out (presumed abort makes that safe); the newest
-  // are still answerable.
+  // The oldest rows aged out; the newest are still answerable.
   EXPECT_FALSE(m.QueryLocked(1).has_value());
   EXPECT_TRUE(m.QueryLocked(kMaxTxnCoordEntries + 8).has_value());
 }

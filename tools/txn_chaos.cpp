@@ -4,16 +4,17 @@
 //               [--renames K] [--fsync always|never] [--keep]
 //
 // Spawns N real mds_daemon processes (durable, fsync=always unless
-// --fsync says otherwise, ephemeral ports), then proves the two claims
-// the in-process matrix proves — with kill -9 instead of a simulated
-// crash:
+// --fsync says otherwise, ephemeral ports), then proves the claims the
+// in-process matrix proves — with kill -9 instead of a simulated crash:
 //
 //   1. clean cross-daemon renames move files atomically;
 //   2. killing the targeted daemon at EVERY 2PC message boundary (and the
 //      client at the two interesting ones) recovers, after restart on the
 //      same data dir plus in-doubt resolution, to exactly one endpoint:
 //      the new name iff the rename was acked, the old name otherwise —
-//      never both, never neither, and no background file is ever lost.
+//      never both, never neither, and no background file is ever lost;
+//   3. a participant whose coordinator is down stays in doubt until the
+//      coordinator is back, even when the rename was acked.
 //
 // kill -9 keeps the page cache, so --fsync never is sound for these
 // process crashes; under it the daemons run the 2PC handlers inline on
@@ -81,10 +82,10 @@ struct Fleet {
     return static_cast<MdsId>(ghba::Fnv1a64(path) % daemons.size());
   }
 
-  /// Kill -9 `id` and tell the transport (confirmed death, not a guess).
+  /// Kill -9 `id`; calls to it then fail at once.
   void Kill(MdsId id) {
     at(id).Kill9();
-    transport.MarkDead(id);
+    transport.SetPort(id, 0);
   }
 
   /// Restart `id` on its data dir; rebind the transport to the new port.
@@ -141,18 +142,53 @@ struct Fault {
   bool acked;        ///< must the drive return Ok?
 };
 
-/// Run the whole rename-under-fault cycle for one case and audit it.
-void RunFaultCase(Fleet& fleet, std::uint64_t& txn_id, const Fault& f) {
-  std::printf("case %s:\n", f.name);
-  const std::string src = std::string("/chaos/") + f.name + "/src";
-  const MdsId src_home = fleet.HomeOf(src);
-  const std::string dst =
-      CrossDst(fleet, std::string("/chaos/") + f.name + "/dst", src_home);
-  const MdsId dst_home = fleet.HomeOf(dst);
+/// The two names of one case's rename and their hash homes.
+struct Endpoints {
+  std::string src;
+  std::string dst;
+  MdsId src_home;
+  MdsId dst_home;
+};
+
+/// Print the case header, pick a cross-daemon dst and insert src.
+Endpoints StartCase(Fleet& fleet, std::uint64_t txn_id, const char* name) {
+  std::printf("case %s:\n", name);
+  Endpoints e;
+  e.src = std::string("/chaos/") + name + "/src";
+  e.src_home = fleet.HomeOf(e.src);
+  e.dst = CrossDst(fleet, std::string("/chaos/") + name + "/dst", e.src_home);
+  e.dst_home = fleet.HomeOf(e.dst);
   FileMetadata md;
   md.inode = txn_id + 1000;
-  Check(fleet.Insert(src, md).ok(), "insert src");
+  Check(fleet.Insert(e.src, md).ok(), "insert src");
+  return e;
+}
 
+/// Resolve both homes from a fresh driver — exactly what a recovering
+/// deployment runs — participant before coordinator, so a committed
+/// rename's insert lands before its remove. Then audit the endpoints.
+void ResolveAndAudit(Fleet& fleet, const Endpoints& e, bool acked) {
+  TxnDriver resolver(&fleet.transport);
+  for (const MdsId id : {e.dst_home, e.src_home}) {
+    const auto left = resolver.ResolveInDoubt(id);
+    Check(left.ok() && *left == 0,
+          "in-doubt resolution drained mds " + std::to_string(id));
+  }
+
+  const auto src_present = fleet.Present(e.src);
+  const auto dst_present = fleet.Present(e.dst);
+  Check(src_present.ok() && dst_present.ok(), "post-recovery probes");
+  if (src_present.ok() && dst_present.ok()) {
+    Check(*dst_present == acked, "dst present iff acked");
+    Check(*src_present == !acked, "src present iff not acked");
+    Check(!(*src_present && *dst_present), "never both endpoints");
+  }
+}
+
+/// Run the whole rename-under-fault cycle for one case and audit it.
+void RunFaultCase(Fleet& fleet, std::uint64_t& txn_id, const Fault& f) {
+  const Endpoints e = StartCase(fleet, txn_id, f.name);
+  const auto& [src, dst, src_home, dst_home] = e;
   const MdsId victim = f.victim_dst ? dst_home : src_home;
   bool fired = false;
   TxnDriver driver(&fleet.transport,
@@ -175,23 +211,34 @@ void RunFaultCase(Fleet& fleet, std::uint64_t& txn_id, const Fault& f) {
   if (f.crash) {
     Check(fleet.Restart(victim).ok(), "victim restarted on its data dir");
   }
-  // Resolution from a fresh driver — exactly what a recovering deployment
-  // runs. Both homes must come out clean.
-  TxnDriver resolver(&fleet.transport);
-  for (const MdsId id : {src_home, dst_home}) {
-    const auto left = resolver.ResolveInDoubt(id);
-    Check(left.ok() && *left == 0,
-          "in-doubt resolution drained mds " + std::to_string(id));
-  }
+  ResolveAndAudit(fleet, e, f.acked);
+}
 
-  const auto src_present = fleet.Present(src);
-  const auto dst_present = fleet.Present(dst);
-  Check(src_present.ok() && dst_present.ok(), "post-recovery probes");
-  if (src_present.ok() && dst_present.ok()) {
-    Check(*dst_present == f.acked, "dst present iff acked");
-    Check(*src_present == !f.acked, "src present iff not acked");
-    Check(!(*src_present && *dst_present), "never both endpoints");
-  }
+/// The client dies right after the commit decision, and the coordinator
+/// is killed before any commit reached a participant. The rename is
+/// acked, so while the coordinator is down its participant must stay in
+/// doubt: only the coordinator's journal knows the verdict.
+void RunDownCoordinatorCase(Fleet& fleet, std::uint64_t& txn_id) {
+  const Endpoints e = StartCase(fleet, txn_id, "halt-decide-kill-coordinator");
+  TxnDriver driver(&fleet.transport,
+                   [&](TxnPhase phase, std::uint32_t k, MdsId target) {
+                     if (phase != TxnPhase::kDecide || k != 0) return true;
+                     fleet.Kill(target);
+                     return false;  // and the client dies too
+                   });
+  Check(driver.Rename(++txn_id, e.src, e.src_home, e.dst, e.dst_home).ok(),
+        "acked at the commit decision");
+
+  TxnDriver resolver(&fleet.transport);
+  const auto left = resolver.ResolveInDoubt(e.dst_home);
+  Check(left.ok() && *left == 1,
+        "participant stays in doubt while its coordinator is down");
+  const auto dst_present = fleet.Present(e.dst);
+  Check(dst_present.ok() && !*dst_present, "dst not applied without a verdict");
+
+  Check(fleet.Restart(e.src_home).ok(),
+        "coordinator restarted on its data dir");
+  ResolveAndAudit(fleet, e, /*acked=*/true);
 }
 
 }  // namespace
@@ -297,6 +344,7 @@ int main(int argc, char** argv) {
         {"halt-decide", TxnPhase::kDecide, 0, false, false, true},
     };
     for (const Fault& f : kMatrix) RunFaultCase(fleet, txn_id, f);
+    RunDownCoordinatorCase(fleet, txn_id);
 
     // Nothing in the background namespace was harmed.
     std::printf("background audit:\n");
