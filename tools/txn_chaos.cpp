@@ -188,8 +188,7 @@ void ResolveAndAudit(Fleet& fleet, const Endpoints& e, bool acked) {
 /// Run the whole rename-under-fault cycle for one case and audit it.
 void RunFaultCase(Fleet& fleet, std::uint64_t& txn_id, const Fault& f) {
   const Endpoints e = StartCase(fleet, txn_id, f.name);
-  const auto& [src, dst, src_home, dst_home] = e;
-  const MdsId victim = f.victim_dst ? dst_home : src_home;
+  const MdsId victim = f.victim_dst ? e.dst_home : e.src_home;
   bool fired = false;
   TxnDriver driver(&fleet.transport,
                    [&](TxnPhase phase, std::uint32_t k, MdsId /*target*/) {
@@ -202,7 +201,8 @@ void RunFaultCase(Fleet& fleet, std::uint64_t& txn_id, const Fault& f) {
                      return false;  // client dies at this boundary
                    });
 
-  const Status drove = driver.Rename(++txn_id, src, src_home, dst, dst_home);
+  const Status drove =
+      driver.Rename(++txn_id, e.src, e.src_home, e.dst, e.dst_home);
   Check(fired, "armed fault fired");
   Check(drove.ok() == f.acked,
         std::string("ack matches the commit point (got ") + drove.ToString() +
